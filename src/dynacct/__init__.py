@@ -18,9 +18,9 @@ from .protocols import (AccusationPunisher, SigmaGen, SigmaVal, StrategyMachine,
                         always_defect_until, one_shot_deviation, sigma_gen,
                         sigma_val, single_evasive)
 from .scenarios import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario
-from .verifier import (BranchTree, EquilibriumReport, FactReport, SimConfig,
-                       assert_gen_facts, build_branch_tree, expected_punishments,
-                       expected_utility, monte_carlo_utility,
-                       run_paired_defection, simulate, verify_one_shot)
+from .verifier import (EquilibriumReport, FactReport, SimConfig,
+                       assert_gen_facts, expected_punishments, expected_utility,
+                       monte_carlo_utility, run_paired_defection, simulate,
+                       verify_one_shot)
 
 __version__ = "0.1.0"

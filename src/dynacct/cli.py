@@ -47,7 +47,7 @@ def _emit(doc: dict, out: Optional[str]):
 def cmd_check(args) -> int:
     try:
         family = eg.load_family(args.family)
-    except FamilyFormatError as e:
+    except (FamilyFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -122,6 +122,8 @@ def _parse_deviate(text: str) -> dict:
 
 def cmd_simulate(args) -> int:
     try:
+        if args.samples is not None and args.samples < 1:
+            raise ValueError("--samples must be >= 1")
         scenario = resolve_scenario(args.scenario)
         if args.deviate:
             dev = _parse_deviate(args.deviate)
@@ -131,7 +133,8 @@ def cmd_simulate(args) -> int:
         scenario.validate()
         cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
         trace = simulate(cfg)
-    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError) as e:
+    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     out = args.out or f"{scenario.name}_trace"
@@ -226,7 +229,8 @@ def cmd_verify(args) -> int:
     except EnumerationCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
-    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError) as e:
+    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     doc = {

@@ -397,7 +397,9 @@ class UnsafePunisherProtocol(_AccusationWindow):
         return super().is_quiescent() and (self.round >= 3 or not self.my_defections)
 
     def state_key(self, m: int):
-        return (super().state_key(m), frozenset(m - r for r in self.my_defections))
+        # the script fires at absolute round 3: rounds up to it are distinct
+        return (super().state_key(m), frozenset(m - r for r in self.my_defections),
+                min(m, 4))
 
     def snapshot(self) -> dict:
         snap = super().snapshot()

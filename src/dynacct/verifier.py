@@ -5,10 +5,24 @@ are drawn simultaneously, and outcomes (individual actions toward the agent
 plus monitoring payloads, which defectors omit) are revealed at the end of
 the round.
 
-Randomisation is explicit.  A realised run draws each labelled Bernoulli
-from a seed via SHA-256 (bit-exact across platforms and thread counts);
-the enumerator instead forks the world at every draw, so probabilities are
-exact rationals and leaf probabilities multiply along the path.
+Each job has exactly one implementation:
+
+* ``_play_round`` plays one round, and ``_simulate_machines`` is the only
+  run loop.  A realised run draws each labelled Bernoulli from a seed via
+  SHA-256 (bit-exact across platforms and thread counts); ``simulate`` runs
+  the configured profile through it.
+* ``_Enumerator`` is the only exact enumerator.  It forks the machines at
+  every draw, so probabilities are exact rationals and leaf probabilities
+  multiply along the path.  It can be conditioned on a realised history
+  prefix, which prunes the branches that disagree with it.
+* ``_expectation`` is the only place an expectation is taken:
+  ``sum(p * f(leaf)) / sum(p)`` over an enumeration.  Without a condition
+  the mass is exactly 1.
+* An override ``(agent, round, pattern)`` forces one agent's send/defect/
+  avoid class per neighbour in one round.  ``_play_round`` applies it in
+  that round; up to and including that round ``_Enumerator`` absorbs no
+  quiescent branch and ``_OneShotChecker._walk_contexts`` collects no
+  context.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
@@ -35,21 +49,24 @@ patterns per neighbour; the prescribed pattern itself reports gain zero.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
                              _reach_frontier, local_view)
-from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
-                        Trace, UtilityParams, cooperation_tail,
+from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
+                        Mode, Trace, UtilityParams, cooperation_tail,
                         discounted_utility, round_utility, tail_bound)
 from .protocols import (AVOID, DEFECT, RandSource, StrategyConfigError,
                         StrategyContext, StrategyMachine, build_strategy)
 
 AgentId = int
+# (agent, round, {neighbour: "send" | "defect" | "avoid"})
+Override = tuple[AgentId, int, Mapping[AgentId, str]]
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -193,13 +210,24 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
 # Round engine
 # ---------------------------------------------------------------------------
 
-ActionHook = Callable[[int, AgentId, dict], dict]
+def _apply_pattern(actions: dict, pattern: Mapping[AgentId, str]) -> dict:
+    out = dict(actions)
+    for j, o in pattern.items():
+        if j not in out:
+            continue
+        if o == "defect":
+            out[j] = DEFECT
+        elif o == "avoid":
+            out[j] = AVOID
+        elif not out[j].sends:
+            out[j] = COOPERATE
+    return out
 
 
 def _play_round(graph: EvolvingGraph, obs: ObservationModel,
                 machines: dict[AgentId, StrategyMachine],
                 params: UtilityParams, m: int, draws,
-                action_hook: Optional[ActionHook] = None):
+                override: Optional[Override] = None):
     rg = graph.at(m)
     views = {i: local_view(graph, i, m, obs) for i in machines}
     for i in sorted(machines):
@@ -214,8 +242,8 @@ def _play_round(graph: EvolvingGraph, obs: ObservationModel,
             raise ValueError(
                 f"agent {i} round {m}: action keys {sorted(a)} != "
                 f"neighbours {sorted(views[i].neighbors)}")
-        if action_hook is not None:
-            a = action_hook(m, i, a)
+        if override is not None and (i, m) == override[:2]:
+            a = _apply_pattern(a, override[2])
         raw[i] = a
     profile = ActionProfile(m, {i: Action(i, m, raw[i]) for i in raw})
     profile.check(rg, params.mode)
@@ -232,12 +260,18 @@ def _play_round(graph: EvolvingGraph, obs: ObservationModel,
 
 def simulate(cfg: SimConfig) -> Trace:
     """One realised run to the horizon under the seeded draw stream."""
-    machines = build_machines(cfg)
+    return _simulate_machines(cfg, build_machines(cfg), cfg.record_state)
+
+
+def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                       record_state: bool = True) -> Trace:
+    """Play ``machines`` to the horizon under cfg's seeded draw stream,
+    logging every machine's end-of-round snapshot when ``record_state``."""
     graph = cfg.graph
     draws = _HashDraws(cfg.seed)
     history = History(graph=graph)
     per_round: dict[tuple[AgentId, int], Fraction] = {}
-    state_log: Optional[dict] = {} if cfg.record_state else None
+    state_log: Optional[dict] = {} if record_state else None
     for m in range(1, cfg.horizon + 1):
         profile, utils = _play_round(graph, cfg.family.observation, machines,
                                      cfg.params, m, draws)
@@ -264,28 +298,29 @@ class _Leaf:
 
 
 class _Enumerator:
-    """Depth-first exact enumeration of all runs of a machine profile."""
+    """Depth-first exact enumeration of all runs of a machine profile from
+    round ``start`` to ``end`` (default: the horizon)."""
 
-    def __init__(self, graph: EvolvingGraph, obs: ObservationModel,
-                 params: UtilityParams,
+    def __init__(self, cfg: SimConfig,
                  machines: dict[AgentId, StrategyMachine],
-                 start_round: int, horizon: int, cap: int,
+                 start: int = 1, end: Optional[int] = None,
                  absorb: bool = True,
-                 action_hook: Optional[ActionHook] = None,
-                 hook_until: int = 0,
+                 override: Optional[Override] = None,
                  condition: Sequence[ActionProfile] = (),
                  collect_profiles: bool = False):
-        self.graph = graph
-        self.obs = obs
-        self.params = params
+        self.graph = cfg.graph
+        self.obs = cfg.family.observation
+        self.params = cfg.params
         self.machines = machines
-        self.start = start_round
-        self.horizon = horizon
-        self.cap = cap
+        self.start = start
+        self.horizon = cfg.horizon if end is None else end
+        self.cap = cfg.enum_cap
         self.absorb = absorb
-        self.action_hook = action_hook
-        self.hook_until = hook_until
+        self.override = override
         self.condition = list(condition)
+        # no absorption while the override or the condition is still ahead
+        self.blocked_until = max(override[1] if override else 0,
+                                 len(self.condition))
         self.collect_profiles = collect_profiles
         self.count = 0
 
@@ -322,24 +357,20 @@ class _Enumerator:
             if m > self.horizon:
                 yield self._emit(prob, utils, None, profiles)
                 return
-            blocked = m <= max(self.hook_until, len(self.condition))
-            if self.absorb and not blocked and all(
+            if self.absorb and m > self.blocked_until and all(
                     machines[i].is_quiescent() for i in machines):
                 yield self._emit(prob, utils, m, profiles)
                 return
-            rg = self.graph.at(m)
             views = {i: local_view(self.graph, i, m, self.obs) for i in machines}
             for i in sorted(machines):
                 machines[i].begin_round(views[i])
             scripts = self._round_scripts(machines, m)
-            if not scripts:
-                raise EnumerationCapExceeded(self.cap)
             for si, (script, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 ms = machines if last else copy.deepcopy(machines)
                 profile, round_utils = _play_round(
                     self.graph, self.obs, ms, self.params, m,
-                    _ScriptDraws(script), self.action_hook)
+                    _ScriptDraws(script), self.override)
                 if m <= len(self.condition) and profile != self.condition[m - 1]:
                     continue
                 nu = dict(utils) if not last else utils
@@ -359,18 +390,42 @@ class _Enumerator:
                 return  # every script was pruned by the condition
 
 
-def _leaf_eu(leaf: _Leaf, graph: EvolvingGraph, params: UtilityParams,
-             i: AgentId, from_round: int, horizon: int) -> Fraction:
-    d = params.delta
+def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
+    """Sum of p * f(leaf) over the enumeration's leaves, divided by their
+    total mass p (exactly 1 unless the enumeration is conditioned)."""
+    total = Fraction(0)
+    mass = Fraction(0)
+    for leaf in enum.leaves():
+        mass += leaf.prob
+        total += leaf.prob * f(leaf)
+    if mass == 0:
+        raise ValueError("condition is inconsistent with the strategy profile")
+    return total / mass
+
+
+def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId,
+             from_round: int) -> Fraction:
+    d = cfg.params.delta
     total = Fraction(0)
     for (a, m), u in leaf.utils.items():
         if a == i and m >= from_round:
             total += d ** (m - from_round) * u
-    if leaf.absorbed_at is not None and leaf.absorbed_at <= horizon:
+    if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
         start = max(leaf.absorbed_at, from_round)
         total += d ** (start - from_round) * cooperation_tail(
-            graph, i, params, start, horizon)
+            cfg.graph, i, cfg.params, start, cfg.horizon)
     return total
+
+
+def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                 i: AgentId, start: int, from_round: int,
+                 override: Optional[Override] = None,
+                 condition: Sequence[ActionProfile] = ()) -> Fraction:
+    """Expected utility of i discounted from ``from_round``, over the runs of
+    ``machines`` enumerated from round ``start``."""
+    enum = _Enumerator(cfg, machines, start, override=override,
+                       condition=condition)
+    return _expectation(enum, lambda leaf: _leaf_eu(leaf, cfg, i, from_round))
 
 
 def expected_utility(cfg: SimConfig, i: AgentId,
@@ -382,18 +437,8 @@ def expected_utility(cfg: SimConfig, i: AgentId,
     the prefix unless ``from_round`` says otherwise."""
     if from_round is None:
         from_round = len(condition) + 1
-    machines = build_machines(cfg)
-    enum = _Enumerator(cfg.graph, cfg.family.observation, cfg.params, machines,
-                       1, cfg.horizon, cfg.enum_cap, condition=condition)
-    total = Fraction(0)
-    mass = Fraction(0)
-    for leaf in enum.leaves():
-        mass += leaf.prob
-        total += leaf.prob * _leaf_eu(leaf, cfg.graph, cfg.params, i,
-                                      from_round, cfg.horizon)
-    if mass == 0:
-        raise ValueError("condition is inconsistent with the strategy profile")
-    return total / mass
+    return _expected_eu(cfg, build_machines(cfg), i, 1, from_round,
+                        condition=condition)
 
 
 def monte_carlo_utility(cfg: SimConfig, i: AgentId,
@@ -404,11 +449,7 @@ def monte_carlo_utility(cfg: SimConfig, i: AgentId,
         raise ValueError("samples must be >= 1")
     values = []
     for k in range(samples):
-        run_cfg = SimConfig(family=cfg.family, member=cfg.member,
-                            strategies=cfg.strategies, horizon=cfg.horizon,
-                            params=cfg.params, seed=cfg.seed + k,
-                            enum_cap=cfg.enum_cap)
-        t = simulate(run_cfg)
+        t = simulate(replace(cfg, seed=cfg.seed + k, record_state=False))
         values.append(discounted_utility(t, i, 1, cfg.params))
     mean = sum(values, Fraction(0)) / samples
     if samples == 1:
@@ -421,27 +462,22 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
                          condition: Sequence[ActionProfile] = ()) -> Fraction:
     """Expected number of punishments received by i over the i-edges in
     rounds (from_round, from_round + rho), conditioned on the prefix."""
-    machines = build_machines(cfg)
+    graph = cfg.graph
     end = min(from_round + rho - 1, cfg.horizon)
-    enum = _Enumerator(cfg.graph, cfg.family.observation, cfg.params, machines,
-                       1, end, cfg.enum_cap, absorb=False,
-                       condition=condition, collect_profiles=True)
-    total = Fraction(0)
-    mass = Fraction(0)
-    for leaf in enum.leaves():
-        mass += leaf.prob
-        hits = 0
+
+    def hits(leaf: _Leaf) -> int:
+        count = 0
         for m in range(from_round + 1, end + 1):
-            profile = leaf.profiles[m]
-            for j in sorted(cfg.graph.at(m).neighbors(i)):
-                a = profile.individual(j, i)
+            for j in graph.at(m).neighbors(i):
+                a = leaf.profiles[m].individual(j, i)
                 if a.kind is ActionKind.PUNISH or (
                         a.kind is ActionKind.PROP_PUNISH and a.c > 0):
-                    hits += 1
-        total += leaf.prob * hits
-    if mass == 0:
-        raise ValueError("condition is inconsistent with the strategy profile")
-    return total / mass
+                    count += 1
+        return count
+
+    enum = _Enumerator(cfg, build_machines(cfg), end=end, absorb=False,
+                       condition=condition, collect_profiles=True)
+    return _expectation(enum, hits)
 
 
 @dataclass
@@ -463,90 +499,6 @@ def punish_ledger(cfg: SimConfig, i: AgentId, rounds: Iterable[int],
     for m in rounds:
         led.entries[(i, m)] = expected_punishments(cfg, i, m, rho)
     return led
-
-
-# ---------------------------------------------------------------------------
-# Branch tree (explicit structure, mainly for inspection and tests)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BranchLeaf:
-    prob: Fraction
-    trace: Trace
-
-
-@dataclass
-class BranchNode:
-    agent: AgentId
-    round: int
-    label: str
-    children: list[tuple[Fraction, object]]  # (edge probability, node or leaf)
-
-
-@dataclass
-class BranchTree:
-    root: object  # BranchNode or BranchLeaf
-    leaves: list[BranchLeaf]
-
-    def total_probability(self) -> Fraction:
-        return sum((l.prob for l in self.leaves), Fraction(0))
-
-
-def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
-    """Materialise the full randomisation tree of the profile to the horizon."""
-    machines = build_machines(cfg)
-    leaves: list[BranchLeaf] = []
-
-    class _Probe:
-        """Draw source that records the first unresolved draw point."""
-
-        def __init__(self, script):
-            self.inner = _ScriptDraws(script)
-            self.pending: Optional[tuple[AgentId, int, str, Fraction]] = None
-
-        def draw(self, agent, rnd, label, p):
-            try:
-                return self.inner.draw(agent, rnd, label, p)
-            except _NeedBranch:
-                self.pending = (agent, rnd, label, p)
-                raise
-
-    def rec(machines, m, prob, history, utils, scripts_prefix):
-        if len(leaves) > max_leaves:
-            raise EnumerationCapExceeded(max_leaves)
-        if m > cfg.horizon:
-            trace = Trace(history=history, per_round_utilities=utils,
-                          rng_seed=cfg.seed)
-            leaf = BranchLeaf(prob=prob, trace=trace)
-            leaves.append(leaf)
-            return leaf
-        rg_views = {i: local_view(cfg.graph, i, m, cfg.family.observation)
-                    for i in machines}
-        for i in sorted(machines):
-            machines[i].begin_round(rg_views[i])
-        probe = _Probe(scripts_prefix)
-        try:
-            for i in sorted(machines):
-                machines[i].act(_BoundRand(probe, i, m))
-        except _NeedBranch:
-            agent, rnd, label, p = probe.pending
-            node = BranchNode(agent=agent, round=rnd, label=label, children=[])
-            for outcome, ep in ((True, p), (False, 1 - p)):
-                ms = copy.deepcopy(machines)
-                child = rec(ms, m, prob * ep, copy.deepcopy(history),
-                            dict(utils), scripts_prefix + [outcome])
-                node.children.append((ep, child))
-            return node
-        profile, round_utils = _play_round(
-            cfg.graph, cfg.family.observation, machines, cfg.params, m,
-            _ScriptDraws(scripts_prefix))
-        history.append(profile)
-        for i, u in round_utils.items():
-            utils[(i, m)] = u
-        return rec(machines, m + 1, prob, history, utils, [])
-
-    root = rec(machines, 1, Fraction(1), History(graph=cfg.graph), {}, [])
-    return BranchTree(root=root, leaves=leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -602,27 +554,6 @@ def _override_patterns(mode: Mode, nbrs: Sequence[AgentId]):
     return patterns
 
 
-def _pattern_hook(agent: AgentId, at_round: int, pattern: Mapping[AgentId, str]):
-    from .game_core import COOPERATE
-
-    def hook(m, a, actions):
-        if m != at_round or a != agent:
-            return actions
-        out = dict(actions)
-        for j, o in pattern.items():
-            if j not in out:
-                continue
-            if o == "defect":
-                out[j] = DEFECT
-            elif o == "avoid":
-                out[j] = AVOID
-            elif not out[j].sends:
-                out[j] = COOPERATE
-        return out
-
-    return hook
-
-
 def _action_class(a) -> str:
     if a.kind is ActionKind.DEFECT:
         return "defect"
@@ -644,13 +575,14 @@ class _OneShotChecker:
 
     def _walk_contexts(self, machines, start: int, end: int, origin: str,
                        seen: set, out: list,
-                       hook: Optional[ActionHook] = None, hook_round: int = 0):
+                       override: Optional[Override] = None):
         """Step the profile with fixed draw outcomes (valid because state is
         draw-independent), collecting deduplicated pre-action world states."""
         ms = copy.deepcopy(machines)
         draws = _FixedDraws(False)
+        first = override[1] if override else 0
         for m in range(start, end + 1):
-            if m > hook_round:
+            if m > first:
                 key = _world_key(self.graph, ms, m)
                 if key not in seen:
                     seen.add(key)
@@ -658,24 +590,13 @@ class _OneShotChecker:
             if m > self.horizon:
                 break
             _play_round(self.graph, self.cfg.family.observation, ms,
-                        self.params, m, draws, action_hook=hook)
+                        self.params, m, draws, override)
 
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
-        hook = None
-        hook_until = 0
-        if pattern is not None:
-            hook = _pattern_hook(self.i, m2, pattern)
-            hook_until = m2
-        enum = _Enumerator(self.graph, self.cfg.family.observation, self.params,
-                           copy.deepcopy(machines), m2, self.horizon,
-                           self.cfg.enum_cap, absorb=True, action_hook=hook,
-                           hook_until=hook_until)
-        total = Fraction(0)
-        for leaf in enum.leaves():
-            total += leaf.prob * _leaf_eu(leaf, self.graph, self.params,
-                                          self.i, m2, self.horizon)
-        return total
+        override = None if pattern is None else (self.i, m2, pattern)
+        return _expected_eu(self.cfg, copy.deepcopy(machines), self.i, m2, m2,
+                            override=override)
 
     def _prescribed_classes(self, machines, m2: int) -> dict[AgentId, str]:
         probe = copy.deepcopy(machines[self.i])
@@ -702,28 +623,21 @@ class _OneShotChecker:
                 "override": {str(j): o for j, o in sorted(pattern.items())},
             }))
 
-    def add_candidate(self, spec: Mapping, honest_eu_cache: dict):
+    @functools.cached_property
+    def honest_eu(self) -> Fraction:
+        """i's expected utility under the honest profile, computed once and
+        only if a candidate needs it."""
+        return _expected_eu(self.cfg, build_machines(self.cfg, honest_only=True),
+                            self.i, 1, 1)
+
+    def add_candidate(self, spec: Mapping):
         ctx = strategy_context(self.cfg, self.i)
         machine = build_strategy({"deviation": dict(spec)}, ctx)
         machines = build_machines(self.cfg, honest_only=True)
         machines[self.i] = machine
-        enum = _Enumerator(self.graph, self.cfg.family.observation, self.params,
-                           machines, 1, self.horizon, self.cfg.enum_cap)
-        eu_dev = Fraction(0)
-        for leaf in enum.leaves():
-            eu_dev += leaf.prob * _leaf_eu(leaf, self.graph, self.params,
-                                           self.i, 1, self.horizon)
-        if self.i not in honest_eu_cache:
-            honest = build_machines(self.cfg, honest_only=True)
-            henum = _Enumerator(self.graph, self.cfg.family.observation,
-                                self.params, honest, 1, self.horizon,
-                                self.cfg.enum_cap)
-            honest_eu_cache[self.i] = sum(
-                (l.prob * _leaf_eu(l, self.graph, self.params, self.i, 1,
-                                   self.horizon) for l in henum.leaves()),
-                Fraction(0))
+        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, 1)
         m_dev = getattr(machine, "first_deviation_round", None) or 1
-        gain = (eu_dev - honest_eu_cache[self.i]) / self.params.delta ** (m_dev - 1)
+        gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
         tol = tail_bound(self.params, self.n, self.horizon - m_dev)
         self.checks += 1
         self.results.append((gain, tol, {
@@ -779,14 +693,13 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
                 end = min(m1 + dev_window, cfg.horizon - 1)
                 checker._walk_contexts(
                     state, m1, end, f"after own {desc}@{m1}", seen, contexts,
-                    hook=_pattern_hook(i, m1, pattern), hook_round=m1)
+                    override=(i, m1, pattern))
 
     for (m2, state, origin) in contexts:
         checker.check_context(m2, state, origin)
 
-    honest_eu_cache: dict = {}
     for spec in candidates:
-        checker.add_candidate(spec, honest_eu_cache)
+        checker.add_candidate(spec)
 
     if not checker.results:
         zero = Fraction(0)
@@ -809,9 +722,8 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
 def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
     """On-path accountability clause: with the honest profile installed,
     every realised individual action is cooperation."""
-    machines = build_machines(cfg, honest_only=True)
-    enum = _Enumerator(cfg.graph, cfg.family.observation, cfg.params, machines,
-                       1, cfg.horizon, cfg.enum_cap, collect_profiles=True)
+    enum = _Enumerator(cfg, build_machines(cfg, honest_only=True),
+                       collect_profiles=True)
     for leaf in enum.leaves():
         for m, profile in sorted(leaf.profiles.items()):
             for a in sorted(profile.actions):
@@ -852,34 +764,12 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     (defecting ``targets``, or all neighbours), sharing seed and state logs."""
     from .protocols import ALL_NEIGHBORS, ScheduledDefector
 
-    base_cfg = SimConfig(family=cfg.family, member=cfg.member,
-                         strategies=cfg.strategies, horizon=cfg.horizon,
-                         params=cfg.params, seed=cfg.seed, record_state=True,
-                         enum_cap=cfg.enum_cap)
-    conform = _simulate_machines(base_cfg, build_machines(base_cfg, honest_only=True))
+    conform = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
-    machines = build_machines(base_cfg, honest_only=True)
+    machines = build_machines(cfg, honest_only=True)
     machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
                                     label=f"defect@{m}")
-    return conform, _simulate_machines(base_cfg, machines)
-
-
-def _simulate_machines(cfg: SimConfig, machines) -> Trace:
-    graph = cfg.graph
-    draws = _HashDraws(cfg.seed)
-    history = History(graph=graph)
-    per_round: dict[tuple[AgentId, int], Fraction] = {}
-    state_log: dict = {}
-    for m in range(1, cfg.horizon + 1):
-        profile, utils = _play_round(graph, cfg.family.observation, machines,
-                                     cfg.params, m, draws)
-        history.append(profile)
-        for i, u in utils.items():
-            per_round[(i, m)] = u
-        for i in sorted(machines):
-            state_log[(i, m)] = machines[i].snapshot()
-    return Trace(history=history, per_round_utilities=per_round,
-                 rng_seed=cfg.seed, state_log=state_log)
+    return conform, _simulate_machines(cfg, machines)
 
 
 def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:

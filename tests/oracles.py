@@ -1,18 +1,36 @@
-"""Independent brute-force oracles for the graph predicates.
+"""Independent brute-force oracles for the graph predicates and for exact
+expectations.
 
-Everything here is deliberately implemented on a different substrate than
-the package: the (agent, round) product DAG is materialised as a networkx
-digraph and closures come from generic graph search, so agreement with the
-package's hand-rolled frontier sweeps is a two-sided check.
+The graph-predicate oracles are deliberately implemented on a different
+substrate than the package: the (agent, round) product DAG is materialised
+as a networkx digraph and closures come from generic graph search, so
+agreement with the package's hand-rolled frontier sweeps is a two-sided
+check.
+
+``build_branch_tree`` is the brute-force reference for the verifier's
+enumerator: it materialises the randomisation tree one draw at a time,
+forking the machines and the whole history at every draw point, and keeps
+a full ``Trace`` per leaf.  It shares only the round step with the
+package, so exact agreement of ``sum(leaf.prob * u)`` over its leaves with
+``expected_utility`` and ``expected_punishments`` checks the enumerator's
+script batching, state sharing, absorption and conditioning.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import networkx as nx
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, local_view)
+from dynacct.game_core import History, Trace
+from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
+                              _BoundRand, _NeedBranch, _play_round,
+                              _ScriptDraws, build_machines)
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -182,3 +200,87 @@ def oracle_partition_valid(f, cand, i, j, m, n1, n2) -> bool:
                         cand, l, mp, o, mq, exclude=i):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Branch tree: per-draw brute-force enumeration
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BranchLeaf:
+    prob: Fraction
+    trace: Trace
+
+
+@dataclass
+class BranchNode:
+    agent: AgentId
+    round: int
+    label: str
+    children: list[tuple[Fraction, object]]  # (edge probability, node or leaf)
+
+
+@dataclass
+class BranchTree:
+    root: object  # BranchNode or BranchLeaf
+    leaves: list[BranchLeaf]
+
+    def total_probability(self) -> Fraction:
+        return sum((l.prob for l in self.leaves), Fraction(0))
+
+
+def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
+    """Materialise the full randomisation tree of the profile to the horizon."""
+    machines = build_machines(cfg)
+    leaves: list[BranchLeaf] = []
+
+    class _Probe:
+        """Draw source that records the first unresolved draw point."""
+
+        def __init__(self, script):
+            self.inner = _ScriptDraws(script)
+            self.pending: Optional[tuple[AgentId, int, str, Fraction]] = None
+
+        def draw(self, agent, rnd, label, p):
+            try:
+                return self.inner.draw(agent, rnd, label, p)
+            except _NeedBranch:
+                self.pending = (agent, rnd, label, p)
+                raise
+
+    def rec(machines, m, prob, history, utils, scripts_prefix):
+        if len(leaves) > max_leaves:
+            raise EnumerationCapExceeded(max_leaves)
+        if m > cfg.horizon:
+            trace = Trace(history=history, per_round_utilities=utils,
+                          rng_seed=cfg.seed)
+            leaf = BranchLeaf(prob=prob, trace=trace)
+            leaves.append(leaf)
+            return leaf
+        rg_views = {i: local_view(cfg.graph, i, m, cfg.family.observation)
+                    for i in machines}
+        for i in sorted(machines):
+            machines[i].begin_round(rg_views[i])
+        probe = _Probe(scripts_prefix)
+        try:
+            for i in sorted(machines):
+                machines[i].act(_BoundRand(probe, i, m))
+        except _NeedBranch:
+            agent, rnd, label, p = probe.pending
+            node = BranchNode(agent=agent, round=rnd, label=label, children=[])
+            for outcome, ep in ((True, p), (False, 1 - p)):
+                ms = copy.deepcopy(machines)
+                child = rec(ms, m, prob * ep, copy.deepcopy(history),
+                            dict(utils), scripts_prefix + [outcome])
+                node.children.append((ep, child))
+            return node
+        profile, round_utils = _play_round(
+            cfg.graph, cfg.family.observation, machines, cfg.params, m,
+            _ScriptDraws(scripts_prefix))
+        history.append(profile)
+        for i, u in round_utils.items():
+            utils[(i, m)] = u
+        return rec(machines, m + 1, prob, history, utils, [])
+
+    root = rec(machines, 1, Fraction(1), History(graph=cfg.graph), {}, [])
+    return BranchTree(root=root, leaves=leaves)

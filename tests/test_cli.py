@@ -222,6 +222,26 @@ def test_verify_scenario_roundtrip_loader():
         assert sc2.to_json() == doc
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--scenario", "nope"],
+    ["simulate", "--scenario", "nope"],
+    ["check", "timely", "--family", "nope", "--rho", "3"],
+    ["simulate", "--scenario", "ring_connectivity", "--samples", "-1"],
+    ["simulate", "--scenario", "ring_connectivity", "--samples", "0"],
+], ids=["verify-missing-scenario", "simulate-missing-scenario",
+        "check-missing-family", "simulate-negative-samples",
+        "simulate-zero-samples"])
+def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
+                                            capsys):
+    # a missing input file or a bad option is an input error (exit 2), not
+    # a failing verdict, and nothing is written before it is reported
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------

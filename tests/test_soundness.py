@@ -1,0 +1,192 @@
+"""The one-shot verifier's soundness preconditions, checked on every shipped
+honest strategy.
+
+``verify_one_shot`` walks contexts with fixed draw outcomes and deduplicates
+them by (graph phase, machine ``state_key``s).  Both shortcuts are sound only
+if (a) a machine's state never depends on punish/cooperate draw outcomes
+(``draw_independent_state``) and (b) ``state_key`` is complete: two machines
+with equal keys at the same graph phase behave identically from there on,
+whatever they are told.  These tests check both instead of assuming them.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+
+import pytest
+
+from dynacct.evolving_graph import local_view
+from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
+                               prop_punish)
+from dynacct.protocols import ALL_NEIGHBORS, RandSource
+from dynacct.scenarios import general_defaults, valuable_defaults
+from dynacct.verifier import (SimConfig, _HashDraws, _phase, _play_round,
+                              build_machines, run_paired_defection)
+
+from .test_verifier import mixed_degree_family
+
+# every shipped honest strategy, with the utility mode it runs in
+SHIPPED = {
+    "sigma_gen": ("sigma_gen", lambda n: general_defaults()),
+    "sigma_val": ({"strategy": "sigma_val", "rho": 3},
+                  lambda n: valuable_defaults(n, 3)),
+    "accusation_punisher": ({"strategy": "accusation_punisher", "rho": 3},
+                            lambda n: general_defaults()),
+    "always_defect": ("always_defect", lambda n: general_defaults()),
+    "unsafe_scripted": ({"strategy": "unsafe_scripted", "rho": 3},
+                        lambda n: general_defaults()),
+}
+
+
+def shipped_cfg(name, horizon, seed=0):
+    spec, params = SHIPPED[name]
+    fam = mixed_degree_family()
+    cfg = SimConfig(family=fam, member="mix",
+                    strategies={a: spec for a in range(fam.n)},
+                    horizon=horizon, params=params(fam.n), seed=seed)
+    if not all(m.draw_independent_state for m in build_machines(cfg).values()):
+        pytest.skip(f"{name} does not declare draw-independent state")
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_state_log_is_draw_independent(name):
+    # a scheduled defection under different seeds: the punish draws differ
+    # (for the randomised protocol), the recorded machine states must not
+    runs = [run_paired_defection(shipped_cfg(name, 20, seed), 0, 1,
+                                 ALL_NEIGHBORS)[1] for seed in range(8)]
+    for t in runs[1:]:
+        assert t.state_log == runs[0].state_log
+    if name == "sigma_gen":
+        assert any(t.history.profiles != runs[0].history.profiles
+                   for t in runs[1:])
+
+
+# ---------------------------------------------------------------------------
+# state_key completeness
+# ---------------------------------------------------------------------------
+
+class _RecordingRand(RandSource):
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.log = []
+
+    def bernoulli(self, label, p):
+        self.log.append((label, p))
+        return self.rng.random() < p
+
+
+def _relative(payload, m, n):
+    """Payload with its absolute rounds rewritten relative to round m."""
+    if payload is None:
+        return None
+    if "pend" in payload:     # bounded tallies: residues mod n, report rounds
+        return {"pend": sorted(((s, (c - m) % n), v)
+                               for (s, c), v in payload["pend"]),
+                "acc": sorted(((v, s, m - r), val)
+                              for (v, s, r), val in payload["acc"])}
+    return {"acc": sorted((s, m - r) for s, r in payload["acc"])}
+
+
+def _absolute(rel, m, n):
+    if rel is None:
+        return None
+    if "pend" in rel:
+        return {"pend": sorted(((s, (m + d) % n), v) for (s, d), v in rel["pend"]),
+                "acc": sorted(((v, s, m - k), val)
+                              for (v, s, k), val in rel["acc"])}
+    return {"acc": sorted((s, m - k) for s, k in rel["acc"])}
+
+
+def _random_inbox(rng, name, nbrs, n):
+    """Relative-form inbox: an arbitrary action and payload per neighbour."""
+    inbox = {}
+    for j in sorted(nbrs):
+        if name == "sigma_val":
+            a = rng.choice([DEFECT, AVOID, prop_punish(0), prop_punish(1),
+                            prop_punish(2)])
+        else:
+            a = rng.choice([COOPERATE, DEFECT, PUNISH])
+        if name == "sigma_gen":
+            rel = {"pend": sorted(((s, d), rng.randint(1, n - 1))
+                                  for s in range(n) for d in range(n)
+                                  if rng.random() < 0.3),
+                   "acc": sorted(((v, s, k), rng.choice(["good", "bad"]))
+                                 for v in range(n) for s in range(n) if v != s
+                                 for k in range(1, n) if rng.random() < 0.3)}
+        elif name == "always_defect":
+            rel = None
+        else:
+            rel = {"acc": sorted((s, k) for s in range(n)
+                                 for k in range(1, 4) if rng.random() < 0.3)}
+        inbox[j] = (a, rel)
+    return inbox
+
+
+def _drive(mach, m, cfg, inboxes):
+    """Feed relative inboxes from round m on; return what the machine shows
+    (relative payloads, actions, draw requests, quiescence, later keys)."""
+    n, graph, obs = cfg.family.n, cfg.graph, cfg.family.observation
+    seen = []
+    for s, inbox in enumerate(inboxes):
+        t = m + s
+        view = local_view(graph, mach.me, t, obs)
+        mach.begin_round(view)
+        pays = {j: _relative(mach.payload_for(j), t, n)
+                for j in sorted(view.neighbors)}
+        rand = _RecordingRand(s)
+        act = mach.act(rand)
+        mach.end_round(act, {
+            j: (a, None if a.kind is ActionKind.DEFECT else _absolute(p, t, n))
+            for j, (a, p) in inbox.items()})
+        seen.append((pays, act, rand.log, mach.is_quiescent(),
+                     mach.state_key(t + 1)))
+    return seen
+
+
+def _machines_by_key(cfg, rng):
+    """Pre-round machines from many single-defection histories, grouped by
+    (agent, graph phase, state_key)."""
+    graph, n = cfg.graph, cfg.family.n
+    groups: dict = {}
+    for dev in range(n):
+        for r in range(1, 8):
+            machines = build_machines(cfg)
+            nbrs = graph.at(r).neighbors(dev)
+            override = (dev, r, {j: "defect" for j in nbrs})
+            draws = _HashDraws(rng.randrange(10 ** 6))
+            for m in range(1, cfg.horizon + 1):
+                for a in sorted(machines):
+                    key = (a, _phase(graph, m), machines[a].state_key(m))
+                    group = groups.setdefault(key, [])
+                    if all(m != m2 for m2, _ in group):
+                        group.append((m, copy.deepcopy(machines[a])))
+                _play_round(graph, cfg.family.observation, machines,
+                            cfg.params, m, draws, override)
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_equal_state_keys_have_equal_futures(name, rng):
+    # machines reached by different histories at different rounds of the
+    # same graph phase, with equal state_key: under one random inbox
+    # sequence they must act, send, draw and re-key identically
+    cfg = shipped_cfg(name, 24)
+    n = cfg.family.n
+    pairs = stateful = 0
+    for (a, _, _), group in _machines_by_key(cfg, rng).items():
+        (m1, mach1), (m2, mach2) = group[0], group[-1]
+        if m1 == m2:
+            continue
+        pairs += 1
+        stateful += not mach1.is_quiescent()
+        steps = n * n + 2
+        inboxes = [_random_inbox(rng, name,
+                                 cfg.graph.at(m1 + s).neighbors(a), n)
+                   for s in range(steps)]
+        assert (_drive(copy.deepcopy(mach1), m1, cfg, inboxes)
+                == _drive(copy.deepcopy(mach2), m2, cfg, inboxes)), (a, m1, m2)
+    assert pairs > 0
+    if name != "always_defect":
+        assert stateful > 0

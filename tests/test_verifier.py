@@ -13,10 +13,12 @@ from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
                               _simulate_machines, assert_gen_facts,
-                              build_branch_tree, build_machines,
-                              expected_punishments, expected_utility,
-                              monte_carlo_utility, run_paired_defection,
-                              simulate, verify_cooperation, verify_one_shot)
+                              build_machines, expected_punishments,
+                              expected_utility, monte_carlo_utility,
+                              run_paired_defection, simulate,
+                              verify_cooperation, verify_one_shot)
+
+from .oracles import build_branch_tree
 
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -115,7 +117,7 @@ def test_branch_tree_probability_invariants():
     assert tree.total_probability() == 1
 
     def walk(node, path_prob):
-        from dynacct.verifier import BranchLeaf, BranchNode
+        from .oracles import BranchLeaf, BranchNode
         if isinstance(node, BranchLeaf):
             assert node.prob == path_prob
             return
@@ -155,6 +157,76 @@ def test_expected_utility_conditioning_renormalises():
     manual = sum((l.prob * discounted_utility(l.trace, 0, 1, cfg.params)
                   for l in matching), Fraction(0)) / mass
     assert eu == manual
+
+
+def _oracle_mean(leaves, f):
+    mass = sum((l.prob for l in leaves), Fraction(0))
+    return sum((l.prob * f(l) for l in leaves), Fraction(0)) / mass
+
+
+def _given(leaves, prefix):
+    return [l for l in leaves
+            if l.trace.history.profiles[:len(prefix)] == prefix]
+
+
+def _punishments_toward(trace, graph, i, first, last):
+    hits = 0
+    for m in range(first, last + 1):
+        profile = trace.history.profiles[m - 1]
+        for j in graph.at(m).neighbors(i):
+            a = profile.individual(j, i)
+            hits += a.kind is ActionKind.PUNISH
+    return hits
+
+
+def test_enumerator_matches_branch_tree_oracle_on_random_families(rng):
+    # sigma_gen with one always_defect_until deviator on random small
+    # families: every exact expectation equals the per-draw oracle's
+    # sum of p * u, unconditioned and conditioned on a realised prefix
+    from .conftest import random_round_graph
+
+    branching = 0
+    for _ in range(40):
+        n = rng.randint(3, 4)
+        g = EvolvingGraph(
+            tuple(random_round_graph(rng, n, 0.7)
+                  for _ in range(rng.randint(0, 2))),
+            tuple(random_round_graph(rng, n, 0.7)
+                  for _ in range(rng.randint(1, 3))), "g")
+        horizon = rng.randint(2 * n, 2 * n + 3)
+        fam = GraphFamily(n, (g,), ND, max(horizon, g.period))
+        dev = rng.randrange(n)
+        cfg = gen_cfg(fam, horizon=horizon, devs={dev: {"deviation": {
+            "kind": "always_defect_until", "round": rng.randint(1, 2),
+            "base": "sigma_gen"}}})
+        tree = build_branch_tree(cfg, max_leaves=5000)
+        assert tree.total_probability() == 1
+        branching += len(tree.leaves) > 1
+        params = cfg.params
+        for i in sorted({dev, rng.randrange(n)}):
+            assert expected_utility(cfg, i) == _oracle_mean(
+                tree.leaves, lambda l: discounted_utility(l.trace, i, 1, params))
+
+            k = rng.randint(1, horizon - 1)
+            prefix = rng.choice(tree.leaves).trace.history.profiles[:k]
+            for frm in (1, k + 1):
+                assert expected_utility(cfg, i, condition=prefix,
+                                        from_round=frm) == _oracle_mean(
+                    _given(tree.leaves, prefix),
+                    lambda l: discounted_utility(l.trace, i, frm, params))
+
+            frm = rng.randint(1, horizon - 1)
+            rho = rng.randint(2, horizon - frm + 1)
+            end = min(frm + rho - 1, horizon)
+            assert expected_punishments(cfg, i, frm, rho) == _oracle_mean(
+                tree.leaves,
+                lambda l: _punishments_toward(l.trace, g, i, frm + 1, end))
+            prefix = prefix[:end]
+            assert expected_punishments(cfg, i, frm, rho,
+                                        condition=prefix) == _oracle_mean(
+                _given(tree.leaves, prefix),
+                lambda l: _punishments_toward(l.trace, g, i, frm + 1, end))
+    assert branching >= 5   # the draws, not only the rounds, are compared
 
 
 def test_expected_utility_enumeration_cap():
