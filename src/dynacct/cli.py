@@ -27,7 +27,7 @@ from .evolving_graph import FamilyFormatError, PartitionSearchRefused
 from .game_core import discounted_utility
 from .protocols import StrategyConfigError
 from .scenarios import (BUILTIN_SCENARIOS, resolve_scenario, scenario_catalog)
-from .verifier import (EnumerationCapExceeded, monte_carlo_utility, simulate,
+from .verifier import (EnumerationCapExceeded, monte_carlo_utilities, simulate,
                        verify_cooperation, verify_one_shot)
 
 EXIT_PASS = 0
@@ -154,11 +154,10 @@ def cmd_simulate(args) -> int:
     if args.format in ("csv", "both"):
         summary["csv"] = out + ".csv"
     if args.samples:
-        summary["monte_carlo"] = {}
-        for i in range(cfg.family.n):
-            mean, se = monte_carlo_utility(cfg, i, args.samples)
-            summary["monte_carlo"][str(i)] = {
-                "samples": args.samples, "mean": float(mean), "std_error": se}
+        summary["monte_carlo"] = {
+            str(i): {"samples": args.samples, "mean": float(mean),
+                     "std_error": se}
+            for i, (mean, se) in monte_carlo_utilities(cfg, args.samples).items()}
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_PASS
 

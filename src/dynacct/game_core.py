@@ -14,12 +14,18 @@ Utility of agent i against neighbour j in one round:
 * a received proportional punishment of weight c costs an extra ``c*pi``;
   a received active punishment costs an extra ``pi`` (the garbage carries
   the benefit clause literally, then the loss ``pi >= beta`` nets it away).
+
+``edge_utility`` states these rules once.  ``UtilityParams.edge_table``
+evaluates them for every (own, received) action pair of an n-agent game
+and caches the table on the parameters; a round's utilities are sums of
+its entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -51,9 +57,18 @@ _ALLOWED = {
 }
 
 
+_KIND_CODE = {ActionKind.COOPERATE: 0, ActionKind.DEFECT: 1,
+              ActionKind.PUNISH: 2, ActionKind.AVOID: 3,
+              ActionKind.PROP_PUNISH: 4}
+
+
 @dataclass(frozen=True)
 class IndividualAction:
-    """One agent's action toward one neighbour for one round."""
+    """One agent's action toward one neighbour for one round.
+
+    ``code`` is a small integer naming the action (kind, and weight for
+    proportional punishments), the key of ``UtilityParams.edge_table``.
+    """
 
     kind: ActionKind
     c: int = 0
@@ -63,6 +78,7 @@ class IndividualAction:
             raise ValueError("proportional punishment weight must be >= 0")
         if self.kind is not ActionKind.PROP_PUNISH and self.c != 0:
             raise ValueError(f"{self.kind.value} carries no weight")
+        object.__setattr__(self, "code", _KIND_CODE[self.kind] + self.c)
 
     @property
     def sends(self) -> bool:
@@ -194,25 +210,52 @@ class UtilityParams:
         """Bound y on the utility swing of a single interaction."""
         return self.beta + self.alpha + 1 + (n - 1) * self.pi
 
+    @cached_property
+    def _edge_tables(self) -> dict[int, dict[tuple[int, int], Fraction]]:
+        return {}
+
+    def edge_table(self, n: int) -> dict[tuple[int, int], Fraction]:
+        """``edge_utility`` of every (own, received) action pair of an
+        n-agent game (any kind, proportional weights 0..n-1), keyed by the
+        actions' codes; built once per parameters and n."""
+        table = self._edge_tables.get(n)
+        if table is None:
+            actions = [COOPERATE, DEFECT, PUNISH, AVOID] + [
+                IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n)]
+            table = {(own.code, got.code): edge_utility(own, got, self)
+                     for own in actions for got in actions}
+            self._edge_tables[n] = table
+        return table
+
+
+def edge_utility(own: IndividualAction, received: IndividualAction,
+                 params: UtilityParams) -> Fraction:
+    """Utility of one directed edge: own action toward the neighbour, and
+    the neighbour's action received back (the module docstring's rules)."""
+    u = Fraction(0)
+    if own.sends:
+        u -= 1
+    if received.sends and own.kind is not ActionKind.AVOID:
+        u += params.beta - params.alpha
+        if received.kind is ActionKind.PROP_PUNISH:
+            u -= received.c * params.pi
+        elif received.kind is ActionKind.PUNISH:
+            u -= params.pi
+    return u
+
 
 def round_utility(i: AgentId, profile: ActionProfile, graph: RoundGraph,
                   params: UtilityParams) -> Fraction:
-    u = Fraction(0)
     mine = profile.actions[i]
     mine.check_neighbors(graph)
+    table = params.edge_table(graph.n)
+    u = Fraction(0)
     for j in sorted(graph.neighbors(i)):
         a_ij = mine.toward(j)
         a_ji = profile.individual(j, i)
         a_ij.check_mode(params.mode, graph.n)
         a_ji.check_mode(params.mode, graph.n)
-        if a_ij.sends:
-            u -= 1
-        if a_ji.sends and a_ij.kind is not ActionKind.AVOID:
-            u += params.beta - params.alpha
-            if a_ji.kind is ActionKind.PROP_PUNISH:
-                u -= a_ji.c * params.pi
-            elif a_ji.kind is ActionKind.PUNISH:
-                u -= params.pi
+        u += table[a_ij.code, a_ji.code]
     return u
 
 

@@ -73,6 +73,12 @@ class StrategyMachine:
         self.view: Optional[LocalView] = None
 
     def clone(self) -> "StrategyMachine":
+        """An independent machine in the same state: driving either one
+        never changes the other.  The verifier forks runs this way, one
+        machine at a time, so no machine may share mutable state with
+        another.  The default deep-copies; subclasses override it to copy
+        just their mutable containers, and must extend such an override
+        when they add containers of their own."""
         return copy.deepcopy(self)
 
     def begin_round(self, view: LocalView):
@@ -146,6 +152,11 @@ class _AccusationWindow(StrategyMachine):
                         self.accusations.add((s, r))
         self.accusations = {(s, r) for (s, r) in self.accusations if r >= lo}
 
+    def clone(self) -> "_AccusationWindow":
+        c = copy.copy(self)
+        c.accusations = set(self.accusations)
+        return c
+
     def snapshot(self) -> dict:
         return {"accusations": sorted(self.accusations)}
 
@@ -211,6 +222,8 @@ class SigmaGen(StrategyMachine):
                      the last n rounds
 
     Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
+    The payload is built once per round, on the first ``payload_for``, and
+    every neighbour gets the same immutable content (tuples, never lists).
     End of round m: record own reports for m; merge pend (max, capped) and
     fill absent acc slots from non-defecting senders, rejecting anything a
     sender claims about itself and skipping the residue class of m; then,
@@ -228,6 +241,13 @@ class SigmaGen(StrategyMachine):
         self.acc: dict[tuple[AgentId, AgentId, int], str] = {}
         self._cap = _cap
         self._pend_payload_inflate = _pend_payload_inflate
+        self._payload: Optional[tuple] = None   # this round's, once built
+
+    def clone(self) -> "SigmaGen":
+        c = copy.copy(self)
+        c.pend = dict(self.pend)
+        c.acc = dict(self.acc)
+        return c
 
     def begin_round(self, view: LocalView):
         if view.neighbor_degrees is None:
@@ -235,11 +255,13 @@ class SigmaGen(StrategyMachine):
         super().begin_round(view)
 
     def payload_for(self, j: AgentId) -> Optional[dict]:
-        infl = self._pend_payload_inflate
-        return {
-            "pend": sorted((k, v + infl) for k, v in self.pend.items()),
-            "acc": sorted(self.acc.items()),
-        }
+        if self._payload is None:
+            infl = self._pend_payload_inflate
+            self._payload = (
+                tuple(sorted((k, v + infl) for k, v in self.pend.items())),
+                tuple(sorted(self.acc.items())))
+        pend, acc = self._payload
+        return {"pend": pend, "acc": acc}
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         m = self.round
@@ -247,17 +269,19 @@ class SigmaGen(StrategyMachine):
         for j in sorted(self.view.neighbors):
             pending = self.pend.get((j, m % self.n), 0)
             deg_j = self.view.neighbor_degrees[j]
-            pr = min(Fraction(1), Fraction(pending, deg_j))
-            if pr == 0:
+            if pending == 0:
                 out[j] = COOPERATE
-            elif pr == 1:
+            elif pending >= deg_j:
                 out[j] = PUNISH
             else:
-                out[j] = PUNISH if rand.bernoulli(f"punish[{j}]", pr) else COOPERATE
+                out[j] = (PUNISH if rand.bernoulli(f"punish[{j}]",
+                                                   Fraction(pending, deg_j))
+                          else COOPERATE)
         return out
 
     def end_round(self, own_action, inbox):
         m, n = self.round, self.n
+        self._payload = None
         for j in sorted(inbox):
             act_ji, _ = inbox[j]
             self.acc[(self.me, j, m)] = (
@@ -269,43 +293,43 @@ class SigmaGen(StrategyMachine):
         self.acc = {k: v for k, v in self.acc.items() if k[2] >= floor}
 
     def _merge(self, m: int, inbox):
-        n = self.n
-        senders = {j: p for j, (a, p) in inbox.items()
-                   if a.kind is not ActionKind.DEFECT and p is not None}
-        for j in sorted(senders):
-            for ((s, c), v) in senders[j]["pend"]:
-                if s == self.me or s == j or c == m % n:
+        n, me = self.n, self.me
+        senders = [(j, p) for j, (a, p) in sorted(inbox.items())
+                   if a.kind is not ActionKind.DEFECT and p is not None]
+        for j, p in senders:
+            for ((s, c), v) in p["pend"]:
+                if s == me or s == j or c == m % n:
                     continue
                 merged = max(self.pend.get((s, c), 0), v)
                 if self._cap:
                     merged = min(n - 1, merged)
                 if merged > 0:
                     self.pend[(s, c)] = merged
-        fills: dict[tuple, dict[int, str]] = {}
-        for j in sorted(senders):
-            for ((v, s, r), val) in senders[j]["acc"]:
-                if s == j or v == self.me or s == v:
-                    continue
-                if not (m - n + 1 <= r <= m - 1):
-                    continue
-                if (v, s, r) in self.acc:
-                    continue
-                fills.setdefault((v, s, r), {})[j] = val
-        for key, cands in fills.items():
-            self.acc[key] = cands[min(cands)]  # lowest-id sender wins
+        # fill absent slots only; senders go in id order, so the lowest-id
+        # sender of a slot wins
+        for j, p in senders:
+            reports = dict(p["acc"])
+            for key in reports.keys() - self.acc.keys():
+                v, s, r = key
+                if s != j and v != me and s != v and m - n + 1 <= r <= m - 1:
+                    self.acc[key] = reports[key]
 
     def _rebuild_pend(self, m: int):
         n = self.n
         r = m - n + 1
+        degs: dict[AgentId, int] = {}   # reports about each sender for round r
+        bad: set[AgentId] = set()
+        for (v, s, rr), val in self.acc.items():
+            if rr == r and v != s:
+                degs[s] = degs.get(s, 0) + 1
+                if val == "bad":
+                    bad.add(s)
         for j in range(n):
             if j == self.me:
                 continue
-            deg = sum(1 for (v, s, rr) in self.acc
-                      if s == j and rr == r and v != j)
-            bad = any(val == "bad" for (v, s, rr), val in self.acc.items()
-                      if s == j and rr == r and v != j)
+            deg = degs.get(j, 0)
             key = (j, (m + 1) % n)
-            new = max(0, self.pend.get(key, 0) - deg) + (deg if bad else 0)
+            new = max(0, self.pend.get(key, 0) - deg) + (deg if j in bad else 0)
             if self._cap:
                 assert new <= n - 1, "tally invariant broken"
             if new > 0:
@@ -387,6 +411,11 @@ class UnsafePunisherProtocol(_AccusationWindow):
                 out[2] = DEFECT
         return out
 
+    def clone(self) -> "UnsafePunisherProtocol":
+        c = super().clone()
+        c.my_defections = set(self.my_defections)
+        return c
+
     def end_round(self, own_action, inbox):
         if any(a.kind is ActionKind.DEFECT for a in own_action.values()):
             self.my_defections.add(self.round)
@@ -440,6 +469,11 @@ class ScheduledDefector(StrategyMachine):
     @property
     def first_deviation_round(self) -> Optional[int]:
         return min(self.schedule) if self.schedule else None
+
+    def clone(self) -> "ScheduledDefector":
+        c = copy.copy(self)    # the schedule is never mutated: share it
+        c.base = self.base.clone()
+        return c
 
     def begin_round(self, view: LocalView):
         super().begin_round(view)
@@ -560,6 +594,11 @@ class OneShotDeviation(StrategyMachine):
 
     def _fires_now(self) -> bool:
         return self.fired_at is None and self.trigger(self.view)
+
+    def clone(self) -> "OneShotDeviation":
+        c = copy.copy(self)    # trigger and override are never mutated
+        c.base = self.base.clone()
+        return c
 
     def begin_round(self, view: LocalView):
         super().begin_round(view)

@@ -7,14 +7,22 @@ the round.
 
 Each job has exactly one implementation:
 
-* ``_play_round`` plays one round, and ``_simulate_machines`` is the only
-  run loop.  A realised run draws each labelled Bernoulli from a seed via
-  SHA-256 (bit-exact across platforms and thread counts); ``simulate`` runs
-  the configured profile through it.
-* ``_Enumerator`` is the only exact enumerator.  It forks the machines at
-  every draw, so probabilities are exact rationals and leaf probabilities
-  multiply along the path.  It can be conditioned on a realised history
-  prefix, which prunes the branches that disagree with it.
+* A round is one pass: ``_begin_round`` computes the views and calls
+  ``begin_round``, ``_act`` calls ``act`` once per machine and script,
+  ``_round_outcome`` checks the profile once and sums each agent's utility
+  from the cached per-edge table, and ``_deliver`` hands out payloads and
+  calls ``end_round``.  ``_play_round`` chains the four for one draw
+  source, and ``_simulate_machines`` is the only run loop.  A realised run
+  draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
+  platforms and thread counts); ``simulate`` runs the configured profile
+  through it.
+* ``_Enumerator`` is the only exact enumerator.  Per round it computes the
+  views once, collects the actions of every draw script, and plays each
+  script from those actions, forking the machines (``_fork``: one
+  ``clone()`` per machine) for every script but the last.  Probabilities
+  are exact rationals and leaf probabilities multiply along the path.  It
+  can be conditioned on a realised history prefix, which prunes the
+  scripts that disagree with it before any fork.
 * ``_expectation`` is the only place an expectation is taken:
   ``sum(p * f(leaf)) / sum(p)`` over an enumeration.  Without a condition
   the mass is exactly 1.
@@ -48,7 +56,6 @@ patterns per neighbour; the prescribed pattern itself reports gain zero.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import math
@@ -60,7 +67,7 @@ from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
                              _reach_frontier, local_view)
 from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
                         Mode, Trace, UtilityParams, cooperation_tail,
-                        discounted_utility, round_utility, tail_bound)
+                        discounted_utility, tail_bound)
 from .protocols import (AVOID, DEFECT, RandSource, StrategyConfigError,
                         StrategyContext, StrategyMachine, build_strategy)
 
@@ -224,38 +231,80 @@ def _apply_pattern(actions: dict, pattern: Mapping[AgentId, str]) -> dict:
     return out
 
 
-def _play_round(graph: EvolvingGraph, obs: ObservationModel,
-                machines: dict[AgentId, StrategyMachine],
-                params: UtilityParams, m: int, draws,
-                override: Optional[Override] = None):
-    rg = graph.at(m)
+def _begin_round(graph: EvolvingGraph, obs: ObservationModel,
+                 machines: dict[AgentId, StrategyMachine], m: int) -> dict:
+    """Deliver round m's views; returns them by agent."""
     views = {i: local_view(graph, i, m, obs) for i in machines}
     for i in sorted(machines):
         machines[i].begin_round(views[i])
-    payloads = {i: {j: machines[i].payload_for(j)
-                    for j in sorted(views[i].neighbors)}
-                for i in sorted(machines)}
-    raw = {}
-    for i in sorted(machines):
-        a = machines[i].act(_BoundRand(draws, i, m))
-        if set(a) != set(views[i].neighbors):
+    return views
+
+
+def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
+    return {i: machines[i].act(_BoundRand(draws, i, m)) for i in sorted(machines)}
+
+
+def _round_outcome(graph: EvolvingGraph, views: dict, params: UtilityParams,
+                   m: int, raw: dict, override: Optional[Override]):
+    """The checked action profile of round m and every agent's utility."""
+    rg = graph.at(m)
+    acts = {}
+    for i in sorted(raw):
+        a = raw[i]
+        if set(a) != views[i].neighbors:
             raise ValueError(
                 f"agent {i} round {m}: action keys {sorted(a)} != "
                 f"neighbours {sorted(views[i].neighbors)}")
         if override is not None and (i, m) == override[:2]:
             a = _apply_pattern(a, override[2])
-        raw[i] = a
-    profile = ActionProfile(m, {i: Action(i, m, raw[i]) for i in raw})
+        acts[i] = a
+    profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
-    utils = {i: round_utility(i, profile, rg, params) for i in sorted(machines)}
-    for i in sorted(machines):
+    table = params.edge_table(rg.n)
+    utils = {}
+    for i, a in acts.items():
+        u = Fraction(0)
+        for j in sorted(a):
+            u += table[a[j].code, acts[j][i].code]
+        utils[i] = u
+    return profile, utils
+
+
+def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
+             profile: ActionProfile):
+    """Reveal round outcomes: each machine gets its neighbours' actions
+    toward it and their payloads (none from a defector)."""
+    acts = {i: a.per_neighbor for i, a in profile.actions.items()}
+    order = sorted(machines)
+    nbrs = {i: sorted(views[i].neighbors) for i in order}
+    payloads = {i: {j: machines[i].payload_for(j) for j in nbrs[i]}
+                for i in order}
+    for i in order:
         inbox = {}
-        for j in sorted(views[i].neighbors):
-            a_ji = profile.individual(j, i)
+        for j in nbrs[i]:
+            a_ji = acts[j][i]
             pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
             inbox[j] = (a_ji, pay)
-        machines[i].end_round(raw[i], inbox)
+        machines[i].end_round(acts[i], inbox)
+
+
+def _play_round(graph: EvolvingGraph, obs: ObservationModel,
+                machines: dict[AgentId, StrategyMachine],
+                params: UtilityParams, m: int, draws,
+                override: Optional[Override] = None):
+    """One round with one draw source: views, actions, outcome, delivery."""
+    views = _begin_round(graph, obs, machines, m)
+    profile, utils = _round_outcome(graph, views, params, m,
+                                    _act(machines, m, draws), override)
+    _deliver(views, machines, profile)
     return profile, utils
+
+
+def _fork(machines: dict[AgentId, StrategyMachine]) -> dict[AgentId, StrategyMachine]:
+    """Independent copies, one ``clone()`` per machine.  Sound because no two
+    machines share mutable state (each shadow world of a scripted evasive
+    strategy belongs to that one machine)."""
+    return {a: mach.clone() for a, mach in machines.items()}
 
 
 def simulate(cfg: SimConfig) -> Trace:
@@ -335,21 +384,21 @@ class _Enumerator:
         return _Leaf(prob=prob, utils=utils, absorbed_at=absorbed,
                      profiles=profiles)
 
-    def _round_scripts(self, machines, m) -> list[tuple[list[bool], Fraction]]:
-        """All draw scripts that complete round m's action phase."""
+    def _round_scripts(self, machines, m) -> list[tuple[dict, Fraction]]:
+        """The actions of every draw script that completes round m's action
+        phase, with the script's probability."""
         stack: list[list[bool]] = [[]]
-        done: list[tuple[list[bool], Fraction]] = []
+        done: list[tuple[dict, Fraction]] = []
         while stack:
             script = stack.pop()
             draws = _ScriptDraws(script)
             try:
-                for i in sorted(machines):
-                    machines[i].act(_BoundRand(draws, i, m))
-            except _NeedBranch as nb:
+                raw = _act(machines, m, draws)
+            except _NeedBranch:
                 stack.append(script + [False])
                 stack.append(script + [True])
                 continue
-            done.append((script, draws.prob))
+            done.append((raw, draws.prob))
         return done
 
     def _rec(self, machines, m, prob, utils, profiles):
@@ -361,18 +410,16 @@ class _Enumerator:
                     machines[i].is_quiescent() for i in machines):
                 yield self._emit(prob, utils, m, profiles)
                 return
-            views = {i: local_view(self.graph, i, m, self.obs) for i in machines}
-            for i in sorted(machines):
-                machines[i].begin_round(views[i])
+            views = _begin_round(self.graph, self.obs, machines, m)
             scripts = self._round_scripts(machines, m)
-            for si, (script, p) in enumerate(scripts):
+            for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
-                ms = machines if last else copy.deepcopy(machines)
-                profile, round_utils = _play_round(
-                    self.graph, self.obs, ms, self.params, m,
-                    _ScriptDraws(script), self.override)
+                profile, round_utils = _round_outcome(
+                    self.graph, views, self.params, m, raw, self.override)
                 if m <= len(self.condition) and profile != self.condition[m - 1]:
                     continue
+                ms = machines if last else _fork(machines)
+                _deliver(views, ms, profile)
                 nu = dict(utils) if not last else utils
                 for i, u in round_utils.items():
                     nu[(i, m)] = u
@@ -441,21 +488,34 @@ def expected_utility(cfg: SimConfig, i: AgentId,
                         condition=condition)
 
 
-def monte_carlo_utility(cfg: SimConfig, i: AgentId,
-                        samples: int) -> tuple[Fraction, float]:
-    """Sample mean and standard error of the discounted utility over
-    independent seeded runs (seeds cfg.seed, cfg.seed+1, ...)."""
+def monte_carlo_utilities(cfg: SimConfig, samples: int,
+                          ) -> dict[AgentId, tuple[Fraction, float]]:
+    """Per agent, the sample mean and standard error of the discounted
+    utility over independent seeded runs (seeds cfg.seed, cfg.seed+1, ...);
+    each seed is simulated once for all agents."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    values = []
+    agents = range(cfg.family.n)
+    values: dict[AgentId, list[Fraction]] = {i: [] for i in agents}
     for k in range(samples):
         t = simulate(replace(cfg, seed=cfg.seed + k, record_state=False))
-        values.append(discounted_utility(t, i, 1, cfg.params))
-    mean = sum(values, Fraction(0)) / samples
-    if samples == 1:
-        return mean, 0.0
-    var = sum((float(v - mean)) ** 2 for v in values) / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        for i in agents:
+            values[i].append(discounted_utility(t, i, 1, cfg.params))
+    out = {}
+    for i in agents:
+        mean = sum(values[i], Fraction(0)) / samples
+        if samples == 1:
+            out[i] = (mean, 0.0)
+            continue
+        var = sum((float(v - mean)) ** 2 for v in values[i]) / (samples - 1)
+        out[i] = (mean, math.sqrt(var / samples))
+    return out
+
+
+def monte_carlo_utility(cfg: SimConfig, i: AgentId,
+                        samples: int) -> tuple[Fraction, float]:
+    """``monte_carlo_utilities`` for agent i alone."""
+    return monte_carlo_utilities(cfg, samples)[i]
 
 
 def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
@@ -578,7 +638,7 @@ class _OneShotChecker:
                        override: Optional[Override] = None):
         """Step the profile with fixed draw outcomes (valid because state is
         draw-independent), collecting deduplicated pre-action world states."""
-        ms = copy.deepcopy(machines)
+        ms = _fork(machines)
         draws = _FixedDraws(False)
         first = override[1] if override else 0
         for m in range(start, end + 1):
@@ -586,7 +646,7 @@ class _OneShotChecker:
                 key = _world_key(self.graph, ms, m)
                 if key not in seen:
                     seen.add(key)
-                    out.append((m, copy.deepcopy(ms), origin))
+                    out.append((m, _fork(ms), origin))
             if m > self.horizon:
                 break
             _play_round(self.graph, self.cfg.family.observation, ms,
@@ -595,11 +655,11 @@ class _OneShotChecker:
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
         override = None if pattern is None else (self.i, m2, pattern)
-        return _expected_eu(self.cfg, copy.deepcopy(machines), self.i, m2, m2,
+        return _expected_eu(self.cfg, _fork(machines), self.i, m2, m2,
                             override=override)
 
     def _prescribed_classes(self, machines, m2: int) -> dict[AgentId, str]:
-        probe = copy.deepcopy(machines[self.i])
+        probe = machines[self.i].clone()
         probe.begin_round(local_view(self.graph, self.i, m2,
                                      self.cfg.family.observation))
         action = probe.act(_BoundRand(_FixedDraws(False), self.i, m2))

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from dynacct.cli import main
 from dynacct.evolving_graph import family_to_dict, load_family
+from dynacct.game_core import discounted_utility
 from dynacct.scenarios import (_fig3_family, _ring_family, builtin,
                                scenario_from_dict)
 
@@ -158,6 +162,39 @@ def test_simulate_replay_byte_identical(tmp_path):
         outs.append((open(stem + ".jsonl", "rb").read(),
                      open(stem + ".csv", "rb").read()))
     assert outs[0] == outs[1]
+
+
+def test_simulate_monte_carlo_simulates_each_seed_once(tmp_path, monkeypatch,
+                                                       capsys):
+    # one realised run plus one run per seed serves every agent (re-running
+    # the seeds per agent took 1 + 4 x 3 = 13 runs), with the values the
+    # per-agent computation gives
+    from dynacct import cli, verifier
+    real = verifier.simulate
+    runs = []
+
+    def counted(cfg):
+        runs.append(cfg)
+        return real(cfg)
+    monkeypatch.setattr(verifier, "simulate", counted)
+    monkeypatch.setattr(cli, "simulate", counted)
+    code, out, _ = run_cli(["simulate", "--scenario", "ring_connectivity",
+                            "--horizon", "12", "--seed", "4", "--deviate",
+                            "agent=0,defect_all,round=2", "--samples", "3",
+                            "--out", str(tmp_path / "mc")], capsys)
+    assert code == 0
+    assert len(runs) <= 4
+    cfg = runs[0]
+    summary = json.loads(out)
+    summary["monte_carlo"] = {}
+    for i in range(cfg.family.n):
+        values = [discounted_utility(real(replace(cfg, seed=4 + k)), i, 1,
+                                     cfg.params) for k in range(3)]
+        mean = sum(values, Fraction(0)) / 3
+        var = sum(float(v - mean) ** 2 for v in values) / 2
+        summary["monte_carlo"][str(i)] = {
+            "samples": 3, "mean": float(mean), "std_error": math.sqrt(var / 3)}
+    assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def test_simulate_rejects_bad_deviate_syntax(capsys):

@@ -114,6 +114,42 @@ def test_round_utility_additive_over_neighbors():
     assert total == e1 + e2
 
 
+def _edge_by_rules(own, got, pr):
+    """The module docstring's rules for one directed edge, term by term."""
+    sending = (ActionKind.COOPERATE, ActionKind.PUNISH, ActionKind.PROP_PUNISH)
+    send_cost = 1 if own.kind in sending else 0
+    if own.kind is ActionKind.AVOID or got.kind not in sending:
+        return -send_cost
+    loss = {ActionKind.PROP_PUNISH: got.c * pr.pi,
+            ActionKind.PUNISH: pr.pi}.get(got.kind, 0)
+    return pr.beta - pr.alpha - loss - send_cost
+
+
+MODE_ACTIONS = {
+    Mode.GENERAL: lambda n: [COOPERATE, DEFECT, PUNISH],
+    Mode.VALUABLE: lambda n: [COOPERATE, DEFECT, AVOID] + [
+        IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n)],
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("values", [("2", "0.1", "1.5", "0.5"),
+                                    ("7/3", "1/5", "9/4", "9/10"),
+                                    ("12", "0", "13", "1/3")])
+def test_edge_table_equals_the_rules(mode, values):
+    pr = UtilityParams.make(*values, mode)
+    for n in (2, 3, 5):
+        table = pr.edge_table(n)
+        assert pr.edge_table(n) is table          # built once per n
+        actions = MODE_ACTIONS[mode](n)
+        for own in actions:
+            for got in actions:
+                want = _edge_by_rules(own, got, pr)
+                assert table[own.code, got.code] == want, (own, got)
+                p, rg = pair_profile(own, got, mode=mode, n=n)
+                assert round_utility(0, p, rg, pr) == want, (own, got)
+
+
 def _constant_trace(u_per_round, rounds, delta="0.5"):
     rg = RoundGraph.from_pairs(2, [(0, 1)])
     g = EvolvingGraph((), (rg,), "c")

@@ -7,6 +7,9 @@ if (a) a machine's state never depends on punish/cooperate draw outcomes
 (``draw_independent_state``) and (b) ``state_key`` is complete: two machines
 with equal keys at the same graph phase behave identically from there on,
 whatever they are told.  These tests check both instead of assuming them.
+The enumerator forks runs with ``StrategyMachine.clone``; the last test
+checks that every shipped machine's clone behaves as a deep copy and leaves
+the original untouched.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import pytest
 from dynacct.evolving_graph import local_view
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                prop_punish)
-from dynacct.protocols import ALL_NEIGHBORS, RandSource
+from dynacct.protocols import (ALL_NEIGHBORS, OneShotDeviation, RandSource,
+                               ScheduledDefector)
 from dynacct.scenarios import general_defaults, valuable_defaults
 from dynacct.verifier import (SimConfig, _HashDraws, _phase, _play_round,
                               build_machines, run_paired_defection)
@@ -124,15 +128,19 @@ def _random_inbox(rng, name, nbrs, n):
     return inbox
 
 
-def _drive(mach, m, cfg, inboxes):
+def _drive(mach, m, cfg, inboxes, begun=False):
     """Feed relative inboxes from round m on; return what the machine shows
-    (relative payloads, actions, draw requests, quiescence, later keys)."""
+    (relative payloads, actions, draw requests, quiescence, later keys).
+    ``begun``: round m's ``begin_round`` has already been called."""
     n, graph, obs = cfg.family.n, cfg.graph, cfg.family.observation
     seen = []
     for s, inbox in enumerate(inboxes):
         t = m + s
-        view = local_view(graph, mach.me, t, obs)
-        mach.begin_round(view)
+        if begun and s == 0:
+            view = mach.view
+        else:
+            view = local_view(graph, mach.me, t, obs)
+            mach.begin_round(view)
         pays = {j: _relative(mach.payload_for(j), t, n)
                 for j in sorted(view.neighbors)}
         rand = _RecordingRand(s)
@@ -190,3 +198,60 @@ def test_equal_state_keys_have_equal_futures(name, rng):
     assert pairs > 0
     if name != "always_defect":
         assert stateful > 0
+
+
+# ---------------------------------------------------------------------------
+# clone() contract
+# ---------------------------------------------------------------------------
+
+def _scheduled(base):
+    # sincere: the base records its own defections (rounds 2 and 5)
+    return ScheduledDefector(base, {2: ALL_NEIGHBORS, 5: ALL_NEIGHBORS},
+                             sincere=True)
+
+
+def _one_shot(base):
+    return OneShotDeviation(base, lambda v: v.round == 5, {"defect": "all"})
+
+
+# case -> (honest strategy, wrapper around agent 0's machine)
+CLONE_CASES = {name: (name, None) for name in SHIPPED}
+CLONE_CASES.update({
+    "scheduled_defector(sigma_gen)": ("sigma_gen", _scheduled),
+    "scheduled_defector(unsafe_scripted)": ("unsafe_scripted", _scheduled),
+    "one_shot(sigma_gen)": ("sigma_gen", _one_shot),
+})
+
+
+@pytest.mark.parametrize("case", sorted(CLONE_CASES))
+def test_clone_is_an_independent_deepcopy(case, rng):
+    # agent 0's machine mid-run, after agent 1 defected at round 1 (and, for
+    # the scheduled defector, after its own defection at round 2); driving
+    # the clone must not reach the original through a shared container
+    name, wrap = CLONE_CASES[case]
+    cfg = shipped_cfg(name, 30)
+    n, graph = cfg.family.n, cfg.graph
+    machines = build_machines(cfg)
+    if wrap is not None:
+        machines[0] = wrap(machines[0])
+    override = (1, 1, {j: "defect" for j in graph.at(1).neighbors(1)})
+    draws = _HashDraws(rng.randrange(10 ** 6))
+    m = 3
+    for t in range(1, m):
+        _play_round(graph, cfg.family.observation, machines, cfg.params, t,
+                    draws, override)
+    mach = machines[0]
+    if name != "always_defect":
+        assert mach.snapshot() != build_machines(cfg)[0].snapshot()
+    inboxes = [_random_inbox(rng, name, graph.at(m + s).neighbors(0), n)
+               for s in range(n * n + 2)]
+    # forked before round m, and after its begin_round as the enumerator does
+    for begun in (False, True):
+        if begun:
+            mach.begin_round(local_view(graph, 0, m, cfg.family.observation))
+        snap, key = mach.snapshot(), mach.state_key(m)
+        clone = mach.clone()
+        assert clone is not mach
+        assert (_drive(clone, m, cfg, inboxes, begun)
+                == _drive(copy.deepcopy(mach), m, cfg, inboxes, begun))
+        assert mach.snapshot() == snap and mach.state_key(m) == key

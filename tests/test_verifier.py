@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import collections
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,9 +16,9 @@ from dynacct.scenarios import (builtin, complete_graph, general_defaults,
 from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
                               _simulate_machines, assert_gen_facts,
                               build_machines, expected_punishments,
-                              expected_utility, monte_carlo_utility,
-                              run_paired_defection, simulate,
-                              verify_cooperation, verify_one_shot)
+                              expected_utility, monte_carlo_utilities,
+                              monte_carlo_utility, run_paired_defection,
+                              simulate, verify_cooperation, verify_one_shot)
 
 from .oracles import build_branch_tree
 
@@ -260,6 +262,23 @@ def test_monte_carlo_agrees_with_exact_within_three_se():
     assert abs(float(mean - exact)) <= 3 * se
 
 
+def test_monte_carlo_utilities_one_run_per_seed_for_all_agents():
+    fam = mixed_degree_family()
+    cfg = gen_cfg(fam, horizon=12, seed=100,
+                  devs={0: {"deviation": {"kind": "always_defect_until",
+                                          "round": 1, "base": "sigma_gen"}}})
+    both = monte_carlo_utilities(cfg, 40)
+    assert sorted(both) == list(range(fam.n))
+    assert any(se > 0 for _, se in both.values())
+    for i in range(fam.n):
+        assert both[i] == monte_carlo_utility(cfg, i, 40)
+        values = [discounted_utility(simulate(replace(cfg, seed=100 + k)), i,
+                                     1, cfg.params) for k in range(40)]
+        mean = sum(values, Fraction(0)) / 40
+        var = sum(float(v - mean) ** 2 for v in values) / 39
+        assert both[i] == (mean, math.sqrt(var / 40))
+
+
 # ---------------------------------------------------------------------------
 # expected punishments
 # ---------------------------------------------------------------------------
@@ -317,6 +336,46 @@ def test_verify_one_shot_sigma_gen_small():
     assert rep.verdict
     assert rep.max_gain == 0      # the prescribed action itself reports zero
     assert rep.checks > 10
+
+
+def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
+    # every played round computes each agent's view and calls begin_round and
+    # act once; the only extra ones are the prescribed-class probes, one per
+    # context.  Counts and report are those of the two-pass engine before
+    # (which made 2,424 act calls here).
+    from dynacct import verifier
+    from dynacct.game_core import tail_bound
+    from dynacct.protocols import SigmaGen
+
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("begin_round", "act", "end_round"):
+        count(SigmaGen, name)
+    count(verifier, "local_view")
+    count(verifier._OneShotChecker, "_prescribed_classes")
+    fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),), ND, 8)
+    cfg = SimConfig(family=fam, member="k3",
+                    strategies={a: "sigma_gen" for a in range(3)},
+                    horizon=30, params=general_defaults())
+    rep = verify_one_shot(cfg, 0, robust_depth=2)
+    assert calls["end_round"] == 1455
+    assert calls["_prescribed_classes"] == 15
+    for name in ("act", "begin_round", "local_view"):
+        assert calls[name] == 1455 + 15, name
+    assert rep.max_gain == 0
+    assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
+                           "override": {"1": "send", "2": "send"}}
+    assert rep.tolerance == tail_bound(cfg.params, 3, 29)
+    assert rep.verdict is True
+    assert rep.checks == 60
 
 
 def test_verify_one_shot_gain_strictly_negative_for_defection():
@@ -456,13 +515,20 @@ def test_trace_utilities_recomputable_from_profiles():
     sc = builtin("ring_connectivity")
     sc.strategies[0] = {"deviation": {"kind": "always_defect_until", "round": 1,
                                       "base": "sigma_gen"}}
-    cfg = sc.sim_config(horizon=20, seed=2)
-    t = simulate(cfg)
-    for m in range(1, 21):
-        rg = cfg.graph.at(m)
-        for i in range(4):
-            assert t.utility(i, m) == round_utility(
-                i, t.history.profiles[m - 1], rg, cfg.params)
+    ring = sc.sim_config(horizon=20, seed=2)
+    # fractional punish probabilities: at round 5 a punishment is drawn
+    drawn = gen_cfg(mixed_degree_family(), horizon=20, seed=3,
+                    devs={0: {"deviation": {"kind": "always_defect_until",
+                                            "round": 1, "base": "sigma_gen"}}})
+    for cfg in (ring, drawn):
+        t = simulate(cfg)
+        for m in range(1, 21):
+            rg = cfg.graph.at(m)
+            for i in range(cfg.family.n):
+                assert t.utility(i, m) == round_utility(
+                    i, t.history.profiles[m - 1], rg, cfg.params)
+    assert any(a.kind is ActionKind.PUNISH
+               for a in t.history.profiles[4].actions[2].per_neighbor.values())
 
 
 def test_assert_gen_facts_second_deviation_with_prior_tally():
