@@ -23,14 +23,18 @@ last ``rho`` rounds; the bounded tally protocol keeps per-subject pending
 punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
-applied to itself).
+applied to itself).  Those reports are stored, gossiped and expired one
+round table at a time: the payload's ``"acc"`` maps each live round to a
+read-only ``{(victim, sender, round): "good" | "bad"}`` table.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
@@ -215,21 +219,29 @@ class SigmaGen(StrategyMachine):
     """General-exchange protocol with bounded per-subject punishment tallies.
 
     State:
-      pend[(j, c)]   pending punishments for subject j in rounds == c mod n,
-                     values in [0, n-1]
-      acc[(v, s, r)] report by victim v about sender s for round r, "good"
-                     or "bad"; absent means no interaction known; kept for
-                     the last n rounds
+      pend[(j, c)]       pending punishments for subject j in rounds
+                         == c mod n, values in [0, n-1]
+      acc[r][(v, s, r)]  report by victim v about sender s for round r,
+                         "good" or "bad"; absent means no interaction
+                         known.  One table per round: after
+                         ``end_round(m)`` only rounds m-n+2..m are stored,
+                         and an expiring round is dropped as a whole
+                         table.  Keys keep the round so that snapshots and
+                         receivers share the key tuples instead of
+                         building one per report
 
     Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
-    The payload is built once per round, on the first ``payload_for``, and
-    every neighbour gets the same immutable content (tuples, never lists).
-    End of round m: record own reports for m; merge pend (max, capped) and
-    fill absent acc slots from non-defecting senders, rejecting anything a
-    sender claims about itself and skipping the residue class of m; then,
-    for m >= n, rebuild pend[j][m+1] from the fully disseminated round
-    m-n+1 reports: drain by the reported degree, re-add it if anyone
-    reported a defection.
+    The payload is built once per round, on the first ``payload_for``:
+    ``{"pend": ((j, c), count) pairs in sorted order, "acc": {r: read-only
+    copy of acc[r]}}``.  Every neighbour gets a fresh top-level dict (and
+    ``"acc"`` dict) over the same immutable content, so no receiver can
+    reach the sender's state or another receiver's payload.
+    End of round m: record own reports for m; merge pend (max, capped) and,
+    per window round, fill absent acc slots from non-defecting senders,
+    rejecting anything a sender claims about itself and skipping the
+    residue class of m; then, for m >= n, rebuild pend[j][m+1] from the
+    fully disseminated round m-n+1 table: drain by the reported degree,
+    re-add it if anyone reported a defection.
     """
 
     mode = Mode.GENERAL
@@ -238,15 +250,15 @@ class SigmaGen(StrategyMachine):
                  _pend_payload_inflate: int = 0):
         super().__init__(me, n)
         self.pend: dict[tuple[AgentId, int], int] = {}
-        self.acc: dict[tuple[AgentId, AgentId, int], str] = {}
+        self.acc: dict[int, dict[tuple[AgentId, AgentId, int], str]] = {}
         self._cap = _cap
         self._pend_payload_inflate = _pend_payload_inflate
         self._payload: Optional[tuple] = None   # this round's, once built
 
     def clone(self) -> "SigmaGen":
-        c = copy.copy(self)
+        c = copy.copy(self)    # the built payload is never mutated: share it
         c.pend = dict(self.pend)
-        c.acc = dict(self.acc)
+        c.acc = {r: dict(d) for r, d in self.acc.items()}
         return c
 
     def begin_round(self, view: LocalView):
@@ -259,9 +271,9 @@ class SigmaGen(StrategyMachine):
             infl = self._pend_payload_inflate
             self._payload = (
                 tuple(sorted((k, v + infl) for k, v in self.pend.items())),
-                tuple(sorted(self.acc.items())))
+                {r: MappingProxyType(dict(d)) for r, d in self.acc.items()})
         pend, acc = self._payload
-        return {"pend": pend, "acc": acc}
+        return {"pend": pend, "acc": dict(acc)}
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         m = self.round
@@ -282,15 +294,15 @@ class SigmaGen(StrategyMachine):
     def end_round(self, own_action, inbox):
         m, n = self.round, self.n
         self._payload = None
+        own = self.acc.setdefault(m, {})
         for j in sorted(inbox):
             act_ji, _ = inbox[j]
-            self.acc[(self.me, j, m)] = (
+            own[(self.me, j, m)] = (
                 "bad" if act_ji.kind is ActionKind.DEFECT else "good")
         self._merge(m, inbox)
         if m >= n:
             self._rebuild_pend(m)
-        floor = m - n + 2
-        self.acc = {k: v for k, v in self.acc.items() if k[2] >= floor}
+        self.acc.pop(m - n + 1, None)    # the round leaving the window
 
     def _merge(self, m: int, inbox):
         n, me = self.n, self.me
@@ -307,27 +319,34 @@ class SigmaGen(StrategyMachine):
                     self.pend[(s, c)] = merged
         # fill absent slots only; senders go in id order, so the lowest-id
         # sender of a slot wins
+        lo = m - n + 1
         for j, p in senders:
-            reports = dict(p["acc"])
-            for key in reports.keys() - self.acc.keys():
-                v, s, r = key
-                if s != j and v != me and s != v and m - n + 1 <= r <= m - 1:
-                    self.acc[key] = reports[key]
+            for r, theirs in p["acc"].items():
+                if not lo <= r <= m - 1:
+                    continue
+                mine = self.acc.get(r)
+                if mine is None:
+                    mine = self.acc[r] = {}
+                elif theirs == mine:
+                    continue     # the common case: nothing absent to fill
+                for key in theirs.keys() - mine.keys():
+                    v, s, _ = key
+                    if s != j and v != me and s != v:
+                        mine[key] = theirs[key]
 
     def _rebuild_pend(self, m: int):
         n = self.n
-        r = m - n + 1
-        degs: dict[AgentId, int] = {}   # reports about each sender for round r
+        degs: dict[AgentId, int] = {}   # round m-n+1 reports about each sender
         bad: set[AgentId] = set()
-        for (v, s, rr), val in self.acc.items():
-            if rr == r and v != s:
+        for (v, s, _), val in self.acc.get(m - n + 1, {}).items():
+            if v != s:
                 degs[s] = degs.get(s, 0) + 1
                 if val == "bad":
                     bad.add(s)
         for j in range(n):
-            if j == self.me:
-                continue
-            deg = degs.get(j, 0)
+            deg = degs.get(j)
+            if not deg or j == self.me:
+                continue    # nothing reported about j: its tally stays
             key = (j, (m + 1) % n)
             new = max(0, self.pend.get(key, 0) - deg) + (deg if j in bad else 0)
             if self._cap:
@@ -337,19 +356,24 @@ class SigmaGen(StrategyMachine):
             else:
                 self.pend.pop(key, None)
 
+    def _reports(self):
+        """Every stored ((v, s, r), report) item, over all round tables."""
+        return itertools.chain.from_iterable(d.items() for d in self.acc.values())
+
     def snapshot(self) -> dict:
-        return {"pend": sorted(self.pend.items()), "acc": sorted(self.acc.items())}
+        return {"pend": sorted(self.pend.items()), "acc": sorted(self._reports())}
 
     def state_key(self, m: int):
         return ("SigmaGen",
                 frozenset(((s, (c - m) % self.n), v) for (s, c), v in self.pend.items()),
-                frozenset(((v, s, m - r), val) for (v, s, r), val in self.acc.items()))
+                frozenset(((v, s, m - r), val) for (v, s, r), val in self._reports()))
 
     def is_quiescent(self) -> bool:
-        return not self.pend and all(v == "good" for v in self.acc.values())
+        return not self.pend and all(val == "good" for d in self.acc.values()
+                                     for val in d.values())
 
     def state_size(self) -> int:
-        return len(self.pend) + len(self.acc)
+        return len(self.pend) + sum(map(len, self.acc.values()))
 
     @staticmethod
     def static_state_bound(n: int) -> int:

@@ -77,10 +77,16 @@ Override = tuple[AgentId, int, Mapping[AgentId, str]]
 
 
 class EnumerationCapExceeded(RuntimeError):
-    def __init__(self, cap: int):
+    """Refusal with how far the enumeration got: the last round played on
+    the branch that broke the cap, and the leaves emitted before it."""
+
+    def __init__(self, cap: int, round: int, leaves: int):
         self.cap = cap
-        super().__init__(f"randomisation branching exceeds the {cap}-leaf cap; "
-                         f"use monte_carlo_utility instead")
+        self.round = round
+        self.leaves = leaves
+        super().__init__(f"randomisation branching exceeds the {cap}-leaf cap "
+                         f"(reached round {round} with {leaves} leaves "
+                         f"emitted); use monte_carlo_utility instead")
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +383,11 @@ class _Enumerator:
         yield from self._rec(self.machines, self.start, Fraction(1), {},
                              {} if self.collect_profiles else None)
 
-    def _emit(self, prob, utils, absorbed, profiles) -> _Leaf:
+    def _emit(self, m, prob, utils, absorbed, profiles) -> _Leaf:
+        """The leaf of a branch that stops before playing round m."""
         self.count += 1
         if self.count > self.cap:
-            raise EnumerationCapExceeded(self.cap)
+            raise EnumerationCapExceeded(self.cap, m - 1, self.count - 1)
         return _Leaf(prob=prob, utils=utils, absorbed_at=absorbed,
                      profiles=profiles)
 
@@ -404,11 +411,11 @@ class _Enumerator:
     def _rec(self, machines, m, prob, utils, profiles):
         while True:
             if m > self.horizon:
-                yield self._emit(prob, utils, None, profiles)
+                yield self._emit(m, prob, utils, None, profiles)
                 return
             if self.absorb and m > self.blocked_until and all(
                     machines[i].is_quiescent() for i in machines):
-                yield self._emit(prob, utils, m, profiles)
+                yield self._emit(m, prob, utils, m, profiles)
                 return
             views = _begin_round(self.graph, self.obs, machines, m)
             scripts = self._round_scripts(machines, m)
@@ -450,8 +457,10 @@ def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
     return total / mass
 
 
-def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId,
-             from_round: int) -> Fraction:
+def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
+             tails: dict[int, Fraction]) -> Fraction:
+    """i's discounted utility on one leaf; ``tails`` memoises i's closed-form
+    cooperative tail by the round it starts in."""
     d = cfg.params.delta
     total = Fraction(0)
     for (a, m), u in leaf.utils.items():
@@ -459,20 +468,27 @@ def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId,
             total += d ** (m - from_round) * u
     if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
         start = max(leaf.absorbed_at, from_round)
-        total += d ** (start - from_round) * cooperation_tail(
-            cfg.graph, i, cfg.params, start, cfg.horizon)
+        tail = tails.get(start)
+        if tail is None:
+            tail = tails[start] = cooperation_tail(cfg.graph, i, cfg.params,
+                                                   start, cfg.horizon)
+        total += d ** (start - from_round) * tail
     return total
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, from_round: int,
                  override: Optional[Override] = None,
-                 condition: Sequence[ActionProfile] = ()) -> Fraction:
+                 condition: Sequence[ActionProfile] = (),
+                 tails: Optional[dict[int, Fraction]] = None) -> Fraction:
     """Expected utility of i discounted from ``from_round``, over the runs of
-    ``machines`` enumerated from round ``start``."""
+    ``machines`` enumerated from round ``start``.  Pass one ``tails`` dict
+    to every call for the same (cfg, i) to share the cooperative tails."""
     enum = _Enumerator(cfg, machines, start, override=override,
                        condition=condition)
-    return _expectation(enum, lambda leaf: _leaf_eu(leaf, cfg, i, from_round))
+    tails = {} if tails is None else tails
+    return _expectation(enum,
+                        lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
 
 
 def expected_utility(cfg: SimConfig, i: AgentId,
@@ -632,6 +648,17 @@ class _OneShotChecker:
         self.horizon = cfg.horizon
         self.checks = 0
         self.results: list[tuple[Fraction, Fraction, dict]] = []
+        # each exact tail once: i's cooperative tails by start round, and
+        # tolerances by remaining horizon
+        self.tails: dict[int, Fraction] = {}
+        self.tolerances: dict[int, Fraction] = {}
+
+    def _tolerance(self, rounds_left: int) -> Fraction:
+        tol = self.tolerances.get(rounds_left)
+        if tol is None:
+            tol = self.tolerances[rounds_left] = tail_bound(
+                self.params, self.n, rounds_left)
+        return tol
 
     def _walk_contexts(self, machines, start: int, end: int, origin: str,
                        seen: set, out: list,
@@ -656,7 +683,7 @@ class _OneShotChecker:
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
         override = None if pattern is None else (self.i, m2, pattern)
         return _expected_eu(self.cfg, _fork(machines), self.i, m2, m2,
-                            override=override)
+                            override=override, tails=self.tails)
 
     def _prescribed_classes(self, machines, m2: int) -> dict[AgentId, str]:
         probe = machines[self.i].clone()
@@ -676,7 +703,7 @@ class _OneShotChecker:
                 gain = Fraction(0)   # forcing the prescribed class changes nothing
             else:
                 gain = self._continuation_eu(machines, m2, pattern) - conform
-            tol = tail_bound(self.params, self.n, self.horizon - m2)
+            tol = self._tolerance(self.horizon - m2)
             self.checks += 1
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
@@ -688,17 +715,17 @@ class _OneShotChecker:
         """i's expected utility under the honest profile, computed once and
         only if a candidate needs it."""
         return _expected_eu(self.cfg, build_machines(self.cfg, honest_only=True),
-                            self.i, 1, 1)
+                            self.i, 1, 1, tails=self.tails)
 
     def add_candidate(self, spec: Mapping):
         ctx = strategy_context(self.cfg, self.i)
         machine = build_strategy({"deviation": dict(spec)}, ctx)
         machines = build_machines(self.cfg, honest_only=True)
         machines[self.i] = machine
-        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, 1)
+        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, 1, tails=self.tails)
         m_dev = getattr(machine, "first_deviation_round", None) or 1
         gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
-        tol = tail_bound(self.params, self.n, self.horizon - m_dev)
+        tol = self._tolerance(self.horizon - m_dev)
         self.checks += 1
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",

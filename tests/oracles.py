@@ -14,6 +14,9 @@ a full ``Trace`` per leaf.  It shares only the round step with the
 package, so exact agreement of ``sum(leaf.prob * u)`` over its leaves with
 ``expected_utility`` and ``expected_punishments`` checks the enumerator's
 script batching, state sharing, absorption and conditioning.
+
+``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
+store: the same protocol over one flat report dict.
 """
 
 from __future__ import annotations
@@ -26,8 +29,12 @@ from typing import Optional
 
 import networkx as nx
 
-from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, local_view)
-from dynacct.game_core import History, Trace
+from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
+                                    local_view)
+from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, History,
+                               IndividualAction, Mode, Trace)
+from dynacct.protocols import (RandSource, StrategyConfigError,
+                               StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
                               _BoundRand, _NeedBranch, _play_round,
                               _ScriptDraws, build_machines)
@@ -250,7 +257,7 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
 
     def rec(machines, m, prob, history, utils, scripts_prefix):
         if len(leaves) > max_leaves:
-            raise EnumerationCapExceeded(max_leaves)
+            raise EnumerationCapExceeded(max_leaves, m - 1, len(leaves))
         if m > cfg.horizon:
             trace = Trace(history=history, per_round_utilities=utils,
                           rng_seed=cfg.seed)
@@ -284,3 +291,158 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
 
     root = rec(machines, 1, Fraction(1), History(graph=cfg.graph), {}, [])
     return BranchTree(root=root, leaves=leaves)
+
+
+# ---------------------------------------------------------------------------
+# Flat-dict reference for the bounded tally protocol
+# ---------------------------------------------------------------------------
+
+# The bounded tally machine as it was before its reports were stored per
+# round: one flat ``acc`` dict keyed (v, s, r), rescanned whole on every
+# rebuild and prune, with a flat sorted payload.  Kept unchanged as the
+# reference that ``SigmaGen`` must match action for action and state for
+# state; its payload is the flat form of SigmaGen's round-indexed one.
+class FlatSigmaGen(StrategyMachine):
+    """General-exchange protocol with bounded per-subject punishment tallies.
+
+    State:
+      pend[(j, c)]   pending punishments for subject j in rounds == c mod n,
+                     values in [0, n-1]
+      acc[(v, s, r)] report by victim v about sender s for round r, "good"
+                     or "bad"; absent means no interaction known; kept for
+                     the last n rounds
+
+    Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
+    The payload is built once per round, on the first ``payload_for``, and
+    every neighbour gets the same immutable content (tuples, never lists).
+    End of round m: record own reports for m; merge pend (max, capped) and
+    fill absent acc slots from non-defecting senders, rejecting anything a
+    sender claims about itself and skipping the residue class of m; then,
+    for m >= n, rebuild pend[j][m+1] from the fully disseminated round
+    m-n+1 reports: drain by the reported degree, re-add it if anyone
+    reported a defection.
+    """
+
+    mode = Mode.GENERAL
+
+    def __init__(self, me: AgentId, n: int, _cap: bool = True,
+                 _pend_payload_inflate: int = 0):
+        super().__init__(me, n)
+        self.pend: dict[tuple[AgentId, int], int] = {}
+        self.acc: dict[tuple[AgentId, AgentId, int], str] = {}
+        self._cap = _cap
+        self._pend_payload_inflate = _pend_payload_inflate
+        self._payload: Optional[tuple] = None   # this round's, once built
+
+    def clone(self) -> "SigmaGen":
+        c = copy.copy(self)
+        c.pend = dict(self.pend)
+        c.acc = dict(self.acc)
+        return c
+
+    def begin_round(self, view: LocalView):
+        if view.neighbor_degrees is None:
+            raise StrategyConfigError("sigma_gen needs neighbour degrees")
+        super().begin_round(view)
+
+    def payload_for(self, j: AgentId) -> Optional[dict]:
+        if self._payload is None:
+            infl = self._pend_payload_inflate
+            self._payload = (
+                tuple(sorted((k, v + infl) for k, v in self.pend.items())),
+                tuple(sorted(self.acc.items())))
+        pend, acc = self._payload
+        return {"pend": pend, "acc": acc}
+
+    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
+        m = self.round
+        out = {}
+        for j in sorted(self.view.neighbors):
+            pending = self.pend.get((j, m % self.n), 0)
+            deg_j = self.view.neighbor_degrees[j]
+            if pending == 0:
+                out[j] = COOPERATE
+            elif pending >= deg_j:
+                out[j] = PUNISH
+            else:
+                out[j] = (PUNISH if rand.bernoulli(f"punish[{j}]",
+                                                   Fraction(pending, deg_j))
+                          else COOPERATE)
+        return out
+
+    def end_round(self, own_action, inbox):
+        m, n = self.round, self.n
+        self._payload = None
+        for j in sorted(inbox):
+            act_ji, _ = inbox[j]
+            self.acc[(self.me, j, m)] = (
+                "bad" if act_ji.kind is ActionKind.DEFECT else "good")
+        self._merge(m, inbox)
+        if m >= n:
+            self._rebuild_pend(m)
+        floor = m - n + 2
+        self.acc = {k: v for k, v in self.acc.items() if k[2] >= floor}
+
+    def _merge(self, m: int, inbox):
+        n, me = self.n, self.me
+        senders = [(j, p) for j, (a, p) in sorted(inbox.items())
+                   if a.kind is not ActionKind.DEFECT and p is not None]
+        for j, p in senders:
+            for ((s, c), v) in p["pend"]:
+                if s == me or s == j or c == m % n:
+                    continue
+                merged = max(self.pend.get((s, c), 0), v)
+                if self._cap:
+                    merged = min(n - 1, merged)
+                if merged > 0:
+                    self.pend[(s, c)] = merged
+        # fill absent slots only; senders go in id order, so the lowest-id
+        # sender of a slot wins
+        for j, p in senders:
+            reports = dict(p["acc"])
+            for key in reports.keys() - self.acc.keys():
+                v, s, r = key
+                if s != j and v != me and s != v and m - n + 1 <= r <= m - 1:
+                    self.acc[key] = reports[key]
+
+    def _rebuild_pend(self, m: int):
+        n = self.n
+        r = m - n + 1
+        degs: dict[AgentId, int] = {}   # reports about each sender for round r
+        bad: set[AgentId] = set()
+        for (v, s, rr), val in self.acc.items():
+            if rr == r and v != s:
+                degs[s] = degs.get(s, 0) + 1
+                if val == "bad":
+                    bad.add(s)
+        for j in range(n):
+            if j == self.me:
+                continue
+            deg = degs.get(j, 0)
+            key = (j, (m + 1) % n)
+            new = max(0, self.pend.get(key, 0) - deg) + (deg if j in bad else 0)
+            if self._cap:
+                assert new <= n - 1, "tally invariant broken"
+            if new > 0:
+                self.pend[key] = new
+            else:
+                self.pend.pop(key, None)
+
+    def snapshot(self) -> dict:
+        return {"pend": sorted(self.pend.items()), "acc": sorted(self.acc.items())}
+
+    def state_key(self, m: int):
+        return ("SigmaGen",
+                frozenset(((s, (c - m) % self.n), v) for (s, c), v in self.pend.items()),
+                frozenset(((v, s, m - r), val) for (v, s, r), val in self.acc.items()))
+
+    def is_quiescent(self) -> bool:
+        return not self.pend and all(v == "good" for v in self.acc.values())
+
+    def state_size(self) -> int:
+        return len(self.pend) + len(self.acc)
+
+    @staticmethod
+    def static_state_bound(n: int) -> int:
+        # pend: (n-1) subjects x n residues; acc: n(n-1) ordered pairs x n rounds
+        return (n - 1) * n + n * (n - 1) * n

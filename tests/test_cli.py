@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -247,6 +248,9 @@ def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--scenario", str(path),
                             "--enum-cap", "2"], capsys)
     assert code == 3 and "cap" in err
+    # how far it got: the round the refused branch reached, and the leaves
+    reached = re.search(r"reached round (\d+) with (\d+) leaves emitted", err)
+    assert reached and 1 <= int(reached[1]) <= 40 and int(reached[2]) == 2
 
 
 def test_verify_scenario_roundtrip_loader():

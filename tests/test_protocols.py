@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
+from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                                     ObservationModel, RoundGraph)
-from dynacct.game_core import ActionKind, Mode, UtilityParams, round_utility
+from dynacct.game_core import (COOPERATE, DEFECT, PUNISH, ActionKind, Mode,
+                               UtilityParams, round_utility)
 from dynacct.protocols import (AccusationPunisher, AlwaysDefect,
                                OneShotDeviation, ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
@@ -19,6 +20,9 @@ from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
                               simulate, strategy_context)
+
+from .oracles import FlatSigmaGen
+from .test_soundness import _RecordingRand
 
 NO = ObservationModel.NEIGHBORS_ONLY
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
@@ -240,6 +244,114 @@ def test_sigma_gen_cap_removal_detected():
         ok = all(v <= 3 for (a, m), snap in t.state_log.items()
                  for _, v in snap["pend"] if a != 1)
         assert ok == expect_ok
+
+
+def _flat_payload(payload):
+    """A round-indexed SigmaGen payload in the flat reference's wire form."""
+    if payload is None:
+        return None
+    return {"pend": tuple(payload["pend"]),
+            "acc": tuple(sorted(item for table in payload["acc"].values()
+                                for item in table.items()))}
+
+
+def _random_gen_payload(rng, n, m):
+    """Arbitrary gossip: any subject, residue and count in pend; reports by
+    and about anyone (self-claims, s == v, the receiver's own) for rounds
+    inside and outside the receiver's window."""
+    pend = tuple(sorted(((s, c), rng.randint(0, n + 1))
+                        for s in range(n) for c in range(n)
+                        if rng.random() < 0.3))
+    acc: dict = {}
+    for r in range(m - n - 1, m + 2):
+        for v in range(n):
+            for s in range(n):
+                if rng.random() < 0.2:
+                    acc.setdefault(r, {})[(v, s, r)] = rng.choice(["good", "bad"])
+    return {"pend": pend, "acc": acc}
+
+
+def _random_gen_round(rng, n, me, m):
+    """A view and an inbox for round m: random neighbours and degrees, each
+    neighbour cooperating, punishing or defecting (which drops its payload),
+    and sometimes sending nothing although it did not defect."""
+    nbrs = [j for j in range(n) if j != me and rng.random() < 0.7]
+    view = LocalView(me, m, frozenset(nbrs),
+                     {j: rng.randint(1, n - 1) for j in nbrs})
+    inbox = {}
+    for j in nbrs:
+        a = rng.choice([COOPERATE, PUNISH, DEFECT])
+        pay = (None if a is DEFECT or rng.random() < 0.1
+               else _random_gen_payload(rng, n, m))
+        inbox[j] = (a, pay)
+    return view, inbox
+
+
+@pytest.mark.parametrize("cap,inflate", [(True, 0), (True, 2), (False, 0),
+                                         (False, 3)])
+def test_sigma_gen_matches_flat_reference(cap, inflate, rng):
+    # the round-indexed machine and the flat-dict reference, fed identical
+    # random rounds, act, draw, send and store identically; after
+    # end_round(m) only the window rounds m-n+2..m are stored
+    draws = tallies = 0
+    for n in (2, 3, 4, 5):
+        for me in range(n):
+            new = SigmaGen(me, n, _cap=cap, _pend_payload_inflate=inflate)
+            ref = FlatSigmaGen(me, n, _cap=cap, _pend_payload_inflate=inflate)
+            for m in range(1, 4 * n + 4):
+                view, inbox = _random_gen_round(rng, n, me, m)
+                new.begin_round(view)
+                ref.begin_round(view)
+                for j in sorted(view.neighbors):
+                    assert _flat_payload(new.payload_for(j)) == ref.payload_for(j)
+                seed = rng.randrange(10 ** 6)
+                r_new, r_ref = _RecordingRand(seed), _RecordingRand(seed)
+                act = new.act(r_new)
+                assert act == ref.act(r_ref)
+                assert r_new.log == r_ref.log
+                draws += len(r_ref.log)
+                new.end_round(act, inbox)
+                ref.end_round(act, {j: (a, _flat_payload(p))
+                                    for j, (a, p) in inbox.items()})
+                assert new.snapshot() == ref.snapshot()
+                assert new.state_key(m + 1) == ref.state_key(m + 1)
+                assert new.is_quiescent() == ref.is_quiescent()
+                assert new.state_size() == ref.state_size()
+                assert set(new.acc) <= set(range(m - n + 2, m + 1))
+                tallies += len(ref.pend)
+    assert draws > 0 and tallies > 0   # punishments were drawn and tallied
+
+
+def test_sigma_gen_payloads_are_isolated(rng):
+    # neighbours share the sender's per-round tables read-only: mutating one
+    # received payload reaches neither the sender nor another receiver, and
+    # the sender's next round leaves a sent payload as it was
+    n = 4
+    sender = SigmaGen(0, n)
+    for m in range(1, 4):
+        view, inbox = _random_gen_round(rng, n, 0, m)
+        sender.begin_round(view)
+        sender.end_round(sender.act(_RecordingRand(m)), inbox)
+    sender.begin_round(LocalView(0, 4, frozenset({1, 2, 3}),
+                                 {1: 2, 2: 2, 3: 2}))
+    snap = sender.snapshot()
+    p1, p2 = sender.payload_for(1), sender.payload_for(2)
+    want = _flat_payload(p2)
+    assert want["acc"] and p1["acc"] is not p2["acc"]
+    for r, table in p1["acc"].items():
+        with pytest.raises(TypeError):
+            table[(1, 2, r)] = "bad"
+        p1["acc"][r] = {(1, 2, r): "bad"}
+    p1["acc"][99] = {}
+    p1["pend"] = (((1, 0), 3),)
+    p1.clear()
+    assert sender.snapshot() == snap
+    assert _flat_payload(p2) == want
+    assert _flat_payload(sender.payload_for(3)) == want
+    _, inbox = _random_gen_round(rng, n, 0, 4)
+    sender.end_round(sender.act(_RecordingRand(4)),
+                     {j: inbox.get(j, (COOPERATE, None)) for j in (1, 2, 3)})
+    assert sender.snapshot() != snap and _flat_payload(p2) == want
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def _relative(payload, m, n):
         return {"pend": sorted(((s, (c - m) % n), v)
                                for (s, c), v in payload["pend"]),
                 "acc": sorted(((v, s, m - r), val)
-                              for (v, s, r), val in payload["acc"])}
+                              for table in payload["acc"].values()
+                              for (v, s, r), val in table.items())}
     return {"acc": sorted((s, m - r) for s, r in payload["acc"])}
 
 
@@ -97,9 +98,11 @@ def _absolute(rel, m, n):
     if rel is None:
         return None
     if "pend" in rel:
+        acc: dict = {}   # round -> {(victim, sender, round): report}
+        for (v, s, k), val in rel["acc"]:
+            acc.setdefault(m - k, {})[(v, s, m - k)] = val
         return {"pend": sorted(((s, (m + d) % n), v) for (s, d), v in rel["pend"]),
-                "acc": sorted(((v, s, m - k), val)
-                              for (v, s, k), val in rel["acc"])}
+                "acc": acc}
     return {"acc": sorted((s, m - k) for s, k in rel["acc"])}
 
 

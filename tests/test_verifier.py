@@ -237,8 +237,9 @@ def test_expected_utility_enumeration_cap():
                   devs={0: {"deviation": {"kind": "always_defect_until",
                                           "round": 1, "base": "sigma_gen"}}})
     cfg.enum_cap = 3
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded) as refused:
         expected_utility(cfg, 0)
+    assert refused.value.leaves == 3 and 1 <= refused.value.round <= 12
 
 
 def test_monte_carlo_deterministic_and_single_sample():
