@@ -1,0 +1,238 @@
+"""Paired-trace fact assertions for the bounded tally protocol.
+
+``gen_facts`` checks six single-deviation invariants of ``SigmaGen``, plus
+bounded state, on a (conforming, deviating) trace pair with state logs,
+such as ``verifier.run_paired_defection`` builds.  Its public entry point
+is ``verifier.assert_gen_facts``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from .evolving_graph import _reach_frontier
+from .game_core import ActionKind, Trace
+from .protocols import SigmaGen
+
+AgentId = int
+
+
+@dataclass
+class FactReport:
+    facts: dict[str, Optional[str]]
+
+    @property
+    def passed(self) -> bool:
+        return all(v is None for v in self.facts.values())
+
+    def to_json(self) -> dict:
+        return {"passed": self.passed,
+                "facts": {k: ("pass" if v is None else v)
+                          for k, v in sorted(self.facts.items())}}
+
+
+FACT_NAMES = ("F1_accusation_accuracy", "F2_pend_convergence",
+              "F3_other_rounds_untouched", "F4_pend_dominance",
+              "F5_round_utility_dominance", "F6_punishment_mass_window",
+              "bounded_state")
+
+
+def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
+    return {tuple(k): v for k, v in snap.get("pend", [])}
+
+
+def _snap_acc(snap: dict) -> dict[tuple[int, int, int], str]:
+    return {tuple(k): v for k, v in snap.get("acc", [])}
+
+
+def _represented_round(c: int, end_round: int, n: int) -> int:
+    """Absolute round currently represented by pend residue c after the
+    end-of-round ``end_round`` update: the unique round in
+    [end_round-n+2, end_round+1] congruent to c mod n."""
+    lo = end_round - n + 2
+    return lo + ((c - lo) % n)
+
+
+def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
+    """Check the six single-deviation invariants of the bounded tally
+    protocol on a (conforming, deviating) trace pair of the
+    ``verifier.SimConfig`` ``cfg``.
+
+    Exact: tallies are compared as integers, expected punishment masses as
+    rationals.  F2 and F6 presuppose a connectivity-restricted family (the
+    dissemination arguments need it); on other families they fail honestly.
+    """
+    conform, deviate = paired
+    n = cfg.family.n
+    graph = cfg.graph
+    params = cfg.params
+    if conform.state_log is None or deviate.state_log is None:
+        raise ValueError("paired traces need state logs (record_state=True)")
+    last = min(conform.last_round, deviate.last_round)
+    found = _find_deviation(conform, deviate, m, last)
+    facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
+    if found is None:
+        return FactReport(facts=facts)   # conforming pair: vacuously fine
+    i, defected = found
+
+    deg_m = graph.at(m).degree(i)
+    residue = m % n
+
+    # F1: accusation accuracy against the interference-free reachability oracle
+    for M in range(m, min(m + n - 2, last) + 1):
+        for v in range(n):
+            if v == i:
+                continue
+            interacted = graph.at(m).has_edge(i, v)
+            holders = (_reach_frontier(graph, [v], m + 1, M + 1, exclude=i)
+                       if interacted else set())
+            for l in range(n):
+                if l == i:
+                    continue
+                acc = _snap_acc(deviate.state_log[(l, M)])
+                val = acc.get((v, i, m))
+                if not interacted or l not in holders:
+                    if val is not None:
+                        facts["F1_accusation_accuracy"] = (
+                            f"agent {l} holds ({v},{i},{m}) at end of {M} "
+                            f"without an information path")
+                        break
+                else:
+                    want = "bad" if v in defected else "good"
+                    if val != want:
+                        facts["F1_accusation_accuracy"] = (
+                            f"agent {l} at end of {M}: report ({v},{i},{m}) "
+                            f"= {val}, expected {want}")
+                        break
+            if facts["F1_accusation_accuracy"]:
+                break
+        if facts["F1_accusation_accuracy"]:
+            break
+
+    # F2: pend about i converges to y + max(x - deg, 0) at round m+n
+    if m + n - 1 <= last:
+        x = max(_snap_pend(deviate.state_log[(o, m)]).get((i, residue), 0)
+                for o in range(n) if o != i)
+        y = deg_m if defected else 0
+        want = y + max(x - deg_m, 0)
+        for l in range(n):
+            if l == i:
+                continue
+            got = _snap_pend(deviate.state_log[(l, m + n - 1)]).get(
+                (i, (m + n) % n), 0)
+            if got != want:
+                facts["F2_pend_convergence"] = (
+                    f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
+                break
+    else:
+        facts["F2_pend_convergence"] = "horizon too short to reach round m+n-1"
+
+    # F3/F4: deviator-subject entries for rounds other than m are untouched,
+    # and the deviating run's tallies dominate.  Entries about the deviator
+    # never travel through the deviator (senders cannot testify about
+    # themselves), so these are exact; third-party gossip may lag one round
+    # behind while the deviator's payload is suppressed and is not compared.
+    for M in range(m, last + 1):
+        for l in range(n):
+            if l == i:
+                continue
+            pc = _snap_pend(conform.state_log[(l, M)])
+            pd = _snap_pend(deviate.state_log[(l, M)])
+            for key in sorted((set(pc) | set(pd))):
+                s, c = key
+                if s != i:
+                    continue
+                rep = _represented_round(c, M, n)
+                same_needed = not (rep >= m and (rep - m) % n == 0)
+                if same_needed and pc.get(key, 0) != pd.get(key, 0):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: pend[{s}][{rep}] differs "
+                        f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
+                if pd.get(key, 0) < pc.get(key, 0):
+                    facts["F4_pend_dominance"] = (
+                        f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
+                        f"{pc.get(key, 0)}")
+            ac = _snap_acc(conform.state_log[(l, M)])
+            ad = _snap_acc(deviate.state_log[(l, M)])
+            for key in sorted(set(ac) | set(ad)):
+                v, s, r = key
+                if s != i or r == m:
+                    continue
+                if ac.get(key) != ad.get(key):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: report {key} differs "
+                        f"({ac.get(key)} vs {ad.get(key)})")
+
+    # F5/F6: expected punish mass toward i, computed from the tallies
+    def expected_hits(trace: Trace, M: int) -> Fraction:
+        rg = graph.at(M)
+        total = Fraction(0)
+        deg_i = rg.degree(i)
+        if deg_i == 0:
+            return total
+        for j in sorted(rg.neighbors(i)):
+            pend = _snap_pend(trace.state_log[(j, M - 1)]).get((i, M % n), 0)
+            total += min(Fraction(1), Fraction(pend, deg_i))
+        return total
+
+    extra_in_window = Fraction(0)
+    for M in range(m + 1, last + 1):
+        hc = expected_hits(conform, M)
+        hd = expected_hits(deviate, M)
+        if hd < hc:
+            facts["F5_round_utility_dominance"] = (
+                f"round {M}: deviating punish mass {hd} < conforming {hc}")
+            break
+        if M <= m + n * n:
+            extra_in_window += hd - hc
+        elif hd != hc:
+            facts["F6_punishment_mass_window"] = (
+                f"round {M} > m+n^2 still differs ({hd} vs {hc})")
+            break
+    if facts["F6_punishment_mass_window"] is None and defected:
+        want = Fraction(deg_m)
+        if last >= m + n * n and extra_in_window != want:
+            facts["F6_punishment_mass_window"] = (
+                f"extra expected punishments {extra_in_window} != deg {want}")
+        elif params.pi * extra_in_window < params.beta * extra_in_window:
+            facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
+
+    # boundedness: tallies inside [0, n-1], state within the static bound
+    bound = SigmaGen.static_state_bound(n)
+    for trace in (conform, deviate):
+        for (l, M), snap in sorted(trace.state_log.items()):
+            pend = _snap_pend(snap)
+            if any(v > n - 1 or v < 0 for v in pend.values()):
+                facts["bounded_state"] = (
+                    f"agent {l} end of {M}: tally outside [0, n-1]")
+                break
+            if len(pend) + len(_snap_acc(snap)) > bound:
+                facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
+                break
+        if facts["bounded_state"]:
+            break
+
+    return FactReport(facts=facts)
+
+
+def _find_deviation(conform: Trace, deviate: Trace, m: int,
+                    last: int) -> Optional[tuple[AgentId, set[AgentId]]]:
+    for M in range(1, m):
+        if conform.history.profiles[M - 1] != deviate.history.profiles[M - 1]:
+            raise ValueError(f"traces diverge at round {M} before the deviation")
+    pc = conform.history.profiles[m - 1]
+    pd = deviate.history.profiles[m - 1]
+    devs = [a for a in sorted(pc.actions)
+            if pc.actions[a] != pd.actions[a]]
+    if not devs:
+        return None
+    if len(devs) > 1:
+        raise ValueError(f"expected exactly one deviating agent at round {m}, "
+                         f"found {devs}")
+    i = devs[0]
+    defected = {j for j, a in pd.actions[i].per_neighbor.items()
+                if a.kind is ActionKind.DEFECT
+                and pc.actions[i].per_neighbor[j].kind is not ActionKind.DEFECT}
+    return i, defected

@@ -23,6 +23,7 @@ its entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -226,6 +227,23 @@ class UtilityParams:
                      for own in actions for got in actions}
             self._edge_tables[n] = table
         return table
+
+    @cached_property
+    def _edge_numerators(self) -> dict[int, tuple[int, dict]]:
+        return {}
+
+    def edge_numerators(self, n: int) -> tuple[int, dict[tuple[int, int], int]]:
+        """``edge_table(n)`` over one common denominator: ``(den, nums)``
+        with ``table[k] == Fraction(nums[k], den)``, so a round's utility
+        is an integer sum and one ``Fraction``; built once per n."""
+        out = self._edge_numerators.get(n)
+        if out is None:
+            table = self.edge_table(n)
+            den = math.lcm(*(u.denominator for u in table.values()))
+            out = self._edge_numerators[n] = (den, {
+                k: u.numerator * (den // u.denominator)
+                for k, u in table.items()})
+        return out
 
 
 def edge_utility(own: IndividualAction, received: IndividualAction,

@@ -364,9 +364,27 @@ class SigmaGen(StrategyMachine):
         return {"pend": sorted(self.pend.items()), "acc": sorted(self._reports())}
 
     def state_key(self, m: int):
-        return ("SigmaGen",
-                frozenset(((s, (c - m) % self.n), v) for (s, c), v in self.pend.items()),
-                frozenset(((v, s, m - r), val) for (v, s, r), val in self._reports()))
+        """One flat tuple of ints, relative to round m and equal exactly
+        when the round-relative pend entries and reports are: the number of
+        pend entries; each entry as ``count*n*n + s*n + (c-m) % n``, in
+        increasing order; then per stored round with reports, oldest first,
+        ``(m-r) << 2*n*n | bad << n*n | known``, where bit ``v*n + s`` of
+        ``known`` marks a report by v about s and of ``bad`` a "bad" one."""
+        n = self.n
+        nn = n * n
+        pend = sorted(v * nn + s * n + (c - m) % n
+                      for (s, c), v in self.pend.items())
+        rounds = []
+        for r in sorted(self.acc):
+            known = bad = 0
+            for (v, s, _), val in self.acc[r].items():
+                bit = 1 << (v * n + s)
+                known |= bit
+                if val == "bad":
+                    bad |= bit
+            if known:
+                rounds.append((m - r) << 2 * nn | bad << nn | known)
+        return (len(pend), *pend, *rounds)
 
     def is_quiescent(self) -> bool:
         return not self.pend and all(val == "good" for d in self.acc.values()

@@ -10,27 +10,29 @@ Each job has exactly one implementation:
 * A round is one pass: ``_begin_round`` computes the views and calls
   ``begin_round``, ``_act`` calls ``act`` once per machine and script,
   ``_round_outcome`` checks the profile once and sums each agent's utility
-  from the cached per-edge table, and ``_deliver`` hands out payloads and
-  calls ``end_round``.  ``_play_round`` chains the four for one draw
-  source, and ``_simulate_machines`` is the only run loop.  A realised run
-  draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
-  platforms and thread counts); ``simulate`` runs the configured profile
-  through it.
-* ``_Enumerator`` is the only exact enumerator.  Per round it computes the
-  views once, collects the actions of every draw script, and plays each
-  script from those actions, forking the machines (``_fork``: one
-  ``clone()`` per machine) for every script but the last.  Probabilities
-  are exact rationals and leaf probabilities multiply along the path.  It
-  can be conditioned on a realised history prefix, which prunes the
-  scripts that disagree with it before any fork.
-* ``_expectation`` is the only place an expectation is taken:
-  ``sum(p * f(leaf)) / sum(p)`` over an enumeration.  Without a condition
-  the mass is exactly 1.
+  as integer numerators over the per-edge table's common denominator, and
+  ``_deliver`` hands out payloads and calls ``end_round``.  ``_play_round``
+  chains the four for one draw source, and ``_simulate_machines`` is the
+  only run loop.  A realised run draws each labelled Bernoulli from a seed
+  via SHA-256 (bit-exact across platforms and thread counts); ``simulate``
+  runs the configured profile through it.
+* ``_round_scripts`` collects the actions of every draw script of a round,
+  with exact rational probabilities.  ``_Enumerator`` is the only leaf
+  enumerator: per round it computes the views once and plays each script,
+  forking the machines (``_fork``: one ``clone()`` per machine) for every
+  script but the last; leaf probabilities multiply along the path.  It can
+  be conditioned on a realised history prefix, which prunes the scripts
+  that disagree with it before any fork.
+* ``_expectation`` takes an expectation over leaves: ``sum(p * f(leaf)) /
+  sum(p)`` over an enumeration.  Without a condition the mass is exactly
+  1.  The one-shot continuations are valued instead by
+  ``_OneShotChecker._value``, a Bellman recursion over the same rounds
+  (below).
 * An override ``(agent, round, pattern)`` forces one agent's send/defect/
   avoid class per neighbour in one round.  ``_play_round`` applies it in
-  that round; up to and including that round ``_Enumerator`` absorbs no
-  quiescent branch and ``_OneShotChecker._walk_contexts`` collects no
-  context.
+  that round; up to and including that round no quiescent branch is
+  absorbed, no continuation value is read or written, and
+  ``_OneShotChecker._walk_contexts`` collects no context.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
@@ -52,6 +54,30 @@ cooperate substitutions are utility-equivalent for the shipped protocols
 (garbage costs the sender exactly what the value costs, and punishing is
 never accusable), so override enumeration ranges over send/defect/avoid
 patterns per neighbour; the prescribed pattern itself reports gain zero.
+
+Continuation values are shared through one table per ``verify_one_shot``
+call, keyed by ``_world_key`` (graph phase plus every machine's
+round-relative ``state_key``), with no round or horizon in the key.  A
+continuation computes ``V(w) = sum over scripts of p * (u_i + delta *
+V(w'))`` and stops at the first world already valued.  An entry holds i's
+expected utility before absorption, discounted to the round the world was
+reached in, the absorption offsets ``{k: p}`` and the leaf count; read at
+round m it is worth ``pre + sum p * delta**k * tail(m + k)``, with the
+closed-form cooperative tail.  It is exact, not approximate, because:
+
+* state is draw-independent and ``state_key`` is complete, so two worlds
+  with equal keys at the same graph phase play identical subtrees, with the
+  same utilities, draw probabilities and absorption offsets, whatever
+  round they are reached in (``tests/test_soundness.py`` checks both
+  preconditions);
+* rounds at or before the override round neither read nor write the
+  table: there the override, which the key does not carry, makes equal
+  keys differ;
+* an entry is written only from a subtree whose every branch absorbed
+  within the horizon, and read at round m only if ``m + max(k)`` is
+  within the horizon too, so the horizon never cuts a reused subtree;
+* a reused entry adds its leaf count, so ``EnumerationCapExceeded`` is
+  raised exactly when enumerating every branch would raise it.
 """
 
 from __future__ import annotations
@@ -61,10 +87,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
-                             _reach_frontier, local_view)
+                             local_view)
+from .facts import FactReport, gen_facts
 from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
                         Mode, Trace, UtilityParams, cooperation_tail,
                         discounted_utility, tail_bound)
@@ -266,13 +294,9 @@ def _round_outcome(graph: EvolvingGraph, views: dict, params: UtilityParams,
         acts[i] = a
     profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
-    table = params.edge_table(rg.n)
-    utils = {}
-    for i, a in acts.items():
-        u = Fraction(0)
-        for j in sorted(a):
-            u += table[a[j].code, acts[j][i].code]
-        utils[i] = u
+    den, nums = params.edge_numerators(rg.n)
+    utils = {i: Fraction(sum(nums[a[j].code, acts[j][i].code] for j in a), den)
+             for i, a in acts.items()}
     return profile, utils
 
 
@@ -304,6 +328,25 @@ def _play_round(graph: EvolvingGraph, obs: ObservationModel,
                                     _act(machines, m, draws), override)
     _deliver(views, machines, profile)
     return profile, utils
+
+
+def _round_scripts(machines: dict[AgentId, StrategyMachine],
+                   m: int) -> list[tuple[dict, Fraction]]:
+    """The actions of every draw script that completes round m's action
+    phase, with the script's probability."""
+    stack: list[list[bool]] = [[]]
+    done: list[tuple[dict, Fraction]] = []
+    while stack:
+        script = stack.pop()
+        draws = _ScriptDraws(script)
+        try:
+            raw = _act(machines, m, draws)
+        except _NeedBranch:
+            stack.append(script + [False])
+            stack.append(script + [True])
+            continue
+        done.append((raw, draws.prob))
+    return done
 
 
 def _fork(machines: dict[AgentId, StrategyMachine]) -> dict[AgentId, StrategyMachine]:
@@ -391,23 +434,6 @@ class _Enumerator:
         return _Leaf(prob=prob, utils=utils, absorbed_at=absorbed,
                      profiles=profiles)
 
-    def _round_scripts(self, machines, m) -> list[tuple[dict, Fraction]]:
-        """The actions of every draw script that completes round m's action
-        phase, with the script's probability."""
-        stack: list[list[bool]] = [[]]
-        done: list[tuple[dict, Fraction]] = []
-        while stack:
-            script = stack.pop()
-            draws = _ScriptDraws(script)
-            try:
-                raw = _act(machines, m, draws)
-            except _NeedBranch:
-                stack.append(script + [False])
-                stack.append(script + [True])
-                continue
-            done.append((raw, draws.prob))
-        return done
-
     def _rec(self, machines, m, prob, utils, profiles):
         while True:
             if m > self.horizon:
@@ -418,7 +444,7 @@ class _Enumerator:
                 yield self._emit(m, prob, utils, m, profiles)
                 return
             views = _begin_round(self.graph, self.obs, machines, m)
-            scripts = self._round_scripts(machines, m)
+            scripts = _round_scripts(machines, m)
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 profile, round_utils = _round_outcome(
@@ -457,6 +483,17 @@ def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
     return total / mass
 
 
+def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
+                      tails: dict[int, Fraction]) -> Fraction:
+    """i's closed-form cooperative tail from ``start`` to the horizon,
+    memoised in ``tails`` by the round it starts in."""
+    tail = tails.get(start)
+    if tail is None:
+        tail = tails[start] = cooperation_tail(cfg.graph, i, cfg.params,
+                                               start, cfg.horizon)
+    return tail
+
+
 def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
              tails: dict[int, Fraction]) -> Fraction:
     """i's discounted utility on one leaf; ``tails`` memoises i's closed-form
@@ -468,11 +505,8 @@ def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
             total += d ** (m - from_round) * u
     if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
         start = max(leaf.absorbed_at, from_round)
-        tail = tails.get(start)
-        if tail is None:
-            tail = tails[start] = cooperation_tail(cfg.graph, i, cfg.params,
-                                                   start, cfg.horizon)
-        total += d ** (start - from_round) * tail
+        total += d ** (start - from_round) * _cooperation_tail(cfg, i, start,
+                                                               tails)
     return total
 
 
@@ -638,11 +672,22 @@ def _action_class(a) -> str:
     return "send"
 
 
+class _Valued(NamedTuple):
+    """A world's continuation value for agent i, relative to the round it
+    was reached in: i's expected utility before absorption, discounted to
+    that round; the absorption offsets ``((k, p), ...)`` in increasing k,
+    with their probabilities; and the leaves of its branch tree."""
+    pre: Fraction
+    offsets: tuple[tuple[int, Fraction], ...]
+    leaves: int
+
+
 class _OneShotChecker:
     def __init__(self, cfg: SimConfig, i: AgentId):
         self.cfg = cfg
         self.i = i
         self.graph = cfg.graph
+        self.obs = cfg.family.observation
         self.n = cfg.family.n
         self.params = cfg.params
         self.horizon = cfg.horizon
@@ -652,6 +697,9 @@ class _OneShotChecker:
         # tolerances by remaining horizon
         self.tails: dict[int, Fraction] = {}
         self.tolerances: dict[int, Fraction] = {}
+        # continuation values by world key, from fully absorbed subtrees
+        self.values: dict[tuple, _Valued] = {}
+        self.leaves = 0     # of the continuation being valued
 
     def _tolerance(self, rounds_left: int) -> Fraction:
         tol = self.tolerances.get(rounds_left)
@@ -681,9 +729,96 @@ class _OneShotChecker:
 
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
+        """i's expected utility from round m2, discounted to m2, with i's
+        round-m2 classes forced to ``pattern`` (None: as prescribed)."""
         override = None if pattern is None else (self.i, m2, pattern)
-        return _expected_eu(self.cfg, _fork(machines), self.i, m2, m2,
-                            override=override, tails=self.tails)
+        self.leaves = 0
+        pre, absorbed, _, _ = self._value(_fork(machines), m2, override)
+        d = self.params.delta
+        for a, p in absorbed.items():
+            pre += p * d ** (a - m2) * _cooperation_tail(self.cfg, self.i, a,
+                                                         self.tails)
+        return pre
+
+    def _count(self, m: int, leaves: int):
+        """Count the leaves of a branch stopping before round m against the
+        enumeration cap."""
+        self.leaves += leaves
+        cap = self.cfg.enum_cap
+        if self.leaves > cap:
+            raise EnumerationCapExceeded(cap, m - 1, cap)
+
+    def _value(self, ms, m: int, override: Optional[Override]):
+        """Value i's continuation from the pre-round machines ``ms`` at round
+        m: ``(pre, absorbed, leaves, complete)``, with ``pre`` i's expected
+        utility of the rounds played, discounted to m, ``absorbed`` the
+        probability of absorbing at each round, and ``complete`` whether
+        every branch absorbed within the horizon.
+
+        ``V(w) = sum over scripts of p * (u_i + delta * V(w'))``: rounds
+        with one draw script are played in a loop, and only a round with
+        several recurses.  A round after the override's reads the table by
+        world key and stops at the first world already valued; once the
+        subtree is complete, every keyed round of it is written back."""
+        blocked = override[1] if override else 0
+        d = self.params.delta
+        chain: list[tuple[Optional[tuple], int, Fraction]] = []
+        while True:
+            key = None      # the world key of round m, if the table is used
+            if m > self.horizon:
+                self._count(m, 1)
+                pre, absorbed, leaves, complete = Fraction(0), {}, 1, False
+                break
+            if m > blocked:
+                if all(mach.is_quiescent() for mach in ms.values()):
+                    self._count(m, 1)
+                    pre, absorbed = Fraction(0), {m: Fraction(1)}
+                    leaves, complete = 1, True
+                    break
+                key = _world_key(self.graph, ms, m)
+                hit = self.values.get(key)
+                if hit is not None and m + hit.offsets[-1][0] <= self.horizon:
+                    self._count(m, hit.leaves)
+                    pre, leaves, complete = hit.pre, hit.leaves, True
+                    absorbed = {m + k: p for k, p in hit.offsets}
+                    key = None      # already valued
+                    break
+            views = _begin_round(self.graph, self.obs, ms, m)
+            scripts = _round_scripts(ms, m)
+            if len(scripts) == 1:
+                profile, utils = _round_outcome(self.graph, views, self.params,
+                                                m, scripts[0][0], override)
+                _deliver(views, ms, profile)
+                chain.append((key, m, utils[self.i]))
+                m += 1
+                continue
+            pre, absorbed, leaves, complete = Fraction(0), {}, 0, True
+            for si, (raw, p) in enumerate(scripts):
+                profile, utils = _round_outcome(self.graph, views, self.params,
+                                                m, raw, override)
+                sub = ms if si == len(scripts) - 1 else _fork(ms)
+                _deliver(views, sub, profile)
+                spre, sabs, sleaves, sdone = self._value(sub, m + 1, override)
+                pre += p * (utils[self.i] + d * spre)
+                for a, q in sabs.items():
+                    absorbed[a] = absorbed.get(a, 0) + p * q
+                leaves += sleaves
+                complete = complete and sdone
+            break
+        if complete:
+            self._store(key, m, pre, absorbed, leaves)
+        for key, t, u in reversed(chain):
+            pre = u + d * pre
+            if complete:
+                self._store(key, t, pre, absorbed, leaves)
+        return pre, absorbed, leaves, complete
+
+    def _store(self, key: Optional[tuple], m: int, pre: Fraction,
+               absorbed: dict[int, Fraction], leaves: int):
+        if key is not None:
+            self.values[key] = _Valued(
+                pre, tuple(sorted((a - m, p) for a, p in absorbed.items())),
+                leaves)
 
     def _prescribed_classes(self, machines, m2: int) -> dict[AgentId, str]:
         probe = machines[self.i].clone()
@@ -822,28 +957,8 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Paired-trace fact assertions for the bounded tally protocol
+# Paired defections of the bounded tally protocol
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FactReport:
-    facts: dict[str, Optional[str]]
-
-    @property
-    def passed(self) -> bool:
-        return all(v is None for v in self.facts.values())
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed,
-                "facts": {k: ("pass" if v is None else v)
-                          for k, v in sorted(self.facts.items())}}
-
-
-FACT_NAMES = ("F1_accusation_accuracy", "F2_pend_convergence",
-              "F3_other_rounds_untouched", "F4_pend_dominance",
-              "F5_round_utility_dominance", "F6_punishment_mass_window",
-              "bounded_state")
-
 
 def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
                          targets) -> tuple[Trace, Trace]:
@@ -859,201 +974,9 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     return conform, _simulate_machines(cfg, machines)
 
 
-def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
-    return {tuple(k): v for k, v in snap.get("pend", [])}
-
-
-def _snap_acc(snap: dict) -> dict[tuple[int, int, int], str]:
-    return {tuple(k): v for k, v in snap.get("acc", [])}
-
-
-def _represented_round(c: int, end_round: int, n: int) -> int:
-    """Absolute round currently represented by pend residue c after the
-    end-of-round ``end_round`` update: the unique round in
-    [end_round-n+2, end_round+1] congruent to c mod n."""
-    lo = end_round - n + 2
-    return lo + ((c - lo) % n)
-
-
 def assert_gen_facts(cfg: SimConfig, paired: tuple[Trace, Trace],
                      m: int) -> FactReport:
     """Check the six single-deviation invariants of the bounded tally
-    protocol on a (conforming, deviating) trace pair.
-
-    Exact: tallies are compared as integers, expected punishment masses as
-    rationals.  F2 and F6 presuppose a connectivity-restricted family (the
-    dissemination arguments need it); on other families they fail honestly.
-    """
-    conform, deviate = paired
-    n = cfg.family.n
-    graph = cfg.graph
-    params = cfg.params
-    if conform.state_log is None or deviate.state_log is None:
-        raise ValueError("paired traces need state logs (record_state=True)")
-    last = min(conform.last_round, deviate.last_round)
-    found = _find_deviation(conform, deviate, m, last)
-    facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
-    if found is None:
-        return FactReport(facts=facts)   # conforming pair: vacuously fine
-    i, defected = found
-
-    deg_m = graph.at(m).degree(i)
-    residue = m % n
-
-    # F1: accusation accuracy against the interference-free reachability oracle
-    for M in range(m, min(m + n - 2, last) + 1):
-        for v in range(n):
-            if v == i:
-                continue
-            interacted = graph.at(m).has_edge(i, v)
-            holders = (_reach_frontier(graph, [v], m + 1, M + 1, exclude=i)
-                       if interacted else set())
-            for l in range(n):
-                if l == i:
-                    continue
-                acc = _snap_acc(deviate.state_log[(l, M)])
-                val = acc.get((v, i, m))
-                if not interacted or l not in holders:
-                    if val is not None:
-                        facts["F1_accusation_accuracy"] = (
-                            f"agent {l} holds ({v},{i},{m}) at end of {M} "
-                            f"without an information path")
-                        break
-                else:
-                    want = "bad" if v in defected else "good"
-                    if val != want:
-                        facts["F1_accusation_accuracy"] = (
-                            f"agent {l} at end of {M}: report ({v},{i},{m}) "
-                            f"= {val}, expected {want}")
-                        break
-            if facts["F1_accusation_accuracy"]:
-                break
-        if facts["F1_accusation_accuracy"]:
-            break
-
-    # F2: pend about i converges to y + max(x - deg, 0) at round m+n
-    if m + n - 1 <= last:
-        x = max(_snap_pend(deviate.state_log[(o, m)]).get((i, residue), 0)
-                for o in range(n) if o != i)
-        y = deg_m if defected else 0
-        want = y + max(x - deg_m, 0)
-        for l in range(n):
-            if l == i:
-                continue
-            got = _snap_pend(deviate.state_log[(l, m + n - 1)]).get(
-                (i, (m + n) % n), 0)
-            if got != want:
-                facts["F2_pend_convergence"] = (
-                    f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
-                break
-    else:
-        facts["F2_pend_convergence"] = "horizon too short to reach round m+n-1"
-
-    # F3/F4: deviator-subject entries for rounds other than m are untouched,
-    # and the deviating run's tallies dominate.  Entries about the deviator
-    # never travel through the deviator (senders cannot testify about
-    # themselves), so these are exact; third-party gossip may lag one round
-    # behind while the deviator's payload is suppressed and is not compared.
-    for M in range(m, last + 1):
-        for l in range(n):
-            if l == i:
-                continue
-            pc = _snap_pend(conform.state_log[(l, M)])
-            pd = _snap_pend(deviate.state_log[(l, M)])
-            for key in sorted((set(pc) | set(pd))):
-                s, c = key
-                if s != i:
-                    continue
-                rep = _represented_round(c, M, n)
-                same_needed = not (rep >= m and (rep - m) % n == 0)
-                if same_needed and pc.get(key, 0) != pd.get(key, 0):
-                    facts["F3_other_rounds_untouched"] = (
-                        f"agent {l} end of {M}: pend[{s}][{rep}] differs "
-                        f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
-                if pd.get(key, 0) < pc.get(key, 0):
-                    facts["F4_pend_dominance"] = (
-                        f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
-                        f"{pc.get(key, 0)}")
-            ac = _snap_acc(conform.state_log[(l, M)])
-            ad = _snap_acc(deviate.state_log[(l, M)])
-            for key in sorted(set(ac) | set(ad)):
-                v, s, r = key
-                if s != i or r == m:
-                    continue
-                if ac.get(key) != ad.get(key):
-                    facts["F3_other_rounds_untouched"] = (
-                        f"agent {l} end of {M}: report {key} differs "
-                        f"({ac.get(key)} vs {ad.get(key)})")
-
-    # F5/F6: expected punish mass toward i, computed from the tallies
-    def expected_hits(trace: Trace, M: int) -> Fraction:
-        rg = graph.at(M)
-        total = Fraction(0)
-        deg_i = rg.degree(i)
-        if deg_i == 0:
-            return total
-        for j in sorted(rg.neighbors(i)):
-            pend = _snap_pend(trace.state_log[(j, M - 1)]).get((i, M % n), 0)
-            total += min(Fraction(1), Fraction(pend, deg_i))
-        return total
-
-    extra_in_window = Fraction(0)
-    for M in range(m + 1, last + 1):
-        hc = expected_hits(conform, M)
-        hd = expected_hits(deviate, M)
-        if hd < hc:
-            facts["F5_round_utility_dominance"] = (
-                f"round {M}: deviating punish mass {hd} < conforming {hc}")
-            break
-        if M <= m + n * n:
-            extra_in_window += hd - hc
-        elif hd != hc:
-            facts["F6_punishment_mass_window"] = (
-                f"round {M} > m+n^2 still differs ({hd} vs {hc})")
-            break
-    if facts["F6_punishment_mass_window"] is None and defected:
-        want = Fraction(deg_m)
-        if last >= m + n * n and extra_in_window != want:
-            facts["F6_punishment_mass_window"] = (
-                f"extra expected punishments {extra_in_window} != deg {want}")
-        elif params.pi * extra_in_window < params.beta * extra_in_window:
-            facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
-
-    # boundedness: tallies inside [0, n-1], state within the static bound
-    from .protocols import SigmaGen
-    bound = SigmaGen.static_state_bound(n)
-    for trace in (conform, deviate):
-        for (l, M), snap in sorted(trace.state_log.items()):
-            pend = _snap_pend(snap)
-            if any(v > n - 1 or v < 0 for v in pend.values()):
-                facts["bounded_state"] = (
-                    f"agent {l} end of {M}: tally outside [0, n-1]")
-                break
-            if len(pend) + len(_snap_acc(snap)) > bound:
-                facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
-                break
-        if facts["bounded_state"]:
-            break
-
-    return FactReport(facts=facts)
-
-
-def _find_deviation(conform: Trace, deviate: Trace, m: int,
-                    last: int) -> Optional[tuple[AgentId, set[AgentId]]]:
-    for M in range(1, m):
-        if conform.history.profiles[M - 1] != deviate.history.profiles[M - 1]:
-            raise ValueError(f"traces diverge at round {M} before the deviation")
-    pc = conform.history.profiles[m - 1]
-    pd = deviate.history.profiles[m - 1]
-    devs = [a for a in sorted(pc.actions)
-            if pc.actions[a] != pd.actions[a]]
-    if not devs:
-        return None
-    if len(devs) > 1:
-        raise ValueError(f"expected exactly one deviating agent at round {m}, "
-                         f"found {devs}")
-    i = devs[0]
-    defected = {j for j, a in pd.actions[i].per_neighbor.items()
-                if a.kind is ActionKind.DEFECT
-                and pc.actions[i].per_neighbor[j].kind is not ActionKind.DEFECT}
-    return i, defected
+    protocol, and bounded state, on a (conforming, deviating) trace pair
+    (``facts.gen_facts``)."""
+    return gen_facts(cfg, paired, m)

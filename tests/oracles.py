@@ -15,8 +15,13 @@ package, so exact agreement of ``sum(leaf.prob * u)`` over its leaves with
 ``expected_utility`` and ``expected_punishments`` checks the enumerator's
 script batching, state sharing, absorption and conditioning.
 
+``continuation_eu`` is the reference for the one-shot checker's
+continuation values: it enumerates every continuation to absorption with
+``_Enumerator`` and no table of valued worlds.
+
 ``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
-store: the same protocol over one flat report dict.
+store: the same protocol over one flat report dict, and
+``flat_sigma_gen_key`` maps its state key to ``SigmaGen``'s encoding.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, History,
 from dynacct.protocols import (RandSource, StrategyConfigError,
                                StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
-                              _BoundRand, _NeedBranch, _play_round,
-                              _ScriptDraws, build_machines)
+                              _BoundRand, _expected_eu, _fork, _NeedBranch,
+                              _play_round, _ScriptDraws, build_machines)
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -293,6 +298,14 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
     return BranchTree(root=root, leaves=leaves)
 
 
+def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
+    """``_OneShotChecker._continuation_eu`` without the world table: i's
+    expected utility over every enumerated leaf of the continuation."""
+    override = None if pattern is None else (checker.i, m2, pattern)
+    return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
+                        override=override, tails=checker.tails)
+
+
 # ---------------------------------------------------------------------------
 # Flat-dict reference for the bounded tally protocol
 # ---------------------------------------------------------------------------
@@ -446,3 +459,20 @@ class FlatSigmaGen(StrategyMachine):
     def static_state_bound(n: int) -> int:
         # pend: (n-1) subjects x n residues; acc: n(n-1) ordered pairs x n rounds
         return (n - 1) * n + n * (n - 1) * n
+
+
+def flat_sigma_gen_key(key, n: int):
+    """``FlatSigmaGen.state_key``'s frozensets in ``SigmaGen.state_key``'s
+    flat int encoding."""
+    _, pend, reports = key
+    nn = n * n
+    rounds: dict[int, list[int]] = {}
+    for (v, s, rel), val in reports:
+        masks = rounds.setdefault(rel, [0, 0])
+        masks[0] |= 1 << (v * n + s)
+        if val == "bad":
+            masks[1] |= 1 << (v * n + s)
+    codes = sorted(count * nn + s * n + c for (s, c), count in pend)
+    return (len(codes), *codes,
+            *(rel << 2 * nn | bad << nn | known
+              for rel, (known, bad) in sorted(rounds.items(), reverse=True)))

@@ -21,7 +21,7 @@ from dynacct.scenarios import (builtin, complete_graph, general_defaults,
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
                               simulate, strategy_context)
 
-from .oracles import FlatSigmaGen
+from .oracles import FlatSigmaGen, flat_sigma_gen_key
 from .test_soundness import _RecordingRand
 
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -292,8 +292,10 @@ def _random_gen_round(rng, n, me, m):
 def test_sigma_gen_matches_flat_reference(cap, inflate, rng):
     # the round-indexed machine and the flat-dict reference, fed identical
     # random rounds, act, draw, send and store identically; after
-    # end_round(m) only the window rounds m-n+2..m are stored
+    # end_round(m) only the window rounds m-n+2..m are stored.  State keys
+    # are equal exactly when the reference's frozenset keys are
     draws = tallies = 0
+    keys: dict = {}
     for n in (2, 3, 4, 5):
         for me in range(n):
             new = SigmaGen(me, n, _cap=cap, _pend_payload_inflate=inflate)
@@ -314,12 +316,16 @@ def test_sigma_gen_matches_flat_reference(cap, inflate, rng):
                 ref.end_round(act, {j: (a, _flat_payload(p))
                                     for j, (a, p) in inbox.items()})
                 assert new.snapshot() == ref.snapshot()
-                assert new.state_key(m + 1) == ref.state_key(m + 1)
+                key, flat = new.state_key(m + 1), ref.state_key(m + 1)
+                assert key == flat_sigma_gen_key(flat, n)
+                keys.setdefault((n, key), set()).add((n, flat))
                 assert new.is_quiescent() == ref.is_quiescent()
                 assert new.state_size() == ref.state_size()
                 assert set(new.acc) <= set(range(m - n + 2, m + 1))
                 tallies += len(ref.pend)
     assert draws > 0 and tallies > 0   # punishments were drawn and tallied
+    assert all(len(flats) == 1 for flats in keys.values())
+    assert len(set().union(*keys.values())) == len(keys)
 
 
 def test_sigma_gen_payloads_are_isolated(rng):

@@ -342,8 +342,10 @@ def test_verify_one_shot_sigma_gen_small():
 def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # every played round computes each agent's view and calls begin_round and
     # act once; the only extra ones are the prescribed-class probes, one per
-    # context.  Counts and report are those of the two-pass engine before
-    # (which made 2,424 act calls here).
+    # context.  The report is that of the two-pass engine before (which made
+    # 2,424 act calls here); continuations that stop at the first world
+    # already valued play 762 of the 1,455 rounds that replaying each one to
+    # absorption played.
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -367,16 +369,117 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
                     strategies={a: "sigma_gen" for a in range(3)},
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
-    assert calls["end_round"] == 1455
+    assert calls["end_round"] == 762
     assert calls["_prescribed_classes"] == 15
     for name in ("act", "begin_round", "local_view"):
-        assert calls[name] == 1455 + 15, name
+        assert calls[name] == 762 + 15, name
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
                            "override": {"1": "send", "2": "send"}}
     assert rep.tolerance == tail_bound(cfg.params, 3, 29)
     assert rep.verdict is True
     assert rep.checks == 60
+
+
+def _one_shot_runs(cfg, agents, continuation=None):
+    """Per agent, ``verify_one_shot``'s report and every check's (gain,
+    tolerance, witness), with the continuations valued by ``continuation``
+    (default: the world table); plus the rounds played and the rounds with
+    more than one draw script."""
+    from dynacct import verifier
+    from dynacct.protocols import SigmaGen
+
+    counts = collections.Counter()
+    checkers = []
+    with pytest.MonkeyPatch.context() as mp:
+        init, end_round = verifier._OneShotChecker.__init__, SigmaGen.end_round
+        round_scripts = verifier._round_scripts
+
+        def recording_init(self, *args):
+            init(self, *args)
+            checkers.append(self)
+
+        def counted_end_round(self, *args):
+            counts["rounds"] += self.me == 0
+            return end_round(self, *args)
+
+        def counted_scripts(*args):
+            scripts = round_scripts(*args)
+            counts["forks"] += len(scripts) > 1
+            return scripts
+
+        mp.setattr(verifier._OneShotChecker, "__init__", recording_init)
+        mp.setattr(SigmaGen, "end_round", counted_end_round)
+        mp.setattr(verifier, "_round_scripts", counted_scripts)
+        if continuation is not None:
+            mp.setattr(verifier._OneShotChecker, "_continuation_eu",
+                       continuation)
+        reports = [verify_one_shot(cfg, i, robust_depth=2) for i in agents]
+    runs = [(rep.max_gain, rep.tolerance, rep.verdict, rep.witness, rep.checks,
+             checker.results) for rep, checker in zip(reports, checkers)]
+    return runs, counts
+
+
+def _random_gen_configs(rng, count):
+    from .conftest import random_evolving_graph
+    # mixed_degree_family forks on fractional punishments; at horizon 9,
+    # agent 0's continuations already reuse valued worlds below forks
+    cfgs = [(gen_cfg(mixed_degree_family(), horizon=9), (0,))]
+    for k in range(count):
+        g = random_evolving_graph(rng, 3, f"r{k}", max_prefix=2, max_cycle=3)
+        cfgs.append((gen_cfg(GraphFamily(3, (g,), ND, 8), horizon=12),
+                     range(3)))
+    return cfgs
+
+
+def test_world_table_matches_memo_free_continuations(rng):
+    # on random sigma_gen families and a forking one, every check's gain,
+    # tolerance and witness, and every report, equal those of continuations
+    # enumerated to absorption without the table; the table never plays
+    # more rounds
+    from .oracles import continuation_eu
+    forks = 0
+    for cfg, agents in _random_gen_configs(rng, 8):
+        got, counts = _one_shot_runs(cfg, agents)
+        want, oracle_counts = _one_shot_runs(cfg, agents, continuation_eu)
+        assert got == want, cfg.member
+        assert counts["rounds"] <= oracle_counts["rounds"], cfg.member
+        forks += oracle_counts["forks"]
+    assert forks > 0
+
+
+def test_world_table_counts_reused_leaves_against_the_cap():
+    # a valued world adds its subtree's leaves: every continuation counts
+    # the leaves that enumerating it to absorption emits, so the table
+    # refuses exactly when that enumeration would
+    from dynacct import verifier
+    from .oracles import continuation_eu
+    cfg = gen_cfg(mixed_degree_family(), horizon=10)
+    valued = verifier._OneShotChecker._continuation_eu
+    enums, leaves = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        init = verifier._Enumerator.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            enums.append(self)
+
+        def both(self, machines, m2, pattern):
+            got = valued(self, machines, m2, pattern)
+            assert continuation_eu(self, machines, m2, pattern) == got
+            leaves.append((self.leaves, enums[-1].count))
+            return got
+
+        mp.setattr(verifier._Enumerator, "__init__", recording_init)
+        mp.setattr(verifier._OneShotChecker, "_continuation_eu", both)
+        verify_one_shot(cfg, 1, robust_depth=2)
+    assert all(got == want for got, want in leaves)
+    most = max(want for _, want in leaves)
+    assert most > 1
+    verify_one_shot(replace(cfg, enum_cap=most), 1, robust_depth=2)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        verify_one_shot(replace(cfg, enum_cap=most - 1), 1, robust_depth=2)
+    assert exc.value.leaves == most - 1 and 1 <= exc.value.round <= 10
 
 
 def test_verify_one_shot_gain_strictly_negative_for_defection():
