@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -205,7 +206,7 @@ def cmd_verify(args) -> int:
             scenario.member = member
             cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
             if args.enum_cap is not None:
-                cfg.enum_cap = args.enum_cap
+                cfg = replace(cfg, enum_cap=args.enum_cap)
             coop_ok, coop_witness = verify_cooperation(cfg)
             reports = {}
             member_pass = coop_ok

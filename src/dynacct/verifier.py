@@ -42,18 +42,25 @@ are therefore exact even for the infinite game; the reported tolerance is
 still the analytic tail bound the finite-horizon contract prescribes.
 
 One-shot deviation checking enumerates the agent's information-set
-occurrences up to a deviation window, deduplicated by (machine states,
-graph phase).  That deduplication, and the conditioning of off-path
-continuations on "only the observed deviator deviated", is sound for
-machines whose monitoring state is independent of punish/cooperate draw
-outcomes and whose utilities are additive per directed edge; every shipped
-strategy declares the property, the checker refuses machines that do not.
-Robustness depth 2 additionally explores information sets reached after a
-prior unilateral deviation by the checked agent itself.  Punish-or-
-cooperate substitutions are utility-equivalent for the shipped protocols
-(garbage costs the sender exactly what the value costs, and punishing is
-never accusable), so override enumeration ranges over send/defect/avoid
-patterns per neighbour; the prescribed pattern itself reports gain zero.
+occurrences, deduplicated by world key (graph phase plus machine states)
+and collected by closure.  A context walk plays the profile with fixed draw
+outcomes, so past its override round it is deterministic in the world key:
+it stops at the first closed world (one whose successors are all collected)
+or at a world it walked itself, and then closes every world it walked.  The
+on-path walk runs to round horizon - 1.  Robustness depth 2 also explores
+information sets reached after a prior unilateral deviation by the checked
+agent itself, with one walk per on-path context and deviation pattern;
+these walks are also cut n*n + n + L + 2 rounds after the deviation, and a
+walk cut by that bound leaves its worlds open.  The deduplication, and the
+conditioning of off-path continuations on "only the observed deviator
+deviated", is sound for machines whose monitoring state is independent of
+punish/cooperate draw outcomes and whose utilities are additive per
+directed edge; every shipped strategy declares the property, the checker
+refuses machines that do not.  Punish-or-cooperate substitutions are
+utility-equivalent for the shipped protocols (garbage costs the sender
+exactly what the value costs, and punishing is never accusable), so
+override enumeration ranges over send/defect/avoid patterns per neighbour;
+the prescribed pattern itself reports gain zero.
 
 Continuation values are shared through one table per ``verify_one_shot``
 call, keyed by ``_world_key`` (graph phase plus every machine's
@@ -200,6 +207,8 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.enum_cap < 1:
+            raise ValueError("enum_cap must be >= 1")
         missing = set(range(self.family.n)) - set(self.strategies)
         if missing:
             raise ValueError(f"agents without strategies: {sorted(missing)}")
@@ -709,23 +718,29 @@ class _OneShotChecker:
         return tol
 
     def _walk_contexts(self, machines, start: int, end: int, origin: str,
-                       seen: set, out: list,
+                       seen: dict, out: list,
                        override: Optional[Override] = None):
         """Step the profile with fixed draw outcomes (valid because state is
-        draw-independent), collecting deduplicated pre-action world states."""
+        draw-independent), collecting deduplicated pre-action world states.
+        ``seen`` maps each world key met so far to whether it is closed; the
+        walk stops at a closed world or at one it walked itself and closes
+        what it walked, but a walk cut by ``end`` leaves its worlds open."""
         ms = _fork(machines)
         draws = _FixedDraws(False)
         first = override[1] if override else 0
+        walked: set = set()
         for m in range(start, end + 1):
             if m > first:
                 key = _world_key(self.graph, ms, m)
+                if seen.get(key) or key in walked:
+                    seen.update(dict.fromkeys(walked, True))
+                    return
+                walked.add(key)
                 if key not in seen:
-                    seen.add(key)
+                    seen[key] = False
                     out.append((m, _fork(ms), origin))
-            if m > self.horizon:
-                break
-            _play_round(self.graph, self.cfg.family.observation, ms,
-                        self.params, m, draws, override)
+            _play_round(self.graph, self.obs, ms, self.params, m, draws,
+                        override)
 
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
@@ -869,53 +884,44 @@ class _OneShotChecker:
 
 
 def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
-                    candidates: Sequence[Mapping] = (),
-                    on_window: Optional[int] = None,
-                    prior_window: Optional[int] = None,
-                    dev_window: Optional[int] = None) -> EquilibriumReport:
+                    candidates: Sequence[Mapping] = ()) -> EquilibriumReport:
     """Enumerate one-shot deviations of agent i against the honest profile
     and report the largest expected-utility gain.
 
-    Robustness depth >= 2 also explores information sets reached after one
-    prior unilateral deviation by i itself.  User-supplied deviation specs
-    are evaluated as whole-run candidates against the honest profile.
+    The contexts are every world the on-path walk reaches before it closes.
+    Robustness depth 2 also explores information sets reached after one
+    prior unilateral deviation by i itself, from each on-path context;
+    depth 1 does not.  User-supplied deviation specs are evaluated as
+    whole-run candidates against the honest profile.
     """
+    if robust_depth not in (1, 2):
+        raise ValueError(f"robust_depth must be 1 or 2, not {robust_depth}")
     honest = build_machines(cfg, honest_only=True)
     _require_verifiable(honest)
     graph = cfg.graph
     n = cfg.family.n
-    P, L = len(graph.prefix), len(graph.cycle)
-    span = n * n + n
-    if on_window is None:
-        on_window = min(cfg.horizon - 1, P + 2 * L + span + 2)
-    if prior_window is None:
-        prior_window = min(cfg.horizon - 1, P + L + 2 * n)
-    if dev_window is None:
-        dev_window = span + L + 2
-
     checker = _OneShotChecker(cfg, i)
-    seen: set = set()
+    seen: dict = {}
     contexts: list = []
-    checker._walk_contexts(honest, 1, on_window, "on-path", seen, contexts)
+    checker._walk_contexts(honest, 1, cfg.horizon - 1, "on-path", seen,
+                           contexts)
+    prior_points = contexts[:] if robust_depth == 2 else []
 
-    if robust_depth >= 2:
-        prior_seen: set = set()
-        prior_points: list = []
-        checker._walk_contexts(honest, 1, prior_window, "prior", prior_seen,
-                               prior_points)
-        for (m1, state, _) in prior_points:
-            nbrs1 = sorted(graph.at(m1).neighbors(i))
-            if not nbrs1:
-                continue
-            for pattern in _override_patterns(cfg.params.mode, nbrs1):
-                if all(o == "send" for o in pattern.values()):
-                    continue
-                desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
-                                if o != "send")
-                end = min(m1 + dev_window, cfg.horizon - 1)
-                checker._walk_contexts(
-                    state, m1, end, f"after own {desc}@{m1}", seen, contexts,
-                    override=(i, m1, pattern))
+    # After-deviation walks keep a bound: UnsafePunisherProtocol.state_key
+    # holds the agent's own past defections forever, so its walks after a
+    # defection never close.  With them dropped from the key after round 3,
+    # where the script last reads them, every walk closes without the bound
+    # and unsafe_three_agent has 35 contexts instead of 81.
+    dev_window = n * n + n + len(graph.cycle) + 2
+    for (m1, state, _) in prior_points:
+        nbrs1 = sorted(graph.at(m1).neighbors(i))
+        for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
+            desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
+                            if o != "send")
+            checker._walk_contexts(
+                state, m1, min(m1 + dev_window, cfg.horizon - 1),
+                f"after own {desc}@{m1}", seen, contexts,
+                override=(i, m1, pattern))
 
     for (m2, state, origin) in contexts:
         checker.check_context(m2, state, origin)
@@ -923,20 +929,22 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     for spec in candidates:
         checker.add_candidate(spec)
 
-    if not checker.results:
-        zero = Fraction(0)
-        return EquilibriumReport(max_gain=zero, witness=None,
+    results = checker.results
+    if not results:
+        return EquilibriumReport(max_gain=Fraction(0), witness=None,
                                  tolerance=tail_bound(cfg.params, n, cfg.horizon),
                                  verdict=True, checks=0)
-    def _prefer(r):
-        # break exact ties toward candidate machines: their witnesses carry
-        # the sustained deviation rather than its first one-shot prefix
-        return (r[0] - r[1], r[2].get("origin") == "candidate")
-
-    best = max(checker.results, key=_prefer)
-    top = max(checker.results, key=lambda r: (r[0], r[2].get("origin") == "candidate"))
-    verdict = all(g <= t for (g, t, _) in checker.results)
-    gain, tol, witness = top if verdict else best
+    # on a pass the largest gain, on a fail the check that beats its
+    # tolerance by most; exact ties break toward candidate machines: their
+    # witnesses carry the sustained deviation rather than its first one-shot
+    # prefix
+    verdict = all(g <= t for (g, t, _) in results)
+    if verdict:
+        pool, margin = results, lambda r: r[0]
+    else:
+        pool, margin = [r for r in results if r[0] > r[1]], lambda r: r[0] - r[1]
+    gain, tol, witness = max(pool, key=lambda r: (
+        margin(r), r[2]["origin"] == "candidate"))
     return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
                              verdict=verdict, checks=checker.checks)
 

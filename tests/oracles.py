@@ -19,6 +19,11 @@ script batching, state sharing, absorption and conditioning.
 continuation values: it enumerates every continuation to absorption with
 ``_Enumerator`` and no table of valued worlds.
 
+``windowed_contexts`` is the reference for the one-shot checker's
+contexts: the walks as they were before closure, cut only by three
+heuristic windows and never stopped early, with a second on-path walk for
+the prior deviation points.
+
 ``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
 store: the same protocol over one flat report dict, and
 ``flat_sigma_gen_key`` maps its state key to ``SigmaGen``'s encoding.
@@ -41,8 +46,9 @@ from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, History,
 from dynacct.protocols import (RandSource, StrategyConfigError,
                                StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
-                              _BoundRand, _expected_eu, _fork, _NeedBranch,
-                              _play_round, _ScriptDraws, build_machines)
+                              _BoundRand, _expected_eu, _FixedDraws, _fork,
+                              _NeedBranch, _override_patterns, _play_round,
+                              _ScriptDraws, _world_key, build_machines)
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -304,6 +310,62 @@ def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
     override = None if pattern is None else (checker.i, m2, pattern)
     return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
                         override=override, tails=checker.tails)
+
+
+# ---------------------------------------------------------------------------
+# Windowed context walks: the one-shot contexts as collected before closure
+# ---------------------------------------------------------------------------
+
+def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
+                   origin: str, seen: set, out: list, override=None):
+    """Step the profile with fixed draw outcomes from ``start`` to ``end``,
+    with no early stop, collecting each world whose key is not in ``seen``."""
+    ms = _fork(machines)
+    draws = _FixedDraws(False)
+    first = override[1] if override else 0
+    for m in range(start, end + 1):
+        if m > first:
+            key = _world_key(cfg.graph, ms, m)
+            if key not in seen:
+                seen.add(key)
+                out.append((m, _fork(ms), origin))
+        _play_round(cfg.graph, cfg.family.observation, ms, cfg.params, m,
+                    draws, override)
+
+
+def windowed_contexts(cfg: SimConfig, i: AgentId):
+    """The (round, origin, world key) contexts ``verify_one_shot`` checks for
+    agent i at robustness depth 2, collected by window-bounded walks: an
+    on-path walk to ``on_window``, a separate on-path walk to
+    ``prior_window`` for the prior deviation points, and after-deviation
+    walks of ``dev_window`` rounds."""
+    honest = build_machines(cfg, honest_only=True)
+    graph = cfg.graph
+    n = cfg.family.n
+    P, L = len(graph.prefix), len(graph.cycle)
+    span = n * n + n
+    on_window = min(cfg.horizon - 1, P + 2 * L + span + 2)
+    prior_window = min(cfg.horizon - 1, P + L + 2 * n)
+    dev_window = span + L + 2
+    seen: set = set()
+    contexts: list = []
+    _windowed_walk(cfg, honest, 1, on_window, "on-path", seen, contexts)
+    prior_points: list = []
+    _windowed_walk(cfg, honest, 1, prior_window, "prior", set(), prior_points)
+    for (m1, state, _) in prior_points:
+        nbrs1 = sorted(graph.at(m1).neighbors(i))
+        if not nbrs1:
+            continue
+        for pattern in _override_patterns(cfg.params.mode, nbrs1):
+            if all(o == "send" for o in pattern.values()):
+                continue
+            desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
+                            if o != "send")
+            end = min(m1 + dev_window, cfg.horizon - 1)
+            _windowed_walk(cfg, state, m1, end, f"after own {desc}@{m1}",
+                           seen, contexts, override=(i, m1, pattern))
+    return [(m, origin, _world_key(graph, state, m))
+            for (m, state, origin) in contexts]
 
 
 # ---------------------------------------------------------------------------

@@ -269,9 +269,13 @@ def test_verify_scenario_roundtrip_loader():
     ["check", "timely", "--family", "nope", "--rho", "3"],
     ["simulate", "--scenario", "ring_connectivity", "--samples", "-1"],
     ["simulate", "--scenario", "ring_connectivity", "--samples", "0"],
+    ["verify", "--scenario", "ring_connectivity", "--robust-depth", "0"],
+    ["verify", "--scenario", "ring_connectivity", "--robust-depth", "-3"],
+    ["verify", "--scenario", "ring_connectivity", "--enum-cap", "0"],
 ], ids=["verify-missing-scenario", "simulate-missing-scenario",
         "check-missing-family", "simulate-negative-samples",
-        "simulate-zero-samples"])
+        "simulate-zero-samples", "verify-zero-robust-depth",
+        "verify-negative-robust-depth", "verify-zero-enum-cap"])
 def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
                                             capsys):
     # a missing input file or a bad option is an input error (exit 2), not

@@ -6,7 +6,10 @@ them by (graph phase, machine ``state_key``s).  Both shortcuts are sound only
 if (a) a machine's state never depends on punish/cooperate draw outcomes
 (``draw_independent_state``) and (b) ``state_key`` is complete: two machines
 with equal keys at the same graph phase behave identically from there on,
-whatever they are told.  These tests check both instead of assuming them.
+whatever they are told.  The walks' closure rests on (b) as well: a walk
+stops at the first world whose successors are already collected, which
+covers every later context only if equal keys have equal successors.  These
+tests check both instead of assuming them.
 The enumerator forks runs with ``StrategyMachine.clone``; the last test
 checks that every shipped machine's clone behaves as a deep copy and leaves
 the original untouched.

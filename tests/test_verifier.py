@@ -344,8 +344,9 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # act once; the only extra ones are the prescribed-class probes, one per
     # context.  The report is that of the two-pass engine before (which made
     # 2,424 act calls here); continuations that stop at the first world
-    # already valued play 762 of the 1,455 rounds that replaying each one to
-    # absorption played.
+    # already valued, and context walks that stop at the first world already
+    # collected, play 333 rounds where replaying each continuation to
+    # absorption and walking every window to its end played 1,455.
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -369,16 +370,91 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
                     strategies={a: "sigma_gen" for a in range(3)},
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
-    assert calls["end_round"] == 762
+    assert calls["end_round"] == 333
     assert calls["_prescribed_classes"] == 15
     for name in ("act", "begin_round", "local_view"):
-        assert calls[name] == 762 + 15, name
+        assert calls[name] == 333 + 15, name
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
                            "override": {"1": "send", "2": "send"}}
     assert rep.tolerance == tail_bound(cfg.params, 3, 29)
     assert rep.verdict is True
     assert rep.checks == 60
+
+
+def _closure_contexts(cfg, i, check=False):
+    """``verify_one_shot``'s report for agent i and the (round, origin, world
+    key) of every context it collects; the contexts are checked only if
+    ``check``."""
+    from dynacct import verifier
+    contexts = []
+    check_context = verifier._OneShotChecker.check_context
+
+    def recording(self, m2, machines, origin):
+        contexts.append((m2, origin, verifier._world_key(self.graph, machines,
+                                                         m2)))
+        if check:
+            check_context(self, m2, machines, origin)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier._OneShotChecker, "check_context", recording)
+        rep = verify_one_shot(cfg, i, robust_depth=2)
+    return rep, contexts
+
+
+def _closure_configs(rng):
+    """Every builtin member at three horizons, and seeded random bounded
+    tally and valuable-exchange families."""
+    from .conftest import random_evolving_graph
+    for name in ("ring_connectivity", "fig3_indist", "timely_violation",
+                 "fig2_ambiguous", "unsafe_three_agent"):
+        sc = builtin(name)
+        for g in sc.family.members:
+            sc.member = g.name
+            for horizon in (3, 12, sc.horizon):
+                yield sc.sim_config(horizon=horizon)
+    for k in range(16):
+        n = rng.randint(3, 4)
+        g = random_evolving_graph(rng, n, f"r{k}", max_prefix=3, max_cycle=3)
+        if k % 2:
+            spec, params, obs = ({"strategy": "sigma_val", "rho": 3},
+                                 valuable_defaults(n, 3), NO)
+        else:
+            spec, params, obs = "sigma_gen", general_defaults(), ND
+        yield SimConfig(family=GraphFamily(n, (g,), obs, 8), member=g.name,
+                        strategies={a: spec for a in range(n)},
+                        horizon=rng.choice((6, 30)), params=params)
+
+
+def closure_regression_family():
+    """A 4-agent family where a walk after a deviation reaches a world that
+    an earlier walk met only in the last rounds before its bound cut it."""
+    def rg(*pairs):
+        return RoundGraph.from_pairs(4, list(pairs))
+    g = EvolvingGraph((rg((0, 2), (0, 3), (2, 3)), rg((0, 3), (2, 3)),
+                       rg((1, 3))),
+                      (rg((1, 2), (2, 3)), rg((1, 2)), rg((0, 2), (1, 2))),
+                      "reg")
+    return GraphFamily(4, (g,), ND, 8)
+
+
+def test_contexts_by_closure_match_windowed_walks(rng):
+    # walks that stop at the first closed world, or at a world they walked
+    # themselves, collect the same contexts in the same order as walks cut
+    # only by the heuristic windows, on every builtin and random families
+    from .oracles import windowed_contexts
+    for cfg in _closure_configs(rng):
+        for i in range(cfg.family.n):
+            _, got = _closure_contexts(cfg, i)
+            assert got == windowed_contexts(cfg, i), (cfg.member, cfg.horizon, i)
+    # a world first met in the last rounds of a cut walk stays open: the walk
+    # that reaches it again goes on past it and collects what follows
+    cfg = gen_cfg(closure_regression_family(), horizon=40)
+    checks = []
+    for i in range(4):
+        rep, got = _closure_contexts(cfg, i, check=True)
+        assert got == windowed_contexts(cfg, i), i
+        checks.append(rep.checks)
+    assert checks == [34, 68, 368, 70]
 
 
 def _one_shot_runs(cfg, agents, continuation=None):
