@@ -8,6 +8,7 @@ is ``verifier.assert_gen_facts``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,8 +44,25 @@ def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
     return {tuple(k): v for k, v in snap.get("pend", [])}
 
 
-def _snap_acc(snap: dict) -> dict[tuple[int, int, int], str]:
-    return {tuple(k): v for k, v in snap.get("acc", [])}
+def _snap_acc(snap: dict, subject: Optional[AgentId] = None,
+              ) -> dict[tuple[int, int, int], str]:
+    """The snapshot's reports (v, s, r) -> verdict; only those about
+    ``subject`` when given."""
+    return {tuple(k): v for k, v in snap.get("acc", [])
+            if subject is None or k[1] == subject}
+
+
+def _parser(trace: Trace, parse):
+    """``parse`` of the snapshot of (agent, round) in ``trace``, each
+    computed once."""
+    return functools.cache(lambda l, M: parse(trace.state_log[(l, M)]))
+
+
+def check_deviation_round(cfg, m: int):
+    """A deviation round must be one the run plays: 1..horizon."""
+    if not 1 <= m <= cfg.horizon:
+        raise ValueError(f"deviation round {m} is outside rounds 1.."
+                         f"{cfg.horizon} (horizon {cfg.horizon})")
 
 
 def _represented_round(c: int, end_round: int, n: int) -> int:
@@ -68,14 +86,19 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     n = cfg.family.n
     graph = cfg.graph
     params = cfg.params
+    check_deviation_round(cfg, m)
     if conform.state_log is None or deviate.state_log is None:
         raise ValueError("paired traces need state logs (record_state=True)")
+    pend_c, pend_d = _parser(conform, _snap_pend), _parser(deviate, _snap_pend)
     last = min(conform.last_round, deviate.last_round)
     found = _find_deviation(conform, deviate, m, last)
     facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
     if found is None:
         return FactReport(facts=facts)   # conforming pair: vacuously fine
     i, defected = found
+    # F1 and F3 read only reports about i: keep just those
+    acc_c = _parser(conform, lambda snap: _snap_acc(snap, i))
+    acc_d = _parser(deviate, lambda snap: _snap_acc(snap, i))
 
     deg_m = graph.at(m).degree(i)
     residue = m % n
@@ -91,8 +114,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
             for l in range(n):
                 if l == i:
                     continue
-                acc = _snap_acc(deviate.state_log[(l, M)])
-                val = acc.get((v, i, m))
+                val = acc_d(l, M).get((v, i, m))
                 if not interacted or l not in holders:
                     if val is not None:
                         facts["F1_accusation_accuracy"] = (
@@ -113,15 +135,13 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
 
     # F2: pend about i converges to y + max(x - deg, 0) at round m+n
     if m + n - 1 <= last:
-        x = max(_snap_pend(deviate.state_log[(o, m)]).get((i, residue), 0)
-                for o in range(n) if o != i)
+        x = max(pend_d(o, m).get((i, residue), 0) for o in range(n) if o != i)
         y = deg_m if defected else 0
         want = y + max(x - deg_m, 0)
         for l in range(n):
             if l == i:
                 continue
-            got = _snap_pend(deviate.state_log[(l, m + n - 1)]).get(
-                (i, (m + n) % n), 0)
+            got = pend_d(l, m + n - 1).get((i, (m + n) % n), 0)
             if got != want:
                 facts["F2_pend_convergence"] = (
                     f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
@@ -138,8 +158,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         for l in range(n):
             if l == i:
                 continue
-            pc = _snap_pend(conform.state_log[(l, M)])
-            pd = _snap_pend(deviate.state_log[(l, M)])
+            pc, pd = pend_c(l, M), pend_d(l, M)
             for key in sorted((set(pc) | set(pd))):
                 s, c = key
                 if s != i:
@@ -154,11 +173,9 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                     facts["F4_pend_dominance"] = (
                         f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
                         f"{pc.get(key, 0)}")
-            ac = _snap_acc(conform.state_log[(l, M)])
-            ad = _snap_acc(deviate.state_log[(l, M)])
+            ac, ad = acc_c(l, M), acc_d(l, M)
             for key in sorted(set(ac) | set(ad)):
-                v, s, r = key
-                if s != i or r == m:
+                if key[2] == m:     # the deviation round's own reports
                     continue
                 if ac.get(key) != ad.get(key):
                     facts["F3_other_rounds_untouched"] = (
@@ -166,21 +183,19 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                         f"({ac.get(key)} vs {ad.get(key)})")
 
     # F5/F6: expected punish mass toward i, computed from the tallies
-    def expected_hits(trace: Trace, M: int) -> Fraction:
+    # (the sum of min(1, pend/deg_i) over i's neighbours, over one denominator)
+    def expected_hits(pend_of, M: int) -> Fraction:
         rg = graph.at(M)
-        total = Fraction(0)
         deg_i = rg.degree(i)
         if deg_i == 0:
-            return total
-        for j in sorted(rg.neighbors(i)):
-            pend = _snap_pend(trace.state_log[(j, M - 1)]).get((i, M % n), 0)
-            total += min(Fraction(1), Fraction(pend, deg_i))
-        return total
+            return Fraction(0)
+        return Fraction(sum(min(pend_of(j, M - 1).get((i, M % n), 0), deg_i)
+                            for j in rg.neighbors(i)), deg_i)
 
     extra_in_window = Fraction(0)
     for M in range(m + 1, last + 1):
-        hc = expected_hits(conform, M)
-        hd = expected_hits(deviate, M)
+        hc = expected_hits(pend_c, M)
+        hd = expected_hits(pend_d, M)
         if hd < hc:
             facts["F5_round_utility_dominance"] = (
                 f"round {M}: deviating punish mass {hd} < conforming {hc}")
@@ -201,9 +216,9 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
 
     # boundedness: tallies inside [0, n-1], state within the static bound
     bound = SigmaGen.static_state_bound(n)
-    for trace in (conform, deviate):
+    for trace, pend_of in ((conform, pend_c), (deviate, pend_d)):
         for (l, M), snap in sorted(trace.state_log.items()):
-            pend = _snap_pend(snap)
+            pend = pend_of(l, M)
             if any(v > n - 1 or v < 0 for v in pend.values()):
                 facts["bounded_state"] = (
                     f"agent {l} end of {M}: tally outside [0, n-1]")

@@ -16,6 +16,11 @@ Each job has exactly one implementation:
   only run loop.  A realised run draws each labelled Bernoulli from a seed
   via SHA-256 (bit-exact across platforms and thread counts); ``simulate``
   runs the configured profile through it.
+* The honest run is simulated once per ``SimConfig`` (cached on the
+  immutable config) and checkpoints the machines at the start of every
+  round.  ``run_paired_defection`` returns it as the conforming trace, and
+  forks each deviating run from its round-m checkpoint: rounds 1..m-1 are
+  copied from the honest trace, only rounds m..horizon are played.
 * ``_round_scripts`` collects the actions of every draw script of a round,
   with exact rational probabilities.  ``_Enumerator`` is the only leaf
   enumerator: per round it computes the views once and plays each script,
@@ -94,12 +99,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence)
 
 from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
                              local_view)
-from .facts import FactReport, gen_facts
+from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
                         Mode, Trace, UtilityParams, cooperation_tail,
                         discounted_utility, tail_bound)
@@ -193,11 +199,24 @@ class _BoundRand(RandSource):
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+class _HonestRun(NamedTuple):
+    """The honest profile's seeded run: its trace with state log, and a fork
+    of the machines at the start of every round m (``checkpoints[m - 1]``)."""
+    trace: Trace
+    checkpoints: list[dict[AgentId, StrategyMachine]]
+
+
+@dataclass(frozen=True)
 class SimConfig:
+    """One run's configuration.  Immutable, so that what is derived from it
+    can be cached on it: derive a variant with ``dataclasses.replace``,
+    which validates it and starts with empty caches.  ``strategies`` is
+    held as a read-only copy of the mapping given; the specs inside it
+    must not be edited either."""
+
     family: GraphFamily
     member: str
-    strategies: dict[AgentId, object]
+    strategies: Mapping[AgentId, object]
     horizon: int
     params: UtilityParams
     seed: int = 0
@@ -205,6 +224,8 @@ class SimConfig:
     enum_cap: int = 10 ** 6
 
     def __post_init__(self):
+        object.__setattr__(self, "strategies",
+                           MappingProxyType(dict(self.strategies)))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.enum_cap < 1:
@@ -216,6 +237,15 @@ class SimConfig:
     @property
     def graph(self) -> EvolvingGraph:
         return self.family.member(self.member)
+
+    @functools.cached_property
+    def _honest_run(self) -> _HonestRun:
+        """The honest run, simulated once: every paired defection of this
+        config shares it."""
+        checkpoints: list = []
+        trace = _simulate_machines(self, build_machines(self, honest_only=True),
+                                   checkpoints=checkpoints)
+        return _HonestRun(trace, checkpoints)
 
 
 def _strip_deviation(spec) -> object:
@@ -371,15 +401,26 @@ def simulate(cfg: SimConfig) -> Trace:
 
 
 def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                       record_state: bool = True) -> Trace:
+                       record_state: bool = True, trace: Optional[Trace] = None,
+                       checkpoints: Optional[list] = None) -> Trace:
     """Play ``machines`` to the horizon under cfg's seeded draw stream,
-    logging every machine's end-of-round snapshot when ``record_state``."""
+    logging every machine's end-of-round snapshot when ``record_state``.
+
+    Given a ``trace`` of rounds 1..m-1, whose state log then decides the
+    logging, the machines must be those of the start of round m: play goes
+    on from there, appending to ``trace``.  Given ``checkpoints``, a fork of
+    the machines at the start of every round played is appended to it."""
     graph = cfg.graph
     draws = _HashDraws(cfg.seed)
-    history = History(graph=graph)
-    per_round: dict[tuple[AgentId, int], Fraction] = {}
-    state_log: Optional[dict] = {} if record_state else None
-    for m in range(1, cfg.horizon + 1):
+    if trace is None:
+        trace = Trace(history=History(graph=graph), per_round_utilities={},
+                      rng_seed=cfg.seed,
+                      state_log={} if record_state else None)
+    history, per_round = trace.history, trace.per_round_utilities
+    state_log = trace.state_log
+    for m in range(history.last_round + 1, cfg.horizon + 1):
+        if checkpoints is not None:
+            checkpoints.append(_fork(machines))
         profile, utils = _play_round(graph, cfg.family.observation, machines,
                                      cfg.params, m, draws)
         history.append(profile)
@@ -388,8 +429,7 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
         if state_log is not None:
             for i in sorted(machines):
                 state_log[(i, m)] = machines[i].snapshot()
-    return Trace(history=history, per_round_utilities=per_round,
-                 rng_seed=cfg.seed, state_log=state_log)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -968,18 +1008,43 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
 # Paired defections of the bounded tally protocol
 # ---------------------------------------------------------------------------
 
+def _rounds_of(trace: Trace, end: int, snap=lambda key, s: s) -> Trace:
+    """Rounds 1..end of ``trace`` in fresh containers, each logged snapshot
+    passed through ``snap(key, snapshot)``; the snapshots are shared."""
+    return Trace(
+        history=History(trace.history.graph, trace.history.profiles[:end]),
+        per_round_utilities={k: u for k, u in trace.per_round_utilities.items()
+                             if k[1] <= end},
+        rng_seed=trace.rng_seed,
+        state_log={k: snap(k, s) for k, s in trace.state_log.items()
+                   if k[1] <= end})
+
+
 def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
                          targets) -> tuple[Trace, Trace]:
     """Conforming and deviating traces differing only in i's round-m action
-    (defecting ``targets``, or all neighbours), sharing seed and state logs."""
+    (defecting ``targets``, or all neighbours), sharing seed and state logs.
+
+    The conforming trace is cfg's honest run, simulated once per config.
+    The deviating trace copies its rounds 1..m-1, with i's snapshots
+    labelled as ``ScheduledDefector.snapshot`` labels them, and plays only
+    rounds m..horizon, from the round-m checkpoint with i wrapped.  That is
+    exact: draws are keyed by (seed, agent, round, label), and the wrapper
+    acts as its base before round m.  Both traces are fresh containers;
+    their snapshots are shared with the cached run and are read-only."""
     from .protocols import ALL_NEIGHBORS, ScheduledDefector
 
-    conform = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
+    check_deviation_round(cfg, m)
+    honest = cfg._honest_run
+    label = f"defect@{m}"
+    deviate = _rounds_of(honest.trace, m - 1, lambda key, s: (
+        dict(s, deviation=label) if key[0] == i else s))
     sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
-    machines = build_machines(cfg, honest_only=True)
+    machines = _fork(honest.checkpoints[m - 1])
     machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
-                                    label=f"defect@{m}")
-    return conform, _simulate_machines(cfg, machines)
+                                    label=label)
+    return (_rounds_of(honest.trace, cfg.horizon),
+            _simulate_machines(cfg, machines, trace=deviate))
 
 
 def assert_gen_facts(cfg: SimConfig, paired: tuple[Trace, Trace],

@@ -24,6 +24,10 @@ contexts: the walks as they were before closure, cut only by three
 heuristic windows and never stopped early, with a second on-path walk for
 the prior deviation points.
 
+``paired_defection_from_scratch`` is the reference for
+``run_paired_defection``: both runs of the pair simulated in full from
+fresh machines, with nothing cached and no round shared.
+
 ``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
 store: the same protocol over one flat report dict, and
 ``flat_sigma_gen_key`` maps its state key to ``SigmaGen``'s encoding.
@@ -48,7 +52,8 @@ from dynacct.protocols import (RandSource, StrategyConfigError,
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
                               _BoundRand, _expected_eu, _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
-                              _ScriptDraws, _world_key, build_machines)
+                              _ScriptDraws, _simulate_machines, _world_key,
+                              build_machines)
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -310,6 +315,24 @@ def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
     override = None if pattern is None else (checker.i, m2, pattern)
     return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
                         override=override, tails=checker.tails)
+
+
+# ---------------------------------------------------------------------------
+# Paired defections simulated from scratch
+# ---------------------------------------------------------------------------
+
+def paired_defection_from_scratch(cfg: SimConfig, i: AgentId, m: int,
+                                  targets) -> tuple[Trace, Trace]:
+    """Conforming and deviating traces differing only in i's round-m action
+    (defecting ``targets``, or all neighbours), sharing seed and state logs."""
+    from dynacct.protocols import ALL_NEIGHBORS, ScheduledDefector
+
+    conform = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
+    sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
+    machines = build_machines(cfg, honest_only=True)
+    machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
+                                    label=f"defect@{m}")
+    return conform, _simulate_machines(cfg, machines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,171 @@
+"""Paired defections forked from the cached honest run.
+
+``run_paired_defection`` simulates a config's honest run once and starts
+each deviating run at its own round from a checkpoint of that run; these
+tests hold it to ``oracles.paired_defection_from_scratch``, which plays
+both runs in full every time.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
+
+from dynacct import verifier
+from dynacct.evolving_graph import EvolvingGraph, GraphFamily
+from dynacct.game_core import ActionProfile
+from dynacct.protocols import ALL_NEIGHBORS
+from dynacct.scenarios import complete_graph, general_defaults
+from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
+
+from .oracles import paired_defection_from_scratch
+from .test_soundness import SHIPPED
+from .test_verifier import ND, k3_gen_cfg, mixed_degree_family
+
+HORIZON = 12
+
+
+def shipped_cfg(name, seed):
+    spec, params = SHIPPED[name]
+    fam = mixed_degree_family()
+    return SimConfig(family=fam, member="mix",
+                     strategies={a: spec for a in range(fam.n)},
+                     horizon=HORIZON, params=params(fam.n), seed=seed)
+
+
+def assert_same_pair(got, want):
+    for g, w in zip(got, want):
+        assert g.history.profiles == w.history.profiles
+        assert g.per_round_utilities == w.per_round_utilities
+        assert g.state_log == w.state_log
+        assert g.rng_seed == w.rng_seed
+
+
+def target_sets(cfg, i, m):
+    nbrs = sorted(cfg.graph.at(m).neighbors(i))
+    return [ALL_NEIGHBORS, frozenset(nbrs[:1]), nbrs[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_paired_defection_matches_from_scratch(name):
+    # every shipped strategy, several seeds, the first two and the last two
+    # rounds, all neighbours and subsets; one cfg serves every call, so all
+    # but its first call fork from the cached honest run
+    for seed in (0, 1, 5):
+        cfg = shipped_cfg(name, seed)
+        for i in (0, 2):
+            for m in (1, 2, HORIZON - 1, HORIZON):
+                for targets in target_sets(cfg, i, m):
+                    assert_same_pair(
+                        run_paired_defection(cfg, i, m, targets),
+                        paired_defection_from_scratch(cfg, i, m, targets))
+
+
+def test_interleaved_calls_give_identical_pairs():
+    cfg = shipped_cfg("sigma_gen", 3)
+    a1 = run_paired_defection(cfg, 1, 4, ALL_NEIGHBORS)
+    b = run_paired_defection(cfg, 3, 2, [0])
+    a2 = run_paired_defection(cfg, 1, 4, ALL_NEIGHBORS)
+    assert_same_pair(a1, a2)
+    assert_same_pair(b, paired_defection_from_scratch(cfg, 3, 2, [0]))
+    assert a1[0] is not a2[0] and a1[1] is not a2[1]
+
+
+def test_edited_trace_leaves_later_calls_unchanged():
+    cfg = shipped_cfg("sigma_gen", 2)
+    conform, deviate = run_paired_defection(cfg, 0, 3, ALL_NEIGHBORS)
+    for t in (conform, deviate):
+        t.history.profiles.append(ActionProfile(99, {}))
+        t.history.profiles[0] = t.history.profiles[5]
+        t.per_round_utilities.clear()
+        t.state_log[(0, 1)] = {"pend": [], "acc": []}
+        del t.state_log[(1, 2)]
+    for m in (2, 3, 4):
+        assert_same_pair(run_paired_defection(cfg, 0, m, ALL_NEIGHBORS),
+                         paired_defection_from_scratch(cfg, 0, m, ALL_NEIGHBORS))
+
+
+def test_deviation_rounds_outside_the_run_are_refused():
+    # round 0 used to pass as a conforming pair, and horizon + 1 to crash
+    # in _find_deviation with an IndexError
+    cfg = k3_gen_cfg(horizon=17)
+    pair = run_paired_defection(cfg, 0, 17, ALL_NEIGHBORS)
+    last = assert_gen_facts(cfg, pair, 17)    # the last round is checked
+    assert last.facts["F2_pend_convergence"] == (
+        "horizon too short to reach round m+n-1")
+    for m in (0, 18):
+        with pytest.raises(ValueError, match=f"round {m} .*horizon 17"):
+            run_paired_defection(cfg, 0, m, ALL_NEIGHBORS)
+        with pytest.raises(ValueError, match=f"round {m} .*horizon 17"):
+            assert_gen_facts(cfg, pair, m)
+
+
+def test_sim_config_is_frozen():
+    cfg = k3_gen_cfg(horizon=5)
+    with pytest.raises(FrozenInstanceError):
+        cfg.horizon = 0
+    with pytest.raises(FrozenInstanceError):
+        cfg.record_state = True
+    assert cfg.horizon == 5 and not cfg.record_state
+    # the strategies are a read-only copy: neither the config's mapping nor
+    # the caller's dict can change the run a cached honest run stands for
+    with pytest.raises(TypeError):
+        cfg.strategies[1] = "always_defect"
+    specs = {a: "sigma_gen" for a in range(3)}
+    cfg = SimConfig(family=cfg.family, member="k3", strategies=specs,
+                    horizon=10, params=general_defaults())
+    before = run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS)
+    specs[1] = "always_defect"
+    assert cfg.strategies[1] == "sigma_gen"
+    assert_same_pair(run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS), before)
+
+
+def test_replaced_config_gets_its_own_honest_run():
+    cfg = shipped_cfg("sigma_gen", 0)
+    run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS)
+    other = replace(cfg, seed=4)
+    got = run_paired_defection(other, 0, 2, ALL_NEIGHBORS)
+    assert other._honest_run is not cfg._honest_run
+    assert got[0].rng_seed == got[1].rng_seed == 4
+    assert_same_pair(got, paired_defection_from_scratch(other, 0, 2,
+                                                        ALL_NEIGHBORS))
+    # the seeds draw different punishments after the defection
+    assert got[1].history.profiles != run_paired_defection(
+        cfg, 0, 2, ALL_NEIGHBORS)[1].history.profiles
+
+
+def test_k3_paired_facts_group_plays_800_rounds(monkeypatch):
+    # the k3 family's paired defections as one process runs them: every
+    # agent, rounds 1..2n, every non-empty target set.  One honest run of
+    # 17 rounds plus 18 - m rounds per job: 800 rounds, against 54 * 34 =
+    # 1,836 when each job simulates both runs in full
+    n = 3
+    fam = GraphFamily(n, (EvolvingGraph((), (complete_graph(n),), "k3"),),
+                      ND, 8)
+    cfg = SimConfig(family=fam, member="k3",
+                    strategies={a: "sigma_gen" for a in range(n)},
+                    horizon=2 * n + n * n + 2, params=general_defaults())
+    played = 0
+    play_round = verifier._play_round
+
+    def counted(*args, **kwargs):
+        nonlocal played
+        played += 1
+        return play_round(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_play_round", counted)
+    jobs = 0
+    for i in range(n):
+        for m in range(1, 2 * n + 1):
+            nbrs = sorted(cfg.graph.at(m).neighbors(i))
+            for r in range(1, len(nbrs) + 1):
+                for sub in itertools.combinations(nbrs, r):
+                    targets = (ALL_NEIGHBORS if len(sub) == len(nbrs)
+                               else frozenset(sub))
+                    pair = run_paired_defection(cfg, i, m, targets)
+                    assert assert_gen_facts(cfg, pair, m).passed
+                    jobs += 1
+    assert jobs == 54
+    assert played == 800

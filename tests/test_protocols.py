@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,8 +181,7 @@ def test_sigma_val_self_reports_ignored():
 
 def test_sigma_gen_honest_pend_stays_zero():
     sc = builtin("ring_connectivity")
-    cfg = sc.sim_config(horizon=10)
-    cfg.record_state = True
+    cfg = replace(sc.sim_config(horizon=10), record_state=True)
     t = simulate(cfg)
     for (a, m), snap in t.state_log.items():
         assert snap["pend"] == []

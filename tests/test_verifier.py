@@ -236,7 +236,7 @@ def test_expected_utility_enumeration_cap():
     cfg = gen_cfg(fam, horizon=12,
                   devs={0: {"deviation": {"kind": "always_defect_until",
                                           "round": 1, "base": "sigma_gen"}}})
-    cfg.enum_cap = 3
+    cfg = replace(cfg, enum_cap=3)
     with pytest.raises(EnumerationCapExceeded) as refused:
         expected_utility(cfg, 0)
     assert refused.value.leaves == 3 and 1 <= refused.value.round <= 12
@@ -637,8 +637,8 @@ def test_assert_gen_facts_subset_defection():
 
 def test_assert_gen_facts_conforming_pair_vacuous():
     cfg = k3_gen_cfg()
-    t1 = simulate(SimConfig(**{**cfg.__dict__, "record_state": True}))
-    t2 = simulate(SimConfig(**{**cfg.__dict__, "record_state": True}))
+    t1 = simulate(replace(cfg, record_state=True))
+    t2 = simulate(replace(cfg, record_state=True))
     rep = assert_gen_facts(cfg, (t1, t2), 2)
     assert rep.passed
 
