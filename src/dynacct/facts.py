@@ -223,7 +223,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                 facts["bounded_state"] = (
                     f"agent {l} end of {M}: tally outside [0, n-1]")
                 break
-            if len(pend) + len(_snap_acc(snap)) > bound:
+            if len(pend) + len(snap.get("acc", ())) > bound:
                 facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
                 break
         if facts["bounded_state"]:

@@ -22,22 +22,29 @@ Each job has exactly one implementation:
   forks each deviating run from its round-m checkpoint: rounds 1..m-1 are
   copied from the honest trace, only rounds m..horizon are played.
 * ``_round_scripts`` collects the actions of every draw script of a round,
-  with exact rational probabilities.  ``_Enumerator`` is the only leaf
-  enumerator: per round it computes the views once and plays each script,
-  forking the machines (``_fork``: one ``clone()`` per machine) for every
-  script but the last; leaf probabilities multiply along the path.  It can
-  be conditioned on a realised history prefix, which prunes the scripts
-  that disagree with it before any fork.
-* ``_expectation`` takes an expectation over leaves: ``sum(p * f(leaf)) /
-  sum(p)`` over an enumeration.  Without a condition the mass is exactly
-  1.  The one-shot continuations are valued instead by
-  ``_OneShotChecker._value``, a Bellman recursion over the same rounds
-  (below).
+  with exact rational probabilities.  ``_Walk`` is its only caller and the
+  only branch walker: a depth-first Bellman recursion ``V(w) = sum over
+  scripts of p * (r + d * V(w'))`` for a per-round reward r and discount d.
+  Per round it computes the views once and plays each script, forking the
+  machines (``_fork``: one ``clone()`` per machine) for every script but
+  the last; rounds with one script are played in a loop.  The reward is
+  all that differs between its callers: i's utility discounted by delta
+  for ``expected_utility``, the candidates and the one-shot continuations
+  (these with the world table below), the punishments toward i with
+  discount 1 for ``expected_punishments``, and a check that raises at the
+  first non-cooperative action for ``verify_cooperation``.
+* A walk can be conditioned on a realised history prefix, which drops the
+  scripts that disagree with it before any fork.  A branch cut by the
+  walk's last round ``end`` is recorded as absorbed at ``end + 1``, where
+  the tail is 0, so the absorption probabilities sum to the mass of the
+  runs kept, and an expectation is the walk's value divided by that mass
+  (exactly 1 without a condition).  A round's reward is weighted by the
+  mass kept below it, which differs from 1 only before the condition ends.
 * An override ``(agent, round, pattern)`` forces one agent's send/defect/
   avoid class per neighbour in one round.  ``_play_round`` applies it in
-  that round; up to and including that round no quiescent branch is
-  absorbed, no continuation value is read or written, and
-  ``_OneShotChecker._walk_contexts`` collects no context.
+  that round; up to and including that round (and the condition's last)
+  no quiescent branch is absorbed, no continuation value is read or
+  written, and ``_OneShotChecker._walk_contexts`` collects no context.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
@@ -65,17 +72,19 @@ refuses machines that do not.  Punish-or-cooperate substitutions are
 utility-equivalent for the shipped protocols (garbage costs the sender
 exactly what the value costs, and punishing is never accusable), so
 override enumeration ranges over send/defect/avoid patterns per neighbour;
-the prescribed pattern itself reports gain zero.
+the prescribed pattern itself reports gain zero.  The prescribed classes
+come from the walk: it plays each collected round as prescribed, with the
+same fixed draws, right after collecting it.
 
 Continuation values are shared through one table per ``verify_one_shot``
 call, keyed by ``_world_key`` (graph phase plus every machine's
 round-relative ``state_key``), with no round or horizon in the key.  A
-continuation computes ``V(w) = sum over scripts of p * (u_i + delta *
-V(w'))`` and stops at the first world already valued.  An entry holds i's
-expected utility before absorption, discounted to the round the world was
-reached in, the absorption offsets ``{k: p}`` and the leaf count; read at
-round m it is worth ``pre + sum p * delta**k * tail(m + k)``, with the
-closed-form cooperative tail.  It is exact, not approximate, because:
+continuation's walk stops at the first world already valued.  An entry
+holds i's expected utility before absorption, discounted to the round the
+world was reached in, the absorption offsets ``{k: p}`` and the leaf
+count; read at round m it is worth ``pre + sum p * delta**k * tail(m +
+k)``, with the closed-form cooperative tail.  It is exact, not
+approximate, because:
 
 * state is draw-independent and ``state_key`` is complete, so two worlds
   with equal keys at the same graph phase play identical subtrees, with the
@@ -94,6 +103,7 @@ closed-form cooperative tail.  It is exact, not approximate, because:
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import math
@@ -211,8 +221,9 @@ class SimConfig:
     """One run's configuration.  Immutable, so that what is derived from it
     can be cached on it: derive a variant with ``dataclasses.replace``,
     which validates it and starts with empty caches.  ``strategies`` is
-    held as a read-only copy of the mapping given; the specs inside it
-    must not be edited either."""
+    held as a read-only deep copy of the mapping given, so no later edit of
+    the caller's specs reaches it; the specs inside it must not be edited
+    either."""
 
     family: GraphFamily
     member: str
@@ -224,8 +235,8 @@ class SimConfig:
     enum_cap: int = 10 ** 6
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies",
-                           MappingProxyType(dict(self.strategies)))
+        strategies = copy.deepcopy(dict(self.strategies))
+        object.__setattr__(self, "strategies", MappingProxyType(strategies))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.enum_cap < 1:
@@ -433,103 +444,143 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
 
 
 # ---------------------------------------------------------------------------
-# Exact branch enumeration
+# Exact branch walk
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Leaf:
-    prob: Fraction
-    utils: dict[tuple[AgentId, int], Fraction]
-    absorbed_at: Optional[int]
-    profiles: Optional[dict[int, ActionProfile]] = None
+class _Valued(NamedTuple):
+    """A world's value relative to the round it was reached in: the expected
+    reward before absorption, discounted to that round; the absorption
+    offsets ``((k, p), ...)`` in increasing k, with their probabilities; and
+    the leaves of its branch tree."""
+    pre: Fraction
+    offsets: tuple[tuple[int, Fraction], ...]
+    leaves: int
 
 
-class _Enumerator:
-    """Depth-first exact enumeration of all runs of a machine profile from
-    round ``start`` to ``end`` (default: the horizon)."""
+class _Walk:
+    """Depth-first exact walk over every randomisation branch of a machine
+    profile up to round ``end`` (default: the horizon), valuing the reward
+    ``reward(m, profile, utils)`` of each round played, discounted by ``d``
+    per round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
 
-    def __init__(self, cfg: SimConfig,
-                 machines: dict[AgentId, StrategyMachine],
-                 start: int = 1, end: Optional[int] = None,
-                 absorb: bool = True,
+    Scripts whose profile disagrees with the ``condition`` prefix are
+    dropped; no branch is absorbed, and the ``table`` of valued worlds is
+    neither read nor written, at or before the override round or the end of
+    the condition.  ``leaves`` counts the branches ended so far against the
+    enumeration cap."""
+
+    def __init__(self, cfg: SimConfig, reward: Callable, d,
                  override: Optional[Override] = None,
                  condition: Sequence[ActionProfile] = (),
-                 collect_profiles: bool = False):
+                 end: Optional[int] = None, table: Optional[dict] = None):
         self.graph = cfg.graph
         self.obs = cfg.family.observation
         self.params = cfg.params
-        self.machines = machines
-        self.start = start
-        self.horizon = cfg.horizon if end is None else end
         self.cap = cfg.enum_cap
-        self.absorb = absorb
+        self.reward = reward
+        self.d = d
         self.override = override
-        self.condition = list(condition)
-        # no absorption while the override or the condition is still ahead
-        self.blocked_until = max(override[1] if override else 0,
-                                 len(self.condition))
-        self.collect_profiles = collect_profiles
-        self.count = 0
+        self.condition = condition
+        self.end = cfg.horizon if end is None else end
+        self.table = table
+        self.blocked = max(override[1] if override else 0, len(condition))
+        self.leaves = 0
 
-    def leaves(self) -> Iterable[_Leaf]:
-        yield from self._rec(self.machines, self.start, Fraction(1), {},
-                             {} if self.collect_profiles else None)
+    def _stop(self, m: int, leaves: int):
+        """Count the leaves of a branch stopping before round m against the
+        enumeration cap."""
+        self.leaves += leaves
+        if self.leaves > self.cap:
+            raise EnumerationCapExceeded(self.cap, m - 1, self.cap)
 
-    def _emit(self, m, prob, utils, absorbed, profiles) -> _Leaf:
-        """The leaf of a branch that stops before playing round m."""
-        self.count += 1
-        if self.count > self.cap:
-            raise EnumerationCapExceeded(self.cap, m - 1, self.count - 1)
-        return _Leaf(prob=prob, utils=utils, absorbed_at=absorbed,
-                     profiles=profiles)
+    def value(self, ms, m: int):
+        """Walk the pre-round machines ``ms`` from round m: ``(pre,
+        absorbed)``, with ``pre`` the rewards of the rounds played,
+        discounted to m and summed over the runs kept, and ``absorbed`` the
+        probability of absorbing at each round.  A branch cut by ``end`` is
+        recorded as absorbed at ``end + 1``, and ``sum(absorbed.values())``
+        is the mass of the runs kept, by which ``pre`` is not divided.
 
-    def _rec(self, machines, m, prob, utils, profiles):
+        Rounds with one draw script are played in a loop, and only a round
+        with several recurses.  A round's reward is weighted by the mass of
+        the runs kept below it, which is 1 from the end of the condition
+        on.  A keyed round stops at the first world already valued; once
+        every branch of the subtree absorbed, every keyed round of it is
+        written back."""
+        d, graph, override = self.d, self.graph, self.override
+        cond = len(self.condition)
+        first = self.leaves
+        chain: list[tuple[Optional[tuple], int, Fraction]] = []
         while True:
-            if m > self.horizon:
-                yield self._emit(m, prob, utils, None, profiles)
-                return
-            if self.absorb and m > self.blocked_until and all(
-                    machines[i].is_quiescent() for i in machines):
-                yield self._emit(m, prob, utils, m, profiles)
-                return
-            views = _begin_round(self.graph, self.obs, machines, m)
-            scripts = _round_scripts(machines, m)
-            for si, (raw, p) in enumerate(scripts):
-                last = si == len(scripts) - 1
-                profile, round_utils = _round_outcome(
-                    self.graph, views, self.params, m, raw, self.override)
-                if m <= len(self.condition) and profile != self.condition[m - 1]:
-                    continue
-                ms = machines if last else _fork(machines)
-                _deliver(views, ms, profile)
-                nu = dict(utils) if not last else utils
-                for i, u in round_utils.items():
-                    nu[(i, m)] = u
-                np = None
-                if profiles is not None:
-                    np = dict(profiles) if not last else profiles
-                    np[m] = profile
-                if last:
-                    utils, profiles = nu, np
-                    prob *= p
-                    m += 1
+            key = None      # the world key of round m, if the table is used
+            if m > self.end:
+                self._stop(m, 1)
+                pre, absorbed = Fraction(0), {self.end + 1: Fraction(1)}
+                break
+            if m > self.blocked:
+                if all(mach.is_quiescent() for mach in ms.values()):
+                    self._stop(m, 1)
+                    pre, absorbed = Fraction(0), {m: Fraction(1)}
                     break
-                yield from self._rec(ms, m + 1, prob * p, nu, np)
-            else:
-                return  # every script was pruned by the condition
+                if self.table is not None:
+                    key = _world_key(graph, ms, m)
+                    hit = self.table.get(key)
+                    if hit is not None and m + hit.offsets[-1][0] <= self.end:
+                        self._stop(m, hit.leaves)
+                        pre = hit.pre
+                        absorbed = {m + k: p for k, p in hit.offsets}
+                        key = None      # already valued
+                        break
+            views = _begin_round(graph, self.obs, ms, m)
+            scripts = _round_scripts(ms, m)
+            outcomes = [(p, *_round_outcome(graph, views, self.params, m, raw,
+                                            override)) for raw, p in scripts]
+            if m <= cond:
+                outcomes = [o for o in outcomes
+                            if o[1] == self.condition[m - 1]]
+            if len(scripts) == 1 and outcomes:     # one script, kept
+                _, profile, utils = outcomes[0]
+                chain.append((key, m, self.reward(m, profile, utils)))
+                _deliver(views, ms, profile)
+                m += 1
+                continue
+            pre, absorbed = Fraction(0), {}
+            for k, (p, profile, utils) in enumerate(outcomes):
+                r = self.reward(m, profile, utils)
+                sub = ms if k == len(outcomes) - 1 else _fork(ms)
+                _deliver(views, sub, profile)
+                spre, sabs = self.value(sub, m + 1)
+                if m < cond:
+                    r *= sum(sabs.values())
+                pre += p * (r + d * spre)
+                for a, q in sabs.items():
+                    absorbed[a] = absorbed.get(a, 0) + p * q
+            break
+        complete = self.end + 1 not in absorbed
+        leaves = self.leaves - first
+        mass = sum(absorbed.values()) if cond else 1
+        if complete:
+            self._store(key, m, pre, absorbed, leaves)
+        for key, t, r in reversed(chain):
+            pre = (r * mass if t < cond else r) + d * pre
+            if complete:
+                self._store(key, t, pre, absorbed, leaves)
+        return pre, absorbed
+
+    def _store(self, key: Optional[tuple], m: int, pre: Fraction,
+               absorbed: dict[int, Fraction], leaves: int):
+        if key is not None:
+            self.table[key] = _Valued(
+                pre, tuple(sorted((a - m, p) for a, p in absorbed.items())),
+                leaves)
 
 
-def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
-    """Sum of p * f(leaf) over the enumeration's leaves, divided by their
-    total mass p (exactly 1 unless the enumeration is conditioned)."""
-    total = Fraction(0)
-    mass = Fraction(0)
-    for leaf in enum.leaves():
-        mass += leaf.prob
-        total += leaf.prob * f(leaf)
+def _conditional(total: Fraction, absorbed: dict[int, Fraction]) -> Fraction:
+    """A walk's ``total`` divided by the mass of the runs it kept."""
+    mass = sum(absorbed.values())
     if mass == 0:
         raise ValueError("condition is inconsistent with the strategy profile")
-    return total / mass
+    return total if mass == 1 else total / mass
 
 
 def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
@@ -543,35 +594,33 @@ def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
     return tail
 
 
-def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
-             tails: dict[int, Fraction]) -> Fraction:
-    """i's discounted utility on one leaf; ``tails`` memoises i's closed-form
-    cooperative tail by the round it starts in."""
-    d = cfg.params.delta
-    total = Fraction(0)
-    for (a, m), u in leaf.utils.items():
-        if a == i and m >= from_round:
-            total += d ** (m - from_round) * u
-    if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
-        start = max(leaf.absorbed_at, from_round)
-        total += d ** (start - from_round) * _cooperation_tail(cfg, i, start,
-                                                               tails)
-    return total
-
-
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, from_round: int,
                  override: Optional[Override] = None,
                  condition: Sequence[ActionProfile] = (),
+                 table: Optional[dict] = None,
                  tails: Optional[dict[int, Fraction]] = None) -> Fraction:
-    """Expected utility of i discounted from ``from_round``, over the runs of
-    ``machines`` enumerated from round ``start``.  Pass one ``tails`` dict
-    to every call for the same (cfg, i) to share the cooperative tails."""
-    enum = _Enumerator(cfg, machines, start, override=override,
-                       condition=condition)
+    """Expected utility of i discounted to ``from_round``, over the runs of
+    ``machines`` walked from round ``start``, with the closed-form
+    cooperative tail of every absorbed branch.  Pass one ``tails`` dict to
+    every call for the same (cfg, i) to share the tails, and one ``table``
+    to share the valued worlds."""
+    d = cfg.params.delta
+
+    def reward(m: int, profile: ActionProfile, utils) -> Fraction:
+        return utils[i] if m >= from_round else 0
+
+    walk = _Walk(cfg, reward, d, override, condition, table=table)
+    total, absorbed = walk.value(machines, start)
+    if from_round > start:
+        total /= d ** (from_round - start)
     tails = {} if tails is None else tails
-    return _expectation(enum,
-                        lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
+    for a, p in absorbed.items():
+        if a <= cfg.horizon:
+            s = max(a, from_round)
+            total += p * d ** (s - from_round) * _cooperation_tail(cfg, i, s,
+                                                                   tails)
+    return _conditional(total, absorbed)
 
 
 def expected_utility(cfg: SimConfig, i: AgentId,
@@ -620,23 +669,23 @@ def monte_carlo_utility(cfg: SimConfig, i: AgentId,
 def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
                          condition: Sequence[ActionProfile] = ()) -> Fraction:
     """Expected number of punishments received by i over the i-edges in
-    rounds (from_round, from_round + rho), conditioned on the prefix."""
+    rounds (from_round, from_round + rho), conditioned on the prefix.  A
+    quiescent branch is absorbed: from there every agent cooperates, so no
+    later punishment is missed."""
     graph = cfg.graph
-    end = min(from_round + rho - 1, cfg.horizon)
 
-    def hits(leaf: _Leaf) -> int:
+    def hits(m: int, profile: ActionProfile, utils) -> int:
         count = 0
-        for m in range(from_round + 1, end + 1):
+        if m > from_round:
             for j in graph.at(m).neighbors(i):
-                a = leaf.profiles[m].individual(j, i)
-                if a.kind is ActionKind.PUNISH or (
-                        a.kind is ActionKind.PROP_PUNISH and a.c > 0):
-                    count += 1
+                a = profile.individual(j, i)
+                count += a.kind is ActionKind.PUNISH or (
+                    a.kind is ActionKind.PROP_PUNISH and a.c > 0)
         return count
 
-    enum = _Enumerator(cfg, build_machines(cfg), end=end, absorb=False,
-                       condition=condition, collect_profiles=True)
-    return _expectation(enum, hits)
+    walk = _Walk(cfg, hits, 1, condition=condition,
+                 end=min(from_round + rho - 1, cfg.horizon))
+    return _conditional(*walk.value(build_machines(cfg), 1))
 
 
 @dataclass
@@ -721,16 +770,6 @@ def _action_class(a) -> str:
     return "send"
 
 
-class _Valued(NamedTuple):
-    """A world's continuation value for agent i, relative to the round it
-    was reached in: i's expected utility before absorption, discounted to
-    that round; the absorption offsets ``((k, p), ...)`` in increasing k,
-    with their probabilities; and the leaves of its branch tree."""
-    pre: Fraction
-    offsets: tuple[tuple[int, Fraction], ...]
-    leaves: int
-
-
 class _OneShotChecker:
     def __init__(self, cfg: SimConfig, i: AgentId):
         self.cfg = cfg
@@ -748,7 +787,6 @@ class _OneShotChecker:
         self.tolerances: dict[int, Fraction] = {}
         # continuation values by world key, from fully absorbed subtrees
         self.values: dict[tuple, _Valued] = {}
-        self.leaves = 0     # of the continuation being valued
 
     def _tolerance(self, rounds_left: int) -> Fraction:
         tol = self.tolerances.get(rounds_left)
@@ -761,15 +799,18 @@ class _OneShotChecker:
                        seen: dict, out: list,
                        override: Optional[Override] = None):
         """Step the profile with fixed draw outcomes (valid because state is
-        draw-independent), collecting deduplicated pre-action world states.
-        ``seen`` maps each world key met so far to whether it is closed; the
-        walk stops at a closed world or at one it walked itself and closes
-        what it walked, but a walk cut by ``end`` leaves its worlds open."""
+        draw-independent), collecting deduplicated pre-action world states
+        with i's action classes of that round, which the walk plays as
+        prescribed.  ``seen`` maps each world key met so far to whether it
+        is closed; the walk stops at a closed world or at one it walked
+        itself and closes what it walked, but a walk cut by ``end`` leaves
+        its worlds open."""
         ms = _fork(machines)
         draws = _FixedDraws(False)
         first = override[1] if override else 0
         walked: set = set()
         for m in range(start, end + 1):
+            state = None
             if m > first:
                 key = _world_key(self.graph, ms, m)
                 if seen.get(key) or key in walked:
@@ -778,115 +819,27 @@ class _OneShotChecker:
                 walked.add(key)
                 if key not in seen:
                     seen[key] = False
-                    out.append((m, _fork(ms), origin))
-            _play_round(self.graph, self.obs, ms, self.params, m, draws,
-                        override)
+                    state = _fork(ms)
+            profile, _ = _play_round(self.graph, self.obs, ms, self.params, m,
+                                     draws, override)
+            if state is not None:
+                action = profile.actions[self.i].per_neighbor
+                out.append((m, state, origin,
+                            {j: _action_class(a) for j, a in action.items()}))
 
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
         """i's expected utility from round m2, discounted to m2, with i's
         round-m2 classes forced to ``pattern`` (None: as prescribed)."""
         override = None if pattern is None else (self.i, m2, pattern)
-        self.leaves = 0
-        pre, absorbed, _, _ = self._value(_fork(machines), m2, override)
-        d = self.params.delta
-        for a, p in absorbed.items():
-            pre += p * d ** (a - m2) * _cooperation_tail(self.cfg, self.i, a,
-                                                         self.tails)
-        return pre
+        return _expected_eu(self.cfg, _fork(machines), self.i, m2, m2,
+                            override, table=self.values, tails=self.tails)
 
-    def _count(self, m: int, leaves: int):
-        """Count the leaves of a branch stopping before round m against the
-        enumeration cap."""
-        self.leaves += leaves
-        cap = self.cfg.enum_cap
-        if self.leaves > cap:
-            raise EnumerationCapExceeded(cap, m - 1, cap)
-
-    def _value(self, ms, m: int, override: Optional[Override]):
-        """Value i's continuation from the pre-round machines ``ms`` at round
-        m: ``(pre, absorbed, leaves, complete)``, with ``pre`` i's expected
-        utility of the rounds played, discounted to m, ``absorbed`` the
-        probability of absorbing at each round, and ``complete`` whether
-        every branch absorbed within the horizon.
-
-        ``V(w) = sum over scripts of p * (u_i + delta * V(w'))``: rounds
-        with one draw script are played in a loop, and only a round with
-        several recurses.  A round after the override's reads the table by
-        world key and stops at the first world already valued; once the
-        subtree is complete, every keyed round of it is written back."""
-        blocked = override[1] if override else 0
-        d = self.params.delta
-        chain: list[tuple[Optional[tuple], int, Fraction]] = []
-        while True:
-            key = None      # the world key of round m, if the table is used
-            if m > self.horizon:
-                self._count(m, 1)
-                pre, absorbed, leaves, complete = Fraction(0), {}, 1, False
-                break
-            if m > blocked:
-                if all(mach.is_quiescent() for mach in ms.values()):
-                    self._count(m, 1)
-                    pre, absorbed = Fraction(0), {m: Fraction(1)}
-                    leaves, complete = 1, True
-                    break
-                key = _world_key(self.graph, ms, m)
-                hit = self.values.get(key)
-                if hit is not None and m + hit.offsets[-1][0] <= self.horizon:
-                    self._count(m, hit.leaves)
-                    pre, leaves, complete = hit.pre, hit.leaves, True
-                    absorbed = {m + k: p for k, p in hit.offsets}
-                    key = None      # already valued
-                    break
-            views = _begin_round(self.graph, self.obs, ms, m)
-            scripts = _round_scripts(ms, m)
-            if len(scripts) == 1:
-                profile, utils = _round_outcome(self.graph, views, self.params,
-                                                m, scripts[0][0], override)
-                _deliver(views, ms, profile)
-                chain.append((key, m, utils[self.i]))
-                m += 1
-                continue
-            pre, absorbed, leaves, complete = Fraction(0), {}, 0, True
-            for si, (raw, p) in enumerate(scripts):
-                profile, utils = _round_outcome(self.graph, views, self.params,
-                                                m, raw, override)
-                sub = ms if si == len(scripts) - 1 else _fork(ms)
-                _deliver(views, sub, profile)
-                spre, sabs, sleaves, sdone = self._value(sub, m + 1, override)
-                pre += p * (utils[self.i] + d * spre)
-                for a, q in sabs.items():
-                    absorbed[a] = absorbed.get(a, 0) + p * q
-                leaves += sleaves
-                complete = complete and sdone
-            break
-        if complete:
-            self._store(key, m, pre, absorbed, leaves)
-        for key, t, u in reversed(chain):
-            pre = u + d * pre
-            if complete:
-                self._store(key, t, pre, absorbed, leaves)
-        return pre, absorbed, leaves, complete
-
-    def _store(self, key: Optional[tuple], m: int, pre: Fraction,
-               absorbed: dict[int, Fraction], leaves: int):
-        if key is not None:
-            self.values[key] = _Valued(
-                pre, tuple(sorted((a - m, p) for a, p in absorbed.items())),
-                leaves)
-
-    def _prescribed_classes(self, machines, m2: int) -> dict[AgentId, str]:
-        probe = machines[self.i].clone()
-        probe.begin_round(local_view(self.graph, self.i, m2,
-                                     self.cfg.family.observation))
-        action = probe.act(_BoundRand(_FixedDraws(False), self.i, m2))
-        return {j: _action_class(a) for j, a in action.items()}
-
-    def check_context(self, m2: int, machines, origin: str):
+    def check_context(self, m2: int, machines, origin: str,
+                      prescribed: dict[AgentId, str]):
         nbrs = sorted(self.graph.at(m2).neighbors(self.i))
         if not nbrs:
             return
-        prescribed = self._prescribed_classes(machines, m2)
         conform = self._continuation_eu(machines, m2, None)
         for pattern in _override_patterns(self.params.mode, nbrs):
             if pattern == prescribed:
@@ -953,7 +906,7 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     # where the script last reads them, every walk closes without the bound
     # and unsafe_three_agent has 35 contexts instead of 81.
     dev_window = n * n + n + len(graph.cycle) + 2
-    for (m1, state, _) in prior_points:
+    for (m1, state, *_) in prior_points:
         nbrs1 = sorted(graph.at(m1).neighbors(i))
         for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
             desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
@@ -963,8 +916,8 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
                 f"after own {desc}@{m1}", seen, contexts,
                 override=(i, m1, pattern))
 
-    for (m2, state, origin) in contexts:
-        checker.check_context(m2, state, origin)
+    for context in contexts:
+        checker.check_context(*context)
 
     for spec in candidates:
         checker.add_candidate(spec)
@@ -989,18 +942,26 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
                              verdict=verdict, checks=checker.checks)
 
 
+class _Uncooperative(Exception):
+    """The first non-cooperative action a walk meets."""
+
+
 def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
     """On-path accountability clause: with the honest profile installed,
-    every realised individual action is cooperation."""
-    enum = _Enumerator(cfg, build_machines(cfg, honest_only=True),
-                       collect_profiles=True)
-    for leaf in enum.leaves():
-        for m, profile in sorted(leaf.profiles.items()):
-            for a in sorted(profile.actions):
-                for j, ia in sorted(profile.actions[a].per_neighbor.items()):
-                    if ia.kind is not ActionKind.COOPERATE:
-                        return False, {"agent": a, "round": m, "toward": j,
-                                       "action": ia.kind.value}
+    every realised individual action is cooperation.  The witness is the
+    first non-cooperative action in leaf order, then round order."""
+    def check(m: int, profile: ActionProfile, utils) -> int:
+        for a in sorted(profile.actions):
+            for j, ia in sorted(profile.actions[a].per_neighbor.items()):
+                if ia.kind is not ActionKind.COOPERATE:
+                    raise _Uncooperative({"agent": a, "round": m, "toward": j,
+                                          "action": ia.kind.value})
+        return 0
+
+    try:
+        _Walk(cfg, check, 1).value(build_machines(cfg, honest_only=True), 1)
+    except _Uncooperative as found:
+        return False, found.args[0]
     return True, None
 
 

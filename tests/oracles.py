@@ -8,16 +8,22 @@ agreement with the package's hand-rolled frontier sweeps is a two-sided
 check.
 
 ``build_branch_tree`` is the brute-force reference for the verifier's
-enumerator: it materialises the randomisation tree one draw at a time,
+branch walker: it materialises the randomisation tree one draw at a time,
 forking the machines and the whole history at every draw point, and keeps
 a full ``Trace`` per leaf.  It shares only the round step with the
 package, so exact agreement of ``sum(leaf.prob * u)`` over its leaves with
-``expected_utility`` and ``expected_punishments`` checks the enumerator's
+``expected_utility`` and ``expected_punishments`` checks the walker's
 script batching, state sharing, absorption and conditioning.
 
-``continuation_eu`` is the reference for the one-shot checker's
-continuation values: it enumerates every continuation to absorption with
-``_Enumerator`` and no table of valued worlds.
+``_Enumerator`` is the leaf enumerator the verifier used before its
+expectations ran on one branch walker (``verifier._Walk``): it yields
+every run as a leaf with its utilities and profiles, and ``_expectation``
+averages a function of the leaves.  It is the reference behind
+``enumerated_expected_utility``, ``enumerated_punishments`` and
+``enumerated_cooperation`` (a scan of the leaves in order), which the
+walker's expectations, witnesses and cap refusals must equal, and behind
+``continuation_eu``, the one-shot checker's continuation values
+enumerated to absorption with no table of valued worlds.
 
 ``windowed_contexts`` is the reference for the one-shot checker's
 contexts: the walks as they were before closure, cut only by three
@@ -39,21 +45,22 @@ import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import networkx as nx
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                                     local_view)
-from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, History,
-                               IndividualAction, Mode, Trace)
+from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, ActionProfile,
+                               History, IndividualAction, Mode, Trace)
 from dynacct.protocols import (RandSource, StrategyConfigError,
                                StrategyMachine)
-from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
-                              _BoundRand, _expected_eu, _FixedDraws, _fork,
+from dynacct.verifier import (AgentId, EnumerationCapExceeded, Override,
+                              SimConfig, _begin_round, _BoundRand,
+                              _cooperation_tail, _deliver, _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
-                              _ScriptDraws, _simulate_machines, _world_key,
-                              build_machines)
+                              _round_outcome, _round_scripts, _ScriptDraws,
+                              _simulate_machines, _world_key, build_machines)
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -309,12 +316,192 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
     return BranchTree(root=root, leaves=leaves)
 
 
+# ---------------------------------------------------------------------------
+# Leaf enumeration: every run to its leaf, valued leaf by leaf
+# ---------------------------------------------------------------------------
+
+# The verifier's expectations as they were before they ran on one branch
+# walker: a generator of leaves, each with its utilities and profiles, and
+# an expectation over them.  Kept unchanged as the reference the walker
+# must match value for value and refusal for refusal.
+@dataclass
+class _Leaf:
+    prob: Fraction
+    utils: dict[tuple[AgentId, int], Fraction]
+    absorbed_at: Optional[int]
+    profiles: Optional[dict[int, ActionProfile]] = None
+
+
+class _Enumerator:
+    """Depth-first exact enumeration of all runs of a machine profile from
+    round ``start`` to ``end`` (default: the horizon)."""
+
+    def __init__(self, cfg: SimConfig,
+                 machines: dict[AgentId, StrategyMachine],
+                 start: int = 1, end: Optional[int] = None,
+                 absorb: bool = True,
+                 override: Optional[Override] = None,
+                 condition: Sequence[ActionProfile] = (),
+                 collect_profiles: bool = False):
+        self.graph = cfg.graph
+        self.obs = cfg.family.observation
+        self.params = cfg.params
+        self.machines = machines
+        self.start = start
+        self.horizon = cfg.horizon if end is None else end
+        self.cap = cfg.enum_cap
+        self.absorb = absorb
+        self.override = override
+        self.condition = list(condition)
+        # no absorption while the override or the condition is still ahead
+        self.blocked_until = max(override[1] if override else 0,
+                                 len(self.condition))
+        self.collect_profiles = collect_profiles
+        self.count = 0
+
+    def leaves(self) -> Iterable[_Leaf]:
+        yield from self._rec(self.machines, self.start, Fraction(1), {},
+                             {} if self.collect_profiles else None)
+
+    def _emit(self, m, prob, utils, absorbed, profiles) -> _Leaf:
+        """The leaf of a branch that stops before playing round m."""
+        self.count += 1
+        if self.count > self.cap:
+            raise EnumerationCapExceeded(self.cap, m - 1, self.count - 1)
+        return _Leaf(prob=prob, utils=utils, absorbed_at=absorbed,
+                     profiles=profiles)
+
+    def _rec(self, machines, m, prob, utils, profiles):
+        while True:
+            if m > self.horizon:
+                yield self._emit(m, prob, utils, None, profiles)
+                return
+            if self.absorb and m > self.blocked_until and all(
+                    machines[i].is_quiescent() for i in machines):
+                yield self._emit(m, prob, utils, m, profiles)
+                return
+            views = _begin_round(self.graph, self.obs, machines, m)
+            scripts = _round_scripts(machines, m)
+            for si, (raw, p) in enumerate(scripts):
+                last = si == len(scripts) - 1
+                profile, round_utils = _round_outcome(
+                    self.graph, views, self.params, m, raw, self.override)
+                if m <= len(self.condition) and profile != self.condition[m - 1]:
+                    continue
+                ms = machines if last else _fork(machines)
+                _deliver(views, ms, profile)
+                nu = dict(utils) if not last else utils
+                for i, u in round_utils.items():
+                    nu[(i, m)] = u
+                np = None
+                if profiles is not None:
+                    np = dict(profiles) if not last else profiles
+                    np[m] = profile
+                if last:
+                    utils, profiles = nu, np
+                    prob *= p
+                    m += 1
+                    break
+                yield from self._rec(ms, m + 1, prob * p, nu, np)
+            else:
+                return  # every script was pruned by the condition
+
+
+def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
+    """Sum of p * f(leaf) over the enumeration's leaves, divided by their
+    total mass p (exactly 1 unless the enumeration is conditioned)."""
+    total = Fraction(0)
+    mass = Fraction(0)
+    for leaf in enum.leaves():
+        mass += leaf.prob
+        total += leaf.prob * f(leaf)
+    if mass == 0:
+        raise ValueError("condition is inconsistent with the strategy profile")
+    return total / mass
+
+
+def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
+             tails: dict[int, Fraction]) -> Fraction:
+    """i's discounted utility on one leaf; ``tails`` memoises i's closed-form
+    cooperative tail by the round it starts in."""
+    d = cfg.params.delta
+    total = Fraction(0)
+    for (a, m), u in leaf.utils.items():
+        if a == i and m >= from_round:
+            total += d ** (m - from_round) * u
+    if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
+        start = max(leaf.absorbed_at, from_round)
+        total += d ** (start - from_round) * _cooperation_tail(cfg, i, start,
+                                                               tails)
+    return total
+
+
+def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                 i: AgentId, start: int, from_round: int,
+                 override: Optional[Override] = None,
+                 condition: Sequence[ActionProfile] = (),
+                 tails: Optional[dict[int, Fraction]] = None) -> Fraction:
+    """Expected utility of i discounted from ``from_round``, over the runs of
+    ``machines`` enumerated from round ``start``.  Pass one ``tails`` dict
+    to every call for the same (cfg, i) to share the cooperative tails."""
+    enum = _Enumerator(cfg, machines, start, override=override,
+                       condition=condition)
+    tails = {} if tails is None else tails
+    return _expectation(enum,
+                        lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
+
+
 def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
     """``_OneShotChecker._continuation_eu`` without the world table: i's
     expected utility over every enumerated leaf of the continuation."""
     override = None if pattern is None else (checker.i, m2, pattern)
     return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
                         override=override, tails=checker.tails)
+
+
+def enumerated_expected_utility(cfg: SimConfig, i: AgentId, condition=(),
+                                from_round: Optional[int] = None) -> Fraction:
+    """``expected_utility`` over the enumerated leaves."""
+    if from_round is None:
+        from_round = len(condition) + 1
+    return _expected_eu(cfg, build_machines(cfg), i, 1, from_round,
+                        condition=condition)
+
+
+def enumerated_punishments(cfg: SimConfig, i: AgentId, from_round: int,
+                           rho: int, condition=()) -> Fraction:
+    """``expected_punishments`` over the enumerated leaves, with no
+    absorption."""
+    graph = cfg.graph
+    end = min(from_round + rho - 1, cfg.horizon)
+
+    def hits(leaf: _Leaf) -> int:
+        count = 0
+        for m in range(from_round + 1, end + 1):
+            for j in graph.at(m).neighbors(i):
+                a = leaf.profiles[m].individual(j, i)
+                if a.kind is ActionKind.PUNISH or (
+                        a.kind is ActionKind.PROP_PUNISH and a.c > 0):
+                    count += 1
+        return count
+
+    enum = _Enumerator(cfg, build_machines(cfg), end=end, absorb=False,
+                       condition=condition, collect_profiles=True)
+    return _expectation(enum, hits)
+
+
+def enumerated_cooperation(cfg: SimConfig):
+    """``verify_cooperation`` by a scan of the enumerated leaves in order."""
+    enum = _Enumerator(cfg, build_machines(cfg, honest_only=True),
+                       collect_profiles=True)
+    for leaf in enum.leaves():
+        for m, profile in sorted(leaf.profiles.items()):
+            for a in sorted(profile.actions):
+                for j, ia in sorted(profile.actions[a].per_neighbor.items()):
+                    if ia.kind is not ActionKind.COOPERATE:
+                        return False, {"agent": a, "round": m, "toward": j,
+                                       "action": ia.kind.value}
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,22 @@ def test_sim_config_is_frozen():
     assert_same_pair(run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS), before)
 
 
+def test_edited_spec_leaves_the_cached_honest_run_valid():
+    # one spec dict shared by every agent and edited after the honest run is
+    # cached: the config holds its own deep copy, so later pairs still match
+    # a from-scratch run of the config
+    spec = {"strategy": "accusation_punisher", "rho": 3}
+    fam = mixed_degree_family()
+    cfg = SimConfig(family=fam, member="mix",
+                    strategies={a: spec for a in range(fam.n)},
+                    horizon=HORIZON, params=general_defaults())
+    run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS)
+    spec["rho"] = 1
+    assert_same_pair(run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS),
+                     paired_defection_from_scratch(cfg, 0, 2, ALL_NEIGHBORS))
+    assert cfg.strategies[0] == {"strategy": "accusation_punisher", "rho": 3}
+
+
 def test_replaced_config_gets_its_own_honest_run():
     cfg = shipped_cfg("sigma_gen", 0)
     run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS)

@@ -231,6 +231,108 @@ def test_enumerator_matches_branch_tree_oracle_on_random_families(rng):
     assert branching >= 5   # the draws, not only the rounds, are compared
 
 
+def _walker_configs(rng):
+    """Every builtin member at horizon 12, and seeded bounded tally or
+    accusation punisher families, on the mixed-degree graph or a random
+    one, where one or two honest agents always defect: their punishers
+    draw, and the cooperation check finds witnesses."""
+    from .conftest import random_evolving_graph
+    for name in ("ring_connectivity", "fig3_indist", "timely_violation",
+                 "fig2_ambiguous", "unsafe_three_agent"):
+        sc = builtin(name)
+        for g in sc.family.members:
+            sc.member = g.name
+            yield sc.sim_config(horizon=12)
+    for k in range(16):
+        if k % 2:
+            n = rng.randint(3, 4)
+            g = random_evolving_graph(rng, n, f"w{k}", max_prefix=2,
+                                      max_cycle=3)
+            defectors = rng.randint(1, 2)
+            horizon = rng.randint(2 * n, 2 * n + 3)
+        else:
+            # punishers draw on every branch here; with one defector and a
+            # horizon up to 10 the branches stay within the cap
+            n, g = 4, mixed_degree_family().members[0]
+            defectors, horizon = 1, rng.randint(6, 10)
+        # the two protocols' payloads differ, so one of them per family
+        base = ({"strategy": "accusation_punisher", "rho": 3} if k % 3 == 2
+                else "sigma_gen")
+        strategies = {a: base for a in range(n)}
+        for a in rng.sample(range(n), defectors):
+            strategies[a] = "always_defect"
+        yield SimConfig(family=GraphFamily(n, (g,), ND, 8), member=g.name,
+                        strategies=strategies, horizon=horizon,
+                        params=general_defaults(), seed=k, enum_cap=100)
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, or the round and leaves of its cap refusal, or the message
+    of its refusal of an inconsistent condition."""
+    try:
+        return f(*args, **kwargs)
+    except EnumerationCapExceeded as refused:
+        return "refused", refused.round, refused.leaves
+    except ValueError as refused:
+        return "inconsistent", str(refused)
+
+
+def test_walker_matches_leaf_enumeration(rng, monkeypatch):
+    # expected utilities, punishments and the cooperation check on the one
+    # branch walker equal the leaf enumerator's, conditioned or not, and so
+    # do cap refusals; punishments absorb now, so they may only refuse later
+    from dynacct import verifier
+
+    from . import oracles
+    forks = 0      # rounds the walker plays with several draw scripts
+    round_scripts = verifier._round_scripts
+
+    def counted_scripts(*args):
+        nonlocal forks
+        scripts = round_scripts(*args)
+        forks += len(scripts) > 1
+        return scripts
+    monkeypatch.setattr(verifier, "_round_scripts", counted_scripts)
+
+    forking, witnesses = set(), 0
+    for index, cfg in enumerate(_walker_configs(rng)):
+        n, horizon = cfg.family.n, cfg.horizon
+        prefix = simulate(cfg).history.profiles
+        for i in sorted({0, rng.randrange(n)}):
+            forks = 0
+            got = _outcome(expected_utility, cfg, i)
+            assert got == _outcome(oracles.enumerated_expected_utility, cfg,
+                                   i), (cfg.member, i)
+            if forks and not isinstance(got, tuple):
+                forking.add(index)
+            k = rng.randint(1, horizon - 1)
+            # round k + 1's profile in round k: no run agrees with it
+            for cond in (prefix[:k], prefix[:k - 1] + prefix[k:k + 1]):
+                for frm in (None, 1, k + 2):
+                    assert _outcome(expected_utility, cfg, i, cond,
+                                    frm) == _outcome(
+                        oracles.enumerated_expected_utility, cfg, i, cond,
+                        frm), (cfg.member, i, k, frm)
+            frm = rng.randint(1, horizon - 1)
+            rho = rng.randint(2, horizon - frm + 1)
+            for cond in ((), prefix[:rng.randint(1, frm + rho - 1)]):
+                got = _outcome(expected_punishments, cfg, i, frm, rho, cond)
+                want = _outcome(oracles.enumerated_punishments, cfg, i, frm,
+                                rho, cond)
+                assert got == want or want[0] == "refused", (cfg.member, i)
+        ok, witness = verify_cooperation(cfg)
+        assert (ok, witness) == oracles.enumerated_cooperation(cfg)
+        witnesses += not ok
+        for cap in (1, 2, 5):
+            capped = replace(cfg, enum_cap=cap)
+            assert _outcome(expected_utility, capped, 0) == _outcome(
+                oracles.enumerated_expected_utility, capped, 0)
+            assert _outcome(verify_cooperation, capped) == _outcome(
+                oracles.enumerated_cooperation, capped)
+    assert len(forking) >= 5   # the draws, not only the rounds, are compared
+    assert witnesses >= 5
+
+
 def test_expected_utility_enumeration_cap():
     fam = mixed_degree_family()
     cfg = gen_cfg(fam, horizon=12,
@@ -341,8 +443,8 @@ def test_verify_one_shot_sigma_gen_small():
 
 def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # every played round computes each agent's view and calls begin_round and
-    # act once; the only extra ones are the prescribed-class probes, one per
-    # context.  The report is that of the two-pass engine before (which made
+    # act once, and i's prescribed classes come from the round that collects
+    # a context.  The report is that of the two-pass engine before (which made
     # 2,424 act calls here); continuations that stop at the first world
     # already valued, and context walks that stop at the first world already
     # collected, play 333 rounds where replaying each continuation to
@@ -364,16 +466,13 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     for name in ("begin_round", "act", "end_round"):
         count(SigmaGen, name)
     count(verifier, "local_view")
-    count(verifier._OneShotChecker, "_prescribed_classes")
     fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),), ND, 8)
     cfg = SimConfig(family=fam, member="k3",
                     strategies={a: "sigma_gen" for a in range(3)},
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
-    assert calls["end_round"] == 333
-    assert calls["_prescribed_classes"] == 15
-    for name in ("act", "begin_round", "local_view"):
-        assert calls[name] == 333 + 15, name
+    for name in ("end_round", "act", "begin_round", "local_view"):
+        assert calls[name] == 333, name
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
                            "override": {"1": "send", "2": "send"}}
@@ -390,11 +489,11 @@ def _closure_contexts(cfg, i, check=False):
     contexts = []
     check_context = verifier._OneShotChecker.check_context
 
-    def recording(self, m2, machines, origin):
+    def recording(self, m2, machines, origin, prescribed):
         contexts.append((m2, origin, verifier._world_key(self.graph, machines,
                                                          m2)))
         if check:
-            check_context(self, m2, machines, origin)
+            check_context(self, m2, machines, origin, prescribed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier._OneShotChecker, "check_context", recording)
         rep = verify_one_shot(cfg, i, robust_depth=2)
@@ -465,6 +564,8 @@ def _one_shot_runs(cfg, agents, continuation=None):
     from dynacct import verifier
     from dynacct.protocols import SigmaGen
 
+    from . import oracles
+
     counts = collections.Counter()
     checkers = []
     with pytest.MonkeyPatch.context() as mp:
@@ -486,7 +587,8 @@ def _one_shot_runs(cfg, agents, continuation=None):
 
         mp.setattr(verifier._OneShotChecker, "__init__", recording_init)
         mp.setattr(SigmaGen, "end_round", counted_end_round)
-        mp.setattr(verifier, "_round_scripts", counted_scripts)
+        for module in (verifier, oracles):
+            mp.setattr(module, "_round_scripts", counted_scripts)
         if continuation is not None:
             mp.setattr(verifier._OneShotChecker, "_continuation_eu",
                        continuation)
@@ -529,24 +631,31 @@ def test_world_table_counts_reused_leaves_against_the_cap():
     # the leaves that enumerating it to absorption emits, so the table
     # refuses exactly when that enumeration would
     from dynacct import verifier
-    from .oracles import continuation_eu
+
+    from . import oracles
     cfg = gen_cfg(mixed_degree_family(), horizon=10)
     valued = verifier._OneShotChecker._continuation_eu
-    enums, leaves = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        init = verifier._Enumerator.__init__
+    walks, enums, leaves = [], [], []
+
+    def recording(cls, into):
+        init = cls.__init__
 
         def recording_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            enums.append(self)
+            into.append(self)
+        return recording_init
 
+    with pytest.MonkeyPatch.context() as mp:
         def both(self, machines, m2, pattern):
             got = valued(self, machines, m2, pattern)
-            assert continuation_eu(self, machines, m2, pattern) == got
-            leaves.append((self.leaves, enums[-1].count))
+            assert oracles.continuation_eu(self, machines, m2, pattern) == got
+            leaves.append((walks[-1].leaves, enums[-1].count))
             return got
 
-        mp.setattr(verifier._Enumerator, "__init__", recording_init)
+        mp.setattr(verifier._Walk, "__init__",
+                   recording(verifier._Walk, walks))
+        mp.setattr(oracles._Enumerator, "__init__",
+                   recording(oracles._Enumerator, enums))
         mp.setattr(verifier._OneShotChecker, "_continuation_eu", both)
         verify_one_shot(cfg, 1, robust_depth=2)
     assert all(got == want for got, want in leaves)
