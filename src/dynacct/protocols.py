@@ -11,11 +11,15 @@ A machine owns one agent's private protocol state.  The round contract is:
   labels (the branch enumerator replays it),
 * ``end_round(own_action, inbox)`` reveals the neighbours' individual
   actions toward the agent plus their payloads (omitted by defectors) and
-  advances the state.
+  advances the state; ``_deliver``, the one delivery step, calls it for the
+  verifier's rounds and the shadow worlds below alike.
 
 Machines set ``draw_independent_state`` when their state evolution depends
 only on which neighbours defected, never on punish/cooperate draw outcomes;
-the equilibrium verifier relies on that flag.
+the equilibrium verifier relies on that flag.  ``clone()`` copies
+shallowly; a machine extends it for each container it mutates in place.  A
+deviation strategy is a base machine plus a twist: ``_Wrapper`` forwards
+every round hook to the base, and its subclasses override what differs.
 
 Protocol window conventions follow the monitoring designs: the
 accusation-window protocols keep one report bit per (agent, round) for the
@@ -40,7 +44,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
                              local_view)
 from .game_core import (AVOID, COOPERATE, DEFECT, PUNISH, Action, ActionKind,
-                        IndividualAction, Mode, UtilityParams, prop_punish)
+                        ActionProfile, IndividualAction, Mode, UtilityParams,
+                        prop_punish)
 
 AgentId = int
 
@@ -59,7 +64,7 @@ class RandSource:
 class _RefuseDraws(RandSource):
     def bernoulli(self, label: str, p: Fraction) -> bool:
         raise StrategyConfigError(
-            "scripted evasive strategies need a deterministic honest profile")
+            "evasive strategies replay only machines that draw nothing")
 
 
 class StrategyMachine:
@@ -68,7 +73,6 @@ class StrategyMachine:
     mode: Mode = Mode.GENERAL
     draw_independent_state: bool = True
     uses_own_action: bool = False
-    deterministic: bool = True
 
     def __init__(self, me: AgentId, n: int):
         self.me = me
@@ -79,11 +83,11 @@ class StrategyMachine:
     def clone(self) -> "StrategyMachine":
         """An independent machine in the same state: driving either one
         never changes the other.  The verifier forks runs this way, one
-        machine at a time, so no machine may share mutable state with
-        another.  The default deep-copies; subclasses override it to copy
-        just their mutable containers, and must extend such an override
-        when they add containers of their own."""
-        return copy.deepcopy(self)
+        machine at a time.  The default is a shallow copy, which is enough
+        for attributes that are only ever rebound; a subclass extends it
+        through ``super().clone()`` to copy each container it mutates in
+        place."""
+        return copy.copy(self)
 
     def begin_round(self, view: LocalView):
         self.round = view.round
@@ -111,6 +115,26 @@ class StrategyMachine:
 
     def state_size(self) -> int:
         return 0
+
+
+def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
+             profile: ActionProfile) -> dict:
+    """Reveal round outcomes: each machine gets its neighbours' actions
+    toward it and their payloads (none from a defector).  Returns the
+    payloads collected, by sender and then receiver."""
+    acts = {i: a.per_neighbor for i, a in profile.actions.items()}
+    order = sorted(machines)
+    nbrs = {i: sorted(views[i].neighbors) for i in order}
+    payloads = {i: {j: machines[i].payload_for(j) for j in nbrs[i]}
+                for i in order}
+    for i in order:
+        inbox = {}
+        for j in nbrs[i]:
+            a_ji = acts[j][i]
+            pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
+            inbox[j] = (a_ji, pay)
+        machines[i].end_round(acts[i], inbox)
+    return payloads
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +181,7 @@ class _AccusationWindow(StrategyMachine):
         self.accusations = {(s, r) for (s, r) in self.accusations if r >= lo}
 
     def clone(self) -> "_AccusationWindow":
-        c = copy.copy(self)
+        c = super().clone()
         c.accusations = set(self.accusations)
         return c
 
@@ -246,17 +270,14 @@ class SigmaGen(StrategyMachine):
 
     mode = Mode.GENERAL
 
-    def __init__(self, me: AgentId, n: int, _cap: bool = True,
-                 _pend_payload_inflate: int = 0):
+    def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
         self.pend: dict[tuple[AgentId, int], int] = {}
         self.acc: dict[int, dict[tuple[AgentId, AgentId, int], str]] = {}
-        self._cap = _cap
-        self._pend_payload_inflate = _pend_payload_inflate
         self._payload: Optional[tuple] = None   # this round's, once built
 
     def clone(self) -> "SigmaGen":
-        c = copy.copy(self)    # the built payload is never mutated: share it
+        c = super().clone()    # the built payload is never mutated: share it
         c.pend = dict(self.pend)
         c.acc = {r: dict(d) for r, d in self.acc.items()}
         return c
@@ -268,9 +289,8 @@ class SigmaGen(StrategyMachine):
 
     def payload_for(self, j: AgentId) -> Optional[dict]:
         if self._payload is None:
-            infl = self._pend_payload_inflate
             self._payload = (
-                tuple(sorted((k, v + infl) for k, v in self.pend.items())),
+                tuple(sorted(self.pend.items())),
                 {r: MappingProxyType(dict(d)) for r, d in self.acc.items()})
         pend, acc = self._payload
         return {"pend": pend, "acc": dict(acc)}
@@ -312,9 +332,7 @@ class SigmaGen(StrategyMachine):
             for ((s, c), v) in p["pend"]:
                 if s == me or s == j or c == m % n:
                     continue
-                merged = max(self.pend.get((s, c), 0), v)
-                if self._cap:
-                    merged = min(n - 1, merged)
+                merged = min(n - 1, max(self.pend.get((s, c), 0), v))
                 if merged > 0:
                     self.pend[(s, c)] = merged
         # fill absent slots only; senders go in id order, so the lowest-id
@@ -349,8 +367,7 @@ class SigmaGen(StrategyMachine):
                 continue    # nothing reported about j: its tally stays
             key = (j, (m + 1) % n)
             new = max(0, self.pend.get(key, 0) - deg) + (deg if j in bad else 0)
-            if self._cap:
-                assert new <= n - 1, "tally invariant broken"
+            assert new <= n - 1, "tally invariant broken"
             if new > 0:
                 self.pend[key] = new
             else:
@@ -485,35 +502,20 @@ class UnsafePunisherProtocol(_AccusationWindow):
 ALL_NEIGHBORS = "all"
 
 
-class ScheduledDefector(StrategyMachine):
-    """Follow the base strategy but defect scheduled targets.
+class _Wrapper(StrategyMachine):
+    """A base machine plus a twist.  Copies the base's declarations and
+    forwards every round hook to it; subclasses override what differs."""
 
-    ``sincere=False`` gives evasive semantics: the base state is maintained
-    as if the defections had not happened (the base is told it played its
-    own prescription), so all later messages answer from the counterfactual
-    state.  ``sincere=True`` reconstructs the base state from what actually
-    happened.
-    """
-
-    def __init__(self, base: StrategyMachine,
-                 schedule: Mapping[int, object], sincere: bool = False,
-                 label: str = "scheduled_defector"):
+    def __init__(self, base: StrategyMachine, label: str):
         super().__init__(base.me, base.n)
         self.base = base
-        self.mode = base.mode
-        self.schedule = dict(schedule)
-        self.sincere = sincere
         self.label = label
+        self.mode = base.mode
         self.draw_independent_state = base.draw_independent_state
-        self.deterministic = base.deterministic
         self.uses_own_action = base.uses_own_action
 
-    @property
-    def first_deviation_round(self) -> Optional[int]:
-        return min(self.schedule) if self.schedule else None
-
-    def clone(self) -> "ScheduledDefector":
-        c = copy.copy(self)    # the schedule is never mutated: share it
+    def clone(self) -> "_Wrapper":
+        c = super().clone()
         c.base = self.base.clone()
         return c
 
@@ -523,6 +525,37 @@ class ScheduledDefector(StrategyMachine):
 
     def payload_for(self, j: AgentId) -> Optional[dict]:
         return self.base.payload_for(j)
+
+    def end_round(self, own_action, inbox):
+        self.base.end_round(own_action, inbox)
+
+    def snapshot(self) -> dict:
+        return dict(self.base.snapshot(), deviation=self.label)
+
+    def state_size(self) -> int:
+        return self.base.state_size()
+
+
+class ScheduledDefector(_Wrapper):
+    """Follow the base strategy but defect scheduled targets.
+
+    ``sincere=False`` gives evasive semantics: the base state is maintained
+    as if the defections had not happened (the base is told it played its
+    own prescription, which must need no draw), so all later messages
+    answer from the counterfactual state.  ``sincere=True`` reconstructs
+    the base state from what actually happened.
+    """
+
+    def __init__(self, base: StrategyMachine,
+                 schedule: Mapping[int, object], sincere: bool = False,
+                 label: str = "scheduled_defector"):
+        super().__init__(base, label)
+        self.schedule = dict(schedule)    # never mutated: clones share it
+        self.sincere = sincere
+
+    @property
+    def first_deviation_round(self) -> Optional[int]:
+        return min(self.schedule) if self.schedule else None
 
     def _targets(self, m: int) -> frozenset[AgentId]:
         spec = self.schedule.get(m)
@@ -539,16 +572,9 @@ class ScheduledDefector(StrategyMachine):
         return out
 
     def end_round(self, own_action, inbox):
-        claimed = own_action
         if not self.sincere and self._targets(self.round) and self.base.uses_own_action:
-            if not self.base.deterministic:
-                raise StrategyConfigError(
-                    "evasive wrapping of a randomized own-action-dependent base")
-            claimed = self.base.act(_RefuseDraws())
-        self.base.end_round(claimed, inbox)
-
-    def snapshot(self) -> dict:
-        return dict(self.base.snapshot(), deviation=self.label)
+            own_action = self.base.act(_RefuseDraws())
+        super().end_round(own_action, inbox)
 
     def state_key(self, m: int):
         sched = frozenset(
@@ -559,9 +585,6 @@ class ScheduledDefector(StrategyMachine):
     def is_quiescent(self) -> bool:
         done = not self.schedule or self.round >= max(self.schedule)
         return done and self.base.is_quiescent()
-
-    def state_size(self) -> int:
-        return self.base.state_size()
 
 
 def single_evasive(base: StrategyMachine, j: AgentId, m: int) -> ScheduledDefector:
@@ -613,7 +636,7 @@ def apply_override(template: Mapping, neighbors: frozenset[AgentId],
     return out
 
 
-class OneShotDeviation(StrategyMachine):
+class OneShotDeviation(_Wrapper):
     """Base strategy with one action override at the first matching round.
 
     The trigger is an observation predicate over the round view; it fires at
@@ -623,31 +646,13 @@ class OneShotDeviation(StrategyMachine):
     def __init__(self, base: StrategyMachine,
                  trigger: Callable[[LocalView], bool],
                  override: Mapping, label: str = "one_shot"):
-        super().__init__(base.me, base.n)
-        self.base = base
-        self.mode = base.mode
+        super().__init__(base, label)
         self.trigger = trigger
-        self.override = dict(override)
+        self.override = dict(override)    # never mutated: clones share it
         self.fired_at: Optional[int] = None
-        self.label = label
-        self.draw_independent_state = base.draw_independent_state
-        self.deterministic = base.deterministic
-        self.uses_own_action = base.uses_own_action
 
     def _fires_now(self) -> bool:
         return self.fired_at is None and self.trigger(self.view)
-
-    def clone(self) -> "OneShotDeviation":
-        c = copy.copy(self)    # trigger and override are never mutated
-        c.base = self.base.clone()
-        return c
-
-    def begin_round(self, view: LocalView):
-        super().begin_round(view)
-        self.base.begin_round(view)
-
-    def payload_for(self, j: AgentId) -> Optional[dict]:
-        return self.base.payload_for(j)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         base_action = self.base.act(rand)
@@ -659,7 +664,7 @@ class OneShotDeviation(StrategyMachine):
     def end_round(self, own_action, inbox):
         if self._fires_now():
             self.fired_at = self.round
-        self.base.end_round(own_action, inbox)
+        super().end_round(own_action, inbox)
 
     def snapshot(self) -> dict:
         return dict(self.base.snapshot(), fired_at=self.fired_at)
@@ -669,9 +674,6 @@ class OneShotDeviation(StrategyMachine):
 
     def is_quiescent(self) -> bool:
         return self.fired_at is not None and self.base.is_quiescent()
-
-    def state_size(self) -> int:
-        return self.base.state_size()
 
 
 def one_shot_deviation(base: StrategyMachine,
@@ -690,8 +692,9 @@ class _ShadowWorld:
     """Internal deterministic replay of a counterfactual run.
 
     Advances an honest (or designated-deviation) profile over the scenario
-    graph in lockstep with the real run and exposes the focal agent's
-    counterfactual actions and payloads per round.
+    graph on demand, and records each round's actions, payloads and
+    quiescent agents.  The run is fixed, so a persona's clones share it,
+    each reading it at its own round.
     """
 
     def __init__(self, graph: EvolvingGraph, obs: ObservationModel,
@@ -702,30 +705,26 @@ class _ShadowWorld:
         self.done_round = 0
         self.round_actions: dict[int, dict[AgentId, dict[AgentId, IndividualAction]]] = {}
         self.round_payloads: dict[int, dict[AgentId, dict[AgentId, Optional[dict]]]] = {}
+        self.quiescent = {0: self._quiescent()}
+
+    def _quiescent(self) -> frozenset[AgentId]:
+        return frozenset(a for a, mach in self.machines.items()
+                         if mach.is_quiescent())
 
     def ensure_round(self, m: int):
         while self.done_round < m:
             self._step(self.done_round + 1)
 
     def _step(self, m: int):
-        rg = self.graph.at(m)
         views = {i: local_view(self.graph, i, m, self.obs) for i in self.machines}
         for i in sorted(self.machines):
             self.machines[i].begin_round(views[i])
-        payloads = {i: {j: self.machines[i].payload_for(j)
-                        for j in sorted(views[i].neighbors)}
-                    for i in sorted(self.machines)}
         actions = {i: self.machines[i].act(_RefuseDraws())
                    for i in sorted(self.machines)}
-        for i in sorted(self.machines):
-            inbox = {}
-            for j in sorted(views[i].neighbors):
-                a_ji = actions[j][i]
-                pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
-                inbox[j] = (a_ji, pay)
-            self.machines[i].end_round(actions[i], inbox)
+        profile = ActionProfile(m, {i: Action(i, m, a) for i, a in actions.items()})
+        self.round_payloads[m] = _deliver(views, self.machines, profile)
         self.round_actions[m] = actions
-        self.round_payloads[m] = payloads
+        self.quiescent[m] = self._quiescent()
         self.done_round = m
 
     def action_of(self, i: AgentId, m: int) -> dict[AgentId, IndividualAction]:
@@ -737,44 +736,31 @@ class _ShadowWorld:
         return self.round_payloads[m][i][j]
 
 
-class _PersonaEvasive(StrategyMachine):
+class _PersonaEvasive(_Wrapper):
     """Base for scripted evasive strategies that answer some neighbours
     from a counterfactual shadow persona."""
 
     def __init__(self, base: StrategyMachine, shadow: _ShadowWorld,
                  member: EvolvingGraph, label: str):
-        super().__init__(base.me, base.n)
-        self.base = base
-        self.mode = base.mode
+        super().__init__(base, label)
         self.shadow = shadow
         self.member = member
-        self.label = label
-        self.draw_independent_state = base.draw_independent_state
-        self.deterministic = base.deterministic
-        self.uses_own_action = base.uses_own_action
 
     def begin_round(self, view: LocalView):
-        super().begin_round(view)
         expected = self.member.at(view.round).neighbors(self.me)
         if view.neighbors != expected:
             raise StrategyConfigError(
                 f"scenario family mismatch at round {view.round}: "
                 f"saw neighbours {sorted(view.neighbors)}, scripted for {sorted(expected)}")
         self.shadow.ensure_round(view.round)
-        self.base.begin_round(view)
-
-    def snapshot(self) -> dict:
-        return dict(self.base.snapshot(), deviation=self.label)
+        super().begin_round(view)
 
     def state_key(self, m: int):
         return (self.label, self.base.state_key(m))
 
     def is_quiescent(self) -> bool:
         return (self.base.is_quiescent()
-                and self.shadow.machines[self.me].is_quiescent())
-
-    def state_size(self) -> int:
-        return self.base.state_size()
+                and self.me in self.shadow.quiescent[self.round])
 
 
 class DualEvasiveFig2(_PersonaEvasive):
@@ -816,9 +802,6 @@ class DualEvasiveFig2(_PersonaEvasive):
             out[self.defect_target] = DEFECT
         return out
 
-    def end_round(self, own_action, inbox):
-        self.base.end_round(own_action, inbox)
-
     def is_quiescent(self) -> bool:
         return self.round >= self.defect_round and super().is_quiescent()
 
@@ -842,9 +825,6 @@ class LenientEvasiveUnsafe(_PersonaEvasive):
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         return dict(self.shadow.action_of(self.me, self.round))
-
-    def end_round(self, own_action, inbox):
-        self.base.end_round(own_action, inbox)
 
 
 # ---------------------------------------------------------------------------

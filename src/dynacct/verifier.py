@@ -11,11 +11,12 @@ Each job has exactly one implementation:
   ``begin_round``, ``_act`` calls ``act`` once per machine and script,
   ``_round_outcome`` checks the profile once and sums each agent's utility
   as integer numerators over the per-edge table's common denominator, and
-  ``_deliver`` hands out payloads and calls ``end_round``.  ``_play_round``
-  chains the four for one draw source, and ``_simulate_machines`` is the
-  only run loop.  A realised run draws each labelled Bernoulli from a seed
-  via SHA-256 (bit-exact across platforms and thread counts); ``simulate``
-  runs the configured profile through it.
+  ``protocols._deliver`` (which the shadow worlds share) hands out payloads
+  and calls ``end_round``.  ``_play_round`` chains the four for one draw
+  source, and ``_simulate_machines`` is the only run loop.  A realised run
+  draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
+  platforms and thread counts); ``simulate`` runs the configured profile
+  through it.
 * The honest run is simulated once per ``SimConfig`` (cached on the
   immutable config) and checkpoints the machines at the start of every
   round.  ``run_paired_defection`` returns it as the conforming trace, and
@@ -119,8 +120,10 @@ from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
                         Mode, Trace, UtilityParams, cooperation_tail,
                         discounted_utility, tail_bound)
-from .protocols import (AVOID, DEFECT, RandSource, StrategyConfigError,
-                        StrategyContext, StrategyMachine, build_strategy)
+from .protocols import (ALL_NEIGHBORS, AVOID, DEFECT, RandSource,
+                        ScheduledDefector, StrategyConfigError,
+                        StrategyContext, StrategyMachine, _deliver,
+                        build_strategy)
 
 AgentId = int
 # (agent, round, {neighbour: "send" | "defect" | "avoid"})
@@ -328,20 +331,13 @@ def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
     return {i: machines[i].act(_BoundRand(draws, i, m)) for i in sorted(machines)}
 
 
-def _round_outcome(graph: EvolvingGraph, views: dict, params: UtilityParams,
-                   m: int, raw: dict, override: Optional[Override]):
+def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int,
+                   raw: dict, override: Optional[Override]):
     """The checked action profile of round m and every agent's utility."""
     rg = graph.at(m)
-    acts = {}
-    for i in sorted(raw):
-        a = raw[i]
-        if set(a) != views[i].neighbors:
-            raise ValueError(
-                f"agent {i} round {m}: action keys {sorted(a)} != "
-                f"neighbours {sorted(views[i].neighbors)}")
-        if override is not None and (i, m) == override[:2]:
-            a = _apply_pattern(a, override[2])
-        acts[i] = a
+    acts = dict(raw)
+    if override is not None and override[1] == m:
+        acts[override[0]] = _apply_pattern(raw[override[0]], override[2])
     profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
     den, nums = params.edge_numerators(rg.n)
@@ -350,32 +346,14 @@ def _round_outcome(graph: EvolvingGraph, views: dict, params: UtilityParams,
     return profile, utils
 
 
-def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
-             profile: ActionProfile):
-    """Reveal round outcomes: each machine gets its neighbours' actions
-    toward it and their payloads (none from a defector)."""
-    acts = {i: a.per_neighbor for i, a in profile.actions.items()}
-    order = sorted(machines)
-    nbrs = {i: sorted(views[i].neighbors) for i in order}
-    payloads = {i: {j: machines[i].payload_for(j) for j in nbrs[i]}
-                for i in order}
-    for i in order:
-        inbox = {}
-        for j in nbrs[i]:
-            a_ji = acts[j][i]
-            pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
-            inbox[j] = (a_ji, pay)
-        machines[i].end_round(acts[i], inbox)
-
-
 def _play_round(graph: EvolvingGraph, obs: ObservationModel,
                 machines: dict[AgentId, StrategyMachine],
                 params: UtilityParams, m: int, draws,
                 override: Optional[Override] = None):
     """One round with one draw source: views, actions, outcome, delivery."""
     views = _begin_round(graph, obs, machines, m)
-    profile, utils = _round_outcome(graph, views, params, m,
-                                    _act(machines, m, draws), override)
+    profile, utils = _round_outcome(graph, params, m, _act(machines, m, draws),
+                                    override)
     _deliver(views, machines, profile)
     return profile, utils
 
@@ -401,8 +379,9 @@ def _round_scripts(machines: dict[AgentId, StrategyMachine],
 
 def _fork(machines: dict[AgentId, StrategyMachine]) -> dict[AgentId, StrategyMachine]:
     """Independent copies, one ``clone()`` per machine.  Sound because no two
-    machines share mutable state (each shadow world of a scripted evasive
-    strategy belongs to that one machine)."""
+    machines share mutable state, except a scripted evasive strategy's
+    clones, which share its shadow world: it memoises one fixed run that
+    nothing in the real run changes, read at each clone's own round."""
     return {a: mach.clone() for a, mach in machines.items()}
 
 
@@ -522,7 +501,8 @@ class _Walk:
                     self._stop(m, 1)
                     pre, absorbed = Fraction(0), {m: Fraction(1)}
                     break
-                if self.table is not None:
+                # not at the last round: no offset is 0, every branch is cut
+                if self.table is not None and m < self.end:
                     key = _world_key(graph, ms, m)
                     hit = self.table.get(key)
                     if hit is not None and m + hit.offsets[-1][0] <= self.end:
@@ -533,8 +513,8 @@ class _Walk:
                         break
             views = _begin_round(graph, self.obs, ms, m)
             scripts = _round_scripts(ms, m)
-            outcomes = [(p, *_round_outcome(graph, views, self.params, m, raw,
-                                            override)) for raw, p in scripts]
+            outcomes = [(p, *_round_outcome(graph, self.params, m, raw, override))
+                        for raw, p in scripts]
             if m <= cond:
                 outcomes = [o for o in outcomes
                             if o[1] == self.condition[m - 1]]
@@ -993,8 +973,6 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     exact: draws are keyed by (seed, agent, round, label), and the wrapper
     acts as its base before round m.  Both traces are fresh containers;
     their snapshots are shared with the cached run and are read-only."""
-    from .protocols import ALL_NEIGHBORS, ScheduledDefector
-
     check_deviation_round(cfg, m)
     honest = cfg._honest_run
     label = f"defect@{m}"

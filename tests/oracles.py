@@ -385,7 +385,7 @@ class _Enumerator:
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 profile, round_utils = _round_outcome(
-                    self.graph, views, self.params, m, raw, self.override)
+                    self.graph, self.params, m, raw, self.override)
                 if m <= len(self.condition) and profile != self.condition[m - 1]:
                     continue
                 ms = machines if last else _fork(machines)

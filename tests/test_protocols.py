@@ -49,7 +49,6 @@ class Recorder(StrategyMachine):
         self.inner = inner
         self.mode = inner.mode
         self.draw_independent_state = inner.draw_independent_state
-        self.deterministic = inner.deterministic
         self.uses_own_action = inner.uses_own_action
         self.log = []
 
@@ -228,17 +227,28 @@ def test_sigma_gen_state_bound_and_quiescence():
     assert t.state_log[(1, 24)]["pend"] == []
 
 
+class _InflatingSigmaGen(SigmaGen):
+    """Gossips every tally 7 higher than it holds."""
+
+    def payload_for(self, j):
+        payload = super().payload_for(j)
+        payload["pend"] = tuple((k, v + 7) for k, v in payload["pend"])
+        return payload
+
+
 def test_sigma_gen_cap_removal_detected():
-    # without the cap, a tally-inflating gossiper pushes honest tallies
-    # past n-1; with the cap they clamp
+    # with the cap, honest tallies clamp at n-1 against a tally-inflating
+    # gossiper; without it (the reference's uncapped mutant) they pass n-1
     ring = ring_graph(4)
     fam = fam_const(ring, obs=ND)
     cfg = SimConfig(family=fam, member="g",
                     strategies={a: "sigma_gen" for a in range(4)},
                     horizon=12, params=general_defaults())
-    for cap, expect_ok in ((True, True), (False, False)):
-        machines = {a: SigmaGen(a, 4, _cap=cap) for a in range(4)}
-        machines[1] = SigmaGen(1, 4, _cap=cap, _pend_payload_inflate=7)
+    capped = {a: SigmaGen(a, 4) for a in range(4)}
+    capped[1] = _InflatingSigmaGen(1, 4)
+    uncapped = {a: FlatSigmaGen(a, 4, _cap=False) for a in range(4)}
+    uncapped[1] = FlatSigmaGen(1, 4, _cap=False, _pend_payload_inflate=7)
+    for machines, expect_ok in ((capped, True), (uncapped, False)):
         machines[0] = ScheduledDefector(machines[0], {1: "all"}, sincere=True)
         t = _simulate_machines(cfg, machines)
         ok = all(v <= 3 for (a, m), snap in t.state_log.items()
@@ -287,9 +297,7 @@ def _random_gen_round(rng, n, me, m):
     return view, inbox
 
 
-@pytest.mark.parametrize("cap,inflate", [(True, 0), (True, 2), (False, 0),
-                                         (False, 3)])
-def test_sigma_gen_matches_flat_reference(cap, inflate, rng):
+def test_sigma_gen_matches_flat_reference(rng):
     # the round-indexed machine and the flat-dict reference, fed identical
     # random rounds, act, draw, send and store identically; after
     # end_round(m) only the window rounds m-n+2..m are stored.  State keys
@@ -298,8 +306,8 @@ def test_sigma_gen_matches_flat_reference(cap, inflate, rng):
     keys: dict = {}
     for n in (2, 3, 4, 5):
         for me in range(n):
-            new = SigmaGen(me, n, _cap=cap, _pend_payload_inflate=inflate)
-            ref = FlatSigmaGen(me, n, _cap=cap, _pend_payload_inflate=inflate)
+            new = SigmaGen(me, n)
+            ref = FlatSigmaGen(me, n)
             for m in range(1, 4 * n + 4):
                 view, inbox = _random_gen_round(rng, n, me, m)
                 new.begin_round(view)

@@ -11,8 +11,9 @@ stops at the first world whose successors are already collected, which
 covers every later context only if equal keys have equal successors.  These
 tests check both instead of assuming them.
 The enumerator forks runs with ``StrategyMachine.clone``; the last test
-checks that every shipped machine's clone behaves as a deep copy and leaves
-the original untouched.
+checks that the clone of every shipped machine, deviation wrapper and
+scripted builtin candidate behaves as a deep copy and leaves the original
+untouched.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dynacct.evolving_graph import local_view
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                prop_punish)
 from dynacct.protocols import (ALL_NEIGHBORS, OneShotDeviation, RandSource,
-                               ScheduledDefector)
-from dynacct.scenarios import general_defaults, valuable_defaults
+                               ScheduledDefector, build_strategy)
+from dynacct.scenarios import builtin, general_defaults, valuable_defaults
 from dynacct.verifier import (SimConfig, _HashDraws, _phase, _play_round,
-                              build_machines, run_paired_defection)
+                              build_machines, run_paired_defection,
+                              strategy_context)
 
 from .test_verifier import mixed_degree_family
 
@@ -220,44 +222,72 @@ def _one_shot(base):
     return OneShotDeviation(base, lambda v: v.round == 5, {"defect": "all"})
 
 
-# case -> (honest strategy, wrapper around agent 0's machine)
-CLONE_CASES = {name: (name, None) for name in SHIPPED}
+def _shipped(name, wrap=None):
+    """Every agent of the mixed-degree family plays ``name``, agent 0
+    inside ``wrap`` if given."""
+    def setup():
+        cfg = shipped_cfg(name, 30)
+        machines = build_machines(cfg)
+        if wrap is not None:
+            machines[0] = wrap(machines[0])
+        return cfg, machines, 0, name
+    return setup
+
+
+def _candidate(scenario):
+    """A builtin scenario's honest profile with its candidate deviation
+    installed, as the verifier builds it."""
+    def setup():
+        sc = builtin(scenario)
+        cfg = sc.sim_config(horizon=30)
+        spec = dict(sc.candidates[0])
+        me = spec.pop("agent")
+        machines = build_machines(cfg)
+        machines[me] = build_strategy({"deviation": spec},
+                                      strategy_context(cfg, me))
+        return cfg, machines, me, spec["base"]["strategy"]
+    return setup
+
+
+# case -> setup: (config, machines, the agent under test, its base strategy)
+CLONE_CASES = {name: _shipped(name) for name in SHIPPED}
 CLONE_CASES.update({
-    "scheduled_defector(sigma_gen)": ("sigma_gen", _scheduled),
-    "scheduled_defector(unsafe_scripted)": ("unsafe_scripted", _scheduled),
-    "one_shot(sigma_gen)": ("sigma_gen", _one_shot),
+    "scheduled_defector(sigma_gen)": _shipped("sigma_gen", _scheduled),
+    "scheduled_defector(unsafe_scripted)": _shipped("unsafe_scripted",
+                                                    _scheduled),
+    "one_shot(sigma_gen)": _shipped("sigma_gen", _one_shot),
+    "dual_evasive_fig2": _candidate("fig2_ambiguous"),
+    "lenient_evasive_unsafe": _candidate("unsafe_three_agent"),
 })
 
 
 @pytest.mark.parametrize("case", sorted(CLONE_CASES))
 def test_clone_is_an_independent_deepcopy(case, rng):
-    # agent 0's machine mid-run, after agent 1 defected at round 1 (and, for
-    # the scheduled defector, after its own defection at round 2); driving
-    # the clone must not reach the original through a shared container
-    name, wrap = CLONE_CASES[case]
-    cfg = shipped_cfg(name, 30)
+    # the machine under test mid-run, after agent 1 defected at round 1
+    # (and, for the scheduled defector, after its own defection at round 2);
+    # driving the clone must not reach the original through a shared
+    # container.  A scripted candidate's clone shares its shadow world, so
+    # the original must also read that world at its own round
+    cfg, machines, me, name = CLONE_CASES[case]()
     n, graph = cfg.family.n, cfg.graph
-    machines = build_machines(cfg)
-    if wrap is not None:
-        machines[0] = wrap(machines[0])
     override = (1, 1, {j: "defect" for j in graph.at(1).neighbors(1)})
     draws = _HashDraws(rng.randrange(10 ** 6))
     m = 3
     for t in range(1, m):
         _play_round(graph, cfg.family.observation, machines, cfg.params, t,
                     draws, override)
-    mach = machines[0]
+    mach = machines[me]
     if name != "always_defect":
-        assert mach.snapshot() != build_machines(cfg)[0].snapshot()
-    inboxes = [_random_inbox(rng, name, graph.at(m + s).neighbors(0), n)
+        assert mach.snapshot() != build_machines(cfg)[me].snapshot()
+    inboxes = [_random_inbox(rng, name, graph.at(m + s).neighbors(me), n)
                for s in range(n * n + 2)]
     # forked before round m, and after its begin_round as the enumerator does
     for begun in (False, True):
         if begun:
-            mach.begin_round(local_view(graph, 0, m, cfg.family.observation))
-        snap, key = mach.snapshot(), mach.state_key(m)
+            mach.begin_round(local_view(graph, me, m, cfg.family.observation))
+        before = (mach.snapshot(), mach.state_key(m), mach.is_quiescent())
         clone = mach.clone()
         assert clone is not mach
         assert (_drive(clone, m, cfg, inboxes, begun)
                 == _drive(copy.deepcopy(mach), m, cfg, inboxes, begun))
-        assert mach.snapshot() == snap and mach.state_key(m) == key
+        assert (mach.snapshot(), mach.state_key(m), mach.is_quiescent()) == before

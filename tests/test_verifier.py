@@ -9,7 +9,8 @@ import pytest
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph)
-from dynacct.game_core import ActionKind, Mode, UtilityParams, discounted_utility
+from dynacct.game_core import (COOPERATE, ActionKind, Mode, UtilityParams,
+                               discounted_utility)
 from dynacct.protocols import ALL_NEIGHBORS, always_defect_until
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
@@ -20,7 +21,7 @@ from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
                               monte_carlo_utility, run_paired_defection,
                               simulate, verify_cooperation, verify_one_shot)
 
-from .oracles import build_branch_tree
+from .oracles import FlatSigmaGen, build_branch_tree
 
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -81,6 +82,26 @@ def test_simulate_punishments_inside_window():
         is ActionKind.PUNISH}
     assert punish_rounds
     assert all(1 < m <= 1 + n * n for m in punish_rounds)
+
+
+def test_action_toward_a_non_neighbour_is_refused():
+    # agent 2 of the 4-ring acts toward itself as well as its neighbours;
+    # the profile check names the first such agent, its keys and neighbours
+    from dynacct.protocols import SigmaGen
+
+    class ActsTowardItself(SigmaGen):
+        def act(self, rand):
+            out = super().act(rand)
+            out[self.me] = COOPERATE
+            return out
+
+    cfg = builtin("ring_connectivity").sim_config(horizon=3)
+    machines = build_machines(cfg)
+    machines[2] = ActsTowardItself(2, 4)
+    with pytest.raises(ValueError) as exc:
+        _simulate_machines(cfg, machines)
+    assert str(exc.value) == (
+        "agent 2 round 1: action keys [1, 2, 3] != neighbours [1, 3]")
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +688,24 @@ def test_world_table_counts_reused_leaves_against_the_cap():
     assert exc.value.leaves == most - 1 and 1 <= exc.value.round <= 10
 
 
+def test_world_keys_stop_before_the_horizon(monkeypatch):
+    # at the horizon no valued world can be read (every stored offset is at
+    # least 1) or written (every branch from there is cut), so no world key
+    # is computed there
+    from dynacct import verifier
+    world_key = verifier._world_key
+    rounds = []
+
+    def recording(graph, machines, m):
+        rounds.append(m)
+        return world_key(graph, machines, m)
+
+    monkeypatch.setattr(verifier, "_world_key", recording)
+    cfg = gen_cfg(mixed_degree_family(), horizon=9)
+    verify_one_shot(cfg, 0, robust_depth=2)
+    assert rounds and max(rounds) < cfg.horizon
+
+
 def test_verify_one_shot_gain_strictly_negative_for_defection():
     fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),), ND, 8)
     cfg = SimConfig(family=fam, member="k3",
@@ -776,8 +815,8 @@ def test_assert_gen_facts_detects_uncapped_mutant():
     conform = _simulate_machines(cfg, {a: SigmaGen(a, 4) for a in range(4)})
 
     def mutated():
-        ms = {a: SigmaGen(a, 4, _cap=False) for a in range(4)}
-        ms[1] = SigmaGen(1, 4, _cap=False, _pend_payload_inflate=9)
+        ms = {a: FlatSigmaGen(a, 4, _cap=False) for a in range(4)}
+        ms[1] = FlatSigmaGen(1, 4, _cap=False, _pend_payload_inflate=9)
         ms[0] = ScheduledDefector(ms[0], {2: ALL_NEIGHBORS}, sincere=True)
         return ms
 
