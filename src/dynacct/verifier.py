@@ -759,7 +759,6 @@ class _OneShotChecker:
         self.n = cfg.family.n
         self.params = cfg.params
         self.horizon = cfg.horizon
-        self.checks = 0
         self.results: list[tuple[Fraction, Fraction, dict]] = []
         # each exact tail once: i's cooperative tails by start round, and
         # tolerances by remaining horizon
@@ -827,7 +826,6 @@ class _OneShotChecker:
             else:
                 gain = self._continuation_eu(machines, m2, pattern) - conform
             tol = self._tolerance(self.horizon - m2)
-            self.checks += 1
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
                 "override": {str(j): o for j, o in sorted(pattern.items())},
@@ -849,7 +847,6 @@ class _OneShotChecker:
         m_dev = getattr(machine, "first_deviation_round", None) or 1
         gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
         tol = self._tolerance(self.horizon - m_dev)
-        self.checks += 1
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",
             "override": getattr(machine, "label", type(machine).__name__),
@@ -919,7 +916,7 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     gain, tol, witness = max(pool, key=lambda r: (
         margin(r), r[2]["origin"] == "candidate"))
     return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
-                             verdict=verdict, checks=checker.checks)
+                             verdict=verdict, checks=len(results))
 
 
 class _Uncooperative(Exception):

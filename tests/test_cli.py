@@ -236,6 +236,16 @@ def test_verify_config_rejected_exit_two(tmp_path, capsys):
     assert code == 2 and "beta" in err
 
 
+def test_verify_dual_evasive_groups_not_partition_exit_two(tmp_path, capsys):
+    doc = builtin("fig2_ambiguous").to_json()
+    doc["candidates"][0]["group2"] = [2, 3, 4]   # 2 is in group1 as well
+    path = tmp_path / "overlap_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--scenario", str(path),
+                              "--horizon", "9"], capsys)
+    assert code == 2 and not out and "partition" in err
+
+
 def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):
     from tests.test_verifier import mixed_degree_family
     sc = builtin("ring_connectivity")

@@ -256,28 +256,32 @@ def test_sigma_gen_cap_removal_detected():
         assert ok == expect_ok
 
 
-def _flat_payload(payload):
-    """A round-indexed SigmaGen payload in the flat reference's wire form."""
+def _flat_payload(payload, n):
+    """A SigmaGen payload in the flat reference's wire form: each known bit
+    of its report masks as a ((victim, sender, round), report) item."""
     if payload is None:
         return None
     return {"pend": tuple(payload["pend"]),
-            "acc": tuple(sorted(item for table in payload["acc"].values()
-                                for item in table.items()))}
+            "acc": tuple(sorted(((*divmod(b, n), r),
+                                 "bad" if bad >> b & 1 else "good")
+                                for r, (known, bad) in payload["acc"].items()
+                                for b in range(n * n) if known >> b & 1))}
 
 
-def _random_gen_payload(rng, n, m):
-    """Arbitrary gossip: any subject, residue and count in pend; reports by
-    and about anyone (self-claims, s == v, the receiver's own) for rounds
-    inside and outside the receiver's window."""
+def _random_gen_payload(rng, n, me, m):
+    """Arbitrary gossip: any subject, residue and count in pend; report
+    masks by and about anyone (self-claims, s == v, often the receiver's own
+    row) for rounds inside and outside the receiver's window, with bad bits
+    that have no known bit."""
     pend = tuple(sorted(((s, c), rng.randint(0, n + 1))
                         for s in range(n) for c in range(n)
                         if rng.random() < 0.3))
     acc: dict = {}
     for r in range(m - n - 1, m + 2):
-        for v in range(n):
-            for s in range(n):
-                if rng.random() < 0.2:
-                    acc.setdefault(r, {})[(v, s, r)] = rng.choice(["good", "bad"])
+        known = sum(1 << b for b in range(n * n) if rng.random() < 0.2)
+        if rng.random() < 0.5:
+            known |= rng.getrandbits(n) << (me * n)
+        acc[r] = (known, rng.getrandbits(n * n))
     return {"pend": pend, "acc": acc}
 
 
@@ -292,17 +296,19 @@ def _random_gen_round(rng, n, me, m):
     for j in nbrs:
         a = rng.choice([COOPERATE, PUNISH, DEFECT])
         pay = (None if a is DEFECT or rng.random() < 0.1
-               else _random_gen_payload(rng, n, m))
+               else _random_gen_payload(rng, n, me, m))
         inbox[j] = (a, pay)
     return view, inbox
 
 
 def test_sigma_gen_matches_flat_reference(rng):
-    # the round-indexed machine and the flat-dict reference, fed identical
-    # random rounds, act, draw, send and store identically; after
-    # end_round(m) only the window rounds m-n+2..m are stored.  State keys
-    # are equal exactly when the reference's frozenset keys are
-    draws = tallies = 0
+    # the mask machine and the flat-dict reference, fed identical random
+    # rounds, act, draw, send and store identically; after end_round(m) only
+    # the window rounds m-n+2..m are stored.  State keys are equal exactly
+    # when the reference's frozenset keys are.  Gossip bad bits without a
+    # known bit (which the reference never sees) and reports in the
+    # receiver's own row reach the merge window, and both are ignored
+    draws = tallies = stray_bad = own_row = 0
     keys: dict = {}
     for n in (2, 3, 4, 5):
         for me in range(n):
@@ -310,10 +316,15 @@ def test_sigma_gen_matches_flat_reference(rng):
             ref = FlatSigmaGen(me, n)
             for m in range(1, 4 * n + 4):
                 view, inbox = _random_gen_round(rng, n, me, m)
+                for _, p in inbox.values():
+                    for r, (known, bad) in (p["acc"].items() if p else ()):
+                        if m - n + 1 <= r < m:
+                            stray_bad += bool(bad & ~known)
+                            own_row += bool(known >> me * n & (1 << n) - 1)
                 new.begin_round(view)
                 ref.begin_round(view)
                 for j in sorted(view.neighbors):
-                    assert _flat_payload(new.payload_for(j)) == ref.payload_for(j)
+                    assert _flat_payload(new.payload_for(j), n) == ref.payload_for(j)
                 seed = rng.randrange(10 ** 6)
                 r_new, r_ref = _RecordingRand(seed), _RecordingRand(seed)
                 act = new.act(r_new)
@@ -321,7 +332,7 @@ def test_sigma_gen_matches_flat_reference(rng):
                 assert r_new.log == r_ref.log
                 draws += len(r_ref.log)
                 new.end_round(act, inbox)
-                ref.end_round(act, {j: (a, _flat_payload(p))
+                ref.end_round(act, {j: (a, _flat_payload(p, n))
                                     for j, (a, p) in inbox.items()})
                 assert new.snapshot() == ref.snapshot()
                 key, flat = new.state_key(m + 1), ref.state_key(m + 1)
@@ -332,6 +343,7 @@ def test_sigma_gen_matches_flat_reference(rng):
                 assert set(new.acc) <= set(range(m - n + 2, m + 1))
                 tallies += len(ref.pend)
     assert draws > 0 and tallies > 0   # punishments were drawn and tallied
+    assert stray_bad > 0 and own_row > 0
     assert all(len(flats) == 1 for flats in keys.values())
     assert len(set().union(*keys.values())) == len(keys)
 
@@ -350,7 +362,7 @@ def test_sigma_gen_payloads_are_isolated(rng):
                                  {1: 2, 2: 2, 3: 2}))
     snap = sender.snapshot()
     p1, p2 = sender.payload_for(1), sender.payload_for(2)
-    want = _flat_payload(p2)
+    want = _flat_payload(p2, n)
     assert want["acc"] and p1["acc"] is not p2["acc"]
     for r, table in p1["acc"].items():
         with pytest.raises(TypeError):
@@ -360,12 +372,12 @@ def test_sigma_gen_payloads_are_isolated(rng):
     p1["pend"] = (((1, 0), 3),)
     p1.clear()
     assert sender.snapshot() == snap
-    assert _flat_payload(p2) == want
-    assert _flat_payload(sender.payload_for(3)) == want
+    assert _flat_payload(p2, n) == want
+    assert _flat_payload(sender.payload_for(3), n) == want
     _, inbox = _random_gen_round(rng, n, 0, 4)
     sender.end_round(sender.act(_RecordingRand(4)),
                      {j: inbox.get(j, (COOPERATE, None)) for j in (1, 2, 3)})
-    assert sender.snapshot() != snap and _flat_payload(p2) == want
+    assert sender.snapshot() != snap and _flat_payload(p2, n) == want
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +525,6 @@ def test_dual_evasive_unfired_script_is_honest():
     shadow = _ShadowWorld(cfg.graph, cfg.family.observation,
                           {a: ctx.honest(a) for a in range(5)})
     machines[0] = DualEvasiveFig2(ctx.honest(0), shadow, cfg.graph,
-                                  group1=frozenset([1, 2]),
                                   group2=frozenset([3, 4]),
                                   defect_target=1, defect_round=0)
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
@@ -527,6 +538,19 @@ def test_dual_evasive_wrong_member_refused():
     cfg = sc.sim_config(horizon=9)
     with pytest.raises(StrategyConfigError):
         _simulate_machines(cfg, _dual_machines(cfg, sc))
+
+
+@pytest.mark.parametrize("group1, group2", [([1, 2], [2, 3, 4]),   # overlap
+                                            ([1, 2], [3])])         # 4 in none
+def test_dual_evasive_groups_must_partition_the_others(group1, group2):
+    from dynacct.protocols import build_deviation
+    sc = builtin("fig2_ambiguous")
+    cfg = sc.sim_config(horizon=9)
+    spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
+    build_deviation(spec, strategy_context(cfg, 0))   # the builtin split loads
+    with pytest.raises(StrategyConfigError, match="partition"):
+        build_deviation(dict(spec, group1=group1, group2=group2),
+                        strategy_context(cfg, 0))
 
 
 def _unsafe_runs(lenient: bool):

@@ -93,9 +93,10 @@ def _relative(payload, m, n):
     if "pend" in payload:     # bounded tallies: residues mod n, report rounds
         return {"pend": sorted(((s, (c - m) % n), v)
                                for (s, c), v in payload["pend"]),
-                "acc": sorted(((v, s, m - r), val)
-                              for table in payload["acc"].values()
-                              for (v, s, r), val in table.items())}
+                "acc": sorted(((*divmod(b, n), m - r),
+                               "bad" if bad >> b & 1 else "good")
+                              for r, (known, bad) in payload["acc"].items()
+                              for b in range(n * n) if known >> b & 1)}
     return {"acc": sorted((s, m - r) for s, r in payload["acc"])}
 
 
@@ -103,9 +104,11 @@ def _absolute(rel, m, n):
     if rel is None:
         return None
     if "pend" in rel:
-        acc: dict = {}   # round -> {(victim, sender, round): report}
+        acc: dict = {}   # round -> (known, bad) masks, bit victim*n + sender
         for (v, s, k), val in rel["acc"]:
-            acc.setdefault(m - k, {})[(v, s, m - k)] = val
+            known, bad = acc.get(m - k, (0, 0))
+            bit = 1 << (v * n + s)
+            acc[m - k] = (known | bit, bad | bit if val == "bad" else bad)
         return {"pend": sorted(((s, (m + d) % n), v) for (s, d), v in rel["pend"]),
                 "acc": acc}
     return {"acc": sorted((s, m - k) for s, k in rel["acc"])}
