@@ -124,6 +124,12 @@ class EvolvingGraph:
             return self.prefix[m - 1]
         return self.cycle[(m - len(self.prefix) - 1) % len(self.cycle)]
 
+    @cached_property
+    def _crossing(self) -> dict[AgentId, dict[int, frozenset[int]]]:
+        """Agent i -> each i-edge endpoint's crossing component, filled by
+        ``_crossing_of`` on first use."""
+        return {}
+
 
 def graph_at(g: EvolvingGraph, m: int) -> RoundGraph:
     """Round-m communication graph (prefix then cyclically repeating)."""
@@ -143,11 +149,6 @@ class LocalView:
     round: int
     neighbors: frozenset[int]
     neighbor_degrees: Optional[Mapping[int, int]] = None
-
-    def same_information(self, other: "LocalView") -> bool:
-        if self.neighbors != other.neighbors:
-            return False
-        return self.neighbor_degrees == other.neighbor_degrees
 
 
 def local_view(g: EvolvingGraph, i: AgentId, m: int,
@@ -261,7 +262,24 @@ def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
     without i mediating.  The original partner j counts (it knows first-hand)."""
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
-    pos: set[tuple[AgentId, int]] = set()
+    return {(l, mp) for mp, reached in _reach_without(g, i, j, m, until)
+            for l in g.at(mp).neighbors(i) if l in reached}
+
+
+def _first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
+                       until: int) -> Optional[int]:
+    """First round of a punishment opportunity for the i-edge (j, m) within
+    ``until``, or None."""
+    for mp, reached in _reach_without(g, i, j, m, until):
+        if not reached.isdisjoint(g.at(mp).neighbors(i)):
+            return mp
+    return None
+
+
+def _reach_without(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
+                   until: int) -> Iterable[tuple[int, set[int]]]:
+    """(mp, agents holding (j, m)'s information at the start of round mp)
+    for mp in (m, until], with i neither relaying nor receiving."""
     reached = {j}
     for mp in range(m + 1, until + 1):
         rg_prev = g.at(mp - 1)
@@ -271,10 +289,7 @@ def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
                 if b != i and b not in reached:
                     added.add(b)
         reached |= added
-        for l in g.at(mp).neighbors(i):
-            if l in reached:
-                pos.add((l, mp))
-    return pos
+        yield mp, reached
 
 
 def po_set(g: EvolvingGraph, i: AgentId, rho: int, m: int) -> set[tuple[AgentId, int]]:
@@ -293,36 +308,53 @@ def po_set(g: EvolvingGraph, i: AgentId, rho: int, m: int) -> set[tuple[AgentId,
 # Family checks
 # ---------------------------------------------------------------------------
 
-def check_timely_punishments(f: GraphFamily, rho: int) -> FamilyVerdict:
-    """Every i-edge (j, m) must have a punishment opportunity strictly
-    before round m + rho, in every member and for every agent."""
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
+def _family_i_edges(
+        f: GraphFamily,
+) -> Iterable[tuple[int, EvolvingGraph, AgentId, AgentId, int]]:
+    """(member index, member, i, j, m) for every i-edge (j, m) up to the
+    horizon, by member, round, i, then j."""
     for gi, g in enumerate(f.members):
         for m in range(1, f.horizon + 1):
             rg = g.at(m)
             for i in range(f.n):
                 for j in sorted(rg.neighbors(i)):
-                    if not punishment_opportunities(g, i, j, m, m + rho - 1):
-                        return FamilyVerdict(
-                            holds=False,
-                            counterexample={"member": g.name or gi, "agent": i,
-                                            "edge": [j, m]})
+                    yield gi, g, i, j, m
+
+
+def check_timely_punishments(f: GraphFamily, rho: int) -> FamilyVerdict:
+    """Every i-edge (j, m) must have a punishment opportunity strictly
+    before round m + rho, in every member and for every agent."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+    for gi, g, i, j, m in _family_i_edges(f):
+        if _first_opportunity(g, i, j, m, m + rho - 1) is None:
+            return FamilyVerdict(
+                holds=False,
+                counterexample={"member": g.name or gi, "agent": i,
+                                "edge": [j, m]})
     return FamilyVerdict(holds=True, certificate=rho)
 
 
 def timely_certificate(f: GraphFamily, rho_max: Optional[int] = None) -> Optional[int]:
-    """Smallest rho in [1, rho_max] passing the timeliness check, if any.
+    """Smallest rho in [1, rho_max] passing the timeliness check, or None.
 
-    Search mode for callers with no candidate bound; the returned minimum is
-    a valid certificate but is not asserted to be canonical across encodings
-    of the same family.
+    ``rho_max`` defaults to the family horizon.  rho passes exactly when it
+    is at least first - m + 1 for every i-edge (j, m) up to the horizon,
+    where first is the round of the edge's first punishment opportunity.
+    So the result is the maximum of that delay over all i-edges (1 with no
+    edges), from one scan, and None when some edge has no opportunity
+    within rho_max.
     """
     limit = rho_max if rho_max is not None else f.horizon
-    for rho in range(1, limit + 1):
-        if check_timely_punishments(f, rho).holds:
-            return rho
-    return None
+    if limit < 1:
+        return None
+    rho = 1
+    for _, g, i, j, m in _family_i_edges(f):
+        first = _first_opportunity(g, i, j, m, m + limit - 1)
+        if first is None:
+            return None
+        rho = max(rho, first - m + 1)
+    return rho
 
 
 def _connected_without(rg: RoundGraph, i: AgentId) -> bool:
@@ -363,29 +395,32 @@ def check_connectivity_restriction(f: GraphFamily) -> FamilyVerdict:
 # Indistinguishability
 # ---------------------------------------------------------------------------
 
-def _influence_cone(g: EvolvingGraph, i: AgentId, m: int, mp: int) -> frozenset[int]:
-    """Agents whose round-mp information can sit inside i's round-m
-    information.  At mp == m only i's own view has arrived."""
-    if mp == m:
-        return frozenset([i])
-    cone = {j for j in range(g.n)
-            if j == i or i in _reach_frontier(g, [j], mp, m)}
-    return frozenset(cone)
-
-
 def indistinguishable_at(g: EvolvingGraph, g2: EvolvingGraph, i: AgentId,
                          m: int, obs: ObservationModel) -> bool:
     """Whether i's round-m information cannot separate the two graphs:
     identical influence cones at every earlier round, and identical local
-    views for every agent in the cone."""
+    views for every agent in the cone.
+
+    The round-t cone holds the agents whose round-t information can sit
+    inside i's round-m information.  One backward sweep yields them all:
+    the round-m cone is {i}, and the round-t cone adds the round-t
+    neighbours of the round-(t+1) cone.  Those neighbours are part of the
+    views compared at round t, so while the views agree both graphs grow
+    the same cone, and the sweep grows it once, in g.
+    """
     if g.n != g2.n:
         raise ValueError("graphs must share the same agent count")
-    for mp in range(1, m + 1):
-        cone = _influence_cone(g, i, m, mp)
-        if cone != _influence_cone(g2, i, m, mp):
-            return False
-        for j in sorted(cone):
-            if not local_view(g, j, mp, obs).same_information(local_view(g2, j, mp, obs)):
+    degrees = obs is ObservationModel.NEIGHBORS_AND_DEGREES
+    cone = {i}
+    for t in range(m, 0, -1):
+        rg, rg2 = g.at(t), g2.at(t)
+        if t < m:
+            cone = cone.union(*(rg.neighbors(a) for a in cone))
+        for a in cone:
+            nbrs = rg.neighbors(a)
+            if nbrs != rg2.neighbors(a):
+                return False
+            if degrees and any(rg.degree(b) != rg2.degree(b) for b in nbrs):
                 return False
     return True
 
@@ -526,6 +561,16 @@ def _i_edge_endpoint_rounds(g: EvolvingGraph, i: AgentId) -> dict[int, list[int]
     return out
 
 
+def _crossing_of(g: EvolvingGraph, i: AgentId) -> dict[int, frozenset[int]]:
+    """Each i-edge endpoint's crossing component, built once per graph and
+    agent: neither depends on the edge being asked about."""
+    memo = g._crossing
+    if i not in memo:
+        comps = _crossing_components(g, i, _i_edge_endpoint_rounds(g, i))
+        memo[i] = {a: c for c in map(frozenset, comps) for a in c}
+    return memo[i]
+
+
 def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
                     m: int, partition_cap: int = PARTITION_SEARCH_CAP,
                     ) -> Optional[tuple[EvolvingGraph, tuple[set[int], set[int]]]]:
@@ -542,19 +587,15 @@ def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
     for cand in f.members:
         if not indistinguishable_at(cand, g, i, m, f.observation):
             continue
-        endpoint_rounds = _i_edge_endpoint_rounds(cand, i)
-        if j not in endpoint_rounds:
+        comp = _crossing_of(cand, i)
+        if j not in comp:
             continue
-        comps = _crossing_components(cand, i, endpoint_rounds)
-        comp_of = {a: ci for ci, comp in enumerate(comps) for a in comp}
+        # i's partners before round m must all fall outside j's half
         pre = {l for mp in range(1, m) for l in cand.at(mp).neighbors(i)}
-        if j in pre or (j in comp_of and any(comp_of.get(p) == comp_of[j] for p in pre)):
+        if not pre.isdisjoint(comp[j]):
             continue
-        n2 = set(comps[comp_of[j]]) if j in comp_of else {j}
-        n1 = set(range(f.n)) - {i} - n2
-        if any(p not in n1 for p in pre):
-            continue
-        return (cand, (n1, n2))
+        n2 = set(comp[j])
+        return (cand, (set(range(f.n)) - {i} - n2, n2))
     return None
 
 

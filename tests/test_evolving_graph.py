@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dynacct.evolving_graph import (EvolvingGraph, FamilyFormatError,
                                     GraphFamily, ObservationModel,
                                     PartitionSearchRefused, RoundGraph,
+                                    _stable_reach_with_joins,
                                     causally_influences,
                                     causally_influences_excluding,
                                     check_connectivity_restriction,
@@ -24,7 +25,7 @@ from dynacct.scenarios import (_fig2_family, _fig3_family, _ring_family,
                                _timely_violation_family, _unsafe_family,
                                complete_graph, ring_graph)
 
-from .conftest import random_evolving_graph, random_family
+from .conftest import random_evolving_graph, random_family, random_round_graph
 from . import oracles
 
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -231,6 +232,24 @@ def test_timely_matches_oracle(rng):
             assert v.counterexample == witness
 
 
+def test_timely_certificate_is_smallest_passing_rho(rng):
+    # the one-scan certificate against a search of the oracle over rho
+    fams = [random_family(rng, n=rng.randint(2, 4), members=rng.randint(1, 2),
+                          horizon=8) for _ in range(12)]
+    fams.append(GraphFamily(3, (EvolvingGraph((), (rg(3),), "empty"),), NO, 6))
+    fams.append(GraphFamily(2, (EvolvingGraph((rg(2), rg(2)), (rg(2),), "a"),
+                                EvolvingGraph((), (rg(2), rg(2)), "b")), ND, 5))
+    certificates = set()
+    for fam in fams:
+        passing = [rho for rho in range(1, fam.horizon + 1)
+                   if oracles.oracle_timely(fam, rho) is None]
+        for rho_max in range(0, fam.horizon + 1):
+            want = next((rho for rho in passing if rho <= rho_max), None)
+            assert timely_certificate(fam, rho_max) == want, rho_max
+        certificates.add(timely_certificate(fam))
+    assert {None, 1} < certificates and max(certificates - {None}) > 2
+
+
 # ---------------------------------------------------------------------------
 # connectivity restriction
 # ---------------------------------------------------------------------------
@@ -318,6 +337,33 @@ def test_indistinguishable_symmetric_and_matches_oracle(rng):
             lhs = indistinguishable_at(a, b, i, m, obs)
             assert lhs == indistinguishable_at(b, a, i, m, obs)
             assert lhs == oracles.oracle_indistinguishable_at(a, b, i, m, obs)
+
+
+def test_indistinguishable_deep_rounds_match_oracle(rng):
+    # pairs that differ in one round graph, prefix of at least 2 rounds, and
+    # every m up to the horizon: the backward sweep reaches the prefix
+    answers = set()
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        prefix = tuple(random_round_graph(rng, n)
+                       for _ in range(rng.randint(2, 4)))
+        cycle = tuple(random_round_graph(rng, n)
+                      for _ in range(rng.randint(1, 3)))
+        rounds = list(prefix + cycle)
+        rounds[rng.randrange(len(rounds))] = random_round_graph(rng, n)
+        a = EvolvingGraph(prefix, cycle, "a")
+        b = EvolvingGraph(tuple(rounds[:len(prefix)]),
+                          tuple(rounds[len(prefix):]), "b")
+        horizon = a.period + len(cycle)
+        for i in range(n):
+            for m in range(1, horizon + 1):
+                for obs in (NO, ND):
+                    lhs = indistinguishable_at(a, b, i, m, obs)
+                    assert lhs == oracles.oracle_indistinguishable_at(
+                        a, b, i, m, obs), (i, m, obs)
+                    answers.add((lhs, m > 5))
+    assert answers == {(False, False), (False, True), (True, False),
+                       (True, True)}
 
 
 def test_indistinguishable_round_fig3():
@@ -413,6 +459,53 @@ def test_ambiguous_po_vacuous_prior_edges_at_round_one():
     assert w is not None
     cand, (n1, n2) = w
     assert 1 in n2 and n1 | n2 == {1, 2, 3}
+
+
+def test_ambiguous_po_same_on_fresh_and_reused_members(rng):
+    # members keep their crossing components per agent across queries; a
+    # reused family asked in shuffled order, with every returned partition
+    # mutated, answers as fresh members asked one edge each
+    witnesses = 0
+    for _ in range(12):
+        doc = family_to_dict(random_family(
+            rng, n=rng.randint(3, 4), members=rng.randint(1, 3), horizon=10))
+        reused = family_from_dict(doc)
+        edges = [(k, i, j, m) for k, g in enumerate(reused.members)
+                 for m in range(1, 5) for i in range(reused.n)
+                 for j in sorted(g.at(m).neighbors(i))]
+        got = {}
+        for (k, i, j, m) in rng.sample(edges, len(edges)):
+            w = is_ambiguous_po(reused, reused.members[k], i, j, m)
+            got[k, i, j, m] = w and (w[0].name, (set(w[1][0]), set(w[1][1])))
+            if w is not None:
+                w[1][0].add(i)
+                w[1][1].clear()
+        for (k, i, j, m) in edges:
+            fresh = family_from_dict(doc)
+            w = is_ambiguous_po(fresh, fresh.members[k], i, j, m)
+            assert got[k, i, j, m] == (w and (w[0].name, w[1])), (k, i, j, m)
+            witnesses += w is not None
+    assert witnesses > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 0")
+def test_reach_stabilisation_scans_a_cycle_after_the_prefix():
+    # family seed 1, family 79 of the benchmark pool: in g2 the last prefix
+    # round is quiet and the 1-round cycle carries 0's information to 2 at
+    # round 4, so 2 joins at round 5 and then meets 1 at every round
+    fam = GraphFamily(3, (
+        EvolvingGraph((rg(3, (0, 1), (1, 2)),),
+                      (rg(3, (1, 2)), rg(3, (0, 1)), rg(3, (0, 2))), "g0"),
+        EvolvingGraph((rg(3, (0, 1), (0, 2), (1, 2)), rg(3, (0, 1), (0, 2)),
+                       rg(3, (0, 1))), (rg(3, (0, 2), (1, 2)),), "g1"),
+        EvolvingGraph((rg(3, (1, 2)), rg(3, (0, 1)), rg(3)),
+                      (rg(3, (0, 2), (1, 2)),), "g2"),
+    ), NO, 12)
+    g2 = fam.member("g2")
+    joins, _ = _stable_reach_with_joins(g2, 0, 2, exclude=1)
+    assert joins.get(2) == 5
+    assert oracles.oracle_ambiguous_po(fam, g2, 1, 0, 2) is None
+    assert is_ambiguous_po(fam, g2, 1, 0, 2) is None
 
 
 def test_unsafe_three_agent_witness():

@@ -349,9 +349,10 @@ def test_sigma_gen_matches_flat_reference(rng):
 
 
 def test_sigma_gen_payloads_are_isolated(rng):
-    # neighbours share the sender's per-round tables read-only: mutating one
-    # received payload reaches neither the sender nor another receiver, and
-    # the sender's next round leaves a sent payload as it was
+    # each payload is a fresh ``acc`` dict of immutable (known, bad) int
+    # pairs: mutating one received payload reaches neither the sender nor
+    # another receiver, and the sender's next round leaves a sent payload as
+    # it was
     n = 4
     sender = SigmaGen(0, n)
     for m in range(1, 4):
@@ -364,9 +365,9 @@ def test_sigma_gen_payloads_are_isolated(rng):
     p1, p2 = sender.payload_for(1), sender.payload_for(2)
     want = _flat_payload(p2, n)
     assert want["acc"] and p1["acc"] is not p2["acc"]
-    for r, table in p1["acc"].items():
-        with pytest.raises(TypeError):
-            table[(1, 2, r)] = "bad"
+    for r, pair in p1["acc"].items():
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(mask) is int for mask in pair)
         p1["acc"][r] = {(1, 2, r): "bad"}
     p1["acc"][99] = {}
     p1["pend"] = (((1, 0), 3),)
