@@ -436,14 +436,26 @@ def is_indistinguishable_round(
     """
     if g not in f.members:
         raise ValueError("g must be a family member")
+    return _indistinguishable_round(f, f.members.index(g), i, rho, m, {})
+
+
+def _indistinguishable_round(f: GraphFamily, gi: int, i: AgentId, rho: int,
+                             m: int, pos_by_agent: dict):
+    """``is_indistinguishable_round`` for member ``gi``.  i's PO sets at
+    round m in every member do not depend on the member checked:
+    ``pos_by_agent`` keeps them by agent, for one m and rho, computed on
+    first use."""
+    g = f.members[gi]
     k = g.at(m).degree(i)
     if k == 0:
         return None
-    po_g = po_set(g, i, rho, m)
+    if i not in pos_by_agent:
+        pos_by_agent[i] = [po_set(cand, i, rho, m) for cand in f.members]
+    pos_all = pos_by_agent[i]
+    po_g = pos_all[gi]
     member_pos = {}
     member_ok = {}
-    for cand in f.members:
-        pos = po_set(cand, i, rho, m)
+    for cand, pos in zip(f.members, pos_all):
         member_pos[cand.name] = pos
         member_ok[cand.name] = all(
             indistinguishable_at(cand, g, j, mp, f.observation) for (j, mp) in pos)
@@ -463,9 +475,10 @@ def check_eventual_distinguishability(f: GraphFamily, rho: int,
     if m_star > f.horizon:
         raise ValueError("m_star must not exceed the family horizon")
     for m in range(m_star + 1, f.horizon + 1):
+        pos_by_agent: dict = {}
         for gi, g in enumerate(f.members):
             for i in range(f.n):
-                w = is_indistinguishable_round(f, g, i, rho, m)
+                w = _indistinguishable_round(f, gi, i, rho, m, pos_by_agent)
                 if w is not None:
                     return FamilyVerdict(
                         holds=False,

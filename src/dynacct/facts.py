@@ -81,6 +81,12 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     Exact: tallies are compared as integers, expected punishment masses as
     rationals.  F2 and F6 presuppose a connectivity-restricted family (the
     dissemination arguments need it); on other families they fail honestly.
+
+    A snapshot that both traces hold as the same object (the deviating
+    trace shares the honest run's snapshots of rounds before m and, once
+    it has rejoined the honest run, of the rounds after, except the
+    deviator's relabelled ones) is equal in both: F3/F4 skip the pair, and
+    the bounded-state check reads it only in the conforming trace.
     """
     conform, deviate = paired
     n = cfg.family.n
@@ -154,9 +160,10 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # never travel through the deviator (senders cannot testify about
     # themselves), so these are exact; third-party gossip may lag one round
     # behind while the deviator's payload is suppressed and is not compared.
+    # A snapshot shared by both traces is equal to itself: skip it.
     for M in range(m, last + 1):
         for l in range(n):
-            if l == i:
+            if l == i or conform.state_log[(l, M)] is deviate.state_log[(l, M)]:
                 continue
             pc, pd = pend_c(l, M), pend_d(l, M)
             for key in sorted((set(pc) | set(pd))):
@@ -214,10 +221,14 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         elif params.pi * extra_in_window < params.beta * extra_in_window:
             facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
 
-    # boundedness: tallies inside [0, n-1], state within the static bound
+    # boundedness: tallies inside [0, n-1], state within the static bound;
+    # the deviating trace's snapshots shared with the conforming trace are
+    # checked there
     bound = SigmaGen.static_state_bound(n)
     for trace, pend_of in ((conform, pend_c), (deviate, pend_d)):
         for (l, M), snap in sorted(trace.state_log.items()):
+            if trace is deviate and conform.state_log.get((l, M)) is snap:
+                continue
             pend = pend_of(l, M)
             if any(v > n - 1 or v < 0 for v in pend.values()):
                 facts["bounded_state"] = (

@@ -18,10 +18,15 @@ Each job has exactly one implementation:
   platforms and thread counts); ``simulate`` runs the configured profile
   through it.
 * The honest run is simulated once per ``SimConfig`` (cached on the
-  immutable config) and checkpoints the machines at the start of every
-  round.  ``run_paired_defection`` returns it as the conforming trace, and
-  forks each deviating run from its round-m checkpoint: rounds 1..m-1 are
-  copied from the honest trace, only rounds m..horizon are played.
+  immutable config) and checkpoints the machines, with their
+  ``state_key``s, at the start of every round.  ``run_paired_defection``
+  returns it as the conforming trace, and forks each deviating run from
+  its round-m checkpoint: rounds 1..m-1 are copied from the honest trace,
+  and play from round m stops at the first later round M where every
+  machine's key equals the honest run's.  The deviating run has then
+  rejoined the honest run, and rounds M..horizon are copied from it.  The
+  draws are stateless, the views depend only on graph and round, and
+  ``state_key`` is complete, so the copies are exact.
 * ``_round_scripts`` collects the actions of every draw script of a round,
   with exact rational probabilities.  ``_Walk`` is its only caller and the
   only branch walker: a depth-first Bellman recursion ``V(w) = sum over
@@ -213,10 +218,12 @@ class _BoundRand(RandSource):
 # ---------------------------------------------------------------------------
 
 class _HonestRun(NamedTuple):
-    """The honest profile's seeded run: its trace with state log, and a fork
-    of the machines at the start of every round m (``checkpoints[m - 1]``)."""
+    """The honest profile's seeded run: its trace with state log, a fork of
+    the machines at the start of every round m (``checkpoints[m - 1]``) and
+    each fork's ``state_key(m)`` by agent (``keys[m - 1]``)."""
     trace: Trace
     checkpoints: list[dict[AgentId, StrategyMachine]]
+    keys: list[dict[AgentId, object]]
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,11 @@ class SimConfig:
         checkpoints: list = []
         trace = _simulate_machines(self, build_machines(self, honest_only=True),
                                    checkpoints=checkpoints)
-        return _HonestRun(trace, checkpoints)
+        # keyed on the checkpoints, which live as long as the keys: an
+        # ("opaque", id) key can never match a later machine's
+        keys = [{a: mach.state_key(m) for a, mach in machines.items()}
+                for m, machines in enumerate(checkpoints, 1)]
+        return _HonestRun(trace, checkpoints, keys)
 
 
 def _strip_deviation(spec) -> object:
@@ -390,27 +401,36 @@ def simulate(cfg: SimConfig) -> Trace:
     return _simulate_machines(cfg, build_machines(cfg), cfg.record_state)
 
 
+def _new_trace(cfg: SimConfig, record_state: bool = True) -> Trace:
+    return Trace(history=History(graph=cfg.graph), per_round_utilities={},
+                 rng_seed=cfg.seed, state_log={} if record_state else None)
+
+
 def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                        record_state: bool = True, trace: Optional[Trace] = None,
-                       checkpoints: Optional[list] = None) -> Trace:
+                       checkpoints: Optional[list] = None,
+                       rejoined: Optional[Callable] = None) -> Trace:
     """Play ``machines`` to the horizon under cfg's seeded draw stream,
     logging every machine's end-of-round snapshot when ``record_state``.
 
     Given a ``trace`` of rounds 1..m-1, whose state log then decides the
     logging, the machines must be those of the start of round m: play goes
     on from there, appending to ``trace``.  Given ``checkpoints``, a fork of
-    the machines at the start of every round played is appended to it."""
+    the machines at the start of every round played is appended to it.
+    Given ``rejoined``, play stops before the first round M for which
+    ``rejoined(M, machines)`` holds, leaving rounds M..horizon to the
+    caller."""
     graph = cfg.graph
     draws = _HashDraws(cfg.seed)
     if trace is None:
-        trace = Trace(history=History(graph=graph), per_round_utilities={},
-                      rng_seed=cfg.seed,
-                      state_log={} if record_state else None)
+        trace = _new_trace(cfg, record_state)
     history, per_round = trace.history, trace.per_round_utilities
     state_log = trace.state_log
     for m in range(history.last_round + 1, cfg.horizon + 1):
         if checkpoints is not None:
             checkpoints.append(_fork(machines))
+        if rejoined is not None and rejoined(m, machines):
+            break
         profile, utils = _play_round(graph, cfg.family.observation, machines,
                                      cfg.params, m, draws)
         history.append(profile)
@@ -946,16 +966,18 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
 # Paired defections of the bounded tally protocol
 # ---------------------------------------------------------------------------
 
-def _rounds_of(trace: Trace, end: int, snap=lambda key, s: s) -> Trace:
-    """Rounds 1..end of ``trace`` in fresh containers, each logged snapshot
-    passed through ``snap(key, snapshot)``; the snapshots are shared."""
-    return Trace(
-        history=History(trace.history.graph, trace.history.profiles[:end]),
-        per_round_utilities={k: u for k, u in trace.per_round_utilities.items()
-                             if k[1] <= end},
-        rng_seed=trace.rng_seed,
-        state_log={k: snap(k, s) for k, s in trace.state_log.items()
-                   if k[1] <= end})
+def _append_rounds(trace: Trace, src: Trace, end: int,
+                   snap=lambda key, s: s) -> Trace:
+    """Append rounds ``trace.last_round + 1``..end of ``src`` to ``trace``,
+    each logged snapshot passed through ``snap(key, snapshot)``; profiles
+    and snapshots are shared, the containers are ``trace``'s own."""
+    lo = trace.last_round
+    trace.history.profiles.extend(src.history.profiles[lo:end])
+    trace.per_round_utilities.update(
+        (k, u) for k, u in src.per_round_utilities.items() if lo < k[1] <= end)
+    trace.state_log.update((k, snap(k, s)) for k, s in src.state_log.items()
+                           if lo < k[1] <= end)
+    return trace
 
 
 def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
@@ -965,22 +987,47 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     The conforming trace is cfg's honest run, simulated once per config.
     The deviating trace copies its rounds 1..m-1, with i's snapshots
-    labelled as ``ScheduledDefector.snapshot`` labels them, and plays only
-    rounds m..horizon, from the round-m checkpoint with i wrapped.  That is
-    exact: draws are keyed by (seed, agent, round, label), and the wrapper
-    acts as its base before round m.  Both traces are fresh containers;
-    their snapshots are shared with the cached run and are read-only."""
+    labelled as ``ScheduledDefector.snapshot`` labels them, and plays from
+    round m, from the round-m checkpoint with i wrapped.  At the start of
+    every later round M it compares each machine's ``state_key(M)`` with
+    the honest run's (i's through the wrapper's base, whose schedule is
+    spent); once all are equal it rejoins the honest run: it stops playing
+    and copies rounds M..horizon from it, i's snapshots labelled the same
+    way.  Both copies are exact because:
+
+    * draws are keyed by (seed, agent, round, label), so ``_HashDraws`` is
+      stateless, and views depend only on the graph and the round;
+    * the wrapper acts as its base before round m and, being sincere, after
+      it too;
+    * ``state_key`` is complete (``tests/test_soundness.py``), so machines
+      with equal keys at the same round play the same rounds from there.
+      The default ``("opaque", id(self))`` key never equals another
+      machine's, so a machine without a key of its own plays to the
+      horizon.
+
+    Both traces are fresh containers; their profiles and snapshots are
+    shared with the cached run and are read-only."""
     check_deviation_round(cfg, m)
     honest = cfg._honest_run
+
+    def relabel(key, snap):
+        return dict(snap, deviation=label) if key[0] == i else snap
+
+    def rejoined(M: int, machines) -> bool:
+        keys = honest.keys[M - 1]
+        return M > m and all(
+            (mach.base if a == i else mach).state_key(M) == keys[a]
+            for a, mach in machines.items())
+
     label = f"defect@{m}"
-    deviate = _rounds_of(honest.trace, m - 1, lambda key, s: (
-        dict(s, deviation=label) if key[0] == i else s))
     sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
     machines = _fork(honest.checkpoints[m - 1])
     machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
                                     label=label)
-    return (_rounds_of(honest.trace, cfg.horizon),
-            _simulate_machines(cfg, machines, trace=deviate))
+    deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
+    _simulate_machines(cfg, machines, trace=deviate, rejoined=rejoined)
+    return (_append_rounds(_new_trace(cfg), honest.trace, cfg.horizon),
+            _append_rounds(deviate, honest.trace, cfg.horizon, relabel))
 
 
 def assert_gen_facts(cfg: SimConfig, paired: tuple[Trace, Trace],

@@ -402,6 +402,43 @@ def test_indistinguishable_round_matches_oracle(rng):
             assert (mine[0].name, mine[1].name) == (theirs[0].name, theirs[1].name)
 
 
+def test_eventual_distinguishability_computes_each_po_set_once(rng,
+                                                               monkeypatch):
+    # the check's verdict is that of is_indistinguishable_round over every
+    # (round, member, agent) in order, while each member's PO set of i at
+    # round m is computed at most once, not once per member checked
+    import dynacct.evolving_graph as eg
+    calls = []
+    real_po_set = eg.po_set
+
+    def recorded(g, i, rho, m):
+        calls.append((g.name, i, m))
+        return real_po_set(g, i, rho, m)
+
+    holds = 0
+    for _ in range(16):
+        fam = random_family(rng, n=rng.randint(2, 4),
+                            members=rng.randint(1, 3), horizon=6)
+        rho, m_star = rng.randint(2, 3), rng.randint(0, 2)
+        want = None
+        for m in range(m_star + 1, fam.horizon + 1):
+            for gi, g in enumerate(fam.members):
+                for i in range(fam.n):
+                    w = is_indistinguishable_round(fam, g, i, rho, m)
+                    if w is not None and want is None:
+                        want = {"member": g.name, "agent": i, "round": m,
+                                "witness": [w[0].name, w[1].name]}
+        calls.clear()
+        monkeypatch.setattr(eg, "po_set", recorded)
+        v = check_eventual_distinguishability(fam, rho, m_star)
+        monkeypatch.setattr(eg, "po_set", real_po_set)
+        assert v.holds == (want is None)
+        assert v.counterexample == want
+        assert len(calls) == len(set(calls))
+        holds += v.holds
+    assert holds > 0
+
+
 def test_eventual_distinguishability_fig3_fails_everywhere():
     fam = _fig3_family()
     for m_star in (0, 3, 6):

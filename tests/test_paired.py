@@ -1,9 +1,13 @@
-"""Paired defections forked from the cached honest run.
+"""Paired defections forked from the cached honest run and rejoining it.
 
 ``run_paired_defection`` simulates a config's honest run once and starts
-each deviating run at its own round from a checkpoint of that run; these
-tests hold it to ``oracles.paired_defection_from_scratch``, which plays
-both runs in full every time.
+each deviating run at its own round from a checkpoint of that run.  The
+deviating run stops at the first later round where every machine's
+``state_key`` equals the honest run's, and copies the rest of the honest
+run.  These tests hold it to ``oracles.paired_defection_from_scratch``,
+which plays both runs in full every time: on every shipped strategy, on
+machines whose opaque default key never rejoins, and on every (agent,
+round, target set) of seeded random connectivity families.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from dynacct import verifier
-from dynacct.evolving_graph import EvolvingGraph, GraphFamily
+from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
+                                    check_connectivity_restriction)
 from dynacct.game_core import ActionProfile
-from dynacct.protocols import ALL_NEIGHBORS
+from dynacct.protocols import ALL_NEIGHBORS, SigmaGen, StrategyMachine
 from dynacct.scenarios import complete_graph, general_defaults
 from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
 
+from .conftest import random_round_graph
 from .oracles import paired_defection_from_scratch
 from .test_soundness import SHIPPED
-from .test_verifier import ND, k3_gen_cfg, mixed_degree_family
+from .test_verifier import ND, gen_cfg, k3_gen_cfg, mixed_degree_family
 
 HORIZON = 12
 
@@ -46,6 +52,19 @@ def assert_same_pair(got, want):
 def target_sets(cfg, i, m):
     nbrs = sorted(cfg.graph.at(m).neighbors(i))
     return [ALL_NEIGHBORS, frozenset(nbrs[:1]), nbrs[1:]]
+
+
+def count_rounds(monkeypatch):
+    """Count ``_play_round`` calls from here on: returns the counter."""
+    played = [0]
+    play_round = verifier._play_round
+
+    def counted(*args, **kwargs):
+        played[0] += 1
+        return play_round(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_play_round", counted)
+    return played
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
@@ -73,16 +92,31 @@ def test_interleaved_calls_give_identical_pairs():
     assert a1[0] is not a2[0] and a1[1] is not a2[1]
 
 
-def test_edited_trace_leaves_later_calls_unchanged():
+def test_edited_trace_leaves_later_calls_unchanged(monkeypatch):
     cfg = shipped_cfg("sigma_gen", 2)
-    conform, deviate = run_paired_defection(cfg, 0, 3, ALL_NEIGHBORS)
+    cfg._honest_run     # simulated here, so the count below is one job's
+    played = count_rounds(monkeypatch)
+    conform, deviate = run_paired_defection(cfg, 0, 1, ALL_NEIGHBORS)
+    # the deviating run rejoined the honest run: its rounds
+    # rejoin..HORIZON are copied from it, and the first edits reach into
+    # them
+    rejoin = 1 + played[0]
+    assert rejoin <= HORIZON - 2
+    profiles = deviate.history.profiles
+    profiles[rejoin - 1] = profiles[rejoin]
+    del profiles[rejoin + 1]
+    for a in range(4):
+        deviate.per_round_utilities[(a, rejoin)] += 7
+        del deviate.per_round_utilities[(a, HORIZON)]
+        deviate.state_log[(a, rejoin)] = {"pend": [], "acc": []}
+        del deviate.state_log[(a, HORIZON)]
     for t in (conform, deviate):
         t.history.profiles.append(ActionProfile(99, {}))
         t.history.profiles[0] = t.history.profiles[5]
         t.per_round_utilities.clear()
         t.state_log[(0, 1)] = {"pend": [], "acc": []}
         del t.state_log[(1, 2)]
-    for m in (2, 3, 4):
+    for m in (1, 2, 3, 4):
         assert_same_pair(run_paired_defection(cfg, 0, m, ALL_NEIGHBORS),
                          paired_defection_from_scratch(cfg, 0, m, ALL_NEIGHBORS))
 
@@ -152,26 +186,20 @@ def test_replaced_config_gets_its_own_honest_run():
         cfg, 0, 2, ALL_NEIGHBORS)[1].history.profiles
 
 
-def test_k3_paired_facts_group_plays_800_rounds(monkeypatch):
+def test_k3_paired_facts_group_plays_341_rounds(monkeypatch):
     # the k3 family's paired defections as one process runs them: every
     # agent, rounds 1..2n, every non-empty target set.  One honest run of
-    # 17 rounds plus 18 - m rounds per job: 800 rounds, against 54 * 34 =
-    # 1,836 when each job simulates both runs in full
+    # 17 rounds, plus each job's rounds from m until its deviating run
+    # rejoins the honest run: 324 rounds, 341 in all.  Played to the
+    # horizon, the jobs need 18 - m rounds each (800 in all), and
+    # simulating both runs of every job in full 54 * 34 = 1,836
     n = 3
     fam = GraphFamily(n, (EvolvingGraph((), (complete_graph(n),), "k3"),),
                       ND, 8)
     cfg = SimConfig(family=fam, member="k3",
                     strategies={a: "sigma_gen" for a in range(n)},
                     horizon=2 * n + n * n + 2, params=general_defaults())
-    played = 0
-    play_round = verifier._play_round
-
-    def counted(*args, **kwargs):
-        nonlocal played
-        played += 1
-        return play_round(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "_play_round", counted)
+    played = count_rounds(monkeypatch)
     jobs = 0
     for i in range(n):
         for m in range(1, 2 * n + 1):
@@ -184,4 +212,73 @@ def test_k3_paired_facts_group_plays_800_rounds(monkeypatch):
                     assert assert_gen_facts(cfg, pair, m).passed
                     jobs += 1
     assert jobs == 54
-    assert played == 800
+    assert played[0] == 341
+
+
+def test_opaque_state_keys_never_rejoin(monkeypatch):
+    # with the default ("opaque", id) key no two machines' keys are equal,
+    # so every deviating run plays each round from m to the horizon
+    monkeypatch.setattr(SigmaGen, "state_key", StrategyMachine.state_key)
+    cfg = shipped_cfg("sigma_gen", 1)
+    cfg._honest_run     # simulated here, so the counts below are per job
+    played = count_rounds(monkeypatch)
+    for i in (0, 3):
+        for m in (1, 2, 7, HORIZON):
+            played[0] = 0
+            got = run_paired_defection(cfg, i, m, ALL_NEIGHBORS)
+            assert played[0] == HORIZON - m + 1
+            assert_same_pair(got, paired_defection_from_scratch(
+                cfg, i, m, ALL_NEIGHBORS))
+
+
+def test_rejoin_fires_on_mixed_degree_family(monkeypatch):
+    # sigma_gen forgets a round-1 defection well before the horizon: the
+    # deviating run stops playing early and still equals the full run
+    cfg = gen_cfg(mixed_degree_family(), horizon=HORIZON, seed=3)
+    cfg._honest_run
+    played = count_rounds(monkeypatch)
+    for i in range(4):
+        played[0] = 0
+        got = run_paired_defection(cfg, i, 1, ALL_NEIGHBORS)
+        assert played[0] < HORIZON
+        assert_same_pair(got, paired_defection_from_scratch(
+            cfg, i, 1, ALL_NEIGHBORS))
+
+
+def connectivity_families(rng, count):
+    """Seeded random single-member families, time-varying or not, that
+    satisfy the connectivity restriction."""
+    fams = []
+    while len(fams) < count:
+        n = rng.choice([3, 4])
+        g = EvolvingGraph(
+            tuple(random_round_graph(rng, n, p=0.8)
+                  for _ in range(rng.randint(0, 2))),
+            tuple(random_round_graph(rng, n, p=0.8)
+                  for _ in range(rng.randint(1, 3))), "rand")
+        fam = GraphFamily(n, (g,), ND, max(8, g.period))
+        if check_connectivity_restriction(fam).holds:
+            fams.append(fam)
+    return fams
+
+
+def test_random_connectivity_families_fork_and_rejoin(rng, monkeypatch):
+    # sigma_gen on random connectivity families: every agent, round and
+    # target set (all neighbours and every non-empty proper subset)
+    played = count_rounds(monkeypatch)
+    rejoined = 0
+    for fam in connectivity_families(rng, 3):
+        cfg = gen_cfg(fam, horizon=10, seed=rng.randrange(10 ** 6))
+        cfg._honest_run
+        for i in range(fam.n):
+            for m in range(1, cfg.horizon + 1):
+                nbrs = sorted(cfg.graph.at(m).neighbors(i))
+                subsets = [frozenset(sub) for r in range(1, len(nbrs))
+                           for sub in itertools.combinations(nbrs, r)]
+                for targets in [ALL_NEIGHBORS, *subsets]:
+                    played[0] = 0
+                    got = run_paired_defection(cfg, i, m, targets)
+                    rejoined += played[0] < cfg.horizon - m + 1
+                    assert_same_pair(got, paired_defection_from_scratch(
+                        cfg, i, m, targets))
+    assert rejoined >= 100

@@ -8,8 +8,10 @@ if (a) a machine's state never depends on punish/cooperate draw outcomes
 with equal keys at the same graph phase behave identically from there on,
 whatever they are told.  The walks' closure rests on (b) as well: a walk
 stops at the first world whose successors are already collected, which
-covers every later context only if equal keys have equal successors.  These
-tests check both instead of assuming them.
+covers every later context only if equal keys have equal successors.  So
+does ``run_paired_defection``: a deviating run stops playing, and copies
+the honest run, once every machine's key equals the honest run's at the
+same round.  These tests check both instead of assuming them.
 The enumerator forks runs with ``StrategyMachine.clone``; the last test
 checks that the clone of every shipped machine, deviation wrapper and
 scripted builtin candidate behaves as a deep copy and leaves the original
