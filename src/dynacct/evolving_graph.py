@@ -335,22 +335,17 @@ def check_timely_punishments(f: GraphFamily, rho: int) -> FamilyVerdict:
     return FamilyVerdict(holds=True, certificate=rho)
 
 
-def timely_certificate(f: GraphFamily, rho_max: Optional[int] = None) -> Optional[int]:
-    """Smallest rho in [1, rho_max] passing the timeliness check, or None.
+def timely_certificate(f: GraphFamily) -> Optional[int]:
+    """Smallest rho in [1, horizon] passing the timeliness check, or None.
 
-    ``rho_max`` defaults to the family horizon.  rho passes exactly when it
-    is at least first - m + 1 for every i-edge (j, m) up to the horizon,
-    where first is the round of the edge's first punishment opportunity.
-    So the result is the maximum of that delay over all i-edges (1 with no
-    edges), from one scan, and None when some edge has no opportunity
-    within rho_max.
+    rho passes exactly when it is at least first - m + 1 for every i-edge
+    (j, m) up to the horizon, where first is the round of the edge's first
+    punishment opportunity: the result is the largest such delay (1 with
+    no edges), from one scan, or None if an edge has none within the horizon.
     """
-    limit = rho_max if rho_max is not None else f.horizon
-    if limit < 1:
-        return None
     rho = 1
     for _, g, i, j, m in _family_i_edges(f):
-        first = _first_opportunity(g, i, j, m, m + limit - 1)
+        first = _first_opportunity(g, i, j, m, m + f.horizon - 1)
         if first is None:
             return None
         rho = max(rho, first - m + 1)
@@ -585,16 +580,16 @@ def _crossing_of(g: EvolvingGraph, i: AgentId) -> dict[int, frozenset[int]]:
 
 
 def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
-                    m: int, partition_cap: int = PARTITION_SEARCH_CAP,
+                    m: int,
                     ) -> Optional[tuple[EvolvingGraph, tuple[set[int], set[int]]]]:
     """Witness that the i-edge (j, m) is ambiguous: some member G' looks
     identical to i at round m yet splits the other agents into two halves
     (j's half versus the pre-m interaction half) across which i's edges
     never exchange interference-free influence.
     """
-    if f.n > partition_cap:
+    if f.n > PARTITION_SEARCH_CAP:
         raise PartitionSearchRefused(
-            f"partition search needs 2^(n-1) work; n={f.n} exceeds cap {partition_cap}")
+            f"partition search needs 2^(n-1) work; n={f.n} exceeds cap {PARTITION_SEARCH_CAP}")
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
     for cand in f.members:

@@ -8,7 +8,6 @@ is ``verifier.assert_gen_facts``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,18 +43,17 @@ def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
     return {tuple(k): v for k, v in snap.get("pend", [])}
 
 
-def _snap_acc(snap: dict, subject: Optional[AgentId] = None,
-              ) -> dict[tuple[int, int, int], str]:
-    """The snapshot's reports (v, s, r) -> verdict; only those about
-    ``subject`` when given."""
-    return {tuple(k): v for k, v in snap.get("acc", [])
-            if subject is None or k[1] == subject}
+def _snap_acc(snap: dict, subject: AgentId) -> dict[tuple[int, int, int], str]:
+    """The snapshot's reports (v, s, r) -> verdict about ``subject``."""
+    return {tuple(k): v for k, v in snap.get("acc", []) if k[1] == subject}
 
 
-def _parser(trace: Trace, parse):
-    """``parse`` of the snapshot of (agent, round) in ``trace``, each
-    computed once."""
-    return functools.cache(lambda l, M: parse(trace.state_log[(l, M)]))
+def _cached(parse):
+    """``parse`` of a snapshot, once per snapshot object, also when both
+    traces hold it; they keep it alive, so its ``id`` stays its own."""
+    parsed: dict[int, object] = {}
+    return lambda snap: (parsed[id(snap)] if id(snap) in parsed
+                         else parsed.setdefault(id(snap), parse(snap)))
 
 
 def check_deviation_round(cfg, m: int):
@@ -94,8 +92,10 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     params = cfg.params
     check_deviation_round(cfg, m)
     if conform.state_log is None or deviate.state_log is None:
-        raise ValueError("paired traces need state logs (record_state=True)")
-    pend_c, pend_d = _parser(conform, _snap_pend), _parser(deviate, _snap_pend)
+        raise ValueError("paired traces need state logs, as "
+                         "verifier.run_paired_defection returns them")
+    C, D = conform.state_log, deviate.state_log
+    pend = _cached(_snap_pend)
     last = min(conform.last_round, deviate.last_round)
     found = _find_deviation(conform, deviate, m, last)
     facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
@@ -103,8 +103,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         return FactReport(facts=facts)   # conforming pair: vacuously fine
     i, defected = found
     # F1 and F3 read only reports about i: keep just those
-    acc_c = _parser(conform, lambda snap: _snap_acc(snap, i))
-    acc_d = _parser(deviate, lambda snap: _snap_acc(snap, i))
+    acc = _cached(lambda snap: _snap_acc(snap, i))
 
     deg_m = graph.at(m).degree(i)
     residue = m % n
@@ -120,7 +119,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
             for l in range(n):
                 if l == i:
                     continue
-                val = acc_d(l, M).get((v, i, m))
+                val = acc(D[(l, M)]).get((v, i, m))
                 if not interacted or l not in holders:
                     if val is not None:
                         facts["F1_accusation_accuracy"] = (
@@ -141,13 +140,14 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
 
     # F2: pend about i converges to y + max(x - deg, 0) at round m+n
     if m + n - 1 <= last:
-        x = max(pend_d(o, m).get((i, residue), 0) for o in range(n) if o != i)
+        x = max(pend(D[(o, m)]).get((i, residue), 0)
+                for o in range(n) if o != i)
         y = deg_m if defected else 0
         want = y + max(x - deg_m, 0)
         for l in range(n):
             if l == i:
                 continue
-            got = pend_d(l, m + n - 1).get((i, (m + n) % n), 0)
+            got = pend(D[(l, m + n - 1)]).get((i, (m + n) % n), 0)
             if got != want:
                 facts["F2_pend_convergence"] = (
                     f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
@@ -163,9 +163,9 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # A snapshot shared by both traces is equal to itself: skip it.
     for M in range(m, last + 1):
         for l in range(n):
-            if l == i or conform.state_log[(l, M)] is deviate.state_log[(l, M)]:
+            if l == i or C[(l, M)] is D[(l, M)]:
                 continue
-            pc, pd = pend_c(l, M), pend_d(l, M)
+            pc, pd = pend(C[(l, M)]), pend(D[(l, M)])
             for key in sorted((set(pc) | set(pd))):
                 s, c = key
                 if s != i:
@@ -180,7 +180,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                     facts["F4_pend_dominance"] = (
                         f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
                         f"{pc.get(key, 0)}")
-            ac, ad = acc_c(l, M), acc_d(l, M)
+            ac, ad = acc(C[(l, M)]), acc(D[(l, M)])
             for key in sorted(set(ac) | set(ad)):
                 if key[2] == m:     # the deviation round's own reports
                     continue
@@ -191,18 +191,18 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
 
     # F5/F6: expected punish mass toward i, computed from the tallies
     # (the sum of min(1, pend/deg_i) over i's neighbours, over one denominator)
-    def expected_hits(pend_of, M: int) -> Fraction:
+    def expected_hits(log, M: int) -> Fraction:
         rg = graph.at(M)
         deg_i = rg.degree(i)
         if deg_i == 0:
             return Fraction(0)
-        return Fraction(sum(min(pend_of(j, M - 1).get((i, M % n), 0), deg_i)
-                            for j in rg.neighbors(i)), deg_i)
+        return Fraction(sum(min(pend(log[(j, M - 1)]).get((i, M % n), 0),
+                                deg_i) for j in rg.neighbors(i)), deg_i)
 
     extra_in_window = Fraction(0)
     for M in range(m + 1, last + 1):
-        hc = expected_hits(pend_c, M)
-        hd = expected_hits(pend_d, M)
+        hc = expected_hits(C, M)
+        hd = expected_hits(D, M)
         if hd < hc:
             facts["F5_round_utility_dominance"] = (
                 f"round {M}: deviating punish mass {hd} < conforming {hc}")
@@ -225,16 +225,16 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # the deviating trace's snapshots shared with the conforming trace are
     # checked there
     bound = SigmaGen.static_state_bound(n)
-    for trace, pend_of in ((conform, pend_c), (deviate, pend_d)):
-        for (l, M), snap in sorted(trace.state_log.items()):
-            if trace is deviate and conform.state_log.get((l, M)) is snap:
+    for log in (C, D):
+        for (l, M), snap in sorted(log.items()):
+            if log is D and C.get((l, M)) is snap:
                 continue
-            pend = pend_of(l, M)
-            if any(v > n - 1 or v < 0 for v in pend.values()):
+            tallies = pend(snap)
+            if any(v > n - 1 or v < 0 for v in tallies.values()):
                 facts["bounded_state"] = (
                     f"agent {l} end of {M}: tally outside [0, n-1]")
                 break
-            if len(pend) + len(snap.get("acc", ())) > bound:
+            if len(tallies) + len(snap.get("acc", ())) > bound:
                 facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
                 break
         if facts["bounded_state"]:

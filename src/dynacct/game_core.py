@@ -301,7 +301,8 @@ class Trace:
 
     ``state_log`` optionally holds each machine's end-of-round state
     snapshot, keyed by (agent, round); the paired-trace fact checkers need
-    it, plain utility consumers can ignore it.
+    it, and ``verifier.run_paired_defection`` logs it.  ``simulate`` does
+    not: plain utility consumers never read it.
     """
 
     history: History

@@ -112,9 +112,6 @@ class StrategyMachine:
     def is_quiescent(self) -> bool:
         return False
 
-    def state_size(self) -> int:
-        return 0
-
 
 def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
              profile: ActionProfile) -> dict:
@@ -193,9 +190,6 @@ class _AccusationWindow(StrategyMachine):
 
     def is_quiescent(self) -> bool:
         return not self.accusations
-
-    def state_size(self) -> int:
-        return len(self.accusations)
 
 
 class SigmaVal(_AccusationWindow):
@@ -387,10 +381,6 @@ class SigmaGen(StrategyMachine):
     def is_quiescent(self) -> bool:
         return not self.pend and not any(bad for _, bad in self.acc.values())
 
-    def state_size(self) -> int:
-        return len(self.pend) + sum(known.bit_count()
-                                    for known, _ in self.acc.values())
-
     @staticmethod
     def static_state_bound(n: int) -> int:
         # pend: (n-1) subjects x n residues; acc: n(n-1) ordered pairs x n rounds
@@ -409,7 +399,7 @@ def sigma_gen(me: AgentId, n: int, params: UtilityParams,
 class AlwaysDefect(StrategyMachine):
     """Defect everyone, always; sends nothing."""
 
-    def __init__(self, me: AgentId, n: int, mode: Mode = Mode.GENERAL):
+    def __init__(self, me: AgentId, n: int, mode: Mode):
         super().__init__(me, n)
         self.mode = mode
 
@@ -437,7 +427,7 @@ class UnsafePunisherProtocol(_AccusationWindow):
     mode = Mode.GENERAL
     uses_own_action = True
 
-    def __init__(self, me: AgentId, n: int, rho: int = 3):
+    def __init__(self, me: AgentId, n: int, rho: int):
         super().__init__(me, n, rho)
         self.my_defections: set[int] = set()
 
@@ -513,9 +503,6 @@ class _Wrapper(StrategyMachine):
     def snapshot(self) -> dict:
         return dict(self.base.snapshot(), deviation=self.label)
 
-    def state_size(self) -> int:
-        return self.base.state_size()
-
 
 class ScheduledDefector(_Wrapper):
     """Follow the base strategy but defect scheduled targets.
@@ -581,10 +568,11 @@ def always_defect_until(base: StrategyMachine, m: int) -> ScheduledDefector:
                              sincere=True, label=f"always_defect_until({m})")
 
 
-def defect_at_rounds(base: StrategyMachine, rounds: Sequence[int],
-                     sincere: bool = True) -> ScheduledDefector:
+def defect_at_rounds(base: StrategyMachine,
+                     rounds: Sequence[int]) -> ScheduledDefector:
+    """Defect every neighbour at ``rounds``, with state as observed."""
     return ScheduledDefector(base, {r: ALL_NEIGHBORS for r in rounds},
-                             sincere=sincere,
+                             sincere=True,
                              label=f"defect_at_rounds({sorted(rounds)})")
 
 

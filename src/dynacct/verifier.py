@@ -16,7 +16,7 @@ Each job has exactly one implementation:
   source, and ``_simulate_machines`` is the only run loop.  A realised run
   draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
   platforms and thread counts); ``simulate`` runs the configured profile
-  through it.
+  through it with no state log (``run_paired_defection`` logs its pairs).
 * The honest run is simulated once per ``SimConfig`` (cached on the
   immutable config) and checkpoints the machines, with their
   ``state_key``s, at the start of every round.  ``run_paired_defection``
@@ -113,11 +113,10 @@ import copy
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
                              local_view)
@@ -189,13 +188,10 @@ class _ScriptDraws:
 
 
 class _FixedDraws:
-    """Constant outcomes; only valid when state is draw-independent."""
-
-    def __init__(self, value: bool = False):
-        self.value = value
+    """Every draw is False; only valid when state is draw-independent."""
 
     def draw(self, agent, rnd, label, p) -> bool:
-        return self.value
+        return False
 
 
 class _BoundRand(RandSource):
@@ -241,7 +237,6 @@ class SimConfig:
     horizon: int
     params: UtilityParams
     seed: int = 0
-    record_state: bool = False
     enum_cap: int = 10 ** 6
 
     def __post_init__(self):
@@ -263,13 +258,18 @@ class SimConfig:
     def _honest_run(self) -> _HonestRun:
         """The honest run, simulated once: every paired defection of this
         config shares it."""
-        checkpoints: list = []
+        checkpoints, keys = [], []
+
+        def checkpoint(m: int, machines) -> bool:
+            # keyed on the fork, which lives as long as the key: an
+            # ("opaque", id) key can never match a later machine's
+            fork = _fork(machines)
+            checkpoints.append(fork)
+            keys.append({a: mach.state_key(m) for a, mach in fork.items()})
+            return False     # never stops
+
         trace = _simulate_machines(self, build_machines(self, honest_only=True),
-                                   checkpoints=checkpoints)
-        # keyed on the checkpoints, which live as long as the keys: an
-        # ("opaque", id) key can never match a later machine's
-        keys = [{a: mach.state_key(m) for a, mach in machines.items()}
-                for m, machines in enumerate(checkpoints, 1)]
+                                   stop=checkpoint)
         return _HonestRun(trace, checkpoints, keys)
 
 
@@ -397,39 +397,35 @@ def _fork(machines: dict[AgentId, StrategyMachine]) -> dict[AgentId, StrategyMac
 
 
 def simulate(cfg: SimConfig) -> Trace:
-    """One realised run to the horizon under the seeded draw stream."""
-    return _simulate_machines(cfg, build_machines(cfg), cfg.record_state)
+    """One realised run under the seeded draw stream, with no state log."""
+    return _simulate_machines(cfg, build_machines(cfg),
+                              _new_trace(cfg, logged=False))
 
 
-def _new_trace(cfg: SimConfig, record_state: bool = True) -> Trace:
+def _new_trace(cfg: SimConfig, logged: bool = True) -> Trace:
     return Trace(history=History(graph=cfg.graph), per_round_utilities={},
-                 rng_seed=cfg.seed, state_log={} if record_state else None)
+                 rng_seed=cfg.seed, state_log={} if logged else None)
 
 
 def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                       record_state: bool = True, trace: Optional[Trace] = None,
-                       checkpoints: Optional[list] = None,
-                       rejoined: Optional[Callable] = None) -> Trace:
+                       trace: Optional[Trace] = None,
+                       stop: Optional[Callable] = None) -> Trace:
     """Play ``machines`` to the horizon under cfg's seeded draw stream,
-    logging every machine's end-of-round snapshot when ``record_state``.
+    appending to ``trace`` (default: a new one with a state log) and logging
+    every machine's end-of-round snapshot if the trace has a state log.
 
-    Given a ``trace`` of rounds 1..m-1, whose state log then decides the
-    logging, the machines must be those of the start of round m: play goes
-    on from there, appending to ``trace``.  Given ``checkpoints``, a fork of
-    the machines at the start of every round played is appended to it.
-    Given ``rejoined``, play stops before the first round M for which
-    ``rejoined(M, machines)`` holds, leaving rounds M..horizon to the
-    caller."""
+    Given a ``trace`` of rounds 1..m-1, the machines must be those of the
+    start of round m: play goes on from there.  ``stop(M, machines)`` is
+    called at the start of every round M; play stops before the first round
+    for which it returns true, leaving rounds M..horizon to the caller."""
     graph = cfg.graph
     draws = _HashDraws(cfg.seed)
     if trace is None:
-        trace = _new_trace(cfg, record_state)
+        trace = _new_trace(cfg)
     history, per_round = trace.history, trace.per_round_utilities
     state_log = trace.state_log
     for m in range(history.last_round + 1, cfg.horizon + 1):
-        if checkpoints is not None:
-            checkpoints.append(_fork(machines))
-        if rejoined is not None and rejoined(m, machines):
+        if stop is not None and stop(m, machines):
             break
         profile, utils = _play_round(graph, cfg.family.observation, machines,
                                      cfg.params, m, draws)
@@ -646,7 +642,7 @@ def monte_carlo_utilities(cfg: SimConfig, samples: int,
     agents = range(cfg.family.n)
     values: dict[AgentId, list[Fraction]] = {i: [] for i in agents}
     for k in range(samples):
-        t = simulate(replace(cfg, seed=cfg.seed + k, record_state=False))
+        t = simulate(replace(cfg, seed=cfg.seed + k))
         for i in agents:
             values[i].append(discounted_utility(t, i, 1, cfg.params))
     out = {}
@@ -686,27 +682,6 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
     walk = _Walk(cfg, hits, 1, condition=condition,
                  end=min(from_round + rho - 1, cfg.horizon))
     return _conditional(*walk.value(build_machines(cfg), 1))
-
-
-@dataclass
-class PunishLedger:
-    """Per (agent, round) expected punishments over the next rho-1 rounds."""
-
-    rho: int
-    entries: dict[tuple[AgentId, int], Fraction] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"rho": self.rho,
-                "entries": {f"{a}@{m}": str(v)
-                            for (a, m), v in sorted(self.entries.items())}}
-
-
-def punish_ledger(cfg: SimConfig, i: AgentId, rounds: Iterable[int],
-                  rho: int) -> PunishLedger:
-    led = PunishLedger(rho=rho)
-    for m in rounds:
-        led.entries[(i, m)] = expected_punishments(cfg, i, m, rho)
-    return led
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +780,7 @@ class _OneShotChecker:
         itself and closes what it walked, but a walk cut by ``end`` leaves
         its worlds open."""
         ms = _fork(machines)
-        draws = _FixedDraws(False)
+        draws = _FixedDraws()
         first = override[1] if override else 0
         walked: set = set()
         for m in range(start, end + 1):
@@ -971,12 +946,12 @@ def _append_rounds(trace: Trace, src: Trace, end: int,
     """Append rounds ``trace.last_round + 1``..end of ``src`` to ``trace``,
     each logged snapshot passed through ``snap(key, snapshot)``; profiles
     and snapshots are shared, the containers are ``trace``'s own."""
-    lo = trace.last_round
-    trace.history.profiles.extend(src.history.profiles[lo:end])
-    trace.per_round_utilities.update(
-        (k, u) for k, u in src.per_round_utilities.items() if lo < k[1] <= end)
-    trace.state_log.update((k, snap(k, s)) for k, s in src.state_log.items()
-                           if lo < k[1] <= end)
+    for profile in src.history.profiles[trace.last_round:end]:
+        trace.history.profiles.append(profile)
+        for a in profile.actions:
+            key = (a, profile.round)
+            trace.per_round_utilities[key] = src.per_round_utilities[key]
+            trace.state_log[key] = snap(key, src.state_log[key])
     return trace
 
 
@@ -1025,7 +1000,7 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
                                     label=label)
     deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
-    _simulate_machines(cfg, machines, trace=deviate, rejoined=rejoined)
+    _simulate_machines(cfg, machines, deviate, stop=rejoined)
     return (_append_rounds(_new_trace(cfg), honest.trace, cfg.horizon),
             _append_rounds(deviate, honest.trace, cfg.horizon, relabel))
 

@@ -531,7 +531,7 @@ def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
     """Step the profile with fixed draw outcomes from ``start`` to ``end``,
     with no early stop, collecting each world whose key is not in ``seen``."""
     ms = _fork(machines)
-    draws = _FixedDraws(False)
+    draws = _FixedDraws()
     first = override[1] if override else 0
     for m in range(start, end + 1):
         if m > first:
@@ -723,9 +723,6 @@ class FlatSigmaGen(StrategyMachine):
 
     def is_quiescent(self) -> bool:
         return not self.pend and all(v == "good" for v in self.acc.values())
-
-    def state_size(self) -> int:
-        return len(self.pend) + len(self.acc)
 
     @staticmethod
     def static_state_bound(n: int) -> int:

@@ -233,7 +233,7 @@ def test_timely_matches_oracle(rng):
 
 
 def test_timely_certificate_is_smallest_passing_rho(rng):
-    # the one-scan certificate against a search of the oracle over rho
+    # the one-scan certificate against the oracle's smallest passing rho
     fams = [random_family(rng, n=rng.randint(2, 4), members=rng.randint(1, 2),
                           horizon=8) for _ in range(12)]
     fams.append(GraphFamily(3, (EvolvingGraph((), (rg(3),), "empty"),), NO, 6))
@@ -241,12 +241,10 @@ def test_timely_certificate_is_smallest_passing_rho(rng):
                                 EvolvingGraph((), (rg(2), rg(2)), "b")), ND, 5))
     certificates = set()
     for fam in fams:
-        passing = [rho for rho in range(1, fam.horizon + 1)
-                   if oracles.oracle_timely(fam, rho) is None]
-        for rho_max in range(0, fam.horizon + 1):
-            want = next((rho for rho in passing if rho <= rho_max), None)
-            assert timely_certificate(fam, rho_max) == want, rho_max
-        certificates.add(timely_certificate(fam))
+        want = next((rho for rho in range(1, fam.horizon + 1)
+                     if oracles.oracle_timely(fam, rho) is None), None)
+        assert timely_certificate(fam) == want
+        certificates.add(want)
     assert {None, 1} < certificates and max(certificates - {None}) > 2
 
 
@@ -477,8 +475,11 @@ def test_ambiguous_po_requires_edge_and_caps_n():
     g = fam.member("G")
     with pytest.raises(ValueError):
         is_ambiguous_po(fam, g, 0, 1, 3)   # no 0-1 edge at round 3
-    with pytest.raises(PartitionSearchRefused):
-        is_ambiguous_po(fam, g, 0, 3, 3, partition_cap=4)
+    # one agent over the 16-agent cap
+    ring = EvolvingGraph((), (ring_graph(17),), "ring")
+    big = GraphFamily(17, (ring,), NO, 2)
+    with pytest.raises(PartitionSearchRefused, match="n=17 exceeds cap 16"):
+        is_ambiguous_po(big, ring, 0, 1, 1)
 
 
 def test_ambiguous_po_complete_none():

@@ -141,8 +141,8 @@ def test_sim_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         cfg.horizon = 0
     with pytest.raises(FrozenInstanceError):
-        cfg.record_state = True
-    assert cfg.horizon == 5 and not cfg.record_state
+        cfg.seed = 1
+    assert cfg.horizon == 5 and cfg.seed == 0
     # the strategies are a read-only copy: neither the config's mapping nor
     # the caller's dict can change the run a cached honest run stands for
     with pytest.raises(TypeError):

@@ -733,6 +733,31 @@ def test_verify_one_shot_flags_unpunished_defection():
     assert "single_evasive" in rep.witness["override"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+def test_candidate_gain_equals_its_simulated_gain():
+    # unsafe_three_agent's lenient candidate reports quiescent before its
+    # first round, so the walk absorbs it at once and values it at gain 0;
+    # against the honest profile it defects 0 at round 3 unpunished and
+    # gains delta**2 (every draw is degenerate, so one run is the expectation)
+    from dynacct.game_core import discounted_utility
+    from dynacct.protocols import build_deviation
+    from dynacct.verifier import _OneShotChecker, strategy_context
+    sc = builtin("unsafe_three_agent")
+    cfg = sc.sim_config(horizon=40)
+    spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
+    machines = build_machines(cfg, honest_only=True)
+    machines[2] = build_deviation(spec, strategy_context(cfg, 2))
+    simulated = (
+        discounted_utility(_simulate_machines(cfg, machines), 2, 1, cfg.params)
+        - discounted_utility(simulate(cfg), 2, 1, cfg.params))
+    assert simulated == Fraction(9801, 10000) == cfg.params.delta ** 2
+    checker = _OneShotChecker(cfg, 2)
+    checker.add_candidate(spec)
+    gain, _, witness = checker.results[-1]
+    assert witness["origin"] == "candidate"
+    assert gain == simulated
+
+
 def test_verify_one_shot_mutual_defection_trivially_stable():
     # with beta < 1 + alpha nobody gains by deviating from all-defect
     fam = GraphFamily(2, (EvolvingGraph((), (complete_graph(2),), "k2"),), NO, 8)
@@ -785,8 +810,8 @@ def test_assert_gen_facts_subset_defection():
 
 def test_assert_gen_facts_conforming_pair_vacuous():
     cfg = k3_gen_cfg()
-    t1 = simulate(replace(cfg, record_state=True))
-    t2 = simulate(replace(cfg, record_state=True))
+    t1 = _simulate_machines(cfg, build_machines(cfg))
+    t2 = _simulate_machines(cfg, build_machines(cfg))
     rep = assert_gen_facts(cfg, (t1, t2), 2)
     assert rep.passed
 
@@ -823,19 +848,6 @@ def test_assert_gen_facts_detects_uncapped_mutant():
     deviate = _simulate_machines(cfg, mutated())
     rep = assert_gen_facts(cfg, (conform, deviate), 2)
     assert rep.facts["bounded_state"] is not None
-
-
-def test_punish_ledger_matches_expected_punishments():
-    from dynacct.verifier import punish_ledger
-    fam = mixed_degree_family()
-    cfg = gen_cfg(fam, horizon=20,
-                  devs={0: {"deviation": {"kind": "always_defect_until",
-                                          "round": 1, "base": "sigma_gen"}}})
-    led = punish_ledger(cfg, 0, rounds=(1, 4), rho=6)
-    assert led.entries[(0, 1)] == expected_punishments(cfg, 0, 1, 6)
-    assert led.entries[(0, 4)] == expected_punishments(cfg, 0, 4, 6)
-    doc = led.to_json()
-    assert doc["rho"] == 6 and "0@1" in doc["entries"]
 
 
 def test_trace_utilities_recomputable_from_profiles():
