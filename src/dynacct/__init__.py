@@ -20,7 +20,7 @@ from .protocols import (AccusationPunisher, SigmaGen, SigmaVal, StrategyMachine,
 from .scenarios import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario
 from .verifier import (EquilibriumReport, FactReport, SimConfig,
                        assert_gen_facts, expected_punishments, expected_utility,
-                       monte_carlo_utilities, monte_carlo_utility,
-                       run_paired_defection, simulate, verify_one_shot)
+                       monte_carlo_utilities, run_paired_defection,
+                       simulate, verify_one_shot)
 
 __version__ = "0.1.0"

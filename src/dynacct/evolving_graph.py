@@ -20,7 +20,21 @@ searches are allowed to run past the horizon into the cyclic region.
 Because every round beyond the prefix is phase-equivalent to a round at
 most one cycle later than the prefix, a violation at some huge round has
 a twin inside the scanned window, so the finite verdicts agree with the
-infinite quantification.
+infinite quantification.  The same argument folds the configuration scans
+of the timeliness checks and of ``is_unsafe`` to rounds m <= period: past
+the period, the configuration at m is the phase twin of the one at
+m - |cycle|, which has the same verdict, a window no smaller, and comes
+earlier in the scan, so the largest delay, the first counterexample and
+the first witness are those of the scan up to the horizon.
+
+Agent sets are int bitmasks (bit b for agent b).  Each graph caches the
+per-agent neighbour masks of its prefix and cycle rounds, and every reach
+steps a mask by the union of its agents' neighbour masks (``_spread``).
+Indistinguishability reads one table per pair of graphs and observation
+model: bad_t, the agents whose round-t information separates the graphs,
+is the agents whose round-t views differ plus every agent a whose closed
+round-(t-1) neighbourhood meets bad_(t-1); i cannot tell the graphs apart
+at round m iff bit i of bad_m is clear.
 """
 
 from __future__ import annotations
@@ -83,6 +97,15 @@ class RoundGraph:
             adj[v].add(u)
         return {i: frozenset(s) for i, s in adj.items()}
 
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Each agent's neighbours as a bitmask."""
+        nb = [0] * self.n
+        for (u, v) in self.edges:
+            nb[u] |= 1 << v
+            nb[v] |= 1 << u
+        return tuple(nb)
+
     def neighbors(self, i: AgentId) -> frozenset[int]:
         return self._adjacency[i]
 
@@ -125,9 +148,32 @@ class EvolvingGraph:
         return self.cycle[(m - len(self.prefix) - 1) % len(self.cycle)]
 
     @cached_property
-    def _crossing(self) -> dict[AgentId, dict[int, frozenset[int]]]:
-        """Agent i -> each i-edge endpoint's crossing component, filled by
-        ``_crossing_of`` on first use."""
+    def _masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per-agent neighbour masks of every prefix round, then every
+        cycle round."""
+        return tuple(rg._masks for rg in self.prefix + self.cycle)
+
+    def _masks_at(self, m: int) -> tuple[int, ...]:
+        """Round m's neighbour masks, by the prefix/cycle rule of ``at``."""
+        p = len(self.prefix)
+        if m <= p:
+            if m < 1:
+                raise ValueError(f"rounds are 1-indexed, got {m}")
+            return self._masks[m - 1]
+        return self._masks[p + (m - p - 1) % len(self.cycle)]
+
+    @cached_property
+    def _crossing(self) -> dict[AgentId, dict[int, int]]:
+        """Agent i -> each i-edge endpoint's crossing component mask,
+        filled by ``_crossing_of`` on first use."""
+        return {}
+
+    @cached_property
+    def _agreement(self) -> dict:
+        """(id of the other graph, observation) -> (that graph, bad masks by
+        round), extended by ``indistinguishable_at`` on demand.  An entry
+        holds the other graph, so its id is not reused while the entry
+        lives, and a copied entry, which holds a copy, is not read."""
         return {}
 
 
@@ -211,22 +257,33 @@ class FamilyVerdict:
 # Causal influence (temporal reachability)
 # ---------------------------------------------------------------------------
 
-def _reach_frontier(g: EvolvingGraph, sources: Iterable[AgentId], m: int,
-                    m2: int, exclude: Optional[AgentId] = None) -> set[int]:
-    """Agents whose start-of-round-m2 knowledge the sources' start-of-round-m
-    knowledge can have reached.  ``exclude`` never receives (nor relays)."""
-    reached = set(sources)
-    if exclude in reached:
-        reached.discard(exclude)
+def _bits(mask: int) -> Iterable[int]:
+    """The agents in a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(nb: Sequence[int], mask: int) -> int:
+    """Union of the neighbour masks ``nb`` of the agents in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nb[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach_frontier(g: EvolvingGraph, sources: int, m: int, m2: int,
+                    exclude: Optional[AgentId] = None) -> int:
+    """Mask of the agents whose start-of-round-m2 knowledge the sources'
+    (a mask) start-of-round-m knowledge can have reached.  ``exclude``
+    never receives (nor relays)."""
+    keep = -1 if exclude is None else ~(1 << exclude)
+    reached = sources & keep
     for t in range(m, m2):
-        rg = g.at(t)
-        added = set()
-        for a in reached:
-            for b in rg.neighbors(a):
-                if b != exclude and b not in reached:
-                    added.add(b)
-        if added:
-            reached |= added
+        reached |= _spread(g._masks_at(t), reached) & keep
     return reached
 
 
@@ -239,7 +296,7 @@ def causally_influences(g: EvolvingGraph, j: AgentId, m: int,
         return False
     if j == l:
         return True
-    return l in _reach_frontier(g, [j], m, m2)
+    return bool(_reach_frontier(g, 1 << j, m, m2) >> l & 1)
 
 
 def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -253,7 +310,7 @@ def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
         return False
     if j == l:
         return True
-    return l in _reach_frontier(g, [j], m, m2, exclude=i)
+    return bool(_reach_frontier(g, 1 << j, m, m2, exclude=i) >> l & 1)
 
 
 def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -263,7 +320,7 @@ def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
     return {(l, mp) for mp, reached in _reach_without(g, i, j, m, until)
-            for l in g.at(mp).neighbors(i) if l in reached}
+            for l in _bits(g._masks_at(mp)[i] & reached)}
 
 
 def _first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
@@ -271,24 +328,19 @@ def _first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
     """First round of a punishment opportunity for the i-edge (j, m) within
     ``until``, or None."""
     for mp, reached in _reach_without(g, i, j, m, until):
-        if not reached.isdisjoint(g.at(mp).neighbors(i)):
+        if reached & g._masks_at(mp)[i]:
             return mp
     return None
 
 
 def _reach_without(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
-                   until: int) -> Iterable[tuple[int, set[int]]]:
-    """(mp, agents holding (j, m)'s information at the start of round mp)
-    for mp in (m, until], with i neither relaying nor receiving."""
-    reached = {j}
+                   until: int) -> Iterable[tuple[int, int]]:
+    """(mp, mask of the agents holding (j, m)'s information at the start of
+    round mp) for mp in (m, until], with i neither relaying nor receiving."""
+    keep = ~(1 << i)
+    reached = 1 << j
     for mp in range(m + 1, until + 1):
-        rg_prev = g.at(mp - 1)
-        added = set()
-        for a in reached:
-            for b in rg_prev.neighbors(a):
-                if b != i and b not in reached:
-                    added.add(b)
-        reached |= added
+        reached |= _spread(g._masks_at(mp - 1), reached) & keep
         yield mp, reached
 
 
@@ -299,7 +351,7 @@ def po_set(g: EvolvingGraph, i: AgentId, rho: int, m: int) -> set[tuple[AgentId,
         raise ValueError("rho must be >= 1")
     out: set[tuple[AgentId, int]] = set()
     for m2 in range(m, m + rho - 1):
-        for j in sorted(g.at(m2).neighbors(i)):
+        for j in _bits(g._masks_at(m2)[i]):
             out |= punishment_opportunities(g, i, j, m2, m + rho - 1)
     return out
 
@@ -312,12 +364,14 @@ def _family_i_edges(
         f: GraphFamily,
 ) -> Iterable[tuple[int, EvolvingGraph, AgentId, AgentId, int]]:
     """(member index, member, i, j, m) for every i-edge (j, m) up to the
-    horizon, by member, round, i, then j."""
+    member's period, by member, round, i, then j.  A later edge is the
+    phase twin of one a cycle earlier, whose opportunities are the same
+    rounds shifted, so it adds no new delay and no new counterexample."""
     for gi, g in enumerate(f.members):
-        for m in range(1, f.horizon + 1):
-            rg = g.at(m)
+        for m in range(1, min(f.horizon, g.period) + 1):
+            nb = g._masks_at(m)
             for i in range(f.n):
-                for j in sorted(rg.neighbors(i)):
+                for j in _bits(nb[i]):
                     yield gi, g, i, j, m
 
 
@@ -353,19 +407,13 @@ def timely_certificate(f: GraphFamily) -> Optional[int]:
 
 
 def _connected_without(rg: RoundGraph, i: AgentId) -> bool:
-    others = [v for v in range(rg.n) if v != i]
-    if len(others) <= 1:
-        return True
-    start = others[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        a = stack.pop()
-        for b in rg.neighbors(a):
-            if b != i and b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == len(others)
+    nb = rg._masks
+    others = ((1 << rg.n) - 1) & ~(1 << i)
+    seen = frontier = others & -others
+    while frontier:
+        frontier = _spread(nb, frontier) & others & ~seen
+        seen |= frontier
+    return seen == others
 
 
 def check_connectivity_restriction(f: GraphFamily) -> FamilyVerdict:
@@ -396,28 +444,32 @@ def indistinguishable_at(g: EvolvingGraph, g2: EvolvingGraph, i: AgentId,
     identical influence cones at every earlier round, and identical local
     views for every agent in the cone.
 
-    The round-t cone holds the agents whose round-t information can sit
-    inside i's round-m information.  One backward sweep yields them all:
-    the round-m cone is {i}, and the round-t cone adds the round-t
-    neighbours of the round-(t+1) cone.  Those neighbours are part of the
-    views compared at round t, so while the views agree both graphs grow
-    the same cone, and the sweep grows it once, in g.
+    The round-(t-1) cone of (a, t) is a's closed round-(t-1) neighbourhood,
+    and cones compose, so (a, t) separates the graphs iff a's round-t views
+    differ or some agent of that neighbourhood separates them at t-1.  The
+    neighbourhood is part of a's round-(t-1) view, so while the views agree
+    it is the same in both graphs, and it is read in g.  The masks bad_t of
+    separating agents are kept per (g2, obs) on g and extended forward on
+    demand, so each round is compared once for all agents and rounds asked.
     """
     if g.n != g2.n:
         raise ValueError("graphs must share the same agent count")
-    degrees = obs is ObservationModel.NEIGHBORS_AND_DEGREES
-    cone = {i}
-    for t in range(m, 0, -1):
-        rg, rg2 = g.at(t), g2.at(t)
-        if t < m:
-            cone = cone.union(*(rg.neighbors(a) for a in cone))
-        for a in cone:
-            nbrs = rg.neighbors(a)
-            if nbrs != rg2.neighbors(a):
-                return False
-            if degrees and any(rg.degree(b) != rg2.degree(b) for b in nbrs):
-                return False
-    return True
+    entry = g._agreement.get((id(g2), obs))
+    if entry is None or entry[0] is not g2:
+        entry = g._agreement[id(g2), obs] = (g2, [0])
+    bad = entry[1]
+    for t in range(len(bad), m + 1):
+        nb, nb2 = g._masks_at(t), g2._masks_at(t)
+        differ = sum(1 << a for a in range(g.n) if nb[a] != nb2[a])
+        if obs is ObservationModel.NEIGHBORS_AND_DEGREES:
+            moved = sum(1 << b for b in range(g.n)
+                        if nb[b].bit_count() != nb2[b].bit_count())
+            differ |= _spread(nb, moved)
+        prev = bad[t - 1]
+        if prev:   # bad_0 is empty, and there is no round 0
+            differ |= prev | _spread(g._masks_at(t - 1), prev)
+        bad.append(differ)
+    return m < 1 or not bad[m] >> i & 1
 
 
 def is_indistinguishable_round(
@@ -441,7 +493,7 @@ def _indistinguishable_round(f: GraphFamily, gi: int, i: AgentId, rho: int,
     ``pos_by_agent`` keeps them by agent, for one m and rho, computed on
     first use."""
     g = f.members[gi]
-    k = g.at(m).degree(i)
+    k = g._masks_at(m)[i].bit_count()
     if k == 0:
         return None
     if i not in pos_by_agent:
@@ -498,34 +550,28 @@ def _stable_reach_with_joins(g: EvolvingGraph, src: AgentId, m: int,
     """
     L = len(g.cycle)
     joins = {src: m}
-    reached = {src} - {exclude}
+    keep = ~(1 << exclude)
+    reached = (1 << src) & keep
     t = m
     quiet = 0
     while True:
-        rg = g.at(t)
-        added = set()
-        for a in reached:
-            for b in rg.neighbors(a):
-                if b != exclude and b not in reached:
-                    added.add(b)
+        added = _spread(g._masks_at(t), reached) & keep & ~reached
         t += 1
         if added:
             reached |= added
-            for b in added:
-                joins.setdefault(b, t)
+            for b in _bits(added):
+                joins[b] = t
             quiet = 0
         elif t > len(g.prefix):
             quiet += 1
             if quiet >= L:
                 return joins, t
-        if len(reached) == g.n:
-            return joins, t
 
 
 def _crossing_components(g: EvolvingGraph, i: AgentId,
-                         endpoint_rounds: dict[int, list[int]]) -> list[set[int]]:
-    """Connected components of i-edge endpoints under interference-free
-    influence between their i-edges (either direction)."""
+                         endpoint_rounds: dict[int, list[int]]) -> list[int]:
+    """Connected components (as masks) of i-edge endpoints under
+    interference-free influence between their i-edges (either direction)."""
     endpoints = sorted(endpoint_rounds)
     parent = {a: a for a in endpoints}
 
@@ -543,6 +589,8 @@ def _crossing_components(g: EvolvingGraph, i: AgentId,
     L = len(g.cycle)
     for l in endpoints:
         for mp in endpoint_rounds[l]:
+            if all(find(o) == find(l) for o in endpoints):
+                break   # every endpoint is in l's component already
             joins, stable = _stable_reach_with_joins(g, l, mp, exclude=i)
             for o in endpoints:
                 if o == l or find(o) == find(l) or o not in joins:
@@ -551,12 +599,12 @@ def _crossing_components(g: EvolvingGraph, i: AgentId,
                 # an i-edge of o at any round >= lo completes the influence;
                 # scanning one cycle past stabilisation covers every phase.
                 for m2 in range(lo, max(stable, lo) + L + 1):
-                    if g.at(m2).has_edge(i, o):
+                    if g._masks_at(m2)[i] >> o & 1:
                         union(l, o)
                         break
-    comps: dict[int, set[int]] = {}
+    comps: dict[int, int] = {}
     for a in endpoints:
-        comps.setdefault(find(a), set()).add(a)
+        comps[find(a)] = comps.get(find(a), 0) | 1 << a
     return list(comps.values())
 
 
@@ -564,18 +612,18 @@ def _i_edge_endpoint_rounds(g: EvolvingGraph, i: AgentId) -> dict[int, list[int]
     """Endpoint -> source rounds worth scanning (one full period of i-edges)."""
     out: dict[int, list[int]] = {}
     for m in range(1, g.period + 1):
-        for l in g.at(m).neighbors(i):
+        for l in _bits(g._masks_at(m)[i]):
             out.setdefault(l, []).append(m)
     return out
 
 
-def _crossing_of(g: EvolvingGraph, i: AgentId) -> dict[int, frozenset[int]]:
-    """Each i-edge endpoint's crossing component, built once per graph and
-    agent: neither depends on the edge being asked about."""
+def _crossing_of(g: EvolvingGraph, i: AgentId) -> dict[int, int]:
+    """Each i-edge endpoint's crossing component mask, built once per graph
+    and agent: neither depends on the edge being asked about."""
     memo = g._crossing
     if i not in memo:
         comps = _crossing_components(g, i, _i_edge_endpoint_rounds(g, i))
-        memo[i] = {a: c for c in map(frozenset, comps) for a in c}
+        memo[i] = {a: c for c in comps for a in _bits(c)}
     return memo[i]
 
 
@@ -595,15 +643,17 @@ def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
     for cand in f.members:
         if not indistinguishable_at(cand, g, i, m, f.observation):
             continue
-        comp = _crossing_of(cand, i)
-        if j not in comp:
+        n2 = _crossing_of(cand, i).get(j)
+        if n2 is None:
             continue
         # i's partners before round m must all fall outside j's half
-        pre = {l for mp in range(1, m) for l in cand.at(mp).neighbors(i)}
-        if not pre.isdisjoint(comp[j]):
+        pre = 0
+        for mp in range(1, m):
+            pre |= cand._masks_at(mp)[i]
+        if pre & n2:
             continue
-        n2 = set(comp[j])
-        return (cand, (set(range(f.n)) - {i} - n2, n2))
+        n1 = ((1 << f.n) - 1) & ~(1 << i) & ~n2
+        return (cand, (set(_bits(n1)), set(_bits(n2))))
     return None
 
 
@@ -611,46 +661,44 @@ def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
 # Unsafe graphs
 # ---------------------------------------------------------------------------
 
-def _step_reached(g: EvolvingGraph, l: AgentId, start: int,
-                  blocked_senders: set[int],
-                  dropped_step: Optional[tuple[int, int, int]],
+def _step_reached(g: EvolvingGraph, l: AgentId, start: int, blocked: int,
+                  dropped_step: tuple[int, int, int],
                   ) -> tuple[dict[int, int], int]:
     """First round at whose start each agent has received (via at least one
     actual transmission step) the information born to l at ``start``.
 
-    Senders in ``blocked_senders`` never forward; ``dropped_step`` removes
+    Senders in the mask ``blocked`` never forward; ``dropped_step`` removes
     one specific (sender, receiver, round) transmission.  Iterates until the
     carrier set is stable over a full cycle (growth depends only on the set
     and the cycle phase, so a quiet cycle means it is final); returns the
     join rounds and a round by which the set is final.
     """
     L = len(g.cycle)
-    carriers = {l}
+    full = (1 << g.n) - 1
+    da, db, dt = dropped_step
+    carriers = 1 << l
+    got = 0
     via_step: dict[int, int] = {}
     t = start
     quiet = 0
     while True:
-        rg = g.at(t)
-        new = {}
-        for a in sorted(carriers):
-            if a in blocked_senders:
-                continue
-            for b in rg.neighbors(a):
-                if dropped_step == (a, b, t):
-                    continue
-                if b not in via_step and b not in new:
-                    new[b] = t + 1
+        nb = g._masks_at(t)
+        if t == dt:
+            nb = list(nb)
+            nb[da] &= ~(1 << db)
+        new = _spread(nb, carriers & ~blocked) & ~got
         t += 1
         if new:
-            for b, tb in new.items():
-                via_step.setdefault(b, tb)
-                carriers.add(b)
+            got |= new
+            carriers |= new
+            for b in _bits(new):
+                via_step[b] = t
             quiet = 0
-        elif t > len(g.prefix) and t > (dropped_step[2] if dropped_step else 0):
+        elif t > len(g.prefix) and t > dt:
             quiet += 1
             if quiet >= L:
                 return via_step, t
-        if len(via_step) >= g.n:
+        if got == full:
             return via_step, t
 
 
@@ -660,33 +708,31 @@ def is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
     silent until m + rho, and dropping the single transmission l -> i at m2
     cuts every route from the (j, l, m1) interaction to all later partners
     of j and (after m2) of i.  The witness search scans configuration
-    rounds up to ``horizon``; route checking follows carriers until their
-    set provably stabilises and then one more full cycle, so the "all later
-    edges" quantification is exact on the prefix+cycle representation.
+    rounds m up to ``horizon`` and the period (a later m is the phase twin
+    of m - |cycle|, scanned first); route checking follows carriers until
+    their set provably stabilises and then one more full cycle, so the "all
+    later edges" quantification is exact on the prefix+cycle
+    representation.
     """
     if horizon < rho:
         raise ValueError("horizon must be at least rho")
-    for m in range(1, horizon + 1):
-        rg_m = g.at(m)
+    for m in range(1, min(horizon, g.period) + 1):
+        nb_m = g._masks_at(m)
+        last = min(m + rho - 1, horizon)
         for i in range(g.n):
-            i_nbrs_m = sorted(rg_m.neighbors(i))
-            if not i_nbrs_m:
+            if not nb_m[i]:
                 continue
-            for m1 in range(m + 1, min(m + rho - 1, horizon) + 1):
-                for m2 in range(m1 + 1, min(m + rho - 1, horizon) + 1):
-                    for j in i_nbrs_m:
-                        for l in sorted(g.at(m1).neighbors(j)):
-                            if l in (i, j):
-                                continue
-                            if not g.at(m2).has_edge(i, l):
-                                continue
-                            if any(g.at(t).degree(l) > 0
+            for m1 in range(m + 1, last + 1):
+                nb_m1 = g._masks_at(m1)
+                for m2 in range(m1 + 1, last + 1):
+                    i_m2 = g._masks_at(m2)[i]
+                    for j in _bits(nb_m[i]):
+                        for l in _bits(nb_m1[j] & i_m2):
+                            if any(g._masks_at(t)[l]
                                    for t in range(m2 + 1, m + rho)):
                                 continue
                             reached, stable = _step_reached(
-                                g, l, m1 + 1,
-                                blocked_senders={i, j},
-                                dropped_step=(l, i, m2))
+                                g, l, m1 + 1, 1 << i | 1 << j, (l, i, m2))
                             end = max(stable, m2) + len(g.cycle)
                             if _unsafe_routes_cut(g, i, j, m1, m2, end, reached):
                                 return {"i": i, "j": j, "l": l,
@@ -696,14 +742,17 @@ def is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
 
 def _unsafe_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId, m1: int,
                        m2: int, end: int, reached: dict[int, int]) -> bool:
+    """No partner of j in (m1, end], nor of i in (m2, end], holds the
+    information by then (``reached`` joins come after m1 + 1)."""
+    arrivals: dict[int, int] = {}
+    for p, r in reached.items():
+        arrivals[r] = arrivals.get(r, 0) | 1 << p
+    held = 0
     for mp in range(m1 + 1, end + 1):
-        for p in g.at(mp).neighbors(j):
-            if p in reached and reached[p] <= mp:
-                return False
-    for mp in range(m2 + 1, end + 1):
-        for p in g.at(mp).neighbors(i):
-            if p in reached and reached[p] <= mp:
-                return False
+        held |= arrivals.get(mp, 0)
+        nb = g._masks_at(mp)
+        if nb[j] & held or (mp > m2 and nb[i] & held):
+            return False
     return True
 
 
@@ -716,7 +765,7 @@ def _expect(cond: bool, where: str, message: str):
         raise FamilyFormatError(where, message)
 
 
-def family_from_dict(doc: dict, where: str = "family") -> GraphFamily:
+def family_from_dict(doc: dict, where: str) -> GraphFamily:
     _expect(isinstance(doc, dict), where, "expected an object")
     for key in ("n", "observation", "horizon", "members"):
         _expect(key in doc, where, f"missing field {key!r}")

@@ -114,13 +114,13 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
             if v == i:
                 continue
             interacted = graph.at(m).has_edge(i, v)
-            holders = (_reach_frontier(graph, [v], m + 1, M + 1, exclude=i)
-                       if interacted else set())
+            holders = (_reach_frontier(graph, 1 << v, m + 1, M + 1, exclude=i)
+                       if interacted else 0)
             for l in range(n):
                 if l == i:
                     continue
                 val = acc(D[(l, M)]).get((v, i, m))
-                if not interacted or l not in holders:
+                if not holders >> l & 1:
                     if val is not None:
                         facts["F1_accusation_accuracy"] = (
                             f"agent {l} holds ({v},{i},{m}) at end of {M} "

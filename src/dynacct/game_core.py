@@ -187,7 +187,7 @@ class UtilityParams:
                 "pi": str(self.pi), "delta": str(self.delta),
                 "mode": self.mode.value}
 
-    def validate_for(self, n: int, rho: Optional[int] = None):
+    def validate_for(self, n: int, rho: Optional[int]):
         """Mode constraints; valuable mode needs the timeliness bound rho."""
         if self.mode is Mode.VALUABLE:
             if rho is None:

@@ -185,7 +185,7 @@ def timely_violation() -> Scenario:
                      "target": 2, "round": 1}])
 
 
-def _ring_family(n: int = 4) -> GraphFamily:
+def _ring_family(n: int) -> GraphFamily:
     g = EvolvingGraph(prefix=(), cycle=(ring_graph(n),), name=f"ring{n}")
     return GraphFamily(n=n, members=(g,),
                        observation=ObservationModel.NEIGHBORS_AND_DEGREES,
@@ -265,7 +265,7 @@ def scenario_catalog() -> list[dict]:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
+def scenario_from_dict(doc: dict, where: str) -> Scenario:
     if not isinstance(doc, dict):
         raise FamilyFormatError(where, "expected an object")
     for key in ("name", "family", "params", "strategies"):

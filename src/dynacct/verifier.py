@@ -144,7 +144,7 @@ class EnumerationCapExceeded(RuntimeError):
         self.leaves = leaves
         super().__init__(f"randomisation branching exceeds the {cap}-leaf cap "
                          f"(reached round {round} with {leaves} leaves "
-                         f"emitted); use monte_carlo_utility instead")
+                         f"emitted); use monte_carlo_utilities instead")
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +654,6 @@ def monte_carlo_utilities(cfg: SimConfig, samples: int,
         var = sum((float(v - mean)) ** 2 for v in values[i]) / (samples - 1)
         out[i] = (mean, math.sqrt(var / samples))
     return out
-
-
-def monte_carlo_utility(cfg: SimConfig, i: AgentId,
-                        samples: int) -> tuple[Fraction, float]:
-    """``monte_carlo_utilities`` for agent i alone."""
-    return monte_carlo_utilities(cfg, samples)[i]
 
 
 def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,

@@ -7,6 +7,13 @@ as a networkx digraph and closures come from generic graph search, so
 agreement with the package's hand-rolled frontier sweeps is a two-sided
 check.
 
+The ``full_scan_*`` and ``set_*`` functions are the package's graph scans
+as they were before its bitmask rewrite, kept verbatim apart from their
+names: set-based reaches, and configuration rounds scanned up to the
+horizon rather than folded to one period.  Both the item-0 post-increment
+(``t > len(g.prefix)`` after ``t += 1``) and every verdict, witness and
+counterexample of theirs must survive the rewrite unchanged.
+
 ``build_branch_tree`` is the brute-force reference for the verifier's
 branch walker: it materialises the randomisation tree one draw at a time,
 forking the machines and the whole history at every draw point, and keeps
@@ -49,8 +56,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import networkx as nx
 
-from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
-                                    local_view)
+from dynacct.evolving_graph import (EvolvingGraph, FamilyVerdict,
+                                    GraphFamily, LocalView, local_view)
 from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, ActionProfile,
                                History, IndividualAction, Mode, Trace)
 from dynacct.protocols import (RandSource, StrategyConfigError,
@@ -229,6 +236,212 @@ def oracle_partition_valid(f, cand, i, j, m, n1, n2) -> bool:
                 if (l in n1) != (o in n1) and oracle_influences(
                         cand, l, mp, o, mq, exclude=i):
                     return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Set-based graph scans: the package's code before its bitmask rewrite
+# ---------------------------------------------------------------------------
+
+def _set_reach_without(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
+                       until: int) -> Iterable[tuple[int, set[int]]]:
+    """(mp, agents holding (j, m)'s information at the start of round mp)
+    for mp in (m, until], with i neither relaying nor receiving."""
+    reached = {j}
+    for mp in range(m + 1, until + 1):
+        rg_prev = g.at(mp - 1)
+        added = set()
+        for a in reached:
+            for b in rg_prev.neighbors(a):
+                if b != i and b not in reached:
+                    added.add(b)
+        reached |= added
+        yield mp, reached
+
+
+def _set_first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
+                           until: int) -> Optional[int]:
+    """First round of a punishment opportunity for the i-edge (j, m) within
+    ``until``, or None."""
+    for mp, reached in _set_reach_without(g, i, j, m, until):
+        if not reached.isdisjoint(g.at(mp).neighbors(i)):
+            return mp
+    return None
+
+
+def _full_horizon_i_edges(
+                          f: GraphFamily,
+) -> Iterable[tuple[int, EvolvingGraph, AgentId, AgentId, int]]:
+    """(member index, member, i, j, m) for every i-edge (j, m) up to the
+    horizon, by member, round, i, then j."""
+    for gi, g in enumerate(f.members):
+        for m in range(1, f.horizon + 1):
+            rg = g.at(m)
+            for i in range(f.n):
+                for j in sorted(rg.neighbors(i)):
+                    yield gi, g, i, j, m
+
+
+def full_scan_check_timely_punishments(f: GraphFamily, rho: int) -> FamilyVerdict:
+    """Every i-edge (j, m) must have a punishment opportunity strictly
+    before round m + rho, in every member and for every agent."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+    for gi, g, i, j, m in _full_horizon_i_edges(f):
+        if _set_first_opportunity(g, i, j, m, m + rho - 1) is None:
+            return FamilyVerdict(
+                holds=False,
+                counterexample={"member": g.name or gi, "agent": i,
+                                "edge": [j, m]})
+    return FamilyVerdict(holds=True, certificate=rho)
+
+
+def full_scan_timely_certificate(f: GraphFamily) -> Optional[int]:
+    """Smallest rho in [1, horizon] passing the timeliness check, or None.
+
+    rho passes exactly when it is at least first - m + 1 for every i-edge
+    (j, m) up to the horizon, where first is the round of the edge's first
+    punishment opportunity: the result is the largest such delay (1 with
+    no edges), from one scan, or None if an edge has none within the horizon.
+    """
+    rho = 1
+    for _, g, i, j, m in _full_horizon_i_edges(f):
+        first = _set_first_opportunity(g, i, j, m, m + f.horizon - 1)
+        if first is None:
+            return None
+        rho = max(rho, first - m + 1)
+    return rho
+
+
+def set_stable_reach_with_joins(g: EvolvingGraph, src: AgentId, m: int,
+                                exclude: AgentId) -> tuple[dict[int, int], int]:
+    """Join round per agent for the interference-free reach from (src, m),
+    iterated until the frontier is stable over a full cycle.
+
+    Growth at round t depends only on (reached set, cycle phase), so once no
+    agent joins for |cycle| consecutive rounds in the cyclic region the set
+    is final.  Returns (joins, stable_round): agent -> first round at whose
+    start it carries the information, and a round by which the set is final.
+    """
+    L = len(g.cycle)
+    joins = {src: m}
+    reached = {src} - {exclude}
+    t = m
+    quiet = 0
+    while True:
+        rg = g.at(t)
+        added = set()
+        for a in reached:
+            for b in rg.neighbors(a):
+                if b != exclude and b not in reached:
+                    added.add(b)
+        t += 1
+        if added:
+            reached |= added
+            for b in added:
+                joins.setdefault(b, t)
+            quiet = 0
+        elif t > len(g.prefix):
+            quiet += 1
+            if quiet >= L:
+                return joins, t
+        if len(reached) == g.n:
+            return joins, t
+
+
+def set_step_reached(g: EvolvingGraph, l: AgentId, start: int,
+                     blocked_senders: set[int],
+                  dropped_step: Optional[tuple[int, int, int]],
+                  ) -> tuple[dict[int, int], int]:
+    """First round at whose start each agent has received (via at least one
+    actual transmission step) the information born to l at ``start``.
+
+    Senders in ``blocked_senders`` never forward; ``dropped_step`` removes
+    one specific (sender, receiver, round) transmission.  Iterates until the
+    carrier set is stable over a full cycle (growth depends only on the set
+    and the cycle phase, so a quiet cycle means it is final); returns the
+    join rounds and a round by which the set is final.
+    """
+    L = len(g.cycle)
+    carriers = {l}
+    via_step: dict[int, int] = {}
+    t = start
+    quiet = 0
+    while True:
+        rg = g.at(t)
+        new = {}
+        for a in sorted(carriers):
+            if a in blocked_senders:
+                continue
+            for b in rg.neighbors(a):
+                if dropped_step == (a, b, t):
+                    continue
+                if b not in via_step and b not in new:
+                    new[b] = t + 1
+        t += 1
+        if new:
+            for b, tb in new.items():
+                via_step.setdefault(b, tb)
+                carriers.add(b)
+            quiet = 0
+        elif t > len(g.prefix) and t > (dropped_step[2] if dropped_step else 0):
+            quiet += 1
+            if quiet >= L:
+                return via_step, t
+        if len(via_step) >= g.n:
+            return via_step, t
+
+
+def full_scan_is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
+    """Witness (i, j, l, m, m1, m2) that the graph admits the lenient-cut
+    configuration: i meets j at m and l at m2, j meets l at m1, l then goes
+    silent until m + rho, and dropping the single transmission l -> i at m2
+    cuts every route from the (j, l, m1) interaction to all later partners
+    of j and (after m2) of i.  The witness search scans configuration
+    rounds up to ``horizon``; route checking follows carriers until their
+    set provably stabilises and then one more full cycle, so the "all later
+    edges" quantification is exact on the prefix+cycle representation.
+    """
+    if horizon < rho:
+        raise ValueError("horizon must be at least rho")
+    for m in range(1, horizon + 1):
+        rg_m = g.at(m)
+        for i in range(g.n):
+            i_nbrs_m = sorted(rg_m.neighbors(i))
+            if not i_nbrs_m:
+                continue
+            for m1 in range(m + 1, min(m + rho - 1, horizon) + 1):
+                for m2 in range(m1 + 1, min(m + rho - 1, horizon) + 1):
+                    for j in i_nbrs_m:
+                        for l in sorted(g.at(m1).neighbors(j)):
+                            if l in (i, j):
+                                continue
+                            if not g.at(m2).has_edge(i, l):
+                                continue
+                            if any(g.at(t).degree(l) > 0
+                                   for t in range(m2 + 1, m + rho)):
+                                continue
+                            reached, stable = set_step_reached(
+                                g, l, m1 + 1,
+                                blocked_senders={i, j},
+                                dropped_step=(l, i, m2))
+                            end = max(stable, m2) + len(g.cycle)
+                            if _set_unsafe_routes_cut(g, i, j, m1, m2, end, reached):
+                                return {"i": i, "j": j, "l": l,
+                                        "m": m, "m1": m1, "m2": m2}
+    return None
+
+
+def _set_unsafe_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId, m1: int,
+                           m2: int, end: int, reached: dict[int, int]) -> bool:
+    for mp in range(m1 + 1, end + 1):
+        for p in g.at(mp).neighbors(j):
+            if p in reached and reached[p] <= mp:
+                return False
+    for mp in range(m2 + 1, end + 1):
+        for p in g.at(mp).neighbors(i):
+            if p in reached and reached[p] <= mp:
+                return False
     return True
 
 

@@ -269,7 +269,7 @@ def test_verify_scenario_roundtrip_loader():
                  "fig2_ambiguous", "unsafe_three_agent"):
         sc = builtin(name)
         doc = sc.to_json()
-        sc2 = scenario_from_dict(json.loads(json.dumps(doc)))
+        sc2 = scenario_from_dict(json.loads(json.dumps(doc)), "scenario")
         assert sc2.to_json() == doc
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dynacct.evolving_graph import (EvolvingGraph, FamilyFormatError,
                                     GraphFamily, ObservationModel,
                                     PartitionSearchRefused, RoundGraph,
-                                    _stable_reach_with_joins,
+                                    _stable_reach_with_joins, _step_reached,
                                     causally_influences,
                                     causally_influences_excluding,
                                     check_connectivity_restriction,
@@ -364,6 +364,36 @@ def test_indistinguishable_deep_rounds_match_oracle(rng):
                        (True, True)}
 
 
+def test_agreement_table_matches_oracle_in_any_query_order(rng):
+    # indistinguishable_at reads one table of separating agents per
+    # (g2, obs), kept on g and extended on demand: queries in shuffled order
+    # over reused graphs, both observation models on every pair, rounds
+    # past the horizon and a g2 equal in content to a but a distinct object
+    # all answer as the cone-by-cone oracle does
+    answers = set()
+    for _ in range(5):
+        n = rng.randint(3, 4)
+        a = random_evolving_graph(rng, n, "a")
+        rounds = list(a.prefix + a.cycle)
+        rounds[rng.randrange(len(rounds))] = random_round_graph(rng, n)
+        b = EvolvingGraph(tuple(rounds[:len(a.prefix)]),
+                          tuple(rounds[len(a.prefix):]), "b")
+        twin = EvolvingGraph(a.prefix, a.cycle, "a")
+        assert twin == a and twin is not a
+        graphs = (a, b, twin)
+        horizon = a.period
+        queries = [(g, g2, i, m, obs) for g in graphs for g2 in graphs
+                   for i in range(n) for m in range(1, horizon + 4)
+                   for obs in (NO, ND)]
+        rng.shuffle(queries)
+        for q in queries[:120]:
+            lhs = indistinguishable_at(*q)
+            assert lhs == oracles.oracle_indistinguishable_at(*q), q[2:]
+            answers.add((lhs, q[3] > horizon))
+    assert answers == {(False, False), (False, True), (True, False),
+                       (True, True)}
+
+
 def test_indistinguishable_round_fig3():
     fam = _fig3_family()
     g3 = fam.member("G3")
@@ -507,7 +537,7 @@ def test_ambiguous_po_same_on_fresh_and_reused_members(rng):
     for _ in range(12):
         doc = family_to_dict(random_family(
             rng, n=rng.randint(3, 4), members=rng.randint(1, 3), horizon=10))
-        reused = family_from_dict(doc)
+        reused = family_from_dict(doc, "family")
         edges = [(k, i, j, m) for k, g in enumerate(reused.members)
                  for m in range(1, 5) for i in range(reused.n)
                  for j in sorted(g.at(m).neighbors(i))]
@@ -519,7 +549,7 @@ def test_ambiguous_po_same_on_fresh_and_reused_members(rng):
                 w[1][0].add(i)
                 w[1][1].clear()
         for (k, i, j, m) in edges:
-            fresh = family_from_dict(doc)
+            fresh = family_from_dict(doc, "family")
             w = is_ambiguous_po(fresh, fresh.members[k], i, j, m)
             assert got[k, i, j, m] == (w and (w[0].name, w[1])), (k, i, j, m)
             witnesses += w is not None
@@ -546,6 +576,34 @@ def test_reach_stabilisation_scans_a_cycle_after_the_prefix():
     assert is_ambiguous_po(fam, g2, 1, 0, 2) is None
 
 
+def test_mask_reaches_match_set_reaches(rng):
+    # the bitmask reaches return the set-based code's joins and stable
+    # rounds, its prefix post-increment (ROADMAP item 0) included, on
+    # random graphs and on 2+ prefix rounds before a 1-round cycle, with
+    # excluded agents, blocked senders and dropped steps
+    for trial in range(300):
+        n = rng.randint(2, 5)
+        if trial % 3 == 0:
+            g = EvolvingGraph(tuple(random_round_graph(rng, n)
+                                    for _ in range(rng.randint(2, 4))),
+                              (random_round_graph(rng, n),), "g")
+        else:
+            g = random_evolving_graph(rng, n, "g")
+        src, exclude = rng.randrange(n), rng.randrange(n)
+        m = rng.randint(1, g.period + 2)
+        assert _stable_reach_with_joins(g, src, m, exclude) == \
+            oracles.set_stable_reach_with_joins(g, src, m, exclude)
+        blocked = {a for a in range(n) if rng.random() < 0.3}
+        t = rng.randint(m, m + g.period + 1)
+        a = src if rng.random() < 0.5 else rng.randrange(n)
+        nbrs = sorted(g.at(t).neighbors(a))
+        b = rng.choice(nbrs) if nbrs and rng.random() < 0.8 \
+            else rng.randrange(n)
+        mask = sum(1 << x for x in blocked)
+        assert _step_reached(g, src, m, mask, (a, b, t)) == \
+            oracles.set_step_reached(g, src, m, blocked, (a, b, t))
+
+
 def test_unsafe_three_agent_witness():
     fam = _unsafe_family()
     w = is_unsafe(fam.members[0], 3, fam.horizon)
@@ -569,10 +627,39 @@ def test_unsafe_no_il_edge_none():
 # family files
 # ---------------------------------------------------------------------------
 
+def test_period_fold_matches_full_horizon_scans(rng):
+    # the timeliness and unsafe scans stop at the period: a later
+    # configuration is the phase twin of one a cycle earlier, so the
+    # certificate, every counterexample and every witness equal those of
+    # the set-based scans up to a horizon of three periods or more
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        members = tuple(random_evolving_graph(rng, n, f"g{k}")
+                        for k in range(rng.randint(1, 3)))
+        periods = max(g.period for g in members)
+        horizon = max(3 * periods, 4) + rng.randint(0, 2)
+        fam = GraphFamily(n, members, rng.choice([NO, ND]), horizon)
+        assert timely_certificate(fam) == \
+            oracles.full_scan_timely_certificate(fam)
+        for rho in range(1, 6):
+            got = check_timely_punishments(fam, rho).to_json()
+            assert got == oracles.full_scan_check_timely_punishments(
+                fam, rho).to_json(), rho
+            seen.add(("timely", got["holds"]))
+        for g in members:
+            for rho in range(2, 5):
+                w = is_unsafe(g, rho, horizon)
+                assert w == oracles.full_scan_is_unsafe(g, rho, horizon), rho
+                seen.add(("unsafe", w is not None))
+    assert seen == {("timely", True), ("timely", False), ("unsafe", True),
+                    ("unsafe", False)}
+
+
 def test_family_roundtrip():
     fam = _fig2_family()
     doc = family_to_dict(fam)
-    fam2 = family_from_dict(doc)
+    fam2 = family_from_dict(doc, "family")
     assert family_to_dict(fam2) == doc
 
 
@@ -586,7 +673,7 @@ def test_family_loader_positioned_errors(mutate, where):
     doc = family_to_dict(_fig3_family())
     mutate(doc)
     with pytest.raises(FamilyFormatError) as e:
-        family_from_dict(doc)
+        family_from_dict(doc, "family")
     assert where in str(e.value)
 
 

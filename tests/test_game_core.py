@@ -242,16 +242,16 @@ def test_params_validation():
     with pytest.raises(TypeError):
         UtilityParams.make(1.2, "0.1", "1.2", "0.9", Mode.GENERAL)
     good = UtilityParams.make("1.2", "0.1", "1.2", "0.99", Mode.GENERAL)
-    good.validate_for(4)
+    good.validate_for(4, None)
     bad = UtilityParams.make("1.05", "0.1", "1.2", "0.99", Mode.GENERAL)
     with pytest.raises(ValueError):
-        bad.validate_for(4)
+        bad.validate_for(4, None)
     val = UtilityParams.make("17", "0", "5", "0.99", Mode.VALUABLE)
     val.validate_for(4, rho=3)
     with pytest.raises(ValueError):
         val.validate_for(5, rho=3)       # pi must exceed n
     with pytest.raises(ValueError):
-        val.validate_for(4)              # rho required in valuable mode
+        val.validate_for(4, None)        # rho required in valuable mode
 
 
 def test_params_json_roundtrip_exact():

@@ -84,5 +84,5 @@ def test_scenario_loader_rejects_bad_agent_ids():
     doc = builtin("ring_connectivity").to_json()
     doc["strategies"]["9"] = "sigma_gen"
     with pytest.raises(Exception) as e:
-        scenario_from_dict(json.loads(json.dumps(doc)))
+        scenario_from_dict(json.loads(json.dumps(doc)), "scenario")
     assert "out of range" in str(e.value)

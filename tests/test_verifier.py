@@ -18,8 +18,8 @@ from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
                               _simulate_machines, assert_gen_facts,
                               build_machines, expected_punishments,
                               expected_utility, monte_carlo_utilities,
-                              monte_carlo_utility, run_paired_defection,
-                              simulate, verify_cooperation, verify_one_shot)
+                              run_paired_defection, simulate,
+                              verify_cooperation, verify_one_shot)
 
 from .oracles import FlatSigmaGen, build_branch_tree
 
@@ -363,15 +363,17 @@ def test_expected_utility_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded) as refused:
         expected_utility(cfg, 0)
     assert refused.value.leaves == 3 and 1 <= refused.value.round <= 12
+    # the refusal names the sampling API that exists
+    assert str(refused.value).endswith("use monte_carlo_utilities instead")
 
 
 def test_monte_carlo_deterministic_and_single_sample():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=10)
-    mean, se = monte_carlo_utility(cfg, 1, 12)
+    mean, se = monte_carlo_utilities(cfg, 12)[1]
     assert se == 0.0
     assert mean == expected_utility(cfg, 1)
-    mean1, se1 = monte_carlo_utility(cfg, 1, 1)
+    mean1, se1 = monte_carlo_utilities(cfg, 1)[1]
     assert se1 == 0.0 and mean1 == mean
 
 
@@ -381,7 +383,7 @@ def test_monte_carlo_agrees_with_exact_within_three_se():
                   devs={0: {"deviation": {"kind": "always_defect_until",
                                           "round": 1, "base": "sigma_gen"}}})
     exact = expected_utility(cfg, 0)
-    mean, se = monte_carlo_utility(cfg, 0, 1500)
+    mean, se = monte_carlo_utilities(cfg, 1500)[0]
     assert se > 0
     assert abs(float(mean - exact)) <= 3 * se
 
@@ -395,7 +397,7 @@ def test_monte_carlo_utilities_one_run_per_seed_for_all_agents():
     assert sorted(both) == list(range(fam.n))
     assert any(se > 0 for _, se in both.values())
     for i in range(fam.n):
-        assert both[i] == monte_carlo_utility(cfg, i, 40)
+        assert both[i] == monte_carlo_utilities(cfg, 40)[i]
         values = [discounted_utility(simulate(replace(cfg, seed=100 + k)), i,
                                      1, cfg.params) for k in range(40)]
         mean = sum(values, Fraction(0)) / 40
