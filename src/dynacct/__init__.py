@@ -15,8 +15,8 @@ from .game_core import (Action, ActionProfile, History, IndividualAction, Mode,
                         Trace, UtilityParams, discounted_utility, round_utility,
                         tail_bound)
 from .protocols import (AccusationPunisher, SigmaGen, SigmaVal, StrategyMachine,
-                        always_defect_until, one_shot_deviation, sigma_gen,
-                        sigma_val, single_evasive)
+                        always_defect_until, sigma_gen, sigma_val,
+                        single_evasive)
 from .scenarios import BUILTIN_SCENARIOS, Scenario, builtin, load_scenario
 from .verifier import (EquilibriumReport, FactReport, SimConfig,
                        assert_gen_facts, expected_punishments, expected_utility,

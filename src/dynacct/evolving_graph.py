@@ -500,18 +500,16 @@ def _indistinguishable_round(f: GraphFamily, gi: int, i: AgentId, rho: int,
         pos_by_agent[i] = [po_set(cand, i, rho, m) for cand in f.members]
     pos_all = pos_by_agent[i]
     po_g = pos_all[gi]
-    member_pos = {}
-    member_ok = {}
-    for cand, pos in zip(f.members, pos_all):
-        member_pos[cand.name] = pos
-        member_ok[cand.name] = all(
-            indistinguishable_at(cand, g, j, mp, f.observation) for (j, mp) in pos)
-    for g1, g2 in itertools.combinations_with_replacement(f.members, 2):
-        if not (member_ok[g1.name] and member_ok[g2.name]):
+    # by member index: names need not be unique
+    ok = [all(indistinguishable_at(cand, g, j, mp, f.observation)
+              for (j, mp) in pos)
+          for cand, pos in zip(f.members, pos_all)]
+    for a, b in itertools.combinations_with_replacement(range(len(ok)), 2):
+        if not (ok[a] and ok[b]):
             continue
-        po1, po2 = member_pos[g1.name], member_pos[g2.name]
+        po1, po2 = pos_all[a], pos_all[b]
         if len(po1 & po2) < k and (po1 | po2) == po_g:
-            return (g1, g2)
+            return (f.members[a], f.members[b])
     return None
 
 

@@ -645,14 +645,6 @@ class OneShotDeviation(_Wrapper):
         return self.fired_at is not None and self.base.is_quiescent()
 
 
-def one_shot_deviation(base: StrategyMachine,
-                       at: Callable[[LocalView], bool],
-                       override: Mapping) -> OneShotDeviation:
-    """Deviate once, at the first view matching ``at``, to the override
-    template; conform with true state thereafter."""
-    return OneShotDeviation(base, at, override)
-
-
 # ---------------------------------------------------------------------------
 # Shadow worlds for the scripted dual and lenient evasive strategies
 # ---------------------------------------------------------------------------
@@ -792,6 +784,11 @@ class LenientEvasiveUnsafe(_PersonaEvasive):
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         return dict(self.shadow.action_of(self.me, self.round))
+
+    def is_quiescent(self) -> bool:
+        # before round 1 the fresh base and the unplayed shadow both report
+        # quiescent, which would absorb the candidate before it plays
+        return self.round >= 1 and super().is_quiescent()
 
 
 # ---------------------------------------------------------------------------

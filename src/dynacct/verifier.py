@@ -39,18 +39,16 @@ Each job has exactly one implementation:
   (these with the world table below), the punishments toward i with
   discount 1 for ``expected_punishments``, and a check that raises at the
   first non-cooperative action for ``verify_cooperation``.
-* A walk can be conditioned on a realised history prefix, which drops the
-  scripts that disagree with it before any fork.  A branch cut by the
-  walk's last round ``end`` is recorded as absorbed at ``end + 1``, where
-  the tail is 0, so the absorption probabilities sum to the mass of the
-  runs kept, and an expectation is the walk's value divided by that mass
-  (exactly 1 without a condition).  A round's reward is weighted by the
-  mass kept below it, which differs from 1 only before the condition ends.
+* The value after a history is the walk from the machines of that history
+  (``_OneShotChecker._continuation_eu`` forks them at its context).  A
+  branch cut by the walk's last round ``end`` is recorded as absorbed at
+  ``end + 1``, where the tail is 0, so the absorption probabilities always
+  sum to 1.
 * An override ``(agent, round, pattern)`` forces one agent's send/defect/
   avoid class per neighbour in one round.  ``_play_round`` applies it in
-  that round; up to and including that round (and the condition's last)
-  no quiescent branch is absorbed, no continuation value is read or
-  written, and ``_OneShotChecker._walk_contexts`` collects no context.
+  that round; up to and including that round no quiescent branch is
+  absorbed, no continuation value is read or written, and
+  ``_OneShotChecker._walk_contexts`` collects no context.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
@@ -458,15 +456,12 @@ class _Walk:
     ``reward(m, profile, utils)`` of each round played, discounted by ``d``
     per round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
 
-    Scripts whose profile disagrees with the ``condition`` prefix are
-    dropped; no branch is absorbed, and the ``table`` of valued worlds is
-    neither read nor written, at or before the override round or the end of
-    the condition.  ``leaves`` counts the branches ended so far against the
-    enumeration cap."""
+    No branch is absorbed, and the ``table`` of valued worlds is neither
+    read nor written, at or before the override round.  ``leaves`` counts
+    the branches ended so far against the enumeration cap."""
 
     def __init__(self, cfg: SimConfig, reward: Callable, d,
                  override: Optional[Override] = None,
-                 condition: Sequence[ActionProfile] = (),
                  end: Optional[int] = None, table: Optional[dict] = None):
         self.graph = cfg.graph
         self.obs = cfg.family.observation
@@ -475,10 +470,9 @@ class _Walk:
         self.reward = reward
         self.d = d
         self.override = override
-        self.condition = condition
         self.end = cfg.horizon if end is None else end
         self.table = table
-        self.blocked = max(override[1] if override else 0, len(condition))
+        self.blocked = override[1] if override else 0
         self.leaves = 0
 
     def _stop(self, m: int, leaves: int):
@@ -490,20 +484,16 @@ class _Walk:
 
     def value(self, ms, m: int):
         """Walk the pre-round machines ``ms`` from round m: ``(pre,
-        absorbed)``, with ``pre`` the rewards of the rounds played,
-        discounted to m and summed over the runs kept, and ``absorbed`` the
-        probability of absorbing at each round.  A branch cut by ``end`` is
-        recorded as absorbed at ``end + 1``, and ``sum(absorbed.values())``
-        is the mass of the runs kept, by which ``pre`` is not divided.
+        absorbed)``, with ``pre`` the expected reward of the rounds played,
+        discounted to m, and ``absorbed`` the probability of absorbing at
+        each round.  A branch cut by ``end`` is recorded as absorbed at
+        ``end + 1``.
 
         Rounds with one draw script are played in a loop, and only a round
-        with several recurses.  A round's reward is weighted by the mass of
-        the runs kept below it, which is 1 from the end of the condition
-        on.  A keyed round stops at the first world already valued; once
-        every branch of the subtree absorbed, every keyed round of it is
-        written back."""
+        with several recurses.  A keyed round stops at the first world
+        already valued; once every branch of the subtree absorbed, every
+        keyed round of it is written back."""
         d, graph, override = self.d, self.graph, self.override
-        cond = len(self.condition)
         first = self.leaves
         chain: list[tuple[Optional[tuple], int, Fraction]] = []
         while True:
@@ -528,13 +518,9 @@ class _Walk:
                         key = None      # already valued
                         break
             views = _begin_round(graph, self.obs, ms, m)
-            scripts = _round_scripts(ms, m)
             outcomes = [(p, *_round_outcome(graph, self.params, m, raw, override))
-                        for raw, p in scripts]
-            if m <= cond:
-                outcomes = [o for o in outcomes
-                            if o[1] == self.condition[m - 1]]
-            if len(scripts) == 1 and outcomes:     # one script, kept
+                        for raw, p in _round_scripts(ms, m)]
+            if len(outcomes) == 1:
                 _, profile, utils = outcomes[0]
                 chain.append((key, m, self.reward(m, profile, utils)))
                 _deliver(views, ms, profile)
@@ -546,19 +532,16 @@ class _Walk:
                 sub = ms if k == len(outcomes) - 1 else _fork(ms)
                 _deliver(views, sub, profile)
                 spre, sabs = self.value(sub, m + 1)
-                if m < cond:
-                    r *= sum(sabs.values())
                 pre += p * (r + d * spre)
                 for a, q in sabs.items():
                     absorbed[a] = absorbed.get(a, 0) + p * q
             break
         complete = self.end + 1 not in absorbed
         leaves = self.leaves - first
-        mass = sum(absorbed.values()) if cond else 1
         if complete:
             self._store(key, m, pre, absorbed, leaves)
         for key, t, r in reversed(chain):
-            pre = (r * mass if t < cond else r) + d * pre
+            pre = r + d * pre
             if complete:
                 self._store(key, t, pre, absorbed, leaves)
         return pre, absorbed
@@ -569,14 +552,6 @@ class _Walk:
             self.table[key] = _Valued(
                 pre, tuple(sorted((a - m, p) for a, p in absorbed.items())),
                 leaves)
-
-
-def _conditional(total: Fraction, absorbed: dict[int, Fraction]) -> Fraction:
-    """A walk's ``total`` divided by the mass of the runs it kept."""
-    mass = sum(absorbed.values())
-    if mass == 0:
-        raise ValueError("condition is inconsistent with the strategy profile")
-    return total if mass == 1 else total / mass
 
 
 def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
@@ -591,45 +566,29 @@ def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                 i: AgentId, start: int, from_round: int,
+                 i: AgentId, start: int,
                  override: Optional[Override] = None,
-                 condition: Sequence[ActionProfile] = (),
                  table: Optional[dict] = None,
                  tails: Optional[dict[int, Fraction]] = None) -> Fraction:
-    """Expected utility of i discounted to ``from_round``, over the runs of
-    ``machines`` walked from round ``start``, with the closed-form
-    cooperative tail of every absorbed branch.  Pass one ``tails`` dict to
-    every call for the same (cfg, i) to share the tails, and one ``table``
-    to share the valued worlds."""
+    """Expected utility of i discounted to round ``start``, over the runs of
+    the pre-round machines ``machines`` walked from there, with the
+    closed-form cooperative tail of every absorbed branch.  Pass one
+    ``tails`` dict to every call for the same (cfg, i) to share the tails,
+    and one ``table`` to share the valued worlds."""
     d = cfg.params.delta
-
-    def reward(m: int, profile: ActionProfile, utils) -> Fraction:
-        return utils[i] if m >= from_round else 0
-
-    walk = _Walk(cfg, reward, d, override, condition, table=table)
+    walk = _Walk(cfg, lambda m, profile, utils: utils[i], d, override,
+                 table=table)
     total, absorbed = walk.value(machines, start)
-    if from_round > start:
-        total /= d ** (from_round - start)
     tails = {} if tails is None else tails
     for a, p in absorbed.items():
         if a <= cfg.horizon:
-            s = max(a, from_round)
-            total += p * d ** (s - from_round) * _cooperation_tail(cfg, i, s,
-                                                                   tails)
-    return _conditional(total, absorbed)
+            total += p * d ** (a - start) * _cooperation_tail(cfg, i, a, tails)
+    return total
 
 
-def expected_utility(cfg: SimConfig, i: AgentId,
-                     condition: Sequence[ActionProfile] = (),
-                     from_round: Optional[int] = None) -> Fraction:
-    """Exact expected discounted utility of i over the branch tree,
-    conditioned on a realised history prefix (expectation renormalised to
-    the branches consistent with it); discounting starts at the round after
-    the prefix unless ``from_round`` says otherwise."""
-    if from_round is None:
-        from_round = len(condition) + 1
-    return _expected_eu(cfg, build_machines(cfg), i, 1, from_round,
-                        condition=condition)
+def expected_utility(cfg: SimConfig, i: AgentId) -> Fraction:
+    """Exact expected discounted utility of i over the branch tree."""
+    return _expected_eu(cfg, build_machines(cfg), i, 1)
 
 
 def monte_carlo_utilities(cfg: SimConfig, samples: int,
@@ -656,12 +615,11 @@ def monte_carlo_utilities(cfg: SimConfig, samples: int,
     return out
 
 
-def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
-                         condition: Sequence[ActionProfile] = ()) -> Fraction:
+def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int,
+                         rho: int) -> Fraction:
     """Expected number of punishments received by i over the i-edges in
-    rounds (from_round, from_round + rho), conditioned on the prefix.  A
-    quiescent branch is absorbed: from there every agent cooperates, so no
-    later punishment is missed."""
+    rounds (from_round, from_round + rho).  A quiescent branch is absorbed:
+    from there every agent cooperates, so no later punishment is missed."""
     graph = cfg.graph
 
     def hits(m: int, profile: ActionProfile, utils) -> int:
@@ -673,9 +631,8 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int, rho: int,
                     a.kind is ActionKind.PROP_PUNISH and a.c > 0)
         return count
 
-    walk = _Walk(cfg, hits, 1, condition=condition,
-                 end=min(from_round + rho - 1, cfg.horizon))
-    return _conditional(*walk.value(build_machines(cfg), 1))
+    walk = _Walk(cfg, hits, 1, end=min(from_round + rho - 1, cfg.horizon))
+    return walk.value(build_machines(cfg), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +757,8 @@ class _OneShotChecker:
         """i's expected utility from round m2, discounted to m2, with i's
         round-m2 classes forced to ``pattern`` (None: as prescribed)."""
         override = None if pattern is None else (self.i, m2, pattern)
-        return _expected_eu(self.cfg, _fork(machines), self.i, m2, m2,
-                            override, table=self.values, tails=self.tails)
+        return _expected_eu(self.cfg, _fork(machines), self.i, m2, override,
+                            table=self.values, tails=self.tails)
 
     def check_context(self, m2: int, machines, origin: str,
                       prescribed: dict[AgentId, str]):
@@ -825,14 +782,14 @@ class _OneShotChecker:
         """i's expected utility under the honest profile, computed once and
         only if a candidate needs it."""
         return _expected_eu(self.cfg, build_machines(self.cfg, honest_only=True),
-                            self.i, 1, 1, tails=self.tails)
+                            self.i, 1, tails=self.tails)
 
     def add_candidate(self, spec: Mapping):
         ctx = strategy_context(self.cfg, self.i)
         machine = build_strategy({"deviation": dict(spec)}, ctx)
         machines = build_machines(self.cfg, honest_only=True)
         machines[self.i] = machine
-        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, 1, tails=self.tails)
+        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, tails=self.tails)
         m_dev = getattr(machine, "first_deviation_round", None) or 1
         gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
         tol = self._tolerance(self.horizon - m_dev)

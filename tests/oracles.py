@@ -20,7 +20,7 @@ forking the machines and the whole history at every draw point, and keeps
 a full ``Trace`` per leaf.  It shares only the round step with the
 package, so exact agreement of ``sum(leaf.prob * u)`` over its leaves with
 ``expected_utility`` and ``expected_punishments`` checks the walker's
-script batching, state sharing, absorption and conditioning.
+script batching, state sharing and absorption.
 
 ``_Enumerator`` is the leaf enumerator the verifier used before its
 expectations ran on one branch walker (``verifier._Walk``): it yields
@@ -52,7 +52,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import networkx as nx
 
@@ -554,7 +554,6 @@ class _Enumerator:
                  start: int = 1, end: Optional[int] = None,
                  absorb: bool = True,
                  override: Optional[Override] = None,
-                 condition: Sequence[ActionProfile] = (),
                  collect_profiles: bool = False):
         self.graph = cfg.graph
         self.obs = cfg.family.observation
@@ -565,10 +564,8 @@ class _Enumerator:
         self.cap = cfg.enum_cap
         self.absorb = absorb
         self.override = override
-        self.condition = list(condition)
-        # no absorption while the override or the condition is still ahead
-        self.blocked_until = max(override[1] if override else 0,
-                                 len(self.condition))
+        # no absorption while the override is still ahead
+        self.blocked_until = override[1] if override else 0
         self.collect_profiles = collect_profiles
         self.count = 0
 
@@ -599,8 +596,6 @@ class _Enumerator:
                 last = si == len(scripts) - 1
                 profile, round_utils = _round_outcome(
                     self.graph, self.params, m, raw, self.override)
-                if m <= len(self.condition) and profile != self.condition[m - 1]:
-                    continue
                 ms = machines if last else _fork(machines)
                 _deliver(views, ms, profile)
                 nu = dict(utils) if not last else utils
@@ -616,21 +611,14 @@ class _Enumerator:
                     m += 1
                     break
                 yield from self._rec(ms, m + 1, prob * p, nu, np)
-            else:
-                return  # every script was pruned by the condition
 
 
 def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
-    """Sum of p * f(leaf) over the enumeration's leaves, divided by their
-    total mass p (exactly 1 unless the enumeration is conditioned)."""
+    """Sum of p * f(leaf) over the enumeration's leaves."""
     total = Fraction(0)
-    mass = Fraction(0)
     for leaf in enum.leaves():
-        mass += leaf.prob
         total += leaf.prob * f(leaf)
-    if mass == 0:
-        raise ValueError("condition is inconsistent with the strategy profile")
-    return total / mass
+    return total
 
 
 def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
@@ -652,13 +640,11 @@ def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, from_round: int,
                  override: Optional[Override] = None,
-                 condition: Sequence[ActionProfile] = (),
                  tails: Optional[dict[int, Fraction]] = None) -> Fraction:
     """Expected utility of i discounted from ``from_round``, over the runs of
     ``machines`` enumerated from round ``start``.  Pass one ``tails`` dict
     to every call for the same (cfg, i) to share the cooperative tails."""
-    enum = _Enumerator(cfg, machines, start, override=override,
-                       condition=condition)
+    enum = _Enumerator(cfg, machines, start, override=override)
     tails = {} if tails is None else tails
     return _expectation(enum,
                         lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
@@ -672,17 +658,13 @@ def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
                         override=override, tails=checker.tails)
 
 
-def enumerated_expected_utility(cfg: SimConfig, i: AgentId, condition=(),
-                                from_round: Optional[int] = None) -> Fraction:
+def enumerated_expected_utility(cfg: SimConfig, i: AgentId) -> Fraction:
     """``expected_utility`` over the enumerated leaves."""
-    if from_round is None:
-        from_round = len(condition) + 1
-    return _expected_eu(cfg, build_machines(cfg), i, 1, from_round,
-                        condition=condition)
+    return _expected_eu(cfg, build_machines(cfg), i, 1, 1)
 
 
 def enumerated_punishments(cfg: SimConfig, i: AgentId, from_round: int,
-                           rho: int, condition=()) -> Fraction:
+                           rho: int) -> Fraction:
     """``expected_punishments`` over the enumerated leaves, with no
     absorption."""
     graph = cfg.graph
@@ -699,7 +681,7 @@ def enumerated_punishments(cfg: SimConfig, i: AgentId, from_round: int,
         return count
 
     enum = _Enumerator(cfg, build_machines(cfg), end=end, absorb=False,
-                       condition=condition, collect_profiles=True)
+                       collect_profiles=True)
     return _expectation(enum, hits)
 
 

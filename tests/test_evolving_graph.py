@@ -430,6 +430,30 @@ def test_indistinguishable_round_matches_oracle(rng):
             assert (mine[0].name, mine[1].name) == (theirs[0].name, theirs[1].name)
 
 
+def test_indistinguishable_round_matches_oracle_when_members_share_a_name(rng):
+    # members are told apart by position, not by name: every member of these
+    # families is named "g", so witnesses are compared by member index
+    def index(fam, w):
+        return None if w is None else tuple(
+            next(k for k, c in enumerate(fam.members) if c is g) for g in w)
+
+    witnesses = 0
+    for _ in range(20):
+        base = random_family(rng, n=rng.randint(2, 4),
+                             members=rng.randint(2, 3), horizon=10)
+        fam = GraphFamily(base.n, tuple(EvolvingGraph(g.prefix, g.cycle, "g")
+                                        for g in base.members),
+                          base.observation, base.horizon)
+        m, rho = rng.randint(1, 4), rng.randint(2, 4)
+        for g in fam.members:
+            for i in range(fam.n):
+                theirs = oracles.oracle_indistinguishable_round(fam, g, i, rho, m)
+                assert index(fam, is_indistinguishable_round(
+                    fam, g, i, rho, m)) == index(fam, theirs), (i, m, rho)
+                witnesses += theirs is not None
+    assert witnesses >= 10
+
+
 def test_eventual_distinguishability_computes_each_po_set_once(rng,
                                                                monkeypatch):
     # the check's verdict is that of is_indistinguishable_round over every

@@ -14,8 +14,8 @@ from dynacct.protocols import (AccusationPunisher, AlwaysDefect,
                                OneShotDeviation, ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
                                always_defect_until, build_strategy,
-                               defect_at_rounds, one_shot_deviation,
-                               sigma_gen, sigma_val, single_evasive)
+                               defect_at_rounds, sigma_gen, sigma_val,
+                               single_evasive)
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
@@ -442,8 +442,8 @@ def test_one_shot_defect_all_raises_tally():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=10)
     machines = build_machines(cfg)
-    machines[3] = one_shot_deviation(machines[3], lambda v: v.round == 1,
-                                     {"defect": "all"})
+    machines[3] = OneShotDeviation(machines[3], lambda v: v.round == 1,
+                                   {"defect": "all"})
     t = _simulate_machines(cfg, machines)
     pend = dict((tuple(k), v) for k, v in t.state_log[(0, 4)]["pend"])
     assert pend.get((3, 5 % 4), 0) == 2
@@ -452,8 +452,8 @@ def test_one_shot_defect_all_raises_tally():
 def test_one_shot_avoid_zero_edge_utility():
     cfg = k3_val_cfg(horizon=4)
     machines = build_machines(cfg)
-    machines[0] = one_shot_deviation(machines[0], lambda v: v.round == 2,
-                                     {"avoid": [1]})
+    machines[0] = OneShotDeviation(machines[0], lambda v: v.round == 2,
+                                   {"avoid": [1]})
     t = _simulate_machines(cfg, machines)
     profile = t.history.profiles[1]
     rg = cfg.graph.at(2)
@@ -466,8 +466,8 @@ def test_one_shot_override_validates_targets():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=4)
     machines = build_machines(cfg)
-    machines[0] = one_shot_deviation(machines[0], lambda v: v.round == 1,
-                                     {"defect": [2]})  # 2 is not a ring nbr of 0
+    machines[0] = OneShotDeviation(machines[0], lambda v: v.round == 1,
+                                   {"defect": [2]})  # 2 is not a ring nbr of 0
     with pytest.raises(ValueError):
         _simulate_machines(cfg, machines)
 

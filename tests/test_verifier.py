@@ -15,11 +15,11 @@ from dynacct.protocols import ALL_NEIGHBORS, always_defect_until
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
-                              _simulate_machines, assert_gen_facts,
-                              build_machines, expected_punishments,
-                              expected_utility, monte_carlo_utilities,
-                              run_paired_defection, simulate,
-                              verify_cooperation, verify_one_shot)
+                              _expected_eu, _fork, _simulate_machines,
+                              assert_gen_facts, build_machines,
+                              expected_punishments, expected_utility,
+                              monte_carlo_utilities, run_paired_defection,
+                              simulate, verify_cooperation, verify_one_shot)
 
 from .oracles import FlatSigmaGen, build_branch_tree
 
@@ -151,35 +151,46 @@ def test_branch_tree_probability_invariants():
     walk(tree.root, Fraction(1))
 
 
+def _after(cfg, k):
+    """The machines at the start of round k + 1 of cfg's seeded run, and the
+    run's first k profiles."""
+    ms = build_machines(cfg)
+    trace = _simulate_machines(cfg, ms, stop=lambda M, _: M > k)
+    return ms, trace.history.profiles
+
+
 def test_expected_utility_tower_property():
+    # the whole run's value is round 1's utility plus delta times the value
+    # of the walk from the machines of round 2 (round 1 is deterministic)
     fam = mixed_degree_family()
     cfg = gen_cfg(fam, horizon=12,
                   devs={0: {"deviation": {"kind": "always_defect_until",
                                           "round": 1, "base": "sigma_gen"}}})
-    t = simulate(cfg)  # rounds 1..4 are deterministic
-    prefix = t.history.profiles[:1]
-    eu_all = expected_utility(cfg, 0)
-    eu_tail = expected_utility(cfg, 0, condition=prefix)
-    u1 = t.utility(0, 1)
-    assert eu_all == u1 + cfg.params.delta * eu_tail
+    u1 = simulate(cfg).utility(0, 1)
+    ms, _ = _after(cfg, 1)
+    assert expected_utility(cfg, 0) == u1 + cfg.params.delta * _expected_eu(
+        cfg, ms, 0, 2)
 
 
 def test_expected_utility_conditioning_renormalises():
+    # the walk from the machines of a realised 5-round prefix (which fixes
+    # the round-5 punish draws) values the runs that share the prefix: their
+    # mean, renormalised by their mass, discounted to round 6
     fam = mixed_degree_family()
     cfg = gen_cfg(fam, horizon=12,
                   devs={0: {"deviation": {"kind": "always_defect_until",
                                           "round": 1, "base": "sigma_gen"}}})
     tree = build_branch_tree(cfg, max_leaves=100)
-    # condition on one realised 5-round prefix (fixing the punish draws)
-    leaf = tree.leaves[0]
-    prefix = leaf.trace.history.profiles[:5]
-    eu = expected_utility(cfg, 0, condition=prefix, from_round=1)
-    matching = [l for l in tree.leaves
-                if l.trace.history.profiles[:5] == prefix]
-    mass = sum((l.prob for l in matching), Fraction(0))
-    manual = sum((l.prob * discounted_utility(l.trace, 0, 1, cfg.params)
-                  for l in matching), Fraction(0)) / mass
-    assert eu == manual
+    masses = set()
+    for seed in range(8):
+        ms, prefix = _after(replace(cfg, seed=seed), 5)
+        matching = _given(tree.leaves, prefix)
+        mass = sum((l.prob for l in matching), Fraction(0))
+        manual = sum((l.prob * discounted_utility(l.trace, 0, 6, cfg.params)
+                      for l in matching), Fraction(0)) / mass
+        assert _expected_eu(cfg, ms, 0, 6) == manual
+        masses.add(mass)
+    assert len(masses) > 1 and 1 not in masses
 
 
 def _oracle_mean(leaves, f):
@@ -205,10 +216,11 @@ def _punishments_toward(trace, graph, i, first, last):
 def test_enumerator_matches_branch_tree_oracle_on_random_families(rng):
     # sigma_gen with one always_defect_until deviator on random small
     # families: every exact expectation equals the per-draw oracle's
-    # sum of p * u, unconditioned and conditioned on a realised prefix
+    # sum of p * u, over the whole tree and, from the machines of a seeded
+    # run's round k + 1, over the leaves that share its first k rounds
     from .conftest import random_round_graph
 
-    branching = 0
+    branching = forking = 0
     for _ in range(40):
         n = rng.randint(3, 4)
         g = EvolvingGraph(
@@ -231,12 +243,11 @@ def test_enumerator_matches_branch_tree_oracle_on_random_families(rng):
                 tree.leaves, lambda l: discounted_utility(l.trace, i, 1, params))
 
             k = rng.randint(1, horizon - 1)
-            prefix = rng.choice(tree.leaves).trace.history.profiles[:k]
-            for frm in (1, k + 1):
-                assert expected_utility(cfg, i, condition=prefix,
-                                        from_round=frm) == _oracle_mean(
-                    _given(tree.leaves, prefix),
-                    lambda l: discounted_utility(l.trace, i, frm, params))
+            ms, prefix = _after(replace(cfg, seed=rng.randrange(10 ** 6)), k)
+            given = _given(tree.leaves, prefix)
+            forking += len(given) > 1
+            assert _expected_eu(cfg, ms, i, k + 1) == _oracle_mean(
+                given, lambda l: discounted_utility(l.trace, i, k + 1, params))
 
             frm = rng.randint(1, horizon - 1)
             rho = rng.randint(2, horizon - frm + 1)
@@ -244,12 +255,8 @@ def test_enumerator_matches_branch_tree_oracle_on_random_families(rng):
             assert expected_punishments(cfg, i, frm, rho) == _oracle_mean(
                 tree.leaves,
                 lambda l: _punishments_toward(l.trace, g, i, frm + 1, end))
-            prefix = prefix[:end]
-            assert expected_punishments(cfg, i, frm, rho,
-                                        condition=prefix) == _oracle_mean(
-                _given(tree.leaves, prefix),
-                lambda l: _punishments_toward(l.trace, g, i, frm + 1, end))
     assert branching >= 5   # the draws, not only the rounds, are compared
+    assert forking >= 5     # and so are the draws after round k
 
 
 def _walker_configs(rng):
@@ -288,20 +295,18 @@ def _walker_configs(rng):
 
 
 def _outcome(f, *args, **kwargs):
-    """f's value, or the round and leaves of its cap refusal, or the message
-    of its refusal of an inconsistent condition."""
+    """f's value, or the round and leaves of its cap refusal."""
     try:
         return f(*args, **kwargs)
     except EnumerationCapExceeded as refused:
         return "refused", refused.round, refused.leaves
-    except ValueError as refused:
-        return "inconsistent", str(refused)
 
 
 def test_walker_matches_leaf_enumeration(rng, monkeypatch):
     # expected utilities, punishments and the cooperation check on the one
-    # branch walker equal the leaf enumerator's, conditioned or not, and so
-    # do cap refusals; punishments absorb now, so they may only refuse later
+    # branch walker equal the leaf enumerator's, from round 1 and from the
+    # machines of a seeded run's round k + 1, and so do cap refusals;
+    # punishments absorb now, so they may only refuse later
     from dynacct import verifier
 
     from . import oracles
@@ -315,10 +320,9 @@ def test_walker_matches_leaf_enumeration(rng, monkeypatch):
         return scripts
     monkeypatch.setattr(verifier, "_round_scripts", counted_scripts)
 
-    forking, witnesses = set(), 0
+    forking, continued, witnesses = set(), set(), 0
     for index, cfg in enumerate(_walker_configs(rng)):
         n, horizon = cfg.family.n, cfg.horizon
-        prefix = simulate(cfg).history.profiles
         for i in sorted({0, rng.randrange(n)}):
             forks = 0
             got = _outcome(expected_utility, cfg, i)
@@ -327,20 +331,18 @@ def test_walker_matches_leaf_enumeration(rng, monkeypatch):
             if forks and not isinstance(got, tuple):
                 forking.add(index)
             k = rng.randint(1, horizon - 1)
-            # round k + 1's profile in round k: no run agrees with it
-            for cond in (prefix[:k], prefix[:k - 1] + prefix[k:k + 1]):
-                for frm in (None, 1, k + 2):
-                    assert _outcome(expected_utility, cfg, i, cond,
-                                    frm) == _outcome(
-                        oracles.enumerated_expected_utility, cfg, i, cond,
-                        frm), (cfg.member, i, k, frm)
+            ms, _ = _after(cfg, k)
+            forks = 0
+            got = _outcome(_expected_eu, cfg, _fork(ms), i, k + 1)
+            assert got == _outcome(oracles._expected_eu, cfg, ms, i, k + 1,
+                                   k + 1), (cfg.member, i, k)
+            if forks and not isinstance(got, tuple):
+                continued.add(index)
             frm = rng.randint(1, horizon - 1)
             rho = rng.randint(2, horizon - frm + 1)
-            for cond in ((), prefix[:rng.randint(1, frm + rho - 1)]):
-                got = _outcome(expected_punishments, cfg, i, frm, rho, cond)
-                want = _outcome(oracles.enumerated_punishments, cfg, i, frm,
-                                rho, cond)
-                assert got == want or want[0] == "refused", (cfg.member, i)
+            got = _outcome(expected_punishments, cfg, i, frm, rho)
+            want = _outcome(oracles.enumerated_punishments, cfg, i, frm, rho)
+            assert got == want or want[0] == "refused", (cfg.member, i)
         ok, witness = verify_cooperation(cfg)
         assert (ok, witness) == oracles.enumerated_cooperation(cfg)
         witnesses += not ok
@@ -351,6 +353,7 @@ def test_walker_matches_leaf_enumeration(rng, monkeypatch):
             assert _outcome(verify_cooperation, capped) == _outcome(
                 oracles.enumerated_cooperation, capped)
     assert len(forking) >= 5   # the draws, not only the rounds, are compared
+    assert len(continued) >= 3     # and so are the draws after round k
     assert witnesses >= 5
 
 
@@ -735,10 +738,9 @@ def test_verify_one_shot_flags_unpunished_defection():
     assert "single_evasive" in rep.witness["override"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
 def test_candidate_gain_equals_its_simulated_gain():
-    # unsafe_three_agent's lenient candidate reports quiescent before its
-    # first round, so the walk absorbs it at once and values it at gain 0;
+    # unsafe_three_agent's lenient candidate is not quiescent before its
+    # first round, so the walk plays it instead of absorbing it at once;
     # against the honest profile it defects 0 at round 3 unpunished and
     # gains delta**2 (every draw is degenerate, so one run is the expectation)
     from dynacct.game_core import discounted_utility
