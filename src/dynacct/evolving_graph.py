@@ -275,16 +275,16 @@ def _spread(nb: Sequence[int], mask: int) -> int:
     return out
 
 
-def _reach_frontier(g: EvolvingGraph, sources: int, m: int, m2: int,
-                    exclude: Optional[AgentId] = None) -> int:
-    """Mask of the agents whose start-of-round-m2 knowledge the sources'
-    (a mask) start-of-round-m knowledge can have reached.  ``exclude``
-    never receives (nor relays)."""
+def _reach(g: EvolvingGraph, j: AgentId, m: int, until: int,
+           exclude: Optional[AgentId] = None) -> Iterable[int]:
+    """For mp = m+1..until, the mask of the agents holding (j, m)'s
+    information at the start of round mp.  ``exclude`` never receives (nor
+    relays)."""
     keep = -1 if exclude is None else ~(1 << exclude)
-    reached = sources & keep
-    for t in range(m, m2):
-        reached |= _spread(g._masks_at(t), reached) & keep
-    return reached
+    reached = 1 << j
+    for mp in range(m + 1, until + 1):
+        reached |= _spread(g._masks_at(mp - 1), reached) & keep
+        yield reached
 
 
 def causally_influences(g: EvolvingGraph, j: AgentId, m: int,
@@ -296,7 +296,8 @@ def causally_influences(g: EvolvingGraph, j: AgentId, m: int,
         return False
     if j == l:
         return True
-    return bool(_reach_frontier(g, 1 << j, m, m2) >> l & 1)
+    *_, reached = _reach(g, j, m, m2)
+    return bool(reached >> l & 1)
 
 
 def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -310,7 +311,8 @@ def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
         return False
     if j == l:
         return True
-    return bool(_reach_frontier(g, 1 << j, m, m2, exclude=i) >> l & 1)
+    *_, reached = _reach(g, j, m, m2, exclude=i)
+    return bool(reached >> l & 1)
 
 
 def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -319,7 +321,8 @@ def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
     without i mediating.  The original partner j counts (it knows first-hand)."""
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
-    return {(l, mp) for mp, reached in _reach_without(g, i, j, m, until)
+    return {(l, mp)
+            for mp, reached in enumerate(_reach(g, j, m, until, exclude=i), m + 1)
             for l in _bits(g._masks_at(mp)[i] & reached)}
 
 
@@ -327,21 +330,10 @@ def _first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
                        until: int) -> Optional[int]:
     """First round of a punishment opportunity for the i-edge (j, m) within
     ``until``, or None."""
-    for mp, reached in _reach_without(g, i, j, m, until):
+    for mp, reached in enumerate(_reach(g, j, m, until, exclude=i), m + 1):
         if reached & g._masks_at(mp)[i]:
             return mp
     return None
-
-
-def _reach_without(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
-                   until: int) -> Iterable[tuple[int, int]]:
-    """(mp, mask of the agents holding (j, m)'s information at the start of
-    round mp) for mp in (m, until], with i neither relaying nor receiving."""
-    keep = ~(1 << i)
-    reached = 1 << j
-    for mp in range(m + 1, until + 1):
-        reached |= _spread(g._masks_at(mp - 1), reached) & keep
-        yield mp, reached
 
 
 def po_set(g: EvolvingGraph, i: AgentId, rho: int, m: int) -> set[tuple[AgentId, int]]:
@@ -782,10 +774,15 @@ def family_from_dict(doc: dict, where: str) -> GraphFamily:
     _expect(isinstance(doc["members"], list) and doc["members"],
             f"{where}.members", "must be a non-empty list")
     members = []
+    names: dict[str, int] = {}
     for mi, mdoc in enumerate(doc["members"]):
         mwhere = f"{where}.members[{mi}]"
         _expect(isinstance(mdoc, dict), mwhere, "expected an object")
         name = mdoc.get("name", f"member{mi}")
+        _expect(isinstance(name, str), f"{mwhere}.name", "must be a string")
+        _expect(name not in names, f"{mwhere}.name",
+                f"duplicate member name {name!r} (also members[{names.get(name)}])")
+        names[name] = mi
         prefix = _parse_rounds(mdoc.get("prefix", []), n, f"{mwhere}.prefix")
         _expect("cycle" in mdoc, mwhere, "missing field 'cycle'")
         cycle = _parse_rounds(mdoc["cycle"], n, f"{mwhere}.cycle")

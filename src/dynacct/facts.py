@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .evolving_graph import _reach_frontier
+from .evolving_graph import _reach
 from .game_core import ActionKind, Trace
 from .protocols import SigmaGen
 
@@ -108,19 +108,22 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     deg_m = graph.at(m).degree(i)
     residue = m % n
 
-    # F1: accusation accuracy against the interference-free reachability oracle
-    for M in range(m, min(m + n - 2, last) + 1):
+    # F1: accusation accuracy against the interference-free reachability
+    # oracle: holders[v][M - m] is the mask of the agents that v's report
+    # (v, i, m) can have reached by the end of round M
+    end = min(m + n - 2, last)
+    holders = {v: [1 << v, *_reach(graph, v, m + 1, end + 1, exclude=i)]
+               for v in graph.at(m).neighbors(i)}
+    for M in range(m, end + 1):
         for v in range(n):
             if v == i:
                 continue
-            interacted = graph.at(m).has_edge(i, v)
-            holders = (_reach_frontier(graph, 1 << v, m + 1, M + 1, exclude=i)
-                       if interacted else 0)
+            reached = holders[v][M - m] if v in holders else 0
             for l in range(n):
                 if l == i:
                     continue
                 val = acc(D[(l, M)]).get((v, i, m))
-                if not holders >> l & 1:
+                if not reached >> l & 1:
                     if val is not None:
                         facts["F1_accusation_accuracy"] = (
                             f"agent {l} holds ({v},{i},{m}) at end of {M} "

@@ -36,9 +36,9 @@ them.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
                              local_view)
@@ -72,6 +72,8 @@ class StrategyMachine:
     mode: Mode = Mode.GENERAL
     draw_independent_state: bool = True
     uses_own_action: bool = False
+    # the round a deviation strategy first departs from its base, if scripted
+    first_deviation_round: Optional[int] = None
 
     def __init__(self, me: AgentId, n: int):
         self.me = me
@@ -606,43 +608,34 @@ def apply_override(template: Mapping, neighbors: frozenset[AgentId],
 
 
 class OneShotDeviation(_Wrapper):
-    """Base strategy with one action override at the first matching round.
+    """Base strategy with one action override at round ``at``; afterwards
+    the base continues with its true state."""
 
-    The trigger is an observation predicate over the round view; it fires at
-    most once, afterwards the base continues with its true state.
-    """
-
-    def __init__(self, base: StrategyMachine,
-                 trigger: Callable[[LocalView], bool],
-                 override: Mapping, label: str = "one_shot"):
+    def __init__(self, base: StrategyMachine, at: int, override: Mapping,
+                 label: str = "one_shot"):
         super().__init__(base, label)
-        self.trigger = trigger
+        self.first_deviation_round = at
         self.override = dict(override)    # never mutated: clones share it
-        self.fired_at: Optional[int] = None
-
-    def _fires_now(self) -> bool:
-        return self.fired_at is None and self.trigger(self.view)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         base_action = self.base.act(rand)
-        if self._fires_now():
+        if self.round == self.first_deviation_round:
             return apply_override(self.override, self.view.neighbors,
                                   base_action, self.mode, self.n)
         return dict(base_action)
 
-    def end_round(self, own_action, inbox):
-        if self._fires_now():
-            self.fired_at = self.round
-        super().end_round(own_action, inbox)
+    def _fired(self) -> bool:
+        return self.round >= self.first_deviation_round
 
     def snapshot(self) -> dict:
-        return dict(self.base.snapshot(), fired_at=self.fired_at)
+        return dict(self.base.snapshot(),
+                    fired_at=self.first_deviation_round if self._fired() else None)
 
     def state_key(self, m: int):
-        return ("OneShot", self.fired_at is not None, self.base.state_key(m))
+        return ("OneShot", self._fired(), self.base.state_key(m))
 
     def is_quiescent(self) -> bool:
-        return self.fired_at is not None and self.base.is_quiescent()
+        return self._fired() and self.base.is_quiescent()
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +690,33 @@ class _ShadowWorld:
         return self.round_payloads[m][i][j]
 
 
-class _PersonaEvasive(_Wrapper):
-    """Base for scripted evasive strategies that answer some neighbours
-    from a counterfactual shadow persona."""
+class _Persona(_Wrapper):
+    """Scripted evasive strategy: answer the neighbours in ``shadowed`` with
+    the actions and payloads of this agent's persona in a counterfactual
+    shadow world, the others from the base, and defect ``target`` at
+    ``round`` if a ``defection = (target, round)`` is scripted.
+
+    ``dual_evasive`` (the five-agent cut scenario) defects one partner of
+    the first half, then shows the second half the clean all-honest
+    continuation while the first half sees the true one; the cut formed by
+    the agent's own edges keeps the two stories from meeting.
+    ``lenient_evasive`` (the unsafe family) shadows every other agent with
+    the world in which only the first deviator deviated, ignoring the
+    second deviator entirely.
+    """
 
     def __init__(self, base: StrategyMachine, shadow: _ShadowWorld,
-                 member: EvolvingGraph, label: str):
+                 shadowed: frozenset[AgentId], label: str,
+                 defection: Optional[tuple[AgentId, int]] = None):
         super().__init__(base, label)
         self.shadow = shadow
-        self.member = member
+        self.shadowed = shadowed
+        self.defection = defection
+        if defection is not None:
+            self.first_deviation_round = defection[1]
 
     def begin_round(self, view: LocalView):
-        expected = self.member.at(view.round).neighbors(self.me)
+        expected = self.shadow.graph.at(view.round).neighbors(self.me)
         if view.neighbors != expected:
             raise StrategyConfigError(
                 f"scenario family mismatch at round {view.round}: "
@@ -716,103 +724,71 @@ class _PersonaEvasive(_Wrapper):
         self.shadow.ensure_round(view.round)
         super().begin_round(view)
 
-    def state_key(self, m: int):
-        return (self.label, self.base.state_key(m))
-
-    def is_quiescent(self) -> bool:
-        return (self.base.is_quiescent()
-                and self.me in self.shadow.quiescent[self.round])
-
-
-class DualEvasiveFig2(_PersonaEvasive):
-    """Scripted two-faced strategy for the five-agent cut scenario.
-
-    The agent defects one partner of the first half at the scripted round,
-    then presents the clean all-honest continuation to the second half
-    (actions and payloads replayed from a shadow honest world) while
-    presenting the true deviated continuation to the first half.  The cut
-    formed by the agent's own edges keeps the two stories from meeting.
-    """
-
-    def __init__(self, base: StrategyMachine, shadow_clean: _ShadowWorld,
-                 member: EvolvingGraph, group2: frozenset[AgentId],
-                 defect_target: AgentId, defect_round: int):
-        super().__init__(base, shadow_clean, member, "dual_evasive")
-        self.group2 = group2
-        self.defect_target = defect_target
-        self.defect_round = defect_round
-
-    @property
-    def first_deviation_round(self) -> int:
-        return self.defect_round
-
     def payload_for(self, j: AgentId) -> Optional[dict]:
-        if j in self.group2:
+        if j in self.shadowed:
             return self.shadow.payload_of(self.me, j, self.round)
         return self.base.payload_for(j)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        base_action = self.base.act(rand)
+        nbrs = sorted(self.view.neighbors)
         shadow_action = self.shadow.action_of(self.me, self.round)
-        out = {}
-        for j in sorted(self.view.neighbors):
-            out[j] = shadow_action[j] if j in self.group2 else base_action[j]
-        if self.round == self.defect_round and self.defect_target in out:
-            out[self.defect_target] = DEFECT
+        base_action = ({} if self.shadowed.issuperset(nbrs)
+                       else self.base.act(rand))
+        out = {j: shadow_action[j] if j in self.shadowed else base_action[j]
+               for j in nbrs}
+        if self.defection is not None:
+            target, m = self.defection
+            if self.round == m and target in out:
+                out[target] = DEFECT
         return out
 
-    def is_quiescent(self) -> bool:
-        return self.round >= self.defect_round and super().is_quiescent()
-
-
-class LenientEvasiveUnsafe(_PersonaEvasive):
-    """Scripted lenient strategy: ignore the second deviator entirely and
-    replay the persona of the counterfactual world in which only the first
-    deviator deviated (defecting the punished agent as prescribed there).
-    """
-
-    def __init__(self, base: StrategyMachine, shadow_single_dev: _ShadowWorld,
-                 member: EvolvingGraph):
-        super().__init__(base, shadow_single_dev, member, "lenient_evasive")
-
-    @property
-    def first_deviation_round(self) -> Optional[int]:
-        return None
-
-    def payload_for(self, j: AgentId) -> Optional[dict]:
-        return self.shadow.payload_of(self.me, j, self.round)
-
-    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        return dict(self.shadow.action_of(self.me, self.round))
+    def state_key(self, m: int):
+        return (self.label, self.base.state_key(m))
 
     def is_quiescent(self) -> bool:
-        # before round 1 the fresh base and the unplayed shadow both report
-        # quiescent, which would absorb the candidate before it plays
-        return self.round >= 1 and super().is_quiescent()
+        # before its first round (or its scripted defection) the fresh base
+        # and the unplayed shadow both report quiescent, which would absorb
+        # the candidate before it deviates
+        start = 1 if self.defection is None else self.defection[1]
+        return (self.round >= start and self.base.is_quiescent()
+                and self.me in self.shadow.quiescent[self.round])
 
 
 # ---------------------------------------------------------------------------
 # Wire-format strategy construction
 # ---------------------------------------------------------------------------
 
+StrategySpec = Union[str, Mapping]
+
+
 @dataclass(frozen=True)
 class StrategyContext:
-    """Everything a strategy spec may need to materialise a machine."""
+    """Everything a strategy spec may need to materialise a machine: the
+    scenario, the agent it is built for, and every agent's configured spec
+    (the shadow worlds build their honest profile from them)."""
 
     n: int
     me: AgentId
     params: UtilityParams
     observation: ObservationModel
     member: EvolvingGraph
-    honest_factory: Optional[Callable[[AgentId], StrategyMachine]] = None
+    strategies: Mapping[AgentId, StrategySpec]
 
     def honest(self, agent: AgentId) -> StrategyMachine:
-        if self.honest_factory is None:
-            raise StrategyConfigError("no honest profile available for shadow runs")
-        return self.honest_factory(agent)
+        """``agent``'s machine in the honest profile."""
+        return build_strategy(honest_spec(self.strategies[agent]),
+                              replace(self, me=agent))
 
 
-StrategySpec = Union[str, Mapping]
+def honest_spec(spec: StrategySpec) -> StrategySpec:
+    """The honest strategy under ``spec``: the base below every deviation
+    layer."""
+    while isinstance(spec, Mapping) and "deviation" in spec:
+        spec = spec["deviation"].get("base")
+        if spec is None:
+            raise StrategyConfigError(
+                "deviation spec needs a 'base' to define the honest profile")
+    return spec
 
 
 def build_strategy(spec: StrategySpec, ctx: StrategyContext) -> StrategyMachine:
@@ -847,32 +823,28 @@ def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
         return defect_at_rounds(base, [int(r) for r in dev["rounds"]])
     if kind == "one_shot":
         at = int(dev["round"])
-        return OneShotDeviation(base, lambda v, at=at: v.round == at,
-                                dev["override"],
+        return OneShotDeviation(base, at, dev["override"],
                                 label=f"one_shot(round={at})")
+    if kind not in ("dual_evasive_fig2", "lenient_evasive_unsafe"):
+        raise StrategyConfigError(f"unknown deviation kind {kind!r}")
+    _check_member(dev, ctx)
+    others = frozenset(range(ctx.n)) - {ctx.me}
+    machines = {a: ctx.honest(a) for a in range(ctx.n)}
     if kind == "dual_evasive_fig2":
-        _check_member(dev, ctx)
         group1, group2 = ({int(a) for a in dev[g]} for g in ("group1", "group2"))
-        others = set(range(ctx.n)) - {ctx.me}
         if not group1 or not group2 or group1 & group2 or group1 | group2 != others:
             raise StrategyConfigError(
                 f"dual_evasive_fig2 groups {sorted(group1)} and {sorted(group2)}"
                 f" must partition the other agents {sorted(others)}")
-        shadow = _ShadowWorld(ctx.member, ctx.observation,
-                              {a: ctx.honest(a) for a in range(ctx.n)})
-        return DualEvasiveFig2(
-            base, shadow, ctx.member, group2=frozenset(group2),
-            defect_target=int(dev["target"]),
-            defect_round=int(dev["round"]))
-    if kind == "lenient_evasive_unsafe":
-        _check_member(dev, ctx)
-        machines = {a: ctx.honest(a) for a in range(ctx.n)}
+        shadowed, label = frozenset(group2), "dual_evasive"
+        defection = (int(dev["target"]), int(dev["round"]))
+    else:
         first = dev.get("first_deviator", 0)
-        first_round = dev.get("first_round", 1)
-        machines[first] = always_defect_until(machines[first], int(first_round))
-        shadow = _ShadowWorld(ctx.member, ctx.observation, machines)
-        return LenientEvasiveUnsafe(base, shadow, ctx.member)
-    raise StrategyConfigError(f"unknown deviation kind {kind!r}")
+        machines[first] = always_defect_until(machines[first],
+                                              int(dev.get("first_round", 1)))
+        shadowed, label, defection = others, "lenient_evasive", None
+    shadow = _ShadowWorld(ctx.member, ctx.observation, machines)
+    return _Persona(base, shadow, shadowed, label, defection)
 
 
 def _check_member(dev: Mapping, ctx: StrategyContext):

@@ -125,7 +125,7 @@ from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
 from .protocols import (ALL_NEIGHBORS, AVOID, DEFECT, RandSource,
                         ScheduledDefector, StrategyConfigError,
                         StrategyContext, StrategyMachine, _deliver,
-                        build_strategy)
+                        build_deviation, build_strategy, honest_spec)
 
 AgentId = int
 # (agent, round, {neighbour: "send" | "defect" | "avoid"})
@@ -271,26 +271,10 @@ class SimConfig:
         return _HonestRun(trace, checkpoints, keys)
 
 
-def _strip_deviation(spec) -> object:
-    if isinstance(spec, Mapping) and "deviation" in spec:
-        base = spec["deviation"].get("base")
-        if base is None:
-            raise StrategyConfigError(
-                "deviation spec needs a 'base' to define the honest profile")
-        return base
-    return spec
-
-
 def strategy_context(cfg: SimConfig, me: AgentId) -> StrategyContext:
-    def honest(agent: AgentId) -> StrategyMachine:
-        ctx = StrategyContext(n=cfg.family.n, me=agent, params=cfg.params,
-                              observation=cfg.family.observation,
-                              member=cfg.graph, honest_factory=None)
-        return build_strategy(_strip_deviation(cfg.strategies[agent]), ctx)
-
     return StrategyContext(n=cfg.family.n, me=me, params=cfg.params,
                            observation=cfg.family.observation,
-                           member=cfg.graph, honest_factory=honest)
+                           member=cfg.graph, strategies=cfg.strategies)
 
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
@@ -299,7 +283,7 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
     for a in sorted(cfg.strategies):
         spec = cfg.strategies[a]
         if honest_only:
-            spec = _strip_deviation(spec)
+            spec = honest_spec(spec)
         m = build_strategy(spec, strategy_context(cfg, a))
         if m.mode is not cfg.params.mode:
             raise StrategyConfigError(
@@ -785,17 +769,20 @@ class _OneShotChecker:
                             self.i, 1, tails=self.tails)
 
     def add_candidate(self, spec: Mapping):
-        ctx = strategy_context(self.cfg, self.i)
-        machine = build_strategy({"deviation": dict(spec)}, ctx)
+        machine = build_deviation(spec, strategy_context(self.cfg, self.i))
         machines = build_machines(self.cfg, honest_only=True)
         machines[self.i] = machine
         eu_dev = _expected_eu(self.cfg, machines, self.i, 1, tails=self.tails)
-        m_dev = getattr(machine, "first_deviation_round", None) or 1
+        m_dev = machine.first_deviation_round or 1
+        if m_dev > self.horizon:
+            raise StrategyConfigError(
+                f"candidate {machine.label} first deviates at round {m_dev},"
+                f" after the horizon {self.horizon}")
         gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
         tol = self._tolerance(self.horizon - m_dev)
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",
-            "override": getattr(machine, "label", type(machine).__name__),
+            "override": machine.label,
         }))
 
 

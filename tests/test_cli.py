@@ -236,6 +236,21 @@ def test_verify_config_rejected_exit_two(tmp_path, capsys):
     assert code == 2 and "beta" in err
 
 
+def test_verify_duplicate_member_names_exit_two(tmp_path, capsys):
+    # a 4-ring and a 4-path both named "ring4": the loader refuses the file
+    # rather than verify one member under the other's name
+    doc = builtin("ring_connectivity").to_json()
+    path_member = dict(doc["family"]["members"][0],
+                       cycle=[[[0, 1], [1, 2], [2, 3]]])
+    doc["family"]["members"].append(path_member)
+    path = tmp_path / "twin_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--scenario", str(path),
+                              "--horizon", "6"], capsys)
+    assert code == 2 and not out
+    assert "members[1].name" in err and "duplicate member name 'ring4'" in err
+
+
 def test_verify_dual_evasive_groups_not_partition_exit_two(tmp_path, capsys):
     doc = builtin("fig2_ambiguous").to_json()
     doc["candidates"][0]["group2"] = [2, 3, 4]   # 2 is in group1 as well

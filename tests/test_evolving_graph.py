@@ -692,6 +692,10 @@ def test_family_roundtrip():
     (lambda d: d["members"][0]["cycle"][0].append([0, 9]), "cycle[0].edges"),
     (lambda d: d.pop("horizon"), "missing field 'horizon'"),
     (lambda d: d.__setitem__("observation", "psychic"), "observation"),
+    (lambda d: d["members"][2].__setitem__("name", "G1"),
+     "members[2].name: duplicate member name 'G1'"),
+    (lambda d: d["members"][1].__setitem__("name", ["G2"]),
+     "members[1].name: must be a string"),
 ])
 def test_family_loader_positioned_errors(mutate, where):
     doc = family_to_dict(_fig3_family())

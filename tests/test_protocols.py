@@ -433,7 +433,7 @@ def test_one_shot_identity_override_is_base():
     cfg = sc.sim_config(horizon=8)
     a = build_machines(cfg)
     b = build_machines(cfg)
-    b[1] = OneShotDeviation(b[1], lambda v: v.round == 3, {"cooperate": "all"})
+    b[1] = OneShotDeviation(b[1], 3, {"cooperate": "all"})
     assert (_simulate_machines(cfg, a).history.profiles ==
             _simulate_machines(cfg, b).history.profiles)
 
@@ -442,8 +442,7 @@ def test_one_shot_defect_all_raises_tally():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=10)
     machines = build_machines(cfg)
-    machines[3] = OneShotDeviation(machines[3], lambda v: v.round == 1,
-                                   {"defect": "all"})
+    machines[3] = OneShotDeviation(machines[3], 1, {"defect": "all"})
     t = _simulate_machines(cfg, machines)
     pend = dict((tuple(k), v) for k, v in t.state_log[(0, 4)]["pend"])
     assert pend.get((3, 5 % 4), 0) == 2
@@ -452,8 +451,7 @@ def test_one_shot_defect_all_raises_tally():
 def test_one_shot_avoid_zero_edge_utility():
     cfg = k3_val_cfg(horizon=4)
     machines = build_machines(cfg)
-    machines[0] = OneShotDeviation(machines[0], lambda v: v.round == 2,
-                                   {"avoid": [1]})
+    machines[0] = OneShotDeviation(machines[0], 2, {"avoid": [1]})
     t = _simulate_machines(cfg, machines)
     profile = t.history.profiles[1]
     rg = cfg.graph.at(2)
@@ -466,8 +464,8 @@ def test_one_shot_override_validates_targets():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=4)
     machines = build_machines(cfg)
-    machines[0] = OneShotDeviation(machines[0], lambda v: v.round == 1,
-                                   {"defect": [2]})  # 2 is not a ring nbr of 0
+    # 2 is not a ring nbr of 0
+    machines[0] = OneShotDeviation(machines[0], 1, {"defect": [2]})
     with pytest.raises(ValueError):
         _simulate_machines(cfg, machines)
 
@@ -516,19 +514,38 @@ def test_dual_evasive_near_side_punishes_far_side_does_not():
 
 
 def test_dual_evasive_unfired_script_is_honest():
-    from dynacct.protocols import DualEvasiveFig2, _ShadowWorld
+    from dynacct.protocols import _Persona, _ShadowWorld
     sc = builtin("fig2_ambiguous")
     cfg = sc.sim_config(horizon=9)
     machines = build_machines(cfg, honest_only=True)
     ctx = strategy_context(cfg, 0)
     shadow = _ShadowWorld(cfg.graph, cfg.family.observation,
                           {a: ctx.honest(a) for a in range(5)})
-    machines[0] = DualEvasiveFig2(ctx.honest(0), shadow, cfg.graph,
-                                  group2=frozenset([3, 4]),
-                                  defect_target=1, defect_round=0)
+    machines[0] = _Persona(ctx.honest(0), shadow, frozenset([3, 4]),
+                           "dual_evasive", defection=(1, 0))
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     td = _simulate_machines(cfg, machines)
     assert th.history.profiles == td.history.profiles
+
+
+def test_dual_evasive_shadow_replays_the_configured_bases():
+    # agent 3 is configured as a deviation: the shadow world replays its
+    # base, the honest profile, while the configured run plays the deviation
+    from dynacct.protocols import build_deviation
+    sc = builtin("fig2_ambiguous")
+    sc.strategies[3] = {"deviation": {"kind": "always_defect_until",
+                                      "round": 9, "base": sc.strategies[3]}}
+    cfg = sc.sim_config(horizon=9)
+    spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
+    dual = build_deviation(spec, strategy_context(cfg, 0))
+    dual.shadow.ensure_round(cfg.horizon)
+    honest = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
+    for m, profile in enumerate(honest.history.profiles, 1):
+        assert dual.shadow.round_actions[m] == {
+            a: act.per_neighbor for a, act in profile.actions.items()}
+    configured = simulate(cfg).history.profiles
+    assert any(a.kind is ActionKind.DEFECT
+               for p in configured for a in p.actions[3].per_neighbor.values())
 
 
 def test_dual_evasive_wrong_member_refused():
@@ -588,14 +605,15 @@ def test_lenient_evasive_strictly_beats_prescribed():
 
 
 def test_lenient_evasive_clean_shadow_is_honest():
-    from dynacct.protocols import LenientEvasiveUnsafe, _ShadowWorld
+    from dynacct.protocols import _Persona, _ShadowWorld
     sc = builtin("unsafe_three_agent")
     cfg = sc.sim_config(horizon=10)
     ctx = strategy_context(cfg, 2)
     shadow = _ShadowWorld(cfg.graph, cfg.family.observation,
                           {a: ctx.honest(a) for a in range(3)})
     machines = build_machines(cfg, honest_only=True)
-    machines[2] = LenientEvasiveUnsafe(ctx.honest(2), shadow, cfg.graph)
+    machines[2] = _Persona(ctx.honest(2), shadow, frozenset([0, 1]),
+                           "lenient_evasive")
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     tl = _simulate_machines(cfg, machines)
     assert th.history.profiles == tl.history.profiles

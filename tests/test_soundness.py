@@ -224,7 +224,7 @@ def _scheduled(base):
 
 
 def _one_shot(base):
-    return OneShotDeviation(base, lambda v: v.round == 5, {"defect": "all"})
+    return OneShotDeviation(base, 5, {"defect": "all"})
 
 
 def _shipped(name, wrap=None):

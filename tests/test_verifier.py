@@ -11,7 +11,8 @@ from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph)
 from dynacct.game_core import (COOPERATE, ActionKind, Mode, UtilityParams,
                                discounted_utility)
-from dynacct.protocols import ALL_NEIGHBORS, always_defect_until
+from dynacct.protocols import (ALL_NEIGHBORS, StrategyConfigError,
+                               always_defect_until)
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
@@ -760,6 +761,32 @@ def test_candidate_gain_equals_its_simulated_gain():
     gain, _, witness = checker.results[-1]
     assert witness["origin"] == "candidate"
     assert gain == simulated
+
+
+def test_one_shot_candidate_is_valued_at_its_round():
+    # a one-shot candidate first departs from the honest profile at its
+    # round, so it is valued there exactly as a scheduled defection of the
+    # same round: same gain, tolerance and witness round (valued at round 1
+    # instead, its gain comes out scaled by delta**4)
+    from dynacct.verifier import _OneShotChecker
+    cfg = builtin("ring_connectivity").sim_config(horizon=40)
+    checker = _OneShotChecker(cfg, 0)
+    checker.add_candidate({"kind": "one_shot", "round": 5,
+                           "override": {"defect": "all"}})
+    checker.add_candidate({"kind": "defect_at_rounds", "rounds": [5]})
+    (g1, t1, w1), (g2, t2, w2) = checker.results
+    assert w1["round"] == w2["round"] == 5
+    assert g1 == g2 < 0 and t1 == t2
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "one_shot", "round": 11, "override": {"defect": "all"}},
+    {"kind": "defect_at_rounds", "rounds": [11, 12]}])
+def test_candidate_deviating_after_the_horizon_is_refused(spec):
+    from dynacct.verifier import _OneShotChecker
+    cfg = builtin("ring_connectivity").sim_config(horizon=10)
+    with pytest.raises(StrategyConfigError, match="after the horizon 10"):
+        _OneShotChecker(cfg, 0).add_candidate(spec)
 
 
 def test_verify_one_shot_mutual_defection_trivially_stable():
