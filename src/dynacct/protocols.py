@@ -16,9 +16,13 @@ A machine owns one agent's private protocol state.  The round contract is:
 
 Machines set ``draw_independent_state`` when their state evolution depends
 only on which neighbours defected, never on punish/cooperate draw outcomes;
-the equilibrium verifier relies on that flag.  ``clone()`` copies
-shallowly; a machine extends it for each container it mutates in place.  A
-deviation strategy is a base machine plus a twist: ``_Wrapper`` forwards
+the equilibrium verifier relies on that flag.  A class sets ``label_free``
+when it never reads an agent id except to tell agents apart: relabelling
+the agents of its views, actions and payloads relabels everything it does.
+Then an automorphism of the graph maps one agent's one-shot report onto
+another's, and the verifier reuses it (``verifier.verify_one_shot``).
+``clone()`` copies shallowly; a machine extends it for each container it
+mutates in place.  A deviation strategy is a base machine plus a twist: ``_Wrapper`` forwards
 every round hook to the base, and its subclasses override what differs.
 
 Protocol window conventions follow the monitoring designs: the
@@ -71,6 +75,7 @@ class StrategyMachine:
 
     mode: Mode = Mode.GENERAL
     draw_independent_state: bool = True
+    label_free: bool = False
     uses_own_action: bool = False
     # the round a deviation strategy first departs from its base, if scripted
     first_deviation_round: Optional[int] = None
@@ -204,6 +209,7 @@ class SigmaVal(_AccusationWindow):
     """
 
     mode = Mode.VALUABLE
+    label_free = True
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         cap = min(self.rho, self.n - 1)
@@ -218,6 +224,7 @@ class AccusationPunisher(_AccusationWindow):
     active punishment toward any neighbour accused inside the window."""
 
     mode = Mode.GENERAL
+    label_free = True
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         return {j: (PUNISH if self.accusation_count(j) > 0 else COOPERATE)
@@ -260,6 +267,7 @@ class SigmaGen(StrategyMachine):
     """
 
     mode = Mode.GENERAL
+    label_free = True
 
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
@@ -320,6 +328,15 @@ class SigmaGen(StrategyMachine):
         self.acc.pop(m - n + 1, None)    # the round leaving the window
 
     def _merge(self, m: int, inbox):
+        """Merge the non-defecting senders' payloads: pend by max, capped,
+        and report bits by filling the absent ones, lowest-id sender first.
+
+        The sender order decides nothing between honest copies: a report
+        bit is recorded only by its victim, from what it was dealt, and
+        every other copy is that record forwarded unchanged, so all senders
+        holding the bit hold the same value.  A one-shot override changes
+        actions, never payloads, so this holds under the verifier's
+        overrides too, and the machine is ``label_free``."""
         n, me = self.n, self.me
         senders = [(j, p) for j, (a, p) in sorted(inbox.items())
                    if a.kind is not ActionKind.DEFECT and p is not None]
@@ -401,6 +418,8 @@ def sigma_gen(me: AgentId, n: int, params: UtilityParams,
 class AlwaysDefect(StrategyMachine):
     """Defect everyone, always; sends nothing."""
 
+    label_free = True
+
     def __init__(self, me: AgentId, n: int, mode: Mode):
         super().__init__(me, n)
         self.mode = mode
@@ -423,7 +442,8 @@ class UnsafePunisherProtocol(_AccusationWindow):
     round-1 victim (agent 2) and the round-1 deviator (agent 0) mutually
     defect, unless agent 2 was itself defected by agent 1 at round 2, in
     which case agent 2 forgives and keeps sending.  A deviator following
-    the profile sincerely conditions on its own past defections.
+    the profile sincerely conditions on its own past defections.  The
+    script names agents 0 and 2, so the class is not ``label_free``.
     """
 
     mode = Mode.GENERAL

@@ -291,12 +291,25 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         family.member(member)
     except KeyError as e:
         raise FamilyFormatError(f"{where}.member", str(e))
+    candidates = list(doc.get("candidates", []))
+    names = {g.name for g in family.members}
+    for k, cand in enumerate(candidates):
+        at = f"{where}.candidates[{k}]"
+        if not isinstance(cand, dict):
+            raise FamilyFormatError(at, "expected an object")
+        agent = cand.get("agent")
+        if type(agent) is not int or not 0 <= agent < family.n:
+            raise FamilyFormatError(
+                f"{at}.agent", f"agent {agent!r} is not an id in 0..{family.n - 1}")
+        want = cand.get("member")
+        if want is not None and not (isinstance(want, str) and want in names):
+            raise FamilyFormatError(f"{at}.member", f"no member named {want!r}")
     return Scenario(
         name=doc["name"], description=doc.get("description", ""),
         family=family, member=member, params=params, strategies=strategies,
         rho=doc.get("rho"), horizon=int(doc.get("horizon", 30)),
         seed=int(doc.get("seed", 0)), checks=list(doc.get("checks", [])),
-        candidates=list(doc.get("candidates", [])))
+        candidates=candidates)
 
 
 def load_scenario(path: str) -> Scenario:

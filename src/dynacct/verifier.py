@@ -103,6 +103,25 @@ approximate, because:
   within the horizon too, so the horizon never cuts a reused subtree;
 * a reused entry adds its leaf count, so ``EnumerationCapExceeded`` is
   raised exactly when enumerating every branch would raise it.
+
+Symmetric agents share one walk.  A candidate-free report is memoised on
+the ``SimConfig`` by (agent, robust depth), and agent i is given agent r's
+report relabelled through an automorphism pi of the graph with pi(r) = i
+(one that maps every prefix and cycle round onto itself) when:
+
+* neither i nor r has candidates;
+* every agent runs the same spec, with no deviation layer;
+* that spec's machine class is ``label_free``, so pi maps r's whole
+  verification (views, degrees, payloads, world keys, checks) onto i's;
+* r's witness is on-path and is either its first check or the only check
+  with the selection key's maximum.  The on-path walk collects its
+  contexts in round order under any labelling, but the neighbour-sorted
+  order of override patterns is not label-free, so a tie elsewhere could
+  pick a different witness.
+
+Relabelling sets the witness's agent, maps its override keys through pi
+and re-sorts them; gain, tolerance, verdict and check count carry over.
+Otherwise i is verified directly, and its report is memoised too.
 """
 
 from __future__ import annotations
@@ -269,6 +288,12 @@ class SimConfig:
         trace = _simulate_machines(self, build_machines(self, honest_only=True),
                                    stop=checkpoint)
         return _HonestRun(trace, checkpoints, keys)
+
+    @functools.cached_property
+    def _one_shot_reports(self) -> dict:
+        """``verify_one_shot``'s candidate-free reports by (agent, robust
+        depth), each with whether its witness is order-invariant."""
+        return {}
 
 
 def strategy_context(cfg: SimConfig, me: AgentId) -> StrategyContext:
@@ -796,11 +821,64 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     prior unilateral deviation by i itself, from each on-path context;
     depth 1 does not.  User-supplied deviation specs are evaluated as
     whole-run candidates against the honest profile.
+
+    A candidate-free report is memoised on cfg.  When an agent r of i's
+    automorphism orbit already has one, and the profile and r's witness
+    are order-invariant (``_orbit_report``), i gets r's report relabelled
+    instead of a walk of its own.
     """
     if robust_depth not in (1, 2):
         raise ValueError(f"robust_depth must be 1 or 2, not {robust_depth}")
     honest = build_machines(cfg, honest_only=True)
     _require_verifiable(honest)
+    if candidates:
+        return _verify_agent(cfg, honest, i, robust_depth, candidates)[0]
+    memo = cfg._one_shot_reports
+    if (i, robust_depth) not in memo:
+        report = _orbit_report(cfg, honest, i, robust_depth)
+        if report is not None:
+            return report
+        memo[(i, robust_depth)] = _verify_agent(cfg, honest, i, robust_depth, ())
+    return _relabel(memo[(i, robust_depth)][0], range(cfg.family.n), i)
+
+
+def _orbit_report(cfg: SimConfig, honest, i: AgentId,
+                  robust_depth: int) -> Optional[EquilibriumReport]:
+    """A memoised report of an agent r mapped onto i by an automorphism pi
+    of the graph, if one is exact: every agent runs the same spec, with no
+    deviation layer, of a ``label_free`` class, so pi maps r's whole
+    verification onto i's; and r's witness is on-path and either its first
+    check or the only one with the selection key's maximum, so no tie
+    between checks that pi reorders picks it."""
+    specs = list(cfg.strategies.values())
+    if (any(s != specs[0] for s in specs)
+            or isinstance(specs[0], Mapping) and "deviation" in specs[0]
+            or not all(type(m).label_free for m in honest.values())):
+        return None
+    for (r, depth), (report, invariant) in cfg._one_shot_reports.items():
+        if depth == robust_depth and invariant:
+            pi = cfg.graph._automorphism(r, i)
+            if pi is not None:
+                return _relabel(report, pi, i)
+    return None
+
+
+def _relabel(report: EquilibriumReport, pi: Sequence[AgentId],
+             i: AgentId) -> EquilibriumReport:
+    """A fresh copy of a candidate-free report for agent i, its override
+    keys mapped through pi and re-sorted."""
+    witness = report.witness
+    if witness is not None:
+        override = sorted((pi[int(j)], o) for j, o in witness["override"].items())
+        witness = dict(witness, agent=i,
+                       override={str(j): o for j, o in override})
+    return replace(report, witness=witness)
+
+
+def _verify_agent(cfg: SimConfig, honest, i: AgentId, robust_depth: int,
+                  candidates: Sequence[Mapping]
+                  ) -> tuple[EquilibriumReport, bool]:
+    """Agent i's report, and whether its witness is order-invariant."""
     graph = cfg.graph
     n = cfg.family.n
     checker = _OneShotChecker(cfg, i)
@@ -836,7 +914,7 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     if not results:
         return EquilibriumReport(max_gain=Fraction(0), witness=None,
                                  tolerance=tail_bound(cfg.params, n, cfg.horizon),
-                                 verdict=True, checks=0)
+                                 verdict=True, checks=0), True
     # on a pass the largest gain, on a fail the check that beats its
     # tolerance by most; exact ties break toward candidate machines: their
     # witnesses carry the sustained deviation rather than its first one-shot
@@ -846,10 +924,16 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
         pool, margin = results, lambda r: r[0]
     else:
         pool, margin = [r for r in results if r[0] > r[1]], lambda r: r[0] - r[1]
-    gain, tol, witness = max(pool, key=lambda r: (
-        margin(r), r[2]["origin"] == "candidate"))
+
+    def key(r):
+        return margin(r), r[2]["origin"] == "candidate"
+    best = max(pool, key=key)
+    gain, tol, witness = best
+    top = key(best)
+    invariant = witness["origin"] == "on-path" and (
+        best is results[0] or sum(key(r) == top for r in pool) == 1)
     return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
-                             verdict=verdict, checks=len(results))
+                             verdict=verdict, checks=len(results)), invariant
 
 
 class _Uncooperative(Exception):

@@ -38,6 +38,41 @@ def random_family(rng: random.Random, n: int = None, members: int = None,
     return GraphFamily(n=n, members=gs, observation=obs, horizon=horizon)
 
 
+def random_symmetric_graph(rng: random.Random, n: int, name: str,
+                           max_prefix: int = 2, max_cycle: int = 3,
+                           ) -> tuple[EvolvingGraph, list[int]]:
+    """A random evolving graph with a non-trivial automorphism sigma
+    (``sigma[a]`` is a's image), and sigma: a constant ring or complete
+    graph with the rotation, or a prefix and cycle whose every round is the
+    union of the sigma-orbits of random edges, for a random sigma."""
+    rotation = [(a + 1) % n for a in range(n)]
+    kind = rng.choice(["ring", "complete", "orbits", "orbits", "orbits"])
+    if kind != "orbits":
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if kind == "complete" or b == a + 1 or (a, b) == (0, n - 1)]
+        return (EvolvingGraph((), (RoundGraph.from_pairs(n, pairs),), name),
+                rotation)
+    sigma = list(range(n))
+    while sigma == list(range(n)):
+        rng.shuffle(sigma)
+    p = rng.uniform(0.2, 0.6)
+
+    def orbits_round() -> RoundGraph:
+        edges: set = set()
+        for u in range(n):
+            for v in range(u + 1, n):
+                a, b = u, v
+                if rng.random() < p:
+                    while (min(a, b), max(a, b)) not in edges:
+                        edges.add((min(a, b), max(a, b)))
+                        a, b = sigma[a], sigma[b]
+        return RoundGraph(n, frozenset(edges))
+
+    prefix = tuple(orbits_round() for _ in range(rng.randint(0, max_prefix)))
+    cycle = tuple(orbits_round() for _ in range(rng.randint(1, max_cycle)))
+    return EvolvingGraph(prefix, cycle, name), sigma
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

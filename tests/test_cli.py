@@ -261,6 +261,25 @@ def test_verify_dual_evasive_groups_not_partition_exit_two(tmp_path, capsys):
     assert code == 2 and not out and "partition" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("agent", 7, "agent 7 is not an id in 0..3"),
+    ("agent", "1", "agent '1' is not an id in 0..3"),
+    ("member", "nowhere", "no member named 'nowhere'"),
+], ids=["agent-out-of-range", "agent-not-int", "member-unknown"])
+def test_verify_candidate_refused_at_load_exit_two(field, value, message,
+                                                   tmp_path, capsys):
+    # a candidate no agent or member of the family can run is an input
+    # error, not a candidate the verifier silently leaves out
+    doc = builtin("timely_violation").to_json()
+    doc["candidates"][0][field] = value
+    path = tmp_path / "candidate_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--scenario", str(path),
+                              "--horizon", "6"], capsys)
+    assert code == 2 and not out
+    assert f"candidates[0].{field}: {message}" in err
+
+
 def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):
     from tests.test_verifier import mixed_degree_family
     sc = builtin("ring_connectivity")

@@ -12,6 +12,9 @@ covers every later context only if equal keys have equal successors.  So
 does ``run_paired_defection``: a deviating run stops playing, and copies
 the honest run, once every machine's key equals the honest run's at the
 same round.  These tests check both instead of assuming them.
+A class that declares ``label_free`` lets the verifier map one agent's
+report onto another's through a graph automorphism; a test checks that
+relabelling a one-shot deviation leaves its value unchanged.
 The enumerator forks runs with ``StrategyMachine.clone``; the last test
 checks that the clone of every shipped machine, deviation wrapper and
 scripted builtin candidate behaves as a deep copy and leaves the original
@@ -25,15 +28,15 @@ import random
 
 import pytest
 
-from dynacct.evolving_graph import local_view
+from dynacct.evolving_graph import GraphFamily, ObservationModel, local_view
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
-                               prop_punish)
+                               Mode, prop_punish)
 from dynacct.protocols import (ALL_NEIGHBORS, OneShotDeviation, RandSource,
                                ScheduledDefector, build_strategy)
 from dynacct.scenarios import builtin, general_defaults, valuable_defaults
-from dynacct.verifier import (SimConfig, _HashDraws, _phase, _play_round,
-                              build_machines, run_paired_defection,
-                              strategy_context)
+from dynacct.verifier import (SimConfig, _expected_eu, _HashDraws, _phase,
+                              _play_round, build_machines,
+                              run_paired_defection, strategy_context)
 
 from .test_verifier import mixed_degree_family
 
@@ -211,6 +214,55 @@ def test_equal_state_keys_have_equal_futures(name, rng):
     assert pairs > 0
     if name != "always_defect":
         assert stateful > 0
+
+
+# ---------------------------------------------------------------------------
+# label freedom
+# ---------------------------------------------------------------------------
+
+def _one_shot_eu(cfg, a, at, pattern):
+    """a's expected utility when it forces ``pattern`` ({neighbour: class})
+    at round ``at`` and everyone else plays cfg's profile."""
+    machines = build_machines(cfg, honest_only=True)
+    template = {o: [j for j, c in sorted(pattern.items()) if c == o]
+                for o in ("defect", "avoid")}
+    machines[a] = OneShotDeviation(machines[a], at, template)
+    return _expected_eu(cfg, machines, a, 1)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_label_free_machines_are_equivariant(name, rng):
+    # on random families with an automorphism pi, a one-shot deviation by a
+    # with pattern P is worth exactly what one by pi(a) with pi(P) is worth
+    # to its deviator, for every class declaring label freedom; the scripted
+    # profile, which names agents 0 and 2, does not declare it, and the
+    # check catches it
+    from .conftest import random_symmetric_graph
+    spec, params = SHIPPED[name]
+    differ = 0
+    for k in range(6):
+        n = rng.randint(3, 4)
+        g, pi = random_symmetric_graph(rng, n, f"s{k}")
+        fam = GraphFamily(n, (g,), ObservationModel.NEIGHBORS_AND_DEGREES,
+                          max(8, g.period))
+        cfg = SimConfig(family=fam, member=g.name,
+                        strategies={a: spec for a in range(n)}, horizon=12,
+                        params=params(n))
+        label_free = type(build_machines(cfg)[0]).label_free
+        classes = ["send", "defect"] + (
+            ["avoid"] if cfg.params.mode is Mode.VALUABLE else [])
+        for a in range(n):
+            for at in (1, 2):
+                pattern = {j: rng.choice(classes)
+                           for j in g.at(at).neighbors(a)}
+                eu = _one_shot_eu(cfg, a, at, pattern)
+                image = _one_shot_eu(cfg, pi[a], at,
+                                     {pi[j]: c for j, c in pattern.items()})
+                if label_free:
+                    assert eu == image, (g.name, a, at, pattern)
+                differ += eu != image
+    assert label_free == (name != "unsafe_scripted")
+    assert label_free or differ
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .oracles import FlatSigmaGen, build_branch_tree
 
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
 NO = ObservationModel.NEIGHBORS_ONLY
+BUILTINS = ("ring_connectivity", "fig3_indist", "timely_violation",
+            "fig2_ambiguous", "unsafe_three_agent")
 
 
 def mixed_degree_family():
@@ -511,7 +513,8 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
 def _closure_contexts(cfg, i, check=False):
     """``verify_one_shot``'s report for agent i and the (round, origin, world
     key) of every context it collects; the contexts are checked only if
-    ``check``."""
+    ``check``.  It verifies on a copy of cfg, whose memo is empty, so i is
+    walked even if an agent of its orbit was."""
     from dynacct import verifier
     contexts = []
     check_context = verifier._OneShotChecker.check_context
@@ -523,7 +526,7 @@ def _closure_contexts(cfg, i, check=False):
             check_context(self, m2, machines, origin, prescribed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier._OneShotChecker, "check_context", recording)
-        rep = verify_one_shot(cfg, i, robust_depth=2)
+        rep = verify_one_shot(replace(cfg), i, robust_depth=2)
     return rep, contexts
 
 
@@ -531,8 +534,7 @@ def _closure_configs(rng):
     """Every builtin member at three horizons, and seeded random bounded
     tally and valuable-exchange families."""
     from .conftest import random_evolving_graph
-    for name in ("ring_connectivity", "fig3_indist", "timely_violation",
-                 "fig2_ambiguous", "unsafe_three_agent"):
+    for name in BUILTINS:
         sc = builtin(name)
         for g in sc.family.members:
             sc.member = g.name
@@ -587,7 +589,8 @@ def _one_shot_runs(cfg, agents, continuation=None):
     """Per agent, ``verify_one_shot``'s report and every check's (gain,
     tolerance, witness), with the continuations valued by ``continuation``
     (default: the world table); plus the rounds played and the rounds with
-    more than one draw script."""
+    more than one draw script.  Each agent is verified on its own copy of
+    cfg, whose memo is empty, so every agent is walked."""
     from dynacct import verifier
     from dynacct.protocols import SigmaGen
 
@@ -619,7 +622,8 @@ def _one_shot_runs(cfg, agents, continuation=None):
         if continuation is not None:
             mp.setattr(verifier._OneShotChecker, "_continuation_eu",
                        continuation)
-        reports = [verify_one_shot(cfg, i, robust_depth=2) for i in agents]
+        reports = [verify_one_shot(replace(cfg), i, robust_depth=2)
+                   for i in agents]
     runs = [(rep.max_gain, rep.tolerance, rep.verdict, rep.witness, rep.checks,
              checker.results) for rep, checker in zip(reports, checkers)]
     return runs, counts
@@ -812,6 +816,110 @@ def test_verify_one_shot_requires_honest_profile_flag():
     from dynacct.protocols import StrategyConfigError
     with pytest.raises(StrategyConfigError):
         _require_verifiable(machines)
+
+
+# ---------------------------------------------------------------------------
+# one walk per automorphism orbit
+# ---------------------------------------------------------------------------
+
+def _symmetric_configs(rng, count):
+    """Seeded random families with a non-trivial automorphism, under the
+    three label-free accountability protocols in turn; 3-5 agents, but at
+    most 4 under the bounded tally protocol, which takes seconds on 5."""
+    from .conftest import random_symmetric_graph
+    for k in range(count):
+        n = rng.randint(3, 4 if k % 3 == 0 else 5)
+        g, _ = random_symmetric_graph(rng, n, f"s{k}")
+        spec, params, obs = (
+            ("sigma_gen", general_defaults(), ND),
+            ({"strategy": "sigma_val", "rho": 3}, valuable_defaults(n, 3),
+             rng.choice((ND, NO))),
+            ({"strategy": "accusation_punisher", "rho": 3}, general_defaults(),
+             rng.choice((ND, NO))))[k % 3]
+        fam = GraphFamily(n, (g,), obs, max(8, g.period))
+        yield SimConfig(family=fam, member=g.name,
+                        strategies={a: spec for a in range(n)},
+                        horizon=rng.choice((fam.horizon, 30)), params=params)
+
+
+def _builtin_configs():
+    """Every builtin member, with its candidates by agent as ``dynacct
+    verify`` passes them."""
+    for name in BUILTINS:
+        sc = builtin(name)
+        for g in sc.family.members:
+            sc.member = g.name
+            cands = collections.defaultdict(list)
+            for c in sc.candidates:
+                if c.get("member") in (None, g.name):
+                    cands[c["agent"]].append(
+                        {k: v for k, v in c.items() if k != "agent"})
+            yield sc.sim_config(), cands
+
+
+def test_orbit_reports_match_direct_verification(rng):
+    # asked in either agent order, on one config, every agent's report
+    # equals byte for byte the one verified directly on a fresh config:
+    # on random symmetric families, every builtin member and the three
+    # connectivity families of acceptance criterion 2, at both depths
+    import json
+
+    from .test_acceptance import criterion2_families, gen_config
+    cases = [*((cfg, {}) for cfg in _symmetric_configs(rng, 9)),
+             *_builtin_configs(),
+             *((gen_config(fam), {}) for fam in criterion2_families())]
+    shared = 0
+    for cfg, cands in cases:
+        n = cfg.family.n
+        for depth in (1, 2):
+            direct = [json.dumps(verify_one_shot(replace(cfg), i, depth,
+                                                 cands.get(i, ())).to_json())
+                      for i in range(n)]
+            for order in (range(n), range(n - 1, -1, -1)):
+                memo_cfg = replace(cfg)
+                for i in order:
+                    rep = verify_one_shot(memo_cfg, i, depth, cands.get(i, ()))
+                    assert json.dumps(rep.to_json()) == direct[i], (
+                        cfg.member, depth, list(order), i)
+                shared += sum((i, depth) not in memo_cfg._one_shot_reports
+                              for i in range(n) if i not in cands)
+    assert shared > 0
+
+
+def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
+    # the checkers built by four verify_one_shot calls: one per orbit of a
+    # label-free profile, one per agent of a scripted one, one per call
+    # with candidates, and a fresh memo after dataclasses.replace
+    from dynacct import verifier
+
+    from .test_acceptance import criterion2_families, gen_config
+    built = []
+    init = verifier._OneShotChecker.__init__
+
+    def counting(self, cfg, i):
+        built.append(i)
+        init(self, cfg, i)
+    monkeypatch.setattr(verifier._OneShotChecker, "__init__", counting)
+
+    def checkers(cfg, asks):
+        built.clear()
+        for i, cands in asks:
+            verify_one_shot(cfg, i, candidates=cands)
+        return list(built)
+
+    _, ring_chord, k4 = (gen_config(fam, horizon=40)
+                         for fam in criterion2_families())
+    every = [(i, ()) for i in range(4)]
+    assert checkers(k4, every) == [0]
+    assert checkers(ring_chord, every) == [0, 1]
+    unsafe = builtin("unsafe_three_agent").sim_config(horizon=12)
+    assert checkers(unsafe, [(0, ()), (1, ()), (2, ()), (1, ())]) == [0, 1, 2]
+    sc = builtin("timely_violation")
+    cand = [{k: v for k, v in sc.candidates[0].items() if k != "agent"}]
+    timely = sc.sim_config(horizon=12)
+    assert checkers(timely, [(1, cand), (1, cand), (2, ()), (1, ())]) == [1, 1, 2]
+    assert checkers(replace(k4), [(3, ())]) == [3]
+    assert checkers(k4, [(3, ())]) == []
 
 
 # ---------------------------------------------------------------------------
