@@ -10,7 +10,8 @@ Subcommands:
   scenarios  list the builtin scenarios
 
 Exit status contract: 0 pass, 1 fail with witness, 2 input error,
-3 enumeration refusal.
+3 enumeration refusal.  Commands raise; ``main`` alone maps what they
+raise to an exit status.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional
 
 from . import evolving_graph as eg
-from .evolving_graph import FamilyFormatError, PartitionSearchRefused
+from .evolving_graph import PartitionSearchRefused
 from .game_core import discounted_utility
-from .protocols import StrategyConfigError
-from .scenarios import (BUILTIN_SCENARIOS, resolve_scenario, scenario_catalog)
+from .scenarios import resolve_scenario, scenario_catalog
 from .verifier import (EnumerationCapExceeded, monte_carlo_utilities, simulate,
                        verify_cooperation, verify_one_shot)
 
@@ -46,98 +45,76 @@ def _emit(doc: dict, out: Optional[str]):
 
 
 def cmd_check(args) -> int:
-    try:
-        family = eg.load_family(args.family)
-    except (FamilyFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.check == "timely":
-            if args.rho is not None:
-                verdict = eg.check_timely_punishments(family, args.rho)
-            else:
-                rho = eg.timely_certificate(family)
-                if rho is None:
-                    verdict = eg.FamilyVerdict(
-                        holds=False,
-                        counterexample={"reason": "no rho in [1, horizon] works"})
-                else:
-                    verdict = eg.FamilyVerdict(holds=True, certificate=rho)
-        elif args.check == "connectivity":
-            verdict = eg.check_connectivity_restriction(family)
-        elif args.check == "eventual_dist":
-            if args.rho is None:
-                print("error: eventual_dist needs --rho", file=sys.stderr)
-                return EXIT_INPUT
-            verdict = eg.check_eventual_distinguishability(
-                family, args.rho, args.m_star)
-        elif args.check == "ambiguous_po":
-            if None in (args.agent, args.partner, args.round):
-                print("error: ambiguous_po needs --agent, --partner, --round",
-                      file=sys.stderr)
-                return EXIT_INPUT
-            member = family.member(args.member) if args.member else family.members[0]
-            w = eg.is_ambiguous_po(family, member, args.agent, args.partner,
-                                   args.round)
-            if w is None:
-                verdict = eg.FamilyVerdict(holds=True)
-            else:
-                cand, (n1, n2) = w
+    family = eg.load_family(args.family)
+    member = family.member(args.member) if args.member else family.members[0]
+    if args.check == "timely":
+        if args.rho is not None:
+            verdict = eg.check_timely_punishments(family, args.rho)
+        else:
+            rho = eg.timely_certificate(family)
+            if rho is None:
                 verdict = eg.FamilyVerdict(
                     holds=False,
-                    counterexample={"member": cand.name,
-                                    "partition": [sorted(n1), sorted(n2)]})
-        elif args.check == "unsafe":
-            if args.rho is None:
-                print("error: unsafe needs --rho", file=sys.stderr)
-                return EXIT_INPUT
-            member = family.member(args.member) if args.member else family.members[0]
-            w = eg.is_unsafe(member, args.rho, family.horizon)
-            verdict = (eg.FamilyVerdict(holds=True) if w is None
-                       else eg.FamilyVerdict(holds=False, counterexample=w))
+                    counterexample={"reason": "no rho in [1, horizon] works"})
+            else:
+                verdict = eg.FamilyVerdict(holds=True, certificate=rho)
+    elif args.check == "connectivity":
+        verdict = eg.check_connectivity_restriction(family)
+    elif args.check == "eventual_dist":
+        if args.rho is None:
+            raise ValueError("eventual_dist needs --rho")
+        verdict = eg.check_eventual_distinguishability(
+            family, args.rho, args.m_star)
+    elif args.check == "ambiguous_po":
+        if None in (args.agent, args.partner, args.round):
+            raise ValueError("ambiguous_po needs --agent, --partner, --round")
+        w = eg.is_ambiguous_po(family, member, args.agent, args.partner,
+                               args.round)
+        if w is None:
+            verdict = eg.FamilyVerdict(holds=True)
         else:
-            print(f"error: unknown check {args.check!r}", file=sys.stderr)
-            return EXIT_INPUT
-    except PartitionSearchRefused as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+            cand, (n1, n2) = w
+            verdict = eg.FamilyVerdict(
+                holds=False,
+                counterexample={"member": cand.name,
+                                "partition": [sorted(n1), sorted(n2)]})
+    else:  # unsafe
+        if args.rho is None:
+            raise ValueError("unsafe needs --rho")
+        w = eg.is_unsafe(member, args.rho, family.horizon)
+        verdict = (eg.FamilyVerdict(holds=True) if w is None
+                   else eg.FamilyVerdict(holds=False, counterexample=w))
     _emit(verdict.to_json(), args.out)
     return EXIT_PASS if verdict.holds else EXIT_FAIL
 
 
-def _parse_deviate(text: str) -> dict:
-    """--deviate 'agent=0,defect_all,round=1' -> one-shot defect-all spec."""
+def _parse_deviate(text: str, n: int) -> tuple[int, dict]:
+    """--deviate 'agent=0,defect_all,round=1' -> (agent, one-shot defect-all
+    deviation) for an agent of an n-agent scenario."""
     fields = dict(kv.split("=", 1) if "=" in kv else (kv, "")
                   for kv in text.split(","))
     if "agent" not in fields or "round" not in fields:
         raise ValueError("--deviate needs agent=<id> and round=<m>")
     if "defect_all" not in fields:
         raise ValueError("--deviate currently supports the defect_all form")
-    return {"agent": int(fields["agent"]),
-            "kind": "one_shot", "round": int(fields["round"]),
-            "override": {"defect": "all"}}
+    agent = int(fields["agent"])
+    if not 0 <= agent < n:
+        raise ValueError(f"--deviate agent {agent} is not an id in 0..{n - 1}")
+    return agent, {"kind": "one_shot", "round": int(fields["round"]),
+                   "override": {"defect": "all"}}
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.samples is not None and args.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        scenario = resolve_scenario(args.scenario)
-        if args.deviate:
-            dev = _parse_deviate(args.deviate)
-            agent = dev.pop("agent")
-            base = scenario.strategies[agent]
-            scenario.strategies[agent] = {"deviation": dict(dev, base=base)}
-        scenario.validate()
-        cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
-        trace = simulate(cfg)
-    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError,
-            OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    scenario = resolve_scenario(args.scenario)
+    if args.deviate:
+        agent, dev = _parse_deviate(args.deviate, scenario.family.n)
+        base = scenario.strategies[agent]
+        scenario.strategies[agent] = {"deviation": dict(dev, base=base)}
+    scenario.validate()
+    cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
+    trace = simulate(cfg)
     out = args.out or f"{scenario.name}_trace"
     _write_trace(trace, cfg, out, args.format)
     totals = {i: discounted_utility(trace, i, 1, cfg.params)
@@ -195,44 +172,36 @@ def _action_json(a) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        scenario = resolve_scenario(args.scenario)
-        scenario.validate()
-        members = ([scenario.member] if args.member
-                   else [g.name for g in scenario.family.members])
-        all_pass = True
-        by_member = {}
-        for member in members:
-            scenario.member = member
-            cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
-            if args.enum_cap is not None:
-                cfg = replace(cfg, enum_cap=args.enum_cap)
-            coop_ok, coop_witness = verify_cooperation(cfg)
-            reports = {}
-            member_pass = coop_ok
-            for i in range(cfg.family.n):
-                cands = [{k: v for k, v in c.items() if k != "agent"}
-                         for c in scenario.candidates
-                         if c.get("agent") == i
-                         and c.get("member") in (None, member)]
-                rep = verify_one_shot(cfg, i, robust_depth=args.robust_depth,
-                                      candidates=cands)
-                reports[str(i)] = rep.to_json()
-                member_pass = member_pass and rep.verdict
-            by_member[member] = {
-                "on_path_cooperation": coop_ok,
-                "on_path_witness": coop_witness,
-                "one_shot": reports,
-                "verdict": "pass" if member_pass else "fail",
-            }
-            all_pass = all_pass and member_pass
-    except EnumerationCapExceeded as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (FamilyFormatError, StrategyConfigError, ValueError, KeyError,
-            OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario = resolve_scenario(args.scenario)
+    scenario.validate()
+    members = ([scenario.family.member(args.member).name] if args.member
+               else [g.name for g in scenario.family.members])
+    all_pass = True
+    by_member = {}
+    for member in members:
+        scenario.member = member
+        cfg = scenario.sim_config(horizon=args.horizon)
+        if args.enum_cap is not None:
+            cfg = replace(cfg, enum_cap=args.enum_cap)
+        coop_ok, coop_witness = verify_cooperation(cfg)
+        reports = {}
+        member_pass = coop_ok
+        for i in range(cfg.family.n):
+            cands = [{k: v for k, v in c.items() if k != "agent"}
+                     for c in scenario.candidates
+                     if c.get("agent") == i
+                     and c.get("member") in (None, member)]
+            rep = verify_one_shot(cfg, i, robust_depth=args.robust_depth,
+                                  candidates=cands)
+            reports[str(i)] = rep.to_json()
+            member_pass = member_pass and rep.verdict
+        by_member[member] = {
+            "on_path_cooperation": coop_ok,
+            "on_path_witness": coop_witness,
+            "one_shot": reports,
+            "verdict": "pass" if member_pass else "fail",
+        }
+        all_pass = all_pass and member_pass
     doc = {
         "scenario": scenario.name,
         "members": by_member,
@@ -286,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="equilibrium verification")
     v.add_argument("--scenario", required=True)
     v.add_argument("--horizon", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
     v.add_argument("--robust-depth", type=int, default=2)
     v.add_argument("--member", default=None,
                    help="verify one member instead of every member")
@@ -301,7 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EnumerationCapExceeded, PartitionSearchRefused) as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return EXIT_REFUSED
+    # FamilyFormatError and StrategyConfigError are ValueErrors
+    except (ValueError, KeyError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -156,17 +156,12 @@ class _AccusationWindow(StrategyMachine):
         self.rho = rho
         self.accusations: set[tuple[AgentId, int]] = set()
 
-    def begin_round(self, view: LocalView):
-        super().begin_round(view)
-        lo = view.round - self.rho
-        self.accusations = {(s, r) for (s, r) in self.accusations if r >= lo}
-
     def payload_for(self, j: AgentId) -> Optional[dict]:
         return {"acc": sorted(self.accusations)}
 
     def accusation_count(self, j: AgentId) -> int:
-        lo = self.round - self.rho
-        return sum(1 for (s, r) in self.accusations if s == j and lo <= r < self.round)
+        # end_round cut the window to the last rho rounds
+        return sum(1 for (s, _) in self.accusations if s == j)
 
     def end_round(self, own_action, inbox):
         m = self.round

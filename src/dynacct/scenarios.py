@@ -265,16 +265,49 @@ def scenario_catalog() -> list[dict]:
 # Scenario files
 # ---------------------------------------------------------------------------
 
+def _check_spec(spec, at: str):
+    """A strategy spec is a name or an object; a deviation layer is an
+    object whose ``base``, if given, is a spec again."""
+    if isinstance(spec, str):
+        return
+    if not isinstance(spec, dict):
+        raise FamilyFormatError(at, "expected a strategy name or an object")
+    if "deviation" in spec:
+        dev = spec["deviation"]
+        if not isinstance(dev, dict):
+            raise FamilyFormatError(f"{at}.deviation", "expected an object")
+        if dev.get("base") is not None:
+            _check_spec(dev["base"], f"{at}.deviation.base")
+
+
 def scenario_from_dict(doc: dict, where: str) -> Scenario:
     if not isinstance(doc, dict):
         raise FamilyFormatError(where, "expected an object")
     for key in ("name", "family", "params", "strategies"):
         if key not in doc:
             raise FamilyFormatError(where, f"missing field {key!r}")
+    for key, kind, noun in (("name", str, "a string"),
+                            ("description", str, "a string"),
+                            ("params", dict, "an object"),
+                            ("strategies", dict, "an object"),
+                            ("checks", list, "a list"),
+                            ("candidates", list, "a list")):
+        if key in doc and not isinstance(doc[key], kind):
+            raise FamilyFormatError(f"{where}.{key}", f"expected {noun}")
+    ints = {"rho": doc.get("rho"), "horizon": doc.get("horizon", 30),
+            "seed": doc.get("seed", 0)}
+    for key, value in ints.items():
+        # bool is an int subclass: true must not read as 1
+        if type(value) is not int and not (key == "rho" and value is None):
+            raise FamilyFormatError(f"{where}.{key}",
+                                    f"expected an integer, got {value!r}")
+    checks = doc.get("checks", [])
+    if not all(isinstance(c, str) for c in checks):
+        raise FamilyFormatError(f"{where}.checks", "expected check names")
     family = family_from_dict(doc["family"], where=f"{where}.family")
     try:
         params = UtilityParams.from_json(doc["params"])
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise FamilyFormatError(f"{where}.params", str(e))
     strategies = {}
     for k, v in doc["strategies"].items():
@@ -285,6 +318,7 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         if not (0 <= agent < family.n):
             raise FamilyFormatError(f"{where}.strategies",
                                     f"agent id {agent} out of range")
+        _check_spec(v, f"{where}.strategies.{k}")
         strategies[agent] = v
     member = doc.get("member", family.members[0].name)
     try:
@@ -304,12 +338,12 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         want = cand.get("member")
         if want is not None and not (isinstance(want, str) and want in names):
             raise FamilyFormatError(f"{at}.member", f"no member named {want!r}")
+        if cand.get("base") is not None:
+            _check_spec(cand["base"], f"{at}.base")
     return Scenario(
         name=doc["name"], description=doc.get("description", ""),
         family=family, member=member, params=params, strategies=strategies,
-        rho=doc.get("rho"), horizon=int(doc.get("horizon", 30)),
-        seed=int(doc.get("seed", 0)), checks=list(doc.get("checks", [])),
-        candidates=candidates)
+        candidates=candidates, checks=list(checks), **ints)
 
 
 def load_scenario(path: str) -> Scenario:

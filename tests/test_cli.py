@@ -204,6 +204,14 @@ def test_simulate_rejects_bad_deviate_syntax(capsys):
     assert code == 2
 
 
+def test_simulate_deviate_agent_out_of_range_exit_two(capsys):
+    code, out, err = run_cli(["simulate", "--scenario", "ring_connectivity",
+                              "--deviate", "agent=7,defect_all,round=1"],
+                             capsys)
+    assert code == 2 and not out
+    assert "error: --deviate agent 7 is not an id in 0..3" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -280,6 +288,51 @@ def test_verify_candidate_refused_at_load_exit_two(field, value, message,
     assert f"candidates[0].{field}: {message}" in err
 
 
+def _set_spec(agent, spec):
+    def mutate(doc):
+        doc["strategies"][agent] = spec
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d.update(strategies=list(d["strategies"].values())),
+     "strategies"),
+    (_set_spec("0", 5), "strategies.0"),
+    (lambda d: d.update(params=[1, 2]), "params"),
+    (lambda d: d.update(rho="x"), "rho"),
+    (_set_spec("0", {"deviation": 3}), "strategies.0.deviation"),
+    (lambda d: d.update(candidates=5), "candidates"),
+    (lambda d: d.update(checks=5), "checks"),
+    (lambda d: d.update(horizon=12.5), "horizon"),
+    (lambda d: d.update(rho=True), "rho"),
+], ids=["strategies-list", "spec-int", "params-list", "rho-str",
+        "deviation-int", "candidates-int", "checks-int", "horizon-float",
+        "rho-bool"])
+def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
+                                                   capsys):
+    # a scenario field of the wrong type is a positioned input error: no
+    # traceback, and no value silently truncated or read as a number
+    doc = builtin("timely_violation").to_json()
+    mutate(doc)
+    path = tmp_path / "typed_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--scenario", str(path),
+                              "--horizon", "6"], capsys)
+    assert code == 2 and out == ""
+    assert re.search(rf"^error: .*typed_scenario\.json\.{re.escape(field)}: ",
+                     err, re.M)
+
+
+def test_verify_member_verifies_that_member_only(capsys):
+    code, out, _ = run_cli(["verify", "--scenario", "fig3_indist",
+                            "--member", "G1", "--horizon", "40"], capsys)
+    assert code == 0 and list(json.loads(out)["members"]) == ["G1"]
+    code, out, err = run_cli(["verify", "--scenario", "fig3_indist",
+                              "--member", "nowhere"], capsys)
+    assert code == 2 and out == ""
+    assert "no member named 'nowhere'" in err
+
+
 def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):
     from tests.test_verifier import mixed_degree_family
     sc = builtin("ring_connectivity")
@@ -316,10 +369,13 @@ def test_verify_scenario_roundtrip_loader():
     ["verify", "--scenario", "ring_connectivity", "--robust-depth", "0"],
     ["verify", "--scenario", "ring_connectivity", "--robust-depth", "-3"],
     ["verify", "--scenario", "ring_connectivity", "--enum-cap", "0"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--out", "missing/run"],
 ], ids=["verify-missing-scenario", "simulate-missing-scenario",
         "check-missing-family", "simulate-negative-samples",
         "simulate-zero-samples", "verify-zero-robust-depth",
-        "verify-negative-robust-depth", "verify-zero-enum-cap"])
+        "verify-negative-robust-depth", "verify-zero-enum-cap",
+        "simulate-out-missing-directory"])
 def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
                                             capsys):
     # a missing input file or a bad option is an input error (exit 2), not
