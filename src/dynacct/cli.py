@@ -274,9 +274,10 @@ def main(argv=None) -> int:
     except (EnumerationCapExceeded, PartitionSearchRefused) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
-    # FamilyFormatError and StrategyConfigError are ValueErrors
+    # FamilyFormatError and StrategyConfigError are ValueErrors; str() of a
+    # KeyError quotes its message
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_INPUT
 
 

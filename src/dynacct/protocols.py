@@ -22,8 +22,10 @@ the agents of its views, actions and payloads relabels everything it does.
 Then an automorphism of the graph maps one agent's one-shot report onto
 another's, and the verifier reuses it (``verifier.verify_one_shot``).
 ``clone()`` copies shallowly; a machine extends it for each container it
-mutates in place.  A deviation strategy is a base machine plus a twist: ``_Wrapper`` forwards
-every round hook to the base, and its subclasses override what differs.
+mutates in place.  A deviation strategy is a base machine plus a twist:
+``_Wrapper`` forwards every round hook to the base, and its subclasses
+override what differs: ``ScheduledDefector`` every scripted deviation,
+the verifier's forced one-shots included, and ``_Persona`` the others.
 
 Protocol window conventions follow the monitoring designs: the
 accusation-window protocols keep one report bit per (agent, round) for the
@@ -42,7 +44,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
                              local_view)
@@ -55,6 +58,24 @@ AgentId = int
 
 class StrategyConfigError(ValueError):
     """Strategy is incompatible with the scenario (mode, observation, family)."""
+
+
+def _int(value, field: str) -> int:
+    """``int(value)``, or a ``StrategyConfigError`` naming the spec field
+    if int() refuses the value (a list, or None for a missing field)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise StrategyConfigError(
+            f"{field} must be an integer, not {value!r}") from None
+
+
+def _ints(values, field: str) -> list[int]:
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError):
+        raise StrategyConfigError(
+            f"{field} must be a list of integers, not {values!r}") from None
 
 
 class RandSource:
@@ -329,9 +350,9 @@ class SigmaGen(StrategyMachine):
         The sender order decides nothing between honest copies: a report
         bit is recorded only by its victim, from what it was dealt, and
         every other copy is that record forwarded unchanged, so all senders
-        holding the bit hold the same value.  A one-shot override changes
+        holding the bit hold the same value.  A scheduled override changes
         actions, never payloads, so this holds under the verifier's
-        overrides too, and the machine is ``label_free``."""
+        deviations too, and the machine is ``label_free``."""
         n, me = self.n, self.me
         senders = [(j, p) for j, (a, p) in sorted(inbox.items())
                    if a.kind is not ActionKind.DEFECT and p is not None]
@@ -522,10 +543,11 @@ class _Wrapper(StrategyMachine):
 
 
 class ScheduledDefector(_Wrapper):
-    """Follow the base strategy but defect scheduled targets.
+    """Follow the base strategy but apply the override template
+    (``_template``) of each round of ``schedule``; spent, it is its base.
 
     ``sincere=False`` gives evasive semantics: the base state is maintained
-    as if the defections had not happened (the base is told it played its
+    as if the overrides had not happened (the base is told it played its
     own prescription, which must need no draw), so all later messages
     answer from the counterfactual state.  ``sincere=True`` reconstructs
     the base state from what actually happened.
@@ -535,41 +557,32 @@ class ScheduledDefector(_Wrapper):
                  schedule: Mapping[int, object], sincere: bool = False,
                  label: str = "scheduled_defector"):
         super().__init__(base, label)
-        self.schedule = dict(schedule)    # never mutated: clones share it
+        # never mutated: clones share it
+        self.schedule = {r: _template(t) for r, t in schedule.items()}
         self.sincere = sincere
-
-    @property
-    def first_deviation_round(self) -> Optional[int]:
-        return min(self.schedule) if self.schedule else None
-
-    def _targets(self, m: int) -> frozenset[AgentId]:
-        spec = self.schedule.get(m)
-        if spec is None:
-            return frozenset()
-        if spec == ALL_NEIGHBORS:
-            return frozenset(self.view.neighbors)
-        return frozenset(spec) & self.view.neighbors
+        self.first_deviation_round = min(self.schedule, default=None)
+        self.last_round = max(self.schedule, default=0)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        out = dict(self.base.act(rand))
-        for j in self._targets(self.round):
-            out[j] = DEFECT
-        return out
+        action = self.base.act(rand)
+        template = self.schedule.get(self.round)
+        if template is None:
+            return dict(action)
+        return apply_override(template, self.view.neighbors, action)
 
     def end_round(self, own_action, inbox):
-        if not self.sincere and self._targets(self.round) and self.base.uses_own_action:
+        if not self.sincere and self.round in self.schedule and self.base.uses_own_action:
             own_action = self.base.act(_RefuseDraws())
         super().end_round(own_action, inbox)
 
     def state_key(self, m: int):
-        sched = frozenset(
-            (r - m, t if t == ALL_NEIGHBORS else frozenset(t))
-            for r, t in self.schedule.items() if r >= m)
-        return ("ScheduledDefector", self.sincere, sched, self.base.state_key(m))
+        if m > self.last_round:
+            return self.base.state_key(m)
+        ahead = tuple((r - m, t) for r, t in sorted(self.schedule.items()) if r >= m)
+        return ("ScheduledDefector", self.sincere, ahead, self.base.state_key(m))
 
     def is_quiescent(self) -> bool:
-        done = not self.schedule or self.round >= max(self.schedule)
-        return done and self.base.is_quiescent()
+        return self.round >= self.last_round and self.base.is_quiescent()
 
 
 def single_evasive(base: StrategyMachine, j: AgentId, m: int) -> ScheduledDefector:
@@ -593,64 +606,45 @@ def defect_at_rounds(base: StrategyMachine,
                              label=f"defect_at_rounds({sorted(rounds)})")
 
 
-def apply_override(template: Mapping, neighbors: frozenset[AgentId],
-                   base_action: Mapping[AgentId, IndividualAction],
-                   mode: Mode, n: int) -> dict[AgentId, IndividualAction]:
-    """Materialise an override template over the current neighbour set."""
-    out = dict(base_action)
+# override classes in the order a template applies them; None is "send"
+_OVERRIDES = {"send": None, "defect": DEFECT, "cooperate": COOPERATE,
+              "punish": PUNISH, "avoid": AVOID}
 
-    def targets(val) -> list[AgentId]:
-        ids = sorted(neighbors) if val == ALL_NEIGHBORS else list(val)
-        for t in ids:
+
+def _template(value) -> tuple:
+    """A schedule value, ``{class: targets, "prop_punish": {target: weight}}``
+    or ``targets`` to defect, as ``(action, targets)`` pairs (None: "send"),
+    with ``targets`` ``ALL_NEIGHBORS`` or a sorted tuple of ids."""
+    if not isinstance(value, Mapping):
+        value = {"defect": value}
+    out = [(action, value[key] if value[key] == ALL_NEIGHBORS
+            else tuple(sorted(_ints(value[key], key))))
+           for key, action in _OVERRIDES.items() if key in value]
+    weights = value.get("prop_punish", {})
+    if not isinstance(weights, Mapping):
+        raise StrategyConfigError(
+            f"prop_punish must map targets to weights, not {weights!r}")
+    out += [(prop_punish(_int(c, "prop_punish")), (_int(t, "prop_punish"),))
+            for t, c in weights.items()]
+    return tuple(out)
+
+
+def apply_override(template: tuple, neighbors: frozenset[AgentId],
+                   base_action: Mapping[AgentId, IndividualAction],
+                   ) -> dict[AgentId, IndividualAction]:
+    """Materialise a frozen override template (``_template``) over the
+    current neighbours (the round's profile check checks the mode): "send"
+    keeps a sending base action and cooperates where it defects or avoids."""
+    out = dict(base_action)
+    for action, targets in template:
+        for t in sorted(neighbors) if targets == ALL_NEIGHBORS else targets:
             if t not in neighbors:
                 raise ValueError(f"override target {t} is not a current neighbour")
-        return ids
-
-    kinds = {"defect": DEFECT, "cooperate": COOPERATE, "punish": PUNISH,
-             "avoid": AVOID}
-    for key, action in kinds.items():
-        if key in template:
-            for t in targets(template[key]):
+            if action is not None:
                 out[t] = action
-    for t, c in template.get("prop_punish", {}).items():
-        t = int(t)
-        if t not in neighbors:
-            raise ValueError(f"override target {t} is not a current neighbour")
-        out[t] = prop_punish(int(c))
-    for a in out.values():
-        a.check_mode(mode, n)
+            elif not base_action[t].sends:
+                out[t] = COOPERATE
     return out
-
-
-class OneShotDeviation(_Wrapper):
-    """Base strategy with one action override at round ``at``; afterwards
-    the base continues with its true state."""
-
-    def __init__(self, base: StrategyMachine, at: int, override: Mapping,
-                 label: str = "one_shot"):
-        super().__init__(base, label)
-        self.first_deviation_round = at
-        self.override = dict(override)    # never mutated: clones share it
-
-    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        base_action = self.base.act(rand)
-        if self.round == self.first_deviation_round:
-            return apply_override(self.override, self.view.neighbors,
-                                  base_action, self.mode, self.n)
-        return dict(base_action)
-
-    def _fired(self) -> bool:
-        return self.round >= self.first_deviation_round
-
-    def snapshot(self) -> dict:
-        return dict(self.base.snapshot(),
-                    fired_at=self.first_deviation_round if self._fired() else None)
-
-    def state_key(self, m: int):
-        return ("OneShot", self._fired(), self.base.state_key(m))
-
-    def is_quiescent(self) -> bool:
-        return self._fired() and self.base.is_quiescent()
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +721,8 @@ class _Persona(_Wrapper):
         self.shadow = shadow
         self.shadowed = shadowed
         self.defection = defection
-        if defection is not None:
-            self.first_deviation_round = defection[1]
+        # lenient deviates from round 1: no walk absorbs it before it plays
+        self.first_deviation_round = 1 if defection is None else defection[1]
 
     def begin_round(self, view: LocalView):
         expected = self.shadow.graph.at(view.round).neighbors(self.me)
@@ -761,11 +755,7 @@ class _Persona(_Wrapper):
         return (self.label, self.base.state_key(m))
 
     def is_quiescent(self) -> bool:
-        # before its first round (or its scripted defection) the fresh base
-        # and the unplayed shadow both report quiescent, which would absorb
-        # the candidate before it deviates
-        start = 1 if self.defection is None else self.defection[1]
-        return (self.round >= start and self.base.is_quiescent()
+        return (self.base.is_quiescent()
                 and self.me in self.shadow.quiescent[self.round])
 
 
@@ -813,15 +803,15 @@ def build_strategy(spec: StrategySpec, ctx: StrategyContext) -> StrategyMachine:
         return build_deviation(spec["deviation"], ctx)
     name = spec.get("strategy")
     if name == "sigma_val":
-        return sigma_val(ctx.me, ctx.n, int(spec["rho"]), ctx.params)
+        return sigma_val(ctx.me, ctx.n, _int(spec.get("rho"), "rho"), ctx.params)
     if name == "sigma_gen":
         return sigma_gen(ctx.me, ctx.n, ctx.params, ctx.observation)
     if name == "accusation_punisher":
-        return AccusationPunisher(ctx.me, ctx.n, int(spec["rho"]))
+        return AccusationPunisher(ctx.me, ctx.n, _int(spec.get("rho"), "rho"))
     if name == "always_defect":
         return AlwaysDefect(ctx.me, ctx.n, ctx.params.mode)
     if name == "unsafe_scripted":
-        return UnsafePunisherProtocol(ctx.me, ctx.n, int(spec.get("rho", 3)))
+        return UnsafePunisherProtocol(ctx.me, ctx.n, _int(spec.get("rho", 3), "rho"))
     raise StrategyConfigError(f"unknown strategy {name!r}")
 
 
@@ -831,32 +821,36 @@ def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
     base = (build_strategy(base_spec, ctx) if base_spec is not None
             else ctx.honest(ctx.me))
     if kind == "single_evasive":
-        return single_evasive(base, int(dev["target"]), int(dev["round"]))
+        return single_evasive(base, _int(dev.get("target"), "target"),
+                              _int(dev.get("round"), "round"))
     if kind == "always_defect_until":
-        return always_defect_until(base, int(dev["round"]))
+        return always_defect_until(base, _int(dev.get("round"), "round"))
     if kind == "defect_at_rounds":
-        return defect_at_rounds(base, [int(r) for r in dev["rounds"]])
+        return defect_at_rounds(base, _ints(dev.get("rounds"), "rounds"))
     if kind == "one_shot":
-        at = int(dev["round"])
-        return OneShotDeviation(base, at, dev["override"],
-                                label=f"one_shot(round={at})")
+        at, override = _int(dev.get("round"), "round"), dev.get("override")
+        if not isinstance(override, Mapping):
+            raise StrategyConfigError(f"one_shot override must be an object, not {override!r}")
+        return ScheduledDefector(base, {at: override}, sincere=True,
+                                 label=f"one_shot(round={at})")
     if kind not in ("dual_evasive_fig2", "lenient_evasive_unsafe"):
         raise StrategyConfigError(f"unknown deviation kind {kind!r}")
     _check_member(dev, ctx)
     others = frozenset(range(ctx.n)) - {ctx.me}
     machines = {a: ctx.honest(a) for a in range(ctx.n)}
     if kind == "dual_evasive_fig2":
-        group1, group2 = ({int(a) for a in dev[g]} for g in ("group1", "group2"))
+        group1, group2 = (set(_ints(dev.get(g), g)) for g in ("group1", "group2"))
         if not group1 or not group2 or group1 & group2 or group1 | group2 != others:
             raise StrategyConfigError(
                 f"dual_evasive_fig2 groups {sorted(group1)} and {sorted(group2)}"
                 f" must partition the other agents {sorted(others)}")
         shadowed, label = frozenset(group2), "dual_evasive"
-        defection = (int(dev["target"]), int(dev["round"]))
+        defection = (_int(dev.get("target"), "target"),
+                     _int(dev.get("round"), "round"))
     else:
-        first = dev.get("first_deviator", 0)
-        machines[first] = always_defect_until(machines[first],
-                                              int(dev.get("first_round", 1)))
+        first = _int(dev.get("first_deviator", 0), "first_deviator")
+        machines[first] = always_defect_until(
+            machines[first], _int(dev.get("first_round", 1), "first_round"))
         shadowed, label, defection = others, "lenient_evasive", None
     shadow = _ShadowWorld(ctx.member, ctx.observation, machines)
     return _Persona(base, shadow, shadowed, label, defection)

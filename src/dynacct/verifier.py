@@ -44,11 +44,11 @@ Each job has exactly one implementation:
   branch cut by the walk's last round ``end`` is recorded as absorbed at
   ``end + 1``, where the tail is 0, so the absorption probabilities always
   sum to 1.
-* An override ``(agent, round, pattern)`` forces one agent's send/defect/
-  avoid class per neighbour in one round.  ``_play_round`` applies it in
-  that round; up to and including that round no quiescent branch is
-  absorbed, no continuation value is read or written, and
-  ``_OneShotChecker._walk_contexts`` collects no context.
+* Every deviation is a machine.  The one-shot checker forces i's send/
+  defect/avoid classes in one round by wrapping i's machine in a sincere
+  ``protocols.ScheduledDefector``, so the round engine and the walker take
+  no override.  ``_Walk`` never absorbs or values a world in which some
+  machine's first deviation round is still ahead.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
@@ -60,9 +60,9 @@ still the analytic tail bound the finite-horizon contract prescribes.
 One-shot deviation checking enumerates the agent's information-set
 occurrences, deduplicated by world key (graph phase plus machine states)
 and collected by closure.  A context walk plays the profile with fixed draw
-outcomes, so past its override round it is deterministic in the world key:
-it stops at the first closed world (one whose successors are all collected)
-or at a world it walked itself, and then closes every world it walked.  The
+outcomes, so it is deterministic in the world key: it stops at the first
+closed world (one whose successors are all collected) or at a world it
+walked itself, and then closes every world it walked.  The
 on-path walk runs to round horizon - 1.  Robustness depth 2 also explores
 information sets reached after a prior unilateral deviation by the checked
 agent itself, with one walk per on-path context and deviation pattern;
@@ -95,9 +95,8 @@ approximate, because:
   same utilities, draw probabilities and absorption offsets, whatever
   round they are reached in (``tests/test_soundness.py`` checks both
   preconditions);
-* rounds at or before the override round neither read nor write the
-  table: there the override, which the key does not carry, makes equal
-  keys differ;
+* a world with a deviation still ahead is never valued, and a spent
+  wrapper keys and plays as its base;
 * an entry is written only from a subtree whose every branch absorbed
   within the horizon, and read at round m only if ``m + max(k)`` is
   within the horizon too, so the horizon never cuts a reused subtree;
@@ -138,17 +137,14 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
                              local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
-from .game_core import (COOPERATE, Action, ActionKind, ActionProfile, History,
-                        Mode, Trace, UtilityParams, cooperation_tail,
+from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
+                        Trace, UtilityParams, cooperation_tail,
                         discounted_utility, tail_bound)
-from .protocols import (ALL_NEIGHBORS, AVOID, DEFECT, RandSource,
-                        ScheduledDefector, StrategyConfigError,
+from .protocols import (RandSource, ScheduledDefector, StrategyConfigError,
                         StrategyContext, StrategyMachine, _deliver,
                         build_deviation, build_strategy, honest_spec)
 
 AgentId = int
-# (agent, round, {neighbour: "send" | "defect" | "avoid"})
-Override = tuple[AgentId, int, Mapping[AgentId, str]]
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -322,20 +318,6 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
 # Round engine
 # ---------------------------------------------------------------------------
 
-def _apply_pattern(actions: dict, pattern: Mapping[AgentId, str]) -> dict:
-    out = dict(actions)
-    for j, o in pattern.items():
-        if j not in out:
-            continue
-        if o == "defect":
-            out[j] = DEFECT
-        elif o == "avoid":
-            out[j] = AVOID
-        elif not out[j].sends:
-            out[j] = COOPERATE
-    return out
-
-
 def _begin_round(graph: EvolvingGraph, obs: ObservationModel,
                  machines: dict[AgentId, StrategyMachine], m: int) -> dict:
     """Deliver round m's views; returns them by agent."""
@@ -349,13 +331,9 @@ def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
     return {i: machines[i].act(_BoundRand(draws, i, m)) for i in sorted(machines)}
 
 
-def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int,
-                   raw: dict, override: Optional[Override]):
+def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int, acts: dict):
     """The checked action profile of round m and every agent's utility."""
     rg = graph.at(m)
-    acts = dict(raw)
-    if override is not None and override[1] == m:
-        acts[override[0]] = _apply_pattern(raw[override[0]], override[2])
     profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
     den, nums = params.edge_numerators(rg.n)
@@ -366,12 +344,10 @@ def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int,
 
 def _play_round(graph: EvolvingGraph, obs: ObservationModel,
                 machines: dict[AgentId, StrategyMachine],
-                params: UtilityParams, m: int, draws,
-                override: Optional[Override] = None):
+                params: UtilityParams, m: int, draws):
     """One round with one draw source: views, actions, outcome, delivery."""
     views = _begin_round(graph, obs, machines, m)
-    profile, utils = _round_outcome(graph, params, m, _act(machines, m, draws),
-                                    override)
+    profile, utils = _round_outcome(graph, params, m, _act(machines, m, draws))
     _deliver(views, machines, profile)
     return profile, utils
 
@@ -465,12 +441,11 @@ class _Walk:
     ``reward(m, profile, utils)`` of each round played, discounted by ``d``
     per round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
 
-    No branch is absorbed, and the ``table`` of valued worlds is neither
-    read nor written, at or before the override round.  ``leaves`` counts
-    the branches ended so far against the enumeration cap."""
+    No world in which a machine's first deviation round is still ahead is
+    absorbed, or read or written in the ``table`` of valued worlds.
+    ``leaves`` counts the branches ended so far against the enumeration cap."""
 
     def __init__(self, cfg: SimConfig, reward: Callable, d,
-                 override: Optional[Override] = None,
                  end: Optional[int] = None, table: Optional[dict] = None):
         self.graph = cfg.graph
         self.obs = cfg.family.observation
@@ -478,10 +453,8 @@ class _Walk:
         self.cap = cfg.enum_cap
         self.reward = reward
         self.d = d
-        self.override = override
         self.end = cfg.horizon if end is None else end
         self.table = table
-        self.blocked = override[1] if override else 0
         self.leaves = 0
 
     def _stop(self, m: int, leaves: int):
@@ -502,7 +475,8 @@ class _Walk:
         with several recurses.  A keyed round stops at the first world
         already valued; once every branch of the subtree absorbed, every
         keyed round of it is written back."""
-        d, graph, override = self.d, self.graph, self.override
+        d, graph = self.d, self.graph
+        ahead = max((mach.first_deviation_round or 0) for mach in ms.values())
         first = self.leaves
         chain: list[tuple[Optional[tuple], int, Fraction]] = []
         while True:
@@ -511,7 +485,7 @@ class _Walk:
                 self._stop(m, 1)
                 pre, absorbed = Fraction(0), {self.end + 1: Fraction(1)}
                 break
-            if m > self.blocked:
+            if m > ahead:
                 if all(mach.is_quiescent() for mach in ms.values()):
                     self._stop(m, 1)
                     pre, absorbed = Fraction(0), {m: Fraction(1)}
@@ -527,7 +501,7 @@ class _Walk:
                         key = None      # already valued
                         break
             views = _begin_round(graph, self.obs, ms, m)
-            outcomes = [(p, *_round_outcome(graph, self.params, m, raw, override))
+            outcomes = [(p, *_round_outcome(graph, self.params, m, raw))
                         for raw, p in _round_scripts(ms, m)]
             if len(outcomes) == 1:
                 _, profile, utils = outcomes[0]
@@ -575,9 +549,7 @@ def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                 i: AgentId, start: int,
-                 override: Optional[Override] = None,
-                 table: Optional[dict] = None,
+                 i: AgentId, start: int, table: Optional[dict] = None,
                  tails: Optional[dict[int, Fraction]] = None) -> Fraction:
     """Expected utility of i discounted to round ``start``, over the runs of
     the pre-round machines ``machines`` walked from there, with the
@@ -585,8 +557,7 @@ def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     ``tails`` dict to every call for the same (cfg, i) to share the tails,
     and one ``table`` to share the valued worlds."""
     d = cfg.params.delta
-    walk = _Walk(cfg, lambda m, profile, utils: utils[i], d, override,
-                 table=table)
+    walk = _Walk(cfg, lambda m, profile, utils: utils[i], d, table=table)
     total, absorbed = walk.value(machines, start)
     tails = {} if tails is None else tails
     for a, p in absorbed.items():
@@ -697,12 +668,8 @@ def _override_patterns(mode: Mode, nbrs: Sequence[AgentId]):
     return patterns
 
 
-def _action_class(a) -> str:
-    if a.kind is ActionKind.DEFECT:
-        return "defect"
-    if a.kind is ActionKind.AVOID:
-        return "avoid"
-    return "send"
+# an action's override class: every other action sends
+_CLASSES = {ActionKind.DEFECT: "defect", ActionKind.AVOID: "avoid"}
 
 
 class _OneShotChecker:
@@ -729,45 +696,52 @@ class _OneShotChecker:
                 self.params, self.n, rounds_left)
         return tol
 
-    def _walk_contexts(self, machines, start: int, end: int, origin: str,
-                       seen: dict, out: list,
-                       override: Optional[Override] = None):
-        """Step the profile with fixed draw outcomes (valid because state is
-        draw-independent), collecting deduplicated pre-action world states
-        with i's action classes of that round, which the walk plays as
-        prescribed.  ``seen`` maps each world key met so far to whether it
-        is closed; the walk stops at a closed world or at one it walked
-        itself and closes what it walked, but a walk cut by ``end`` leaves
-        its worlds open."""
-        ms = _fork(machines)
+    def _walk_contexts(self, ms, start: int, end: int, origin: str,
+                       seen: dict, out: list):
+        """Step the machines ``ms`` in place from round ``start`` with fixed
+        draw outcomes (valid because state is draw-independent), collecting
+        deduplicated pre-action world states with i's action classes of
+        that round, which the walk plays as prescribed.  ``seen`` maps each
+        world key met so far to whether it is closed; the walk stops at a
+        closed world or at one it walked itself and closes what it walked,
+        but a walk cut by ``end`` leaves its worlds open."""
         draws = _FixedDraws()
-        first = override[1] if override else 0
         walked: set = set()
         for m in range(start, end + 1):
+            key = _world_key(self.graph, ms, m)
+            if seen.get(key) or key in walked:
+                seen.update(dict.fromkeys(walked, True))
+                return
+            walked.add(key)
             state = None
-            if m > first:
-                key = _world_key(self.graph, ms, m)
-                if seen.get(key) or key in walked:
-                    seen.update(dict.fromkeys(walked, True))
-                    return
-                walked.add(key)
-                if key not in seen:
-                    seen[key] = False
-                    state = _fork(ms)
+            if key not in seen:
+                seen[key] = False
+                state = _fork(ms)
             profile, _ = _play_round(self.graph, self.obs, ms, self.params, m,
-                                     draws, override)
+                                     draws)
             if state is not None:
                 action = profile.actions[self.i].per_neighbor
-                out.append((m, state, origin,
-                            {j: _action_class(a) for j, a in action.items()}))
+                out.append((m, state, origin, {j: _CLASSES.get(a.kind, "send")
+                                               for j, a in action.items()}))
+
+    def _forced(self, machines, m: int,
+                pattern: Optional[Mapping[AgentId, str]]) -> dict:
+        """A fork of ``machines`` with i's round-m classes forced to
+        ``pattern`` (None: as prescribed) by a sincere ``ScheduledDefector``."""
+        ms = _fork(machines)
+        if pattern is not None:
+            template = {o: [j for j in pattern if pattern[j] == o]
+                        for o in set(pattern.values())}
+            ms[self.i] = ScheduledDefector(ms[self.i], {m: template},
+                                           sincere=True)
+        return ms
 
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
         """i's expected utility from round m2, discounted to m2, with i's
         round-m2 classes forced to ``pattern`` (None: as prescribed)."""
-        override = None if pattern is None else (self.i, m2, pattern)
-        return _expected_eu(self.cfg, _fork(machines), self.i, m2, override,
-                            table=self.values, tails=self.tails)
+        return _expected_eu(self.cfg, self._forced(machines, m2, pattern),
+                            self.i, m2, table=self.values, tails=self.tails)
 
     def check_context(self, m2: int, machines, origin: str,
                       prescribed: dict[AgentId, str]):
@@ -879,7 +853,7 @@ def _verify_agent(cfg: SimConfig, honest, i: AgentId, robust_depth: int,
                   candidates: Sequence[Mapping]
                   ) -> tuple[EquilibriumReport, bool]:
     """Agent i's report, and whether its witness is order-invariant."""
-    graph = cfg.graph
+    graph, obs = cfg.graph, cfg.family.observation
     n = cfg.family.n
     checker = _OneShotChecker(cfg, i)
     seen: dict = {}
@@ -899,10 +873,13 @@ def _verify_agent(cfg: SimConfig, honest, i: AgentId, robust_depth: int,
         for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
             desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
                             if o != "send")
-            checker._walk_contexts(
-                state, m1, min(m1 + dev_window, cfg.horizon - 1),
-                f"after own {desc}@{m1}", seen, contexts,
-                override=(i, m1, pattern))
+            # play round m1 with i's classes forced, then unwrap i
+            ms = checker._forced(state, m1, pattern)
+            _play_round(graph, obs, ms, cfg.params, m1, _FixedDraws())
+            ms[i] = ms[i].base
+            checker._walk_contexts(ms, m1 + 1,
+                                   min(m1 + dev_window, cfg.horizon - 1),
+                                   f"after own {desc}@{m1}", seen, contexts)
 
     for context in contexts:
         checker.check_context(*context)
@@ -987,8 +964,8 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     labelled as ``ScheduledDefector.snapshot`` labels them, and plays from
     round m, from the round-m checkpoint with i wrapped.  At the start of
     every later round M it compares each machine's ``state_key(M)`` with
-    the honest run's (i's through the wrapper's base, whose schedule is
-    spent); once all are equal it rejoins the honest run: it stops playing
+    the honest run's (i's wrapper, spent, keys as its base); once all are
+    equal it rejoins the honest run: it stops playing
     and copies rounds M..horizon from it, i's snapshots labelled the same
     way.  Both copies are exact because:
 
@@ -1012,14 +989,12 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     def rejoined(M: int, machines) -> bool:
         keys = honest.keys[M - 1]
-        return M > m and all(
-            (mach.base if a == i else mach).state_key(M) == keys[a]
-            for a, mach in machines.items())
+        return M > m and all(mach.state_key(M) == keys[a]
+                             for a, mach in machines.items())
 
     label = f"defect@{m}"
-    sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
     machines = _fork(honest.checkpoints[m - 1])
-    machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
+    machines[i] = ScheduledDefector(machines[i], {m: targets}, sincere=True,
                                     label=label)
     deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
     _simulate_machines(cfg, machines, deviate, stop=rejoined)

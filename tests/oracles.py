@@ -37,6 +37,12 @@ contexts: the walks as they were before closure, cut only by three
 heuristic windows and never stopped early, with a second on-path walk for
 the prior deviation points.
 
+Both references force the checker's send/defect/avoid patterns the way the
+verifier did before its deviations all became ``ScheduledDefector``
+wrappers: an ``Override`` ``(agent, round, pattern)`` applied by the round
+step itself (``_overridden``, with its own copy of the old pattern rule),
+with no absorption while the override is still ahead.
+
 ``paired_defection_from_scratch`` is the reference for
 ``run_paired_defection``: both runs of the pair simulated in full from
 fresh machines, with nothing cached and no round shared.
@@ -58,16 +64,46 @@ import networkx as nx
 
 from dynacct.evolving_graph import (EvolvingGraph, FamilyVerdict,
                                     GraphFamily, LocalView, local_view)
-from dynacct.game_core import (COOPERATE, PUNISH, ActionKind, ActionProfile,
-                               History, IndividualAction, Mode, Trace)
+from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
+                               ActionProfile, History, IndividualAction, Mode,
+                               Trace)
 from dynacct.protocols import (RandSource, StrategyConfigError,
                                StrategyMachine)
-from dynacct.verifier import (AgentId, EnumerationCapExceeded, Override,
-                              SimConfig, _begin_round, _BoundRand,
+from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
+                              _act, _begin_round, _BoundRand,
                               _cooperation_tail, _deliver, _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
                               _round_outcome, _round_scripts, _ScriptDraws,
                               _simulate_machines, _world_key, build_machines)
+
+# (agent, round, {neighbour: "send" | "defect" | "avoid"})
+Override = tuple[AgentId, int, dict[AgentId, str]]
+
+
+def _apply_pattern(actions: dict, pattern: dict[AgentId, str]) -> dict:
+    """One agent's actions with its classes forced to ``pattern``: "send"
+    keeps a sending action and cooperates where it would defect or avoid."""
+    out = dict(actions)
+    for j, o in pattern.items():
+        if j not in out:
+            continue
+        if o == "defect":
+            out[j] = DEFECT
+        elif o == "avoid":
+            out[j] = AVOID
+        elif not out[j].sends:
+            out[j] = COOPERATE
+    return out
+
+
+def _overridden(raw: dict, m: int, override: Optional[Override]) -> dict:
+    """Round m's actions by agent, with ``override`` applied if it is
+    round m's."""
+    if override is None or override[1] != m:
+        return raw
+    agent, _, pattern = override
+    return {a: _apply_pattern(acts, pattern) if a == agent else acts
+            for a, acts in raw.items()}
 
 
 def product_dag(g: EvolvingGraph, first: int, last: int,
@@ -595,7 +631,8 @@ class _Enumerator:
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 profile, round_utils = _round_outcome(
-                    self.graph, self.params, m, raw, self.override)
+                    self.graph, self.params, m,
+                    _overridden(raw, m, self.override))
                 ms = machines if last else _fork(machines)
                 _deliver(views, ms, profile)
                 nu = dict(utils) if not last else utils
@@ -734,8 +771,10 @@ def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
             if key not in seen:
                 seen.add(key)
                 out.append((m, _fork(ms), origin))
-        _play_round(cfg.graph, cfg.family.observation, ms, cfg.params, m,
-                    draws, override)
+        views = _begin_round(cfg.graph, cfg.family.observation, ms, m)
+        profile, _ = _round_outcome(cfg.graph, cfg.params, m,
+                                    _overridden(_act(ms, m, draws), m, override))
+        _deliver(views, ms, profile)
 
 
 def windowed_contexts(cfg: SimConfig, i: AgentId):

@@ -323,6 +323,31 @@ def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
                      err, re.M)
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (_set_spec("0", {"strategy": "sigma_val", "rho": [3]}),
+     "rho must be an integer, not [3]"),
+    (lambda d: d["candidates"][0].update(target=[2]),
+     "target must be an integer, not [2]"),
+    # agent 1's round-1 neighbours are 0 and 2: the candidate would never
+    # deviate, so it is refused rather than reported
+    (lambda d: d["candidates"][0].update(target=3),
+     "override target 3 is not a current neighbour"),
+], ids=["spec-rho-list", "candidate-target-list",
+        "candidate-target-not-a-neighbour"])
+def test_verify_strategy_field_refused_exit_two(mutate, message, tmp_path,
+                                                capsys):
+    # the strategy and deviation fields are read in protocols: a value int()
+    # refuses, or a target the deviator cannot reach, is an input error
+    doc = builtin("timely_violation").to_json()
+    mutate(doc)
+    path = tmp_path / "spec_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--scenario", str(path),
+                              "--horizon", "6"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_verify_member_verifies_that_member_only(capsys):
     code, out, _ = run_cli(["verify", "--scenario", "fig3_indist",
                             "--member", "G1", "--horizon", "40"], capsys)
@@ -331,6 +356,21 @@ def test_verify_member_verifies_that_member_only(capsys):
                               "--member", "nowhere"], capsys)
     assert code == 2 and out == ""
     assert "no member named 'nowhere'" in err
+
+
+@pytest.mark.parametrize("args, line", [
+    (["verify", "--scenario", "fig3_indist", "--member", "nowhere"],
+     "error: no member named 'nowhere'"),
+    (["simulate", "--scenario", "nope"],
+     "error: [Errno 2] No such file or directory: 'nope'"),
+], ids=["verify-unknown-member", "simulate-unknown-scenario"])
+def test_input_error_prints_the_message_itself(args, line, tmp_path,
+                                               monkeypatch, capsys):
+    # the error line is the message, with no quotes added around it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [line]
 
 
 def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):

@@ -8,10 +8,10 @@ import pytest
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                                     ObservationModel, RoundGraph)
-from dynacct.game_core import (COOPERATE, DEFECT, PUNISH, ActionKind, Mode,
-                               UtilityParams, round_utility)
-from dynacct.protocols import (AccusationPunisher, AlwaysDefect,
-                               OneShotDeviation, ScheduledDefector, SigmaGen,
+from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
+                               Mode, UtilityParams, prop_punish, round_utility)
+from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
+                               ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
                                always_defect_until, build_strategy,
                                defect_at_rounds, sigma_gen, sigma_val,
@@ -433,7 +433,7 @@ def test_one_shot_identity_override_is_base():
     cfg = sc.sim_config(horizon=8)
     a = build_machines(cfg)
     b = build_machines(cfg)
-    b[1] = OneShotDeviation(b[1], 3, {"cooperate": "all"})
+    b[1] = ScheduledDefector(b[1], {3: {"cooperate": "all"}}, sincere=True)
     assert (_simulate_machines(cfg, a).history.profiles ==
             _simulate_machines(cfg, b).history.profiles)
 
@@ -442,7 +442,8 @@ def test_one_shot_defect_all_raises_tally():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=10)
     machines = build_machines(cfg)
-    machines[3] = OneShotDeviation(machines[3], 1, {"defect": "all"})
+    machines[3] = ScheduledDefector(machines[3], {1: {"defect": "all"}},
+                                    sincere=True)
     t = _simulate_machines(cfg, machines)
     pend = dict((tuple(k), v) for k, v in t.state_log[(0, 4)]["pend"])
     assert pend.get((3, 5 % 4), 0) == 2
@@ -451,7 +452,8 @@ def test_one_shot_defect_all_raises_tally():
 def test_one_shot_avoid_zero_edge_utility():
     cfg = k3_val_cfg(horizon=4)
     machines = build_machines(cfg)
-    machines[0] = OneShotDeviation(machines[0], 2, {"avoid": [1]})
+    machines[0] = ScheduledDefector(machines[0], {2: {"avoid": [1]}},
+                                    sincere=True)
     t = _simulate_machines(cfg, machines)
     profile = t.history.profiles[1]
     rg = cfg.graph.at(2)
@@ -465,7 +467,8 @@ def test_one_shot_override_validates_targets():
     cfg = sc.sim_config(horizon=4)
     machines = build_machines(cfg)
     # 2 is not a ring nbr of 0
-    machines[0] = OneShotDeviation(machines[0], 1, {"defect": [2]})
+    machines[0] = ScheduledDefector(machines[0], {1: {"defect": [2]}},
+                                    sincere=True)
     with pytest.raises(ValueError):
         _simulate_machines(cfg, machines)
 
@@ -477,6 +480,83 @@ def test_scheduled_defector_state_key_is_round_relative():
     d1 = ScheduledDefector(m.clone(), {3: "all"})
     d2 = ScheduledDefector(m.clone(), {5: "all"})
     assert d1.state_key(2) == d2.state_key(4)
+
+
+def test_pending_scheduled_defectors_key_template_and_offset():
+    # before its last round a wrapper's key carries what is still ahead:
+    # another template, round offset or sincerity is another key, and the
+    # shorthand is the same template as {"defect": targets}
+    cfg = builtin("ring_connectivity").sim_config(horizon=4)
+    m = build_machines(cfg)[0]
+
+    def key(schedule, sincere=True):
+        return ScheduledDefector(m.clone(), schedule, sincere).state_key(2)
+    assert key({3: [3, 1]}) == key({3: {"defect": [1, 3]}})
+    keys = [key({3: ALL_NEIGHBORS}), key({4: ALL_NEIGHBORS}),
+            key({3: ALL_NEIGHBORS}, sincere=False), key({3: [1]}),
+            key({3: {"send": [1]}}), key({3: {"avoid": [1]}}),
+            key({3: {"prop_punish": {1: 1}}}), key({3: {"prop_punish": {1: 2}}}),
+            key({3: ALL_NEIGHBORS, 5: [1]}), m.state_key(2)]
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("schedule", [{2: ALL_NEIGHBORS},
+                                      {2: {"send": [1], "defect": [3]}}],
+                         ids=["shorthand", "template"])
+def test_spent_scheduled_defector_keys_as_its_base(schedule):
+    # once its schedule is spent a wrapper plays as its base, and keys as it
+    cfg = builtin("ring_connectivity").sim_config(horizon=6)
+    machines = build_machines(cfg)
+    machines[0] = ScheduledDefector(machines[0], schedule, sincere=True)
+    d = machines[0]
+    assert d.state_key(2) != d.base.state_key(2)
+    _simulate_machines(cfg, machines)
+    assert d.state_key(7) == d.base.state_key(7)
+    assert d.base.state_key(7) != build_machines(cfg)[0].state_key(7)
+
+
+def test_scheduled_target_not_a_neighbour_is_refused():
+    # a scheduled target that is not a current neighbour is refused, not
+    # dropped: 2 is not a ring neighbour of 0
+    cfg = builtin("ring_connectivity").sim_config(horizon=4)
+    machines = build_machines(cfg)
+    machines[0] = ScheduledDefector(machines[0], {1: [2]})
+    with pytest.raises(ValueError,
+                       match="override target 2 is not a current neighbour"):
+        _simulate_machines(cfg, machines)
+
+
+def test_apply_override_send_keeps_a_sending_action():
+    # "send" keeps a sending prescription (a punishment stays one) and
+    # cooperates where the prescription defects or avoids
+    from dynacct.protocols import _template, apply_override
+    send = _template({"send": ALL_NEIGHBORS})
+    general = {1: PUNISH, 2: DEFECT, 3: COOPERATE}
+    assert apply_override(send, frozenset(general), general) == {
+        1: PUNISH, 2: COOPERATE, 3: COOPERATE}
+    valuable = {1: AVOID, 2: prop_punish(2), 3: DEFECT}
+    assert apply_override(send, frozenset(valuable), valuable) == {
+        1: COOPERATE, 2: prop_punish(2), 3: COOPERATE}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"strategy": "sigma_val", "rho": [3]}, "rho must be an integer"),
+    ({"deviation": {"kind": "single_evasive", "target": [2], "round": 1}},
+     "target must be an integer"),
+    ({"deviation": {"kind": "defect_at_rounds", "rounds": 5}},
+     "rounds must be a list of integers"),
+    ({"deviation": {"kind": "one_shot", "round": 1, "override": ["all"]}},
+     "override must be an object"),
+    ({"deviation": {"kind": "one_shot", "round": 1,
+                    "override": {"prop_punish": {"x": 1}}}},
+     "prop_punish must be an integer"),
+], ids=["rho-list", "target-list", "rounds-int", "override-list",
+        "prop-punish-target"])
+def test_spec_field_of_the_wrong_type_is_refused(spec, message):
+    # int() refuses a list; the spec field is named, not a TypeError raised
+    cfg = k3_val_cfg(horizon=4)
+    with pytest.raises(StrategyConfigError, match=message):
+        build_strategy(spec, strategy_context(cfg, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import pytest
 from dynacct.evolving_graph import GraphFamily, ObservationModel, local_view
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                Mode, prop_punish)
-from dynacct.protocols import (ALL_NEIGHBORS, OneShotDeviation, RandSource,
-                               ScheduledDefector, build_strategy)
+from dynacct.protocols import (ALL_NEIGHBORS, RandSource, ScheduledDefector,
+                               build_strategy)
 from dynacct.scenarios import builtin, general_defaults, valuable_defaults
 from dynacct.verifier import (SimConfig, _expected_eu, _HashDraws, _phase,
                               _play_round, build_machines,
@@ -171,14 +171,16 @@ def _drive(mach, m, cfg, inboxes, begun=False):
 
 def _machines_by_key(cfg, rng):
     """Pre-round machines from many single-defection histories, grouped by
-    (agent, graph phase, state_key)."""
+    (agent, graph phase, state_key).  The deviator stays wrapped, so its
+    wrapper's keys are checked too: pending before its round, its base's
+    after it."""
     graph, n = cfg.graph, cfg.family.n
     groups: dict = {}
     for dev in range(n):
         for r in range(1, 8):
             machines = build_machines(cfg)
-            nbrs = graph.at(r).neighbors(dev)
-            override = (dev, r, {j: "defect" for j in nbrs})
+            machines[dev] = ScheduledDefector(machines[dev], {r: ALL_NEIGHBORS},
+                                              sincere=True)
             draws = _HashDraws(rng.randrange(10 ** 6))
             for m in range(1, cfg.horizon + 1):
                 for a in sorted(machines):
@@ -187,7 +189,7 @@ def _machines_by_key(cfg, rng):
                     if all(m != m2 for m2, _ in group):
                         group.append((m, copy.deepcopy(machines[a])))
                 _play_round(graph, cfg.family.observation, machines,
-                            cfg.params, m, draws, override)
+                            cfg.params, m, draws)
     return groups
 
 
@@ -226,7 +228,7 @@ def _one_shot_eu(cfg, a, at, pattern):
     machines = build_machines(cfg, honest_only=True)
     template = {o: [j for j, c in sorted(pattern.items()) if c == o]
                 for o in ("defect", "avoid")}
-    machines[a] = OneShotDeviation(machines[a], at, template)
+    machines[a] = ScheduledDefector(machines[a], {at: template}, sincere=True)
     return _expected_eu(cfg, machines, a, 1)
 
 
@@ -276,7 +278,7 @@ def _scheduled(base):
 
 
 def _one_shot(base):
-    return OneShotDeviation(base, 5, {"defect": "all"})
+    return ScheduledDefector(base, {5: {"defect": "all"}}, sincere=True)
 
 
 def _shipped(name, wrap=None):
@@ -327,12 +329,15 @@ def test_clone_is_an_independent_deepcopy(case, rng):
     # the original must also read that world at its own round
     cfg, machines, me, name = CLONE_CASES[case]()
     n, graph = cfg.family.n, cfg.graph
-    override = (1, 1, {j: "defect" for j in graph.at(1).neighbors(1)})
+    machines[1] = ScheduledDefector(machines[1], {1: ALL_NEIGHBORS},
+                                    sincere=True)
     draws = _HashDraws(rng.randrange(10 ** 6))
     m = 3
     for t in range(1, m):
         _play_round(graph, cfg.family.observation, machines, cfg.params, t,
-                    draws, override)
+                    draws)
+        if t == 1:
+            machines[1] = machines[1].base
     mach = machines[me]
     if name != "always_defect":
         assert mach.snapshot() != build_machines(cfg)[me].snapshot()

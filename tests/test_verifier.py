@@ -477,7 +477,9 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # 2,424 act calls here); continuations that stop at the first world
     # already valued, and context walks that stop at the first world already
     # collected, play 333 rounds where replaying each continuation to
-    # absorption and walking every window to its end played 1,455.
+    # absorption and walking every window to its end played 1,455.  No world
+    # is keyed while a forced deviation is still ahead: keying those too
+    # would make 504 state_key calls where the walks need 369.
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -492,7 +494,7 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("begin_round", "act", "end_round"):
+    for name in ("begin_round", "act", "end_round", "state_key"):
         count(SigmaGen, name)
     count(verifier, "local_view")
     fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),), ND, 8)
@@ -502,6 +504,7 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     rep = verify_one_shot(cfg, 0, robust_depth=2)
     for name in ("end_round", "act", "begin_round", "local_view"):
         assert calls[name] == 333, name
+    assert calls["state_key"] == 369
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
                            "override": {"1": "send", "2": "send"}}
@@ -655,6 +658,40 @@ def test_world_table_matches_memo_free_continuations(rng):
         assert counts["rounds"] <= oracle_counts["rounds"], cfg.member
         forks += oracle_counts["forks"]
     assert forks > 0
+
+
+def test_forced_continuations_match_the_engine_level_override():
+    # every context and pattern of unsafe_three_agent (86 continuations):
+    # i's classes forced by a ScheduledDefector wrapper are worth what the
+    # leaf enumeration with the pattern applied by the round step is worth.
+    # In one context the prescription defects, where "send" must cooperate
+    from dynacct import verifier
+
+    from . import oracles
+    cfg = builtin("unsafe_three_agent").sim_config(horizon=12)
+    check_context = verifier._OneShotChecker.check_context
+    contexts = []
+
+    def recording(self, m2, machines, origin, prescribed):
+        contexts.append((self, m2, machines, prescribed))
+        return check_context(self, m2, machines, origin, prescribed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier._OneShotChecker, "check_context", recording)
+        for i in range(3):
+            verify_one_shot(replace(cfg), i, robust_depth=2)
+    compared = defecting = 0
+    for checker, m2, machines, prescribed in contexts:
+        nbrs = sorted(cfg.graph.at(m2).neighbors(checker.i))
+        if not nbrs:
+            continue
+        defecting += "defect" in prescribed.values()
+        for pattern in verifier._override_patterns(cfg.params.mode, nbrs):
+            got = checker._continuation_eu(machines, m2, pattern)
+            want = oracles.continuation_eu(checker, machines, m2, pattern)
+            assert got == want, (checker.i, m2, pattern)
+            compared += 1
+    assert compared == 86 and defecting == 1
 
 
 def test_world_table_counts_reused_leaves_against_the_cap():
