@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
 
 from . import evolving_graph as eg
-from .evolving_graph import PartitionSearchRefused
 from .game_core import discounted_utility
 from .scenarios import resolve_scenario, scenario_catalog
 from .verifier import (EnumerationCapExceeded, monte_carlo_utilities, simulate,
@@ -36,12 +36,17 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 
 
-def _emit(doc: dict, out: Optional[str]):
+def _emit(doc, out: Optional[str] = None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the result stands, and what is still
+        # buffered goes to devnull rather than failing again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_check(args) -> int:
@@ -136,7 +141,7 @@ def cmd_simulate(args) -> int:
             str(i): {"samples": args.samples, "mean": float(mean),
                      "std_error": se}
             for i, (mean, se) in monte_carlo_utilities(cfg, args.samples).items()}
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary)
     return EXIT_PASS
 
 
@@ -215,7 +220,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    print(json.dumps(scenario_catalog(), indent=2, sort_keys=True))
+    _emit(scenario_catalog())
     return EXIT_PASS
 
 
@@ -271,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapExceeded, PartitionSearchRefused) as e:
+    except EnumerationCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
     # FamilyFormatError and StrategyConfigError are ValueErrors; str() of a

@@ -49,8 +49,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 AgentId = int
 Edge = tuple[int, int]
 
-PARTITION_SEARCH_CAP = 16
-
 
 class FamilyFormatError(ValueError):
     """Raised by the family loader with the offending document position."""
@@ -59,10 +57,6 @@ class FamilyFormatError(ValueError):
         self.where = where
         self.message = message
         super().__init__(f"{where}: {message}")
-
-
-class PartitionSearchRefused(RuntimeError):
-    """Raised when an ambiguous-PO search would exceed the agent cap."""
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -666,9 +660,6 @@ def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
     (j's half versus the pre-m interaction half) across which i's edges
     never exchange interference-free influence.
     """
-    if f.n > PARTITION_SEARCH_CAP:
-        raise PartitionSearchRefused(
-            f"partition search needs 2^(n-1) work; n={f.n} exceeds cap {PARTITION_SEARCH_CAP}")
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
     for cand in f.members:

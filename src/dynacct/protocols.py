@@ -26,6 +26,8 @@ mutates in place.  A deviation strategy is a base machine plus a twist:
 ``_Wrapper`` forwards every round hook to the base, and its subclasses
 override what differs: ``ScheduledDefector`` every scripted deviation,
 the verifier's forced one-shots included, and ``_Persona`` the others.
+The builders read a run's parameters from its ``verifier.SimConfig``
+itself; this module still imports nothing from the verifier.
 
 Protocol window conventions follow the monitoring designs: the
 accusation-window protocols keep one report bit per (agent, round) for the
@@ -42,7 +44,6 @@ them.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from collections.abc import Mapping
 from typing import Optional, Sequence, Union
@@ -766,25 +767,6 @@ class _Persona(_Wrapper):
 StrategySpec = Union[str, Mapping]
 
 
-@dataclass(frozen=True)
-class StrategyContext:
-    """Everything a strategy spec may need to materialise a machine: the
-    scenario, the agent it is built for, and every agent's configured spec
-    (the shadow worlds build their honest profile from them)."""
-
-    n: int
-    me: AgentId
-    params: UtilityParams
-    observation: ObservationModel
-    member: EvolvingGraph
-    strategies: Mapping[AgentId, StrategySpec]
-
-    def honest(self, agent: AgentId) -> StrategyMachine:
-        """``agent``'s machine in the honest profile."""
-        return build_strategy(honest_spec(self.strategies[agent]),
-                              replace(self, me=agent))
-
-
 def honest_spec(spec: StrategySpec) -> StrategySpec:
     """The honest strategy under ``spec``: the base below every deviation
     layer."""
@@ -796,30 +778,41 @@ def honest_spec(spec: StrategySpec) -> StrategySpec:
     return spec
 
 
-def build_strategy(spec: StrategySpec, ctx: StrategyContext) -> StrategyMachine:
+def _honest(cfg, agent: AgentId) -> StrategyMachine:
+    """``agent``'s machine in cfg's honest profile."""
+    return build_strategy(honest_spec(cfg.strategies[agent]), cfg, agent)
+
+
+def build_strategy(spec: StrategySpec, cfg, me: AgentId) -> StrategyMachine:
+    """Agent ``me``'s machine for ``spec`` under the run configuration
+    ``cfg`` (a ``verifier.SimConfig``), of which it reads ``family.n``,
+    ``family.observation``, ``params``, ``graph`` (the member run) and
+    ``strategies`` (the shadow worlds build their honest profile from
+    every agent's spec)."""
     if isinstance(spec, str):
         spec = {"strategy": spec}
     if "deviation" in spec:
-        return build_deviation(spec["deviation"], ctx)
+        return build_deviation(spec["deviation"], cfg, me)
     name = spec.get("strategy")
+    n, params = cfg.family.n, cfg.params
     if name == "sigma_val":
-        return sigma_val(ctx.me, ctx.n, _int(spec.get("rho"), "rho"), ctx.params)
+        return sigma_val(me, n, _int(spec.get("rho"), "rho"), params)
     if name == "sigma_gen":
-        return sigma_gen(ctx.me, ctx.n, ctx.params, ctx.observation)
+        return sigma_gen(me, n, params, cfg.family.observation)
     if name == "accusation_punisher":
-        return AccusationPunisher(ctx.me, ctx.n, _int(spec.get("rho"), "rho"))
+        return AccusationPunisher(me, n, _int(spec.get("rho"), "rho"))
     if name == "always_defect":
-        return AlwaysDefect(ctx.me, ctx.n, ctx.params.mode)
+        return AlwaysDefect(me, n, params.mode)
     if name == "unsafe_scripted":
-        return UnsafePunisherProtocol(ctx.me, ctx.n, _int(spec.get("rho", 3), "rho"))
+        return UnsafePunisherProtocol(me, n, _int(spec.get("rho", 3), "rho"))
     raise StrategyConfigError(f"unknown strategy {name!r}")
 
 
-def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
+def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:
     kind = dev.get("kind")
     base_spec = dev.get("base")
-    base = (build_strategy(base_spec, ctx) if base_spec is not None
-            else ctx.honest(ctx.me))
+    base = (build_strategy(base_spec, cfg, me) if base_spec is not None
+            else _honest(cfg, me))
     if kind == "single_evasive":
         return single_evasive(base, _int(dev.get("target"), "target"),
                               _int(dev.get("round"), "round"))
@@ -835,9 +828,14 @@ def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
                                  label=f"one_shot(round={at})")
     if kind not in ("dual_evasive_fig2", "lenient_evasive_unsafe"):
         raise StrategyConfigError(f"unknown deviation kind {kind!r}")
-    _check_member(dev, ctx)
-    others = frozenset(range(ctx.n)) - {ctx.me}
-    machines = {a: ctx.honest(a) for a in range(ctx.n)}
+    graph, n = cfg.graph, cfg.family.n
+    want = dev.get("member")
+    if want is not None and graph.name != want:
+        raise StrategyConfigError(
+            f"scenario family mismatch: deviation scripted for member "
+            f"{want!r}, config runs {graph.name!r}")
+    others = frozenset(range(n)) - {me}
+    machines = {a: _honest(cfg, a) for a in range(n)}
     if kind == "dual_evasive_fig2":
         group1, group2 = (set(_ints(dev.get(g), g)) for g in ("group1", "group2"))
         if not group1 or not group2 or group1 & group2 or group1 | group2 != others:
@@ -849,16 +847,11 @@ def build_deviation(dev: Mapping, ctx: StrategyContext) -> StrategyMachine:
                      _int(dev.get("round"), "round"))
     else:
         first = _int(dev.get("first_deviator", 0), "first_deviator")
+        if first not in machines:
+            raise StrategyConfigError(
+                f"first_deviator {first} is not an agent id in 0..{n - 1}")
         machines[first] = always_defect_until(
             machines[first], _int(dev.get("first_round", 1), "first_round"))
         shadowed, label, defection = others, "lenient_evasive", None
-    shadow = _ShadowWorld(ctx.member, ctx.observation, machines)
+    shadow = _ShadowWorld(graph, cfg.family.observation, machines)
     return _Persona(base, shadow, shadowed, label, defection)
-
-
-def _check_member(dev: Mapping, ctx: StrategyContext):
-    want = dev.get("member")
-    if want is not None and ctx.member.name != want:
-        raise StrategyConfigError(
-            f"scenario family mismatch: deviation scripted for member "
-            f"{want!r}, config runs {ctx.member.name!r}")

@@ -356,6 +356,13 @@ def load_scenario(path: str) -> Scenario:
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
+    """The builtin scenario of that name, else the scenario file at that
+    path."""
     if name_or_path in BUILTIN_SCENARIOS:
         return builtin(name_or_path)
-    return load_scenario(name_or_path)
+    try:
+        return load_scenario(name_or_path)
+    except FileNotFoundError:
+        raise ValueError(
+            f"no builtin scenario or file named {name_or_path!r}; the "
+            f"builtins are {', '.join(sorted(BUILTIN_SCENARIOS))}") from None

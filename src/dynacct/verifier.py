@@ -5,7 +5,9 @@ are drawn simultaneously, and outcomes (individual actions toward the agent
 plus monitoring payloads, which defectors omit) are revealed at the end of
 the round.
 
-Each job has exactly one implementation:
+Each job has exactly one implementation, and every layer reads the run's
+parameters from its ``SimConfig``, which caches what depends on it alone:
+the member graph, the honest run and the cooperative tails.
 
 * A round is one pass: ``_begin_round`` computes the views and calls
   ``begin_round``, ``_act`` calls ``act`` once per machine and script,
@@ -17,12 +19,11 @@ Each job has exactly one implementation:
   draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
   platforms and thread counts); ``simulate`` runs the configured profile
   through it with no state log (``run_paired_defection`` logs its pairs).
-* The honest run is simulated once per ``SimConfig`` (cached on the
-  immutable config) and checkpoints the machines, with their
-  ``state_key``s, at the start of every round.  ``run_paired_defection``
-  returns it as the conforming trace, and forks each deviating run from
-  its round-m checkpoint: rounds 1..m-1 are copied from the honest trace,
-  and play from round m stops at the first later round M where every
+* The honest run is simulated once per ``SimConfig`` and checkpoints the
+  machines, with their ``state_key``s, at the start of every round.
+  ``run_paired_defection`` returns it as the conforming trace, and forks
+  each deviating run from its round-m checkpoint: rounds 1..m-1 are
+  copied from the honest trace, and play from round m stops at the first later round M where every
   machine's key equals the honest run's.  The deviating run has then
   rejoined the honest run, and rounds M..horizon are copied from it.  The
   draws are stateless, the views depend only on graph and round, and
@@ -57,7 +58,8 @@ form.  Gains between two continuations that both absorb before the horizon
 are therefore exact even for the infinite game; the reported tolerance is
 still the analytic tail bound the finite-horizon contract prescribes.
 
-One-shot deviation checking enumerates the agent's information-set
+One-shot deviation checking (``_OneShotChecker.report``: one checker per
+agent, owning its walk state) enumerates the agent's information-set
 occurrences, deduplicated by world key (graph phase plus machine states)
 and collected by closure.  A context walk plays the profile with fixed draw
 outcomes, so it is deterministic in the world key: it stops at the first
@@ -134,15 +136,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .evolving_graph import (EvolvingGraph, GraphFamily, ObservationModel,
-                             local_view)
+from .evolving_graph import EvolvingGraph, GraphFamily, local_view
 from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
                         Trace, UtilityParams, cooperation_tail,
                         discounted_utility, tail_bound)
 from .protocols import (RandSource, ScheduledDefector, StrategyConfigError,
-                        StrategyContext, StrategyMachine, _deliver,
-                        build_deviation, build_strategy, honest_spec)
+                        StrategyMachine, _deliver, build_deviation,
+                        build_strategy, honest_spec)
 
 AgentId = int
 
@@ -263,7 +264,7 @@ class SimConfig:
         if missing:
             raise ValueError(f"agents without strategies: {sorted(missing)}")
 
-    @property
+    @functools.cached_property
     def graph(self) -> EvolvingGraph:
         return self.family.member(self.member)
 
@@ -291,11 +292,10 @@ class SimConfig:
         depth), each with whether its witness is order-invariant."""
         return {}
 
-
-def strategy_context(cfg: SimConfig, me: AgentId) -> StrategyContext:
-    return StrategyContext(n=cfg.family.n, me=me, params=cfg.params,
-                           observation=cfg.family.observation,
-                           member=cfg.graph, strategies=cfg.strategies)
+    @functools.cached_property
+    def _tails(self) -> dict[tuple[AgentId, int], Fraction]:
+        """``_cooperation_tail``'s memo by (agent, start round)."""
+        return {}
 
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
@@ -305,7 +305,7 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
         spec = cfg.strategies[a]
         if honest_only:
             spec = honest_spec(spec)
-        m = build_strategy(spec, strategy_context(cfg, a))
+        m = build_strategy(spec, cfg, a)
         if m.mode is not cfg.params.mode:
             raise StrategyConfigError(
                 f"agent {a}: strategy mode {m.mode.value} != params mode "
@@ -318,9 +318,10 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
 # Round engine
 # ---------------------------------------------------------------------------
 
-def _begin_round(graph: EvolvingGraph, obs: ObservationModel,
-                 machines: dict[AgentId, StrategyMachine], m: int) -> dict:
+def _begin_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                 m: int) -> dict:
     """Deliver round m's views; returns them by agent."""
+    graph, obs = cfg.graph, cfg.family.observation
     views = {i: local_view(graph, i, m, obs) for i in machines}
     for i in sorted(machines):
         machines[i].begin_round(views[i])
@@ -331,9 +332,9 @@ def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
     return {i: machines[i].act(_BoundRand(draws, i, m)) for i in sorted(machines)}
 
 
-def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int, acts: dict):
+def _round_outcome(cfg: SimConfig, m: int, acts: dict):
     """The checked action profile of round m and every agent's utility."""
-    rg = graph.at(m)
+    rg, params = cfg.graph.at(m), cfg.params
     profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
     den, nums = params.edge_numerators(rg.n)
@@ -342,12 +343,11 @@ def _round_outcome(graph: EvolvingGraph, params: UtilityParams, m: int, acts: di
     return profile, utils
 
 
-def _play_round(graph: EvolvingGraph, obs: ObservationModel,
-                machines: dict[AgentId, StrategyMachine],
-                params: UtilityParams, m: int, draws):
+def _play_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                m: int, draws):
     """One round with one draw source: views, actions, outcome, delivery."""
-    views = _begin_round(graph, obs, machines, m)
-    profile, utils = _round_outcome(graph, params, m, _act(machines, m, draws))
+    views = _begin_round(cfg, machines, m)
+    profile, utils = _round_outcome(cfg, m, _act(machines, m, draws))
     _deliver(views, machines, profile)
     return profile, utils
 
@@ -401,7 +401,6 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     start of round m: play goes on from there.  ``stop(M, machines)`` is
     called at the start of every round M; play stops before the first round
     for which it returns true, leaving rounds M..horizon to the caller."""
-    graph = cfg.graph
     draws = _HashDraws(cfg.seed)
     if trace is None:
         trace = _new_trace(cfg)
@@ -410,8 +409,7 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     for m in range(history.last_round + 1, cfg.horizon + 1):
         if stop is not None and stop(m, machines):
             break
-        profile, utils = _play_round(graph, cfg.family.observation, machines,
-                                     cfg.params, m, draws)
+        profile, utils = _play_round(cfg, machines, m, draws)
         history.append(profile)
         for i, u in utils.items():
             per_round[(i, m)] = u
@@ -447,10 +445,7 @@ class _Walk:
 
     def __init__(self, cfg: SimConfig, reward: Callable, d,
                  end: Optional[int] = None, table: Optional[dict] = None):
-        self.graph = cfg.graph
-        self.obs = cfg.family.observation
-        self.params = cfg.params
-        self.cap = cfg.enum_cap
+        self.cfg = cfg
         self.reward = reward
         self.d = d
         self.end = cfg.horizon if end is None else end
@@ -461,8 +456,9 @@ class _Walk:
         """Count the leaves of a branch stopping before round m against the
         enumeration cap."""
         self.leaves += leaves
-        if self.leaves > self.cap:
-            raise EnumerationCapExceeded(self.cap, m - 1, self.cap)
+        cap = self.cfg.enum_cap
+        if self.leaves > cap:
+            raise EnumerationCapExceeded(cap, m - 1, cap)
 
     def value(self, ms, m: int):
         """Walk the pre-round machines ``ms`` from round m: ``(pre,
@@ -475,7 +471,7 @@ class _Walk:
         with several recurses.  A keyed round stops at the first world
         already valued; once every branch of the subtree absorbed, every
         keyed round of it is written back."""
-        d, graph = self.d, self.graph
+        cfg, d = self.cfg, self.d
         ahead = max((mach.first_deviation_round or 0) for mach in ms.values())
         first = self.leaves
         chain: list[tuple[Optional[tuple], int, Fraction]] = []
@@ -492,7 +488,7 @@ class _Walk:
                     break
                 # not at the last round: no offset is 0, every branch is cut
                 if self.table is not None and m < self.end:
-                    key = _world_key(graph, ms, m)
+                    key = _world_key(cfg.graph, ms, m)
                     hit = self.table.get(key)
                     if hit is not None and m + hit.offsets[-1][0] <= self.end:
                         self._stop(m, hit.leaves)
@@ -500,8 +496,8 @@ class _Walk:
                         absorbed = {m + k: p for k, p in hit.offsets}
                         key = None      # already valued
                         break
-            views = _begin_round(graph, self.obs, ms, m)
-            outcomes = [(p, *_round_outcome(graph, self.params, m, raw))
+            views = _begin_round(cfg, ms, m)
+            outcomes = [(p, *_round_outcome(cfg, m, raw))
                         for raw, p in _round_scripts(ms, m)]
             if len(outcomes) == 1:
                 _, profile, utils = outcomes[0]
@@ -537,32 +533,28 @@ class _Walk:
                 leaves)
 
 
-def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int,
-                      tails: dict[int, Fraction]) -> Fraction:
+def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int) -> Fraction:
     """i's closed-form cooperative tail from ``start`` to the horizon,
-    memoised in ``tails`` by the round it starts in."""
-    tail = tails.get(start)
+    memoised on cfg."""
+    tail = cfg._tails.get((i, start))
     if tail is None:
-        tail = tails[start] = cooperation_tail(cfg.graph, i, cfg.params,
-                                               start, cfg.horizon)
+        tail = cfg._tails[(i, start)] = cooperation_tail(
+            cfg.graph, i, cfg.params, start, cfg.horizon)
     return tail
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                 i: AgentId, start: int, table: Optional[dict] = None,
-                 tails: Optional[dict[int, Fraction]] = None) -> Fraction:
+                 i: AgentId, start: int, table: Optional[dict] = None) -> Fraction:
     """Expected utility of i discounted to round ``start``, over the runs of
     the pre-round machines ``machines`` walked from there, with the
     closed-form cooperative tail of every absorbed branch.  Pass one
-    ``tails`` dict to every call for the same (cfg, i) to share the tails,
-    and one ``table`` to share the valued worlds."""
+    ``table`` to share the valued worlds."""
     d = cfg.params.delta
     walk = _Walk(cfg, lambda m, profile, utils: utils[i], d, table=table)
     total, absorbed = walk.value(machines, start)
-    tails = {} if tails is None else tails
     for a, p in absorbed.items():
         if a <= cfg.horizon:
-            total += p * d ** (a - start) * _cooperation_tail(cfg, i, a, tails)
+            total += p * d ** (a - start) * _cooperation_tail(cfg, i, a)
     return total
 
 
@@ -676,15 +668,12 @@ class _OneShotChecker:
     def __init__(self, cfg: SimConfig, i: AgentId):
         self.cfg = cfg
         self.i = i
-        self.graph = cfg.graph
-        self.obs = cfg.family.observation
-        self.n = cfg.family.n
-        self.params = cfg.params
-        self.horizon = cfg.horizon
+        # every world key walked so far, mapped to whether it is closed, and
+        # the contexts collected, in collection order
+        self.seen: dict[tuple, bool] = {}
+        self.contexts: list = []
         self.results: list[tuple[Fraction, Fraction, dict]] = []
-        # each exact tail once: i's cooperative tails by start round, and
-        # tolerances by remaining horizon
-        self.tails: dict[int, Fraction] = {}
+        # tolerances by remaining horizon, each computed once
         self.tolerances: dict[int, Fraction] = {}
         # continuation values by world key, from fully absorbed subtrees
         self.values: dict[tuple, _Valued] = {}
@@ -693,22 +682,21 @@ class _OneShotChecker:
         tol = self.tolerances.get(rounds_left)
         if tol is None:
             tol = self.tolerances[rounds_left] = tail_bound(
-                self.params, self.n, rounds_left)
+                self.cfg.params, self.cfg.family.n, rounds_left)
         return tol
 
-    def _walk_contexts(self, ms, start: int, end: int, origin: str,
-                       seen: dict, out: list):
+    def _walk_contexts(self, ms, start: int, end: int, origin: str):
         """Step the machines ``ms`` in place from round ``start`` with fixed
         draw outcomes (valid because state is draw-independent), collecting
         deduplicated pre-action world states with i's action classes of
-        that round, which the walk plays as prescribed.  ``seen`` maps each
-        world key met so far to whether it is closed; the walk stops at a
-        closed world or at one it walked itself and closes what it walked,
-        but a walk cut by ``end`` leaves its worlds open."""
+        that round, which the walk plays as prescribed.  The walk stops at
+        a closed world or at one it walked itself and closes what it
+        walked, but a walk cut by ``end`` leaves its worlds open."""
+        cfg, seen = self.cfg, self.seen
         draws = _FixedDraws()
         walked: set = set()
         for m in range(start, end + 1):
-            key = _world_key(self.graph, ms, m)
+            key = _world_key(cfg.graph, ms, m)
             if seen.get(key) or key in walked:
                 seen.update(dict.fromkeys(walked, True))
                 return
@@ -717,12 +705,12 @@ class _OneShotChecker:
             if key not in seen:
                 seen[key] = False
                 state = _fork(ms)
-            profile, _ = _play_round(self.graph, self.obs, ms, self.params, m,
-                                     draws)
+            profile, _ = _play_round(cfg, ms, m, draws)
             if state is not None:
                 action = profile.actions[self.i].per_neighbor
-                out.append((m, state, origin, {j: _CLASSES.get(a.kind, "send")
-                                               for j, a in action.items()}))
+                self.contexts.append(
+                    (m, state, origin, {j: _CLASSES.get(a.kind, "send")
+                                        for j, a in action.items()}))
 
     def _forced(self, machines, m: int,
                 pattern: Optional[Mapping[AgentId, str]]) -> dict:
@@ -741,20 +729,21 @@ class _OneShotChecker:
         """i's expected utility from round m2, discounted to m2, with i's
         round-m2 classes forced to ``pattern`` (None: as prescribed)."""
         return _expected_eu(self.cfg, self._forced(machines, m2, pattern),
-                            self.i, m2, table=self.values, tails=self.tails)
+                            self.i, m2, table=self.values)
 
     def check_context(self, m2: int, machines, origin: str,
                       prescribed: dict[AgentId, str]):
-        nbrs = sorted(self.graph.at(m2).neighbors(self.i))
+        cfg = self.cfg
+        nbrs = sorted(cfg.graph.at(m2).neighbors(self.i))
         if not nbrs:
             return
         conform = self._continuation_eu(machines, m2, None)
-        for pattern in _override_patterns(self.params.mode, nbrs):
+        for pattern in _override_patterns(cfg.params.mode, nbrs):
             if pattern == prescribed:
                 gain = Fraction(0)   # forcing the prescribed class changes nothing
             else:
                 gain = self._continuation_eu(machines, m2, pattern) - conform
-            tol = self._tolerance(self.horizon - m2)
+            tol = self._tolerance(cfg.horizon - m2)
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
                 "override": {str(j): o for j, o in sorted(pattern.items())},
@@ -765,24 +754,84 @@ class _OneShotChecker:
         """i's expected utility under the honest profile, computed once and
         only if a candidate needs it."""
         return _expected_eu(self.cfg, build_machines(self.cfg, honest_only=True),
-                            self.i, 1, tails=self.tails)
+                            self.i, 1)
 
     def add_candidate(self, spec: Mapping):
-        machine = build_deviation(spec, strategy_context(self.cfg, self.i))
-        machines = build_machines(self.cfg, honest_only=True)
+        cfg = self.cfg
+        machine = build_deviation(spec, cfg, self.i)
+        machines = build_machines(cfg, honest_only=True)
         machines[self.i] = machine
-        eu_dev = _expected_eu(self.cfg, machines, self.i, 1, tails=self.tails)
+        eu_dev = _expected_eu(cfg, machines, self.i, 1)
         m_dev = machine.first_deviation_round or 1
-        if m_dev > self.horizon:
+        if m_dev > cfg.horizon:
             raise StrategyConfigError(
                 f"candidate {machine.label} first deviates at round {m_dev},"
-                f" after the horizon {self.horizon}")
-        gain = (eu_dev - self.honest_eu) / self.params.delta ** (m_dev - 1)
-        tol = self._tolerance(self.horizon - m_dev)
+                f" after the horizon {cfg.horizon}")
+        gain = (eu_dev - self.honest_eu) / cfg.params.delta ** (m_dev - 1)
+        tol = self._tolerance(cfg.horizon - m_dev)
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",
             "override": machine.label,
         }))
+
+    def report(self, honest, robust_depth: int, candidates: Sequence[Mapping]
+               ) -> tuple[EquilibriumReport, bool]:
+        """i's report from the honest machines ``honest``, and whether its
+        witness is order-invariant."""
+        cfg, i = self.cfg, self.i
+        self._walk_contexts(honest, 1, cfg.horizon - 1, "on-path")
+        prior_points = self.contexts[:] if robust_depth == 2 else []
+
+        # After-deviation walks keep a bound: UnsafePunisherProtocol.state_key
+        # holds the agent's own past defections forever, so its walks after a
+        # defection never close.  With them dropped from the key after round 3,
+        # where the script last reads them, every walk closes without the bound
+        # and unsafe_three_agent has 35 contexts instead of 81.
+        n = cfg.family.n
+        dev_window = n * n + n + len(cfg.graph.cycle) + 2
+        for (m1, state, *_) in prior_points:
+            nbrs1 = sorted(cfg.graph.at(m1).neighbors(i))
+            for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
+                desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
+                                if o != "send")
+                # play round m1 with i's classes forced, then unwrap i
+                ms = self._forced(state, m1, pattern)
+                _play_round(cfg, ms, m1, _FixedDraws())
+                ms[i] = ms[i].base
+                self._walk_contexts(ms, m1 + 1,
+                                    min(m1 + dev_window, cfg.horizon - 1),
+                                    f"after own {desc}@{m1}")
+
+        for context in self.contexts:
+            self.check_context(*context)
+
+        for spec in candidates:
+            self.add_candidate(spec)
+
+        results = self.results
+        if not results:
+            return EquilibriumReport(max_gain=Fraction(0), witness=None,
+                                     tolerance=tail_bound(cfg.params, n, cfg.horizon),
+                                     verdict=True, checks=0), True
+        # on a pass the largest gain, on a fail the check that beats its
+        # tolerance by most; exact ties break toward candidate machines: their
+        # witnesses carry the sustained deviation rather than its first
+        # one-shot prefix
+        verdict = all(g <= t for (g, t, _) in results)
+        if verdict:
+            pool, margin = results, lambda r: r[0]
+        else:
+            pool, margin = [r for r in results if r[0] > r[1]], lambda r: r[0] - r[1]
+
+        def key(r):
+            return margin(r), r[2]["origin"] == "candidate"
+        best = max(pool, key=key)
+        gain, tol, witness = best
+        top = key(best)
+        invariant = witness["origin"] == "on-path" and (
+            best is results[0] or sum(key(r) == top for r in pool) == 1)
+        return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
+                                 verdict=verdict, checks=len(results)), invariant
 
 
 def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
@@ -806,13 +855,15 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     honest = build_machines(cfg, honest_only=True)
     _require_verifiable(honest)
     if candidates:
-        return _verify_agent(cfg, honest, i, robust_depth, candidates)[0]
+        return _OneShotChecker(cfg, i).report(honest, robust_depth,
+                                              candidates)[0]
     memo = cfg._one_shot_reports
     if (i, robust_depth) not in memo:
         report = _orbit_report(cfg, honest, i, robust_depth)
         if report is not None:
             return report
-        memo[(i, robust_depth)] = _verify_agent(cfg, honest, i, robust_depth, ())
+        memo[(i, robust_depth)] = _OneShotChecker(cfg, i).report(
+            honest, robust_depth, ())
     return _relabel(memo[(i, robust_depth)][0], range(cfg.family.n), i)
 
 
@@ -847,70 +898,6 @@ def _relabel(report: EquilibriumReport, pi: Sequence[AgentId],
         witness = dict(witness, agent=i,
                        override={str(j): o for j, o in override})
     return replace(report, witness=witness)
-
-
-def _verify_agent(cfg: SimConfig, honest, i: AgentId, robust_depth: int,
-                  candidates: Sequence[Mapping]
-                  ) -> tuple[EquilibriumReport, bool]:
-    """Agent i's report, and whether its witness is order-invariant."""
-    graph, obs = cfg.graph, cfg.family.observation
-    n = cfg.family.n
-    checker = _OneShotChecker(cfg, i)
-    seen: dict = {}
-    contexts: list = []
-    checker._walk_contexts(honest, 1, cfg.horizon - 1, "on-path", seen,
-                           contexts)
-    prior_points = contexts[:] if robust_depth == 2 else []
-
-    # After-deviation walks keep a bound: UnsafePunisherProtocol.state_key
-    # holds the agent's own past defections forever, so its walks after a
-    # defection never close.  With them dropped from the key after round 3,
-    # where the script last reads them, every walk closes without the bound
-    # and unsafe_three_agent has 35 contexts instead of 81.
-    dev_window = n * n + n + len(graph.cycle) + 2
-    for (m1, state, *_) in prior_points:
-        nbrs1 = sorted(graph.at(m1).neighbors(i))
-        for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
-            desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
-                            if o != "send")
-            # play round m1 with i's classes forced, then unwrap i
-            ms = checker._forced(state, m1, pattern)
-            _play_round(graph, obs, ms, cfg.params, m1, _FixedDraws())
-            ms[i] = ms[i].base
-            checker._walk_contexts(ms, m1 + 1,
-                                   min(m1 + dev_window, cfg.horizon - 1),
-                                   f"after own {desc}@{m1}", seen, contexts)
-
-    for context in contexts:
-        checker.check_context(*context)
-
-    for spec in candidates:
-        checker.add_candidate(spec)
-
-    results = checker.results
-    if not results:
-        return EquilibriumReport(max_gain=Fraction(0), witness=None,
-                                 tolerance=tail_bound(cfg.params, n, cfg.horizon),
-                                 verdict=True, checks=0), True
-    # on a pass the largest gain, on a fail the check that beats its
-    # tolerance by most; exact ties break toward candidate machines: their
-    # witnesses carry the sustained deviation rather than its first one-shot
-    # prefix
-    verdict = all(g <= t for (g, t, _) in results)
-    if verdict:
-        pool, margin = results, lambda r: r[0]
-    else:
-        pool, margin = [r for r in results if r[0] > r[1]], lambda r: r[0] - r[1]
-
-    def key(r):
-        return margin(r), r[2]["origin"] == "candidate"
-    best = max(pool, key=key)
-    gain, tol, witness = best
-    top = key(best)
-    invariant = witness["origin"] == "on-path" and (
-        best is results[0] or sum(key(r) == top for r in pool) == 1)
-    return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
-                             verdict=verdict, checks=len(results)), invariant
 
 
 class _Uncooperative(Exception):

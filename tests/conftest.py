@@ -78,22 +78,29 @@ def rng():
     return random.Random(20260809)
 
 
-def run_cli_subprocess(args, cwd, hashseed: str) -> None:
-    """Run ``python -m dynacct.cli *args`` in a fresh interpreter.
+def run_cli_child(args, cwd, env=(), **run) -> subprocess.CompletedProcess:
+    """Run ``python -m dynacct.cli *args`` in a fresh interpreter, with
+    ``subprocess.run`` options ``run``.
 
-    The child starts in ``cwd`` with ``PYTHONHASHSEED=hashseed`` and imports
-    the same ``dynacct`` as this process: the directory it was imported from
-    is prepended to ``PYTHONPATH``, so a relative ``PYTHONPATH=src`` or an
-    editable install both work from any working directory.  A non-zero exit
-    fails the test with the child's return code and stderr.
+    The child starts in ``cwd`` with ``env`` added to this environment and
+    imports the same ``dynacct`` as this process: the directory it was
+    imported from is prepended to ``PYTHONPATH``, so a relative
+    ``PYTHONPATH=src`` or an editable install both work from any working
+    directory.
     """
     root = os.path.dirname(os.path.dirname(os.path.abspath(dynacct.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **dict(env))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run([sys.executable, "-m", "dynacct.cli", *args],
-                          env=env, capture_output=True, text=True, cwd=cwd)
+    return subprocess.run([sys.executable, "-m", "dynacct.cli", *args],
+                          env=env, cwd=cwd, **run)
+
+
+def run_cli_subprocess(args, cwd, hashseed: str) -> None:
+    """``run_cli_child`` with ``PYTHONHASHSEED=hashseed``.  A non-zero exit
+    fails the test with the child's return code and stderr."""
+    proc = run_cli_child(args, cwd, {"PYTHONHASHSEED": hashseed},
+                         capture_output=True, text=True)
     assert proc.returncode == 0, (
         f"dynacct.cli {' '.join(args)} exited {proc.returncode}:\n"
         f"{proc.stderr}")

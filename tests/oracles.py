@@ -66,12 +66,12 @@ from dynacct.evolving_graph import (EvolvingGraph, FamilyVerdict,
                                     GraphFamily, LocalView, local_view)
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                ActionProfile, History, IndividualAction, Mode,
-                               Trace)
+                               Trace, cooperation_tail)
 from dynacct.protocols import (RandSource, StrategyConfigError,
                                StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
-                              _act, _begin_round, _BoundRand,
-                              _cooperation_tail, _deliver, _FixedDraws, _fork,
+                              _act, _begin_round, _BoundRand, _deliver,
+                              _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
                               _round_outcome, _round_scripts, _ScriptDraws,
                               _simulate_machines, _world_key, build_machines)
@@ -553,9 +553,8 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
                             dict(utils), scripts_prefix + [outcome])
                 node.children.append((ep, child))
             return node
-        profile, round_utils = _play_round(
-            cfg.graph, cfg.family.observation, machines, cfg.params, m,
-            _ScriptDraws(scripts_prefix))
+        profile, round_utils = _play_round(cfg, machines, m,
+                                           _ScriptDraws(scripts_prefix))
         history.append(profile)
         for i, u in round_utils.items():
             utils[(i, m)] = u
@@ -591,9 +590,7 @@ class _Enumerator:
                  absorb: bool = True,
                  override: Optional[Override] = None,
                  collect_profiles: bool = False):
-        self.graph = cfg.graph
-        self.obs = cfg.family.observation
-        self.params = cfg.params
+        self.cfg = cfg
         self.machines = machines
         self.start = start
         self.horizon = cfg.horizon if end is None else end
@@ -626,13 +623,12 @@ class _Enumerator:
                     machines[i].is_quiescent() for i in machines):
                 yield self._emit(m, prob, utils, m, profiles)
                 return
-            views = _begin_round(self.graph, self.obs, machines, m)
+            views = _begin_round(self.cfg, machines, m)
             scripts = _round_scripts(machines, m)
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 profile, round_utils = _round_outcome(
-                    self.graph, self.params, m,
-                    _overridden(raw, m, self.override))
+                    self.cfg, m, _overridden(raw, m, self.override))
                 ms = machines if last else _fork(machines)
                 _deliver(views, ms, profile)
                 nu = dict(utils) if not last else utils
@@ -661,7 +657,8 @@ def _expectation(enum: _Enumerator, f: Callable[[_Leaf], Fraction]) -> Fraction:
 def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
              tails: dict[int, Fraction]) -> Fraction:
     """i's discounted utility on one leaf; ``tails`` memoises i's closed-form
-    cooperative tail by the round it starts in."""
+    cooperative tail by the round it starts in, apart from the verifier's
+    memo."""
     d = cfg.params.delta
     total = Fraction(0)
     for (a, m), u in leaf.utils.items():
@@ -669,20 +666,20 @@ def _leaf_eu(leaf: _Leaf, cfg: SimConfig, i: AgentId, from_round: int,
             total += d ** (m - from_round) * u
     if leaf.absorbed_at is not None and leaf.absorbed_at <= cfg.horizon:
         start = max(leaf.absorbed_at, from_round)
-        total += d ** (start - from_round) * _cooperation_tail(cfg, i, start,
-                                                               tails)
+        if start not in tails:
+            tails[start] = cooperation_tail(cfg.graph, i, cfg.params, start,
+                                            cfg.horizon)
+        total += d ** (start - from_round) * tails[start]
     return total
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, from_round: int,
-                 override: Optional[Override] = None,
-                 tails: Optional[dict[int, Fraction]] = None) -> Fraction:
+                 override: Optional[Override] = None) -> Fraction:
     """Expected utility of i discounted from ``from_round``, over the runs of
-    ``machines`` enumerated from round ``start``.  Pass one ``tails`` dict
-    to every call for the same (cfg, i) to share the cooperative tails."""
+    ``machines`` enumerated from round ``start``."""
     enum = _Enumerator(cfg, machines, start, override=override)
-    tails = {} if tails is None else tails
+    tails: dict[int, Fraction] = {}
     return _expectation(enum,
                         lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
 
@@ -692,7 +689,7 @@ def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
     expected utility over every enumerated leaf of the continuation."""
     override = None if pattern is None else (checker.i, m2, pattern)
     return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
-                        override=override, tails=checker.tails)
+                        override=override)
 
 
 def enumerated_expected_utility(cfg: SimConfig, i: AgentId) -> Fraction:
@@ -771,8 +768,8 @@ def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
             if key not in seen:
                 seen.add(key)
                 out.append((m, _fork(ms), origin))
-        views = _begin_round(cfg.graph, cfg.family.observation, ms, m)
-        profile, _ = _round_outcome(cfg.graph, cfg.params, m,
+        views = _begin_round(cfg, ms, m)
+        profile, _ = _round_outcome(cfg, m,
                                     _overridden(_act(ms, m, draws), m, override))
         _deliver(views, ms, profile)
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from dynacct.game_core import discounted_utility
 from dynacct.scenarios import (_fig3_family, _ring_family, builtin,
                                scenario_from_dict)
 
-from .conftest import run_cli_subprocess
+from .conftest import run_cli_child, run_cli_subprocess
 
 
 def write_family(tmp_path, fam, name="family.json"):
@@ -332,12 +334,16 @@ def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
     # deviate, so it is refused rather than reported
     (lambda d: d["candidates"][0].update(target=3),
      "override target 3 is not a current neighbour"),
+    (lambda d: d["candidates"][0].update(kind="lenient_evasive_unsafe",
+                                         first_deviator=5),
+     "first_deviator 5 is not an agent id in 0..3"),
 ], ids=["spec-rho-list", "candidate-target-list",
-        "candidate-target-not-a-neighbour"])
+        "candidate-target-not-a-neighbour", "candidate-first-deviator-outside"])
 def test_verify_strategy_field_refused_exit_two(mutate, message, tmp_path,
                                                 capsys):
     # the strategy and deviation fields are read in protocols: a value int()
-    # refuses, or a target the deviator cannot reach, is an input error
+    # refuses, a target the deviator cannot reach, or a first deviator
+    # outside the family, is an input error
     doc = builtin("timely_violation").to_json()
     mutate(doc)
     path = tmp_path / "spec_scenario.json"
@@ -362,8 +368,15 @@ def test_verify_member_verifies_that_member_only(capsys):
     (["verify", "--scenario", "fig3_indist", "--member", "nowhere"],
      "error: no member named 'nowhere'"),
     (["simulate", "--scenario", "nope"],
-     "error: [Errno 2] No such file or directory: 'nope'"),
-], ids=["verify-unknown-member", "simulate-unknown-scenario"])
+     "error: no builtin scenario or file named 'nope'; the builtins are "
+     "fig2_ambiguous, fig3_indist, ring_connectivity, timely_violation, "
+     "unsafe_three_agent"),
+    (["verify", "--scenario", "ring_conectivity"],
+     "error: no builtin scenario or file named 'ring_conectivity'; the "
+     "builtins are fig2_ambiguous, fig3_indist, ring_connectivity, "
+     "timely_violation, unsafe_three_agent"),
+], ids=["verify-unknown-member", "simulate-unknown-scenario",
+        "verify-misspelt-scenario"])
 def test_input_error_prints_the_message_itself(args, line, tmp_path,
                                                monkeypatch, capsys):
     # the error line is the message, with no quotes added around it
@@ -371,6 +384,30 @@ def test_input_error_prints_the_message_itself(args, line, tmp_path,
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.splitlines() == [line]
+
+
+def test_unreadable_scenario_file_keeps_its_positioned_error(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # only a name that is neither a builtin nor a file lists the builtins
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    code, out, err = run_cli(["verify", "--scenario", "bad.json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad.json:1:2") and "builtin" not in err
+
+
+def test_closed_stdout_keeps_the_verdict_exit_status(tmp_path):
+    # a reader that closes the pipe early (``| head -c 1``) is no input
+    # error: the command exits with its own status, and stderr stays empty
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_child(["verify", "--scenario", "timely_violation"],
+                             tmp_path, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b"" and proc.returncode == 1
 
 
 def test_verify_enumeration_refusal_exit_three(tmp_path, capsys):

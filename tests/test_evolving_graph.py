@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynacct.evolving_graph import (EvolvingGraph, FamilyFormatError,
-                                    GraphFamily, ObservationModel,
-                                    PartitionSearchRefused, RoundGraph,
+                                    GraphFamily, ObservationModel, RoundGraph,
                                     _stable_reach_with_joins, _step_reached,
                                     causally_influences,
                                     causally_influences_excluding,
@@ -529,11 +528,12 @@ def test_ambiguous_po_requires_edge_and_caps_n():
     g = fam.member("G")
     with pytest.raises(ValueError):
         is_ambiguous_po(fam, g, 0, 1, 3)   # no 0-1 edge at round 3
-    # one agent over the 16-agent cap
+    # no agent cap: the crossing components come from union-find, not from
+    # a search over partitions, so a 17-ring gets its answer
     ring = EvolvingGraph((), (ring_graph(17),), "ring")
     big = GraphFamily(17, (ring,), NO, 2)
-    with pytest.raises(PartitionSearchRefused, match="n=17 exceeds cap 16"):
-        is_ambiguous_po(big, ring, 0, 1, 1)
+    assert is_ambiguous_po(big, ring, 0, 1, 1) == (
+        ring, (set(range(2, 16)), {1, 16}))
 
 
 def test_ambiguous_po_complete_none():

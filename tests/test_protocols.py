@@ -19,7 +19,7 @@ from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
                                ring_graph, valuable_defaults)
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
-                              simulate, strategy_context)
+                              simulate)
 
 from .oracles import FlatSigmaGen, flat_sigma_gen_key
 from .test_soundness import _RecordingRand
@@ -556,7 +556,7 @@ def test_spec_field_of_the_wrong_type_is_refused(spec, message):
     # int() refuses a list; the spec field is named, not a TypeError raised
     cfg = k3_val_cfg(horizon=4)
     with pytest.raises(StrategyConfigError, match=message):
-        build_strategy(spec, strategy_context(cfg, 0))
+        build_strategy(spec, cfg, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +567,7 @@ def _dual_machines(cfg, sc):
     from dynacct.protocols import build_deviation
     machines = build_machines(cfg, honest_only=True)
     spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
-    machines[0] = build_deviation(spec, strategy_context(cfg, 0))
+    machines[0] = build_deviation(spec, cfg, 0)
     return machines
 
 
@@ -594,14 +594,13 @@ def test_dual_evasive_near_side_punishes_far_side_does_not():
 
 
 def test_dual_evasive_unfired_script_is_honest():
-    from dynacct.protocols import _Persona, _ShadowWorld
+    from dynacct.protocols import _honest, _Persona, _ShadowWorld
     sc = builtin("fig2_ambiguous")
     cfg = sc.sim_config(horizon=9)
     machines = build_machines(cfg, honest_only=True)
-    ctx = strategy_context(cfg, 0)
     shadow = _ShadowWorld(cfg.graph, cfg.family.observation,
-                          {a: ctx.honest(a) for a in range(5)})
-    machines[0] = _Persona(ctx.honest(0), shadow, frozenset([3, 4]),
+                          {a: _honest(cfg, a) for a in range(5)})
+    machines[0] = _Persona(_honest(cfg, 0), shadow, frozenset([3, 4]),
                            "dual_evasive", defection=(1, 0))
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     td = _simulate_machines(cfg, machines)
@@ -617,7 +616,7 @@ def test_dual_evasive_shadow_replays_the_configured_bases():
                                       "round": 9, "base": sc.strategies[3]}}
     cfg = sc.sim_config(horizon=9)
     spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
-    dual = build_deviation(spec, strategy_context(cfg, 0))
+    dual = build_deviation(spec, cfg, 0)
     dual.shadow.ensure_round(cfg.horizon)
     honest = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     for m, profile in enumerate(honest.history.profiles, 1):
@@ -643,10 +642,9 @@ def test_dual_evasive_groups_must_partition_the_others(group1, group2):
     sc = builtin("fig2_ambiguous")
     cfg = sc.sim_config(horizon=9)
     spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
-    build_deviation(spec, strategy_context(cfg, 0))   # the builtin split loads
+    build_deviation(spec, cfg, 0)   # the builtin split loads
     with pytest.raises(StrategyConfigError, match="partition"):
-        build_deviation(dict(spec, group1=group1, group2=group2),
-                        strategy_context(cfg, 0))
+        build_deviation(dict(spec, group1=group1, group2=group2), cfg, 0)
 
 
 def _unsafe_runs(lenient: bool):
@@ -659,7 +657,7 @@ def _unsafe_runs(lenient: bool):
                                     sincere=False)
     if lenient:
         spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
-        machines[2] = build_deviation(spec, strategy_context(cfg, 2))
+        machines[2] = build_deviation(spec, cfg, 2)
     return cfg, _simulate_machines(cfg, machines)
 
 
@@ -685,14 +683,13 @@ def test_lenient_evasive_strictly_beats_prescribed():
 
 
 def test_lenient_evasive_clean_shadow_is_honest():
-    from dynacct.protocols import _Persona, _ShadowWorld
+    from dynacct.protocols import _honest, _Persona, _ShadowWorld
     sc = builtin("unsafe_three_agent")
     cfg = sc.sim_config(horizon=10)
-    ctx = strategy_context(cfg, 2)
     shadow = _ShadowWorld(cfg.graph, cfg.family.observation,
-                          {a: ctx.honest(a) for a in range(3)})
+                          {a: _honest(cfg, a) for a in range(3)})
     machines = build_machines(cfg, honest_only=True)
-    machines[2] = _Persona(ctx.honest(2), shadow, frozenset([0, 1]),
+    machines[2] = _Persona(_honest(cfg, 2), shadow, frozenset([0, 1]),
                            "lenient_evasive")
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     tl = _simulate_machines(cfg, machines)
@@ -707,7 +704,7 @@ def test_build_strategy_unknown_name():
     sc = builtin("ring_connectivity")
     cfg = sc.sim_config(horizon=4)
     with pytest.raises(StrategyConfigError):
-        build_strategy("sigma_mystery", strategy_context(cfg, 0))
+        build_strategy("sigma_mystery", cfg, 0)
 
 
 def test_mode_mismatch_rejected():

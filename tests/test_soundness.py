@@ -36,7 +36,7 @@ from dynacct.protocols import (ALL_NEIGHBORS, RandSource, ScheduledDefector,
 from dynacct.scenarios import builtin, general_defaults, valuable_defaults
 from dynacct.verifier import (SimConfig, _expected_eu, _HashDraws, _phase,
                               _play_round, build_machines,
-                              run_paired_defection, strategy_context)
+                              run_paired_defection)
 
 from .test_verifier import mixed_degree_family
 
@@ -188,8 +188,7 @@ def _machines_by_key(cfg, rng):
                     group = groups.setdefault(key, [])
                     if all(m != m2 for m2, _ in group):
                         group.append((m, copy.deepcopy(machines[a])))
-                _play_round(graph, cfg.family.observation, machines,
-                            cfg.params, m, draws)
+                _play_round(cfg, machines, m, draws)
     return groups
 
 
@@ -302,8 +301,7 @@ def _candidate(scenario):
         spec = dict(sc.candidates[0])
         me = spec.pop("agent")
         machines = build_machines(cfg)
-        machines[me] = build_strategy({"deviation": spec},
-                                      strategy_context(cfg, me))
+        machines[me] = build_strategy({"deviation": spec}, cfg, me)
         return cfg, machines, me, spec["base"]["strategy"]
     return setup
 
@@ -334,8 +332,7 @@ def test_clone_is_an_independent_deepcopy(case, rng):
     draws = _HashDraws(rng.randrange(10 ** 6))
     m = 3
     for t in range(1, m):
-        _play_round(graph, cfg.family.observation, machines, cfg.params, t,
-                    draws)
+        _play_round(cfg, machines, t, draws)
         if t == 1:
             machines[1] = machines[1].base
     mach = machines[me]

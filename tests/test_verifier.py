@@ -523,8 +523,8 @@ def _closure_contexts(cfg, i, check=False):
     check_context = verifier._OneShotChecker.check_context
 
     def recording(self, m2, machines, origin, prescribed):
-        contexts.append((m2, origin, verifier._world_key(self.graph, machines,
-                                                         m2)))
+        contexts.append((m2, origin, verifier._world_key(self.cfg.graph,
+                                                         machines, m2)))
         if check:
             check_context(self, m2, machines, origin, prescribed)
     with pytest.MonkeyPatch.context() as mp:
@@ -787,12 +787,12 @@ def test_candidate_gain_equals_its_simulated_gain():
     # gains delta**2 (every draw is degenerate, so one run is the expectation)
     from dynacct.game_core import discounted_utility
     from dynacct.protocols import build_deviation
-    from dynacct.verifier import _OneShotChecker, strategy_context
+    from dynacct.verifier import _OneShotChecker
     sc = builtin("unsafe_three_agent")
     cfg = sc.sim_config(horizon=40)
     spec = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
     machines = build_machines(cfg, honest_only=True)
-    machines[2] = build_deviation(spec, strategy_context(cfg, 2))
+    machines[2] = build_deviation(spec, cfg, 2)
     simulated = (
         discounted_utility(_simulate_machines(cfg, machines), 2, 1, cfg.params)
         - discounted_utility(simulate(cfg), 2, 1, cfg.params))
