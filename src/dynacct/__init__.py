@@ -6,11 +6,10 @@ from .evolving_graph import (EvolvingGraph, FamilyVerdict, GraphFamily,
                              causally_influences, causally_influences_excluding,
                              check_connectivity_restriction,
                              check_eventual_distinguishability,
-                             check_timely_punishments, graph_at,
-                             indistinguishable_at, is_ambiguous_po,
-                             is_indistinguishable_round, is_unsafe, load_family,
-                             local_view, po_set, punishment_opportunities,
-                             timely_certificate)
+                             check_timely_punishments, indistinguishable_at,
+                             is_ambiguous_po, is_indistinguishable_round,
+                             is_unsafe, load_family, local_view, po_set,
+                             punishment_opportunities, timely_certificate)
 from .game_core import (Action, ActionProfile, History, IndividualAction, Mode,
                         Trace, UtilityParams, discounted_utility, round_utility,
                         tail_bound)

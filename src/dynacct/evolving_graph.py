@@ -2,7 +2,7 @@
 
 An evolving graph is an infinite sequence of round communication graphs,
 represented finitely as a prefix plus a repeating cycle.  Rounds are
-1-indexed: ``graph_at(m)`` returns ``prefix[m-1]`` for ``m <= |prefix|``
+1-indexed: ``at(m)`` returns ``prefix[m-1]`` for ``m <= |prefix|``
 and ``cycle[(m - |prefix| - 1) % |cycle|]`` otherwise.
 
 Causal influence follows the product-graph semantics: knowledge held by
@@ -28,8 +28,16 @@ earlier in the scan, so the largest delay, the first counterexample and
 the first witness are those of the scan up to the horizon.
 
 Agent sets are int bitmasks (bit b for agent b).  Each graph caches the
-per-agent neighbour masks of its prefix and cycle rounds, and every reach
-steps a mask by the union of its agents' neighbour masks (``_spread``).
+per-agent neighbour masks of its prefix and cycle rounds.  Every temporal
+reachability question (causal influence, punishment opportunities, the
+crossing components of ambiguous opportunities, the routes of unsafe
+graphs, and fact F1) steps news through one loop, ``_reach``, which steps
+a mask by the union of its agents' neighbour masks (``_spread``).  A reach
+that must be followed to its end stops at one rule, ``_until_final``: no
+agent joins for a full cycle.  Its two guards, past the prefix and past a
+given round, read the round after the step, so the last prefix round and
+the dropped-step round of ``is_unsafe`` count as quiet rounds: these are
+ROADMAP item 2's known wrong answers.
 Indistinguishability reads one table per pair of graphs and observation
 model: bad_t, the agents whose round-t information separates the graphs,
 is the agents whose round-t views differ plus every agent a whose closed
@@ -44,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 AgentId = int
 Edge = tuple[int, int]
@@ -212,11 +220,6 @@ class EvolvingGraph:
         return {}
 
 
-def graph_at(g: EvolvingGraph, m: int) -> RoundGraph:
-    """Round-m communication graph (prefix then cyclically repeating)."""
-    return g.at(m)
-
-
 class ObservationModel(Enum):
     NEIGHBORS_ONLY = "neighbors"
     NEIGHBORS_AND_DEGREES = "neighbors_degrees"
@@ -310,29 +313,68 @@ def _spread(nb: Sequence[int], mask: int) -> int:
     return out
 
 
-def _reach(g: EvolvingGraph, j: AgentId, m: int, until: int,
-           exclude: Optional[AgentId] = None) -> Iterable[int]:
-    """For mp = m+1..until, the mask of the agents holding (j, m)'s
-    information at the start of round mp.  ``exclude`` never receives (nor
-    relays)."""
-    keep = -1 if exclude is None else ~(1 << exclude)
-    reached = 1 << j
-    for mp in range(m + 1, until + 1):
-        reached |= _spread(g._masks_at(mp - 1), reached) & keep
-        yield reached
+def _reach(g: EvolvingGraph, src: AgentId, m: int, keep: int = -1,
+           blocked: int = 0, dropped: Optional[tuple[int, int, int]] = None,
+           ) -> Iterator[tuple[int, int]]:
+    """The one loop that steps news over round edges: endless ``(t, got)``
+    for t = m+1, m+2, ..., with ``got`` the mask of the agents that received
+    (src, m)'s news by an actual step by the start of round t.  src always
+    carries; agents outside the mask ``keep`` never receive, senders in the
+    mask ``blocked`` never forward, and ``dropped = (a, b, r)`` removes the
+    step from a to b over round r."""
+    da, db, dt = dropped or (0, 0, 0)
+    carries, forwards = 1 << src, ~blocked
+    got = 0
+    t = m
+    while True:
+        nb = g._masks_at(t)
+        if t == dt:
+            nb = list(nb)
+            nb[da] &= ~(1 << db)
+        got |= _spread(nb, (got | carries) & forwards) & keep
+        t += 1
+        yield t, got
+
+
+def _until_final(g: EvolvingGraph, reach: Iterable[tuple[int, int]],
+                 after: int = 0) -> Iterator[tuple[int, int]]:
+    """The one stopping rule: ``reach`` passed through up to the round at
+    which its mask is final.  That is when every agent holds, or when no
+    agent joined for |cycle| rounds past the prefix and past ``after``:
+    growth depends only on the mask and the cycle phase, so a quiet cycle
+    means the mask is final.  Both guards read the round after the step
+    (ROADMAP item 2), so the last prefix round and the round ``after``
+    count as quiet cycle rounds."""
+    full = (1 << g.n) - 1
+    last = quiet = 0
+    for t, got in reach:
+        yield t, got
+        if got == full:
+            return
+        if got != last:
+            last, quiet = got, 0
+        elif t > len(g.prefix) and t > after:
+            quiet += 1
+            if quiet >= len(g.cycle):
+                return
+
+
+def _then_one_cycle(g: EvolvingGraph, reach: Iterable[tuple[int, int]],
+                    after: int = 0) -> Iterator[tuple[int, int]]:
+    """``_until_final(g, reach, after)``, then its final mask held for one
+    more cycle past the later of its final round and ``after``, so a scan
+    of these rounds meets the final mask at every cycle phase."""
+    t = got = 0
+    for t, got in _until_final(g, reach, after):
+        yield t, got
+    for t in range(t + 1, max(t, after) + len(g.cycle) + 1):
+        yield t, got
 
 
 def causally_influences(g: EvolvingGraph, j: AgentId, m: int,
                         l: AgentId, m2: int) -> bool:
     """True iff information at (j, m) can reach (l, m2) forward in time."""
-    if m < 1 or m2 < 1:
-        raise ValueError("rounds are 1-indexed")
-    if m >= m2:
-        return False
-    if j == l:
-        return True
-    *_, reached = _reach(g, j, m, m2)
-    return bool(reached >> l & 1)
+    return _influences(g, j, m, l, m2, -1)
 
 
 def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -340,14 +382,34 @@ def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
     """Causal influence where agent i neither relays nor receives."""
     if i == j:
         raise ValueError("excluded agent must differ from the source")
+    return _influences(g, j, m, l, m2, ~(1 << i))
+
+
+def _influences(g: EvolvingGraph, j: AgentId, m: int, l: AgentId, m2: int,
+                keep: int) -> bool:
+    """Whether (j, m)'s news can be at (l, m2), received only by ``keep``."""
     if m < 1 or m2 < 1:
         raise ValueError("rounds are 1-indexed")
     if m >= m2:
         return False
     if j == l:
         return True
-    *_, reached = _reach(g, j, m, m2, exclude=i)
-    return bool(reached >> l & 1)
+    for t, got in _reach(g, j, m, keep):
+        if t == m2:
+            return bool(got >> l & 1)
+
+
+def _opportunities(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
+                   until: int) -> Iterator[tuple[int, int]]:
+    """News of the i-edge (j, m): ``(t, mask)`` for t = m+1..until, with
+    ``mask`` i's round-t partners that can have learned of the edge without
+    i mediating.  The partner j knows first-hand, and may pass the news on
+    over round m's own edges."""
+    first_hand = 1 << j
+    for t, got in _reach(g, j, m, ~(1 << i)):
+        if t > until:
+            return
+        yield t, (got | first_hand) & g._masks_at(t)[i]
 
 
 def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
@@ -356,18 +418,17 @@ def punishment_opportunities(g: EvolvingGraph, i: AgentId, j: AgentId,
     without i mediating.  The original partner j counts (it knows first-hand)."""
     if not g.at(m).has_edge(i, j):
         raise ValueError(f"({i},{j}) is not an edge at round {m}")
-    return {(l, mp)
-            for mp, reached in enumerate(_reach(g, j, m, until, exclude=i), m + 1)
-            for l in _bits(g._masks_at(mp)[i] & reached)}
+    return {(l, t) for t, hit in _opportunities(g, i, j, m, until)
+            for l in _bits(hit)}
 
 
 def _first_opportunity(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
                        until: int) -> Optional[int]:
     """First round of a punishment opportunity for the i-edge (j, m) within
     ``until``, or None."""
-    for mp, reached in enumerate(_reach(g, j, m, until, exclude=i), m + 1):
-        if reached & g._masks_at(mp)[i]:
-            return mp
+    for t, hit in _opportunities(g, i, j, m, until):
+        if hit:
+            return t
     return None
 
 
@@ -563,36 +624,6 @@ def check_eventual_distinguishability(f: GraphFamily, rho: int,
 # Ambiguous punishment opportunities
 # ---------------------------------------------------------------------------
 
-def _stable_reach_with_joins(g: EvolvingGraph, src: AgentId, m: int,
-                             exclude: AgentId) -> tuple[dict[int, int], int]:
-    """Join round per agent for the interference-free reach from (src, m),
-    iterated until the frontier is stable over a full cycle.
-
-    Growth at round t depends only on (reached set, cycle phase), so once no
-    agent joins for |cycle| consecutive rounds in the cyclic region the set
-    is final.  Returns (joins, stable_round): agent -> first round at whose
-    start it carries the information, and a round by which the set is final.
-    """
-    L = len(g.cycle)
-    joins = {src: m}
-    keep = ~(1 << exclude)
-    reached = (1 << src) & keep
-    t = m
-    quiet = 0
-    while True:
-        added = _spread(g._masks_at(t), reached) & keep & ~reached
-        t += 1
-        if added:
-            reached |= added
-            for b in _bits(added):
-                joins[b] = t
-            quiet = 0
-        elif t > len(g.prefix):
-            quiet += 1
-            if quiet >= L:
-                return joins, t
-
-
 def _crossing_components(g: EvolvingGraph, i: AgentId,
                          endpoint_rounds: dict[int, list[int]]) -> list[int]:
     """Connected components (as masks) of i-edge endpoints under
@@ -611,22 +642,17 @@ def _crossing_components(g: EvolvingGraph, i: AgentId,
         if ra != rb:
             parent[ra] = rb
 
-    L = len(g.cycle)
     for l in endpoints:
         for mp in endpoint_rounds[l]:
             if all(find(o) == find(l) for o in endpoints):
                 break   # every endpoint is in l's component already
-            joins, stable = _stable_reach_with_joins(g, l, mp, exclude=i)
-            for o in endpoints:
-                if o == l or find(o) == find(l) or o not in joins:
-                    continue
-                lo = max(joins[o], mp + 1)
-                # an i-edge of o at any round >= lo completes the influence;
-                # scanning one cycle past stabilisation covers every phase.
-                for m2 in range(lo, max(stable, lo) + L + 1):
-                    if g._masks_at(m2)[i] >> o & 1:
-                        union(l, o)
-                        break
+            # l never receives its own news back: a re-receipt would
+            # reset the quiet count.  An i-edge of a holder o at any later
+            # round completes the influence.
+            reach = _reach(g, l, mp, keep=~(1 << i | 1 << l))
+            for t, got in _then_one_cycle(g, reach):
+                for o in _bits(got & g._masks_at(t)[i]):
+                    union(l, o)
     comps: dict[int, int] = {}
     for a in endpoints:
         comps[find(a)] = comps.get(find(a), 0) | 1 << a
@@ -683,47 +709,6 @@ def is_ambiguous_po(f: GraphFamily, g: EvolvingGraph, i: AgentId, j: AgentId,
 # Unsafe graphs
 # ---------------------------------------------------------------------------
 
-def _step_reached(g: EvolvingGraph, l: AgentId, start: int, blocked: int,
-                  dropped_step: tuple[int, int, int],
-                  ) -> tuple[dict[int, int], int]:
-    """First round at whose start each agent has received (via at least one
-    actual transmission step) the information born to l at ``start``.
-
-    Senders in the mask ``blocked`` never forward; ``dropped_step`` removes
-    one specific (sender, receiver, round) transmission.  Iterates until the
-    carrier set is stable over a full cycle (growth depends only on the set
-    and the cycle phase, so a quiet cycle means it is final); returns the
-    join rounds and a round by which the set is final.
-    """
-    L = len(g.cycle)
-    full = (1 << g.n) - 1
-    da, db, dt = dropped_step
-    carriers = 1 << l
-    got = 0
-    via_step: dict[int, int] = {}
-    t = start
-    quiet = 0
-    while True:
-        nb = g._masks_at(t)
-        if t == dt:
-            nb = list(nb)
-            nb[da] &= ~(1 << db)
-        new = _spread(nb, carriers & ~blocked) & ~got
-        t += 1
-        if new:
-            got |= new
-            carriers |= new
-            for b in _bits(new):
-                via_step[b] = t
-            quiet = 0
-        elif t > len(g.prefix) and t > dt:
-            quiet += 1
-            if quiet >= L:
-                return via_step, t
-        if got == full:
-            return via_step, t
-
-
 def is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
     """Witness (i, j, l, m, m1, m2) that the graph admits the lenient-cut
     configuration: i meets j at m and l at m2, j meets l at m1, l then goes
@@ -753,27 +738,25 @@ def is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
                             if any(g._masks_at(t)[l]
                                    for t in range(m2 + 1, m + rho)):
                                 continue
-                            reached, stable = _step_reached(
-                                g, l, m1 + 1, 1 << i | 1 << j, (l, i, m2))
-                            end = max(stable, m2) + len(g.cycle)
-                            if _unsafe_routes_cut(g, i, j, m1, m2, end, reached):
+                            # l holds only once a step brings the news back
+                            reach = _reach(g, l, m1 + 1,
+                                           blocked=1 << i | 1 << j,
+                                           dropped=(l, i, m2))
+                            if _unsafe_routes_cut(
+                                    g, i, j, m2,
+                                    _then_one_cycle(g, reach, after=m2)):
                                 return {"i": i, "j": j, "l": l,
                                         "m": m, "m1": m1, "m2": m2}
     return None
 
 
-def _unsafe_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId, m1: int,
-                       m2: int, end: int, reached: dict[int, int]) -> bool:
-    """No partner of j in (m1, end], nor of i in (m2, end], holds the
-    information by then (``reached`` joins come after m1 + 1)."""
-    arrivals: dict[int, int] = {}
-    for p, r in reached.items():
-        arrivals[r] = arrivals.get(r, 0) | 1 << p
-    held = 0
-    for mp in range(m1 + 1, end + 1):
-        held |= arrivals.get(mp, 0)
-        nb = g._masks_at(mp)
-        if nb[j] & held or (mp > m2 and nb[i] & held):
+def _unsafe_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId, m2: int,
+                       reach: Iterable[tuple[int, int]]) -> bool:
+    """No partner of j, nor of i after round m2, holds the news at any
+    round of ``reach``."""
+    for t, got in reach:
+        nb = g._masks_at(t)
+        if nb[j] & got or (t > m2 and nb[i] & got):
             return False
     return True
 

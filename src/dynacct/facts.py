@@ -112,8 +112,10 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # oracle: holders[v][M - m] is the mask of the agents that v's report
     # (v, i, m) can have reached by the end of round M
     end = min(m + n - 2, last)
-    holders = {v: [1 << v, *_reach(graph, v, m + 1, end + 1, exclude=i)]
-               for v in graph.at(m).neighbors(i)}
+    holders = {}
+    for v in graph.at(m).neighbors(i):
+        reach = _reach(graph, v, m + 1, keep=~(1 << i))
+        holders[v] = [1 << v] + [1 << v | next(reach)[1] for _ in range(m, end)]
     for M in range(m, end + 1):
         for v in range(n):
             if v == i:

@@ -281,7 +281,6 @@ def round_utility(i: AgentId, profile: ActionProfile, graph: RoundGraph,
 class History:
     """Realised action profiles over a fixed evolving graph."""
 
-    graph: EvolvingGraph
     profiles: list[ActionProfile] = field(default_factory=list)
 
     def append(self, profile: ActionProfile):

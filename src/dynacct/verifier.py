@@ -386,7 +386,7 @@ def simulate(cfg: SimConfig) -> Trace:
 
 
 def _new_trace(cfg: SimConfig, logged: bool = True) -> Trace:
-    return Trace(history=History(graph=cfg.graph), per_round_utilities={},
+    return Trace(history=History(), per_round_utilities={},
                  rng_seed=cfg.seed, state_log={} if logged else None)
 
 

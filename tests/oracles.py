@@ -10,9 +10,12 @@ check.
 The ``full_scan_*`` and ``set_*`` functions are the package's graph scans
 as they were before its bitmask rewrite, kept verbatim apart from their
 names: set-based reaches, and configuration rounds scanned up to the
-horizon rather than folded to one period.  Both the item-0 post-increment
-(``t > len(g.prefix)`` after ``t += 1``) and every verdict, witness and
-counterexample of theirs must survive the rewrite unchanged.
+horizon rather than folded to one period.  Both the post-increment guards
+of ROADMAP item 2 (``t > len(g.prefix)`` after ``t += 1``) and every
+verdict, witness and counterexample of theirs must survive the rewrite
+unchanged.  ``brute_force_is_unsafe`` is the independent reference for
+``is_unsafe``: it unrolls the time-expanded graph n + 2 periods past m2 and
+has no stabilisation rule, so it does not share those guards.
 
 ``build_branch_tree`` is the brute-force reference for the verifier's
 branch walker: it materialises the randomisation tree one draw at a time,
@@ -481,6 +484,49 @@ def _set_unsafe_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId, m1: int,
     return True
 
 
+def brute_force_is_unsafe(g: EvolvingGraph, rho: int,
+                          horizon: int) -> Optional[dict]:
+    """``is_unsafe``'s first witness, in its scan order, by brute force:
+    configuration rounds up to the horizon, and every route followed round
+    by round for n + 2 periods past m2 with no stabilisation rule.  By then
+    the holders are final (at most n joins, none more than a cycle apart
+    past the prefix) and every phase of the final set has been met."""
+    if horizon < rho:
+        raise ValueError("horizon must be at least rho")
+    for m in range(1, horizon + 1):
+        last = min(m + rho - 1, horizon)
+        for i in range(g.n):
+            for m1 in range(m + 1, last + 1):
+                for m2 in range(m1 + 1, last + 1):
+                    for j in sorted(g.at(m).neighbors(i)):
+                        for l in sorted(g.at(m1).neighbors(j)):
+                            if (l != i and g.at(m2).has_edge(i, l)
+                                    and not any(g.at(t).degree(l) for t in
+                                                range(m2 + 1, m + rho))
+                                    and _unrolled_routes_cut(g, i, j, l,
+                                                             m1, m2)):
+                                return {"i": i, "j": j, "l": l,
+                                        "m": m, "m1": m1, "m2": m2}
+    return None
+
+
+def _unrolled_routes_cut(g: EvolvingGraph, i: AgentId, j: AgentId,
+                         l: AgentId, m1: int, m2: int) -> bool:
+    """News born to l at round m1 + 1, forwarded by every agent but i and
+    j, with the step l -> i over round m2 removed, reaches no partner of j
+    after m1 nor of i after m2.  ``holders`` are the agents that received
+    it over some step by the start of round t; l is one only once the
+    news comes back to it."""
+    holders: set[AgentId] = set()
+    for t in range(m1 + 1, m2 + (g.n + 2) * g.period + 1):
+        rg = g.at(t)
+        if holders & rg.neighbors(j) or (t > m2 and holders & rg.neighbors(i)):
+            return False
+        holders |= {b for a in (holders | {l}) - {i, j}
+                    for b in rg.neighbors(a) if (a, b, t) != (l, i, m2)}
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Branch tree: per-draw brute-force enumeration
 # ---------------------------------------------------------------------------
@@ -560,7 +606,7 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
             utils[(i, m)] = u
         return rec(machines, m + 1, prob, history, utils, [])
 
-    root = rec(machines, 1, Fraction(1), History(graph=cfg.graph), {}, [])
+    root = rec(machines, 1, Fraction(1), History(), {}, [])
     return BranchTree(root=root, leaves=leaves)
 
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from dynacct.evolving_graph import (EvolvingGraph, FamilyFormatError,
                                     GraphFamily, ObservationModel, RoundGraph,
-                                    _stable_reach_with_joins, _step_reached,
+                                    _bits, _reach, _until_final,
                                     causally_influences,
                                     causally_influences_excluding,
                                     check_connectivity_restriction,
                                     check_eventual_distinguishability,
                                     check_timely_punishments, family_from_dict,
-                                    family_to_dict, graph_at,
+                                    family_to_dict,
                                     indistinguishable_at, is_ambiguous_po,
                                     is_indistinguishable_round, is_unsafe,
                                     local_view, po_set,
@@ -38,20 +38,20 @@ def rg(n, *edges):
 def test_graph_at_prefix_and_cycle_convention():
     a, b, c = rg(2, (0, 1)), rg(2), rg(2, (0, 1))
     g = EvolvingGraph(prefix=(a,), cycle=(b, c))
-    assert graph_at(g, 1) is a
-    assert graph_at(g, 2) is b
-    assert graph_at(g, 3) is c
+    assert g.at(1) is a
+    assert g.at(2) is b
+    assert g.at(3) is c
     # (4 - 1 - 1) % 2 == 0 picks the first cycle entry again
-    assert graph_at(g, 4) is b
+    assert g.at(4) is b
     const = EvolvingGraph(prefix=(), cycle=(a,))
     for m in (1, 2, 7, 30):
-        assert graph_at(const, m) is a
+        assert const.at(m) is a
 
 
 def test_graph_at_rejects_round_zero():
     g = EvolvingGraph(prefix=(), cycle=(rg(2, (0, 1)),))
     with pytest.raises(ValueError):
-        graph_at(g, 0)
+        g.at(0)
 
 
 def test_round_graph_validation():
@@ -580,7 +580,7 @@ def test_ambiguous_po_same_on_fresh_and_reused_members(rng):
     assert witnesses > 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 0")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_reach_stabilisation_scans_a_cycle_after_the_prefix():
     # family seed 1, family 79 of the benchmark pool: in g2 the last prefix
     # round is quiet and the 1-round cycle carries 0's information to 2 at
@@ -594,17 +594,29 @@ def test_reach_stabilisation_scans_a_cycle_after_the_prefix():
                       (rg(3, (0, 2), (1, 2)),), "g2"),
     ), NO, 12)
     g2 = fam.member("g2")
-    joins, _ = _stable_reach_with_joins(g2, 0, 2, exclude=1)
+    reach = _reach(g2, 0, 2, keep=~(1 << 1 | 1 << 0))
+    joins, _ = _joins(_until_final(g2, reach))
     assert joins.get(2) == 5
     assert oracles.oracle_ambiguous_po(fam, g2, 1, 0, 2) is None
     assert is_ambiguous_po(fam, g2, 1, 0, 2) is None
 
 
+def _joins(reach):
+    """Each agent's first round in a reach's masks, and its last round."""
+    joins, t = {}, 0
+    for t, got in reach:
+        for b in _bits(got):
+            joins.setdefault(b, t)
+    return joins, t
+
+
 def test_mask_reaches_match_set_reaches(rng):
-    # the bitmask reaches return the set-based code's joins and stable
-    # rounds, its prefix post-increment (ROADMAP item 0) included, on
-    # random graphs and on 2+ prefix rounds before a 1-round cycle, with
-    # excluded agents, blocked senders and dropped steps
+    # the one reach, stopped by the one stopping rule, returns the
+    # set-based code's joins and stable rounds, its post-increment guards
+    # (ROADMAP item 2) included, on random graphs and on 2+ prefix rounds
+    # before a 1-round cycle, with excluded agents, blocked senders and
+    # dropped steps.  The interference-free reach keeps src from receiving
+    # its news back, and an excluded src spreads nothing
     for trial in range(300):
         n = rng.randint(2, 5)
         if trial % 3 == 0:
@@ -615,7 +627,9 @@ def test_mask_reaches_match_set_reaches(rng):
             g = random_evolving_graph(rng, n, "g")
         src, exclude = rng.randrange(n), rng.randrange(n)
         m = rng.randint(1, g.period + 2)
-        assert _stable_reach_with_joins(g, src, m, exclude) == \
+        joins, stable = _joins(_until_final(g, _reach(
+            g, src, m, keep=~(1 << exclude | 1 << src), blocked=1 << exclude)))
+        assert ({src: m, **joins}, stable) == \
             oracles.set_stable_reach_with_joins(g, src, m, exclude)
         blocked = {a for a in range(n) if rng.random() < 0.3}
         t = rng.randint(m, m + g.period + 1)
@@ -624,7 +638,8 @@ def test_mask_reaches_match_set_reaches(rng):
         b = rng.choice(nbrs) if nbrs and rng.random() < 0.8 \
             else rng.randrange(n)
         mask = sum(1 << x for x in blocked)
-        assert _step_reached(g, src, m, mask, (a, b, t)) == \
+        assert _joins(_until_final(g, _reach(g, src, m, blocked=mask,
+                                             dropped=(a, b, t)), after=t)) == \
             oracles.set_step_reached(g, src, m, blocked, (a, b, t))
 
 
@@ -637,6 +652,27 @@ def test_unsafe_three_agent_witness():
 def test_unsafe_complete_none():
     g = EvolvingGraph((), (complete_graph(4),), name="k4")
     assert is_unsafe(g, 3, 10) is None
+
+
+def test_unsafe_brute_force_agrees_on_builtins():
+    g = _unsafe_family().members[0]
+    assert oracles.brute_force_is_unsafe(g, 3, 12) == is_unsafe(g, 3, 12) \
+        == {"i": 0, "j": 1, "l": 2, "m": 1, "m1": 2, "m2": 3}
+    k4 = EvolvingGraph((), (complete_graph(4),), name="k4")
+    assert oracles.brute_force_is_unsafe(k4, 3, 10) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_unsafe_route_check_counts_the_dropped_round_as_quiet():
+    # is_unsafe answers (i, j, l, m, m1, m2) = (1, 2, 0, 1, 2, 3): the
+    # quiet count of 0's news starts at the dropped round 3 itself, so
+    # the one-round cycle ends the route check there.  But 0 reaches 1
+    # at round 4 and 1 meets 2 at round 5, so the route is not cut
+    g = EvolvingGraph((rg(3, (1, 2)), rg(3, (0, 2))),
+                      (rg(3, (0, 1), (1, 2)),), "g")
+    first = {"i": 0, "j": 2, "l": 1, "m": 2, "m1": 3, "m2": 4}
+    assert oracles.brute_force_is_unsafe(g, 3, 12) == first
+    assert is_unsafe(g, 3, 12) == first
 
 
 def test_unsafe_no_il_edge_none():

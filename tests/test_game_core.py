@@ -151,9 +151,7 @@ def test_edge_table_equals_the_rules(mode, values):
 
 
 def _constant_trace(u_per_round, rounds, delta="0.5"):
-    rg = RoundGraph.from_pairs(2, [(0, 1)])
-    g = EvolvingGraph((), (rg,), "c")
-    h = History(graph=g)
+    h = History()
     utils = {}
     for m in range(1, rounds + 1):
         p, _ = pair_profile(COOPERATE, COOPERATE, m=m)

@@ -15,6 +15,9 @@ same round.  These tests check both instead of assuming them.
 A class that declares ``label_free`` lets the verifier map one agent's
 report onto another's through a graph automorphism; a test checks that
 relabelling a one-shot deviation leaves its value unchanged.
+The walker absorbs a branch once every machine is quiescent and adds the
+cooperative tail in closed form; a test checks that quiescence is
+absorbing: from then on every machine cooperates and stays quiescent.
 The enumerator forks runs with ``StrategyMachine.clone``; the last test
 checks that the clone of every shipped machine, deviation wrapper and
 scripted builtin candidate behaves as a deep copy and leaves the original
@@ -33,7 +36,8 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                Mode, prop_punish)
 from dynacct.protocols import (ALL_NEIGHBORS, RandSource, ScheduledDefector,
                                build_strategy)
-from dynacct.scenarios import builtin, general_defaults, valuable_defaults
+from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, general_defaults,
+                               valuable_defaults)
 from dynacct.verifier import (SimConfig, _expected_eu, _HashDraws, _phase,
                               _play_round, build_machines,
                               run_paired_defection)
@@ -264,6 +268,51 @@ def test_label_free_machines_are_equivariant(name, rng):
                 differ += eu != image
     assert label_free == (name != "unsafe_scripted")
     assert label_free or differ
+
+
+# ---------------------------------------------------------------------------
+# Quiescence is absorbing
+# ---------------------------------------------------------------------------
+
+BUILTIN_MEMBERS = [(sc, g.name) for sc in sorted(BUILTIN_SCENARIOS)
+                   for g in builtin(sc).family.members]
+
+
+@pytest.mark.parametrize("scenario,member", BUILTIN_MEMBERS)
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_quiescence_is_absorbing(name, scenario, member):
+    # the walker absorbs a branch once every machine is quiescent, past
+    # the last scripted deviation, and adds the closed-form cooperative
+    # tail: from that round on every action must be COOPERATE and every
+    # machine must stay quiescent.  Each agent defects every neighbour at
+    # one round of 1-7, under seeded draws.  The members are observed with
+    # degrees, which sigma_gen needs
+    spec, params = SHIPPED[name]
+    base = builtin(scenario).family
+    fam = GraphFamily(base.n, base.members,
+                      ObservationModel.NEIGHBORS_AND_DEGREES, base.horizon)
+    cfg = SimConfig(family=fam, member=member,
+                    strategies={a: spec for a in range(fam.n)}, horizon=24,
+                    params=params(fam.n))
+    absorbed = 0
+    for a in range(fam.n):
+        for r in range(1, 8):
+            machines = build_machines(cfg)
+            machines[a] = ScheduledDefector(machines[a], {r: ALL_NEIGHBORS},
+                                            sincere=True)
+            draws = _HashDraws(10 * a + r)
+            quiet = False
+            for m in range(1, cfg.horizon + 1):
+                quiet = quiet or m > r and all(
+                    mach.is_quiescent() for mach in machines.values())
+                profile, _ = _play_round(cfg, machines, m, draws)
+                if quiet:
+                    assert all(x == COOPERATE for act in profile.actions.values()
+                               for x in act.per_neighbor.values()), (a, r, m)
+                    assert all(mach.is_quiescent()
+                               for mach in machines.values()), (a, r, m)
+            absorbed += quiet
+    assert absorbed or name == "always_defect"
 
 
 # ---------------------------------------------------------------------------
