@@ -52,6 +52,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 AgentId = int
@@ -227,12 +228,17 @@ class ObservationModel(Enum):
 
 @dataclass(frozen=True)
 class LocalView:
-    """What one agent learns about the round topology before acting."""
+    """What one agent learns about the round topology before acting.
+    Read-only, degrees included, so that one view can serve every machine
+    that plays its round."""
 
     agent: AgentId
     round: int
     neighbors: frozenset[int]
     neighbor_degrees: Optional[Mapping[int, int]] = None
+
+    def __deepcopy__(self, memo) -> "LocalView":
+        return self     # immutable all the way down
 
 
 def local_view(g: EvolvingGraph, i: AgentId, m: int,
@@ -241,7 +247,7 @@ def local_view(g: EvolvingGraph, i: AgentId, m: int,
     nbrs = rg.neighbors(i)
     degrees = None
     if obs is ObservationModel.NEIGHBORS_AND_DEGREES:
-        degrees = {j: rg.degree(j) for j in sorted(nbrs)}
+        degrees = MappingProxyType({j: rg.degree(j) for j in sorted(nbrs)})
     return LocalView(agent=i, round=m, neighbors=nbrs, neighbor_degrees=degrees)
 
 

@@ -4,6 +4,26 @@
 bounded state, on a (conforming, deviating) trace pair with state logs,
 such as ``verifier.run_paired_defection`` builds.  Its public entry point
 is ``verifier.assert_gen_facts``.
+
+A paired defection plays only the few rounds until the deviating run
+rejoins the honest run, so most of the two traces is equal.  The checks
+therefore skip every unit that provably cannot fail, and compare the rest
+exactly as a full comparison would, with the same messages:
+
+* F3/F4 skip a snapshot pair both traces hold as one object, the tally
+  part of a pair whose tally lists are equal, and the report part of a
+  pair whose report lists, or just their reports about the deviator from
+  rounds other than m, are equal: equal lists parse to equal entries, so
+  no key can differ.
+* F5/F6 skip a round when every neighbour of the deviator ends the round
+  before with equal tally lists in both traces: the two punish masses are
+  then equal, so the round neither fails nor adds to the window's mass.
+* Bounded state reads each snapshot's lists as they are, in one unsorted
+  pass per trace, and keeps the smallest violating (agent, round): the
+  same first violation as a walk in sorted order, without the sort.
+
+``tests/oracles.reference_gen_facts`` is the full comparison, and
+``tests/test_facts.py`` holds the two to equal reports.
 """
 
 from __future__ import annotations
@@ -84,7 +104,9 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     trace shares the honest run's snapshots of rounds before m and, once
     it has rejoined the honest run, of the rounds after, except the
     deviator's relabelled ones) is equal in both: F3/F4 skip the pair, and
-    the bounded-state check reads it only in the conforming trace.
+    the bounded-state check reads it only in the conforming trace.  Every
+    other skip (the module docstring lists them) also needs the skipped
+    lists to be equal, and so cannot hide a failure or change a message.
     """
     conform, deviate = paired
     n = cfg.family.n
@@ -165,34 +187,44 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # never travel through the deviator (senders cannot testify about
     # themselves), so these are exact; third-party gossip may lag one round
     # behind while the deviator's payload is suppressed and is not compared.
-    # A snapshot shared by both traces is equal to itself: skip it.
+    # A snapshot shared by both traces is equal to itself: skip it.  Equal
+    # tally lists parse to equal tallies, and equal report lists (or just
+    # equal lists of the reports about i from rounds other than m) to equal
+    # such reports: only a part whose lists differ is compared key by key.
+    def reports_elsewhere(snap) -> list:
+        return [e for e in snap.get("acc", []) if e[0][1] == i and e[0][2] != m]
+
     for M in range(m, last + 1):
         for l in range(n):
             if l == i or C[(l, M)] is D[(l, M)]:
                 continue
-            pc, pd = pend(C[(l, M)]), pend(D[(l, M)])
-            for key in sorted((set(pc) | set(pd))):
-                s, c = key
-                if s != i:
-                    continue
-                rep = _represented_round(c, M, n)
-                same_needed = not (rep >= m and (rep - m) % n == 0)
-                if same_needed and pc.get(key, 0) != pd.get(key, 0):
-                    facts["F3_other_rounds_untouched"] = (
-                        f"agent {l} end of {M}: pend[{s}][{rep}] differs "
-                        f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
-                if pd.get(key, 0) < pc.get(key, 0):
-                    facts["F4_pend_dominance"] = (
-                        f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
-                        f"{pc.get(key, 0)}")
-            ac, ad = acc(C[(l, M)]), acc(D[(l, M)])
-            for key in sorted(set(ac) | set(ad)):
-                if key[2] == m:     # the deviation round's own reports
-                    continue
-                if ac.get(key) != ad.get(key):
-                    facts["F3_other_rounds_untouched"] = (
-                        f"agent {l} end of {M}: report {key} differs "
-                        f"({ac.get(key)} vs {ad.get(key)})")
+            sc, sd = C[(l, M)], D[(l, M)]
+            if sc.get("pend", []) != sd.get("pend", []):
+                pc, pd = pend(sc), pend(sd)
+                for key in sorted((set(pc) | set(pd))):
+                    s, c = key
+                    if s != i:
+                        continue
+                    rep = _represented_round(c, M, n)
+                    same_needed = not (rep >= m and (rep - m) % n == 0)
+                    if same_needed and pc.get(key, 0) != pd.get(key, 0):
+                        facts["F3_other_rounds_untouched"] = (
+                            f"agent {l} end of {M}: pend[{s}][{rep}] differs "
+                            f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
+                    if pd.get(key, 0) < pc.get(key, 0):
+                        facts["F4_pend_dominance"] = (
+                            f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
+                            f"{pc.get(key, 0)}")
+            if (sc.get("acc", []) != sd.get("acc", [])
+                    and reports_elsewhere(sc) != reports_elsewhere(sd)):
+                ac, ad = acc(sc), acc(sd)
+                for key in sorted(set(ac) | set(ad)):
+                    if key[2] == m:     # the deviation round's own reports
+                        continue
+                    if ac.get(key) != ad.get(key):
+                        facts["F3_other_rounds_untouched"] = (
+                            f"agent {l} end of {M}: report {key} differs "
+                            f"({ac.get(key)} vs {ad.get(key)})")
 
     # F5/F6: expected punish mass toward i, computed from the tallies
     # (the sum of min(1, pend/deg_i) over i's neighbours, over one denominator)
@@ -204,8 +236,19 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         return Fraction(sum(min(pend(log[(j, M - 1)]).get((i, M % n), 0),
                                 deg_i) for j in rg.neighbors(i)), deg_i)
 
+    def same_tallies(M: int) -> bool:
+        """Whether every neighbour of i at M ends round M-1 with equal
+        tally lists in both traces, so that both masses are equal."""
+        for j in graph.at(M).neighbors(i):
+            sc, sd = C[(j, M - 1)], D[(j, M - 1)]
+            if sc is not sd and sc.get("pend", []) != sd.get("pend", []):
+                return False
+        return True
+
     extra_in_window = Fraction(0)
     for M in range(m + 1, last + 1):
+        if same_tallies(M):     # hd == hc: nothing to flag or to add
+            continue
         hc = expected_hits(C, M)
         hd = expected_hits(D, M)
         if hd < hc:
@@ -226,23 +269,33 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         elif params.pi * extra_in_window < params.beta * extra_in_window:
             facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
 
-    # boundedness: tallies inside [0, n-1], state within the static bound;
+    # boundedness: tallies inside [0, n-1], state within the static bound,
+    # read straight from the snapshot's lists (which hold each key once);
     # the deviating trace's snapshots shared with the conforming trace are
-    # checked there
+    # checked there.  One unsorted pass per trace keeps the smallest
+    # violating (agent, round), so the message names the first violation
+    # in sorted order, the conforming trace's before the deviating one's.
     bound = SigmaGen.static_state_bound(n)
-    for log in (C, D):
-        for (l, M), snap in sorted(log.items()):
-            if log is D and C.get((l, M)) is snap:
+    for log, shared in ((C, {}), (D, C)):
+        first = None
+        for key, snap in log.items():
+            if shared.get(key) is snap:
                 continue
-            tallies = pend(snap)
-            if any(v > n - 1 or v < 0 for v in tallies.values()):
-                facts["bounded_state"] = (
-                    f"agent {l} end of {M}: tally outside [0, n-1]")
-                break
-            if len(tallies) + len(snap.get("acc", ())) > bound:
-                facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
-                break
-        if facts["bounded_state"]:
+            tallies = snap.get("pend", [])
+            kind = ("size" if len(tallies) + len(snap.get("acc", ())) > bound
+                    else None)
+            for _, v in tallies:
+                if v > n - 1 or v < 0:
+                    kind = "tally"      # named before the size
+                    break
+            if kind and (first is None or key < first[0]):
+                first = key, kind
+        if first:
+            (l, M), kind = first
+            facts["bounded_state"] = (
+                f"agent {l} end of {M}: tally outside [0, n-1]"
+                if kind == "tally" else
+                f"agent {l} state exceeds {bound} entries")
             break
 
     return FactReport(facts=facts)

@@ -7,15 +7,17 @@ the round.
 
 Each job has exactly one implementation, and every layer reads the run's
 parameters from its ``SimConfig``, which caches what depends on it alone:
-the member graph, the honest run and the cooperative tails.
+the member graph, the round views, the honest run and the cooperative
+tails.
 
-* A round is one pass: ``_begin_round`` computes the views and calls
-  ``begin_round``, ``_act`` calls ``act`` once per machine and script,
-  ``_round_outcome`` checks the profile once and sums each agent's utility
-  as integer numerators over the per-edge table's common denominator, and
-  ``protocols._deliver`` (which the shadow worlds share) hands out payloads
-  and calls ``end_round``.  ``_play_round`` chains the four for one draw
-  source, and ``_simulate_machines`` is the only run loop.  A realised run
+* A round is one pass: ``_begin_round`` reads the round's views, built
+  once per config round, and calls ``begin_round``, ``_act`` calls ``act``
+  once per machine and script, ``_round_outcome`` checks the profile once
+  and sums each agent's utility as integer numerators over the per-edge
+  table's common denominator, and ``protocols._deliver`` (which the
+  shadow worlds share) hands out payloads and calls ``end_round``.
+  ``_play_round`` chains the four for one draw source, and
+  ``_simulate_machines`` is the only run loop.  A realised run
   draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
   platforms and thread counts); ``simulate`` runs the configured profile
   through it with no state log (``run_paired_defection`` logs its pairs).
@@ -32,9 +34,10 @@ the member graph, the honest run and the cooperative tails.
   with exact rational probabilities.  ``_Walk`` is its only caller and the
   only branch walker: a depth-first Bellman recursion ``V(w) = sum over
   scripts of p * (r + d * V(w'))`` for a per-round reward r and discount d.
-  Per round it computes the views once and plays each script, forking the
-  machines (``_fork``: one ``clone()`` per machine) for every script but
-  the last; rounds with one script are played in a loop.  The reward is
+  Per round it reads the views, computed once per config round, and plays
+  each script, forking the machines (``_fork``: one ``clone()`` per
+  machine) for every script but the last; rounds with one script are
+  played in a loop.  The reward is
   all that differs between its callers: i's utility discounted by delta
   for ``expected_utility``, the candidates and the one-shot continuations
   (these with the world table below), the punishments toward i with
@@ -136,7 +139,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .evolving_graph import EvolvingGraph, GraphFamily, local_view
+from .evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
+                             local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
                         Trace, UtilityParams, cooperation_tail,
@@ -297,6 +301,11 @@ class SimConfig:
         """``_cooperation_tail``'s memo by (agent, start round)."""
         return {}
 
+    @functools.cached_property
+    def _views(self) -> dict[int, dict[AgentId, LocalView]]:
+        """``_begin_round``'s memo: round m's views by agent."""
+        return {}
+
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
                    ) -> dict[AgentId, StrategyMachine]:
@@ -320,9 +329,13 @@ def build_machines(cfg: SimConfig, honest_only: bool = False,
 
 def _begin_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  m: int) -> dict:
-    """Deliver round m's views; returns them by agent."""
-    graph, obs = cfg.graph, cfg.family.observation
-    views = {i: local_view(graph, i, m, obs) for i in machines}
+    """Deliver round m's views, built once per config; returns them by
+    agent."""
+    views = cfg._views.get(m)
+    if views is None:
+        graph, obs = cfg.graph, cfg.family.observation
+        views = cfg._views[m] = {i: local_view(graph, i, m, obs)
+                                 for i in range(cfg.family.n)}
     for i in sorted(machines):
         machines[i].begin_round(views[i])
     return views

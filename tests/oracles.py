@@ -53,6 +53,10 @@ fresh machines, with nothing cached and no round shared.
 ``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
 store: the same protocol over one flat report dict, and
 ``flat_sigma_gen_key`` maps its state key to ``SigmaGen``'s encoding.
+
+``reference_gen_facts`` is the reference for ``facts.gen_facts``: the fact
+checks as they were before they skipped what cannot fail, comparing every
+unshared snapshot pair key by key and every round's punish masses.
 """
 
 from __future__ import annotations
@@ -66,11 +70,15 @@ from typing import Callable, Iterable, Optional
 import networkx as nx
 
 from dynacct.evolving_graph import (EvolvingGraph, FamilyVerdict,
-                                    GraphFamily, LocalView, local_view)
+                                    GraphFamily, LocalView, _reach,
+                                    local_view)
+from dynacct.facts import (FACT_NAMES, FactReport, _cached, _find_deviation,
+                           _represented_round, _snap_acc, _snap_pend,
+                           check_deviation_round)
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                ActionProfile, History, IndividualAction, Mode,
                                Trace, cooperation_tail)
-from dynacct.protocols import (RandSource, StrategyConfigError,
+from dynacct.protocols import (RandSource, SigmaGen, StrategyConfigError,
                                StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
                               _act, _begin_round, _BoundRand, _deliver,
@@ -1022,3 +1030,190 @@ def flat_sigma_gen_key(key, n: int):
     return (len(codes), *codes,
             *(rel << 2 * nn | bad << nn | known
               for rel, (known, bad) in sorted(rounds.items(), reverse=True)))
+
+
+# ---------------------------------------------------------------------------
+# Reference for the paired facts
+# ---------------------------------------------------------------------------
+
+# ``facts.gen_facts`` as it was before it skipped the snapshot pairs and
+# rounds that cannot fail: every pair of non-shared snapshots parsed and
+# compared key by key, every round's punish masses computed as Fractions,
+# and both state logs walked in sorted order for bounded state.  Kept
+# unchanged apart from its name; its report must equal the package's on
+# every input.
+def reference_gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
+    """Check the six single-deviation invariants of the bounded tally
+    protocol on a (conforming, deviating) trace pair of the
+    ``verifier.SimConfig`` ``cfg``.
+
+    Exact: tallies are compared as integers, expected punishment masses as
+    rationals.  F2 and F6 presuppose a connectivity-restricted family (the
+    dissemination arguments need it); on other families they fail honestly.
+
+    A snapshot that both traces hold as the same object (the deviating
+    trace shares the honest run's snapshots of rounds before m and, once
+    it has rejoined the honest run, of the rounds after, except the
+    deviator's relabelled ones) is equal in both: F3/F4 skip the pair, and
+    the bounded-state check reads it only in the conforming trace.
+    """
+    conform, deviate = paired
+    n = cfg.family.n
+    graph = cfg.graph
+    params = cfg.params
+    check_deviation_round(cfg, m)
+    if conform.state_log is None or deviate.state_log is None:
+        raise ValueError("paired traces need state logs, as "
+                         "verifier.run_paired_defection returns them")
+    C, D = conform.state_log, deviate.state_log
+    pend = _cached(_snap_pend)
+    last = min(conform.last_round, deviate.last_round)
+    found = _find_deviation(conform, deviate, m, last)
+    facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
+    if found is None:
+        return FactReport(facts=facts)   # conforming pair: vacuously fine
+    i, defected = found
+    # F1 and F3 read only reports about i: keep just those
+    acc = _cached(lambda snap: _snap_acc(snap, i))
+
+    deg_m = graph.at(m).degree(i)
+    residue = m % n
+
+    # F1: accusation accuracy against the interference-free reachability
+    # oracle: holders[v][M - m] is the mask of the agents that v's report
+    # (v, i, m) can have reached by the end of round M
+    end = min(m + n - 2, last)
+    holders = {}
+    for v in graph.at(m).neighbors(i):
+        reach = _reach(graph, v, m + 1, keep=~(1 << i))
+        holders[v] = [1 << v] + [1 << v | next(reach)[1] for _ in range(m, end)]
+    for M in range(m, end + 1):
+        for v in range(n):
+            if v == i:
+                continue
+            reached = holders[v][M - m] if v in holders else 0
+            for l in range(n):
+                if l == i:
+                    continue
+                val = acc(D[(l, M)]).get((v, i, m))
+                if not reached >> l & 1:
+                    if val is not None:
+                        facts["F1_accusation_accuracy"] = (
+                            f"agent {l} holds ({v},{i},{m}) at end of {M} "
+                            f"without an information path")
+                        break
+                else:
+                    want = "bad" if v in defected else "good"
+                    if val != want:
+                        facts["F1_accusation_accuracy"] = (
+                            f"agent {l} at end of {M}: report ({v},{i},{m}) "
+                            f"= {val}, expected {want}")
+                        break
+            if facts["F1_accusation_accuracy"]:
+                break
+        if facts["F1_accusation_accuracy"]:
+            break
+
+    # F2: pend about i converges to y + max(x - deg, 0) at round m+n
+    if m + n - 1 <= last:
+        x = max(pend(D[(o, m)]).get((i, residue), 0)
+                for o in range(n) if o != i)
+        y = deg_m if defected else 0
+        want = y + max(x - deg_m, 0)
+        for l in range(n):
+            if l == i:
+                continue
+            got = pend(D[(l, m + n - 1)]).get((i, (m + n) % n), 0)
+            if got != want:
+                facts["F2_pend_convergence"] = (
+                    f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
+                break
+    else:
+        facts["F2_pend_convergence"] = "horizon too short to reach round m+n-1"
+
+    # F3/F4: deviator-subject entries for rounds other than m are untouched,
+    # and the deviating run's tallies dominate.  Entries about the deviator
+    # never travel through the deviator (senders cannot testify about
+    # themselves), so these are exact; third-party gossip may lag one round
+    # behind while the deviator's payload is suppressed and is not compared.
+    # A snapshot shared by both traces is equal to itself: skip it.
+    for M in range(m, last + 1):
+        for l in range(n):
+            if l == i or C[(l, M)] is D[(l, M)]:
+                continue
+            pc, pd = pend(C[(l, M)]), pend(D[(l, M)])
+            for key in sorted((set(pc) | set(pd))):
+                s, c = key
+                if s != i:
+                    continue
+                rep = _represented_round(c, M, n)
+                same_needed = not (rep >= m and (rep - m) % n == 0)
+                if same_needed and pc.get(key, 0) != pd.get(key, 0):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: pend[{s}][{rep}] differs "
+                        f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
+                if pd.get(key, 0) < pc.get(key, 0):
+                    facts["F4_pend_dominance"] = (
+                        f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
+                        f"{pc.get(key, 0)}")
+            ac, ad = acc(C[(l, M)]), acc(D[(l, M)])
+            for key in sorted(set(ac) | set(ad)):
+                if key[2] == m:     # the deviation round's own reports
+                    continue
+                if ac.get(key) != ad.get(key):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: report {key} differs "
+                        f"({ac.get(key)} vs {ad.get(key)})")
+
+    # F5/F6: expected punish mass toward i, computed from the tallies
+    # (the sum of min(1, pend/deg_i) over i's neighbours, over one denominator)
+    def expected_hits(log, M: int) -> Fraction:
+        rg = graph.at(M)
+        deg_i = rg.degree(i)
+        if deg_i == 0:
+            return Fraction(0)
+        return Fraction(sum(min(pend(log[(j, M - 1)]).get((i, M % n), 0),
+                                deg_i) for j in rg.neighbors(i)), deg_i)
+
+    extra_in_window = Fraction(0)
+    for M in range(m + 1, last + 1):
+        hc = expected_hits(C, M)
+        hd = expected_hits(D, M)
+        if hd < hc:
+            facts["F5_round_utility_dominance"] = (
+                f"round {M}: deviating punish mass {hd} < conforming {hc}")
+            break
+        if M <= m + n * n:
+            extra_in_window += hd - hc
+        elif hd != hc:
+            facts["F6_punishment_mass_window"] = (
+                f"round {M} > m+n^2 still differs ({hd} vs {hc})")
+            break
+    if facts["F6_punishment_mass_window"] is None and defected:
+        want = Fraction(deg_m)
+        if last >= m + n * n and extra_in_window != want:
+            facts["F6_punishment_mass_window"] = (
+                f"extra expected punishments {extra_in_window} != deg {want}")
+        elif params.pi * extra_in_window < params.beta * extra_in_window:
+            facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
+
+    # boundedness: tallies inside [0, n-1], state within the static bound;
+    # the deviating trace's snapshots shared with the conforming trace are
+    # checked there
+    bound = SigmaGen.static_state_bound(n)
+    for log in (C, D):
+        for (l, M), snap in sorted(log.items()):
+            if log is D and C.get((l, M)) is snap:
+                continue
+            tallies = pend(snap)
+            if any(v > n - 1 or v < 0 for v in tallies.values()):
+                facts["bounded_state"] = (
+                    f"agent {l} end of {M}: tally outside [0, n-1]")
+                break
+            if len(tallies) + len(snap.get("acc", ())) > bound:
+                facts["bounded_state"] = f"agent {l} state exceeds {bound} entries"
+                break
+        if facts["bounded_state"]:
+            break
+
+    return FactReport(facts=facts)

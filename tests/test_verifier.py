@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import copy
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -479,7 +480,9 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # collected, play 333 rounds where replaying each continuation to
     # absorption and walking every window to its end played 1,455.  No world
     # is keyed while a forced deviation is still ahead: keying those too
-    # would make 504 state_key calls where the walks need 369.
+    # would make 504 state_key calls where the walks need 369.  The views
+    # are built once per config round: 3 agents over the 6 rounds played
+    # (333 builds when every played round built its own).
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -502,15 +505,35 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
                     strategies={a: "sigma_gen" for a in range(3)},
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
-    for name in ("end_round", "act", "begin_round", "local_view"):
+    for name in ("end_round", "act", "begin_round"):
         assert calls[name] == 333, name
     assert calls["state_key"] == 369
+    assert calls["local_view"] == 18
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
                            "override": {"1": "send", "2": "send"}}
     assert rep.tolerance == tail_bound(cfg.params, 3, 29)
     assert rep.verdict is True
     assert rep.checks == 60
+
+
+def test_round_views_are_built_once_per_config_and_read_only():
+    # one view serves every machine, fork and pair that plays its round, so
+    # its degrees cannot be written; a replaced config builds its own views
+    cfg = k3_gen_cfg(horizon=12)
+    run_paired_defection(cfg, 0, 2, ALL_NEIGHBORS)
+    assert sorted(cfg._views) == list(range(1, 13))
+    view = cfg._views[3][0]
+    with pytest.raises(TypeError):
+        view.neighbor_degrees[1] = 5
+    assert view.neighbor_degrees == {1: 2, 2: 2}
+    assert copy.deepcopy(view) is view
+    run_paired_defection(cfg, 1, 3, ALL_NEIGHBORS)
+    assert cfg._views[3][0] is view
+    other = replace(cfg, seed=1)
+    assert other._views == {}
+    run_paired_defection(other, 0, 2, ALL_NEIGHBORS)
+    assert other._views[3][0] is not view and other._views[3][0] == view
 
 
 def _closure_contexts(cfg, i, check=False):
