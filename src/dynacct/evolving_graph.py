@@ -172,45 +172,45 @@ class EvolvingGraph:
         return {}
 
     @cached_property
-    def _automorphisms(self) -> dict[tuple[AgentId, AgentId],
-                                     Optional[tuple[int, ...]]]:
+    def _first_automorphisms(self) -> dict[tuple[AgentId, AgentId],
+                                           Optional[tuple[int, ...]]]:
         """(r, i) -> what ``_automorphism(r, i)`` found, filled on first
         use."""
         return {}
 
-    def _automorphism(self, r: AgentId, i: AgentId) -> Optional[tuple[int, ...]]:
-        """An agent permutation pi (``pi[a]`` is a's image) with pi(r) = i
-        that maps every prefix and cycle round onto itself, or None if
-        there is none.  Backtracks over the agents, r first: an agent's
+    def _automorphisms(self, r: AgentId, i: AgentId) -> Iterator[tuple[int, ...]]:
+        """Every agent permutation pi (``pi[a]`` is a's image) with pi(r) = i
+        that maps every prefix and cycle round onto itself; with r = i, the
+        stabilizer of i.  Backtracks over the agents, r first: an agent's
         image must have its degree in every round and its edges, in every
         round, to the agents placed so far."""
-        key = (r, i)
-        if key in self._automorphisms:
-            return self._automorphisms[key]
         n = self.n
         rows = [tuple(nb[a] for nb in self._masks) for a in range(n)]
         degrees = [tuple(x.bit_count() for x in row) for row in rows]
         order = [r] + [a for a in range(n) if a != r]
         pi = [-1] * n
 
-        def place(k: int, used: int) -> bool:
+        def place(k: int, used: int) -> Iterator[tuple[int, ...]]:
             if k == n:
-                return True
+                yield tuple(pi)
+                return
             a = order[k]
-            images = [i] if k == 0 else [b for b in range(n) if not used >> b & 1]
-            for b in images:
-                if degrees[b] != degrees[a] or any(
+            for b in [i] if k == 0 else range(n):
+                if used >> b & 1 or degrees[b] != degrees[a] or any(
                         (ra >> p & 1) != (rb >> pi[p] & 1)
                         for ra, rb in zip(rows[a], rows[b]) for p in order[:k]):
                     continue
                 pi[a] = b
-                if place(k + 1, used | 1 << b):
-                    return True
-            return False
+                yield from place(k + 1, used | 1 << b)
 
-        found = tuple(pi) if place(0, 0) else None
-        self._automorphisms[key] = found
-        return found
+        return place(0, 0)
+
+    def _automorphism(self, r: AgentId, i: AgentId) -> Optional[tuple[int, ...]]:
+        """The first of ``_automorphisms(r, i)``, or None if there is none."""
+        found = self._first_automorphisms
+        if (r, i) not in found:
+            found[(r, i)] = next(self._automorphisms(r, i), None)
+        return found[(r, i)]
 
     @cached_property
     def _agreement(self) -> dict:

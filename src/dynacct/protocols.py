@@ -16,11 +16,14 @@ A machine owns one agent's private protocol state.  The round contract is:
 
 Machines set ``draw_independent_state`` when their state evolution depends
 only on which neighbours defected, never on punish/cooperate draw outcomes;
-the equilibrium verifier relies on that flag.  A class sets ``label_free``
-when it never reads an agent id except to tell agents apart: relabelling
-the agents of its views, actions and payloads relabels everything it does.
-Then an automorphism of the graph maps one agent's one-shot report onto
-another's, and the verifier reuses it (``verifier.verify_one_shot``).
+the equilibrium verifier relies on that flag.  A class is label-free when
+it never reads an agent id except to tell agents apart: relabelling the
+agents of its views, actions and payloads relabels everything it does.
+Such a class implements ``relabel_key(key, pi)``, which maps a machine's
+``state_key`` to the key of its image under the agent permutation pi;
+every other class leaves it None.  Then an automorphism of the graph maps
+one agent's one-shot report onto another's, and one forced continuation
+onto another, and the verifier reuses them (``verifier.verify_one_shot``).
 ``clone()`` copies shallowly; a machine extends it for each container it
 mutates in place.  A deviation strategy is a base machine plus a twist:
 ``_Wrapper`` forwards every round hook to the base, and its subclasses
@@ -44,9 +47,10 @@ them.
 from __future__ import annotations
 
 import copy
+import functools
 from fractions import Fraction
 from collections.abc import Mapping
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
                              local_view)
@@ -97,7 +101,10 @@ class StrategyMachine:
 
     mode: Mode = Mode.GENERAL
     draw_independent_state: bool = True
-    label_free: bool = False
+    # a label-free class sets a static ``relabel_key(key, pi)``: the
+    # ``state_key`` that agent pi[a] holds in the pi-image of a world in
+    # which agent a holds ``key``
+    relabel_key: Optional[Callable] = None
     uses_own_action: bool = False
     # the round a deviation strategy first departs from its base, if scripted
     first_deviation_round: Optional[int] = None
@@ -212,6 +219,11 @@ class _AccusationWindow(StrategyMachine):
         return (type(self).__name__, self.rho,
                 frozenset((s, m - r) for (s, r) in self.accusations))
 
+    @staticmethod
+    def relabel_key(key, pi: Sequence[AgentId]):
+        name, rho, accusations = key
+        return name, rho, frozenset((pi[s], age) for s, age in accusations)
+
     def is_quiescent(self) -> bool:
         return not self.accusations
 
@@ -226,7 +238,6 @@ class SigmaVal(_AccusationWindow):
     """
 
     mode = Mode.VALUABLE
-    label_free = True
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         cap = min(self.rho, self.n - 1)
@@ -241,7 +252,6 @@ class AccusationPunisher(_AccusationWindow):
     active punishment toward any neighbour accused inside the window."""
 
     mode = Mode.GENERAL
-    label_free = True
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         return {j: (PUNISH if self.accusation_count(j) > 0 else COOPERATE)
@@ -284,7 +294,6 @@ class SigmaGen(StrategyMachine):
     """
 
     mode = Mode.GENERAL
-    label_free = True
 
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
@@ -353,7 +362,7 @@ class SigmaGen(StrategyMachine):
         every other copy is that record forwarded unchanged, so all senders
         holding the bit hold the same value.  A scheduled override changes
         actions, never payloads, so this holds under the verifier's
-        deviations too, and the machine is ``label_free``."""
+        deviations too, and the machine is label-free."""
         n, me = self.n, self.me
         senders = [(j, p) for j, (a, p) in sorted(inbox.items())
                    if a.kind is not ActionKind.DEFECT and p is not None]
@@ -414,6 +423,23 @@ class SigmaGen(StrategyMachine):
         return (len(pend), *pend, *((m - r) << 2 * nn | bad << nn | known
                                     for r, (known, bad) in sorted(self.acc.items())))
 
+    @staticmethod
+    def relabel_key(key, pi: Sequence[AgentId]):
+        """Each pend code's subject s becomes pi[s], and the codes are
+        re-sorted; each report mask is moved by ``_moved_reports``, and the
+        stored rounds keep their order."""
+        pi = tuple(pi)
+        n = len(pi)
+        nn = n * n
+        full = (1 << nn) - 1
+        count = key[0]
+        pend = sorted(code + (pi[code // n % n] - code // n % n) * n
+                      for code in key[1:count + 1])
+        acc = (code >> 2 * nn << 2 * nn
+               | _moved_reports(code >> nn & full, pi) << nn
+               | _moved_reports(code & full, pi) for code in key[count + 1:])
+        return (count, *pend, *acc)
+
     def is_quiescent(self) -> bool:
         return not self.pend and not any(bad for _, bad in self.acc.values())
 
@@ -421,6 +447,21 @@ class SigmaGen(StrategyMachine):
     def static_state_bound(n: int) -> int:
         # pend: (n-1) subjects x n residues; acc: n(n-1) ordered pairs x n rounds
         return (n - 1) * n + n * (n - 1) * n
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _moved_reports(mask: int, pi: tuple[AgentId, ...]) -> int:
+    """A report mask with each bit ``v*n + s`` moved to ``pi[v]*n + pi[s]``.
+    Cached: a run holds few distinct masks, and a symmetric checker
+    relabels each one under every automorphism in every context."""
+    n = len(pi)
+    out = 0
+    while mask:
+        low = mask & -mask
+        b = low.bit_length() - 1
+        out |= 1 << (pi[b // n] * n + pi[b % n])
+        mask ^= low
+    return out
 
 
 def sigma_gen(me: AgentId, n: int, params: UtilityParams,
@@ -435,8 +476,6 @@ def sigma_gen(me: AgentId, n: int, params: UtilityParams,
 class AlwaysDefect(StrategyMachine):
     """Defect everyone, always; sends nothing."""
 
-    label_free = True
-
     def __init__(self, me: AgentId, n: int, mode: Mode):
         super().__init__(me, n)
         self.mode = mode
@@ -446,6 +485,10 @@ class AlwaysDefect(StrategyMachine):
 
     def state_key(self, m: int):
         return ("AlwaysDefect",)
+
+    @staticmethod
+    def relabel_key(key, pi: Sequence[AgentId]):
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +503,12 @@ class UnsafePunisherProtocol(_AccusationWindow):
     defect, unless agent 2 was itself defected by agent 1 at round 2, in
     which case agent 2 forgives and keeps sending.  A deviator following
     the profile sincerely conditions on its own past defections.  The
-    script names agents 0 and 2, so the class is not ``label_free``.
+    script names agents 0 and 2, so the class is not label-free.
     """
 
     mode = Mode.GENERAL
     uses_own_action = True
+    relabel_key = None
 
     def __init__(self, me: AgentId, n: int, rho: int):
         super().__init__(me, n, rho)

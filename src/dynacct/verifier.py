@@ -7,8 +7,8 @@ the round.
 
 Each job has exactly one implementation, and every layer reads the run's
 parameters from its ``SimConfig``, which caches what depends on it alone:
-the member graph, the round views, the honest run and the cooperative
-tails.
+the member graph, the round views, the honest run and the one-shot
+reports.
 
 * A round is one pass: ``_begin_round`` reads the round's views, built
   once per config round, and calls ``begin_round``, ``_act`` calls ``act``
@@ -38,16 +38,16 @@ tails.
   each script, forking the machines (``_fork``: one ``clone()`` per
   machine) for every script but the last; rounds with one script are
   played in a loop.  The reward is
-  all that differs between its callers: i's utility discounted by delta
-  for ``expected_utility``, the candidates and the one-shot continuations
-  (these with the world table below), the punishments toward i with
-  discount 1 for ``expected_punishments``, and a check that raises at the
-  first non-cooperative action for ``verify_cooperation``.
+  all that differs between its callers: i's utility minus its
+  all-cooperate utility, discounted by delta, for ``expected_utility``,
+  the candidates and the one-shot continuations (these with the world
+  table below), the punishments toward i with discount 1 for
+  ``expected_punishments``, and a check that raises at the first
+  non-cooperative action for ``verify_cooperation``.
 * The value after a history is the walk from the machines of that history
   (``_OneShotChecker._continuation_eu`` forks them at its context).  A
   branch cut by the walk's last round ``end`` is recorded as absorbed at
-  ``end + 1``, where the tail is 0, so the absorption probabilities always
-  sum to 1.
+  ``end + 1``.
 * Every deviation is a machine.  The one-shot checker forces i's send/
   defect/avoid classes in one round by wrapping i's machine in a sincere
   ``protocols.ScheduledDefector``, so the round engine and the walker take
@@ -56,9 +56,16 @@ tails.
 
 Expected utilities are computed to the configured horizon.  A branch whose
 machines all report quiescence is absorbed: from there every agent
-cooperates forever, and the remaining discounted utility is added in closed
-form.  Gains between two continuations that both absorb before the horizon
-are therefore exact even for the infinite game; the reported tolerance is
+cooperates forever.  Utilities are valued relative to i's cooperative tail
+(``_relative_eu``): the walk's reward is i's round utility minus its
+all-cooperate one, which is 0 on every round after an absorption, so a
+branch absorbed at round a is worth ``pre - cooperation_tail(start .. a -
+1)``, and the closed-form tail from ``start``, whose absorption
+probabilities sum to 1, cancels from every gain.  No delta**horizon-sized
+``Fraction`` is multiplied or subtracted per check; only
+``expected_utility`` adds the tail from round 1 back.  Gains
+between two continuations that both absorb before the horizon are
+therefore exact even for the infinite game; the reported tolerance is
 still the analytic tail bound the finite-horizon contract prescribes.
 
 One-shot deviation checking (``_OneShotChecker.report``: one checker per
@@ -89,11 +96,10 @@ Continuation values are shared through one table per ``verify_one_shot``
 call, keyed by ``_world_key`` (graph phase plus every machine's
 round-relative ``state_key``), with no round or horizon in the key.  A
 continuation's walk stops at the first world already valued.  An entry
-holds i's expected utility before absorption, discounted to the round the
-world was reached in, the absorption offsets ``{k: p}`` and the leaf
-count; read at round m it is worth ``pre + sum p * delta**k * tail(m +
-k)``, with the closed-form cooperative tail.  It is exact, not
-approximate, because:
+holds i's expected utility relative to its cooperative tail, discounted to
+the round the world was reached in, the offset of its latest absorption
+and the leaf count; read at round m it is worth the same.  It is exact,
+not approximate, because:
 
 * state is draw-independent and ``state_key`` is complete, so two worlds
   with equal keys at the same graph phase play identical subtrees, with the
@@ -103,20 +109,28 @@ approximate, because:
 * a world with a deviation still ahead is never valued, and a spent
   wrapper keys and plays as its base;
 * an entry is written only from a subtree whose every branch absorbed
-  within the horizon, and read at round m only if ``m + max(k)`` is
-  within the horizon too, so the horizon never cuts a reused subtree;
+  within the horizon, and read at round m only if m plus its latest
+  absorption offset is within the horizon too, so the horizon never cuts
+  a reused subtree;
 * a reused entry adds its leaf count, so ``EnumerationCapExceeded`` is
   raised exactly when enumerating every branch would raise it.
 
-Symmetric agents share one walk.  A candidate-free report is memoised on
-the ``SimConfig`` by (agent, robust depth), and agent i is given agent r's
-report relabelled through an automorphism pi of the graph with pi(r) = i
-(one that maps every prefix and cycle round onto itself) when:
+Symmetric agents, and symmetric continuations, share one walk.  Both need
+a symmetric profile (``_symmetric_profile``): every agent runs the same
+spec, with no deviation layer, of a label-free machine class, one with a
+``relabel_key``.  An automorphism pi of the graph (one that maps every
+prefix and cycle round onto itself) then maps every run onto a run, each
+machine's key relabelled by ``relabel_key`` and moved to agent pi(a), with
+the same branch probabilities, absorption rounds and leaf count, and with
+agent a's utilities given to pi(a).
+
+A candidate-free report is memoised on the ``SimConfig`` by (agent, robust
+depth), and agent i is given agent r's report relabelled through an
+automorphism pi with pi(r) = i when:
 
 * neither i nor r has candidates;
-* every agent runs the same spec, with no deviation layer;
-* that spec's machine class is ``label_free``, so pi maps r's whole
-  verification (views, degrees, payloads, world keys, checks) onto i's;
+* the profile is symmetric, so pi maps r's whole verification (views,
+  degrees, payloads, world keys, checks) onto i's;
 * r's witness is on-path and is either its first check or the only check
   with the selection key's maximum.  The on-path walk collects its
   contexts in round order under any labelling, but the neighbour-sorted
@@ -126,6 +140,18 @@ report relabelled through an automorphism pi of the graph with pi(r) = i
 Relabelling sets the witness's agent, maps its override keys through pi
 and re-sorts them; gain, tolerance, verdict and check count carry over.
 Otherwise i is verified directly, and its report is memoised too.
+
+Within one checker, the forced continuations walked are kept by (m2, world
+key of the context, pattern), with their values and leaves.  Before
+walking pattern P from a context w at m2, the checker looks up (m2,
+sigma(w), sigma(P)) for each automorphism sigma other than the identity
+that fixes i; the images of w are computed once per context.  A hit is
+exact: the walk from w with P is the sigma-image of the walk that was
+stored, sigma fixes i, so it has the same utilities for i, and both start
+at m2, so the horizon cuts both alike.  A hit counts the stored leaves,
+so the enumeration cap refuses exactly where walking would.  Only values
+change hands: the contexts, the checks and their order, and so every
+report, are those of walking every continuation.
 """
 
 from __future__ import annotations
@@ -143,8 +169,8 @@ from .evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                              local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
-                        Trace, UtilityParams, cooperation_tail,
-                        discounted_utility, tail_bound)
+                        Trace, UtilityParams, cooperation_round_utility,
+                        cooperation_tail, discounted_utility, tail_bound)
 from .protocols import (RandSource, ScheduledDefector, StrategyConfigError,
                         StrategyMachine, _deliver, build_deviation,
                         build_strategy, honest_spec)
@@ -297,11 +323,6 @@ class SimConfig:
         return {}
 
     @functools.cached_property
-    def _tails(self) -> dict[tuple[AgentId, int], Fraction]:
-        """``_cooperation_tail``'s memo by (agent, start round)."""
-        return {}
-
-    @functools.cached_property
     def _views(self) -> dict[int, dict[AgentId, LocalView]]:
         """``_begin_round``'s memo: round m's views by agent."""
         return {}
@@ -438,11 +459,10 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
 
 class _Valued(NamedTuple):
     """A world's value relative to the round it was reached in: the expected
-    reward before absorption, discounted to that round; the absorption
-    offsets ``((k, p), ...)`` in increasing k, with their probabilities; and
-    the leaves of its branch tree."""
+    reward before absorption, discounted to that round; the offset of its
+    latest absorption; and the leaves of its branch tree."""
     pre: Fraction
-    offsets: tuple[tuple[int, Fraction], ...]
+    span: int
     leaves: int
 
 
@@ -473,12 +493,11 @@ class _Walk:
         if self.leaves > cap:
             raise EnumerationCapExceeded(cap, m - 1, cap)
 
-    def value(self, ms, m: int):
-        """Walk the pre-round machines ``ms`` from round m: ``(pre,
-        absorbed)``, with ``pre`` the expected reward of the rounds played,
-        discounted to m, and ``absorbed`` the probability of absorbing at
-        each round.  A branch cut by ``end`` is recorded as absorbed at
-        ``end + 1``.
+    def value(self, ms, m: int) -> tuple[Fraction, int]:
+        """Walk the pre-round machines ``ms`` from round m: ``(pre, last)``,
+        with ``pre`` the expected reward of the rounds played, discounted to
+        m, and ``last`` the latest round a branch absorbed at.  A branch cut
+        by ``end`` is recorded as absorbed at ``end + 1``.
 
         Rounds with one draw script are played in a loop, and only a round
         with several recurses.  A keyed round stops at the first world
@@ -492,21 +511,20 @@ class _Walk:
             key = None      # the world key of round m, if the table is used
             if m > self.end:
                 self._stop(m, 1)
-                pre, absorbed = Fraction(0), {self.end + 1: Fraction(1)}
+                pre, last = Fraction(0), self.end + 1
                 break
             if m > ahead:
                 if all(mach.is_quiescent() for mach in ms.values()):
                     self._stop(m, 1)
-                    pre, absorbed = Fraction(0), {m: Fraction(1)}
+                    pre, last = Fraction(0), m
                     break
-                # not at the last round: no offset is 0, every branch is cut
+                # not at the last round: no span is 0, every branch is cut
                 if self.table is not None and m < self.end:
                     key = _world_key(cfg.graph, ms, m)
                     hit = self.table.get(key)
-                    if hit is not None and m + hit.offsets[-1][0] <= self.end:
+                    if hit is not None and m + hit.span <= self.end:
                         self._stop(m, hit.leaves)
-                        pre = hit.pre
-                        absorbed = {m + k: p for k, p in hit.offsets}
+                        pre, last = hit.pre, m + hit.span
                         key = None      # already valued
                         break
             views = _begin_round(cfg, ms, m)
@@ -518,57 +536,61 @@ class _Walk:
                 _deliver(views, ms, profile)
                 m += 1
                 continue
-            pre, absorbed = Fraction(0), {}
+            pre, last = Fraction(0), m
             for k, (p, profile, utils) in enumerate(outcomes):
                 r = self.reward(m, profile, utils)
                 sub = ms if k == len(outcomes) - 1 else _fork(ms)
                 _deliver(views, sub, profile)
-                spre, sabs = self.value(sub, m + 1)
+                spre, slast = self.value(sub, m + 1)
                 pre += p * (r + d * spre)
-                for a, q in sabs.items():
-                    absorbed[a] = absorbed.get(a, 0) + p * q
+                last = max(last, slast)
             break
-        complete = self.end + 1 not in absorbed
+        complete = last <= self.end
         leaves = self.leaves - first
         if complete:
-            self._store(key, m, pre, absorbed, leaves)
+            self._store(key, m, pre, last, leaves)
         for key, t, r in reversed(chain):
             pre = r + d * pre
             if complete:
-                self._store(key, t, pre, absorbed, leaves)
-        return pre, absorbed
+                self._store(key, t, pre, last, leaves)
+        return pre, last
 
-    def _store(self, key: Optional[tuple], m: int, pre: Fraction,
-               absorbed: dict[int, Fraction], leaves: int):
+    def _store(self, key: Optional[tuple], m: int, pre: Fraction, last: int,
+               leaves: int):
         if key is not None:
-            self.table[key] = _Valued(
-                pre, tuple(sorted((a - m, p) for a, p in absorbed.items())),
-                leaves)
+            self.table[key] = _Valued(pre, last - m, leaves)
 
 
-def _cooperation_tail(cfg: SimConfig, i: AgentId, start: int) -> Fraction:
-    """i's closed-form cooperative tail from ``start`` to the horizon,
-    memoised on cfg."""
-    tail = cfg._tails.get((i, start))
-    if tail is None:
-        tail = cfg._tails[(i, start)] = cooperation_tail(
-            cfg.graph, i, cfg.params, start, cfg.horizon)
-    return tail
+def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
+                 i: AgentId, start: int, table: Optional[dict] = None,
+                 ) -> tuple[Fraction, int]:
+    """i's expected utility over the runs of the pre-round machines
+    ``machines`` walked from round ``start``, discounted to ``start``,
+    relative to i's cooperative tail from there; and the leaves walked.
+
+    The walk's reward is i's round utility minus its all-cooperate one.  A
+    branch absorbed at round a adds nothing after a, where every agent
+    cooperates, and a branch cut by the horizon adds nothing after it, so
+    the value is ``pre - sum of p_a * cooperation_tail(start .. a - 1)``
+    over the absorption rounds a: the closed-form tail, whose
+    probabilities sum to 1, cancels.  Pass one ``table`` to share the
+    valued worlds."""
+    graph, params = cfg.graph, cfg.params
+
+    def gap(m: int, profile: ActionProfile, utils) -> Fraction:
+        return utils[i] - cooperation_round_utility(i, graph.at(m), params)
+
+    walk = _Walk(cfg, gap, params.delta, table=table)
+    return walk.value(machines, start)[0], walk.leaves
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                 i: AgentId, start: int, table: Optional[dict] = None) -> Fraction:
+                 i: AgentId, start: int) -> Fraction:
     """Expected utility of i discounted to round ``start``, over the runs of
-    the pre-round machines ``machines`` walked from there, with the
-    closed-form cooperative tail of every absorbed branch.  Pass one
-    ``table`` to share the valued worlds."""
-    d = cfg.params.delta
-    walk = _Walk(cfg, lambda m, profile, utils: utils[i], d, table=table)
-    total, absorbed = walk.value(machines, start)
-    for a, p in absorbed.items():
-        if a <= cfg.horizon:
-            total += p * d ** (a - start) * _cooperation_tail(cfg, i, a)
-    return total
+    the pre-round machines ``machines`` walked from there: the cooperative
+    tail from ``start`` plus ``_relative_eu``."""
+    return (cooperation_tail(cfg.graph, i, cfg.params, start, cfg.horizon)
+            + _relative_eu(cfg, machines, i, start)[0])
 
 
 def expected_utility(cfg: SimConfig, i: AgentId) -> Fraction:
@@ -690,6 +712,16 @@ class _OneShotChecker:
         self.tolerances: dict[int, Fraction] = {}
         # continuation values by world key, from fully absorbed subtrees
         self.values: dict[tuple, _Valued] = {}
+        # the automorphisms other than the identity that fix i, if the
+        # profile is symmetric (set by ``report``); the continuations walked,
+        # by (m2, world key) and then pattern, with their values and leaves;
+        # the last context's world key images; the leaves counted, and the
+        # continuations served by a symmetric twin
+        self.symmetries: Sequence[tuple[int, ...]] = ()
+        self.continuations: dict[tuple, dict] = {}
+        self._context: Optional[tuple] = None
+        self.leaves = 0
+        self.shared = 0
 
     def _tolerance(self, rounds_left: int) -> Fraction:
         tol = self.tolerances.get(rounds_left)
@@ -737,12 +769,51 @@ class _OneShotChecker:
                                            sincere=True)
         return ms
 
+    def _images(self, machines, m2: int) -> tuple[tuple, list]:
+        """The world key of the context ``machines`` at m2, and its image
+        under each symmetry pi: agent pi[a] holds a's key relabelled.
+        Computed once per context."""
+        context = self._context
+        if context is None or context[0] is not machines or context[1] != m2:
+            world = _world_key(self.cfg.graph, machines, m2)
+            phase, keys = world
+            relabel = type(machines[self.i]).relabel_key
+            images = []
+            for pi in self.symmetries:
+                image = list(keys)
+                for a, key in enumerate(keys):
+                    image[pi[a]] = relabel(key, pi)
+                images.append((pi, (phase, tuple(image))))
+            self._context = (machines, m2, world, images)
+        return self._context[2], self._context[3]
+
     def _continuation_eu(self, machines, m2: int,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
-        """i's expected utility from round m2, discounted to m2, with i's
-        round-m2 classes forced to ``pattern`` (None: as prescribed)."""
-        return _expected_eu(self.cfg, self._forced(machines, m2, pattern),
-                            self.i, m2, table=self.values)
+        """i's expected utility from round m2, discounted to m2, relative to
+        its cooperative tail from m2 (``_relative_eu``), with i's round-m2
+        classes forced to ``pattern`` (None: as prescribed).  A continuation
+        whose image under a symmetry was walked is not walked again."""
+        walked = None
+        if self.symmetries:
+            world, images = self._images(machines, m2)
+            for pi, image in images:
+                done = self.continuations.get((m2, image))
+                if done is None:
+                    continue
+                hit = done.get(_pattern_key(pattern, pi))
+                if hit is not None:
+                    self.leaves += hit[1]
+                    self.shared += 1
+                    return hit[0]
+            walked = self.continuations.setdefault((m2, world), {})
+        forced = self._forced(machines, m2, pattern)
+        value, leaves = _relative_eu(self.cfg, forced, self.i, m2,
+                                     table=self.values)
+        self.leaves += leaves
+        if walked is not None:
+            walked[_pattern_key(pattern, range(self.cfg.family.n))] = (value,
+                                                                       leaves)
+        return value
 
     def check_context(self, m2: int, machines, origin: str,
                       prescribed: dict[AgentId, str]):
@@ -764,17 +835,18 @@ class _OneShotChecker:
 
     @functools.cached_property
     def honest_eu(self) -> Fraction:
-        """i's expected utility under the honest profile, computed once and
-        only if a candidate needs it."""
-        return _expected_eu(self.cfg, build_machines(self.cfg, honest_only=True),
-                            self.i, 1)
+        """i's expected utility under the honest profile, relative to its
+        cooperative tail from round 1, computed once and only if a candidate
+        needs it."""
+        return _relative_eu(self.cfg, build_machines(self.cfg, honest_only=True),
+                            self.i, 1)[0]
 
     def add_candidate(self, spec: Mapping):
         cfg = self.cfg
         machine = build_deviation(spec, cfg, self.i)
         machines = build_machines(cfg, honest_only=True)
         machines[self.i] = machine
-        eu_dev = _expected_eu(cfg, machines, self.i, 1)
+        eu_dev = _relative_eu(cfg, machines, self.i, 1)[0]
         m_dev = machine.first_deviation_round or 1
         if m_dev > cfg.horizon:
             raise StrategyConfigError(
@@ -792,6 +864,9 @@ class _OneShotChecker:
         """i's report from the honest machines ``honest``, and whether its
         witness is order-invariant."""
         cfg, i = self.cfg, self.i
+        if _symmetric_profile(cfg, honest):
+            self.symmetries = [pi for pi in cfg.graph._automorphisms(i, i)
+                               if pi != tuple(range(cfg.family.n))]
         self._walk_contexts(honest, 1, cfg.horizon - 1, "on-path")
         prior_points = self.contexts[:] if robust_depth == 2 else []
 
@@ -880,18 +955,33 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     return _relabel(memo[(i, robust_depth)][0], range(cfg.family.n), i)
 
 
+def _pattern_key(pattern: Optional[Mapping[AgentId, str]],
+                 pi: Sequence[AgentId]) -> Optional[frozenset]:
+    """The override pattern with each neighbour j renamed pi[j], hashable."""
+    return None if pattern is None else frozenset(
+        (pi[j], o) for j, o in pattern.items())
+
+
+def _symmetric_profile(cfg: SimConfig, honest) -> bool:
+    """Whether every agent runs the same spec, with no deviation layer, of
+    a label-free class (one with a ``relabel_key``): then an automorphism
+    pi of the graph maps every run of the honest machines, their keys
+    relabelled, onto a run with the same utilities for fixed points of
+    pi, and maps agent r's runs onto pi(r)'s."""
+    specs = list(cfg.strategies.values())
+    return not (any(s != specs[0] for s in specs)
+                or isinstance(specs[0], Mapping) and "deviation" in specs[0]
+                or any(type(m).relabel_key is None for m in honest.values()))
+
+
 def _orbit_report(cfg: SimConfig, honest, i: AgentId,
                   robust_depth: int) -> Optional[EquilibriumReport]:
     """A memoised report of an agent r mapped onto i by an automorphism pi
-    of the graph, if one is exact: every agent runs the same spec, with no
-    deviation layer, of a ``label_free`` class, so pi maps r's whole
-    verification onto i's; and r's witness is on-path and either its first
-    check or the only one with the selection key's maximum, so no tie
+    of the graph, if one is exact: the profile is symmetric, so pi maps r's
+    whole verification onto i's; and r's witness is on-path and either its
+    first check or the only one with the selection key's maximum, so no tie
     between checks that pi reorders picks it."""
-    specs = list(cfg.strategies.values())
-    if (any(s != specs[0] for s in specs)
-            or isinstance(specs[0], Mapping) and "deviation" in specs[0]
-            or not all(type(m).label_free for m in honest.values())):
+    if not _symmetric_profile(cfg, honest):
         return None
     for (r, depth), (report, invariant) in cfg._one_shot_reports.items():
         if depth == robust_depth and invariant:

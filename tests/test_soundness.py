@@ -12,9 +12,11 @@ covers every later context only if equal keys have equal successors.  So
 does ``run_paired_defection``: a deviating run stops playing, and copies
 the honest run, once every machine's key equals the honest run's at the
 same round.  These tests check both instead of assuming them.
-A class that declares ``label_free`` lets the verifier map one agent's
-report onto another's through a graph automorphism; a test checks that
-relabelling a one-shot deviation leaves its value unchanged.
+A label-free class (one with a ``relabel_key``) lets the verifier map one
+agent's report, and one forced continuation, onto another's through a
+graph automorphism; a test checks that relabelling a one-shot deviation
+leaves its value unchanged, and another that ``relabel_key`` gives the
+image machine's ``state_key`` in every round of the relabelled run.
 The walker absorbs a branch once every machine is quiescent and adds the
 cooperative tail in closed form; a test checks that quiescence is
 absorbing: from then on every machine cooperates and stays quiescent.
@@ -38,8 +40,8 @@ from dynacct.protocols import (ALL_NEIGHBORS, RandSource, ScheduledDefector,
                                build_strategy)
 from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, general_defaults,
                                valuable_defaults)
-from dynacct.verifier import (SimConfig, _expected_eu, _HashDraws, _phase,
-                              _play_round, build_machines,
+from dynacct.verifier import (SimConfig, _expected_eu, _FixedDraws, _fork,
+                              _HashDraws, _phase, _play_round, build_machines,
                               run_paired_defection)
 
 from .test_verifier import mixed_degree_family
@@ -253,7 +255,7 @@ def test_label_free_machines_are_equivariant(name, rng):
         cfg = SimConfig(family=fam, member=g.name,
                         strategies={a: spec for a in range(n)}, horizon=12,
                         params=params(n))
-        label_free = type(build_machines(cfg)[0]).label_free
+        label_free = type(build_machines(cfg)[0]).relabel_key is not None
         classes = ["send", "defect"] + (
             ["avoid"] if cfg.params.mode is Mode.VALUABLE else [])
         for a in range(n):
@@ -268,6 +270,58 @@ def test_label_free_machines_are_equivariant(name, rng):
                 differ += eu != image
     assert label_free == (name != "unsafe_scripted")
     assert label_free or differ
+
+
+LABEL_FREE = sorted(set(SHIPPED) - {"unsafe_scripted"})
+
+
+@pytest.mark.parametrize("name", LABEL_FREE)
+def test_relabel_key_is_the_key_of_the_image_machine(name, rng):
+    # on random families with an automorphism sigma: from one honest
+    # checkpoint, a one-shot deviation (some agents force random send/defect
+    # patterns at one round, so several subjects are accused at once) and
+    # its sigma-image, where agent sigma[a] forces a's pattern with every
+    # neighbour j renamed sigma[j], are played under fixed draws.  Every
+    # round, each machine's key relabelled through sigma is the key of its
+    # image machine
+    from .conftest import random_symmetric_graph
+    spec, params = SHIPPED[name]
+    relabelled = 0
+    for k in range(8):
+        n = rng.randint(3, 5)
+        g, sigma = random_symmetric_graph(rng, n, f"s{k}")
+        fam = GraphFamily(n, (g,), ObservationModel.NEIGHBORS_AND_DEGREES,
+                          max(8, g.period))
+        cfg = SimConfig(family=fam, member=g.name,
+                        strategies={a: spec for a in range(n)}, horizon=40,
+                        params=params(n))
+        relabel = type(build_machines(cfg)[0]).relabel_key
+        at = rng.randint(1, 4)
+        classes = ["send", "defect"]
+        patterns = {a: {j: rng.choice(classes) for j in g.at(at).neighbors(a)}
+                    for a in rng.sample(range(n), rng.randint(1, n))}
+        runs = []
+        for image in (False, True):
+            machines = _fork(cfg._honest_run.checkpoints[at - 1])
+            for a, pattern in patterns.items():
+                b = sigma[a] if image else a
+                forced = {sigma[j] if image else j: c for j, c in pattern.items()}
+                machines[b] = ScheduledDefector(
+                    machines[b], {at: {c: [j for j in forced if forced[j] == c]
+                                       for c in classes}}, sincere=True)
+            runs.append(machines)
+        for m in range(at, at + n * n + 3):
+            # a deviator keys as its base once its round has played
+            for a in (a for a in range(n) if m > at or a not in patterns):
+                key, image = (runs[0][a].state_key(m),
+                              runs[1][sigma[a]].state_key(m))
+                assert relabel(key, sigma) == image, (g.name, sigma, patterns,
+                                                      m, a)
+                relabelled += key != runs[0][sigma[a]].state_key(m)
+            for machines in runs:
+                _play_round(cfg, machines, m, _FixedDraws())
+    if name != "always_defect":
+        assert relabelled > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph)
 from dynacct.game_core import (COOPERATE, ActionKind, Mode, UtilityParams,
-                               discounted_utility)
+                               cooperation_tail, discounted_utility)
 from dynacct.protocols import (ALL_NEIGHBORS, StrategyConfigError,
                                always_defect_until)
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
@@ -478,11 +478,14 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # 2,424 act calls here); continuations that stop at the first world
     # already valued, and context walks that stop at the first world already
     # collected, play 333 rounds where replaying each continuation to
-    # absorption and walking every window to its end played 1,455.  No world
-    # is keyed while a forced deviation is still ahead: keying those too
-    # would make 504 state_key calls where the walks need 369.  The views
-    # are built once per config round: 3 agents over the 6 rounds played
-    # (333 builds when every played round built its own).
+    # absorption and walking every window to its end played 1,455; and a
+    # continuation whose image under the automorphism swapping 1 and 2 was
+    # walked is not walked again, which leaves 249.  No world is keyed while
+    # a forced deviation is still ahead: keying those too would make 504
+    # state_key calls where the walks needed 369 before the sharing, and
+    # need 321 with it, its context keys included.  The views are built once
+    # per config round: 3 agents over the 6 rounds played (333 builds when
+    # every played round built its own).
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -506,8 +509,8 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
     for name in ("end_round", "act", "begin_round"):
-        assert calls[name] == 333, name
-    assert calls["state_key"] == 369
+        assert calls[name] == 249, name
+    assert calls["state_key"] == 321
     assert calls["local_view"] == 18
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
@@ -683,10 +686,17 @@ def test_world_table_matches_memo_free_continuations(rng):
     assert forks > 0
 
 
+def _tail(cfg, i, m):
+    """i's closed-form cooperative tail from round m to the horizon, which
+    the one-shot checker's tail-relative values leave out."""
+    return cooperation_tail(cfg.graph, i, cfg.params, m, cfg.horizon)
+
+
 def test_forced_continuations_match_the_engine_level_override():
     # every context and pattern of unsafe_three_agent (86 continuations):
-    # i's classes forced by a ScheduledDefector wrapper are worth what the
-    # leaf enumeration with the pattern applied by the round step is worth.
+    # i's classes forced by a ScheduledDefector wrapper, valued relative to
+    # i's cooperative tail, plus that tail are worth what the leaf
+    # enumeration with the pattern applied by the round step is worth.
     # In one context the prescription defects, where "send" must cooperate
     from dynacct import verifier
 
@@ -710,7 +720,8 @@ def test_forced_continuations_match_the_engine_level_override():
             continue
         defecting += "defect" in prescribed.values()
         for pattern in verifier._override_patterns(cfg.params.mode, nbrs):
-            got = checker._continuation_eu(machines, m2, pattern)
+            got = (checker._continuation_eu(machines, m2, pattern)
+                   + _tail(cfg, checker.i, m2))
             want = oracles.continuation_eu(checker, machines, m2, pattern)
             assert got == want, (checker.i, m2, pattern)
             compared += 1
@@ -718,15 +729,16 @@ def test_forced_continuations_match_the_engine_level_override():
 
 
 def test_world_table_counts_reused_leaves_against_the_cap():
-    # a valued world adds its subtree's leaves: every continuation counts
-    # the leaves that enumerating it to absorption emits, so the table
-    # refuses exactly when that enumeration would
+    # a valued world adds its subtree's leaves, and so does a continuation
+    # served by its symmetric twin: every continuation counts the leaves
+    # that enumerating it to absorption emits, so the table refuses exactly
+    # when that enumeration would
     from dynacct import verifier
 
     from . import oracles
     cfg = gen_cfg(mixed_degree_family(), horizon=10)
     valued = verifier._OneShotChecker._continuation_eu
-    walks, enums, leaves = [], [], []
+    enums, leaves, shared = [], [], []
 
     def recording(cls, into):
         init = cls.__init__
@@ -738,18 +750,20 @@ def test_world_table_counts_reused_leaves_against_the_cap():
 
     with pytest.MonkeyPatch.context() as mp:
         def both(self, machines, m2, pattern):
+            before = self.leaves
             got = valued(self, machines, m2, pattern)
-            assert oracles.continuation_eu(self, machines, m2, pattern) == got
-            leaves.append((walks[-1].leaves, enums[-1].count))
+            assert oracles.continuation_eu(self, machines, m2, pattern) == (
+                got + _tail(self.cfg, self.i, m2))
+            leaves.append((self.leaves - before, enums[-1].count))
+            shared.append(self.shared)
             return got
 
-        mp.setattr(verifier._Walk, "__init__",
-                   recording(verifier._Walk, walks))
         mp.setattr(oracles._Enumerator, "__init__",
                    recording(oracles._Enumerator, enums))
         mp.setattr(verifier._OneShotChecker, "_continuation_eu", both)
         verify_one_shot(cfg, 1, robust_depth=2)
     assert all(got == want for got, want in leaves)
+    assert shared[-1] > 0
     most = max(want for _, want in leaves)
     assert most > 1
     verify_one_shot(replace(cfg, enum_cap=most), 1, robust_depth=2)
@@ -884,11 +898,10 @@ def test_verify_one_shot_requires_honest_profile_flag():
 
 def _symmetric_configs(rng, count):
     """Seeded random families with a non-trivial automorphism, under the
-    three label-free accountability protocols in turn; 3-5 agents, but at
-    most 4 under the bounded tally protocol, which takes seconds on 5."""
+    three label-free accountability protocols in turn; 3-5 agents."""
     from .conftest import random_symmetric_graph
     for k in range(count):
-        n = rng.randint(3, 4 if k % 3 == 0 else 5)
+        n = rng.randint(3, 5)
         g, _ = random_symmetric_graph(rng, n, f"s{k}")
         spec, params, obs = (
             ("sigma_gen", general_defaults(), ND),
@@ -944,6 +957,74 @@ def test_orbit_reports_match_direct_verification(rng):
                 shared += sum((i, depth) not in memo_cfg._one_shot_reports
                               for i in range(n) if i not in cands)
     assert shared > 0
+
+
+def test_symmetric_continuations_change_no_check(rng, monkeypatch):
+    # a checker that serves a forced continuation from its symmetric twin
+    # reports every check (gain, tolerance, witness, in order) as one whose
+    # stabilizer is forced to the identity, and every value it reuses, plus
+    # i's cooperative tail, is what enumerating that continuation to
+    # absorption gives: for one agent of each automorphism orbit, at depth 2
+    # (whose checks begin with depth 1's), on the orbit gate's random pool,
+    # which holds 5-agent families under each protocol, and on the
+    # connectivity families k3, ring_chord and k4 at a horizon that cuts
+    # continuations and at 1500
+    from dynacct import verifier
+
+    from . import oracles
+    from .test_acceptance import criterion2_families, gen_config
+    pool = list(_symmetric_configs(rng, 9))
+    assert any(cfg.family.n == 5 and cfg.strategies[0] == "sigma_gen"
+               for cfg in pool)
+    cases = [*pool, *(gen_config(fam, horizon) for fam in criterion2_families()
+                      for horizon in (10, 1500))]
+    valued = verifier._OneShotChecker._continuation_eu
+    reused = 0
+
+    def checked(self, machines, m2, pattern):
+        nonlocal reused
+        before = self.shared
+        got = valued(self, machines, m2, pattern)
+        if self.shared > before:
+            reused += 1
+            assert got + _tail(self.cfg, self.i, m2) == (
+                oracles.continuation_eu(self, machines, m2, pattern))
+        return got
+
+    def results(cfg, agents):
+        checks = []
+        for i in agents:
+            checker = verifier._OneShotChecker(replace(cfg), i)
+            checker.report(build_machines(cfg, honest_only=True), 2, ())
+            checks.append(checker.results)
+        return checks
+
+    monkeypatch.setattr(verifier._OneShotChecker, "_continuation_eu", checked)
+    for cfg in cases:
+        agents = [i for i in range(cfg.family.n)
+                  if not any(cfg.graph._automorphism(r, i) for r in range(i))]
+        got = results(cfg, agents)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(EvolvingGraph, "_automorphisms",
+                       lambda g, r, i: iter([tuple(range(g.n))]))
+            assert results(cfg, agents) == got, (cfg.member, cfg.horizon)
+    assert reused > 0
+    # on k3 the honest world is the same at rounds 7 and 8, and fixed by the
+    # automorphism swapping 1 and 2, but a horizon of 10 cuts the
+    # continuations from there differently (defecting 1 is punished in time
+    # from round 7 only): a twin walked from another round is no twin
+    cfg = gen_config(criterion2_families()[0], 10)
+    checker = verifier._OneShotChecker(cfg, 0)
+    checker.symmetries = [(0, 2, 1)]
+    honest = cfg._honest_run.checkpoints
+    assert (verifier._world_key(cfg.graph, honest[6], 7)
+            == verifier._world_key(cfg.graph, honest[7], 8))
+    for m2, pattern in ((7, {1: "defect", 2: "send"}),
+                        (8, {1: "send", 2: "defect"})):
+        got = checker._continuation_eu(honest[m2 - 1], m2, pattern)
+        assert got + _tail(cfg, 0, m2) == (
+            oracles.continuation_eu(checker, honest[m2 - 1], m2, pattern))
+    assert checker.shared == 0
 
 
 def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
