@@ -25,6 +25,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import evolving_graph as eg
+from .facts import check_deviation_round
 from .game_core import discounted_utility
 from .scenarios import resolve_scenario, scenario_catalog
 from .verifier import (EnumerationCapExceeded, monte_carlo_utilities, simulate,
@@ -119,6 +120,8 @@ def cmd_simulate(args) -> int:
         scenario.strategies[agent] = {"deviation": dict(dev, base=base)}
     scenario.validate()
     cfg = scenario.sim_config(horizon=args.horizon, seed=args.seed)
+    if args.deviate:
+        check_deviation_round(cfg, dev["round"])
     trace = simulate(cfg)
     out = args.out or f"{scenario.name}_trace"
     _write_trace(trace, cfg, out, args.format)

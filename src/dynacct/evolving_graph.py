@@ -171,13 +171,6 @@ class EvolvingGraph:
         filled by ``_crossing_of`` on first use."""
         return {}
 
-    @cached_property
-    def _first_automorphisms(self) -> dict[tuple[AgentId, AgentId],
-                                           Optional[tuple[int, ...]]]:
-        """(r, i) -> what ``_automorphism(r, i)`` found, filled on first
-        use."""
-        return {}
-
     def _automorphisms(self, r: AgentId, i: AgentId) -> Iterator[tuple[int, ...]]:
         """Every agent permutation pi (``pi[a]`` is a's image) with pi(r) = i
         that maps every prefix and cycle round onto itself; with r = i, the
@@ -204,13 +197,6 @@ class EvolvingGraph:
                 yield from place(k + 1, used | 1 << b)
 
         return place(0, 0)
-
-    def _automorphism(self, r: AgentId, i: AgentId) -> Optional[tuple[int, ...]]:
-        """The first of ``_automorphisms(r, i)``, or None if there is none."""
-        found = self._first_automorphisms
-        if (r, i) not in found:
-            found[(r, i)] = next(self._automorphisms(r, i), None)
-        return found[(r, i)]
 
     @cached_property
     def _agreement(self) -> dict:
@@ -611,8 +597,9 @@ def check_eventual_distinguishability(f: GraphFamily, rho: int,
                                       m_star: int) -> FamilyVerdict:
     """No member, agent, and round in (m_star, horizon] may admit an
     indistinguishable-round witness pair."""
-    if m_star > f.horizon:
-        raise ValueError("m_star must not exceed the family horizon")
+    if not 0 <= m_star <= f.horizon:
+        raise ValueError(f"m_star must be in 0..{f.horizon} (the family "
+                         f"horizon), got {m_star}")
     for m in range(m_star + 1, f.horizon + 1):
         pos_by_agent: dict = {}
         for gi, g in enumerate(f.members):
@@ -727,6 +714,8 @@ def is_unsafe(g: EvolvingGraph, rho: int, horizon: int) -> Optional[dict]:
     later edges" quantification is exact on the prefix+cycle
     representation.
     """
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
     if horizon < rho:
         raise ValueError("horizon must be at least rho")
     for m in range(1, min(horizon, g.period) + 1):

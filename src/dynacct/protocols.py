@@ -21,9 +21,12 @@ it never reads an agent id except to tell agents apart: relabelling the
 agents of its views, actions and payloads relabels everything it does.
 Such a class implements ``relabel_key(key, pi)``, which maps a machine's
 ``state_key`` to the key of its image under the agent permutation pi;
-every other class leaves it None.  Then an automorphism of the graph maps
-one agent's one-shot report onto another's, and one forced continuation
-onto another, and the verifier reuses them (``verifier.verify_one_shot``).
+every other class leaves it None.  When the honest machines are all of
+one such class and have equal keys, an automorphism of the graph maps one
+agent's one-shot report onto another's, and one forced continuation onto
+another: the verifier stores each walked continuation under its image by
+every automorphism fixing the agent, and gives an agent another's report
+(``verifier.verify_one_shot``).
 ``clone()`` copies shallowly; a machine extends it for each container it
 mutates in place.  A deviation strategy is a base machine plus a twist:
 ``_Wrapper`` forwards every round hook to the base, and its subclasses

@@ -116,42 +116,40 @@ not approximate, because:
   raised exactly when enumerating every branch would raise it.
 
 Symmetric agents, and symmetric continuations, share one walk.  Both need
-a symmetric profile (``_symmetric_profile``): every agent runs the same
-spec, with no deviation layer, of a label-free machine class, one with a
-``relabel_key``.  An automorphism pi of the graph (one that maps every
-prefix and cycle round onto itself) then maps every run onto a run, each
-machine's key relabelled by ``relabel_key`` and moved to agent pi(a), with
-the same branch probabilities, absorption rounds and leaf count, and with
-agent a's utilities given to pi(a).
+a symmetric profile (``_symmetric_profile``): the honest machines are all
+of one class with a ``relabel_key`` and give equal ``state_key(1)``s, so
+they differ in their agent alone.  An automorphism pi of the graph (one
+that maps every prefix and cycle round onto itself) then maps every run
+onto a run, each machine's key relabelled by ``relabel_key`` and moved to
+agent pi(a), with the same branch probabilities, absorption rounds and leaf
+count, and with agent a's utilities given to pi(a).
 
-A candidate-free report is memoised on the ``SimConfig`` by (agent, robust
-depth), and agent i is given agent r's report relabelled through an
-automorphism pi with pi(r) = i when:
+A forced continuation is looked up by (m2, world key w of its context,
+pattern P) alone.  Once walked, it is stored under (m2, sigma(w),
+sigma(P)) for every sigma in the stabilizer of i, the identity included
+(the identity alone without a symmetric profile).  A hit is exact: sigma
+fixes i, so i's utilities are the same, and both walks start at m2, so the
+horizon cuts them alike.  The stabilizer is a group, so a lookup hits
+exactly when some walked continuation maps onto it, and contexts are
+unique by world key, so no entry is written twice.  A hit counts the
+stored leaves, so the enumeration cap refuses exactly where walking would.
+Only values change hands: the contexts, the checks and their order, and
+so every report, are those of walking every continuation.
 
-* neither i nor r has candidates;
+A report is memoised on the ``SimConfig`` by (agent, robust depth) only if
+another agent may take it, and agent i is given the memoised report of an
+agent r relabelled through an automorphism pi with pi(r) = i (witness
+agent set, override keys mapped through pi and re-sorted; gain, tolerance,
+verdict and check count carried over).  Another agent may take it when:
+
 * the profile is symmetric, so pi maps r's whole verification (views,
   degrees, payloads, world keys, checks) onto i's;
-* r's witness is on-path and is either its first check or the only check
+* there are no candidates;
+* the witness is on-path and is either the first check or the only check
   with the selection key's maximum.  The on-path walk collects its
   contexts in round order under any labelling, but the neighbour-sorted
   order of override patterns is not label-free, so a tie elsewhere could
   pick a different witness.
-
-Relabelling sets the witness's agent, maps its override keys through pi
-and re-sorts them; gain, tolerance, verdict and check count carry over.
-Otherwise i is verified directly, and its report is memoised too.
-
-Within one checker, the forced continuations walked are kept by (m2, world
-key of the context, pattern), with their values and leaves.  Before
-walking pattern P from a context w at m2, the checker looks up (m2,
-sigma(w), sigma(P)) for each automorphism sigma other than the identity
-that fixes i; the images of w are computed once per context.  A hit is
-exact: the walk from w with P is the sigma-image of the walk that was
-stored, sigma fixes i, so it has the same utilities for i, and both start
-at m2, so the horizon cuts both alike.  A hit counts the stored leaves,
-so the enumeration cap refuses exactly where walking would.  Only values
-change hands: the contexts, the checks and their order, and so every
-report, are those of walking every continuation.
 """
 
 from __future__ import annotations
@@ -318,8 +316,8 @@ class SimConfig:
 
     @functools.cached_property
     def _one_shot_reports(self) -> dict:
-        """``verify_one_shot``'s candidate-free reports by (agent, robust
-        depth), each with whether its witness is order-invariant."""
+        """``verify_one_shot``'s reports that another agent may take, by
+        (agent, robust depth)."""
         return {}
 
     @functools.cached_property
@@ -704,7 +702,7 @@ class _OneShotChecker:
         self.cfg = cfg
         self.i = i
         # every world key walked so far, mapped to whether it is closed, and
-        # the contexts collected, in collection order
+        # the contexts collected, in collection order, each with its key
         self.seen: dict[tuple, bool] = {}
         self.contexts: list = []
         self.results: list[tuple[Fraction, Fraction, dict]] = []
@@ -712,16 +710,17 @@ class _OneShotChecker:
         self.tolerances: dict[int, Fraction] = {}
         # continuation values by world key, from fully absorbed subtrees
         self.values: dict[tuple, _Valued] = {}
-        # the automorphisms other than the identity that fix i, if the
-        # profile is symmetric (set by ``report``); the continuations walked,
-        # by (m2, world key) and then pattern, with their values and leaves;
-        # the last context's world key images; the leaves counted, and the
-        # continuations served by a symmetric twin
-        self.symmetries: Sequence[tuple[int, ...]] = ()
-        self.continuations: dict[tuple, dict] = {}
-        self._context: Optional[tuple] = None
+        # the automorphisms that fix i, the identity included, and the key
+        # relabelling they use, if the profile is symmetric (set by
+        # ``report``), else the identity alone; the forced continuations
+        # walked, with their values and leaves, by (m2, world key, pattern)
+        # and under every image of that by a symmetry; the images of each
+        # world walked from; and the leaves counted
+        self.symmetries: Sequence[tuple[int, ...]] = [tuple(range(cfg.family.n))]
+        self.relabel: Callable = lambda key, pi: key
+        self.continuations: dict[tuple, tuple[Fraction, int]] = {}
+        self.images: dict[tuple, list] = {}
         self.leaves = 0
-        self.shared = 0
 
     def _tolerance(self, rounds_left: int) -> Fraction:
         tol = self.tolerances.get(rounds_left)
@@ -754,8 +753,8 @@ class _OneShotChecker:
             if state is not None:
                 action = profile.actions[self.i].per_neighbor
                 self.contexts.append(
-                    (m, state, origin, {j: _CLASSES.get(a.kind, "send")
-                                        for j, a in action.items()}))
+                    (m, state, key, origin, {j: _CLASSES.get(a.kind, "send")
+                                             for j, a in action.items()}))
 
     def _forced(self, machines, m: int,
                 pattern: Optional[Mapping[AgentId, str]]) -> dict:
@@ -769,64 +768,53 @@ class _OneShotChecker:
                                            sincere=True)
         return ms
 
-    def _images(self, machines, m2: int) -> tuple[tuple, list]:
-        """The world key of the context ``machines`` at m2, and its image
-        under each symmetry pi: agent pi[a] holds a's key relabelled.
-        Computed once per context."""
-        context = self._context
-        if context is None or context[0] is not machines or context[1] != m2:
-            world = _world_key(self.cfg.graph, machines, m2)
-            phase, keys = world
-            relabel = type(machines[self.i]).relabel_key
-            images = []
-            for pi in self.symmetries:
-                image = list(keys)
-                for a, key in enumerate(keys):
-                    image[pi[a]] = relabel(key, pi)
-                images.append((pi, (phase, tuple(image))))
-            self._context = (machines, m2, world, images)
-        return self._context[2], self._context[3]
+    def _images(self, world: tuple) -> list:
+        """``(pi, image)`` for each symmetry pi, the image of the world key
+        ``world`` under pi: agent pi[a] holds a's key relabelled."""
+        phase, keys = world
+        images = []
+        for pi in self.symmetries:
+            image = list(keys)
+            for a, key in enumerate(keys):
+                image[pi[a]] = self.relabel(key, pi)
+            images.append((pi, (phase, tuple(image))))
+        return images
 
-    def _continuation_eu(self, machines, m2: int,
+    def _continuation_eu(self, machines, m2: int, world: tuple,
                          pattern: Optional[Mapping[AgentId, str]]) -> Fraction:
         """i's expected utility from round m2, discounted to m2, relative to
         its cooperative tail from m2 (``_relative_eu``), with i's round-m2
-        classes forced to ``pattern`` (None: as prescribed).  A continuation
-        whose image under a symmetry was walked is not walked again."""
-        walked = None
-        if self.symmetries:
-            world, images = self._images(machines, m2)
+        classes forced to ``pattern`` (None: as prescribed) in the context
+        ``machines`` of world key ``world``.  A walked continuation is
+        stored under its image by every symmetry, so one whose key was
+        stored is not walked again."""
+        n = self.cfg.family.n
+        done = self.continuations.get((m2, world,
+                                       _pattern_key(pattern, range(n))))
+        if done is None:
+            forced = self._forced(machines, m2, pattern)
+            done = _relative_eu(self.cfg, forced, self.i, m2, table=self.values)
+            images = self.images.get(world)
+            if images is None:
+                images = self.images[world] = self._images(world)
             for pi, image in images:
-                done = self.continuations.get((m2, image))
-                if done is None:
-                    continue
-                hit = done.get(_pattern_key(pattern, pi))
-                if hit is not None:
-                    self.leaves += hit[1]
-                    self.shared += 1
-                    return hit[0]
-            walked = self.continuations.setdefault((m2, world), {})
-        forced = self._forced(machines, m2, pattern)
-        value, leaves = _relative_eu(self.cfg, forced, self.i, m2,
-                                     table=self.values)
-        self.leaves += leaves
-        if walked is not None:
-            walked[_pattern_key(pattern, range(self.cfg.family.n))] = (value,
-                                                                       leaves)
-        return value
+                self.continuations[(m2, image, _pattern_key(pattern, pi))] = done
+        self.leaves += done[1]
+        return done[0]
 
-    def check_context(self, m2: int, machines, origin: str,
+    def check_context(self, m2: int, machines, world: tuple, origin: str,
                       prescribed: dict[AgentId, str]):
         cfg = self.cfg
         nbrs = sorted(cfg.graph.at(m2).neighbors(self.i))
         if not nbrs:
             return
-        conform = self._continuation_eu(machines, m2, None)
+        conform = self._continuation_eu(machines, m2, world, None)
         for pattern in _override_patterns(cfg.params.mode, nbrs):
             if pattern == prescribed:
                 gain = Fraction(0)   # forcing the prescribed class changes nothing
             else:
-                gain = self._continuation_eu(machines, m2, pattern) - conform
+                gain = (self._continuation_eu(machines, m2, world, pattern)
+                        - conform)
             tol = self._tolerance(cfg.horizon - m2)
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
@@ -861,12 +849,14 @@ class _OneShotChecker:
 
     def report(self, honest, robust_depth: int, candidates: Sequence[Mapping]
                ) -> tuple[EquilibriumReport, bool]:
-        """i's report from the honest machines ``honest``, and whether its
-        witness is order-invariant."""
+        """i's report from the honest machines ``honest``, and whether
+        another agent may take it: the profile is symmetric, there are no
+        candidates, and the witness is order-invariant."""
         cfg, i = self.cfg, self.i
-        if _symmetric_profile(cfg, honest):
-            self.symmetries = [pi for pi in cfg.graph._automorphisms(i, i)
-                               if pi != tuple(range(cfg.family.n))]
+        symmetric = _symmetric_profile(honest)
+        if symmetric:
+            self.symmetries = list(cfg.graph._automorphisms(i, i))
+            self.relabel = type(honest[i]).relabel_key
         self._walk_contexts(honest, 1, cfg.horizon - 1, "on-path")
         prior_points = self.contexts[:] if robust_depth == 2 else []
 
@@ -900,7 +890,7 @@ class _OneShotChecker:
         if not results:
             return EquilibriumReport(max_gain=Fraction(0), witness=None,
                                      tolerance=tail_bound(cfg.params, n, cfg.horizon),
-                                     verdict=True, checks=0), True
+                                     verdict=True, checks=0), symmetric
         # on a pass the largest gain, on a fail the check that beats its
         # tolerance by most; exact ties break toward candidate machines: their
         # witnesses carry the sustained deviation rather than its first
@@ -916,10 +906,12 @@ class _OneShotChecker:
         best = max(pool, key=key)
         gain, tol, witness = best
         top = key(best)
-        invariant = witness["origin"] == "on-path" and (
-            best is results[0] or sum(key(r) == top for r in pool) == 1)
+        shareable = (symmetric and not candidates
+                     and witness["origin"] == "on-path"
+                     and (best is results[0]
+                          or sum(key(r) == top for r in pool) == 1))
         return EquilibriumReport(max_gain=gain, witness=witness, tolerance=tol,
-                                 verdict=verdict, checks=len(results)), invariant
+                                 verdict=verdict, checks=len(results)), shareable
 
 
 def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
@@ -933,10 +925,9 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     depth 1 does not.  User-supplied deviation specs are evaluated as
     whole-run candidates against the honest profile.
 
-    A candidate-free report is memoised on cfg.  When an agent r of i's
-    automorphism orbit already has one, and the profile and r's witness
-    are order-invariant (``_orbit_report``), i gets r's report relabelled
-    instead of a walk of its own.
+    A report another agent may take is memoised on cfg, and i is given the
+    memoised report of an agent r relabelled through an automorphism pi with
+    pi(r) = i, if there is one, instead of a walk of its own.
     """
     if robust_depth not in (1, 2):
         raise ValueError(f"robust_depth must be 1 or 2, not {robust_depth}")
@@ -946,13 +937,16 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
         return _OneShotChecker(cfg, i).report(honest, robust_depth,
                                               candidates)[0]
     memo = cfg._one_shot_reports
-    if (i, robust_depth) not in memo:
-        report = _orbit_report(cfg, honest, i, robust_depth)
-        if report is not None:
-            return report
-        memo[(i, robust_depth)] = _OneShotChecker(cfg, i).report(
-            honest, robust_depth, ())
-    return _relabel(memo[(i, robust_depth)][0], range(cfg.family.n), i)
+    for (r, depth), report in memo.items():
+        if depth == robust_depth:
+            pi = next(cfg.graph._automorphisms(r, i), None)
+            if pi is not None:
+                return _relabel(report, pi, i)
+    report, shareable = _OneShotChecker(cfg, i).report(honest, robust_depth, ())
+    if shareable:
+        memo[(i, robust_depth)] = report
+        report = _relabel(report, range(cfg.family.n), i)    # the caller's copy
+    return report
 
 
 def _pattern_key(pattern: Optional[Mapping[AgentId, str]],
@@ -962,33 +956,19 @@ def _pattern_key(pattern: Optional[Mapping[AgentId, str]],
         (pi[j], o) for j, o in pattern.items())
 
 
-def _symmetric_profile(cfg: SimConfig, honest) -> bool:
-    """Whether every agent runs the same spec, with no deviation layer, of
-    a label-free class (one with a ``relabel_key``): then an automorphism
-    pi of the graph maps every run of the honest machines, their keys
-    relabelled, onto a run with the same utilities for fixed points of
-    pi, and maps agent r's runs onto pi(r)'s."""
-    specs = list(cfg.strategies.values())
-    return not (any(s != specs[0] for s in specs)
-                or isinstance(specs[0], Mapping) and "deviation" in specs[0]
-                or any(type(m).relabel_key is None for m in honest.values()))
-
-
-def _orbit_report(cfg: SimConfig, honest, i: AgentId,
-                  robust_depth: int) -> Optional[EquilibriumReport]:
-    """A memoised report of an agent r mapped onto i by an automorphism pi
-    of the graph, if one is exact: the profile is symmetric, so pi maps r's
-    whole verification onto i's; and r's witness is on-path and either its
-    first check or the only one with the selection key's maximum, so no tie
-    between checks that pi reorders picks it."""
-    if not _symmetric_profile(cfg, honest):
-        return None
-    for (r, depth), (report, invariant) in cfg._one_shot_reports.items():
-        if depth == robust_depth and invariant:
-            pi = cfg.graph._automorphism(r, i)
-            if pi is not None:
-                return _relabel(report, pi, i)
-    return None
+def _symmetric_profile(honest) -> bool:
+    """Whether the honest machines are all of one class with a
+    ``relabel_key`` and all give an equal ``state_key(1)``.  ``state_key``
+    is complete, so they then differ in their agent alone, and an
+    automorphism pi of the graph maps every run of them, their keys
+    relabelled, onto a run with the same utilities for fixed points of pi,
+    and maps agent r's runs onto pi(r)'s."""
+    first, *others = honest.values()
+    if type(first).relabel_key is None:
+        return False
+    key = first.state_key(1)
+    return all(type(m) is type(first) and m.state_key(1) == key
+               for m in others)
 
 
 def _relabel(report: EquilibriumReport, pi: Sequence[AgentId],

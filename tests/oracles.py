@@ -738,9 +738,10 @@ def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                         lambda leaf: _leaf_eu(leaf, cfg, i, from_round, tails))
 
 
-def continuation_eu(checker, machines, m2: int, pattern) -> Fraction:
+def continuation_eu(checker, machines, m2: int, world, pattern) -> Fraction:
     """``_OneShotChecker._continuation_eu`` without the world table: i's
-    expected utility over every enumerated leaf of the continuation."""
+    expected utility over every enumerated leaf of the continuation (the
+    context's world key ``world`` is not read)."""
     override = None if pattern is None else (checker.i, m2, pattern)
     return _expected_eu(checker.cfg, _fork(machines), checker.i, m2, m2,
                         override=override)

@@ -87,6 +87,19 @@ def test_check_ambiguous_and_unsafe(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["unsafe", "--rho", "0"], "error: rho must be >= 1"),
+    (["eventual_dist", "--rho", "4", "--m-star", "-3"],
+     "error: m_star must be in 0..12 (the family horizon), got -3"),
+], ids=["unsafe-rho-zero", "eventual-dist-negative-m-star"])
+def test_check_refuses_windows_outside_their_range(args, message, tmp_path,
+                                                   capsys):
+    fam = write_family(tmp_path, builtin("fig2_ambiguous").family)
+    code, out, err = run_cli(["check", *args, "--family", fam], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_check_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = family_to_dict(_ring_family(4))
@@ -375,8 +388,11 @@ def test_verify_member_verifies_that_member_only(capsys):
      "error: no builtin scenario or file named 'ring_conectivity'; the "
      "builtins are fig2_ambiguous, fig3_indist, ring_connectivity, "
      "timely_violation, unsafe_three_agent"),
+    (["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+      "--deviate", "agent=0,defect_all,round=99"],
+     "error: deviation round 99 is outside rounds 1..5 (horizon 5)"),
 ], ids=["verify-unknown-member", "simulate-unknown-scenario",
-        "verify-misspelt-scenario"])
+        "verify-misspelt-scenario", "simulate-deviation-after-the-horizon"])
 def test_input_error_prints_the_message_itself(args, line, tmp_path,
                                                monkeypatch, capsys):
     # the error line is the message, with no quotes added around it
@@ -448,11 +464,13 @@ def test_verify_scenario_roundtrip_loader():
     ["verify", "--scenario", "ring_connectivity", "--enum-cap", "0"],
     ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
      "--out", "missing/run"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--deviate", "agent=0,defect_all,round=0"],
 ], ids=["verify-missing-scenario", "simulate-missing-scenario",
         "check-missing-family", "simulate-negative-samples",
         "simulate-zero-samples", "verify-zero-robust-depth",
         "verify-negative-robust-depth", "verify-zero-enum-cap",
-        "simulate-out-missing-directory"])
+        "simulate-out-missing-directory", "simulate-deviation-round-zero"])
 def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
                                             capsys):
     # a missing input file or a bad option is an input error (exit 2), not

@@ -498,6 +498,16 @@ def test_eventual_distinguishability_fig3_fails_everywhere():
         assert v.counterexample["round"] == m_star + 1
 
 
+@pytest.mark.parametrize("m_star", [-3, -1, 13])
+def test_eventual_distinguishability_refuses_m_star_outside_the_horizon(m_star):
+    # rounds (m_star, horizon] are checked, so m_star must be in 0..horizon;
+    # the refusal names m_star, not the round a scan would fail at
+    fam = _fig3_family()
+    assert fam.horizon == 12
+    with pytest.raises(ValueError, match=f"m_star must be in 0..12 .*got {m_star}"):
+        check_eventual_distinguishability(fam, 3, m_star)
+
+
 def test_eventual_distinguishability_complete_with_degrees_holds():
     fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k"),), ND, 8)
     assert check_eventual_distinguishability(fam, 3, 0).holds
@@ -673,6 +683,14 @@ def test_unsafe_route_check_counts_the_dropped_round_as_quiet():
     first = {"i": 0, "j": 2, "l": 1, "m": 2, "m1": 3, "m2": 4}
     assert oracles.brute_force_is_unsafe(g, 3, 12) == first
     assert is_unsafe(g, 3, 12) == first
+
+
+@pytest.mark.parametrize("rho", [0, -2])
+def test_unsafe_refuses_rho_below_one(rho):
+    # with no round to scan, a window of rho < 1 would report "not unsafe"
+    g = _unsafe_family().members[0]
+    with pytest.raises(ValueError, match="rho must be >= 1"):
+        is_unsafe(g, rho, 12)
 
 
 def test_unsafe_no_il_edge_none():

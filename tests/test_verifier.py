@@ -483,9 +483,11 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # walked is not walked again, which leaves 249.  No world is keyed while
     # a forced deviation is still ahead: keying those too would make 504
     # state_key calls where the walks needed 369 before the sharing, and
-    # need 321 with it, its context keys included.  The views are built once
-    # per config round: 3 agents over the 6 rounds played (333 builds when
-    # every played round built its own).
+    # need 279 with it: each context's key is computed once, by the walk
+    # that collects it, and the symmetry test keys the 3 honest machines
+    # once (321 when the checks keyed each context again).  The
+    # views are built once per config round: 3 agents over the 6 rounds
+    # played (333 builds when every played round built its own).
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -510,7 +512,7 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     rep = verify_one_shot(cfg, 0, robust_depth=2)
     for name in ("end_round", "act", "begin_round"):
         assert calls[name] == 249, name
-    assert calls["state_key"] == 321
+    assert calls["state_key"] == 279
     assert calls["local_view"] == 18
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
@@ -548,11 +550,10 @@ def _closure_contexts(cfg, i, check=False):
     contexts = []
     check_context = verifier._OneShotChecker.check_context
 
-    def recording(self, m2, machines, origin, prescribed):
-        contexts.append((m2, origin, verifier._world_key(self.cfg.graph,
-                                                         machines, m2)))
+    def recording(self, m2, machines, world, origin, prescribed):
+        contexts.append((m2, origin, world))
         if check:
-            check_context(self, m2, machines, origin, prescribed)
+            check_context(self, m2, machines, world, origin, prescribed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier._OneShotChecker, "check_context", recording)
         rep = verify_one_shot(replace(cfg), i, robust_depth=2)
@@ -705,24 +706,25 @@ def test_forced_continuations_match_the_engine_level_override():
     check_context = verifier._OneShotChecker.check_context
     contexts = []
 
-    def recording(self, m2, machines, origin, prescribed):
-        contexts.append((self, m2, machines, prescribed))
-        return check_context(self, m2, machines, origin, prescribed)
+    def recording(self, m2, machines, world, origin, prescribed):
+        contexts.append((self, m2, machines, world, prescribed))
+        return check_context(self, m2, machines, world, origin, prescribed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier._OneShotChecker, "check_context", recording)
         for i in range(3):
             verify_one_shot(replace(cfg), i, robust_depth=2)
     compared = defecting = 0
-    for checker, m2, machines, prescribed in contexts:
+    for checker, m2, machines, world, prescribed in contexts:
         nbrs = sorted(cfg.graph.at(m2).neighbors(checker.i))
         if not nbrs:
             continue
         defecting += "defect" in prescribed.values()
         for pattern in verifier._override_patterns(cfg.params.mode, nbrs):
-            got = (checker._continuation_eu(machines, m2, pattern)
+            got = (checker._continuation_eu(machines, m2, world, pattern)
                    + _tail(cfg, checker.i, m2))
-            want = oracles.continuation_eu(checker, machines, m2, pattern)
+            want = oracles.continuation_eu(checker, machines, m2, world,
+                                           pattern)
             assert got == want, (checker.i, m2, pattern)
             compared += 1
     assert compared == 86 and defecting == 1
@@ -738,7 +740,7 @@ def test_world_table_counts_reused_leaves_against_the_cap():
     from . import oracles
     cfg = gen_cfg(mixed_degree_family(), horizon=10)
     valued = verifier._OneShotChecker._continuation_eu
-    enums, leaves, shared = [], [], []
+    enums, leaves, shared = [], [], 0
 
     def recording(cls, into):
         init = cls.__init__
@@ -749,13 +751,15 @@ def test_world_table_counts_reused_leaves_against_the_cap():
         return recording_init
 
     with pytest.MonkeyPatch.context() as mp:
-        def both(self, machines, m2, pattern):
-            before = self.leaves
-            got = valued(self, machines, m2, pattern)
-            assert oracles.continuation_eu(self, machines, m2, pattern) == (
+        def both(self, machines, m2, world, pattern):
+            nonlocal shared
+            before, stored = self.leaves, len(self.continuations)
+            got = valued(self, machines, m2, world, pattern)
+            assert oracles.continuation_eu(self, machines, m2, world,
+                                           pattern) == (
                 got + _tail(self.cfg, self.i, m2))
             leaves.append((self.leaves - before, enums[-1].count))
-            shared.append(self.shared)
+            shared += len(self.continuations) == stored   # served, not walked
             return got
 
         mp.setattr(oracles._Enumerator, "__init__",
@@ -763,7 +767,7 @@ def test_world_table_counts_reused_leaves_against_the_cap():
         mp.setattr(verifier._OneShotChecker, "_continuation_eu", both)
         verify_one_shot(cfg, 1, robust_depth=2)
     assert all(got == want for got, want in leaves)
-    assert shared[-1] > 0
+    assert shared > 0
     most = max(want for _, want in leaves)
     assert most > 1
     verify_one_shot(replace(cfg, enum_cap=most), 1, robust_depth=2)
@@ -795,11 +799,13 @@ def test_verify_one_shot_gain_strictly_negative_for_defection():
     cfg = SimConfig(family=fam, member="k3",
                     strategies={a: "sigma_gen" for a in range(3)},
                     horizon=900, params=general_defaults())
-    from dynacct.verifier import _OneShotChecker
+    from dynacct.verifier import _OneShotChecker, _world_key
     checker = _OneShotChecker(cfg, 0)
     machines = build_machines(cfg)
-    eu_conform = checker._continuation_eu(machines, 1, None)
-    eu_defect = checker._continuation_eu(machines, 1, {1: "defect", 2: "defect"})
+    world = _world_key(cfg.graph, machines, 1)
+    eu_conform = checker._continuation_eu(machines, 1, world, None)
+    eu_defect = checker._continuation_eu(machines, 1, world,
+                                         {1: "defect", 2: "defect"})
     # saves 2 sends now, loses beta-level punishments within n^2 rounds
     assert eu_defect < eu_conform
 
@@ -960,16 +966,17 @@ def test_orbit_reports_match_direct_verification(rng):
 
 
 def test_symmetric_continuations_change_no_check(rng, monkeypatch):
-    # a checker that serves a forced continuation from its symmetric twin
-    # reports every check (gain, tolerance, witness, in order) as one whose
-    # stabilizer is forced to the identity, and every value it reuses, plus
-    # i's cooperative tail, is what enumerating that continuation to
-    # absorption gives: for one agent of each automorphism orbit, at depth 2
-    # (whose checks begin with depth 1's), on the orbit gate's random pool,
-    # which holds 5-agent families under each protocol, and on the
-    # connectivity families k3, ring_chord and k4 at a horizon that cuts
-    # continuations and at 1500
+    # a checker that serves a forced continuation stored under its key by
+    # the walk of a symmetric twin reports every check (gain, tolerance,
+    # witness, in order) as one whose stabilizer is forced to the identity
+    # alone, and every value it serves without a walk, plus i's cooperative
+    # tail, is what enumerating that continuation to absorption gives: for
+    # one agent of each automorphism orbit, at depth 2 (whose checks begin
+    # with depth 1's), on the orbit gate's random pool, which holds 5-agent
+    # families under each protocol, and on the connectivity families k3,
+    # ring_chord and k4 at a horizon that cuts continuations and at 1500
     from dynacct import verifier
+    from dynacct.protocols import SigmaGen
 
     from . import oracles
     from .test_acceptance import criterion2_families, gen_config
@@ -979,16 +986,22 @@ def test_symmetric_continuations_change_no_check(rng, monkeypatch):
     cases = [*pool, *(gen_config(fam, horizon) for fam in criterion2_families()
                       for horizon in (10, 1500))]
     valued = verifier._OneShotChecker._continuation_eu
-    reused = 0
+    relative_eu = verifier._relative_eu
+    walks = reused = 0
 
-    def checked(self, machines, m2, pattern):
+    def walking(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return relative_eu(*args, **kwargs)
+
+    def checked(self, machines, m2, world, pattern):
         nonlocal reused
-        before = self.shared
-        got = valued(self, machines, m2, pattern)
-        if self.shared > before:
+        before = walks
+        got = valued(self, machines, m2, world, pattern)
+        if walks == before:
             reused += 1
             assert got + _tail(self.cfg, self.i, m2) == (
-                oracles.continuation_eu(self, machines, m2, pattern))
+                oracles.continuation_eu(self, machines, m2, world, pattern))
         return got
 
     def results(cfg, agents):
@@ -999,10 +1012,12 @@ def test_symmetric_continuations_change_no_check(rng, monkeypatch):
             checks.append(checker.results)
         return checks
 
+    monkeypatch.setattr(verifier, "_relative_eu", walking)
     monkeypatch.setattr(verifier._OneShotChecker, "_continuation_eu", checked)
     for cfg in cases:
         agents = [i for i in range(cfg.family.n)
-                  if not any(cfg.graph._automorphism(r, i) for r in range(i))]
+                  if not any(next(cfg.graph._automorphisms(r, i), None)
+                             for r in range(i))]
         got = results(cfg, agents)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(EvolvingGraph, "_automorphisms",
@@ -1015,21 +1030,72 @@ def test_symmetric_continuations_change_no_check(rng, monkeypatch):
     # from round 7 only): a twin walked from another round is no twin
     cfg = gen_config(criterion2_families()[0], 10)
     checker = verifier._OneShotChecker(cfg, 0)
-    checker.symmetries = [(0, 2, 1)]
+    checker.symmetries = [(0, 1, 2), (0, 2, 1)]
+    checker.relabel = SigmaGen.relabel_key
     honest = cfg._honest_run.checkpoints
-    assert (verifier._world_key(cfg.graph, honest[6], 7)
-            == verifier._world_key(cfg.graph, honest[7], 8))
+    world = verifier._world_key(cfg.graph, honest[6], 7)
+    assert world == verifier._world_key(cfg.graph, honest[7], 8)
+    before = walks
     for m2, pattern in ((7, {1: "defect", 2: "send"}),
                         (8, {1: "send", 2: "defect"})):
-        got = checker._continuation_eu(honest[m2 - 1], m2, pattern)
-        assert got + _tail(cfg, 0, m2) == (
-            oracles.continuation_eu(checker, honest[m2 - 1], m2, pattern))
-    assert checker.shared == 0
+        got = checker._continuation_eu(honest[m2 - 1], m2, world, pattern)
+        assert got + _tail(cfg, 0, m2) == oracles.continuation_eu(
+            checker, honest[m2 - 1], m2, world, pattern)
+    assert walks - before == 2
+
+
+def test_symmetry_is_decided_from_the_honest_machines(monkeypatch):
+    # agents that spell one spec differently, or stack a deviation layer on
+    # it, run one honest machine: their reports equal direct verification of
+    # the plainly spelt profile, and they share reports and continuations.
+    # A spec that differs in a parameter the key holds is no twin
+    import json
+
+    from dynacct import verifier
+
+    from .test_acceptance import criterion2_families, gen_config
+    k4 = gen_config(criterion2_families()[2], horizon=40)
+    spelt = replace(k4, strategies={
+        0: "sigma_gen", 1: {"strategy": "sigma_gen"}, 2: "sigma_gen",
+        3: {"deviation": {"kind": "always_defect_until", "round": 2,
+                          "base": {"strategy": "sigma_gen"}}}})
+    walks = calls = 0
+    relative_eu = verifier._relative_eu
+    valued = verifier._OneShotChecker._continuation_eu
+
+    def walking(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return relative_eu(*args, **kwargs)
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return valued(self, *args)
+    monkeypatch.setattr(verifier, "_relative_eu", walking)
+    monkeypatch.setattr(verifier._OneShotChecker, "_continuation_eu", counted)
+    for depth in (1, 2):
+        direct = [verify_one_shot(replace(k4), i, depth) for i in range(4)]
+        memo_cfg = replace(spelt)
+        for i in range(4):
+            rep = verify_one_shot(memo_cfg, i, depth)
+            assert json.dumps(rep.to_json()) == json.dumps(direct[i].to_json())
+        assert list(memo_cfg._one_shot_reports) == [(0, depth)]
+    walks = calls = 0
+    checker = verifier._OneShotChecker(replace(spelt), 0)
+    checker.report(build_machines(spelt, honest_only=True), 2, ())
+    assert len(checker.symmetries) == 6 and 0 < walks < calls
+    rho = {a: {"strategy": "accusation_punisher", "rho": 3} for a in range(4)}
+    for strategies, symmetric in ((rho, True), ({**rho, 2: dict(rho[2], rho=4)},
+                                                False)):
+        cfg = replace(k4, strategies=strategies)
+        assert verifier._symmetric_profile(
+            build_machines(cfg, honest_only=True)) is symmetric
 
 
 def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
-    # the checkers built by four verify_one_shot calls: one per orbit of a
-    # label-free profile, one per agent of a scripted one, one per call
+    # the checkers built by verify_one_shot calls: one per orbit of a
+    # label-free profile, one per call on a scripted one, one per call
     # with candidates, and a fresh memo after dataclasses.replace
     from dynacct import verifier
 
@@ -1054,7 +1120,7 @@ def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
     assert checkers(k4, every) == [0]
     assert checkers(ring_chord, every) == [0, 1]
     unsafe = builtin("unsafe_three_agent").sim_config(horizon=12)
-    assert checkers(unsafe, [(0, ()), (1, ()), (2, ()), (1, ())]) == [0, 1, 2]
+    assert checkers(unsafe, [(0, ()), (1, ()), (2, ()), (1, ())]) == [0, 1, 2, 1]
     sc = builtin("timely_violation")
     cand = [{k: v for k, v in sc.candidates[0].items() if k != "agent"}]
     timely = sc.sim_config(horizon=12)
