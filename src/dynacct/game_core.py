@@ -23,12 +23,13 @@ its entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .evolving_graph import EvolvingGraph, RoundGraph
 
@@ -61,6 +62,17 @@ _ALLOWED = {
 _KIND_CODE = {ActionKind.COOPERATE: 0, ActionKind.DEFECT: 1,
               ActionKind.PUNISH: 2, ActionKind.AVOID: 3,
               ActionKind.PROP_PUNISH: 4}
+
+
+@functools.cache
+def _allowed_codes(mode: Mode, n: int) -> frozenset[int]:
+    """The codes of the actions ``check_mode(mode, n)`` accepts: those of
+    ``_ALLOWED[mode]``, with proportional weights 0..n-1 (codes 4..n+3)."""
+    kinds = _ALLOWED[mode]
+    weights = range(n) if ActionKind.PROP_PUNISH in kinds else ()
+    return frozenset([_KIND_CODE[k] for k in kinds
+                      if k is not ActionKind.PROP_PUNISH]
+                     + [_KIND_CODE[ActionKind.PROP_PUNISH] + c for c in weights])
 
 
 @dataclass(frozen=True)
@@ -142,12 +154,25 @@ class ActionProfile:
         return self.actions[src].toward(dst)
 
     def check(self, graph: RoundGraph, mode: Mode):
-        if set(self.actions) != set(range(graph.n)):
+        """Raise ``ValueError`` unless the profile covers every agent, each
+        action's keys are the agent's neighbours, and every individual
+        action passes ``check_mode(mode, n)``.
+
+        An action's code names its kind and weight one to one, so testing
+        it against ``_allowed_codes(mode, n)`` accepts exactly what
+        ``check_mode`` accepts.  The per-action checks run only on an
+        action that fails, in the same order, so they raise the same
+        error."""
+        n = graph.n
+        if set(self.actions) != set(range(n)):
             raise ValueError("profile must cover every agent")
+        allowed = _allowed_codes(mode, n)
         for a in self.actions.values():
-            a.check_neighbors(graph)
+            if a.per_neighbor.keys() != graph.neighbors(a.agent):
+                a.check_neighbors(graph)
             for ia in a.per_neighbor.values():
-                ia.check_mode(mode, graph.n)
+                if ia.code not in allowed:
+                    ia.check_mode(mode, n)
 
 
 def _frac(x: Rational) -> Fraction:
@@ -156,6 +181,19 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, float):
         raise TypeError("pass utility parameters as int, str or Fraction, not float")
     return Fraction(x)
+
+
+class _Memo(dict):
+    """A dict that builds a missing value as ``make(key)`` on its first
+    lookup and keeps it, so every later lookup is a plain dict hit."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -229,21 +267,31 @@ class UtilityParams:
         return table
 
     @cached_property
-    def _edge_numerators(self) -> dict[int, tuple[int, dict]]:
+    def _edge_numerators(self) -> dict[int, tuple[dict, Mapping]]:
         return {}
 
-    def edge_numerators(self, n: int) -> tuple[int, dict[tuple[int, int], int]]:
-        """``edge_table(n)`` over one common denominator: ``(den, nums)``
-        with ``table[k] == Fraction(nums[k], den)``, so a round's utility
-        is an integer sum and one ``Fraction``; built once per n."""
+    def edge_numerators(self, n: int) -> tuple[dict[tuple[int, int], int],
+                                               Mapping[int, Fraction]]:
+        """``edge_table(n)`` over one common denominator ``den``: ``(nums,
+        over)`` with ``table[k] == over[nums[k]]``, where ``over[t]`` is
+        ``Fraction(t, den)`` for any integer t, built on its first lookup.
+        So a round's utility is an integer sum and one lookup, and each
+        distinct sum is normalised once; built once per n."""
         out = self._edge_numerators.get(n)
         if out is None:
             table = self.edge_table(n)
             den = math.lcm(*(u.denominator for u in table.values()))
-            out = self._edge_numerators[n] = (den, {
-                k: u.numerator * (den // u.denominator)
-                for k, u in table.items()})
+            out = self._edge_numerators[n] = (
+                {k: u.numerator * (den // u.denominator)
+                 for k, u in table.items()},
+                _Memo(functools.partial(Fraction, denominator=den)))
         return out
+
+    @cached_property
+    def cooperation_utility(self) -> Mapping[int, Fraction]:
+        """The all-cooperate round utility of an agent by its degree,
+        ``(beta - 1 - alpha) * degree``, each built on its first lookup."""
+        return _Memo((self.beta - 1 - self.alpha).__mul__)
 
 
 def edge_utility(own: IndividualAction, received: IndividualAction,
@@ -341,7 +389,7 @@ def tail_bound(params: UtilityParams, n: int, horizon: int) -> Fraction:
 def cooperation_round_utility(i: AgentId, graph: RoundGraph,
                               params: UtilityParams) -> Fraction:
     """Per-round utility under all-cooperate: (beta - 1 - alpha) * degree."""
-    return (params.beta - 1 - params.alpha) * graph.degree(i)
+    return params.cooperation_utility[graph.degree(i)]
 
 
 def cooperation_tail(g: EvolvingGraph, i: AgentId, params: UtilityParams,

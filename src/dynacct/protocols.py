@@ -49,7 +49,6 @@ them.
 
 from __future__ import annotations
 
-import copy
 import functools
 from fractions import Fraction
 from collections.abc import Mapping
@@ -124,8 +123,17 @@ class StrategyMachine:
         machine at a time.  The default is a shallow copy, which is enough
         for attributes that are only ever rebound; a subclass extends it
         through ``super().clone()`` to copy each container it mutates in
-        place."""
-        return copy.copy(self)
+        place.
+
+        The shallow copy is a new instance of the class with the
+        instance dict's entries copied in: for a class with no
+        ``__slots__`` and no ``__copy__`` or reduce/state hooks of its own,
+        which no machine class defines, that is exactly what
+        ``copy.copy`` does, without its reduce round trip."""
+        cls = type(self)
+        c = cls.__new__(cls)
+        c.__dict__.update(self.__dict__)
+        return c
 
     def begin_round(self, view: LocalView):
         self.round = view.round
@@ -405,13 +413,16 @@ class SigmaGen(StrategyMachine):
 
     def snapshot(self) -> dict:
         """The reports decoded to a ``((v, s, r), "good" | "bad")`` list,
-        sorted by construction: bit ``v*n + s`` outside, round inside."""
-        n = self.n
+        sorted by construction: bit ``v*n + s`` outside, round inside.
+        Only the bits that some round knows are visited."""
         rounds = sorted(self.acc.items())
+        union = 0
+        for _, (known, _) in rounds:
+            union |= known
         return {"pend": sorted(self.pend.items()),
-                "acc": [((b // n, b % n, r), "bad" if bad >> b & 1 else "good")
-                        for b in range(n * n) for r, (known, bad) in rounds
-                        if known >> b & 1]}
+                "acc": [((v, s, r), "bad" if bad & bit else "good")
+                        for bit, v, s in _mask_cells(union, self.n)
+                        for r, (known, bad) in rounds if known & bit]}
 
     def state_key(self, m: int):
         """One flat tuple of ints, relative to round m and equal exactly
@@ -465,6 +476,19 @@ def _moved_reports(mask: int, pi: tuple[AgentId, ...]) -> int:
         out |= 1 << (pi[b // n] * n + pi[b % n])
         mask ^= low
     return out
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _mask_cells(mask: int, n: int) -> tuple[tuple[int, AgentId, AgentId], ...]:
+    """``(1 << b, v, s)`` for each set bit ``b = v*n + s`` of a report
+    mask, lowest first.  Cached: a run's reports know few distinct sets
+    of bits."""
+    cells = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        cells.append((bit, *divmod(bit.bit_length() - 1, n)))
+    return tuple(cells)
 
 
 def sigma_gen(me: AgentId, n: int, params: UtilityParams,

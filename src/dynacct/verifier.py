@@ -167,8 +167,8 @@ from .evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                              local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
-                        Trace, UtilityParams, cooperation_round_utility,
-                        cooperation_tail, discounted_utility, tail_bound)
+                        Trace, UtilityParams, _Memo, cooperation_tail,
+                        discounted_utility, tail_bound)
 from .protocols import (RandSource, ScheduledDefector, StrategyConfigError,
                         StrategyMachine, _deliver, build_deviation,
                         build_strategy, honest_spec)
@@ -325,6 +325,13 @@ class SimConfig:
         """``_begin_round``'s memo: round m's views by agent."""
         return {}
 
+    @functools.cached_property
+    def _tolerances(self) -> Mapping[int, Fraction]:
+        """The tail bound by rounds left to the horizon, each computed on
+        its first lookup: every checker of the config shares the powers of
+        delta."""
+        return _Memo(functools.partial(tail_bound, self.params, self.family.n))
+
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
                    ) -> dict[AgentId, StrategyMachine]:
@@ -365,12 +372,17 @@ def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
 
 
 def _round_outcome(cfg: SimConfig, m: int, acts: dict):
-    """The checked action profile of round m and every agent's utility."""
+    """The checked action profile of round m and every agent's utility.
+
+    A utility is the integer sum of the per-edge table's numerators over
+    its one common denominator, so it is exact; the params keep each
+    distinct sum's ``Fraction``, and one that recurs is not normalised
+    again."""
     rg, params = cfg.graph.at(m), cfg.params
     profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
     profile.check(rg, params.mode)
-    den, nums = params.edge_numerators(rg.n)
-    utils = {i: Fraction(sum(nums[a[j].code, acts[j][i].code] for j in a), den)
+    nums, over = params.edge_numerators(rg.n)
+    utils = {i: over[sum(nums[a[j].code, acts[j][i].code] for j in a)]
              for i, a in acts.items()}
     return profile, utils
 
@@ -573,12 +585,12 @@ def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     over the absorption rounds a: the closed-form tail, whose
     probabilities sum to 1, cancels.  Pass one ``table`` to share the
     valued worlds."""
-    graph, params = cfg.graph, cfg.params
+    graph, cooperation = cfg.graph, cfg.params.cooperation_utility
 
     def gap(m: int, profile: ActionProfile, utils) -> Fraction:
-        return utils[i] - cooperation_round_utility(i, graph.at(m), params)
+        return utils[i] - cooperation[graph.at(m).degree(i)]
 
-    walk = _Walk(cfg, gap, params.delta, table=table)
+    walk = _Walk(cfg, gap, cfg.params.delta, table=table)
     return walk.value(machines, start)[0], walk.leaves
 
 
@@ -706,8 +718,6 @@ class _OneShotChecker:
         self.seen: dict[tuple, bool] = {}
         self.contexts: list = []
         self.results: list[tuple[Fraction, Fraction, dict]] = []
-        # tolerances by remaining horizon, each computed once
-        self.tolerances: dict[int, Fraction] = {}
         # continuation values by world key, from fully absorbed subtrees
         self.values: dict[tuple, _Valued] = {}
         # the automorphisms that fix i, the identity included, and the key
@@ -721,13 +731,6 @@ class _OneShotChecker:
         self.continuations: dict[tuple, tuple[Fraction, int]] = {}
         self.images: dict[tuple, list] = {}
         self.leaves = 0
-
-    def _tolerance(self, rounds_left: int) -> Fraction:
-        tol = self.tolerances.get(rounds_left)
-        if tol is None:
-            tol = self.tolerances[rounds_left] = tail_bound(
-                self.cfg.params, self.cfg.family.n, rounds_left)
-        return tol
 
     def _walk_contexts(self, ms, start: int, end: int, origin: str):
         """Step the machines ``ms`` in place from round ``start`` with fixed
@@ -815,7 +818,7 @@ class _OneShotChecker:
             else:
                 gain = (self._continuation_eu(machines, m2, world, pattern)
                         - conform)
-            tol = self._tolerance(cfg.horizon - m2)
+            tol = cfg._tolerances[cfg.horizon - m2]
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
                 "override": {str(j): o for j, o in sorted(pattern.items())},
@@ -841,7 +844,7 @@ class _OneShotChecker:
                 f"candidate {machine.label} first deviates at round {m_dev},"
                 f" after the horizon {cfg.horizon}")
         gain = (eu_dev - self.honest_eu) / cfg.params.delta ** (m_dev - 1)
-        tol = self._tolerance(cfg.horizon - m_dev)
+        tol = cfg._tolerances[cfg.horizon - m_dev]
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",
             "override": machine.label,
@@ -889,7 +892,7 @@ class _OneShotChecker:
         results = self.results
         if not results:
             return EquilibriumReport(max_gain=Fraction(0), witness=None,
-                                     tolerance=tail_bound(cfg.params, n, cfg.horizon),
+                                     tolerance=cfg._tolerances[cfg.horizon],
                                      verdict=True, checks=0), symmetric
         # on a pass the largest gain, on a fail the check that beats its
         # tolerance by most; exact ties break toward candidate machines: their

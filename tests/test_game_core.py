@@ -285,3 +285,84 @@ def test_cooperation_tail_hypothesis(span, start_off):
     direct = sum(pr.delta ** (m - frm) * (pr.beta - 1 - pr.alpha) * g.at(m).degree(0)
                  for m in range(frm, to + 1))
     assert cooperation_tail(g, 0, pr, frm, to) == direct
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_round_sums_and_cooperation_utility_are_exact(mode):
+    # a round utility read from the params' memo of numerator sums is the
+    # sum of its edge-table entries, and the cooperation memo is
+    # (beta - 1 - alpha) * degree; both keep what they built
+    pr = UtilityParams.make("7/3", "1/5", "9/4", "9/10", mode)
+    rng = random.Random(26)
+    for n in (2, 3, 5):
+        table = pr.edge_table(n)
+        nums, over = pr.edge_numerators(n)
+        assert pr.edge_numerators(n)[1] is over
+        keys = sorted(table)
+        for _ in range(200):
+            picked = [rng.choice(keys) for _ in range(rng.randint(0, n - 1))]
+            total = sum(nums[k] for k in picked)
+            assert over[total] == sum((table[k] for k in picked), Fraction(0))
+            assert over[total] is over[total]
+    for degree in range(6):
+        u = pr.cooperation_utility[degree]
+        assert u == (pr.beta - 1 - pr.alpha) * degree
+        assert pr.cooperation_utility[degree] is u
+
+
+def _check_per_action(profile, graph, mode):
+    """``ActionProfile.check`` as one ``check_neighbors`` and one
+    ``check_mode`` per action, in profile order: the reference."""
+    if set(profile.actions) != set(range(graph.n)):
+        raise ValueError("profile must cover every agent")
+    for a in profile.actions.values():
+        a.check_neighbors(graph)
+        for ia in a.per_neighbor.values():
+            ia.check_mode(mode, graph.n)
+
+
+def _error(check, *args):
+    try:
+        check(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def _checked_profiles(draw):
+    """A round graph on 2..6 agents, a mode, and a profile of actions of
+    every kind, proportional weights 0..n+1, mostly legal in the mode;
+    now and then an agent's keys miss a neighbour, hold a non-neighbour
+    (itself, or n), or the agent is left out."""
+    n = draw(st.integers(2, 6))
+    mode = draw(st.sampled_from(list(Mode)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rg = RoundGraph.from_pairs(n, draw(st.lists(st.sampled_from(pairs),
+                                                unique=True)))
+    every = [COOPERATE, DEFECT, PUNISH, AVOID] + [
+        IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n + 2)]
+    legal = [a for a in every
+             if _error(a.check_mode, mode, n) is None]
+    actions = {}
+    for i in range(n):
+        if draw(st.integers(0, 19)) == 0:
+            continue
+        keys = set(rg.neighbors(i))
+        if draw(st.integers(0, 4)) == 0:
+            keys ^= draw(st.sets(st.integers(0, n), min_size=1, max_size=2))
+        per = {j: draw(st.sampled_from(legal if draw(st.integers(0, 9))
+                                       else every))
+               for j in sorted(keys)}
+        actions[i] = Action(i, 1, per)
+    return ActionProfile(1, actions), rg, mode
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checked_profiles())
+def test_code_check_agrees_with_the_per_action_check(case):
+    # the allowed-code test accepts and rejects exactly what check_mode and
+    # check_neighbors do, with the same first error
+    profile, rg, mode = case
+    assert (_error(profile.check, rg, mode)
+            == _error(_check_per_action, profile, rg, mode))

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                                     ObservationModel, RoundGraph)
@@ -13,11 +15,13 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
 from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
                                ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
-                               always_defect_until, build_strategy,
-                               defect_at_rounds, sigma_gen, sigma_val,
-                               single_evasive)
-from dynacct.scenarios import (builtin, complete_graph, general_defaults,
-                               ring_graph, valuable_defaults)
+                               UnsafePunisherProtocol, _Persona, _ShadowWorld,
+                               always_defect_until, build_deviation,
+                               build_strategy, defect_at_rounds, sigma_gen,
+                               sigma_val, single_evasive)
+from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, complete_graph,
+                               general_defaults, ring_graph,
+                               valuable_defaults)
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
                               simulate)
 
@@ -344,6 +348,42 @@ def test_sigma_gen_matches_flat_reference(rng):
     assert stray_bad > 0 and own_row > 0
     assert all(len(flats) == 1 for flats in keys.values())
     assert len(set().union(*keys.values())) == len(keys)
+
+
+def _snapshot_by_scan(mach: SigmaGen) -> list:
+    """``SigmaGen.snapshot``'s reports decoded by testing every one of the
+    n*n bits in every stored round: the reference."""
+    n = mach.n
+    rounds = sorted(mach.acc.items())
+    return [((b // n, b % n, r), "bad" if bad >> b & 1 else "good")
+            for b in range(n * n) for r, (known, bad) in rounds
+            if known >> b & 1]
+
+
+def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
+    # the set-bit decoder gives the scan's list, in its order, on random
+    # report states from empty to full masks, stored in any round order
+    reports = 0
+    for n in (3, 4, 5):
+        for _ in range(300):
+            mach = SigmaGen(rng.randrange(n), n)
+            m = rng.randint(1, 3 * n)
+            density = rng.choice([0.05, 0.3, 0.7, 1.0])
+            window = list(range(max(1, m - n + 2), m + 1))
+            rng.shuffle(window)
+            for r in window:
+                if rng.random() < 0.8:
+                    known = sum(1 << b for b in range(n * n)
+                                if rng.random() < density)
+                    mach.acc[r] = (known, known & rng.getrandbits(n * n))
+            mach.pend = {(s, c): rng.randint(1, n - 1)
+                         for s in range(n) for c in range(n)
+                         if rng.random() < 0.2}
+            snap = mach.snapshot()
+            assert snap["acc"] == _snapshot_by_scan(mach)
+            assert snap["pend"] == sorted(mach.pend.items())
+            reports += len(snap["acc"])
+    assert reports > 0
 
 
 def test_sigma_gen_payloads_are_isolated(rng):
@@ -694,6 +734,77 @@ def test_lenient_evasive_clean_shadow_is_honest():
     th = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     tl = _simulate_machines(cfg, machines)
     assert th.history.profiles == tl.history.profiles
+
+
+# ---------------------------------------------------------------------------
+# cloning
+# ---------------------------------------------------------------------------
+
+def _held(mach: StrategyMachine):
+    """``mach`` and every machine it holds: a wrapper's base and the
+    profile of a persona's shadow world, recursively."""
+    yield mach
+    for value in vars(mach).values():
+        if isinstance(value, StrategyMachine):
+            yield from _held(value)
+        elif isinstance(value, _ShadowWorld):
+            for inner in value.machines.values():
+                yield from _held(inner)
+
+
+def _builtin_profiles():
+    """On every builtin member, its configured profile and, per candidate,
+    the honest profile with the candidate's machine, as ``dynacct verify``
+    builds them."""
+    for name in sorted(BUILTIN_SCENARIOS):
+        sc = builtin(name)
+        for g in sc.family.members:
+            sc.member = g.name
+            cfg = sc.sim_config()
+            yield cfg, build_machines(cfg)
+            for c in sc.candidates:
+                if c.get("member") in (None, g.name):
+                    machines = build_machines(cfg, honest_only=True)
+                    machines[c["agent"]] = build_deviation(
+                        {k: v for k, v in c.items() if k != "agent"}, cfg,
+                        c["agent"])
+                    yield cfg, machines
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 12))
+def test_default_clone_is_copy_copy(rounds):
+    # after any number of rounds, the default clone of every machine the
+    # builtins build, and of every machine those hold, is a new instance of
+    # its class whose attributes are copy.copy's, the very same objects
+    seen = set()
+    for cfg, machines in _builtin_profiles():
+        _simulate_machines(cfg, machines, stop=lambda m, _: m > rounds)
+        for mach in (m for top in machines.values() for m in _held(top)):
+            cloned, copied = StrategyMachine.clone(mach), copy.copy(mach)
+            assert type(cloned) is type(mach) and cloned is not mach
+            assert list(vars(cloned)) == list(vars(copied))
+            assert all(vars(cloned)[k] is v for k, v in vars(copied).items())
+            seen.add(type(mach))
+    assert seen == {AccusationPunisher, SigmaGen, SigmaVal,
+                    UnsafePunisherProtocol, ScheduledDefector, _Persona}
+
+
+def test_no_machine_class_customises_copying():
+    # the default clone copies the instance dict, which is copy.copy only
+    # for a class with none of these hooks: so no machine class, in the
+    # package or in the tests, may define one
+    hooks = {"__slots__", "__copy__", "__reduce__", "__reduce_ex__",
+             "__getstate__", "__setstate__"}
+    classes, todo = [], [StrategyMachine]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {FlatSigmaGen, Recorder, _Persona, UnsafePunisherProtocol,
+            AlwaysDefect} <= set(classes)
+    assert {cls.__qualname__: sorted(hooks & set(vars(cls)))
+            for cls in classes if hooks & set(vars(cls))} == {}
 
 
 # ---------------------------------------------------------------------------

@@ -936,17 +936,28 @@ def _builtin_configs():
             yield sc.sim_config(), cands
 
 
-def test_orbit_reports_match_direct_verification(rng):
+def test_orbit_reports_match_direct_verification(rng, monkeypatch):
     # asked in either agent order, on one config, every agent's report
     # equals byte for byte the one verified directly on a fresh config:
     # on random symmetric families, every builtin member and the three
-    # connectivity families of acceptance criterion 2, at both depths
+    # connectivity families of acceptance criterion 2, at both depths; and
+    # some agent is served its report with no checker of its own built
     import json
+
+    from dynacct import verifier
 
     from .test_acceptance import criterion2_families, gen_config
     cases = [*((cfg, {}) for cfg in _symmetric_configs(rng, 9)),
              *_builtin_configs(),
              *((gen_config(fam), {}) for fam in criterion2_families())]
+    built = []      # (config, agent) of every checker built
+    init = verifier._OneShotChecker.__init__
+
+    def recording(self, cfg, i):
+        built.append((cfg, i))
+        init(self, cfg, i)
+
+    monkeypatch.setattr(verifier._OneShotChecker, "__init__", recording)
     shared = 0
     for cfg, cands in cases:
         n = cfg.family.n
@@ -960,8 +971,8 @@ def test_orbit_reports_match_direct_verification(rng):
                     rep = verify_one_shot(memo_cfg, i, depth, cands.get(i, ()))
                     assert json.dumps(rep.to_json()) == direct[i], (
                         cfg.member, depth, list(order), i)
-                shared += sum((i, depth) not in memo_cfg._one_shot_reports
-                              for i in range(n) if i not in cands)
+                checked = {i for c, i in built if c is memo_cfg}
+                shared += sum(i not in checked for i in range(n))
     assert shared > 0
 
 
