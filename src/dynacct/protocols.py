@@ -27,8 +27,9 @@ agent's one-shot report onto another's, and one forced continuation onto
 another: the verifier stores each walked continuation under its image by
 every automorphism fixing the agent, and gives an agent another's report
 (``verifier.verify_one_shot``).
-``clone()`` copies shallowly; a machine extends it for each container it
-mutates in place.  A deviation strategy is a base machine plus a twist:
+``clone()`` copies shallowly: a machine's state is ints and containers
+it rebinds, never mutates, so only a wrapper extends it, to clone its
+base.  A deviation strategy is a base machine plus a twist:
 ``_Wrapper`` forwards every round hook to the base, and its subclasses
 override what differs: ``ScheduledDefector`` every scripted deviation,
 the verifier's forced one-shots included, and ``_Persona`` the others.
@@ -41,17 +42,22 @@ last ``rho`` rounds; the bounded tally protocol keeps per-subject pending
 punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
-applied to itself).  Those reports have one format, for store, payload,
-merge and state key alike: each live round maps to a ``(known, bad)`` pair
-of bit masks over the (victim, sender) slots; only ``snapshot()`` decodes
-them.
+applied to itself).  Its whole state is three ints, in one format for
+store, payload, merge and state key alike: ``pend`` holds each tally of
+subject s and residue c in unary, as that many low one-bits of the
+(n-1)-bit field at offset (s*n + c)*(n-1), so the capped max of two
+tallies is their OR; ``known`` and ``bad`` hold round r's (victim,
+sender) report masks in slot r mod n, n*n bits wide.  The state key
+rotates each subject's fields and the slots by the round mod n; only
+``snapshot()`` decodes them.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+from collections import Counter
 from collections.abc import Mapping
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
@@ -121,9 +127,9 @@ class StrategyMachine:
         """An independent machine in the same state: driving either one
         never changes the other.  The verifier forks runs this way, one
         machine at a time.  The default is a shallow copy, which is enough
-        for attributes that are only ever rebound; a subclass extends it
-        through ``super().clone()`` to copy each container it mutates in
-        place.
+        for attributes that are only ever rebound, as every machine's
+        state is; a wrapper extends it through ``super().clone()`` to
+        clone its base.
 
         The shallow copy is a new instance of the class with the
         instance dict's entries copied in: for a class with no
@@ -195,36 +201,30 @@ class _AccusationWindow(StrategyMachine):
             raise StrategyConfigError("rho must be >= 1")
         self.rho = rho
         self.accusations: set[tuple[AgentId, int]] = set()
+        self._sorted = ()    # the accusations, sorted once a round
 
     def payload_for(self, j: AgentId) -> Optional[dict]:
-        return {"acc": sorted(self.accusations)}
-
-    def accusation_count(self, j: AgentId) -> int:
-        # end_round cut the window to the last rho rounds
-        return sum(1 for (s, _) in self.accusations if s == j)
+        return {"acc": list(self._sorted)}
 
     def end_round(self, own_action, inbox):
         m = self.round
         lo = m + 1 - self.rho
+        # a new set: the old one may be a clone's too
+        got = {(s, r) for (s, r) in self.accusations if r >= lo}
         for j in sorted(inbox):
             act_ji, payload = inbox[j]
             if act_ji.kind is ActionKind.DEFECT:
-                self.accusations.add((j, m))
+                got.add((j, m))
             elif payload is not None:
                 for (s, r) in payload.get("acc", ()):
                     # never accept what a sender says about itself, and never
                     # track reports about this agent's own behaviour
                     if s != j and s != self.me and lo <= r < m:
-                        self.accusations.add((s, r))
-        self.accusations = {(s, r) for (s, r) in self.accusations if r >= lo}
-
-    def clone(self) -> "_AccusationWindow":
-        c = super().clone()
-        c.accusations = set(self.accusations)
-        return c
+                        got.add((s, r))
+        self.accusations, self._sorted = got, tuple(sorted(got))
 
     def snapshot(self) -> dict:
-        return {"accusations": sorted(self.accusations)}
+        return {"accusations": list(self._sorted)}
 
     def state_key(self, m: int):
         return (type(self).__name__, self.rho,
@@ -252,10 +252,10 @@ class SigmaVal(_AccusationWindow):
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         cap = min(self.rho, self.n - 1)
-        out = {}
-        for j in sorted(self.view.neighbors):
-            out[j] = prop_punish(min(self.accusation_count(j), cap))
-        return out
+        # accusation rounds by subject: end_round cut the window to rho rounds
+        accused = Counter(s for s, _ in self.accusations)
+        return {j: prop_punish(min(accused[j], cap))
+                for j in sorted(self.view.neighbors)}
 
 
 class AccusationPunisher(_AccusationWindow):
@@ -265,7 +265,8 @@ class AccusationPunisher(_AccusationWindow):
     mode = Mode.GENERAL
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        return {j: (PUNISH if self.accusation_count(j) > 0 else COOPERATE)
+        accused = {s for s, _ in self.accusations}
+        return {j: (PUNISH if j in accused else COOPERATE)
                 for j in sorted(self.view.neighbors)}
 
 
@@ -282,91 +283,64 @@ def sigma_val(me: AgentId, n: int, rho: int, params: UtilityParams) -> SigmaVal:
 class SigmaGen(StrategyMachine):
     """General-exchange protocol with bounded per-subject punishment tallies.
 
-    State:
-      pend[(j, c)]  pending punishments for subject j in rounds == c mod n,
-                    values in [0, n-1]
-      acc[r]        round r's reports as two masks ``(known, bad)``: bit
-                    ``v*n + s`` of ``known`` marks a report by victim v about
-                    sender s, and of ``bad`` a "bad" one (never without the
-                    ``known`` bit).  After ``end_round(m)`` only rounds
-                    m-n+2..m that hold a report are stored
+    State, three ints:
+      pend   the pending punishments for subject s in rounds == c mod n, a
+             count in [0, n-1] kept as that many low one-bits of the
+             (n-1)-bit field at offset (s*n + c)*(n-1), so the capped max
+             of two tallies is their OR
+      known  round r's reports in slot r mod n, n*n bits from offset
+             (r % n)*n*n: bit ``v*n + s`` of a slot marks a report by victim
+             v about sender s.  After ``end_round(m)`` only the slots of
+             rounds m-n+2..m hold bits
+      bad    the bits of the "bad" reports (never without ``known``)
+    ``state_key(m)`` is one int: pend with each subject's fields, then
+    known and bad with their slots, rotated so that residue and slot
+    m mod n come first.
 
     Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
-    The payload is ``{"pend": ((j, c), count) pairs in sorted order, "acc":
-    a copy of acc}``, a fresh dict per neighbour over immutable ints, so no
-    receiver can reach the sender's state or another receiver's payload.
-    End of round m: record own reports for m; merge pend (max, capped) and,
-    per window round, fill absent report bits from non-defecting senders,
-    rejecting anything a sender claims about itself, reports in the
-    receiver's own row and s == v, and skipping the residue class of m;
+    The payload is ``(pend, known, bad)`` for every neighbour: ints are
+    immutable, so no receiver can reach the sender's state.
+    End of round m: record own reports for m; from each non-defecting
+    sender, OR in its tallies and fill the absent report bits, rejecting
+    anything a sender claims about itself, reports in the receiver's own
+    row and s == v, and skipping the residue class and the slot of m;
     then, for m >= n, rebuild pend[j][m+1] from the fully disseminated
-    round m-n+1 masks: drain by the reported degree, re-add it if anyone
-    reported a defection.
+    slot of round m-n+1: drain by the reported degree, re-add it if anyone
+    reported a defection; then clear that slot.
     """
 
     mode = Mode.GENERAL
 
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
-        self.pend: dict[tuple[AgentId, int], int] = {}
-        self.acc: dict[int, tuple[int, int]] = {}
-        # about[s]: bits of reports about s by others; fillable[j]: the bits
-        # sender j may fill (none about j, none by me, none with s == v)
-        diag = sum(1 << (v * n + v) for v in range(n))
-        mine = ((1 << n) - 1) << (me * n)
-        self._about = [sum(1 << (v * n + s) for v in range(n)) & ~diag
-                       for s in range(n)]
-        self._fillable = [((1 << n * n) - 1) & ~diag & ~mine & ~about
-                          for about in self._about]
-
-    def clone(self) -> "SigmaGen":
-        c = super().clone()    # the masks are never mutated: share them
-        c.pend = dict(self.pend)
-        c.acc = dict(self.acc)
-        return c
+        self.pend = self.known = self.bad = 0
+        self._about, self._keep, self._fill, self._low = _gen_masks(n, me)
 
     def begin_round(self, view: LocalView):
         if view.neighbor_degrees is None:
             raise StrategyConfigError("sigma_gen needs neighbour degrees")
         super().begin_round(view)
 
-    def payload_for(self, j: AgentId) -> Optional[dict]:
-        return {"pend": tuple(sorted(self.pend.items())), "acc": dict(self.acc)}
+    def payload_for(self, j: AgentId) -> tuple:
+        return self.pend, self.known, self.bad
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        m = self.round
+        n, w = self.n, self.n - 1
         out = {}
         for j in sorted(self.view.neighbors):
-            pending = self.pend.get((j, m % self.n), 0)
+            pending = (self.pend >> (j * n + self.round % n) * w
+                       & (1 << w) - 1).bit_count()
             deg_j = self.view.neighbor_degrees[j]
-            if pending == 0:
-                out[j] = COOPERATE
-            elif pending >= deg_j:
-                out[j] = PUNISH
-            else:
-                out[j] = (PUNISH if rand.bernoulli(f"punish[{j}]",
-                                                   Fraction(pending, deg_j))
-                          else COOPERATE)
+            out[j] = (COOPERATE if not pending else PUNISH if pending >= deg_j
+                      or rand.bernoulli(f"punish[{j}]", Fraction(pending, deg_j))
+                      else COOPERATE)
         return out
 
     def end_round(self, own_action, inbox):
-        m, n = self.round, self.n
-        known = bad = 0
-        for j, (act_ji, _) in inbox.items():
-            bit = 1 << (self.me * n + j)
-            known |= bit
-            if act_ji.kind is ActionKind.DEFECT:
-                bad |= bit
-        if known:
-            self.acc[m] = (known, bad)
-        self._merge(m, inbox)
-        if m >= n:
-            self._rebuild_pend(m)
-        self.acc.pop(m - n + 1, None)    # the round leaving the window
-
-    def _merge(self, m: int, inbox):
-        """Merge the non-defecting senders' payloads: pend by max, capped,
-        and report bits by filling the absent ones, lowest-id sender first.
+        """Record my reports of round m, merge the non-defecting senders'
+        payloads (tallies by OR, report bits by filling the absent ones,
+        lowest-id sender first), rebuild, and clear the slot of the round
+        leaving the window.
 
         The sender order decides nothing between honest copies: a report
         bit is recorded only by its victim, from what it was dealt, and
@@ -374,93 +348,117 @@ class SigmaGen(StrategyMachine):
         holding the bit hold the same value.  A scheduled override changes
         actions, never payloads, so this holds under the verifier's
         deviations too, and the machine is label-free."""
-        n, me = self.n, self.me
-        senders = [(j, p) for j, (a, p) in sorted(inbox.items())
-                   if a.kind is not ActionKind.DEFECT and p is not None]
-        for j, p in senders:
-            for ((s, c), v) in p["pend"]:
-                if s == me or s == j or c == m % n:
-                    continue
-                merged = min(n - 1, max(self.pend.get((s, c), 0), v))
-                if merged > 0:
-                    self.pend[(s, c)] = merged
-        # fill absent bits only; senders go in id order, so the lowest-id
-        # sender of a bit wins
-        lo = m - n + 1
-        for j, p in senders:
-            fillable = self._fillable[j]
-            for r, (k, b) in p["acc"].items():
-                if lo <= r <= m - 1:
-                    mk, mb = self.acc.get(r, (0, 0))
-                    new = k & fillable & ~mk
-                    if new:
-                        self.acc[r] = (mk | new, mb | b & new)
+        m, n = self.round, self.n
+        row = 1 << (m % n * n + self.me) * n    # my row of round m's slot
+        keep, fill = self._keep[m % n], self._fill[m % n]
+        pend, known, bad = self.pend, self.known, self.bad
+        for j, (a, p) in sorted(inbox.items()):
+            known |= row << j
+            if a.kind is ActionKind.DEFECT:
+                bad |= row << j
+            elif p is not None:
+                pend |= p[0] & keep[j]
+                new = p[1] & fill[j] & ~known
+                known |= new
+                bad |= p[2] & new
+        self.pend = pend
+        at = (m + 1) % n * n * n    # the slot of round m-n+1
+        if m >= n:
+            self._rebuild_pend(m, known >> at, bad >> at)
+        kept = ~((1 << n * n) - 1 << at)
+        self.known, self.bad = known & kept, bad & kept
 
-    def _rebuild_pend(self, m: int):
-        n = self.n
-        known, bad = self.acc.get(m - n + 1, (0, 0))
+    def _rebuild_pend(self, m: int, known: int, bad: int):
+        """pend[j][m+1] from round m-n+1's reports, ``known`` and ``bad``
+        holding its slot in their low bits."""
+        n, w = self.n, self.n - 1
+        c = (m + 1) % n
         for j, about in enumerate(self._about):
             deg = (known & about).bit_count()
             if not deg or j == self.me:
                 continue    # nothing reported about j: its tally stays
-            key = (j, (m + 1) % n)
-            new = max(0, self.pend.get(key, 0) - deg) + (deg if bad & about else 0)
+            at = (j * n + c) * w
+            old = self.pend >> at & (1 << w) - 1
+            new = max(0, old.bit_count() - deg) + (deg if bad & about else 0)
             assert new <= n - 1, "tally invariant broken"
-            if new > 0:
-                self.pend[key] = new
-            else:
-                self.pend.pop(key, None)
+            self.pend ^= (old ^ (1 << new) - 1) << at
 
     def snapshot(self) -> dict:
-        """The reports decoded to a ``((v, s, r), "good" | "bad")`` list,
-        sorted by construction: bit ``v*n + s`` outside, round inside.
-        Only the bits that some round knows are visited."""
-        rounds = sorted(self.acc.items())
-        union = 0
-        for _, (known, _) in rounds:
-            union |= known
-        return {"pend": sorted(self.pend.items()),
+        """The tallies decoded to a sorted ``((s, c), count)`` list, and the
+        reports to a ``((v, s, r), "good" | "bad")`` list, sorted by
+        construction: bit ``v*n + s`` outside, round inside.  Only the
+        nonzero fields and the bits that some round knows are visited."""
+        n, m, nn = self.n, self.round, self.n * self.n
+        rounds, union = [], 0
+        for r in range(m - n + 1, m + 1):
+            known = self.known >> r % n * nn & (1 << nn) - 1
+            if known:
+                rounds.append((r, known, self.bad >> r % n * nn))
+                union |= known
+        return {"pend": [((s, c), bits.bit_count())
+                         for bits, s, c in _cells(self.pend, n - 1, n)],
                 "acc": [((v, s, r), "bad" if bad & bit else "good")
-                        for bit, v, s in _mask_cells(union, self.n)
-                        for r, (known, bad) in rounds if known & bit]}
+                        for bit, v, s in _cells(union, 1, n)
+                        for r, known, bad in rounds if known & bit]}
 
     def state_key(self, m: int):
-        """One flat tuple of ints, relative to round m and equal exactly
-        when the round-relative pend entries and reports are: the number of
-        pend entries; each entry as ``count*n*n + s*n + (c-m) % n``, in
-        increasing order; then per stored round, oldest first,
-        ``(m-r) << 2*n*n | bad << n*n | known``."""
-        n = self.n
-        nn = n * n
-        pend = sorted(v * nn + s * n + (c - m) % n
-                      for (s, c), v in self.pend.items())
-        return (len(pend), *pend, *((m - r) << 2 * nn | bad << nn | known
-                                    for r, (known, bad) in sorted(self.acc.items())))
+        """One int, relative to round m: pend with each subject's fields
+        rotated so that residue m mod n comes first, then known and bad with
+        their slots rotated so that slot m mod n comes first."""
+        n, k = self.n, m % self.n
+        w, ks, size = n - 1, k * n * n, n ** 3   # size: the bits of all slots
+        # x * twice holds x's slots twice over: shifted by ks and cut to
+        # size, it is x rotated by k slots
+        twice, full = 1 | 1 << size, (1 << size) - 1
+        pend = (self.pend >> k * w & self._low[k]
+                | (self.pend & self._low[n - k]) << (n - k) * w)
+        known = self.known * twice >> ks & full
+        bad = self.bad * twice >> ks & full
+        return pend | (known | bad << size) << n * n * w
 
     @staticmethod
     def relabel_key(key, pi: Sequence[AgentId]):
-        """Each pend code's subject s becomes pi[s], and the codes are
-        re-sorted; each report mask is moved by ``_moved_reports``, and the
-        stored rounds keep their order."""
+        """Each subject's block of pend fields moves to subject pi[s], and
+        each slot's report mask, of known and of bad alike, is moved by
+        ``_moved_reports``."""
         pi = tuple(pi)
         n = len(pi)
-        nn = n * n
-        full = (1 << nn) - 1
-        count = key[0]
-        pend = sorted(code + (pi[code // n % n] - code // n % n) * n
-                      for code in key[1:count + 1])
-        acc = (code >> 2 * nn << 2 * nn
-               | _moved_reports(code >> nn & full, pi) << nn
-               | _moved_reports(code & full, pi) for code in key[count + 1:])
-        return (count, *pend, *acc)
+        block, nn = n * (n - 1), n * n
+        out = 0
+        for s, t in enumerate(pi):
+            out |= (key >> s * block & (1 << block) - 1) << t * block
+        for shift in range(n * block, n * block + 2 * n ** 3, nn):
+            out |= _moved_reports(key >> shift & (1 << nn) - 1, pi) << shift
+        return out
 
     def is_quiescent(self) -> bool:
-        return not self.pend and not any(bad for _, bad in self.acc.values())
+        return not (self.pend or self.bad)
 
     @staticmethod
     def static_state_bound(n: int) -> int:
         # pend: (n-1) subjects x n residues; acc: n(n-1) ordered pairs x n rounds
         return (n - 1) * n + n * (n - 1) * n
+
+
+@functools.lru_cache(maxsize=None)
+def _gen_masks(n: int, me: AgentId) -> tuple:
+    """``SigmaGen``'s masks for agent me of n: ``about[s]``, the bits of a
+    slot that report about s (s == v excluded); ``low[k]``, the fields
+    c < n-k of every subject's block; and, in round residue c,
+    ``keep[c][j]`` and ``fill[c][j]``, the tallies and the report bits
+    that sender j may raise and fill: none about j, no tally about me or
+    of residue c, no report by me or in slot c."""
+    w, nn = n - 1, n * n
+    block, blocks = (1 << n * w) - 1, sum(1 << s * n * w for s in range(n))
+    about = [sum(1 << v * n + s for v in range(n) if v != s) for s in range(n)]
+    low = [((1 << (n - k) * w) - 1) * blocks for k in range(n + 1)]
+    reports = sum(about) & ~((1 << n) - 1 << me * n)
+    # low[n - 1] << c * w: the fields of residue c
+    return about, [[
+        low[0] & ~(low[n - 1] << c * w | block << j * n * w | block << me * n * w)
+        for j in range(n)] for c in range(n)], [[
+        (reports & ~about[j]) * sum(1 << r * nn for r in range(n) if r != c)
+        for j in range(n)] for c in range(n)], low
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -469,25 +467,21 @@ def _moved_reports(mask: int, pi: tuple[AgentId, ...]) -> int:
     Cached: a run holds few distinct masks, and a symmetric checker
     relabels each one under every automorphism in every context."""
     n = len(pi)
-    out = 0
-    while mask:
-        low = mask & -mask
-        b = low.bit_length() - 1
-        out |= 1 << (pi[b // n] * n + pi[b % n])
-        mask ^= low
-    return out
+    return sum(1 << pi[v] * n + pi[s] for _, v, s in _cells(mask, 1, n))
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _mask_cells(mask: int, n: int) -> tuple[tuple[int, AgentId, AgentId], ...]:
-    """``(1 << b, v, s)`` for each set bit ``b = v*n + s`` of a report
-    mask, lowest first.  Cached: a run's reports know few distinct sets
-    of bits."""
+def _cells(x: int, width: int, n: int) -> tuple:
+    """``(bits, f // n, f % n)`` for each nonzero ``width``-bit field f of
+    x, lowest first, ``bits`` being x's bits in that field: the set bits
+    ``v*n + s`` of a report mask (width 1), or the tallies of a pend int.
+    Cached: a run holds few distinct masks and tallies."""
     cells = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        cells.append((bit, *divmod(bit.bit_length() - 1, n)))
+    while x:
+        f = ((x & -x).bit_length() - 1) // width
+        bits = x & (1 << width) - 1 << f * width
+        x ^= bits
+        cells.append((bits, *divmod(f, n)))
     return tuple(cells)
 
 
@@ -551,14 +545,9 @@ class UnsafePunisherProtocol(_AccusationWindow):
                 out[2] = DEFECT
         return out
 
-    def clone(self) -> "UnsafePunisherProtocol":
-        c = super().clone()
-        c.my_defections = set(self.my_defections)
-        return c
-
     def end_round(self, own_action, inbox):
         if any(a.kind is ActionKind.DEFECT for a in own_action.values()):
-            self.my_defections.add(self.round)
+            self.my_defections = self.my_defections | {self.round}
         super().end_round(own_action, inbox)
 
     def is_quiescent(self) -> bool:

@@ -724,12 +724,12 @@ class _OneShotChecker:
         # relabelling they use, if the profile is symmetric (set by
         # ``report``), else the identity alone; the forced continuations
         # walked, with their values and leaves, by (m2, world key, pattern)
-        # and under every image of that by a symmetry; the images of each
-        # world walked from; and the leaves counted
+        # and under every image of that by a symmetry; the world last walked
+        # from, with its images; and the leaves counted
         self.symmetries: Sequence[tuple[int, ...]] = [tuple(range(cfg.family.n))]
         self.relabel: Callable = lambda key, pi: key
         self.continuations: dict[tuple, tuple[Fraction, int]] = {}
-        self.images: dict[tuple, list] = {}
+        self.world_images = (None, [])
         self.leaves = 0
 
     def _walk_contexts(self, ms, start: int, end: int, origin: str):
@@ -797,9 +797,12 @@ class _OneShotChecker:
         if done is None:
             forced = self._forced(machines, m2, pattern)
             done = _relative_eu(self.cfg, forced, self.i, m2, table=self.values)
-            images = self.images.get(world)
-            if images is None:
-                images = self.images[world] = self._images(world)
+            # contexts are deduplicated by world key, so only this
+            # context's checks read its images
+            walked_from, images = self.world_images
+            if walked_from is not world:
+                images = self._images(world)
+                self.world_images = (world, images)
             for pi, image in images:
                 self.continuations[(m2, image, _pattern_key(pattern, pi))] = done
         self.leaves += done[1]

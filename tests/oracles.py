@@ -50,9 +50,12 @@ with no absorption while the override is still ahead.
 ``run_paired_defection``: both runs of the pair simulated in full from
 fresh machines, with nothing cached and no round shared.
 
-``FlatSigmaGen`` is the reference for ``SigmaGen``'s round-indexed report
-store: the same protocol over one flat report dict, and
-``flat_sigma_gen_key`` maps its state key to ``SigmaGen``'s encoding.
+``FlatSigmaGen`` is the reference for ``SigmaGen``'s three-int state:
+the same protocol over a tally dict and one flat report dict.
+``gen_payload_items`` and ``gen_payload`` read and write ``SigmaGen``'s
+wire ints bit by bit from the layout's definition, and
+``flat_sigma_gen_key`` maps the reference's state key to ``SigmaGen``'s
+encoding.
 
 ``reference_gen_facts`` is the reference for ``facts.gen_facts``: the fact
 checks as they were before they skipped what cannot fail, comparing every
@@ -872,7 +875,8 @@ def windowed_contexts(cfg: SimConfig, i: AgentId):
 # round: one flat ``acc`` dict keyed (v, s, r), rescanned whole on every
 # rebuild and prune, with a flat sorted payload.  Kept unchanged as the
 # reference that ``SigmaGen`` must match action for action and state for
-# state; its payload is the flat form of SigmaGen's round-indexed one.
+# state; its payload is the flat form of SigmaGen's three ints
+# (``gen_payload_items``).
 class FlatSigmaGen(StrategyMachine):
     """General-exchange protocol with bounded per-subject punishment tallies.
 
@@ -1016,21 +1020,52 @@ class FlatSigmaGen(StrategyMachine):
         return (n - 1) * n + n * (n - 1) * n
 
 
-def flat_sigma_gen_key(key, n: int):
-    """``FlatSigmaGen.state_key``'s frozensets in ``SigmaGen.state_key``'s
-    flat int encoding."""
-    _, pend, reports = key
-    nn = n * n
-    rounds: dict[int, list[int]] = {}
-    for (v, s, rel), val in reports:
-        masks = rounds.setdefault(rel, [0, 0])
-        masks[0] |= 1 << (v * n + s)
+def gen_payload(tallies: Iterable, reports: Iterable, n: int
+                ) -> tuple[int, int, int]:
+    """The ``SigmaGen`` ints ``(pend, known, bad)`` holding ``tallies``,
+    ``((s, c), count)`` pairs, each count as count low one-bits of the
+    (n-1)-bit field at offset (s*n + c)*(n-1), and ``reports``,
+    ``((v, s, r), "good" | "bad")`` pairs, each at bit v*n + s of slot
+    r mod n."""
+    w, nn = n - 1, n * n
+    pend = known = bad = 0
+    for (s, c), count in tallies:
+        pend |= ((1 << count) - 1) << (s * n + c) * w
+    for (v, s, r), val in reports:
+        bit = 1 << r % n * nn + v * n + s
+        known |= bit
         if val == "bad":
-            masks[1] |= 1 << (v * n + s)
-    codes = sorted(count * nn + s * n + c for (s, c), count in pend)
-    return (len(codes), *codes,
-            *(rel << 2 * nn | bad << nn | known
-              for rel, (known, bad) in sorted(rounds.items(), reverse=True)))
+            bad |= bit
+    return pend, known, bad
+
+
+def gen_payload_items(payload: tuple[int, int, int], m: int, n: int):
+    """``gen_payload``'s inverse for a payload sent at round m: its nonzero
+    tallies and its reports, each sorted, with slot c read as the round r
+    in m-n+1..m with r == c mod n.  Bad bits without a known bit are
+    dropped."""
+    pend, known, bad = payload
+    w, nn = n - 1, n * n
+    tallies = [((s, c), (pend >> (s * n + c) * w & (1 << w) - 1).bit_count())
+               for s in range(n) for c in range(n)]
+    reports = sorted(((v, s, r), "bad" if bad >> r % n * nn + v * n + s & 1
+                      else "good")
+                     for r in range(m - n + 1, m + 1)
+                     for v in range(n) for s in range(n)
+                     if known >> r % n * nn + v * n + s & 1)
+    return [t for t in tallies if t[1]], reports
+
+
+def flat_sigma_gen_key(key, n: int) -> int:
+    """``FlatSigmaGen.state_key``'s frozensets in ``SigmaGen.state_key``'s
+    one-int encoding: the tallies with residue d relative to the key's
+    round, then the known and the bad bits, each report of age k in
+    relative slot -k mod n."""
+    _, pend, reports = key
+    w, nn = n - 1, n * n
+    pend, known, bad = gen_payload(
+        pend, [((v, s, -k), val) for (v, s, k), val in reports], n)
+    return pend | known << nn * w | bad << nn * w + n * nn
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, complete_graph,
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
                               simulate)
 
-from .oracles import FlatSigmaGen, flat_sigma_gen_key
+from .oracles import (FlatSigmaGen, flat_sigma_gen_key, gen_payload,
+                      gen_payload_items)
 from .test_soundness import _RecordingRand
 
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -231,12 +232,11 @@ def test_sigma_gen_state_bound_and_quiescence():
 
 
 class _InflatingSigmaGen(SigmaGen):
-    """Gossips every tally 7 higher than it holds."""
+    """Gossips every tally at the full width of its field."""
 
     def payload_for(self, j):
-        payload = super().payload_for(j)
-        payload["pend"] = tuple((k, v + 7) for k, v in payload["pend"])
-        return payload
+        _, known, bad = super().payload_for(j)
+        return (1 << self.n * self.n * (self.n - 1)) - 1, known, bad
 
 
 def test_sigma_gen_cap_removal_detected():
@@ -259,33 +259,32 @@ def test_sigma_gen_cap_removal_detected():
         assert ok == expect_ok
 
 
-def _flat_payload(payload, n):
-    """A SigmaGen payload in the flat reference's wire form: each known bit
-    of its report masks as a ((victim, sender, round), report) item."""
+def _flat_payload(payload, n, m):
+    """A SigmaGen payload sent at round m in the flat reference's wire
+    form: each tally as a ((subject, residue), count) item and each known
+    report bit as a ((victim, sender, round), report) item."""
     if payload is None:
         return None
-    return {"pend": tuple(payload["pend"]),
-            "acc": tuple(sorted(((*divmod(b, n), r),
-                                 "bad" if bad >> b & 1 else "good")
-                                for r, (known, bad) in payload["acc"].items()
-                                for b in range(n * n) if known >> b & 1))}
+    tallies, reports = gen_payload_items(payload, m, n)
+    return {"pend": tuple(tallies), "acc": tuple(reports)}
 
 
 def _random_gen_payload(rng, n, me, m):
     """Arbitrary gossip: any subject, residue and count in pend; report
-    masks by and about anyone (self-claims, s == v, often the receiver's own
-    row) for rounds inside and outside the receiver's window, with bad bits
-    that have no known bit."""
-    pend = tuple(sorted(((s, c), rng.randint(0, n + 1))
-                        for s in range(n) for c in range(n)
-                        if rng.random() < 0.3))
-    acc: dict = {}
-    for r in range(m - n - 1, m + 2):
-        known = sum(1 << b for b in range(n * n) if rng.random() < 0.2)
+    bits by and about anyone (self-claims, s == v, often the receiver's own
+    row) in every slot, round m's included, with bad bits that have no
+    known bit."""
+    w, nn = n - 1, n * n
+    pend = sum(((1 << rng.randint(0, w)) - 1) << (s * n + c) * w
+               for s in range(n) for c in range(n) if rng.random() < 0.3)
+    known = bad = 0
+    for c in range(n):
+        slot = sum(1 << b for b in range(nn) if rng.random() < 0.2)
         if rng.random() < 0.5:
-            known |= rng.getrandbits(n) << (me * n)
-        acc[r] = (known, rng.getrandbits(n * n))
-    return {"pend": pend, "acc": acc}
+            slot |= rng.getrandbits(n) << (me * n)
+        known |= slot << c * nn
+        bad |= rng.getrandbits(nn) << c * nn
+    return pend, known, bad
 
 
 def _random_gen_round(rng, n, me, m):
@@ -305,29 +304,33 @@ def _random_gen_round(rng, n, me, m):
 
 
 def test_sigma_gen_matches_flat_reference(rng):
-    # the mask machine and the flat-dict reference, fed identical random
-    # rounds, act, draw, send and store identically; after end_round(m) only
-    # the window rounds m-n+2..m are stored.  State keys are equal exactly
-    # when the reference's frozenset keys are.  Gossip bad bits without a
-    # known bit (which the reference never sees) and reports in the
-    # receiver's own row reach the merge window, and both are ignored
+    # the three-int machine and the flat-dict reference, fed identical
+    # random rounds, act, draw, send and store identically; after
+    # end_round(m) only the window rounds m-n+2..m are stored.  State keys
+    # are equal exactly when the reference's frozenset keys are.  Gossip bad
+    # bits without a known bit (which the reference never sees) and reports
+    # in the receiver's own row reach the merge window, and both are ignored
     draws = tallies = stray_bad = own_row = 0
     keys: dict = {}
     for n in (2, 3, 4, 5):
+        nn = n * n
         for me in range(n):
             new = SigmaGen(me, n)
             ref = FlatSigmaGen(me, n)
             for m in range(1, 4 * n + 4):
                 view, inbox = _random_gen_round(rng, n, me, m)
                 for _, p in inbox.values():
-                    for r, (known, bad) in (p["acc"].items() if p else ()):
-                        if m - n + 1 <= r < m:
+                    # the slots of the merge window's rounds m-n+1..m-1
+                    for c in range(n) if p else ():
+                        known, bad = (x >> c * nn & (1 << nn) - 1 for x in p[1:])
+                        if c != m % n:
                             stray_bad += bool(bad & ~known)
                             own_row += bool(known >> me * n & (1 << n) - 1)
                 new.begin_round(view)
                 ref.begin_round(view)
                 for j in sorted(view.neighbors):
-                    assert _flat_payload(new.payload_for(j), n) == ref.payload_for(j)
+                    assert (_flat_payload(new.payload_for(j), n, m)
+                            == ref.payload_for(j))
                 seed = rng.randrange(10 ** 6)
                 r_new, r_ref = _RecordingRand(seed), _RecordingRand(seed)
                 act = new.act(r_new)
@@ -335,14 +338,15 @@ def test_sigma_gen_matches_flat_reference(rng):
                 assert r_new.log == r_ref.log
                 draws += len(r_ref.log)
                 new.end_round(act, inbox)
-                ref.end_round(act, {j: (a, _flat_payload(p, n))
+                ref.end_round(act, {j: (a, _flat_payload(p, n, m))
                                     for j, (a, p) in inbox.items()})
                 assert new.snapshot() == ref.snapshot()
                 key, flat = new.state_key(m + 1), ref.state_key(m + 1)
                 assert key == flat_sigma_gen_key(flat, n)
                 keys.setdefault((n, key), set()).add((n, flat))
                 assert new.is_quiescent() == ref.is_quiescent()
-                assert set(new.acc) <= set(range(m - n + 2, m + 1))
+                leaving = (1 << nn) - 1 << (m + 1) % n * nn
+                assert not (new.known | new.bad) & leaving
                 tallies += len(ref.pend)
     assert draws > 0 and tallies > 0   # punishments were drawn and tallied
     assert stray_bad > 0 and own_row > 0
@@ -352,45 +356,92 @@ def test_sigma_gen_matches_flat_reference(rng):
 
 def _snapshot_by_scan(mach: SigmaGen) -> list:
     """``SigmaGen.snapshot``'s reports decoded by testing every one of the
-    n*n bits in every stored round: the reference."""
-    n = mach.n
-    rounds = sorted(mach.acc.items())
-    return [((b // n, b % n, r), "bad" if bad >> b & 1 else "good")
-            for b in range(n * n) for r, (known, bad) in rounds
-            if known >> b & 1]
+    n*n bits of every window round's slot: the reference."""
+    n, m = mach.n, mach.round
+    return [((b // n, b % n, r), "bad" if mach.bad >> r % n * n * n + b & 1
+             else "good")
+            for b in range(n * n) for r in range(m - n + 1, m + 1)
+            if mach.known >> r % n * n * n + b & 1]
 
 
 def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
     # the set-bit decoder gives the scan's list, in its order, on random
-    # report states from empty to full masks, stored in any round order
+    # report states from empty to full slots, stored in any round order
     reports = 0
     for n in (3, 4, 5):
+        nn = n * n
         for _ in range(300):
             mach = SigmaGen(rng.randrange(n), n)
-            m = rng.randint(1, 3 * n)
+            mach.round = m = rng.randint(1, 3 * n)
             density = rng.choice([0.05, 0.3, 0.7, 1.0])
             window = list(range(max(1, m - n + 2), m + 1))
             rng.shuffle(window)
             for r in window:
                 if rng.random() < 0.8:
-                    known = sum(1 << b for b in range(n * n)
+                    known = sum(1 << b for b in range(nn)
                                 if rng.random() < density)
-                    mach.acc[r] = (known, known & rng.getrandbits(n * n))
-            mach.pend = {(s, c): rng.randint(1, n - 1)
-                         for s in range(n) for c in range(n)
-                         if rng.random() < 0.2}
+                    mach.known |= known << r % n * nn
+                    mach.bad |= (known & rng.getrandbits(nn)) << r % n * nn
+            pend = {(s, c): rng.randint(1, n - 1)
+                    for s in range(n) for c in range(n) if rng.random() < 0.2}
+            mach.pend, _, _ = gen_payload(pend.items(), (), n)
             snap = mach.snapshot()
             assert snap["acc"] == _snapshot_by_scan(mach)
-            assert snap["pend"] == sorted(mach.pend.items())
+            assert snap["pend"] == sorted(pend.items())
             reports += len(snap["acc"])
     assert reports > 0
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sigma_gen_unary_tallies_match_the_dict_arithmetic(n):
+    # exhaustively: the OR of any two tally codes, in any field, decodes to
+    # their max, and merges to it from a sender about a third subject; and
+    # the rebuild's drain and re-add of any tally by any number of reports,
+    # bad or not, equals the flat reference's dict arithmetic, leaving
+    # every other tally as it was
+    w, me, j = n - 1, 0, 1
+    for s in range(n):
+        for c in range(n):
+            for a in range(n):
+                for b in range(n):
+                    mach = SigmaGen(me, n)
+                    mach.pend, _, _ = gen_payload([((s, c), a), ((s, c), b)],
+                                                  (), n)
+                    want = [((s, c), max(a, b))] if max(a, b) else []
+                    assert mach.snapshot()["pend"] == want
+                    if s in (me, j) or c == 1:
+                        continue
+                    mach.pend, _, _ = gen_payload([((s, c), a)], (), n)
+                    mach.round = 1
+                    mach.end_round({}, {j: (COOPERATE, gen_payload(
+                        [((s, c), b)], (), n))})
+                    assert mach.snapshot()["pend"] == want
+    m = n    # rebuilds residue m+1 from round 1, slot 1 % n
+    c, others = (m + 1) % n, [v for v in range(n) if v != j]
+    rest = [((s, r), (s + r) % n) for s in range(n) for r in range(n)
+            if s != me and (s, r) != (j, c) and (s + r) % n]
+    for old in range(n):
+        for deg in range(1, n):
+            for bad in range(deg + 1):
+                new, ref = SigmaGen(me, n), FlatSigmaGen(me, n)
+                new.round = ref.round = m
+                reports = [((v, j, 1), "bad" if k < bad else "good")
+                           for k, v in enumerate(others[:deg])]
+                tallies = rest + ([((j, c), old)] if old else [])
+                new.pend, new.known, new.bad = gen_payload(tallies, reports, n)
+                ref.pend, ref.acc = dict(tallies), dict(reports)
+                new._rebuild_pend(m, new.known >> c * n * n, new.bad >> c * n * n)
+                ref._rebuild_pend(m)
+                assert new.snapshot()["pend"] == sorted(ref.pend.items())
+                assert ref.pend.get((j, c), 0) == (max(0, old - deg)
+                                                   + (deg if bad else 0))
+
+
 def test_sigma_gen_payloads_are_isolated(rng):
-    # each payload is a fresh ``acc`` dict of immutable (known, bad) int
-    # pairs: mutating one received payload reaches neither the sender nor
-    # another receiver, and the sender's next round leaves a sent payload as
-    # it was
+    # the payload is one tuple of three ints, equal for every neighbour:
+    # ints are immutable, so nothing a receiver holds reaches the sender or
+    # another receiver, and the sender's next round leaves a sent payload
+    # as it was
     n = 4
     sender = SigmaGen(0, n)
     for m in range(1, 4):
@@ -400,23 +451,16 @@ def test_sigma_gen_payloads_are_isolated(rng):
     sender.begin_round(LocalView(0, 4, frozenset({1, 2, 3}),
                                  {1: 2, 2: 2, 3: 2}))
     snap = sender.snapshot()
-    p1, p2 = sender.payload_for(1), sender.payload_for(2)
-    want = _flat_payload(p2, n)
-    assert want["acc"] and p1["acc"] is not p2["acc"]
-    for r, pair in p1["acc"].items():
-        assert type(pair) is tuple and len(pair) == 2
-        assert all(type(mask) is int for mask in pair)
-        p1["acc"][r] = {(1, 2, r): "bad"}
-    p1["acc"][99] = {}
-    p1["pend"] = (((1, 0), 3),)
-    p1.clear()
-    assert sender.snapshot() == snap
-    assert _flat_payload(p2, n) == want
-    assert _flat_payload(sender.payload_for(3), n) == want
+    p1, p2, p3 = (sender.payload_for(j) for j in (1, 2, 3))
+    assert type(p1) is tuple and len(p1) == 3
+    assert all(type(x) is int for x in p1)
+    assert p1 == p2 == p3
+    want = _flat_payload(p2, n, 4)
+    assert want["acc"]
     _, inbox = _random_gen_round(rng, n, 0, 4)
     sender.end_round(sender.act(_RecordingRand(4)),
                      {j: inbox.get(j, (COOPERATE, None)) for j in (1, 2, 3)})
-    assert sender.snapshot() != snap and _flat_payload(p2, n) == want
+    assert sender.snapshot() != snap and _flat_payload(p2, n, 4) == want
 
 
 # ---------------------------------------------------------------------------

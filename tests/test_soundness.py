@@ -44,6 +44,7 @@ from dynacct.verifier import (SimConfig, _expected_eu, _FixedDraws, _fork,
                               _HashDraws, _phase, _play_round, build_machines,
                               run_paired_defection)
 
+from .oracles import gen_payload, gen_payload_items
 from .test_verifier import mixed_degree_family
 
 # every shipped honest strategy, with the utility mode it runs in
@@ -101,13 +102,11 @@ def _relative(payload, m, n):
     """Payload with its absolute rounds rewritten relative to round m."""
     if payload is None:
         return None
-    if "pend" in payload:     # bounded tallies: residues mod n, report rounds
-        return {"pend": sorted(((s, (c - m) % n), v)
-                               for (s, c), v in payload["pend"]),
-                "acc": sorted(((*divmod(b, n), m - r),
-                               "bad" if bad >> b & 1 else "good")
-                              for r, (known, bad) in payload["acc"].items()
-                              for b in range(n * n) if known >> b & 1)}
+    if isinstance(payload, tuple):   # bounded tallies: residues, report slots
+        tallies, reports = gen_payload_items(payload, m, n)
+        return {"pend": sorted(((s, (c - m) % n), v) for (s, c), v in tallies),
+                "acc": sorted(((v, s, m - r), val)
+                              for (v, s, r), val in reports)}
     return {"acc": sorted((s, m - r) for s, r in payload["acc"])}
 
 
@@ -115,13 +114,9 @@ def _absolute(rel, m, n):
     if rel is None:
         return None
     if "pend" in rel:
-        acc: dict = {}   # round -> (known, bad) masks, bit victim*n + sender
-        for (v, s, k), val in rel["acc"]:
-            known, bad = acc.get(m - k, (0, 0))
-            bit = 1 << (v * n + s)
-            acc[m - k] = (known | bit, bad | bit if val == "bad" else bad)
-        return {"pend": sorted(((s, (m + d) % n), v) for (s, d), v in rel["pend"]),
-                "acc": acc}
+        return gen_payload(
+            [((s, (m + d) % n), v) for (s, d), v in rel["pend"]],
+            [((v, s, m - k), val) for (v, s, k), val in rel["acc"]], n)
     return {"acc": sorted((s, m - k) for s, k in rel["acc"])}
 
 
