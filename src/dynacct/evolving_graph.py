@@ -223,6 +223,13 @@ class LocalView:
     neighbors: frozenset[int]
     neighbor_degrees: Optional[Mapping[int, int]] = None
 
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The neighbours in id order, sorted once per view: the order in
+        which ``protocols._deliver`` and every machine's ``act`` visit
+        them."""
+        return tuple(sorted(self.neighbors))
+
     def __deepcopy__(self, memo) -> "LocalView":
         return self     # immutable all the way down
 

@@ -349,7 +349,9 @@ class Trace:
     ``state_log`` optionally holds each machine's end-of-round state
     snapshot, keyed by (agent, round); the paired-trace fact checkers need
     it, and ``verifier.run_paired_defection`` logs it.  ``simulate`` does
-    not: plain utility consumers never read it.
+    not: plain utility consumers never read it.  Snapshots are read-only:
+    a ``SigmaGen`` snapshot is cached per state, and shared by every log
+    entry of an equal state, so an edit goes into a copy.
     """
 
     history: History

@@ -49,7 +49,8 @@ subject s and residue c in unary, as that many low one-bits of the
 tallies is their OR; ``known`` and ``bad`` hold round r's (victim,
 sender) report masks in slot r mod n, n*n bits wide.  The state key
 rotates each subject's fields and the slots by the round mod n; only
-``snapshot()`` decodes them.
+``snapshot()`` decodes them, once per distinct state and round: equal
+states share one cached snapshot, which is read-only.
 """
 
 from __future__ import annotations
@@ -169,16 +170,16 @@ class StrategyMachine:
 def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
              profile: ActionProfile) -> dict:
     """Reveal round outcomes: each machine gets its neighbours' actions
-    toward it and their payloads (none from a defector).  Returns the
-    payloads collected, by sender and then receiver."""
+    toward it and their payloads (none from a defector), in an inbox keyed
+    in id order.  Returns the payloads collected, by sender and then
+    receiver."""
     acts = {i: a.per_neighbor for i, a in profile.actions.items()}
     order = sorted(machines)
-    nbrs = {i: sorted(views[i].neighbors) for i in order}
-    payloads = {i: {j: machines[i].payload_for(j) for j in nbrs[i]}
+    payloads = {i: {j: machines[i].payload_for(j) for j in views[i].order}
                 for i in order}
     for i in order:
         inbox = {}
-        for j in nbrs[i]:
+        for j in views[i].order:
             a_ji = acts[j][i]
             pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
             inbox[j] = (a_ji, pay)
@@ -211,8 +212,7 @@ class _AccusationWindow(StrategyMachine):
         lo = m + 1 - self.rho
         # a new set: the old one may be a clone's too
         got = {(s, r) for (s, r) in self.accusations if r >= lo}
-        for j in sorted(inbox):
-            act_ji, payload = inbox[j]
+        for j, (act_ji, payload) in inbox.items():
             if act_ji.kind is ActionKind.DEFECT:
                 got.add((j, m))
             elif payload is not None:
@@ -255,7 +255,7 @@ class SigmaVal(_AccusationWindow):
         # accusation rounds by subject: end_round cut the window to rho rounds
         accused = Counter(s for s, _ in self.accusations)
         return {j: prop_punish(min(accused[j], cap))
-                for j in sorted(self.view.neighbors)}
+                for j in self.view.order}
 
 
 class AccusationPunisher(_AccusationWindow):
@@ -267,7 +267,7 @@ class AccusationPunisher(_AccusationWindow):
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         accused = {s for s, _ in self.accusations}
         return {j: (PUNISH if j in accused else COOPERATE)
-                for j in sorted(self.view.neighbors)}
+                for j in self.view.order}
 
 
 def sigma_val(me: AgentId, n: int, rho: int, params: UtilityParams) -> SigmaVal:
@@ -327,7 +327,7 @@ class SigmaGen(StrategyMachine):
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         n, w = self.n, self.n - 1
         out = {}
-        for j in sorted(self.view.neighbors):
+        for j in self.view.order:
             pending = (self.pend >> (j * n + self.round % n) * w
                        & (1 << w) - 1).bit_count()
             deg_j = self.view.neighbor_degrees[j]
@@ -339,7 +339,8 @@ class SigmaGen(StrategyMachine):
     def end_round(self, own_action, inbox):
         """Record my reports of round m, merge the non-defecting senders'
         payloads (tallies by OR, report bits by filling the absent ones,
-        lowest-id sender first), rebuild, and clear the slot of the round
+        lowest-id sender first: the inbox is keyed in id order, as
+        ``_deliver`` builds it), rebuild, and clear the slot of the round
         leaving the window.
 
         The sender order decides nothing between honest copies: a report
@@ -352,7 +353,7 @@ class SigmaGen(StrategyMachine):
         row = 1 << (m % n * n + self.me) * n    # my row of round m's slot
         keep, fill = self._keep[m % n], self._fill[m % n]
         pend, known, bad = self.pend, self.known, self.bad
-        for j, (a, p) in sorted(inbox.items()):
+        for j, (a, p) in inbox.items():
             known |= row << j
             if a.kind is ActionKind.DEFECT:
                 bad |= row << j
@@ -384,22 +385,10 @@ class SigmaGen(StrategyMachine):
             self.pend ^= (old ^ (1 << new) - 1) << at
 
     def snapshot(self) -> dict:
-        """The tallies decoded to a sorted ``((s, c), count)`` list, and the
-        reports to a ``((v, s, r), "good" | "bad")`` list, sorted by
-        construction: bit ``v*n + s`` outside, round inside.  Only the
-        nonzero fields and the bits that some round knows are visited."""
-        n, m, nn = self.n, self.round, self.n * self.n
-        rounds, union = [], 0
-        for r in range(m - n + 1, m + 1):
-            known = self.known >> r % n * nn & (1 << nn) - 1
-            if known:
-                rounds.append((r, known, self.bad >> r % n * nn))
-                union |= known
-        return {"pend": [((s, c), bits.bit_count())
-                         for bits, s, c in _cells(self.pend, n - 1, n)],
-                "acc": [((v, s, r), "bad" if bad & bit else "good")
-                        for bit, v, s in _cells(union, 1, n)
-                        for r, known, bad in rounds if known & bit]}
+        """The state decoded (``_gen_snapshot``): shared by every machine
+        in an equal state at the same round, so it is read-only."""
+        return _gen_snapshot(self.n, self.round, self.pend, self.known,
+                             self.bad)
 
     def state_key(self, m: int):
         """One int, relative to round m: pend with each subject's fields
@@ -461,6 +450,44 @@ def _gen_masks(n: int, me: AgentId) -> tuple:
         for j in range(n)] for c in range(n)], low
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _gen_snapshot(n: int, m: int, pend: int, known: int, bad: int) -> dict:
+    """``SigmaGen.snapshot`` of state (pend, known, bad) at round m: the
+    tallies as a sorted ``((s, c), count)`` list, and the reports as a
+    ``((v, s, r), "good" | "bad")`` list, sorted by construction: bit
+    ``v*n + s`` outside, round inside.  Only the nonzero fields and the
+    bits that some round knows are visited.  Cached: a run's states recur
+    across agents and paired runs, so one dict serves each distinct state;
+    its entries are interned (``_entry``) and its tally list is shared by
+    every state with the same tallies, so it costs little more than its
+    lists of pointers.  Nothing edits it: callers that label a snapshot
+    copy it."""
+    nn = n * n
+    rounds, union = [], 0
+    for r in range(m - n + 1, m + 1):
+        slot = known >> r % n * nn & (1 << nn) - 1
+        if slot:
+            rounds.append((r, slot, bad >> r % n * nn))
+            union |= slot
+    return {"pend": _tallies(n, pend),
+            "acc": [_entry((v, s, r), "bad" if b & bit else "good")
+                    for bit, v, s in _cells(union, 1, n)
+                    for r, slot, b in rounds if slot & bit]}
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _tallies(n: int, pend: int) -> list:
+    """The ``pend`` list of ``_gen_snapshot``, shared and read-only."""
+    return [_entry((s, c), bits.bit_count())
+            for bits, s, c in _cells(pend, n - 1, n)]
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _entry(key: tuple, value) -> tuple:
+    """One shared ``(key, value)`` tuple per distinct snapshot entry."""
+    return key, value
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def _moved_reports(mask: int, pi: tuple[AgentId, ...]) -> int:
     """A report mask with each bit ``v*n + s`` moved to ``pi[v]*n + pi[s]``.
@@ -502,7 +529,7 @@ class AlwaysDefect(StrategyMachine):
         self.mode = mode
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        return {j: DEFECT for j in sorted(self.view.neighbors)}
+        return {j: DEFECT for j in self.view.order}
 
     def state_key(self, m: int):
         return ("AlwaysDefect",)
@@ -536,7 +563,7 @@ class UnsafePunisherProtocol(_AccusationWindow):
         self.my_defections: set[int] = set()
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        out = {j: COOPERATE for j in sorted(self.view.neighbors)}
+        out = {j: COOPERATE for j in self.view.order}
         if self.round == 3:
             if self.me == 2 and 0 in out:
                 if (0, 1) in self.accusations and (1, 2) not in self.accusations:
@@ -560,9 +587,8 @@ class UnsafePunisherProtocol(_AccusationWindow):
                 min(m, 4))
 
     def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["my_defections"] = sorted(self.my_defections)
-        return snap
+        return dict(super().snapshot(),
+                    my_defections=sorted(self.my_defections))
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +826,7 @@ class _Persona(_Wrapper):
         return self.base.payload_for(j)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        nbrs = sorted(self.view.neighbors)
+        nbrs = self.view.order
         shadow_action = self.shadow.action_of(self.me, self.round)
         base_action = ({} if self.shadowed.issuperset(nbrs)
                        else self.base.act(rand))

@@ -25,7 +25,8 @@ reports.
   machines, with their ``state_key``s, at the start of every round.
   ``run_paired_defection`` returns it as the conforming trace, and forks
   each deviating run from its round-m checkpoint: rounds 1..m-1 are
-  copied from the honest trace, and play from round m stops at the first later round M where every
+  copied from the honest trace, the deviator is wrapped for round m only,
+  and play from round m stops at the first later round M where every
   machine's key equals the honest run's.  The deviating run has then
   rejoined the honest run, and rounds M..horizon are copied from it.  The
   draws are stateless, the views depend only on graph and round, and
@@ -1037,18 +1038,19 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     The conforming trace is cfg's honest run, simulated once per config.
     The deviating trace copies its rounds 1..m-1, with i's snapshots
-    labelled as ``ScheduledDefector.snapshot`` labels them, and plays from
-    round m, from the round-m checkpoint with i wrapped.  At the start of
-    every later round M it compares each machine's ``state_key(M)`` with
-    the honest run's (i's wrapper, spent, keys as its base); once all are
-    equal it rejoins the honest run: it stops playing
-    and copies rounds M..horizon from it, i's snapshots labelled the same
-    way.  Both copies are exact because:
+    labelled as ``ScheduledDefector.snapshot`` labels them, and plays
+    round m from the round-m checkpoint with i wrapped.  Spent, the
+    wrapper is swapped for its base, and play goes on, i's snapshots
+    labelled the same way.  At the start of every later round M it
+    compares each machine's ``state_key(M)`` with the honest run's; once
+    all are equal it rejoins the honest run: it stops playing and copies
+    rounds M..horizon from it, labelled again.  The swap and both copies
+    are exact because:
 
     * draws are keyed by (seed, agent, round, label), so ``_HashDraws`` is
       stateless, and views depend only on the graph and the round;
     * the wrapper acts as its base before round m and, being sincere, after
-      it too;
+      it too, where it also delivers and keys as its base;
     * ``state_key`` is complete (``tests/test_soundness.py``), so machines
       with equal keys at the same round play the same rounds from there.
       The default ``("opaque", id(self))`` key never equals another
@@ -1065,15 +1067,21 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     def rejoined(M: int, machines) -> bool:
         keys = honest.keys[M - 1]
-        return M > m and all(mach.state_key(M) == keys[a]
-                             for a, mach in machines.items())
+        return all(mach.state_key(M) == keys[a]
+                   for a, mach in machines.items())
 
     label = f"defect@{m}"
     machines = _fork(honest.checkpoints[m - 1])
-    machines[i] = ScheduledDefector(machines[i], {m: targets}, sincere=True,
+    base = machines[i]
+    machines[i] = ScheduledDefector(base, {m: targets}, sincere=True,
                                     label=label)
     deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
+    _simulate_machines(cfg, machines, deviate, stop=lambda M, ms: M > m)
+    machines[i] = base
     _simulate_machines(cfg, machines, deviate, stop=rejoined)
+    log = deviate.state_log
+    for M in range(m + 1, deviate.last_round + 1):
+        log[(i, M)] = relabel((i, M), log[(i, M)])
     return (_append_rounds(_new_trace(cfg), honest.trace, cfg.horizon),
             _append_rounds(deviate, honest.trace, cfg.horizon, relabel))
 

@@ -13,37 +13,21 @@ one fact each.
 from __future__ import annotations
 
 import copy
-import itertools
 import random
 
 import pytest
 
-from dynacct.evolving_graph import EvolvingGraph, GraphFamily, RoundGraph
+from dynacct.evolving_graph import EvolvingGraph, GraphFamily
 from dynacct.facts import gen_facts
 from dynacct.protocols import ALL_NEIGHBORS, ScheduledDefector, SigmaGen
-from dynacct.scenarios import complete_graph, ring_graph
-from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
+from dynacct.scenarios import ring_graph
+from dynacct.verifier import (_simulate_machines, build_machines,
                               run_paired_defection)
 
 from .oracles import FlatSigmaGen, reference_gen_facts
-from .test_paired import connectivity_families
+from .test_paired import (connectivity_families, defections, k3_family,
+                          paired_cfg, ring_chord_family)
 from .test_verifier import ND, gen_cfg
-
-
-def paired_cfg(fam: GraphFamily) -> SimConfig:
-    """sigma_gen on fam at the benchmark's paired horizon 2n + n^2 + 2."""
-    n = fam.n
-    return gen_cfg(fam, horizon=2 * n + n * n + 2)
-
-
-def k3_family() -> GraphFamily:
-    return GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),),
-                       ND, 8)
-
-
-def ring_chord_family() -> GraphFamily:
-    chord = RoundGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    return GraphFamily(4, (EvolvingGraph((), (chord,), "ring_chord"),), ND, 8)
 
 
 def same_report(cfg, pair, m):
@@ -51,18 +35,6 @@ def same_report(cfg, pair, m):
     got = gen_facts(cfg, pair, m)
     assert got.to_json() == reference_gen_facts(cfg, pair, m).to_json()
     return got
-
-
-def defections(cfg):
-    """Every (i, m, targets) of rounds 1..2n: all neighbours and every
-    non-empty proper subset."""
-    for i in range(cfg.family.n):
-        for m in range(1, 2 * cfg.family.n + 1):
-            nbrs = sorted(cfg.graph.at(m).neighbors(i))
-            for r in range(1, len(nbrs) + 1):
-                for sub in itertools.combinations(nbrs, r):
-                    yield i, m, (ALL_NEIGHBORS if len(sub) == len(nbrs)
-                                 else frozenset(sub))
 
 
 @pytest.mark.parametrize("family", [k3_family, ring_chord_family])
@@ -84,8 +56,10 @@ def test_gen_facts_matches_reference_on_random_connectivity_families(rng):
 
 
 def test_gen_facts_matches_reference_on_unshared_runs():
-    # both runs simulated in full from fresh machines: no snapshot object is
-    # in both traces, so every pair is compared by its lists
+    # both runs simulated in full from fresh machines, the deviating run's
+    # snapshots deep-copied (equal states share one cached snapshot): no
+    # snapshot object is in both traces, so every pair is compared by its
+    # lists
     cfg = paired_cfg(k3_family())
     conform = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     for i in range(3):
@@ -94,6 +68,7 @@ def test_gen_facts_matches_reference_on_unshared_runs():
                 ms = build_machines(cfg, honest_only=True)
                 ms[i] = ScheduledDefector(ms[i], {m: targets}, sincere=True)
                 deviate = _simulate_machines(cfg, ms)
+                deviate.state_log = copy.deepcopy(deviate.state_log)
                 assert not any(deviate.state_log[k] is s
                                for k, s in conform.state_log.items())
                 assert same_report(cfg, (conform, deviate), m).passed

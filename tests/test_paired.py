@@ -17,11 +17,12 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from dynacct import verifier
-from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
+from dynacct import protocols, verifier
+from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, RoundGraph,
                                     check_connectivity_restriction)
 from dynacct.game_core import ActionProfile
-from dynacct.protocols import ALL_NEIGHBORS, SigmaGen, StrategyMachine
+from dynacct.protocols import (ALL_NEIGHBORS, ScheduledDefector, SigmaGen,
+                               StrategyMachine)
 from dynacct.scenarios import complete_graph, general_defaults
 from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
 
@@ -52,6 +53,34 @@ def assert_same_pair(got, want):
 def target_sets(cfg, i, m):
     nbrs = sorted(cfg.graph.at(m).neighbors(i))
     return [ALL_NEIGHBORS, frozenset(nbrs[:1]), nbrs[1:]]
+
+
+def paired_cfg(fam: GraphFamily) -> SimConfig:
+    """sigma_gen on fam at the benchmark's paired horizon 2n + n^2 + 2."""
+    n = fam.n
+    return gen_cfg(fam, horizon=2 * n + n * n + 2)
+
+
+def k3_family() -> GraphFamily:
+    return GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k3"),),
+                       ND, 8)
+
+
+def ring_chord_family() -> GraphFamily:
+    chord = RoundGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    return GraphFamily(4, (EvolvingGraph((), (chord,), "ring_chord"),), ND, 8)
+
+
+def defections(cfg):
+    """Every (i, m, targets) of rounds 1..2n: all neighbours and every
+    non-empty proper subset."""
+    for i in range(cfg.family.n):
+        for m in range(1, 2 * cfg.family.n + 1):
+            nbrs = sorted(cfg.graph.at(m).neighbors(i))
+            for r in range(1, len(nbrs) + 1):
+                for sub in itertools.combinations(nbrs, r):
+                    yield i, m, (ALL_NEIGHBORS if len(sub) == len(nbrs)
+                                 else frozenset(sub))
 
 
 def count_rounds(monkeypatch):
@@ -193,24 +222,13 @@ def test_k3_paired_facts_group_plays_341_rounds(monkeypatch):
     # rejoins the honest run: 324 rounds, 341 in all.  Played to the
     # horizon, the jobs need 18 - m rounds each (800 in all), and
     # simulating both runs of every job in full 54 * 34 = 1,836
-    n = 3
-    fam = GraphFamily(n, (EvolvingGraph((), (complete_graph(n),), "k3"),),
-                      ND, 8)
-    cfg = SimConfig(family=fam, member="k3",
-                    strategies={a: "sigma_gen" for a in range(n)},
-                    horizon=2 * n + n * n + 2, params=general_defaults())
+    cfg = paired_cfg(k3_family())
     played = count_rounds(monkeypatch)
     jobs = 0
-    for i in range(n):
-        for m in range(1, 2 * n + 1):
-            nbrs = sorted(cfg.graph.at(m).neighbors(i))
-            for r in range(1, len(nbrs) + 1):
-                for sub in itertools.combinations(nbrs, r):
-                    targets = (ALL_NEIGHBORS if len(sub) == len(nbrs)
-                               else frozenset(sub))
-                    pair = run_paired_defection(cfg, i, m, targets)
-                    assert assert_gen_facts(cfg, pair, m).passed
-                    jobs += 1
+    for i, m, targets in defections(cfg):
+        pair = run_paired_defection(cfg, i, m, targets)
+        assert assert_gen_facts(cfg, pair, m).passed
+        jobs += 1
     assert jobs == 54
     assert played[0] == 341
 
@@ -282,3 +300,53 @@ def test_random_connectivity_families_fork_and_rejoin(rng, monkeypatch):
                     assert_same_pair(got, paired_defection_from_scratch(
                         cfg, i, m, targets))
     assert rejoined >= 100
+
+
+@pytest.mark.parametrize("family", [k3_family, ring_chord_family])
+def test_spent_deviator_plays_as_its_base(family, monkeypatch):
+    # the deviator's wrapper plays round m only: no hook goes through it
+    # later, yet each of its snapshots in the deviating trace, copied or
+    # played, carries the label, and the pair equals the from-scratch run,
+    # whose wrapper lives to the horizon
+    cfg = paired_cfg(family())
+    spent = [0]
+
+    def counted(name):
+        hook = getattr(ScheduledDefector, name)
+
+        def wrapped(self, *args):
+            spent[0] += self.round > self.last_round
+            return hook(self, *args)
+        return wrapped
+
+    jobs = 0
+    for i, m, targets in defections(cfg):
+        with monkeypatch.context() as mp:
+            for name in ("begin_round", "payload_for", "act", "end_round"):
+                mp.setattr(ScheduledDefector, name, counted(name))
+            got = run_paired_defection(cfg, i, m, targets)
+        assert spent[0] == 0
+        assert all(got[1].state_log[(i, M)]["deviation"] == f"defect@{m}"
+                   for M in range(1, cfg.horizon + 1))
+        assert not any("deviation" in s for s in got[0].state_log.values())
+        assert_same_pair(got, paired_defection_from_scratch(cfg, i, m, targets))
+        jobs += 1
+    assert jobs == {3: 54, 4: 160}[cfg.family.n]
+
+
+def test_k3_paired_jobs_decode_each_state_once():
+    # SigmaGen decodes a state once per round it is seen at: the k3
+    # family's 54 paired jobs, from a cleared cache, decode exactly the
+    # distinct (round, state) pairs of their logs, not one per logged
+    # snapshot
+    protocols._gen_snapshot.cache_clear()
+    cfg = paired_cfg(k3_family())
+    states, logged = set(), 0
+    for i, m, targets in defections(cfg):
+        for trace in run_paired_defection(cfg, i, m, targets):
+            for (_, M), snap in trace.state_log.items():
+                states.add((M, tuple(snap["pend"]), tuple(snap["acc"])))
+                logged += 1
+    decoded = protocols._gen_snapshot.cache_info().misses
+    assert decoded == len(states) == 357
+    assert logged == 54 * 2 * 3 * cfg.horizon

@@ -15,7 +15,8 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
 from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
                                ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
-                               UnsafePunisherProtocol, _Persona, _ShadowWorld,
+                               UnsafePunisherProtocol, _gen_snapshot,
+                               _Persona, _ShadowWorld,
                                always_defect_until, build_deviation,
                                build_strategy, defect_at_rounds, sigma_gen,
                                sigma_val, single_evasive)
@@ -390,6 +391,34 @@ def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
             assert snap["pend"] == sorted(pend.items())
             reports += len(snap["acc"])
     assert reports > 0
+
+
+def test_sigma_gen_snapshots_are_shared_per_state(rng):
+    # random states driven by random rounds: the cached snapshot equals an
+    # uncached decode and the scan; a machine of another agent in an equal
+    # state gets the same object, whose entries are interned; and no
+    # snapshot handed out changes while machines play on
+    handed = []
+    for n in (2, 3, 4, 5):
+        for me in range(n):
+            mach = SigmaGen(me, n)
+            entries = {}
+            for m in range(1, 4 * n + 4):
+                view, inbox = _random_gen_round(rng, n, me, m)
+                mach.begin_round(view)
+                mach.end_round(mach.act(_RecordingRand(m)), inbox)
+                snap = mach.snapshot()
+                state = n, m, mach.pend, mach.known, mach.bad
+                assert snap == _gen_snapshot.__wrapped__(*state)
+                assert snap["acc"] == _snapshot_by_scan(mach)
+                twin = SigmaGen((me + 1) % n, n)
+                twin.round, twin.pend, twin.known, twin.bad = state[1:]
+                assert twin.snapshot() is snap
+                for entry in snap["pend"] + snap["acc"]:
+                    assert entries.setdefault(entry, entry) is entry
+                handed.append((snap, copy.deepcopy(snap)))
+    assert all(snap == before for snap, before in handed)
+    assert any(snap["acc"] for snap, _ in handed)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
