@@ -96,9 +96,16 @@ def cmd_check(args) -> int:
 
 def _parse_deviate(text: str, n: int) -> tuple[int, dict]:
     """--deviate 'agent=0,defect_all,round=1' -> (agent, one-shot defect-all
-    deviation) for an agent of an n-agent scenario."""
-    fields = dict(kv.split("=", 1) if "=" in kv else (kv, "")
-                  for kv in text.split(","))
+    deviation) for an agent of an n-agent scenario.  A field it does not
+    know, or one given twice, is refused."""
+    fields = {}
+    for kv in text.split(","):
+        key, _, value = kv.partition("=")
+        if key not in ("agent", "round", "defect_all"):
+            raise ValueError(f"--deviate has no field {key!r}")
+        if key in fields:
+            raise ValueError(f"--deviate gives the field {key!r} twice")
+        fields[key] = value
     if "agent" not in fields or "round" not in fields:
         raise ValueError("--deviate needs agent=<id> and round=<m>")
     if "defect_all" not in fields:

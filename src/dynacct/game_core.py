@@ -15,10 +15,10 @@ Utility of agent i against neighbour j in one round:
   a received active punishment costs an extra ``pi`` (the garbage carries
   the benefit clause literally, then the loss ``pi >= beta`` nets it away).
 
-``edge_utility`` states these rules once.  ``UtilityParams.edge_table``
+``edge_utility`` states these rules once.  ``UtilityParams.edge_numerators``
 evaluates them for every (own, received) action pair of an n-agent game
-and caches the table on the parameters; a round's utilities are sums of
-its entries.
+and caches them on the parameters as integer numerators over one common
+denominator; a round's utility is a sum of its entries.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class IndividualAction:
     """One agent's action toward one neighbour for one round.
 
     ``code`` is a small integer naming the action (kind, and weight for
-    proportional punishments), the key of ``UtilityParams.edge_table``.
+    proportional punishments), the key of ``UtilityParams.edge_numerators``.
     """
 
     kind: ActionKind
@@ -250,36 +250,25 @@ class UtilityParams:
         return self.beta + self.alpha + 1 + (n - 1) * self.pi
 
     @cached_property
-    def _edge_tables(self) -> dict[int, dict[tuple[int, int], Fraction]]:
-        return {}
-
-    def edge_table(self, n: int) -> dict[tuple[int, int], Fraction]:
-        """``edge_utility`` of every (own, received) action pair of an
-        n-agent game (any kind, proportional weights 0..n-1), keyed by the
-        actions' codes; built once per parameters and n."""
-        table = self._edge_tables.get(n)
-        if table is None:
-            actions = [COOPERATE, DEFECT, PUNISH, AVOID] + [
-                IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n)]
-            table = {(own.code, got.code): edge_utility(own, got, self)
-                     for own in actions for got in actions}
-            self._edge_tables[n] = table
-        return table
-
-    @cached_property
     def _edge_numerators(self) -> dict[int, tuple[dict, Mapping]]:
         return {}
 
     def edge_numerators(self, n: int) -> tuple[dict[tuple[int, int], int],
                                                Mapping[int, Fraction]]:
-        """``edge_table(n)`` over one common denominator ``den``: ``(nums,
-        over)`` with ``table[k] == over[nums[k]]``, where ``over[t]`` is
+        """``edge_utility`` of every (own, received) action pair of an
+        n-agent game (any kind, proportional weights 0..n-1) over one
+        common denominator ``den``: ``(nums, over)``, with ``nums`` keyed
+        by the actions' codes and ``edge_utility(own, got) ==
+        over[nums[own.code, got.code]]``, where ``over[t]`` is
         ``Fraction(t, den)`` for any integer t, built on its first lookup.
         So a round's utility is an integer sum and one lookup, and each
-        distinct sum is normalised once; built once per n."""
+        distinct sum is normalised once; built once per parameters and n."""
         out = self._edge_numerators.get(n)
         if out is None:
-            table = self.edge_table(n)
+            actions = [COOPERATE, DEFECT, PUNISH, AVOID] + [
+                IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n)]
+            table = {(own.code, got.code): edge_utility(own, got, self)
+                     for own in actions for got in actions}
             den = math.lcm(*(u.denominator for u in table.values()))
             out = self._edge_numerators[n] = (
                 {k: u.numerator * (den // u.denominator)
@@ -314,15 +303,15 @@ def round_utility(i: AgentId, profile: ActionProfile, graph: RoundGraph,
                   params: UtilityParams) -> Fraction:
     mine = profile.actions[i]
     mine.check_neighbors(graph)
-    table = params.edge_table(graph.n)
-    u = Fraction(0)
+    nums, over = params.edge_numerators(graph.n)
+    total = 0
     for j in sorted(graph.neighbors(i)):
         a_ij = mine.toward(j)
         a_ji = profile.individual(j, i)
         a_ij.check_mode(params.mode, graph.n)
         a_ji.check_mode(params.mode, graph.n)
-        u += table[a_ij.code, a_ji.code]
-    return u
+        total += nums[a_ij.code, a_ji.code]
+    return over[total]
 
 
 @dataclass
@@ -388,12 +377,6 @@ def tail_bound(params: UtilityParams, n: int, horizon: int) -> Fraction:
     return params.delta ** horizon * y * n / (1 - params.delta)
 
 
-def cooperation_round_utility(i: AgentId, graph: RoundGraph,
-                              params: UtilityParams) -> Fraction:
-    """Per-round utility under all-cooperate: (beta - 1 - alpha) * degree."""
-    return params.cooperation_utility[graph.degree(i)]
-
-
 def cooperation_tail(g: EvolvingGraph, i: AgentId, params: UtilityParams,
                      from_round: int, to_round: int) -> Fraction:
     """Exact discounted all-cooperate utility over rounds [from, to],
@@ -404,13 +387,13 @@ def cooperation_tail(g: EvolvingGraph, i: AgentId, params: UtilityParams,
     """
     if to_round < from_round:
         return Fraction(0)
-    d = params.delta
+    d, cooperation = params.delta, params.cooperation_utility
     P = len(g.prefix)
     L = len(g.cycle)
     total = Fraction(0)
     m = from_round
     while m <= min(P, to_round):
-        total += d ** (m - from_round) * cooperation_round_utility(i, g.at(m), params)
+        total += d ** (m - from_round) * cooperation[g.at(m).degree(i)]
         m += 1
     if m > to_round:
         return total
@@ -420,7 +403,7 @@ def cooperation_tail(g: EvolvingGraph, i: AgentId, params: UtilityParams,
         if first > to_round:
             continue
         count = (to_round - first) // L + 1
-        per = cooperation_round_utility(i, g.cycle[(first - P - 1) % L], params)
+        per = cooperation[g.cycle[(first - P - 1) % L].degree(i)]
         if per == 0:
             continue
         total += d ** (first - from_round) * per * (1 - dL ** count) / (1 - dL)

@@ -12,7 +12,9 @@ A machine owns one agent's private protocol state.  The round contract is:
 * ``end_round(own_action, inbox)`` reveals the neighbours' individual
   actions toward the agent plus their payloads (omitted by defectors) and
   advances the state; ``_deliver``, the one delivery step, calls it for the
-  verifier's rounds and the shadow worlds below alike.
+  verifier's rounds and the shadow worlds below alike, and puts a
+  ``ScheduledDefector`` whose last scheduled round has played back to its
+  base.
 
 Machines set ``draw_independent_state`` when their state evolution depends
 only on which neighbours defected, never on punish/cooperate draw outcomes;
@@ -171,8 +173,10 @@ def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
              profile: ActionProfile) -> dict:
     """Reveal round outcomes: each machine gets its neighbours' actions
     toward it and their payloads (none from a defector), in an inbox keyed
-    in id order.  Returns the payloads collected, by sender and then
-    receiver."""
+    in id order.  A ``ScheduledDefector`` that has played its last
+    scheduled round is then replaced by its base in ``machines``, so a
+    wrapper is only ever in place with a round still ahead.  Returns the
+    payloads collected, by sender and then receiver."""
     acts = {i: a.per_neighbor for i, a in profile.actions.items()}
     order = sorted(machines)
     payloads = {i: {j: machines[i].payload_for(j) for j in views[i].order}
@@ -183,7 +187,12 @@ def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
             a_ji = acts[j][i]
             pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
             inbox[j] = (a_ji, pay)
-        machines[i].end_round(acts[i], inbox)
+        mach = machines[i]
+        mach.end_round(acts[i], inbox)
+        # a spent deviation is its base, and so may be a stacked one
+        while (isinstance(mach, ScheduledDefector)
+               and mach.round >= mach.last_round):
+            mach = machines[i] = mach.base
     return payloads
 
 
@@ -631,7 +640,11 @@ class _Wrapper(StrategyMachine):
 
 class ScheduledDefector(_Wrapper):
     """Follow the base strategy but apply the override template
-    (``_template``) of each round of ``schedule``; spent, it is its base.
+    (``_template``) of each round of ``schedule``.  ``_deliver`` puts the
+    base back once the last scheduled round has played, so a wrapper in
+    place has a round ahead (with an empty schedule, round 1, played as
+    the base): its key carries what is still ahead, and it is never
+    quiescent.
 
     ``sincere=False`` gives evasive semantics: the base state is maintained
     as if the overrides had not happened (the base is told it played its
@@ -663,13 +676,8 @@ class ScheduledDefector(_Wrapper):
         super().end_round(own_action, inbox)
 
     def state_key(self, m: int):
-        if m > self.last_round:
-            return self.base.state_key(m)
         ahead = tuple((r - m, t) for r, t in sorted(self.schedule.items()) if r >= m)
         return ("ScheduledDefector", self.sincere, ahead, self.base.state_key(m))
-
-    def is_quiescent(self) -> bool:
-        return self.round >= self.last_round and self.base.is_quiescent()
 
 
 def single_evasive(base: StrategyMachine, j: AgentId, m: int) -> ScheduledDefector:

@@ -107,8 +107,9 @@ not approximate, because:
   same utilities, draw probabilities and absorption offsets, whatever
   round they are reached in (``tests/test_soundness.py`` checks both
   preconditions);
-* a world with a deviation still ahead is never valued, and a spent
-  wrapper keys and plays as its base;
+* a world with a deviation still ahead is never valued, and no world
+  holds a spent wrapper: ``protocols._deliver`` puts its base back once
+  its last scheduled round has played;
 * an entry is written only from a subtree whose every branch absorbed
   within the horizon, and read at round m only if m plus its latest
   absorption offset is within the horizon too, so the horizon never cuts
@@ -879,10 +880,9 @@ class _OneShotChecker:
             for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
                 desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
                                 if o != "send")
-                # play round m1 with i's classes forced, then unwrap i
+                # play round m1 with i's classes forced
                 ms = self._forced(state, m1, pattern)
                 _play_round(cfg, ms, m1, _FixedDraws())
-                ms[i] = ms[i].base
                 self._walk_contexts(ms, m1 + 1,
                                     min(m1 + dev_window, cfg.horizon - 1),
                                     f"after own {desc}@{m1}")
@@ -940,16 +940,15 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
         raise ValueError(f"robust_depth must be 1 or 2, not {robust_depth}")
     honest = build_machines(cfg, honest_only=True)
     _require_verifiable(honest)
-    if candidates:
-        return _OneShotChecker(cfg, i).report(honest, robust_depth,
-                                              candidates)[0]
     memo = cfg._one_shot_reports
-    for (r, depth), report in memo.items():
-        if depth == robust_depth:
-            pi = next(cfg.graph._automorphisms(r, i), None)
-            if pi is not None:
-                return _relabel(report, pi, i)
-    report, shareable = _OneShotChecker(cfg, i).report(honest, robust_depth, ())
+    if not candidates:
+        for (r, depth), report in memo.items():
+            if depth == robust_depth:
+                pi = next(cfg.graph._automorphisms(r, i), None)
+                if pi is not None:
+                    return _relabel(report, pi, i)
+    report, shareable = _OneShotChecker(cfg, i).report(honest, robust_depth,
+                                                       candidates)
     if shareable:
         memo[(i, robust_depth)] = report
         report = _relabel(report, range(cfg.family.n), i)    # the caller's copy
@@ -1038,19 +1037,18 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     The conforming trace is cfg's honest run, simulated once per config.
     The deviating trace copies its rounds 1..m-1, with i's snapshots
-    labelled as ``ScheduledDefector.snapshot`` labels them, and plays
-    round m from the round-m checkpoint with i wrapped.  Spent, the
-    wrapper is swapped for its base, and play goes on, i's snapshots
-    labelled the same way.  At the start of every later round M it
-    compares each machine's ``state_key(M)`` with the honest run's; once
-    all are equal it rejoins the honest run: it stops playing and copies
-    rounds M..horizon from it, labelled again.  The swap and both copies
-    are exact because:
+    labelled as ``ScheduledDefector.snapshot`` labels them, and plays on
+    from the round-m checkpoint with i wrapped.  The wrapper plays round m
+    alone (``protocols._deliver`` then puts its sincere base back), and
+    i's snapshots from round m on are labelled the same way.
+    At the start of every later round M it compares each machine's
+    ``state_key(M)`` with the honest run's; once all are equal it rejoins
+    the honest run: it stops playing and copies rounds M..horizon from
+    it, labelled again.  Both copies are exact because:
 
     * draws are keyed by (seed, agent, round, label), so ``_HashDraws`` is
       stateless, and views depend only on the graph and the round;
-    * the wrapper acts as its base before round m and, being sincere, after
-      it too, where it also delivers and keys as its base;
+    * the wrapper acts as its base before round m;
     * ``state_key`` is complete (``tests/test_soundness.py``), so machines
       with equal keys at the same round play the same rounds from there.
       The default ``("opaque", id(self))`` key never equals another
@@ -1067,20 +1065,17 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
 
     def rejoined(M: int, machines) -> bool:
         keys = honest.keys[M - 1]
-        return all(mach.state_key(M) == keys[a]
-                   for a, mach in machines.items())
+        return M > m and all(mach.state_key(M) == keys[a]
+                             for a, mach in machines.items())
 
     label = f"defect@{m}"
     machines = _fork(honest.checkpoints[m - 1])
-    base = machines[i]
-    machines[i] = ScheduledDefector(base, {m: targets}, sincere=True,
+    machines[i] = ScheduledDefector(machines[i], {m: targets}, sincere=True,
                                     label=label)
     deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
-    _simulate_machines(cfg, machines, deviate, stop=lambda M, ms: M > m)
-    machines[i] = base
     _simulate_machines(cfg, machines, deviate, stop=rejoined)
     log = deviate.state_log
-    for M in range(m + 1, deviate.last_round + 1):
+    for M in range(m, deviate.last_round + 1):
         log[(i, M)] = relabel((i, M), log[(i, M)])
     return (_append_rounds(_new_trace(cfg), honest.trace, cfg.horizon),
             _append_rounds(deviate, honest.trace, cfg.horizon, relabel))

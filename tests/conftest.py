@@ -10,6 +10,7 @@ import pytest
 import dynacct
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph)
+from dynacct.protocols import ScheduledDefector
 
 
 def random_round_graph(rng: random.Random, n: int, p: float = 0.45) -> RoundGraph:
@@ -71,6 +72,30 @@ def random_symmetric_graph(rng: random.Random, n: int, name: str,
     prefix = tuple(orbits_round() for _ in range(rng.randint(0, max_prefix)))
     cycle = tuple(orbits_round() for _ in range(rng.randint(1, max_cycle)))
     return EvolvingGraph(prefix, cycle, name), sigma
+
+
+def count_spent_hooks(monkeypatch) -> list[int]:
+    """Count, in the returned one-element list, the hook and fork calls
+    that reach a ``ScheduledDefector`` after its last scheduled round has
+    played.  Its ``end_round`` of that round marks it spent, and its
+    clones with it."""
+    spent = [0]
+
+    def counted(name):
+        hook = getattr(ScheduledDefector, name)
+
+        def wrapped(self, *args):
+            spent[0] += vars(self).get("_spent", False)
+            out = hook(self, *args)
+            if name == "end_round" and self.round >= self.last_round:
+                self._spent = True
+            return out
+        return wrapped
+
+    for name in ("begin_round", "payload_for", "act", "end_round",
+                 "state_key", "is_quiescent", "snapshot", "clone"):
+        monkeypatch.setattr(ScheduledDefector, name, counted(name))
+    return spent
 
 
 @pytest.fixture

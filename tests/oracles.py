@@ -798,15 +798,22 @@ def enumerated_cooperation(cfg: SimConfig):
 def paired_defection_from_scratch(cfg: SimConfig, i: AgentId, m: int,
                                   targets) -> tuple[Trace, Trace]:
     """Conforming and deviating traces differing only in i's round-m action
-    (defecting ``targets``, or all neighbours), sharing seed and state logs."""
+    (defecting ``targets``, or all neighbours), sharing seed and state logs.
+    Every snapshot of i in the deviating trace is labelled ``defect@m``, as
+    the wrapper labels those of the rounds it is in place for."""
     from dynacct.protocols import ALL_NEIGHBORS, ScheduledDefector
 
     conform = _simulate_machines(cfg, build_machines(cfg, honest_only=True))
     sched = ALL_NEIGHBORS if targets == ALL_NEIGHBORS else frozenset(targets)
+    label = f"defect@{m}"
     machines = build_machines(cfg, honest_only=True)
     machines[i] = ScheduledDefector(machines[i], {m: sched}, sincere=True,
-                                    label=f"defect@{m}")
-    return conform, _simulate_machines(cfg, machines)
+                                    label=label)
+    deviate = _simulate_machines(cfg, machines)
+    log = deviate.state_log
+    for M in range(1, deviate.last_round + 1):
+        log[(i, M)] = dict(log[(i, M)], deviation=label)
+    return conform, deviate
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ def test_simulate_deviate_agent_out_of_range_exit_two(capsys):
     assert "error: --deviate agent 7 is not an id in 0..3" in err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("agent=0,defect_all,round=2,target=1", "no field 'target'"),
+    ("agent=0,defect_all,round=2,agent=1", "the field 'agent' twice"),
+    ("agent=0,defect_all,round=2,round=2", "the field 'round' twice")])
+def test_simulate_deviate_names_an_unknown_or_repeated_field(spec, field,
+                                                             capsys):
+    code, out, err = run_cli(["simulate", "--scenario", "ring_connectivity",
+                              "--deviate", spec], capsys)
+    assert code == 2 and not out
+    assert "error: --deviate " in err and field in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -466,11 +478,16 @@ def test_verify_scenario_roundtrip_loader():
      "--out", "missing/run"],
     ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
      "--deviate", "agent=0,defect_all,round=0"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--deviate", "agent=0,defect_all,round=2,target=1"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--deviate", "agent=0,defect_all,round=2,agent=1"],
 ], ids=["verify-missing-scenario", "simulate-missing-scenario",
         "check-missing-family", "simulate-negative-samples",
         "simulate-zero-samples", "verify-zero-robust-depth",
         "verify-negative-robust-depth", "verify-zero-enum-cap",
-        "simulate-out-missing-directory", "simulate-deviation-round-zero"])
+        "simulate-out-missing-directory", "simulate-deviation-round-zero",
+        "simulate-deviate-unknown-field", "simulate-deviate-repeated-field"])
 def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
                                             capsys):
     # a missing input file or a bad option is an input error (exit 2), not

@@ -139,13 +139,13 @@ MODE_ACTIONS = {
 def test_edge_table_equals_the_rules(mode, values):
     pr = UtilityParams.make(*values, mode)
     for n in (2, 3, 5):
-        table = pr.edge_table(n)
-        assert pr.edge_table(n) is table          # built once per n
+        nums, over = pr.edge_numerators(n)
+        assert pr.edge_numerators(n)[0] is nums    # built once per n
         actions = MODE_ACTIONS[mode](n)
         for own in actions:
             for got in actions:
                 want = _edge_by_rules(own, got, pr)
-                assert table[own.code, got.code] == want, (own, got)
+                assert over[nums[own.code, got.code]] == want, (own, got)
                 p, rg = pair_profile(own, got, mode=mode, n=n)
                 assert round_utility(0, p, rg, pr) == want, (own, got)
 
@@ -290,19 +290,19 @@ def test_cooperation_tail_hypothesis(span, start_off):
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_round_sums_and_cooperation_utility_are_exact(mode):
     # a round utility read from the params' memo of numerator sums is the
-    # sum of its edge-table entries, and the cooperation memo is
+    # sum of its edge entries, and the cooperation memo is
     # (beta - 1 - alpha) * degree; both keep what they built
     pr = UtilityParams.make("7/3", "1/5", "9/4", "9/10", mode)
     rng = random.Random(26)
     for n in (2, 3, 5):
-        table = pr.edge_table(n)
         nums, over = pr.edge_numerators(n)
         assert pr.edge_numerators(n)[1] is over
-        keys = sorted(table)
+        keys = sorted(nums)
         for _ in range(200):
             picked = [rng.choice(keys) for _ in range(rng.randint(0, n - 1))]
             total = sum(nums[k] for k in picked)
-            assert over[total] == sum((table[k] for k in picked), Fraction(0))
+            assert over[total] == sum((over[nums[k]] for k in picked),
+                                      Fraction(0))
             assert over[total] is over[total]
     for degree in range(6):
         u = pr.cooperation_utility[degree]

@@ -21,12 +21,11 @@ from dynacct import protocols, verifier
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, RoundGraph,
                                     check_connectivity_restriction)
 from dynacct.game_core import ActionProfile
-from dynacct.protocols import (ALL_NEIGHBORS, ScheduledDefector, SigmaGen,
-                               StrategyMachine)
+from dynacct.protocols import ALL_NEIGHBORS, SigmaGen, StrategyMachine
 from dynacct.scenarios import complete_graph, general_defaults
 from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
 
-from .conftest import random_round_graph
+from .conftest import count_spent_hooks, random_round_graph
 from .oracles import paired_defection_from_scratch
 from .test_soundness import SHIPPED
 from .test_verifier import ND, gen_cfg, k3_gen_cfg, mixed_degree_family
@@ -306,25 +305,12 @@ def test_random_connectivity_families_fork_and_rejoin(rng, monkeypatch):
 def test_spent_deviator_plays_as_its_base(family, monkeypatch):
     # the deviator's wrapper plays round m only: no hook goes through it
     # later, yet each of its snapshots in the deviating trace, copied or
-    # played, carries the label, and the pair equals the from-scratch run,
-    # whose wrapper lives to the horizon
+    # played, carries the label, and the pair equals the from-scratch run
     cfg = paired_cfg(family())
-    spent = [0]
-
-    def counted(name):
-        hook = getattr(ScheduledDefector, name)
-
-        def wrapped(self, *args):
-            spent[0] += self.round > self.last_round
-            return hook(self, *args)
-        return wrapped
-
+    spent = count_spent_hooks(monkeypatch)
     jobs = 0
     for i, m, targets in defections(cfg):
-        with monkeypatch.context() as mp:
-            for name in ("begin_round", "payload_for", "act", "end_round"):
-                mp.setattr(ScheduledDefector, name, counted(name))
-            got = run_paired_defection(cfg, i, m, targets)
+        got = run_paired_defection(cfg, i, m, targets)
         assert spent[0] == 0
         assert all(got[1].state_log[(i, M)]["deviation"] == f"defect@{m}"
                    for M in range(1, cfg.horizon + 1))

@@ -617,15 +617,71 @@ def test_pending_scheduled_defectors_key_template_and_offset():
                                       {2: {"send": [1], "defect": [3]}}],
                          ids=["shorthand", "template"])
 def test_spent_scheduled_defector_keys_as_its_base(schedule):
-    # once its schedule is spent a wrapper plays as its base, and keys as it
+    # once its schedule is spent a wrapper is replaced by its base, which
+    # played the deviation sincerely: what keys in its place is the base
     cfg = builtin("ring_connectivity").sim_config(horizon=6)
     machines = build_machines(cfg)
     machines[0] = ScheduledDefector(machines[0], schedule, sincere=True)
     d = machines[0]
     assert d.state_key(2) != d.base.state_key(2)
     _simulate_machines(cfg, machines)
-    assert d.state_key(7) == d.base.state_key(7)
+    assert machines[0] is d.base
     assert d.base.state_key(7) != build_machines(cfg)[0].state_key(7)
+
+
+def test_delivery_retires_a_wrapper_after_its_last_scheduled_round():
+    # the one delivery step puts a ScheduledDefector's base back right
+    # after its last scheduled round, and only then
+    cfg = builtin("ring_connectivity").sim_config(horizon=6)
+    machines = build_machines(cfg)
+    base = machines[0]
+    machines[0] = ScheduledDefector(base, {1: ALL_NEIGHBORS}, sincere=True)
+    _simulate_machines(cfg, machines, stop=lambda m, _: m > 1)
+    assert machines[0] is base
+
+    machines = build_machines(cfg)
+    d = machines[1] = defect_at_rounds(machines[1], [2, 4])
+    in_place = []
+
+    def watch(m, ms):
+        in_place.append(ms[1] is d)
+        return False
+    _simulate_machines(cfg, machines, stop=watch)
+    assert in_place == [True] * 4 + [False] * 2      # rounds 1..6
+    assert machines[1] is d.base
+
+    # stacked wrappers spent in the same round retire together
+    machines = build_machines(cfg)
+    base = machines[2]
+    machines[2] = ScheduledDefector(defect_at_rounds(base, [1]), {2: [1]})
+    _simulate_machines(cfg, machines, stop=lambda m, _: m > 2)
+    assert machines[2] is base
+
+
+@pytest.mark.parametrize("first_round", [1, 3])
+def test_personas_stay_and_their_shadow_deviator_retires(first_round):
+    # a persona is never retired; the lenient shadow world's first
+    # deviator is, right after its first_round, and the world's quiescent
+    # agents are those it had while the wrapper played to the horizon
+    sc = builtin("unsafe_three_agent")
+    cfg = sc.sim_config(horizon=8)
+    spec = dict({k: v for k, v in sc.candidates[0].items() if k != "agent"},
+                first_round=first_round)
+    persona = build_deviation(spec, cfg, 2)
+    machines = build_machines(cfg, honest_only=True)
+    machines[2] = persona
+    shadow, wrapped = persona.shadow, []
+
+    def watch(m, ms):
+        wrapped.append(isinstance(shadow.machines[0], ScheduledDefector))
+        return False
+    _simulate_machines(cfg, machines, stop=watch)
+    assert machines[2] is persona
+    # the world has played rounds 1..m-1 when round m starts
+    assert wrapped == [True] * first_round + [False] * (8 - first_round)
+    assert {m: sorted(q) for m, q in shadow.quiescent.items()} == {
+        0: [1, 2], 1: [], 2: [], 3: [], 4: [1], 5: [1],
+        6: [0, 1, 2], 7: [0, 1, 2], 8: [0, 1, 2]}
 
 
 def test_scheduled_target_not_a_neighbour_is_refused():
@@ -859,8 +915,11 @@ def test_default_clone_is_copy_copy(rounds):
             assert list(vars(cloned)) == list(vars(copied))
             assert all(vars(cloned)[k] is v for k, v in vars(copied).items())
             seen.add(type(mach))
+    # every builtin deviation's schedule ends at round 1, after which
+    # the wrapper is retired
     assert seen == {AccusationPunisher, SigmaGen, SigmaVal,
-                    UnsafePunisherProtocol, ScheduledDefector, _Persona}
+                    UnsafePunisherProtocol, _Persona} | (
+                        {ScheduledDefector} if rounds == 0 else set())
 
 
 def test_no_machine_class_customises_copying():

@@ -172,9 +172,8 @@ def _drive(mach, m, cfg, inboxes, begun=False):
 
 def _machines_by_key(cfg, rng):
     """Pre-round machines from many single-defection histories, grouped by
-    (agent, graph phase, state_key).  The deviator stays wrapped, so its
-    wrapper's keys are checked too: pending before its round, its base's
-    after it."""
+    (agent, graph phase, state_key).  The deviator is wrapped until its
+    round has played, so its wrapper's pending keys are checked too."""
     graph, n = cfg.graph, cfg.family.n
     groups: dict = {}
     for dev in range(n):
@@ -306,7 +305,7 @@ def test_relabel_key_is_the_key_of_the_image_machine(name, rng):
                                        for c in classes}}, sincere=True)
             runs.append(machines)
         for m in range(at, at + n * n + 3):
-            # a deviator keys as its base once its round has played
+            # a deviator is its base once its round has played
             for a in (a for a in range(n) if m > at or a not in patterns):
                 key, image = (runs[0][a].state_key(m),
                               runs[1][sigma[a]].state_key(m))
@@ -431,8 +430,6 @@ def test_clone_is_an_independent_deepcopy(case, rng):
     m = 3
     for t in range(1, m):
         _play_round(cfg, machines, t, draws)
-        if t == 1:
-            machines[1] = machines[1].base
     mach = machines[me]
     if name != "always_defect":
         assert mach.snapshot() != build_machines(cfg)[me].snapshot()

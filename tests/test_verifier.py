@@ -23,6 +23,7 @@ from dynacct.verifier import (EnumerationCapExceeded, SimConfig,
                               monte_carlo_utilities, run_paired_defection,
                               simulate, verify_cooperation, verify_one_shot)
 
+from .conftest import count_spent_hooks
 from .oracles import FlatSigmaGen, build_branch_tree
 
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
@@ -1138,6 +1139,27 @@ def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
     assert checkers(timely, [(1, cand), (1, cand), (2, ()), (1, ())]) == [1, 1, 2]
     assert checkers(replace(k4), [(3, ())]) == [3]
     assert checkers(k4, [(3, ())]) == []
+
+
+def test_no_hook_reaches_a_spent_scheduled_defector(tmp_path, monkeypatch):
+    # a deviation wrapper leaves the machines once its last scheduled round
+    # has played: the one-shot checker's forced continuations and
+    # after-deviation walks, a candidate's walk and a simulated deviation
+    # never call through a spent one
+    from dynacct.cli import main
+    spent = count_spent_hooks(monkeypatch)
+    counts = []
+    verify_one_shot(k3_gen_cfg(horizon=12), 0, robust_depth=2)
+    counts.append(spent[0])
+    sc = builtin("timely_violation")
+    candidate = {k: v for k, v in sc.candidates[0].items() if k != "agent"}
+    verify_one_shot(sc.sim_config(horizon=12), 1, candidates=[candidate])
+    counts.append(spent[0])
+    assert main(["simulate", "--scenario", "ring_connectivity",
+                 "--horizon", "12", "--deviate", "agent=0,defect_all,round=2",
+                 "--out", str(tmp_path / "dev")]) == 0
+    counts.append(spent[0])
+    assert counts == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
