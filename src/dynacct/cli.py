@@ -97,23 +97,34 @@ def cmd_check(args) -> int:
 def _parse_deviate(text: str, n: int) -> tuple[int, dict]:
     """--deviate 'agent=0,defect_all,round=1' -> (agent, one-shot defect-all
     deviation) for an agent of an n-agent scenario.  A field it does not
-    know, or one given twice, is refused."""
+    know, one given twice, a value on ``defect_all`` and an ``agent`` or
+    ``round`` that is not an integer are refused, naming the field."""
     fields = {}
     for kv in text.split(","):
-        key, _, value = kv.partition("=")
+        key, sep, value = kv.partition("=")
         if key not in ("agent", "round", "defect_all"):
             raise ValueError(f"--deviate has no field {key!r}")
         if key in fields:
             raise ValueError(f"--deviate gives the field {key!r} twice")
+        if key == "defect_all" and sep:
+            raise ValueError(f"--deviate field 'defect_all' takes no value, "
+                             f"not {value!r}")
         fields[key] = value
     if "agent" not in fields or "round" not in fields:
         raise ValueError("--deviate needs agent=<id> and round=<m>")
     if "defect_all" not in fields:
         raise ValueError("--deviate currently supports the defect_all form")
-    agent = int(fields["agent"])
+    ints = {}
+    for key in ("agent", "round"):
+        try:
+            ints[key] = int(fields[key])
+        except ValueError:
+            raise ValueError(f"--deviate field {key!r} needs an integer, "
+                             f"not {fields[key]!r}") from None
+    agent = ints["agent"]
     if not 0 <= agent < n:
         raise ValueError(f"--deviate agent {agent} is not an id in 0..{n - 1}")
-    return agent, {"kind": "one_shot", "round": int(fields["round"]),
+    return agent, {"kind": "one_shot", "round": ints["round"],
                    "override": {"defect": "all"}}
 
 

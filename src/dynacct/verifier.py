@@ -7,8 +7,8 @@ the round.
 
 Each job has exactly one implementation, and every layer reads the run's
 parameters from its ``SimConfig``, which caches what depends on it alone:
-the member graph, the round views, the honest run and the one-shot
-reports.
+the member graph, the round views, the honest run, the rounds its paired
+defections have played and the one-shot reports.
 
 * A round is one pass: ``_begin_round`` reads the round's views, built
   once per config round, and calls ``begin_round``, ``_act`` calls ``act``
@@ -22,15 +22,17 @@ reports.
   platforms and thread counts); ``simulate`` runs the configured profile
   through it with no state log (``run_paired_defection`` logs its pairs).
 * The honest run is simulated once per ``SimConfig`` and checkpoints the
-  machines, with their ``state_key``s, at the start of every round.
-  ``run_paired_defection`` returns it as the conforming trace, and forks
-  each deviating run from its round-m checkpoint: rounds 1..m-1 are
-  copied from the honest trace, the deviator is wrapped for round m only,
-  and play from round m stops at the first later round M where every
-  machine's key equals the honest run's.  The deviating run has then
-  rejoined the honest run, and rounds M..horizon are copied from it.  The
-  draws are stateless, the views depend only on graph and round, and
-  ``state_key`` is complete, so the copies are exact.
+  machines at the start of every round.  ``run_paired_defection`` returns
+  it as the conforming trace, and forks each deviating run from its
+  round-m checkpoint: rounds 1..m-1 are copied from the honest run, the
+  deviator is wrapped for round m only, and play from round m stops at
+  the first later round M whose world (every machine's ``state_key``) the
+  config has already played, in the honest run or in an earlier deviating
+  run (``_PlayedRounds``, the config's table of played rounds).  Rounds
+  M..horizon are then copied from the table, and the rounds the run
+  played are added to it.  The draws are stateless, the views depend only
+  on graph and round, and ``state_key`` is complete, so the copies are
+  exact.
 * ``_round_scripts`` collects the actions of every draw script of a round,
   with exact rational probabilities.  ``_Walk`` is its only caller and the
   only branch walker: a depth-first Bellman recursion ``V(w) = sum over
@@ -257,13 +259,70 @@ class _BoundRand(RandSource):
 # Configuration
 # ---------------------------------------------------------------------------
 
+class _Round(NamedTuple):
+    """One played round: its profile, each agent's utility and end-of-round
+    snapshot in agent id order, and the round played after it (None after
+    the horizon)."""
+    profile: ActionProfile
+    utils: tuple
+    snaps: tuple
+    next: Optional[_Round]
+
+
 class _HonestRun(NamedTuple):
     """The honest profile's seeded run: its trace with state log, a fork of
     the machines at the start of every round m (``checkpoints[m - 1]``) and
-    each fork's ``state_key(m)`` by agent (``keys[m - 1]``)."""
+    the round played from there (``rounds[m - 1]``)."""
     trace: Trace
     checkpoints: list[dict[AgentId, StrategyMachine]]
-    keys: list[dict[AgentId, object]]
+    rounds: list[_Round]
+
+
+def _world(machines: dict[AgentId, StrategyMachine], m: int) -> tuple:
+    """Round m and every machine's ``state_key(m)``, in agent id order."""
+    return (m, *[machines[a].state_key(m) for a in range(len(machines))])
+
+
+def _opaque(key) -> bool:
+    """Whether a state key is or holds, nested in tuples, the default
+    ``("opaque", id)`` key."""
+    return type(key) is tuple and (key[:1] == ("opaque",)
+                                   or any(map(_opaque, key)))
+
+
+class _PlayedRounds:
+    """A config's rounds played from worlds of base machines: ``rounds``
+    maps a world (``_world``) to the round played from it, with unlabelled
+    snapshots, so a run that reaches a held world can follow its rounds to
+    the horizon (``run_paired_defection`` gives the reasons this is exact).
+    A world that holds an ``("opaque", id)`` key is never stored, since a
+    dead machine's id can be reused.  Profiles, each with its utility
+    tuple, and state keys are interned by value (equal values are
+    interchangeable, and a profile's value is its round, neighbour ids and
+    codes): the table keeps one of each."""
+
+    def __init__(self):
+        self.rounds: dict[tuple, _Round] = {}
+        self._shared: dict = {}
+
+    def store(self, worlds: Sequence[tuple], rounds: Sequence[_Round]):
+        """Hold ``rounds[k]`` as the round played from ``worlds[k]``."""
+        shared = self._shared
+        for world, r in zip(worlds, rounds):
+            if not any(map(_opaque, world)):
+                self.rounds[tuple([shared.setdefault(k, k)
+                                   for k in world])] = r
+
+    def round(self, profile: ActionProfile, utils: tuple, snaps: tuple,
+              nxt: Optional[_Round]) -> _Round:
+        """A ``_Round`` whose profile and utility tuple are interned, the
+        utilities with the profile they are a function of."""
+        code = (profile.round,
+                tuple([(a, tuple([(j, x.code)
+                                  for j, x in act.per_neighbor.items()]))
+                       for a, act in profile.actions.items()]))
+        return _Round(*self._shared.setdefault(code, (profile, utils)),
+                      snaps, nxt)
 
 
 @dataclass(frozen=True)
@@ -302,19 +361,24 @@ class SimConfig:
     def _honest_run(self) -> _HonestRun:
         """The honest run, simulated once: every paired defection of this
         config shares it."""
-        checkpoints, keys = [], []
+        checkpoints = []
 
         def checkpoint(m: int, machines) -> bool:
-            # keyed on the fork, which lives as long as the key: an
-            # ("opaque", id) key can never match a later machine's
-            fork = _fork(machines)
-            checkpoints.append(fork)
-            keys.append({a: mach.state_key(m) for a, mach in fork.items()})
+            checkpoints.append(_fork(machines))
             return False     # never stops
 
         trace = _simulate_machines(self, build_machines(self, honest_only=True),
                                    stop=checkpoint)
-        return _HonestRun(trace, checkpoints, keys)
+        return _HonestRun(trace, checkpoints, _rounds(trace, 1))
+
+    @functools.cached_property
+    def _played(self) -> _PlayedRounds:
+        """Every round a paired defection of this config has played from a
+        world of base machines, seeded with the honest run's."""
+        honest, played = self._honest_run, _PlayedRounds()
+        worlds = [_world(ms, m) for m, ms in enumerate(honest.checkpoints, 1)]
+        played.store(worlds, honest.rounds)
+        return played
 
     @functools.cached_property
     def _one_shot_reports(self) -> dict:
@@ -1016,17 +1080,39 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
 # Paired defections of the bounded tally protocol
 # ---------------------------------------------------------------------------
 
-def _append_rounds(trace: Trace, src: Trace, end: int,
-                   snap=lambda key, s: s) -> Trace:
-    """Append rounds ``trace.last_round + 1``..end of ``src`` to ``trace``,
-    each logged snapshot passed through ``snap(key, snapshot)``; profiles
-    and snapshots are shared, the containers are ``trace``'s own."""
-    for profile in src.history.profiles[trace.last_round:end]:
-        trace.history.profiles.append(profile)
-        for a in profile.actions:
-            key = (a, profile.round)
-            trace.per_round_utilities[key] = src.per_round_utilities[key]
-            trace.state_log[key] = snap(key, src.state_log[key])
+def _rounds(trace: Trace, start: int, nxt: Optional[_Round] = None,
+            make: Callable = _Round) -> list[_Round]:
+    """Rounds start..last of a logged trace, built by ``make``, each linked
+    to the one after it and the last to ``nxt``."""
+    per_round, log = trace.per_round_utilities, trace.state_log
+    rounds = []
+    for p in reversed(trace.history.profiles[start - 1:]):
+        nxt = make(p, tuple([per_round[(a, p.round)] for a in p.actions]),
+                   tuple([log[(a, p.round)] for a in p.actions]), nxt)
+        rounds.append(nxt)
+    rounds.reverse()
+    return rounds
+
+
+def _chain(r: Optional[_Round]):
+    """``r`` and the rounds after it."""
+    while r is not None:
+        yield r
+        r = r.next
+
+
+def _append(trace: Trace, rounds) -> Trace:
+    """Append ``rounds``, the next rounds of ``trace``, to it; profiles and
+    snapshots are shared, the containers are ``trace``'s own."""
+    profiles, per_round = trace.history.profiles, trace.per_round_utilities
+    log = trace.state_log
+    for r in rounds:
+        profiles.append(r.profile)
+        M = r.profile.round
+        for a, u in enumerate(r.utils):
+            per_round[(a, M)] = u
+        for a, snap in enumerate(r.snaps):
+            log[(a, M)] = snap
     return trace
 
 
@@ -1036,49 +1122,56 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     (defecting ``targets``, or all neighbours), sharing seed and state logs.
 
     The conforming trace is cfg's honest run, simulated once per config.
-    The deviating trace copies its rounds 1..m-1, with i's snapshots
-    labelled as ``ScheduledDefector.snapshot`` labels them, and plays on
-    from the round-m checkpoint with i wrapped.  The wrapper plays round m
-    alone (``protocols._deliver`` then puts its sincere base back), and
-    i's snapshots from round m on are labelled the same way.
-    At the start of every later round M it compares each machine's
-    ``state_key(M)`` with the honest run's; once all are equal it rejoins
-    the honest run: it stops playing and copies rounds M..horizon from
-    it, labelled again.  Both copies are exact because:
+    The deviating trace copies its rounds 1..m-1 and plays on from the
+    round-m checkpoint with i wrapped.  The wrapper plays round m alone
+    (``protocols._deliver`` then puts its sincere base back), so from round
+    m+1 on every machine is a base machine.  At the start of every later
+    round M it looks the world (every machine's ``state_key(M)``) up in
+    cfg's table of played rounds (``_PlayedRounds``), seeded with the
+    honest run's: at the first world the table holds, some run of the
+    config has already played from it, so it stops playing and follows the
+    table to the horizon.  The rounds it played from m+1 on are stored for
+    the later runs.  Every snapshot of i in the deviating trace is labelled
+    as ``ScheduledDefector.snapshot`` labels it.  The copies are exact
+    because:
 
     * draws are keyed by (seed, agent, round, label), so ``_HashDraws`` is
       stateless, and views depend only on the graph and the round;
     * the wrapper acts as its base before round m;
     * ``state_key`` is complete (``tests/test_soundness.py``), so machines
       with equal keys at the same round play the same rounds from there.
-      The default ``("opaque", id(self))`` key never equals another
-      machine's, so a machine without a key of its own plays to the
-      horizon.
+      A world holding the default ``("opaque", id(self))`` key is never
+      stored, so a machine without a key of its own plays to the horizon.
 
     Both traces are fresh containers; their profiles and snapshots are
-    shared with the cached run and are read-only."""
+    shared with the cached runs and are read-only."""
     check_deviation_round(cfg, m)
-    honest = cfg._honest_run
+    honest, played = cfg._honest_run, cfg._played
+    worlds = []
 
-    def relabel(key, snap):
-        return dict(snap, deviation=label) if key[0] == i else snap
-
-    def rejoined(M: int, machines) -> bool:
-        keys = honest.keys[M - 1]
-        return M > m and all(mach.state_key(M) == keys[a]
-                             for a, mach in machines.items())
+    def known(M: int, machines) -> bool:
+        if M == m:
+            return False
+        worlds.append(_world(machines, M))
+        return worlds[-1] in played.rounds
 
     label = f"defect@{m}"
     machines = _fork(honest.checkpoints[m - 1])
     machines[i] = ScheduledDefector(machines[i], {m: targets}, sincere=True,
                                     label=label)
-    deviate = _append_rounds(_new_trace(cfg), honest.trace, m - 1, relabel)
-    _simulate_machines(cfg, machines, deviate, stop=rejoined)
+    deviate = _append(_new_trace(cfg), honest.rounds[:m - 1])
+    _simulate_machines(cfg, machines, deviate, stop=known)
+    # the round of the world it stopped at; None if it played to the horizon
+    held = played.rounds.get(worlds[-1]) if worlds else None
+    played.store(worlds, _rounds(deviate, m + 1, held, played.round))
+    _append(deviate, _chain(held))
     log = deviate.state_log
-    for M in range(m, deviate.last_round + 1):
-        log[(i, M)] = relabel((i, M), log[(i, M)])
-    return (_append_rounds(_new_trace(cfg), honest.trace, cfg.horizon),
-            _append_rounds(deviate, honest.trace, cfg.horizon, relabel))
+    for M in range(1, cfg.horizon + 1):
+        log[(i, M)] = dict(log[(i, M)], deviation=label)
+    t = honest.trace
+    return (Trace(History(list(t.history.profiles)),
+                  dict(t.per_round_utilities), t.rng_seed, dict(t.state_log)),
+            deviate)
 
 
 def assert_gen_facts(cfg: SimConfig, paired: tuple[Trace, Trace],

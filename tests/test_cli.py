@@ -239,6 +239,21 @@ def test_simulate_deviate_names_an_unknown_or_repeated_field(spec, field,
     assert "error: --deviate " in err and field in err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("agent=0,defect_all=yes,round=1", "'defect_all' takes no value, not 'yes'"),
+    ("agent=0,defect_all=0,round=1", "'defect_all' takes no value, not '0'"),
+    ("agent=x,defect_all,round=1", "'agent' needs an integer, not 'x'"),
+    ("agent=0,defect_all,round=two", "'round' needs an integer, not 'two'"),
+    ("agent,defect_all,round=1", "'agent' needs an integer, not ''")])
+def test_simulate_deviate_names_a_field_with_a_bad_value(spec, field, capsys):
+    # defect_all=yes used to run the defect-all deviation with the value
+    # ignored, and agent=x to fail with int()'s message, naming no field
+    code, out, err = run_cli(["simulate", "--scenario", "ring_connectivity",
+                              "--horizon", "5", "--deviate", spec], capsys)
+    assert code == 2 and not out
+    assert "error: --deviate field " in err and field in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -482,12 +497,17 @@ def test_verify_scenario_roundtrip_loader():
      "--deviate", "agent=0,defect_all,round=2,target=1"],
     ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
      "--deviate", "agent=0,defect_all,round=2,agent=1"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--deviate", "agent=0,defect_all=yes,round=1"],
+    ["simulate", "--scenario", "ring_connectivity", "--horizon", "5",
+     "--deviate", "agent=x,defect_all,round=1"],
 ], ids=["verify-missing-scenario", "simulate-missing-scenario",
         "check-missing-family", "simulate-negative-samples",
         "simulate-zero-samples", "verify-zero-robust-depth",
         "verify-negative-robust-depth", "verify-zero-enum-cap",
         "simulate-out-missing-directory", "simulate-deviation-round-zero",
-        "simulate-deviate-unknown-field", "simulate-deviate-repeated-field"])
+        "simulate-deviate-unknown-field", "simulate-deviate-repeated-field",
+        "simulate-deviate-defect-all-value", "simulate-deviate-agent-not-int"])
 def test_bad_input_exits_two_without_output(args, tmp_path, monkeypatch,
                                             capsys):
     # a missing input file or a bad option is an input error (exit 2), not

@@ -1,18 +1,23 @@
-"""Paired defections forked from the cached honest run and rejoining it.
+"""Paired defections forked from the cached honest run, stopping at the
+first world their config has already played.
 
 ``run_paired_defection`` simulates a config's honest run once and starts
-each deviating run at its own round from a checkpoint of that run.  The
-deviating run stops at the first later round where every machine's
-``state_key`` equals the honest run's, and copies the rest of the honest
-run.  These tests hold it to ``oracles.paired_defection_from_scratch``,
-which plays both runs in full every time: on every shipped strategy, on
-machines whose opaque default key never rejoins, and on every (agent,
-round, target set) of seeded random connectivity families.
+each deviating run at its own round from a checkpoint of that run.  From
+round m+1 on, the deviating run stops at the first round whose world
+(every machine's ``state_key``) the config's table of played rounds
+holds, the honest run's or an earlier deviating run's, and follows the
+table to the horizon; the rounds it played are added to the table.  These
+tests hold it to ``oracles.paired_defection_from_scratch``, which plays
+both runs in full every time: on every shipped strategy, on machines whose
+opaque default key is never stored, on every (agent, round, target set)
+of seeded random connectivity families, in shuffled job orders, and with
+the jobs of two configs interleaved.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -214,13 +219,15 @@ def test_replaced_config_gets_its_own_honest_run():
         cfg, 0, 2, ALL_NEIGHBORS)[1].history.profiles
 
 
-def test_k3_paired_facts_group_plays_341_rounds(monkeypatch):
+def test_k3_paired_facts_group_plays_233_rounds(monkeypatch):
     # the k3 family's paired defections as one process runs them: every
     # agent, rounds 1..2n, every non-empty target set.  One honest run of
-    # 17 rounds, plus each job's rounds from m until its deviating run
-    # rejoins the honest run: 324 rounds, 341 in all.  Played to the
-    # horizon, the jobs need 18 - m rounds each (800 in all), and
-    # simulating both runs of every job in full 54 * 34 = 1,836
+    # 17 rounds, plus each job's deviating round m (54) and its rounds
+    # from m+1 until it reaches a world some run of the config has
+    # already played (162): 233 in all.  Rejoining the honest run alone,
+    # the jobs played 324 rounds (341 in all); played to the horizon they
+    # need 18 - m rounds each (800 in all), and simulating both runs of
+    # every job in full 54 * 34 = 1,836
     cfg = paired_cfg(k3_family())
     played = count_rounds(monkeypatch)
     jobs = 0
@@ -229,7 +236,7 @@ def test_k3_paired_facts_group_plays_341_rounds(monkeypatch):
         assert assert_gen_facts(cfg, pair, m).passed
         jobs += 1
     assert jobs == 54
-    assert played[0] == 341
+    assert played[0] == 233
 
 
 def test_opaque_state_keys_never_rejoin(monkeypatch):
@@ -336,3 +343,70 @@ def test_k3_paired_jobs_decode_each_state_once():
     decoded = protocols._gen_snapshot.cache_info().misses
     assert decoded == len(states) == 357
     assert logged == 54 * 2 * 3 * cfg.horizon
+
+
+@pytest.mark.parametrize("family", [k3_family, ring_chord_family])
+def test_any_job_order_plays_each_world_once(family, monkeypatch):
+    # every job of the family, in two shuffled orders, each on a fresh
+    # config: every pair equals the from-scratch run, and both orders play
+    # the same rounds, the union of the jobs' trajectories.  Each round
+    # played from m+1 on is stored once: the honest run's rounds and the
+    # rest of the table are all the rounds played bar each job's round m
+    cfg = paired_cfg(family())
+    jobs = list(defections(cfg))
+    want = {job: paired_defection_from_scratch(cfg, *job) for job in jobs}
+    played = count_rounds(monkeypatch)
+    counts = []
+    for seed in (1, 2):
+        order = random.Random(seed).sample(jobs, len(jobs))
+        other = replace(cfg)
+        played[0] = 0
+        for job in order:
+            assert_same_pair(run_paired_defection(other, *job), want[job])
+        assert played[0] == len(jobs) + len(other._played.rounds)
+        counts.append(played[0])
+    assert counts[0] == counts[1] == {3: 233, 4: 794}[cfg.family.n]
+
+
+def two_rings() -> list[GraphFamily]:
+    """Two 4-agent rings, 0-1-2-3 and 0-2-1-3: every agent has two
+    neighbours in both, but not the same ones."""
+    return [GraphFamily(4, (EvolvingGraph((), (RoundGraph.from_pairs(4, [
+        (a, b), (b, c), (c, d), (d, a)]),), name),), ND, 8)
+        for name, (a, b, c, d) in (("ring", (0, 1, 2, 3)),
+                                   ("twisted", (0, 2, 1, 3)))]
+
+
+def test_interleaved_configs_keep_their_own_rounds():
+    # the jobs of two configs of one horizon whose graphs differ only in
+    # the neighbours' ids, alternated in one process: each config's table
+    # holds its own profiles, so every pair equals the from-scratch run
+    cfgs = [paired_cfg(fam) for fam in two_rings()]
+    assert cfgs[0].horizon == cfgs[1].horizon
+    for jobs in zip(*(defections(cfg) for cfg in cfgs)):
+        for cfg, job in zip(cfgs, jobs):
+            assert_same_pair(run_paired_defection(cfg, *job),
+                             paired_defection_from_scratch(cfg, *job))
+
+
+@pytest.mark.parametrize("wrap", [lambda key: key, lambda key: ("k", key)],
+                         ids=["opaque", "nested"])
+def test_opaque_worlds_are_never_stored(wrap, monkeypatch):
+    # agent 2 keys as the default ("opaque", id), alone or inside a tuple:
+    # over every job no world is stored, not even the honest run's, and
+    # every deviating run plays to the horizon
+    key = SigmaGen.state_key
+    monkeypatch.setattr(SigmaGen, "state_key", lambda self, m: (
+        wrap(StrategyMachine.state_key(self, m)) if self.me == 2
+        else key(self, m)))
+    cfg = paired_cfg(ring_chord_family())
+    cfg._played
+    played = count_rounds(monkeypatch)
+    for i, m, targets in defections(cfg):
+        played[0] = 0
+        got = run_paired_defection(cfg, i, m, targets)
+        assert played[0] == cfg.horizon - m + 1
+        assert cfg._played.rounds == {}
+        if m in (1, 8):
+            assert_same_pair(got, paired_defection_from_scratch(
+                cfg, i, m, targets))
