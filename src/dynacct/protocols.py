@@ -7,20 +7,22 @@ A machine owns one agent's private protocol state.  The round contract is:
 * ``payload_for(j)`` returns the monitoring message content for neighbour j
   as of the start of the round,
 * ``act(rand)`` returns the per-neighbour individual actions and must be
-  pure: no state mutation, all randomness through ``rand`` with stable
-  labels (the branch enumerator replays it),
+  pure: no state mutation, all randomness through
+  ``rand.draw(self.me, self.round, label, p)`` with a stable label and p a
+  ``Fraction`` strictly between 0 and 1 (the branch enumerator replays it),
 * ``end_round(own_action, inbox)`` reveals the neighbours' individual
   actions toward the agent plus their payloads (omitted by defectors) and
-  advances the state; ``_deliver``, the one delivery step, calls it for the
-  verifier's rounds and the shadow worlds below alike, and puts a
-  ``ScheduledDefector`` whose last scheduled round has played back to its
-  base.
+  advances the state; ``_deliver``, the one delivery step, calls it with
+  the actions ``act`` returned, for the verifier's rounds and the shadow
+  worlds below alike, and puts a ``ScheduledDefector`` whose last
+  scheduled round has played back to its base.
 
-Machines set ``draw_independent_state`` when their state evolution depends
-only on which neighbours defected, never on punish/cooperate draw outcomes;
-the equilibrium verifier relies on that flag.  A class is label-free when
-it never reads an agent id except to tell agents apart: relabelling the
-agents of its views, actions and payloads relabels everything it does.
+A machine's state evolution depends only on which neighbours defected,
+never on punish/cooperate draw outcomes: the equilibrium verifier relies
+on it, and the soundness tests check it on every shipped strategy.  A
+class is label-free when it never reads an agent id except to tell agents
+apart: relabelling the agents of its views, actions and payloads
+relabels everything it does.
 Such a class implements ``relabel_key(key, pi)``, which maps a machine's
 ``state_key`` to the key of its image under the agent permutation pi;
 every other class leaves it None.  When the honest machines are all of
@@ -65,9 +67,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .evolving_graph import (EvolvingGraph, LocalView, ObservationModel,
                              local_view)
-from .game_core import (AVOID, COOPERATE, DEFECT, PUNISH, Action, ActionKind,
-                        ActionProfile, IndividualAction, Mode, UtilityParams,
-                        prop_punish)
+from .game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
+                        IndividualAction, Mode, UtilityParams, prop_punish)
 
 AgentId = int
 
@@ -95,14 +96,18 @@ def _ints(values, field: str) -> list[int]:
 
 
 class RandSource:
-    """Interface for labelled draws; implementations live in the verifier."""
+    """The one draw interface: ``draw(agent, rnd, label, p)`` is true with
+    probability p, a ``Fraction`` strictly between 0 and 1, for the draw
+    ``label`` of ``agent`` in round ``rnd``; a machine passes its own
+    ``me`` and ``round``.  Implementations live in the verifier."""
 
-    def bernoulli(self, label: str, p: Fraction) -> bool:  # pragma: no cover
+    def draw(self, agent: AgentId, rnd: int, label: str,
+             p: Fraction) -> bool:  # pragma: no cover
         raise NotImplementedError
 
 
 class _RefuseDraws(RandSource):
-    def bernoulli(self, label: str, p: Fraction) -> bool:
+    def draw(self, agent: AgentId, rnd: int, label: str, p: Fraction) -> bool:
         raise StrategyConfigError(
             "evasive strategies replay only machines that draw nothing")
 
@@ -111,7 +116,6 @@ class StrategyMachine:
     """Base class; subclasses fill in the round hooks they need."""
 
     mode: Mode = Mode.GENERAL
-    draw_independent_state: bool = True
     # a label-free class sets a static ``relabel_key(key, pi)``: the
     # ``state_key`` that agent pi[a] holds in the pi-image of a world in
     # which agent a holds ``key``
@@ -170,14 +174,14 @@ class StrategyMachine:
 
 
 def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
-             profile: ActionProfile) -> dict:
+             acts: dict[AgentId, dict[AgentId, IndividualAction]]) -> dict:
     """Reveal round outcomes: each machine gets its neighbours' actions
     toward it and their payloads (none from a defector), in an inbox keyed
-    in id order.  A ``ScheduledDefector`` that has played its last
-    scheduled round is then replaced by its base in ``machines``, so a
-    wrapper is only ever in place with a round still ahead.  Returns the
-    payloads collected, by sender and then receiver."""
-    acts = {i: a.per_neighbor for i, a in profile.actions.items()}
+    in id order, with its own actions; ``acts`` holds every agent's
+    actions by neighbour, as ``act`` returned them.  A ``ScheduledDefector``
+    that has played its last scheduled round is then replaced by its base
+    in ``machines``, so a wrapper is only ever in place with a round still
+    ahead.  Returns the payloads collected, by sender and then receiver."""
     order = sorted(machines)
     payloads = {i: {j: machines[i].payload_for(j) for j in views[i].order}
                 for i in order}
@@ -341,7 +345,8 @@ class SigmaGen(StrategyMachine):
                        & (1 << w) - 1).bit_count()
             deg_j = self.view.neighbor_degrees[j]
             out[j] = (COOPERATE if not pending else PUNISH if pending >= deg_j
-                      or rand.bernoulli(f"punish[{j}]", Fraction(pending, deg_j))
+                      or rand.draw(self.me, self.round, f"punish[{j}]",
+                                   Fraction(pending, deg_j))
                       else COOPERATE)
         return out
 
@@ -616,7 +621,6 @@ class _Wrapper(StrategyMachine):
         self.base = base
         self.label = label
         self.mode = base.mode
-        self.draw_independent_state = base.draw_independent_state
         self.uses_own_action = base.uses_own_action
 
     def clone(self) -> "_Wrapper":
@@ -779,8 +783,7 @@ class _ShadowWorld:
             self.machines[i].begin_round(views[i])
         actions = {i: self.machines[i].act(_RefuseDraws())
                    for i in sorted(self.machines)}
-        profile = ActionProfile(m, {i: Action(i, m, a) for i, a in actions.items()})
-        self.round_payloads[m] = _deliver(views, self.machines, profile)
+        self.round_payloads[m] = _deliver(views, self.machines, actions)
         self.round_actions[m] = actions
         self.quiescent[m] = self._quiescent()
         self.done_round = m

@@ -15,12 +15,17 @@ defections have played and the one-shot reports.
   once per machine and script, ``_round_outcome`` checks the profile once
   and sums each agent's utility as integer numerators over the per-edge
   table's common denominator, and ``protocols._deliver`` (which the
-  shadow worlds share) hands out payloads and calls ``end_round``.
-  ``_play_round`` chains the four for one draw source, and
-  ``_simulate_machines`` is the only run loop.  A realised run
-  draws each labelled Bernoulli from a seed via SHA-256 (bit-exact across
-  platforms and thread counts); ``simulate`` runs the configured profile
-  through it with no state log (``run_paired_defection`` logs its pairs).
+  shadow worlds share) hands out payloads and calls ``end_round`` with
+  the actions ``_act`` returned.  ``_play_round`` chains the four for one
+  draw source, and ``_simulate_machines`` is the only run loop.
+* ``_act`` hands every machine the round's draw source itself, and a
+  machine draws through its ``draw(agent, rnd, label, p)``
+  (``protocols.RandSource``).  A realised run draws from ``_HashDraws``:
+  each draw from a seed via SHA-256 (bit-exact across platforms and thread
+  counts); ``simulate`` runs the configured profile through it with no
+  state log (``run_paired_defection`` logs its pairs).  ``_round_scripts``
+  replays ``_ScriptDraws`` draw scripts, and the context walks draw every
+  outcome false from ``_FixedDraws``.
 * The honest run is simulated once per ``SimConfig`` and checkpoints the
   machines at the start of every round.  ``run_paired_defection`` returns
   it as the conforming trace, and forks each deviating run from its
@@ -86,12 +91,13 @@ walk cut by that bound leaves its worlds open.  The deduplication, and the
 conditioning of off-path continuations on "only the observed deviator
 deviated", is sound for machines whose monitoring state is independent of
 punish/cooperate draw outcomes and whose utilities are additive per
-directed edge; every shipped strategy declares the property, the checker
-refuses machines that do not.  Punish-or-cooperate substitutions are
-utility-equivalent for the shipped protocols (garbage costs the sender
-exactly what the value costs, and punishing is never accusable), so
-override enumeration ranges over send/defect/avoid patterns per neighbour;
-the prescribed pattern itself reports gain zero.  The prescribed classes
+directed edge.  That is a precondition the checker does not test;
+``tests/test_soundness.py`` checks it on every shipped strategy.
+Punish-or-cooperate substitutions are utility-equivalent for the shipped
+protocols (garbage costs the sender exactly what the value costs, and
+punishing is never accusable), so override enumeration ranges over
+send/defect/avoid patterns per neighbour; the prescribed pattern itself
+reports gain zero.  The prescribed classes
 come from the walk: it plays each collected round as prescribed, with the
 same fixed draws, right after collecting it.
 
@@ -135,8 +141,9 @@ sigma(P)) for every sigma in the stabilizer of i, the identity included
 fixes i, so i's utilities are the same, and both walks start at m2, so the
 horizon cuts them alike.  The stabilizer is a group, so a lookup hits
 exactly when some walked continuation maps onto it, and contexts are
-unique by world key, so no entry is written twice.  A hit counts the
-stored leaves, so the enumeration cap refuses exactly where walking would.
+unique by world key, so no entry is written twice.  The enumeration cap
+is checked per walk (``_Walk._stop``): a hit is the image of a walked
+continuation with the same leaves, and that walk stayed under the cap.
 Only values change hands: the contexts, the checks and their order, and
 so every report, are those of walking every continuation.
 
@@ -173,7 +180,7 @@ from .facts import FactReport, check_deviation_round, gen_facts
 from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
                         Trace, UtilityParams, _Memo, cooperation_tail,
                         discounted_utility, tail_bound)
-from .protocols import (RandSource, ScheduledDefector, StrategyConfigError,
+from .protocols import (ScheduledDefector, StrategyConfigError,
                         StrategyMachine, _deliver, build_deviation,
                         build_strategy, honest_spec)
 
@@ -238,21 +245,6 @@ class _FixedDraws:
 
     def draw(self, agent, rnd, label, p) -> bool:
         return False
-
-
-class _BoundRand(RandSource):
-    def __init__(self, impl, agent: AgentId, rnd: int):
-        self.impl = impl
-        self.agent = agent
-        self.rnd = rnd
-
-    def bernoulli(self, label: str, p: Fraction) -> bool:
-        p = Fraction(p)
-        if p <= 0:
-            return False
-        if p >= 1:
-            return True
-        return self.impl.draw(self.agent, self.rnd, label, p)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +425,8 @@ def _begin_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     return views
 
 
-def _act(machines: dict[AgentId, StrategyMachine], m: int, draws) -> dict:
-    return {i: machines[i].act(_BoundRand(draws, i, m)) for i in sorted(machines)}
+def _act(machines: dict[AgentId, StrategyMachine], draws) -> dict:
+    return {i: machines[i].act(draws) for i in sorted(machines)}
 
 
 def _round_outcome(cfg: SimConfig, m: int, acts: dict):
@@ -457,8 +449,9 @@ def _play_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                 m: int, draws):
     """One round with one draw source: views, actions, outcome, delivery."""
     views = _begin_round(cfg, machines, m)
-    profile, utils = _round_outcome(cfg, m, _act(machines, m, draws))
-    _deliver(views, machines, profile)
+    acts = _act(machines, draws)
+    profile, utils = _round_outcome(cfg, m, acts)
+    _deliver(views, machines, acts)
     return profile, utils
 
 
@@ -472,7 +465,7 @@ def _round_scripts(machines: dict[AgentId, StrategyMachine],
         script = stack.pop()
         draws = _ScriptDraws(script)
         try:
-            raw = _act(machines, m, draws)
+            raw = _act(machines, draws)
         except _NeedBranch:
             stack.append(script + [False])
             stack.append(script + [True])
@@ -604,19 +597,19 @@ class _Walk:
                         key = None      # already valued
                         break
             views = _begin_round(cfg, ms, m)
-            outcomes = [(p, *_round_outcome(cfg, m, raw))
+            outcomes = [(p, raw, *_round_outcome(cfg, m, raw))
                         for raw, p in _round_scripts(ms, m)]
             if len(outcomes) == 1:
-                _, profile, utils = outcomes[0]
+                _, raw, profile, utils = outcomes[0]
                 chain.append((key, m, self.reward(m, profile, utils)))
-                _deliver(views, ms, profile)
+                _deliver(views, ms, raw)
                 m += 1
                 continue
             pre, last = Fraction(0), m
-            for k, (p, profile, utils) in enumerate(outcomes):
+            for k, (p, raw, profile, utils) in enumerate(outcomes):
                 r = self.reward(m, profile, utils)
                 sub = ms if k == len(outcomes) - 1 else _fork(ms)
-                _deliver(views, sub, profile)
+                _deliver(views, sub, raw)
                 spre, slast = self.value(sub, m + 1)
                 pre += p * (r + d * spre)
                 last = max(last, slast)
@@ -639,10 +632,10 @@ class _Walk:
 
 def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, table: Optional[dict] = None,
-                 ) -> tuple[Fraction, int]:
+                 ) -> Fraction:
     """i's expected utility over the runs of the pre-round machines
     ``machines`` walked from round ``start``, discounted to ``start``,
-    relative to i's cooperative tail from there; and the leaves walked.
+    relative to i's cooperative tail from there.
 
     The walk's reward is i's round utility minus its all-cooperate one.  A
     branch absorbed at round a adds nothing after a, where every agent
@@ -657,7 +650,7 @@ def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
         return utils[i] - cooperation[graph.at(m).degree(i)]
 
     walk = _Walk(cfg, gap, cfg.params.delta, table=table)
-    return walk.value(machines, start)[0], walk.leaves
+    return walk.value(machines, start)[0]
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
@@ -666,7 +659,7 @@ def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     the pre-round machines ``machines`` walked from there: the cooperative
     tail from ``start`` plus ``_relative_eu``."""
     return (cooperation_tail(cfg.graph, i, cfg.params, start, cfg.horizon)
-            + _relative_eu(cfg, machines, i, start)[0])
+            + _relative_eu(cfg, machines, i, start))
 
 
 def expected_utility(cfg: SimConfig, i: AgentId) -> Fraction:
@@ -752,14 +745,6 @@ def _world_key(graph, machines, m):
             tuple(machines[a].state_key(m) for a in sorted(machines)))
 
 
-def _require_verifiable(machines):
-    for a, mach in machines.items():
-        if not mach.draw_independent_state:
-            raise StrategyConfigError(
-                f"agent {a}: {type(mach).__name__} does not declare "
-                f"draw-independent state; one-shot verification unsupported")
-
-
 def _override_patterns(mode: Mode, nbrs: Sequence[AgentId]):
     """Send/defect(/avoid) patterns per neighbour; 'send' keeps the
     prescription.  The all-send pattern comes first (the conform class)."""
@@ -788,15 +773,14 @@ class _OneShotChecker:
         self.values: dict[tuple, _Valued] = {}
         # the automorphisms that fix i, the identity included, and the key
         # relabelling they use, if the profile is symmetric (set by
-        # ``report``), else the identity alone; the forced continuations
-        # walked, with their values and leaves, by (m2, world key, pattern)
-        # and under every image of that by a symmetry; the world last walked
-        # from, with its images; and the leaves counted
+        # ``report``), else the identity alone; the values of the forced
+        # continuations walked, by (m2, world key, pattern) and under every
+        # image of that by a symmetry; and the world last walked from, with
+        # its images
         self.symmetries: Sequence[tuple[int, ...]] = [tuple(range(cfg.family.n))]
         self.relabel: Callable = lambda key, pi: key
-        self.continuations: dict[tuple, tuple[Fraction, int]] = {}
+        self.continuations: dict[tuple, Fraction] = {}
         self.world_images = (None, [])
-        self.leaves = 0
 
     def _walk_contexts(self, ms, start: int, end: int, origin: str):
         """Step the machines ``ms`` in place from round ``start`` with fixed
@@ -871,8 +855,7 @@ class _OneShotChecker:
                 self.world_images = (world, images)
             for pi, image in images:
                 self.continuations[(m2, image, _pattern_key(pattern, pi))] = done
-        self.leaves += done[1]
-        return done[0]
+        return done
 
     def check_context(self, m2: int, machines, world: tuple, origin: str,
                       prescribed: dict[AgentId, str]):
@@ -899,14 +882,14 @@ class _OneShotChecker:
         cooperative tail from round 1, computed once and only if a candidate
         needs it."""
         return _relative_eu(self.cfg, build_machines(self.cfg, honest_only=True),
-                            self.i, 1)[0]
+                            self.i, 1)
 
     def add_candidate(self, spec: Mapping):
         cfg = self.cfg
         machine = build_deviation(spec, cfg, self.i)
         machines = build_machines(cfg, honest_only=True)
         machines[self.i] = machine
-        eu_dev = _relative_eu(cfg, machines, self.i, 1)[0]
+        eu_dev = _relative_eu(cfg, machines, self.i, 1)
         m_dev = machine.first_deviation_round or 1
         if m_dev > cfg.horizon:
             raise StrategyConfigError(
@@ -1003,7 +986,6 @@ def verify_one_shot(cfg: SimConfig, i: AgentId, robust_depth: int = 2,
     if robust_depth not in (1, 2):
         raise ValueError(f"robust_depth must be 1 or 2, not {robust_depth}")
     honest = build_machines(cfg, honest_only=True)
-    _require_verifiable(honest)
     memo = cfg._one_shot_reports
     if not candidates:
         for (r, depth), report in memo.items():

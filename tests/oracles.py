@@ -84,7 +84,7 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
 from dynacct.protocols import (RandSource, SigmaGen, StrategyConfigError,
                                StrategyMachine)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
-                              _act, _begin_round, _BoundRand, _deliver,
+                              _act, _begin_round, _deliver,
                               _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
                               _round_outcome, _round_scripts, _ScriptDraws,
@@ -600,7 +600,7 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
         probe = _Probe(scripts_prefix)
         try:
             for i in sorted(machines):
-                machines[i].act(_BoundRand(probe, i, m))
+                machines[i].act(probe)
         except _NeedBranch:
             agent, rnd, label, p = probe.pending
             node = BranchNode(agent=agent, round=rnd, label=label, children=[])
@@ -684,10 +684,10 @@ class _Enumerator:
             scripts = _round_scripts(machines, m)
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
-                profile, round_utils = _round_outcome(
-                    self.cfg, m, _overridden(raw, m, self.override))
+                acts = _overridden(raw, m, self.override)
+                profile, round_utils = _round_outcome(self.cfg, m, acts)
                 ms = machines if last else _fork(machines)
-                _deliver(views, ms, profile)
+                _deliver(views, ms, acts)
                 nu = dict(utils) if not last else utils
                 for i, u in round_utils.items():
                     nu[(i, m)] = u
@@ -834,9 +834,9 @@ def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
                 seen.add(key)
                 out.append((m, _fork(ms), origin))
         views = _begin_round(cfg, ms, m)
-        profile, _ = _round_outcome(cfg, m,
-                                    _overridden(_act(ms, m, draws), m, override))
-        _deliver(views, ms, profile)
+        acts = _overridden(_act(ms, draws), m, override)
+        _round_outcome(cfg, m, acts)    # checks the profile
+        _deliver(views, ms, acts)
 
 
 def windowed_contexts(cfg: SimConfig, i: AgentId):
@@ -947,8 +947,8 @@ class FlatSigmaGen(StrategyMachine):
             elif pending >= deg_j:
                 out[j] = PUNISH
             else:
-                out[j] = (PUNISH if rand.bernoulli(f"punish[{j}]",
-                                                   Fraction(pending, deg_j))
+                out[j] = (PUNISH if rand.draw(self.me, m, f"punish[{j}]",
+                                              Fraction(pending, deg_j))
                           else COOPERATE)
         return out
 

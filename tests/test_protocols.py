@@ -53,7 +53,6 @@ class Recorder(StrategyMachine):
         super().__init__(inner.me, inner.n)
         self.inner = inner
         self.mode = inner.mode
-        self.draw_independent_state = inner.draw_independent_state
         self.uses_own_action = inner.uses_own_action
         self.log = []
 

@@ -4,9 +4,9 @@ honest strategy.
 ``verify_one_shot`` walks contexts with fixed draw outcomes and deduplicates
 them by (graph phase, machine ``state_key``s).  Both shortcuts are sound only
 if (a) a machine's state never depends on punish/cooperate draw outcomes
-(``draw_independent_state``) and (b) ``state_key`` is complete: two machines
-with equal keys at the same graph phase behave identically from there on,
-whatever they are told.  The walks' closure rests on (b) as well: a walk
+and (b) ``state_key`` is complete: two machines with equal keys at the
+same graph phase behave identically from there on, whatever they are
+told.  The walks' closure rests on (b) as well: a walk
 stops at the first world whose successors are already collected, which
 covers every later context only if equal keys have equal successors.  So
 does ``run_paired_defection``: a deviating run stops playing, and copies
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,12 +64,9 @@ SHIPPED = {
 def shipped_cfg(name, horizon, seed=0):
     spec, params = SHIPPED[name]
     fam = mixed_degree_family()
-    cfg = SimConfig(family=fam, member="mix",
-                    strategies={a: spec for a in range(fam.n)},
-                    horizon=horizon, params=params(fam.n), seed=seed)
-    if not all(m.draw_independent_state for m in build_machines(cfg).values()):
-        pytest.skip(f"{name} does not declare draw-independent state")
-    return cfg
+    return SimConfig(family=fam, member="mix",
+                     strategies={a: spec for a in range(fam.n)},
+                     horizon=horizon, params=params(fam.n), seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
@@ -89,11 +87,16 @@ def test_state_log_is_draw_independent(name):
 # ---------------------------------------------------------------------------
 
 class _RecordingRand(RandSource):
+    """Seeded draws that log each (label, p) and hold every draw to the
+    ``RandSource`` contract: p an exact ``Fraction`` strictly between 0
+    and 1."""
+
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.log = []
 
-    def bernoulli(self, label, p):
+    def draw(self, agent, rnd, label, p):
+        assert type(p) is Fraction and 0 < p < 1, (agent, rnd, label, p)
         self.log.append((label, p))
         return self.rng.random() < p
 

@@ -732,16 +732,17 @@ def test_forced_continuations_match_the_engine_level_override():
 
 
 def test_world_table_counts_reused_leaves_against_the_cap():
-    # a valued world adds its subtree's leaves, and so does a continuation
-    # served by its symmetric twin: every continuation counts the leaves
-    # that enumerating it to absorption emits, so the table refuses exactly
-    # when that enumeration would
+    # a valued world adds its subtree's leaves: every walked continuation
+    # counts the leaves that enumerating it to absorption emits, so the
+    # table refuses exactly when that enumeration would.  A continuation
+    # served by its symmetric twin is not walked: it has the leaves of the
+    # twin, whose walk stayed under the cap
     from dynacct import verifier
 
     from . import oracles
     cfg = gen_cfg(mixed_degree_family(), horizon=10)
     valued = verifier._OneShotChecker._continuation_eu
-    enums, leaves, shared = [], [], 0
+    enums, walks, leaves, shared = [], [], [], 0
 
     def recording(cls, into):
         init = cls.__init__
@@ -754,17 +755,23 @@ def test_world_table_counts_reused_leaves_against_the_cap():
     with pytest.MonkeyPatch.context() as mp:
         def both(self, machines, m2, world, pattern):
             nonlocal shared
-            before, stored = self.leaves, len(self.continuations)
+            before = len(walks)
             got = valued(self, machines, m2, world, pattern)
+            walked = walks[before:]     # none if served, not walked
             assert oracles.continuation_eu(self, machines, m2, world,
                                            pattern) == (
                 got + _tail(self.cfg, self.i, m2))
-            leaves.append((self.leaves - before, enums[-1].count))
-            shared += len(self.continuations) == stored   # served, not walked
+            if walked:
+                (walk,) = walked
+                leaves.append((walk.leaves, enums[-1].count))
+            else:
+                shared += 1
             return got
 
         mp.setattr(oracles._Enumerator, "__init__",
                    recording(oracles._Enumerator, enums))
+        mp.setattr(verifier._Walk, "__init__",
+                   recording(verifier._Walk, walks))
         mp.setattr(verifier._OneShotChecker, "_continuation_eu", both)
         verify_one_shot(cfg, 1, robust_depth=2)
     assert all(got == want for got, want in leaves)
@@ -883,20 +890,6 @@ def test_verify_one_shot_mutual_defection_trivially_stable():
                     horizon=60, params=params)
     rep = verify_one_shot(cfg, 0, robust_depth=1)
     assert rep.verdict
-
-
-def test_verify_one_shot_requires_honest_profile_flag():
-    class Opaque:
-        pass
-
-    sc = builtin("ring_connectivity")
-    cfg = sc.sim_config(horizon=30)
-    machines = build_machines(cfg)
-    from dynacct.verifier import _require_verifiable
-    machines[0].draw_independent_state = False
-    from dynacct.protocols import StrategyConfigError
-    with pytest.raises(StrategyConfigError):
-        _require_verifiable(machines)
 
 
 # ---------------------------------------------------------------------------
