@@ -3,7 +3,6 @@ adversarially dynamic networks."""
 
 from .evolving_graph import (EvolvingGraph, FamilyVerdict, GraphFamily,
                              LocalView, ObservationModel, RoundGraph,
-                             causally_influences, causally_influences_excluding,
                              check_connectivity_restriction,
                              check_eventual_distinguishability,
                              check_timely_punishments, indistinguishable_at,

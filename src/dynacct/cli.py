@@ -176,9 +176,8 @@ def _write_trace(trace, cfg, out: str, fmt: str):
                     "round": m,
                     "actions": {
                         str(i): {str(j): _action_json(a)
-                                 for j, a in sorted(
-                                     profile.actions[i].per_neighbor.items())}
-                        for i in sorted(profile.actions)},
+                                 for j, a in sorted(profile.acts[i].items())}
+                        for i in sorted(profile.acts)},
                     "utilities": {str(i): str(trace.utility(i, m))
                                   for i in range(n)},
                 }

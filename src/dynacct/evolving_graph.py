@@ -370,34 +370,6 @@ def _then_one_cycle(g: EvolvingGraph, reach: Iterable[tuple[int, int]],
         yield t, got
 
 
-def causally_influences(g: EvolvingGraph, j: AgentId, m: int,
-                        l: AgentId, m2: int) -> bool:
-    """True iff information at (j, m) can reach (l, m2) forward in time."""
-    return _influences(g, j, m, l, m2, -1)
-
-
-def causally_influences_excluding(g: EvolvingGraph, i: AgentId, j: AgentId,
-                                  m: int, l: AgentId, m2: int) -> bool:
-    """Causal influence where agent i neither relays nor receives."""
-    if i == j:
-        raise ValueError("excluded agent must differ from the source")
-    return _influences(g, j, m, l, m2, ~(1 << i))
-
-
-def _influences(g: EvolvingGraph, j: AgentId, m: int, l: AgentId, m2: int,
-                keep: int) -> bool:
-    """Whether (j, m)'s news can be at (l, m2), received only by ``keep``."""
-    if m < 1 or m2 < 1:
-        raise ValueError("rounds are 1-indexed")
-    if m >= m2:
-        return False
-    if j == l:
-        return True
-    for t, got in _reach(g, j, m, keep):
-        if t == m2:
-            return bool(got >> l & 1)
-
-
 def _opportunities(g: EvolvingGraph, i: AgentId, j: AgentId, m: int,
                    until: int) -> Iterator[tuple[int, int]]:
     """News of the i-edge (j, m): ``(t, mask)`` for t = m+1..until, with

@@ -308,15 +308,14 @@ def _find_deviation(conform: Trace, deviate: Trace, m: int,
             raise ValueError(f"traces diverge at round {M} before the deviation")
     pc = conform.history.profiles[m - 1]
     pd = deviate.history.profiles[m - 1]
-    devs = [a for a in sorted(pc.actions)
-            if pc.actions[a] != pd.actions[a]]
+    devs = [a for a in sorted(pc.acts) if pc.acts[a] != pd.acts[a]]
     if not devs:
         return None
     if len(devs) > 1:
         raise ValueError(f"expected exactly one deviating agent at round {m}, "
                          f"found {devs}")
     i = devs[0]
-    defected = {j for j, a in pd.actions[i].per_neighbor.items()
+    defected = {j for j, a in pd.acts[i].items()
                 if a.kind is ActionKind.DEFECT
-                and pc.actions[i].per_neighbor[j].kind is not ActionKind.DEFECT}
+                and pc.acts[i][j].kind is not ActionKind.DEFECT}
     return i, defected

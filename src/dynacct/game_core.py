@@ -119,44 +119,45 @@ def prop_punish(c: int) -> IndividualAction:
 
 @dataclass(frozen=True)
 class Action:
-    """Per-neighbour individual actions of one agent for one round."""
+    """Per-neighbour individual actions of one agent for one round, as
+    ``ActionProfile.actions`` presents them."""
 
     agent: AgentId
     round: int
     per_neighbor: Mapping[AgentId, IndividualAction]
 
-    def toward(self, j: AgentId) -> IndividualAction:
-        return self.per_neighbor[j]
 
-    def check_neighbors(self, graph: RoundGraph):
-        expected = graph.neighbors(self.agent)
-        got = frozenset(self.per_neighbor)
-        if got != expected:
-            raise ValueError(
-                f"agent {self.agent} round {self.round}: action keys {sorted(got)} "
-                f"!= neighbours {sorted(expected)}")
+def _check_neighbors(i: AgentId, m: int,
+                     per: Mapping[AgentId, IndividualAction],
+                     graph: RoundGraph):
+    """Raise ``ValueError`` unless agent i's round-m actions ``per`` are
+    keyed by exactly its neighbours."""
+    expected = graph.neighbors(i)
+    if per.keys() != expected:
+        raise ValueError(
+            f"agent {i} round {m}: action keys {sorted(per)} "
+            f"!= neighbours {sorted(expected)}")
 
 
 @dataclass(frozen=True)
 class ActionProfile:
+    """Round ``round``'s actions: ``acts`` maps each agent to its actions
+    by neighbour, the dict its machine's ``act`` returned, held as is.
+    Nothing edits either: profiles are shared between traces."""
+
     round: int
-    actions: Mapping[AgentId, Action]
+    acts: Mapping[AgentId, Mapping[AgentId, IndividualAction]]
 
-    def __post_init__(self):
-        for i, a in self.actions.items():
-            if a.agent != i:
-                raise ValueError(f"action for agent {i} labelled {a.agent}")
-            if a.round != self.round:
-                raise ValueError(
-                    f"profile round {self.round} vs action round {a.round}")
-
-    def individual(self, src: AgentId, dst: AgentId) -> IndividualAction:
-        return self.actions[src].toward(dst)
+    @cached_property
+    def actions(self) -> dict[AgentId, Action]:
+        """Each agent's ``Action``, built on the first read: the program
+        reads ``acts``."""
+        return {i: Action(i, self.round, per) for i, per in self.acts.items()}
 
     def check(self, graph: RoundGraph, mode: Mode):
         """Raise ``ValueError`` unless the profile covers every agent, each
-        action's keys are the agent's neighbours, and every individual
-        action passes ``check_mode(mode, n)``.
+        agent's keys are its neighbours, and every individual action passes
+        ``check_mode(mode, n)``.
 
         An action's code names its kind and weight one to one, so testing
         it against ``_allowed_codes(mode, n)`` accepts exactly what
@@ -164,15 +165,20 @@ class ActionProfile:
         action that fails, in the same order, so they raise the same
         error."""
         n = graph.n
-        if set(self.actions) != set(range(n)):
+        if self.acts.keys() != _agents(n):
             raise ValueError("profile must cover every agent")
         allowed = _allowed_codes(mode, n)
-        for a in self.actions.values():
-            if a.per_neighbor.keys() != graph.neighbors(a.agent):
-                a.check_neighbors(graph)
-            for ia in a.per_neighbor.values():
+        for i, per in self.acts.items():
+            if per.keys() != graph.neighbors(i):
+                _check_neighbors(i, self.round, per, graph)
+            for ia in per.values():
                 if ia.code not in allowed:
                     ia.check_mode(mode, n)
+
+
+@functools.cache
+def _agents(n: int) -> frozenset[int]:
+    return frozenset(range(n))
 
 
 def _frac(x: Rational) -> Fraction:
@@ -301,13 +307,12 @@ def edge_utility(own: IndividualAction, received: IndividualAction,
 
 def round_utility(i: AgentId, profile: ActionProfile, graph: RoundGraph,
                   params: UtilityParams) -> Fraction:
-    mine = profile.actions[i]
-    mine.check_neighbors(graph)
+    acts = profile.acts
+    _check_neighbors(i, profile.round, acts[i], graph)
     nums, over = params.edge_numerators(graph.n)
     total = 0
     for j in sorted(graph.neighbors(i)):
-        a_ij = mine.toward(j)
-        a_ji = profile.individual(j, i)
+        a_ij, a_ji = acts[i][j], acts[j][i]
         a_ij.check_mode(params.mode, graph.n)
         a_ji.check_mode(params.mode, graph.n)
         total += nums[a_ij.code, a_ji.code]

@@ -5,7 +5,9 @@ A machine owns one agent's private protocol state.  The round contract is:
 * ``begin_round(view)`` delivers the round topology observation (and is the
   only pre-action mutation point),
 * ``payload_for(j)`` returns the monitoring message content for neighbour j
-  as of the start of the round,
+  as of the start of the round: an immutable value, so no receiver can
+  reach the sender's state (an accusation window's one int, the bounded
+  tally protocol's three, None for a machine that sends nothing),
 * ``act(rand)`` returns the per-neighbour individual actions and must be
   pure: no state mutation, all randomness through
   ``rand.draw(self.me, self.round, label, p)`` with a stable label and p a
@@ -42,7 +44,11 @@ itself; this module still imports nothing from the verifier.
 
 Protocol window conventions follow the monitoring designs: the
 accusation-window protocols keep one report bit per (agent, round) for the
-last ``rho`` rounds; the bounded tally protocol keeps per-subject pending
+last ``rho`` rounds, all in one int (``_AccusationWindow``: round r's
+accused agents in the n-bit slot r mod rho), which is their store,
+payload, merge and, rotated by the round, state key; windows of one run
+read each other's ints slot by slot, so they must share rho
+(``_window_rho``).  The bounded tally protocol keeps per-subject pending
 punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
@@ -60,7 +66,6 @@ states share one cached snapshot, which is read-only.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -152,14 +157,14 @@ class StrategyMachine:
         self.round = view.round
         self.view = view
 
-    def payload_for(self, j: AgentId) -> Optional[dict]:
+    def payload_for(self, j: AgentId) -> object:
         return None
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         raise NotImplementedError
 
     def end_round(self, own_action: Mapping[AgentId, IndividualAction],
-                  inbox: Mapping[AgentId, tuple[IndividualAction, Optional[dict]]]):
+                  inbox: Mapping[AgentId, tuple[IndividualAction, object]]):
         pass
 
     def snapshot(self) -> dict:
@@ -207,6 +212,12 @@ def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
 class _AccusationWindow(StrategyMachine):
     """Shared monitoring core: one report bit per (agent, round) within the
     last ``rho`` rounds; accusations spread by union, never from the accused.
+
+    The state is one int, ``acc``: round r's accused agents are bits
+    ``(r % rho)*n + s`` of the n-bit slot r mod rho, so after
+    ``end_round(m)`` it holds rounds m+1-rho..m.  The int is the payload
+    (immutable, so no receiver can reach the sender's state), is merged by
+    masked OR, and keys the state rotated to the round.
     """
 
     def __init__(self, me: AgentId, n: int, rho: int):
@@ -214,42 +225,76 @@ class _AccusationWindow(StrategyMachine):
         if rho < 1:
             raise StrategyConfigError("rho must be >= 1")
         self.rho = rho
-        self.accusations: set[tuple[AgentId, int]] = set()
-        self._sorted = ()    # the accusations, sorted once a round
+        self.acc = 0
+        self._cols, self._keep = _window_masks(n, rho, me)
 
-    def payload_for(self, j: AgentId) -> Optional[dict]:
-        return {"acc": list(self._sorted)}
+    def payload_for(self, j: AgentId) -> int:
+        return self.acc
 
     def end_round(self, own_action, inbox):
-        m = self.round
-        lo = m + 1 - self.rho
-        # a new set: the old one may be a clone's too
-        got = {(s, r) for (s, r) in self.accusations if r >= lo}
-        for j, (act_ji, payload) in inbox.items():
-            if act_ji.kind is ActionKind.DEFECT:
-                got.add((j, m))
-            elif payload is not None:
-                for (s, r) in payload.get("acc", ()):
-                    # never accept what a sender says about itself, and never
-                    # track reports about this agent's own behaviour
-                    if s != j and s != self.me and lo <= r < m:
-                        got.add((s, r))
-        self.accusations, self._sorted = got, tuple(sorted(got))
+        """Clear slot m mod rho, which holds round m-rho; set the bit of
+        each defecting sender there; OR in each other sender's payload
+        under ``keep[m % rho][j]``: nothing about j or me, and nothing from
+        that slot, so only rounds m+1-rho..m-1."""
+        m, n = self.round, self.n
+        c = m % self.rho
+        keep = self._keep[c]
+        acc = self.acc & keep[self.me]      # no bit about me is ever set
+        for j, (a, p) in inbox.items():
+            if a.kind is ActionKind.DEFECT:
+                acc |= 1 << c * n + j
+            elif p is not None:
+                acc |= p & keep[j]
+        self.acc = acc
+
+    def _accused(self, s: AgentId, r: int) -> bool:
+        """Whether the window accuses s of round r, read before
+        ``end_round`` of ``self.round``."""
+        return (self.round - self.rho <= r < self.round
+                and self.acc >> r % self.rho * self.n + s & 1 == 1)
 
     def snapshot(self) -> dict:
-        return {"accusations": list(self._sorted)}
+        """The accusations after ``end_round``, as a sorted ``(s, r)``
+        list."""
+        m, rho, n = self.round, self.rho, self.n
+        return {"accusations": [
+            (s, r) for s in range(n) for r in range(max(1, m + 1 - rho), m + 1)
+            if self.acc >> r % rho * n + s & 1]}
 
     def state_key(self, m: int):
-        return (type(self).__name__, self.rho,
-                frozenset((s, m - r) for (s, r) in self.accusations))
+        """``acc`` with its slots rotated so that slot m mod rho comes
+        first."""
+        size = self.rho * self.n
+        acc = (self.acc | self.acc << size) >> m % self.rho * self.n
+        return type(self).__name__, self.rho, acc & (1 << size) - 1
 
     @staticmethod
     def relabel_key(key, pi: Sequence[AgentId]):
-        name, rho, accusations = key
-        return name, rho, frozenset((pi[s], age) for s, age in accusations)
+        name, rho, acc = key
+        pi = tuple(pi)
+        n = len(pi)
+        return name, rho, sum(_moved_agents(acc >> k & (1 << n) - 1, pi) << k
+                              for k in range(0, rho * n, n))
 
     def is_quiescent(self) -> bool:
-        return not self.accusations
+        return not self.acc
+
+
+@functools.lru_cache(maxsize=None)
+def _window_masks(n: int, rho: int, me: AgentId) -> tuple:
+    """``_AccusationWindow``'s masks for agent me of n: ``cols[s]``, the
+    bits of subject s in every slot, and ``keep[c][j]``, every bit but
+    those of slot c and of subjects j and me."""
+    cols = [sum(1 << k * n + s for k in range(rho)) for s in range(n)]
+    every = (1 << rho * n) - 1
+    return cols, [[every & ~((1 << n) - 1 << c * n) & ~cols[j] & ~cols[me]
+                   for j in range(n)] for c in range(rho)]
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _moved_agents(mask: int, pi: tuple[AgentId, ...]) -> int:
+    """An agent mask with each bit s moved to ``pi[s]``."""
+    return sum(1 << t for s, t in enumerate(pi) if mask >> s & 1)
 
 
 class SigmaVal(_AccusationWindow):
@@ -264,10 +309,9 @@ class SigmaVal(_AccusationWindow):
     mode = Mode.VALUABLE
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        cap = min(self.rho, self.n - 1)
+        cap, acc, cols = min(self.rho, self.n - 1), self.acc, self._cols
         # accusation rounds by subject: end_round cut the window to rho rounds
-        accused = Counter(s for s, _ in self.accusations)
-        return {j: prop_punish(min(accused[j], cap))
+        return {j: prop_punish(min((acc & cols[j]).bit_count(), cap))
                 for j in self.view.order}
 
 
@@ -278,8 +322,8 @@ class AccusationPunisher(_AccusationWindow):
     mode = Mode.GENERAL
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        accused = {s for s, _ in self.accusations}
-        return {j: (PUNISH if j in accused else COOPERATE)
+        acc, cols = self.acc, self._cols
+        return {j: (PUNISH if acc & cols[j] else COOPERATE)
                 for j in self.view.order}
 
 
@@ -564,8 +608,9 @@ class UnsafePunisherProtocol(_AccusationWindow):
     round-1 victim (agent 2) and the round-1 deviator (agent 0) mutually
     defect, unless agent 2 was itself defected by agent 1 at round 2, in
     which case agent 2 forgives and keeps sending.  A deviator following
-    the profile sincerely conditions on its own past defections.  The
-    script names agents 0 and 2, so the class is not label-free.
+    the profile sincerely conditions on its own past defections, bit r of
+    ``mine`` for round r.  The script names agents 0 and 2, so the class
+    is not label-free.
     """
 
     mode = Mode.GENERAL
@@ -574,35 +619,38 @@ class UnsafePunisherProtocol(_AccusationWindow):
 
     def __init__(self, me: AgentId, n: int, rho: int):
         super().__init__(me, n, rho)
-        self.my_defections: set[int] = set()
+        self.mine = 0
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         out = {j: COOPERATE for j in self.view.order}
         if self.round == 3:
             if self.me == 2 and 0 in out:
-                if (0, 1) in self.accusations and (1, 2) not in self.accusations:
+                if self._accused(0, 1) and not self._accused(1, 2):
                     out[0] = DEFECT
-            if self.me == 0 and 2 in out and 1 in self.my_defections:
+            if self.me == 0 and 2 in out and self.mine & 2:
                 out[2] = DEFECT
         return out
 
     def end_round(self, own_action, inbox):
         if any(a.kind is ActionKind.DEFECT for a in own_action.values()):
-            self.my_defections = self.my_defections | {self.round}
+            self.mine |= 1 << self.round
         super().end_round(own_action, inbox)
 
     def is_quiescent(self) -> bool:
         # a recorded own defection keeps the round-3 script armed
-        return super().is_quiescent() and (self.round >= 3 or not self.my_defections)
+        return super().is_quiescent() and (self.round >= 3 or not self.mine)
 
     def state_key(self, m: int):
-        # the script fires at absolute round 3: rounds up to it are distinct
-        return (super().state_key(m), frozenset(m - r for r in self.my_defections),
-                min(m, 4))
+        # own defections relative to m: the first one's age and the rounds
+        # from it; the script fires at absolute round 3, so rounds up to it
+        # are distinct
+        first = (self.mine & -self.mine).bit_length() - 1
+        return (super().state_key(m),
+                self.mine and (m - first, self.mine >> first), min(m, 4))
 
     def snapshot(self) -> dict:
-        return dict(super().snapshot(),
-                    my_defections=sorted(self.my_defections))
+        return dict(super().snapshot(), my_defections=[
+            r for r in range(self.mine.bit_length()) if self.mine >> r & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +680,7 @@ class _Wrapper(StrategyMachine):
         super().begin_round(view)
         self.base.begin_round(view)
 
-    def payload_for(self, j: AgentId) -> Optional[dict]:
+    def payload_for(self, j: AgentId) -> object:
         return self.base.payload_for(j)
 
     def end_round(self, own_action, inbox):
@@ -766,7 +814,7 @@ class _ShadowWorld:
         self.machines = machines
         self.done_round = 0
         self.round_actions: dict[int, dict[AgentId, dict[AgentId, IndividualAction]]] = {}
-        self.round_payloads: dict[int, dict[AgentId, dict[AgentId, Optional[dict]]]] = {}
+        self.round_payloads: dict[int, dict[AgentId, dict[AgentId, object]]] = {}
         self.quiescent = {0: self._quiescent()}
 
     def _quiescent(self) -> frozenset[AgentId]:
@@ -792,7 +840,7 @@ class _ShadowWorld:
         self.ensure_round(m)
         return self.round_actions[m][i]
 
-    def payload_of(self, i: AgentId, j: AgentId, m: int) -> Optional[dict]:
+    def payload_of(self, i: AgentId, j: AgentId, m: int) -> object:
         self.ensure_round(m)
         return self.round_payloads[m][i][j]
 
@@ -831,7 +879,7 @@ class _Persona(_Wrapper):
         self.shadow.ensure_round(view.round)
         super().begin_round(view)
 
-    def payload_for(self, j: AgentId) -> Optional[dict]:
+    def payload_for(self, j: AgentId) -> object:
         if j in self.shadowed:
             return self.shadow.payload_of(self.me, j, self.round)
         return self.base.payload_for(j)
@@ -893,16 +941,36 @@ def build_strategy(spec: StrategySpec, cfg, me: AgentId) -> StrategyMachine:
     name = spec.get("strategy")
     n, params = cfg.family.n, cfg.params
     if name == "sigma_val":
-        return sigma_val(me, n, _int(spec.get("rho"), "rho"), params)
+        return sigma_val(me, n, _window_rho(spec, cfg), params)
     if name == "sigma_gen":
         return sigma_gen(me, n, params, cfg.family.observation)
     if name == "accusation_punisher":
-        return AccusationPunisher(me, n, _int(spec.get("rho"), "rho"))
+        return AccusationPunisher(me, n, _window_rho(spec, cfg))
     if name == "always_defect":
         return AlwaysDefect(me, n, params.mode)
     if name == "unsafe_scripted":
-        return UnsafePunisherProtocol(me, n, _int(spec.get("rho", 3), "rho"))
+        return UnsafePunisherProtocol(me, n, _window_rho(spec, cfg))
     raise StrategyConfigError(f"unknown strategy {name!r}")
+
+
+# the accusation-window strategies, with their default rho
+_WINDOWS = {"sigma_val": None, "accusation_punisher": None,
+            "unsafe_scripted": 3}
+
+
+def _window_rho(spec: Mapping, cfg) -> int:
+    """The rho of an accusation-window spec.  Windows read each other's
+    payload ints slot by slot, so every window of cfg's honest profile
+    must have the same rho."""
+    rho = _int(spec.get("rho", _WINDOWS[spec["strategy"]]), "rho")
+    for other in map(honest_spec, cfg.strategies.values()):
+        if isinstance(other, Mapping) and other.get("strategy") in _WINDOWS:
+            theirs = _int(other.get("rho", _WINDOWS[other["strategy"]]), "rho")
+            if theirs != rho:
+                raise StrategyConfigError(
+                    f"accusation windows of one run need one rho, not {rho}"
+                    f" and {theirs}")
+    return rho
 
 
 def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:

@@ -104,11 +104,12 @@ same fixed draws, right after collecting it.
 Continuation values are shared through one table per ``verify_one_shot``
 call, keyed by ``_world_key`` (graph phase plus every machine's
 round-relative ``state_key``), with no round or horizon in the key.  A
-continuation's walk stops at the first world already valued.  An entry
-holds i's expected utility relative to its cooperative tail, discounted to
-the round the world was reached in, the offset of its latest absorption
-and the leaf count; read at round m it is worth the same.  It is exact,
-not approximate, because:
+continuation's walk stops at the first world already valued for its
+rounds left.  An entry holds i's expected utility relative to its
+cooperative tail, discounted to the round the world was reached in, the
+offset of its latest absorption, the leaf count and whether the horizon
+cut a branch; read at round m it is worth the same.  It is exact, not
+approximate, because:
 
 * state is draw-independent and ``state_key`` is complete, so two worlds
   with equal keys at the same graph phase play identical subtrees, with the
@@ -118,10 +119,12 @@ not approximate, because:
 * a world with a deviation still ahead is never valued, and no world
   holds a spent wrapper: ``protocols._deliver`` puts its base back once
   its last scheduled round has played;
-* an entry is written only from a subtree whose every branch absorbed
-  within the horizon, and read at round m only if m plus its latest
-  absorption offset is within the horizon too, so the horizon never cuts
-  a reused subtree;
+* an entry from a subtree whose every branch absorbed within the horizon
+  is read at round m only if m plus its latest absorption offset is within
+  the horizon too, so the horizon never cuts the reused subtree; an entry
+  from a subtree the horizon cut is read only with as many rounds left,
+  where the horizon cuts the reused subtree where it cut the walked one,
+  and never replaces an entry of the first kind;
 * a reused entry adds its leaf count, so ``EnumerationCapExceeded`` is
   raised exactly when enumerating every branch would raise it.
 
@@ -177,7 +180,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                              local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
-from .game_core import (Action, ActionKind, ActionProfile, History, Mode,
+from .game_core import (ActionKind, ActionProfile, History, Mode,
                         Trace, UtilityParams, _Memo, cooperation_tail,
                         discounted_utility, tail_bound)
 from .protocols import (ScheduledDefector, StrategyConfigError,
@@ -310,9 +313,8 @@ class _PlayedRounds:
         """A ``_Round`` whose profile and utility tuple are interned, the
         utilities with the profile they are a function of."""
         code = (profile.round,
-                tuple([(a, tuple([(j, x.code)
-                                  for j, x in act.per_neighbor.items()]))
-                       for a, act in profile.actions.items()]))
+                tuple([(a, tuple([(j, x.code) for j, x in per.items()]))
+                       for a, per in profile.acts.items()]))
         return _Round(*self._shared.setdefault(code, (profile, utils)),
                       snaps, nxt)
 
@@ -432,12 +434,13 @@ def _act(machines: dict[AgentId, StrategyMachine], draws) -> dict:
 def _round_outcome(cfg: SimConfig, m: int, acts: dict):
     """The checked action profile of round m and every agent's utility.
 
-    A utility is the integer sum of the per-edge table's numerators over
-    its one common denominator, so it is exact; the params keep each
-    distinct sum's ``Fraction``, and one that recurs is not normalised
-    again."""
+    The profile holds the action dicts ``_act`` returned, and its one
+    ``check`` per round tests them.  A utility is the integer sum of the
+    per-edge table's numerators over its one common denominator, so it is
+    exact; the params keep each distinct sum's ``Fraction``, and one that
+    recurs is not normalised again."""
     rg, params = cfg.graph.at(m), cfg.params
-    profile = ActionProfile(m, {i: Action(i, m, a) for i, a in acts.items()})
+    profile = ActionProfile(m, acts)
     profile.check(rg, params.mode)
     nums, over = params.edge_numerators(rg.n)
     utils = {i: over[sum(nums[a[j].code, acts[j][i].code] for j in a)]
@@ -529,10 +532,13 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
 class _Valued(NamedTuple):
     """A world's value relative to the round it was reached in: the expected
     reward before absorption, discounted to that round; the offset of its
-    latest absorption; and the leaves of its branch tree."""
+    latest absorption (of the walk's end + 1 if the end cut a branch); the
+    leaves of its branch tree; and whether the end cut a branch, so that
+    the value holds only with as many rounds left."""
     pre: Fraction
     span: int
     leaves: int
+    cut: bool
 
 
 class _Walk:
@@ -570,8 +576,8 @@ class _Walk:
 
         Rounds with one draw script are played in a loop, and only a round
         with several recurses.  A keyed round stops at the first world
-        already valued; once every branch of the subtree absorbed, every
-        keyed round of it is written back."""
+        already valued for its rounds left, and every keyed round of the
+        subtree is written back, marked cut if ``end`` cut a branch."""
         cfg, d = self.cfg, self.d
         ahead = max((mach.first_deviation_round or 0) for mach in ms.values())
         first = self.leaves
@@ -591,7 +597,9 @@ class _Walk:
                 if self.table is not None and m < self.end:
                     key = _world_key(cfg.graph, ms, m)
                     hit = self.table.get(key)
-                    if hit is not None and m + hit.span <= self.end:
+                    if hit is not None and (
+                            m + hit.span == self.end + 1 if hit.cut
+                            else m + hit.span <= self.end):
                         self._stop(m, hit.leaves)
                         pre, last = hit.pre, m + hit.span
                         key = None      # already valued
@@ -614,20 +622,23 @@ class _Walk:
                 pre += p * (r + d * spre)
                 last = max(last, slast)
             break
-        complete = last <= self.end
+        cut = last > self.end
         leaves = self.leaves - first
-        if complete:
-            self._store(key, m, pre, last, leaves)
+        self._store(key, _Valued(pre, last - m, leaves, cut))
         for key, t, r in reversed(chain):
             pre = r + d * pre
-            if complete:
-                self._store(key, t, pre, last, leaves)
+            self._store(key, _Valued(pre, last - t, leaves, cut))
         return pre, last
 
-    def _store(self, key: Optional[tuple], m: int, pre: Fraction, last: int,
-               leaves: int):
-        if key is not None:
-            self.table[key] = _Valued(pre, last - m, leaves)
+    def _store(self, key: Optional[tuple], value: _Valued):
+        """Hold ``value`` for world ``key``; a cut value replaces nothing,
+        so a value that holds with more rounds left is kept."""
+        if key is None:
+            return
+        if value.cut:
+            self.table.setdefault(key, value)
+        else:
+            self.table[key] = value
 
 
 def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
@@ -702,7 +713,7 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int,
         count = 0
         if m > from_round:
             for j in graph.at(m).neighbors(i):
-                a = profile.individual(j, i)
+                a = profile.acts[j][i]
                 count += a.kind is ActionKind.PUNISH or (
                     a.kind is ActionKind.PROP_PUNISH and a.c > 0)
         return count
@@ -804,10 +815,10 @@ class _OneShotChecker:
                 state = _fork(ms)
             profile, _ = _play_round(cfg, ms, m, draws)
             if state is not None:
-                action = profile.actions[self.i].per_neighbor
+                mine = profile.acts[self.i]
                 self.contexts.append(
                     (m, state, key, origin, {j: _CLASSES.get(a.kind, "send")
-                                             for j, a in action.items()}))
+                                             for j, a in mine.items()}))
 
     def _forced(self, machines, m: int,
                 pattern: Optional[Mapping[AgentId, str]]) -> dict:
@@ -1044,8 +1055,8 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
     every realised individual action is cooperation.  The witness is the
     first non-cooperative action in leaf order, then round order."""
     def check(m: int, profile: ActionProfile, utils) -> int:
-        for a in sorted(profile.actions):
-            for j, ia in sorted(profile.actions[a].per_neighbor.items()):
+        for a in sorted(profile.acts):
+            for j, ia in sorted(profile.acts[a].items()):
                 if ia.kind is not ActionKind.COOPERATE:
                     raise _Uncooperative({"agent": a, "round": m, "toward": j,
                                           "action": ia.kind.value})
@@ -1069,8 +1080,8 @@ def _rounds(trace: Trace, start: int, nxt: Optional[_Round] = None,
     per_round, log = trace.per_round_utilities, trace.state_log
     rounds = []
     for p in reversed(trace.history.profiles[start - 1:]):
-        nxt = make(p, tuple([per_round[(a, p.round)] for a in p.actions]),
-                   tuple([log[(a, p.round)] for a in p.actions]), nxt)
+        nxt = make(p, tuple([per_round[(a, p.round)] for a in p.acts]),
+                   tuple([log[(a, p.round)] for a in p.acts]), nxt)
         rounds.append(nxt)
     rounds.reverse()
     return rounds

@@ -57,6 +57,13 @@ wire ints bit by bit from the layout's definition, and
 ``flat_sigma_gen_key`` maps the reference's state key to ``SigmaGen``'s
 encoding.
 
+``SetAccusationWindow`` and its subclasses are the reference for the
+accusation-window protocols' one-int state: the same protocols over a set
+of ``(subject, round)`` pairs, with ``{"acc": [...]}`` payloads.
+``window_payload`` and ``window_payload_items`` write and read the
+packed window's wire int bit by bit from its layout's definition, and
+``window_key`` maps the reference's state key to the packed encoding.
+
 ``reference_gen_facts`` is the reference for ``facts.gen_facts``: the fact
 checks as they were before they skipped what cannot fail, comparing every
 unshared snapshot pair key by key and every round's punish masses.
@@ -66,6 +73,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -82,7 +90,7 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                ActionProfile, History, IndividualAction, Mode,
                                Trace, cooperation_tail)
 from dynacct.protocols import (RandSource, SigmaGen, StrategyConfigError,
-                               StrategyMachine)
+                               StrategyMachine, prop_punish)
 from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
                               _act, _begin_round, _deliver,
                               _FixedDraws, _fork,
@@ -766,7 +774,7 @@ def enumerated_punishments(cfg: SimConfig, i: AgentId, from_round: int,
         count = 0
         for m in range(from_round + 1, end + 1):
             for j in graph.at(m).neighbors(i):
-                a = leaf.profiles[m].individual(j, i)
+                a = leaf.profiles[m].acts[j][i]
                 if a.kind is ActionKind.PUNISH or (
                         a.kind is ActionKind.PROP_PUNISH and a.c > 0):
                     count += 1
@@ -783,8 +791,8 @@ def enumerated_cooperation(cfg: SimConfig):
                        collect_profiles=True)
     for leaf in enum.leaves():
         for m, profile in sorted(leaf.profiles.items()):
-            for a in sorted(profile.actions):
-                for j, ia in sorted(profile.actions[a].per_neighbor.items()):
+            for a in sorted(profile.acts):
+                for j, ia in sorted(profile.acts[a].items()):
                     if ia.kind is not ActionKind.COOPERATE:
                         return False, {"agent": a, "round": m, "toward": j,
                                        "action": ia.kind.value}
@@ -1073,6 +1081,149 @@ def flat_sigma_gen_key(key, n: int) -> int:
     pend, known, bad = gen_payload(
         pend, [((v, s, -k), val) for (v, s, k), val in reports], n)
     return pend | known << nn * w | bad << nn * w + n * nn
+
+
+# ---------------------------------------------------------------------------
+# Set-based reference for the accusation-window protocols
+# ---------------------------------------------------------------------------
+
+# The accusation-window machines as they were before their state was
+# packed into one int: a set of (subject, round) pairs, rebuilt, sorted and
+# copied into a ``{"acc": [...]}`` payload every round.  Kept unchanged
+# apart from their names as the reference the packed classes must match
+# action for action, snapshot for snapshot and key class for key class.
+class SetAccusationWindow(StrategyMachine):
+    """Shared monitoring core: one report bit per (agent, round) within the
+    last ``rho`` rounds; accusations spread by union, never from the accused.
+    """
+
+    def __init__(self, me: AgentId, n: int, rho: int):
+        super().__init__(me, n)
+        if rho < 1:
+            raise StrategyConfigError("rho must be >= 1")
+        self.rho = rho
+        self.accusations: set[tuple[AgentId, int]] = set()
+        self._sorted = ()    # the accusations, sorted once a round
+
+    def payload_for(self, j: AgentId) -> Optional[dict]:
+        return {"acc": list(self._sorted)}
+
+    def end_round(self, own_action, inbox):
+        m = self.round
+        lo = m + 1 - self.rho
+        # a new set: the old one may be a clone's too
+        got = {(s, r) for (s, r) in self.accusations if r >= lo}
+        for j, (act_ji, payload) in inbox.items():
+            if act_ji.kind is ActionKind.DEFECT:
+                got.add((j, m))
+            elif payload is not None:
+                for (s, r) in payload.get("acc", ()):
+                    # never accept what a sender says about itself, and never
+                    # track reports about this agent's own behaviour
+                    if s != j and s != self.me and lo <= r < m:
+                        got.add((s, r))
+        self.accusations, self._sorted = got, tuple(sorted(got))
+
+    def snapshot(self) -> dict:
+        return {"accusations": list(self._sorted)}
+
+    def state_key(self, m: int):
+        return (type(self).__name__, self.rho,
+                frozenset((s, m - r) for (s, r) in self.accusations))
+
+    @staticmethod
+    def relabel_key(key, pi):
+        name, rho, accusations = key
+        return name, rho, frozenset((pi[s], age) for s, age in accusations)
+
+    def is_quiescent(self) -> bool:
+        return not self.accusations
+
+
+class SetSigmaVal(SetAccusationWindow):
+    mode = Mode.VALUABLE
+
+    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
+        cap = min(self.rho, self.n - 1)
+        # accusation rounds by subject: end_round cut the window to rho rounds
+        accused = Counter(s for s, _ in self.accusations)
+        return {j: prop_punish(min(accused[j], cap))
+                for j in self.view.order}
+
+
+class SetAccusationPunisher(SetAccusationWindow):
+    mode = Mode.GENERAL
+
+    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
+        accused = {s for s, _ in self.accusations}
+        return {j: (PUNISH if j in accused else COOPERATE)
+                for j in self.view.order}
+
+
+class SetUnsafePunisher(SetAccusationWindow):
+    mode = Mode.GENERAL
+    uses_own_action = True
+    relabel_key = None
+
+    def __init__(self, me: AgentId, n: int, rho: int):
+        super().__init__(me, n, rho)
+        self.my_defections: set[int] = set()
+
+    def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
+        out = {j: COOPERATE for j in self.view.order}
+        if self.round == 3:
+            if self.me == 2 and 0 in out:
+                if (0, 1) in self.accusations and (1, 2) not in self.accusations:
+                    out[0] = DEFECT
+            if self.me == 0 and 2 in out and 1 in self.my_defections:
+                out[2] = DEFECT
+        return out
+
+    def end_round(self, own_action, inbox):
+        if any(a.kind is ActionKind.DEFECT for a in own_action.values()):
+            self.my_defections = self.my_defections | {self.round}
+        super().end_round(own_action, inbox)
+
+    def is_quiescent(self) -> bool:
+        # a recorded own defection keeps the round-3 script armed
+        return super().is_quiescent() and (self.round >= 3 or not self.my_defections)
+
+    def state_key(self, m: int):
+        # the script fires at absolute round 3: rounds up to it are distinct
+        return (super().state_key(m), frozenset(m - r for r in self.my_defections),
+                min(m, 4))
+
+    def snapshot(self) -> dict:
+        return dict(super().snapshot(),
+                    my_defections=sorted(self.my_defections))
+
+
+def window_payload(items: Iterable, m: int, n: int, rho: int) -> int:
+    """The packed window's payload int sent at round m holding each
+    ``(s, r)`` of ``items`` with m-rho <= r < m as bit s of slot r mod rho,
+    i.e. bit (r % rho)*n + s; pairs outside those rounds are dropped."""
+    out = 0
+    for s, r in items:
+        if m - rho <= r < m:
+            out |= 1 << (r % rho) * n + s
+    return out
+
+
+def window_payload_items(payload: int, m: int, n: int, rho: int) -> list:
+    """``window_payload``'s inverse: the sorted ``(s, r)`` pairs of a
+    payload sent at round m, slot c read as the round r in m-rho..m-1
+    with r == c mod rho."""
+    return sorted((s, r) for r in range(m - rho, m) for s in range(n)
+                  if payload >> (r % rho) * n + s & 1)
+
+
+def window_key(key, n: int) -> tuple:
+    """``SetAccusationWindow.state_key`` in the packed encoding: each
+    accusation of age k (round m - k of a key for round m) at bit s of
+    relative slot -k mod rho."""
+    name, rho, accusations = key
+    return (name.replace("Set", "", 1), rho,
+            sum(1 << (-k % rho) * n + s for s, k in accusations))
 
 
 # ---------------------------------------------------------------------------

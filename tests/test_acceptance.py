@@ -19,8 +19,6 @@ import pytest
 
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph,
-                                    causally_influences,
-                                    causally_influences_excluding,
                                     check_timely_punishments,
                                     indistinguishable_at,
                                     is_indistinguishable_round, po_set,
@@ -36,6 +34,8 @@ from dynacct.verifier import (SimConfig, _simulate_machines, assert_gen_facts,
 
 from . import oracles
 from .conftest import random_family, run_cli_subprocess
+from .test_evolving_graph import (causally_influences,
+                                  causally_influences_excluding)
 
 ND = ObservationModel.NEIGHBORS_AND_DEGREES
 NO = ObservationModel.NEIGHBORS_ONLY

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from dynacct.evolving_graph import (EvolvingGraph, FamilyFormatError,
                                     GraphFamily, ObservationModel, RoundGraph,
                                     _bits, _reach, _until_final,
-                                    causally_influences,
-                                    causally_influences_excluding,
                                     check_connectivity_restriction,
                                     check_eventual_distinguishability,
                                     check_timely_punishments, family_from_dict,
@@ -33,6 +31,36 @@ ND = ObservationModel.NEIGHBORS_AND_DEGREES
 
 def rg(n, *edges):
     return RoundGraph.from_pairs(n, edges)
+
+
+# Causal influence between (agent, round) points, stepped by the package's
+# one temporal reach, ``_reach``; only tests ask it, so it lives here.
+def causally_influences(g: EvolvingGraph, j: int, m: int, l: int,
+                        m2: int) -> bool:
+    """True iff information at (j, m) can reach (l, m2) forward in time."""
+    return _influences(g, j, m, l, m2, -1)
+
+
+def causally_influences_excluding(g: EvolvingGraph, i: int, j: int, m: int,
+                                  l: int, m2: int) -> bool:
+    """Causal influence where agent i neither relays nor receives."""
+    if i == j:
+        raise ValueError("excluded agent must differ from the source")
+    return _influences(g, j, m, l, m2, ~(1 << i))
+
+
+def _influences(g: EvolvingGraph, j: int, m: int, l: int, m2: int,
+                keep: int) -> bool:
+    """Whether (j, m)'s news can be at (l, m2), received only by ``keep``."""
+    if m < 1 or m2 < 1:
+        raise ValueError("rounds are 1-indexed")
+    if m >= m2:
+        return False
+    if j == l:
+        return True
+    for t, got in _reach(g, j, m, keep):
+        if t == m2:
+            return bool(got >> l & 1)
 
 
 def test_graph_at_prefix_and_cycle_convention():

@@ -22,16 +22,15 @@ def params(beta="2", alpha="0.1", pi="1.5", delta="0.5", mode=Mode.VALUABLE):
 def profile(n, acts, m=1):
     rg = RoundGraph.from_pairs(n, [(u, v) for u in acts for v in acts[u]
                                    if u < v])
-    actions = {i: Action(i, m, dict(acts.get(i, {}))) for i in range(n)}
-    return ActionProfile(m, actions), rg
+    return ActionProfile(m, {i: dict(acts.get(i, {})) for i in range(n)}), rg
 
 
 def pair_profile(a01, a10, m=1, mode=Mode.VALUABLE, n=2):
     rg = RoundGraph.from_pairs(n, [(0, 1)])
-    actions = {0: Action(0, m, {1: a01}), 1: Action(1, m, {0: a10})}
+    acts = {0: {1: a01}, 1: {0: a10}}
     for k in range(2, n):
-        actions[k] = Action(k, m, {})
-    p = ActionProfile(m, actions)
+        acts[k] = {}
+    p = ActionProfile(m, acts)
     p.check(rg, mode)
     return p, rg
 
@@ -87,15 +86,25 @@ def test_prop_punish_normalises_zero_weight():
 
 def test_prop_punish_weight_capped_by_n():
     rg = RoundGraph.from_pairs(2, [(0, 1)])
-    a = Action(0, 1, {1: prop_punish(2)})
-    p = ActionProfile(1, {0: a, 1: Action(1, 1, {0: COOPERATE})})
+    p = ActionProfile(1, {0: {1: prop_punish(2)}, 1: {0: COOPERATE}})
     with pytest.raises(ValueError):
         p.check(rg, Mode.VALUABLE)   # c=2 > n-1=1
 
 
+def test_profile_holds_the_action_dicts_and_builds_actions_on_demand():
+    # the profile keeps each agent's dict as given; ``actions`` wraps them
+    # in ``Action``s on its first read and keeps them
+    acts = {0: {1: DEFECT}, 1: {0: COOPERATE}}
+    p = ActionProfile(4, acts)
+    assert p.acts is acts and "actions" not in vars(p)
+    assert p.actions == {0: Action(0, 4, acts[0]), 1: Action(1, 4, acts[1])}
+    assert p.actions[1].per_neighbor is acts[1]
+    assert p.actions is p.actions
+
+
 def test_zero_interaction_round_contributes_zero():
     rg = RoundGraph.from_pairs(3, [])
-    p = ActionProfile(1, {i: Action(i, 1, {}) for i in range(3)})
+    p = ActionProfile(1, {i: {} for i in range(3)})
     assert all(round_utility(i, p, rg, params()) == 0 for i in range(3))
 
 
@@ -103,9 +112,9 @@ def test_round_utility_additive_over_neighbors():
     rg = RoundGraph.from_pairs(3, [(0, 1), (0, 2)])
     pr = params()
     p = ActionProfile(1, {
-        0: Action(0, 1, {1: COOPERATE, 2: DEFECT}),
-        1: Action(1, 1, {0: prop_punish(1)}),
-        2: Action(2, 1, {0: COOPERATE}),
+        0: {1: COOPERATE, 2: DEFECT},
+        1: {0: prop_punish(1)},
+        2: {0: COOPERATE},
     })
     total = round_utility(0, p, rg, pr)
     # edge to 1: -1 + beta - alpha - pi ; edge to 2: beta - alpha
@@ -311,13 +320,17 @@ def test_round_sums_and_cooperation_utility_are_exact(mode):
 
 
 def _check_per_action(profile, graph, mode):
-    """``ActionProfile.check`` as one ``check_neighbors`` and one
+    """``ActionProfile.check`` as one neighbour check and one
     ``check_mode`` per action, in profile order: the reference."""
-    if set(profile.actions) != set(range(graph.n)):
+    if set(profile.acts) != set(range(graph.n)):
         raise ValueError("profile must cover every agent")
-    for a in profile.actions.values():
-        a.check_neighbors(graph)
-        for ia in a.per_neighbor.values():
+    for i, per in profile.acts.items():
+        got, expected = frozenset(per), graph.neighbors(i)
+        if got != expected:
+            raise ValueError(
+                f"agent {i} round {profile.round}: action keys {sorted(got)} "
+                f"!= neighbours {sorted(expected)}")
+        for ia in per.values():
             ia.check_mode(mode, graph.n)
 
 
@@ -344,7 +357,7 @@ def _checked_profiles(draw):
         IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n + 2)]
     legal = [a for a in every
              if _error(a.check_mode, mode, n) is None]
-    actions = {}
+    acts = {}
     for i in range(n):
         if draw(st.integers(0, 19)) == 0:
             continue
@@ -354,8 +367,8 @@ def _checked_profiles(draw):
         per = {j: draw(st.sampled_from(legal if draw(st.integers(0, 9))
                                        else every))
                for j in sorted(keys)}
-        actions[i] = Action(i, 1, per)
-    return ActionProfile(1, actions), rg, mode
+        acts[i] = per
+    return ActionProfile(1, acts), rg, mode
 
 
 @settings(max_examples=400, deadline=None)

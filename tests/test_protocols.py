@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, complete_graph,
 from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
                               simulate)
 
-from .oracles import (FlatSigmaGen, flat_sigma_gen_key, gen_payload,
-                      gen_payload_items)
+from .oracles import (FlatSigmaGen, SetAccusationPunisher, SetSigmaVal,
+                      SetUnsafePunisher, flat_sigma_gen_key, gen_payload,
+                      gen_payload_items, window_key, window_payload,
+                      window_payload_items)
 from .test_soundness import _RecordingRand
 
 NO = ObservationModel.NEIGHBORS_ONLY
@@ -159,10 +162,12 @@ def test_sigma_val_self_reports_ignored():
 
         def payload_for(self, j):
             pay = super().payload_for(j)
+            mine = sum(1 << (r % self.rho) * self.n + self.me
+                       for r in range(self.round - self.rho, self.round))
             if self.variant == "strip":
-                pay["acc"] = [e for e in pay["acc"] if e[0] != self.me]
+                pay &= ~mine        # clear every bit about me
             elif self.variant == "stuff":
-                pay["acc"] = pay["acc"] + [(self.me, self.round - 1)]
+                pay |= 1 << ((self.round - 1) % self.rho) * self.n + self.me
             return pay
 
     logs = []
@@ -176,6 +181,67 @@ def test_sigma_val_self_reports_ignored():
         logs.append({(a, m): t.state_log[(a, m)]["accusations"]
                      for a in (1, 2) for m in range(1, 7)})
     assert logs[0] == logs[1] == logs[2]
+
+
+WINDOWS = {"sigma_val": (SigmaVal, SetSigmaVal),
+           "accusation_punisher": (AccusationPunisher, SetAccusationPunisher),
+           "unsafe_scripted": (UnsafePunisherProtocol, SetUnsafePunisher)}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_packed_window_matches_the_set_reference(name, rng):
+    # a packed window machine and the set-based reference, driven through
+    # the same seeded random rounds (neighbours, own actions, neighbours'
+    # actions and payloads, some about the sender, the receiver or rounds
+    # outside the window), act, send, snapshot and rest alike; their keys
+    # have the same classes, and a label-free key is the reference's in the
+    # packed encoding, relabelled too
+    packed, reference = WINDOWS[name]
+    valuable = packed.mode is Mode.VALUABLE
+    kinds = ([COOPERATE, DEFECT, AVOID, prop_punish(1)] if valuable
+             else [COOPERATE, DEFECT, PUNISH])
+    stateful = 0
+    for n in range(2, 7):
+        for rho in range(1, 5):
+            me = rng.randrange(n)
+            others = [a for a in range(n) if a != me]
+            classes = {}     # packed key -> reference key
+            for _ in range(4):
+                machines = (packed(me, n, rho), reference(me, n, rho))
+                for t in range(1, 3 * rho + 5):
+                    nbrs = frozenset(a for a in others if rng.random() < 0.7)
+                    view = LocalView(me, t, nbrs)
+                    for mach in machines:
+                        mach.begin_round(view)
+                    got, want = machines
+                    assert (window_payload_items(got.payload_for(0), t, n, rho)
+                            == want.payload_for(0)["acc"])
+                    act = got.act(None)
+                    assert act == want.act(None), (n, rho, me, t)
+                    own = {j: rng.choice(kinds) for j in view.order}
+                    inbox = {}
+                    for j in view.order:
+                        items = [(s, r) for s in range(n)
+                                 for r in range(max(1, t - rho - 1), t + 1)
+                                 if rng.random() < 0.3]
+                        inbox[j] = (rng.choice(kinds), items)
+                    got.end_round(own, {
+                        j: (a, window_payload(items, t, n, rho))
+                        for j, (a, items) in inbox.items()})
+                    want.end_round(own, {
+                        j: (a, {"acc": items}) for j, (a, items) in inbox.items()})
+                    assert got.snapshot() == want.snapshot(), (n, rho, me, t)
+                    assert got.is_quiescent() == want.is_quiescent()
+                    stateful += not got.is_quiescent()
+                    key, ref = got.state_key(t + 1), want.state_key(t + 1)
+                    assert classes.setdefault(key, ref) == ref
+                    if packed.relabel_key is not None:
+                        assert key == window_key(ref, n)
+                        pi = rng.sample(range(n), n)
+                        assert (packed.relabel_key(key, pi)
+                                == window_key(reference.relabel_key(ref, pi), n))
+            assert len(set(classes.values())) == len(classes)
+    assert stateful
 
 
 # ---------------------------------------------------------------------------
@@ -958,3 +1024,20 @@ def test_mode_mismatch_rejected():
                     horizon=4, params=general_defaults())
     with pytest.raises(StrategyConfigError):
         build_machines(cfg)
+
+
+def test_windows_of_one_run_share_rho():
+    # window machines read each other's payload ints slot by slot: an honest
+    # profile, or a candidate's base, with another rho is refused
+    sc = builtin("timely_violation")
+    cfg = sc.sim_config(horizon=6)
+    mixed = dict(cfg.strategies)
+    mixed[1] = {"strategy": "sigma_val", "rho": 2}
+    cfg = replace(cfg, strategies=mixed)
+    with pytest.raises(StrategyConfigError, match="one rho, not 3 and 2"):
+        build_machines(cfg)
+    cfg = sc.sim_config(horizon=6)
+    base = {"strategy": "sigma_val", "rho": 4}
+    with pytest.raises(StrategyConfigError, match="one rho, not 4 and 3"):
+        build_deviation({"kind": "single_evasive", "base": base,
+                         "target": 0, "round": 1}, cfg, 1)

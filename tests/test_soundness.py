@@ -45,18 +45,20 @@ from dynacct.verifier import (SimConfig, _expected_eu, _FixedDraws, _fork,
                               _HashDraws, _phase, _play_round, build_machines,
                               run_paired_defection)
 
-from .oracles import gen_payload, gen_payload_items
+from .oracles import (gen_payload, gen_payload_items, window_payload,
+                      window_payload_items)
 from .test_verifier import mixed_degree_family
 
+RHO = 3     # every shipped accusation window's
 # every shipped honest strategy, with the utility mode it runs in
 SHIPPED = {
     "sigma_gen": ("sigma_gen", lambda n: general_defaults()),
-    "sigma_val": ({"strategy": "sigma_val", "rho": 3},
-                  lambda n: valuable_defaults(n, 3)),
-    "accusation_punisher": ({"strategy": "accusation_punisher", "rho": 3},
+    "sigma_val": ({"strategy": "sigma_val", "rho": RHO},
+                  lambda n: valuable_defaults(n, RHO)),
+    "accusation_punisher": ({"strategy": "accusation_punisher", "rho": RHO},
                             lambda n: general_defaults()),
     "always_defect": ("always_defect", lambda n: general_defaults()),
-    "unsafe_scripted": ({"strategy": "unsafe_scripted", "rho": 3},
+    "unsafe_scripted": ({"strategy": "unsafe_scripted", "rho": RHO},
                         lambda n: general_defaults()),
 }
 
@@ -110,7 +112,9 @@ def _relative(payload, m, n):
         return {"pend": sorted(((s, (c - m) % n), v) for (s, c), v in tallies),
                 "acc": sorted(((v, s, m - r), val)
                               for (v, s, r), val in reports)}
-    return {"acc": sorted((s, m - r) for s, r in payload["acc"])}
+    # an accusation window's int: its (s, r) pairs of rounds m-RHO..m-1
+    return {"acc": sorted((s, m - r) for s, r in
+                          window_payload_items(payload, m, n, RHO))}
 
 
 def _absolute(rel, m, n):
@@ -120,7 +124,7 @@ def _absolute(rel, m, n):
         return gen_payload(
             [((s, (m + d) % n), v) for (s, d), v in rel["pend"]],
             [((v, s, m - k), val) for (v, s, k), val in rel["acc"]], n)
-    return {"acc": sorted((s, m - k) for s, k in rel["acc"])}
+    return window_payload([(s, m - k) for s, k in rel["acc"]], m, n, RHO)
 
 
 def _random_inbox(rng, name, nbrs, n):
@@ -143,7 +147,8 @@ def _random_inbox(rng, name, nbrs, n):
             rel = None
         else:
             rel = {"acc": sorted((s, k) for s in range(n)
-                                 for k in range(1, 4) if rng.random() < 0.3)}
+                                 for k in range(1, RHO + 1)
+                                 if rng.random() < 0.3)}
         inbox[j] = (a, rel)
     return inbox
 

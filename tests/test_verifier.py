@@ -213,7 +213,7 @@ def _punishments_toward(trace, graph, i, first, last):
     for m in range(first, last + 1):
         profile = trace.history.profiles[m - 1]
         for j in graph.at(m).neighbors(i):
-            a = profile.individual(j, i)
+            a = profile.acts[j][i]
             hits += a.kind is ActionKind.PUNISH
     return hits
 
@@ -663,8 +663,11 @@ def _one_shot_runs(cfg, agents, continuation=None):
 def _random_gen_configs(rng, count):
     from .conftest import random_evolving_graph
     # mixed_degree_family forks on fractional punishments; at horizon 9,
-    # agent 0's continuations already reuse valued worlds below forks
-    cfgs = [(gen_cfg(mixed_degree_family(), horizon=9), (0,))]
+    # agent 0's continuations already reuse valued worlds below forks.  At
+    # horizon 5, inside the punishment window, the horizon cuts most
+    # continuations, and the table reuses subtrees it cut
+    cfgs = [(gen_cfg(mixed_degree_family(), horizon=9), (0,)),
+            (gen_cfg(mixed_degree_family(), horizon=5), range(4))]
     for k in range(count):
         g = random_evolving_graph(rng, 3, f"r{k}", max_prefix=2, max_cycle=3)
         cfgs.append((gen_cfg(GraphFamily(3, (g,), ND, 8), horizon=12),
@@ -673,10 +676,10 @@ def _random_gen_configs(rng, count):
 
 
 def test_world_table_matches_memo_free_continuations(rng):
-    # on random sigma_gen families and a forking one, every check's gain,
-    # tolerance and witness, and every report, equal those of continuations
-    # enumerated to absorption without the table; the table never plays
-    # more rounds
+    # on random sigma_gen families and a forking one, at a long and a short
+    # horizon, every check's gain, tolerance and witness, and every report,
+    # equal those of continuations enumerated to absorption without the
+    # table; the table never plays more rounds
     from .oracles import continuation_eu
     forks = 0
     for cfg, agents in _random_gen_configs(rng, 8):
@@ -1053,7 +1056,7 @@ def test_symmetry_is_decided_from_the_honest_machines(monkeypatch):
     # agents that spell one spec differently, or stack a deviation layer on
     # it, run one honest machine: their reports equal direct verification of
     # the plainly spelt profile, and they share reports and continuations.
-    # A spec that differs in a parameter the key holds is no twin
+    # A machine of another class is no twin
     import json
 
     from dynacct import verifier
@@ -1091,11 +1094,14 @@ def test_symmetry_is_decided_from_the_honest_machines(monkeypatch):
     checker.report(build_machines(spelt, honest_only=True), 2, ())
     assert len(checker.symmetries) == 6 and 0 < walks < calls
     rho = {a: {"strategy": "accusation_punisher", "rho": 3} for a in range(4)}
-    for strategies, symmetric in ((rho, True), ({**rho, 2: dict(rho[2], rho=4)},
-                                                False)):
+    scripted = {"strategy": "unsafe_scripted", "rho": 3}
+    for strategies, symmetric in ((rho, True), ({**rho, 2: scripted}, False)):
         cfg = replace(k4, strategies=strategies)
         assert verifier._symmetric_profile(
             build_machines(cfg, honest_only=True)) is symmetric
+    # windows of one run share rho: one that differs is refused, not a twin
+    with pytest.raises(StrategyConfigError, match="one rho"):
+        build_machines(replace(k4, strategies={**rho, 2: dict(rho[2], rho=4)}))
 
 
 def test_orbit_sharing_walks_once_per_orbit(monkeypatch):
