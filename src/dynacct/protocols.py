@@ -44,11 +44,11 @@ itself; this module still imports nothing from the verifier.
 
 Protocol window conventions follow the monitoring designs: the
 accusation-window protocols keep one report bit per (agent, round) for the
-last ``rho`` rounds, all in one int (``_AccusationWindow``: round r's
-accused agents in the n-bit slot r mod rho), which is their store,
-payload, merge and, rotated by the round, state key; windows of one run
-read each other's ints slot by slot, so they must share rho
-(``_window_rho``).  The bounded tally protocol keeps per-subject pending
+last ``rho`` rounds, all in one int (``_AccusationWindow``: the accused
+agents of the round k rounds before the last one played in n-bit slot
+k), which is their store, payload, merge and state key; a receiver keeps
+the slots its own rho covers, so windows of one run may differ in rho.
+The bounded tally protocol keeps per-subject pending
 punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
@@ -213,11 +213,12 @@ class _AccusationWindow(StrategyMachine):
     """Shared monitoring core: one report bit per (agent, round) within the
     last ``rho`` rounds; accusations spread by union, never from the accused.
 
-    The state is one int, ``acc``: round r's accused agents are bits
-    ``(r % rho)*n + s`` of the n-bit slot r mod rho, so after
-    ``end_round(m)`` it holds rounds m+1-rho..m.  The int is the payload
-    (immutable, so no receiver can reach the sender's state), is merged by
-    masked OR, and keys the state rotated to the round.
+    The state is one int, ``acc``, relative to the last round played: bit
+    ``k*n + s`` of its n-bit slot k accuses s of the round k rounds before
+    it, so after ``end_round(m)`` slots 0..rho-1 hold rounds m..m+1-rho.
+    The int is the payload (immutable, so no receiver can reach the
+    sender's state) and the state key as it stands; a receiver merges it
+    by masked OR, whatever the sender's rho.
     """
 
     def __init__(self, me: AgentId, n: int, rho: int):
@@ -232,41 +233,37 @@ class _AccusationWindow(StrategyMachine):
         return self.acc
 
     def end_round(self, own_action, inbox):
-        """Clear slot m mod rho, which holds round m-rho; set the bit of
-        each defecting sender there; OR in each other sender's payload
-        under ``keep[m % rho][j]``: nothing about j or me, and nothing from
-        that slot, so only rounds m+1-rho..m-1."""
-        m, n = self.round, self.n
-        c = m % self.rho
-        keep = self._keep[c]
-        acc = self.acc & keep[self.me]      # no bit about me is ever set
+        """Keep slots 0..rho-2 of ``acc``, rounds m-1..m+1-rho, and OR in
+        each non-defecting sender j's payload under ``keep[j]``: those
+        slots only, and nothing about j or me; then age every slot by one
+        and set the bit of each defecting sender in the new slot 0."""
+        keep = self._keep
+        acc, new = self.acc & keep[self.me], 0   # no bit about me is ever set
         for j, (a, p) in inbox.items():
             if a.kind is ActionKind.DEFECT:
-                acc |= 1 << c * n + j
+                new |= 1 << j
             elif p is not None:
                 acc |= p & keep[j]
-        self.acc = acc
+        self.acc = acc << self.n | new
 
     def _accused(self, s: AgentId, r: int) -> bool:
         """Whether the window accuses s of round r, read before
         ``end_round`` of ``self.round``."""
-        return (self.round - self.rho <= r < self.round
-                and self.acc >> r % self.rho * self.n + s & 1 == 1)
+        k = self.round - 1 - r
+        return 0 <= k < self.rho and self.acc >> k * self.n + s & 1 == 1
 
     def snapshot(self) -> dict:
         """The accusations after ``end_round``, as a sorted ``(s, r)``
         list."""
-        m, rho, n = self.round, self.rho, self.n
+        m, n = self.round, self.n
         return {"accusations": [
-            (s, r) for s in range(n) for r in range(max(1, m + 1 - rho), m + 1)
-            if self.acc >> r % rho * n + s & 1]}
+            (s, m - k) for s in range(n) for k in range(min(self.rho, m))[::-1]
+            if self.acc >> k * n + s & 1]}
 
     def state_key(self, m: int):
-        """``acc`` with its slots rotated so that slot m mod rho comes
-        first."""
-        size = self.rho * self.n
-        acc = (self.acc | self.acc << size) >> m % self.rho * self.n
-        return type(self).__name__, self.rho, acc & (1 << size) - 1
+        """``acc`` itself: keys are taken at round m's start, when it is
+        relative to round m-1."""
+        return type(self).__name__, self.rho, self.acc
 
     @staticmethod
     def relabel_key(key, pi: Sequence[AgentId]):
@@ -283,12 +280,11 @@ class _AccusationWindow(StrategyMachine):
 @functools.lru_cache(maxsize=None)
 def _window_masks(n: int, rho: int, me: AgentId) -> tuple:
     """``_AccusationWindow``'s masks for agent me of n: ``cols[s]``, the
-    bits of subject s in every slot, and ``keep[c][j]``, every bit but
-    those of slot c and of subjects j and me."""
+    bits of subject s in every slot, and ``keep[j]``, every bit of slots
+    0..rho-2 but those of subjects j and me."""
     cols = [sum(1 << k * n + s for k in range(rho)) for s in range(n)]
-    every = (1 << rho * n) - 1
-    return cols, [[every & ~((1 << n) - 1 << c * n) & ~cols[j] & ~cols[me]
-                   for j in range(n)] for c in range(rho)]
+    young = (1 << (rho - 1) * n) - 1
+    return cols, [young & ~cols[j] & ~cols[me] for j in range(n)]
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -941,36 +937,16 @@ def build_strategy(spec: StrategySpec, cfg, me: AgentId) -> StrategyMachine:
     name = spec.get("strategy")
     n, params = cfg.family.n, cfg.params
     if name == "sigma_val":
-        return sigma_val(me, n, _window_rho(spec, cfg), params)
+        return sigma_val(me, n, _int(spec.get("rho"), "rho"), params)
     if name == "sigma_gen":
         return sigma_gen(me, n, params, cfg.family.observation)
     if name == "accusation_punisher":
-        return AccusationPunisher(me, n, _window_rho(spec, cfg))
+        return AccusationPunisher(me, n, _int(spec.get("rho"), "rho"))
     if name == "always_defect":
         return AlwaysDefect(me, n, params.mode)
     if name == "unsafe_scripted":
-        return UnsafePunisherProtocol(me, n, _window_rho(spec, cfg))
+        return UnsafePunisherProtocol(me, n, _int(spec.get("rho", 3), "rho"))
     raise StrategyConfigError(f"unknown strategy {name!r}")
-
-
-# the accusation-window strategies, with their default rho
-_WINDOWS = {"sigma_val": None, "accusation_punisher": None,
-            "unsafe_scripted": 3}
-
-
-def _window_rho(spec: Mapping, cfg) -> int:
-    """The rho of an accusation-window spec.  Windows read each other's
-    payload ints slot by slot, so every window of cfg's honest profile
-    must have the same rho."""
-    rho = _int(spec.get("rho", _WINDOWS[spec["strategy"]]), "rho")
-    for other in map(honest_spec, cfg.strategies.values()):
-        if isinstance(other, Mapping) and other.get("strategy") in _WINDOWS:
-            theirs = _int(other.get("rho", _WINDOWS[other["strategy"]]), "rho")
-            if theirs != rho:
-                raise StrategyConfigError(
-                    f"accusation windows of one run need one rho, not {rho}"
-                    f" and {theirs}")
-    return rho
 
 
 def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:

@@ -104,12 +104,11 @@ same fixed draws, right after collecting it.
 Continuation values are shared through one table per ``verify_one_shot``
 call, keyed by ``_world_key`` (graph phase plus every machine's
 round-relative ``state_key``), with no round or horizon in the key.  A
-continuation's walk stops at the first world already valued for its
-rounds left.  An entry holds i's expected utility relative to its
-cooperative tail, discounted to the round the world was reached in, the
-offset of its latest absorption, the leaf count and whether the horizon
-cut a branch; read at round m it is worth the same.  It is exact, not
-approximate, because:
+continuation's walk stops at the first world already valued.  An entry
+holds i's expected utility relative to its cooperative tail, discounted to
+the round the world was reached in, the offset of its latest absorption
+and the leaf count; read at round m it is worth the same.  It is exact,
+not approximate, because:
 
 * state is draw-independent and ``state_key`` is complete, so two worlds
   with equal keys at the same graph phase play identical subtrees, with the
@@ -119,12 +118,10 @@ approximate, because:
 * a world with a deviation still ahead is never valued, and no world
   holds a spent wrapper: ``protocols._deliver`` puts its base back once
   its last scheduled round has played;
-* an entry from a subtree whose every branch absorbed within the horizon
-  is read at round m only if m plus its latest absorption offset is within
-  the horizon too, so the horizon never cuts the reused subtree; an entry
-  from a subtree the horizon cut is read only with as many rounds left,
-  where the horizon cuts the reused subtree where it cut the walked one,
-  and never replaces an entry of the first kind;
+* an entry is written only from a subtree whose every branch absorbed
+  within the horizon, and read at round m only if m plus its latest
+  absorption offset is within the horizon too, so the horizon never cuts
+  a reused subtree;
 * a reused entry adds its leaf count, so ``EnumerationCapExceeded`` is
   raised exactly when enumerating every branch would raise it.
 
@@ -532,13 +529,10 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
 class _Valued(NamedTuple):
     """A world's value relative to the round it was reached in: the expected
     reward before absorption, discounted to that round; the offset of its
-    latest absorption (of the walk's end + 1 if the end cut a branch); the
-    leaves of its branch tree; and whether the end cut a branch, so that
-    the value holds only with as many rounds left."""
+    latest absorption; and the leaves of its branch tree."""
     pre: Fraction
     span: int
     leaves: int
-    cut: bool
 
 
 class _Walk:
@@ -576,8 +570,8 @@ class _Walk:
 
         Rounds with one draw script are played in a loop, and only a round
         with several recurses.  A keyed round stops at the first world
-        already valued for its rounds left, and every keyed round of the
-        subtree is written back, marked cut if ``end`` cut a branch."""
+        already valued; once every branch of the subtree absorbed, every
+        keyed round of it is written back."""
         cfg, d = self.cfg, self.d
         ahead = max((mach.first_deviation_round or 0) for mach in ms.values())
         first = self.leaves
@@ -597,9 +591,7 @@ class _Walk:
                 if self.table is not None and m < self.end:
                     key = _world_key(cfg.graph, ms, m)
                     hit = self.table.get(key)
-                    if hit is not None and (
-                            m + hit.span == self.end + 1 if hit.cut
-                            else m + hit.span <= self.end):
+                    if hit is not None and m + hit.span <= self.end:
                         self._stop(m, hit.leaves)
                         pre, last = hit.pre, m + hit.span
                         key = None      # already valued
@@ -622,23 +614,20 @@ class _Walk:
                 pre += p * (r + d * spre)
                 last = max(last, slast)
             break
-        cut = last > self.end
+        complete = last <= self.end
         leaves = self.leaves - first
-        self._store(key, _Valued(pre, last - m, leaves, cut))
+        if complete:
+            self._store(key, m, pre, last, leaves)
         for key, t, r in reversed(chain):
             pre = r + d * pre
-            self._store(key, _Valued(pre, last - t, leaves, cut))
+            if complete:
+                self._store(key, t, pre, last, leaves)
         return pre, last
 
-    def _store(self, key: Optional[tuple], value: _Valued):
-        """Hold ``value`` for world ``key``; a cut value replaces nothing,
-        so a value that holds with more rounds left is kept."""
-        if key is None:
-            return
-        if value.cut:
-            self.table.setdefault(key, value)
-        else:
-            self.table[key] = value
+    def _store(self, key: Optional[tuple], m: int, pre: Fraction, last: int,
+               leaves: int):
+        if key is not None:
+            self.table[key] = _Valued(pre, last - m, leaves)
 
 
 def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],

@@ -1199,31 +1199,31 @@ class SetUnsafePunisher(SetAccusationWindow):
 
 
 def window_payload(items: Iterable, m: int, n: int, rho: int) -> int:
-    """The packed window's payload int sent at round m holding each
-    ``(s, r)`` of ``items`` with m-rho <= r < m as bit s of slot r mod rho,
-    i.e. bit (r % rho)*n + s; pairs outside those rounds are dropped."""
+    """The packed window's payload int sent at round m by a window of rho
+    rounds, holding each ``(s, r)`` of ``items`` with m-rho <= r < m as
+    bit s of slot m-1-r, i.e. bit (m-1-r)*n + s; pairs outside those
+    rounds are dropped."""
     out = 0
     for s, r in items:
         if m - rho <= r < m:
-            out |= 1 << (r % rho) * n + s
+            out |= 1 << (m - 1 - r) * n + s
     return out
 
 
 def window_payload_items(payload: int, m: int, n: int, rho: int) -> list:
     """``window_payload``'s inverse: the sorted ``(s, r)`` pairs of a
-    payload sent at round m, slot c read as the round r in m-rho..m-1
-    with r == c mod rho."""
-    return sorted((s, r) for r in range(m - rho, m) for s in range(n)
-                  if payload >> (r % rho) * n + s & 1)
+    payload sent at round m, slot k read as round m-1-k, for k < rho."""
+    return sorted((s, m - 1 - k) for k in range(rho) for s in range(n)
+                  if payload >> k * n + s & 1)
 
 
 def window_key(key, n: int) -> tuple:
     """``SetAccusationWindow.state_key`` in the packed encoding: each
     accusation of age k (round m - k of a key for round m) at bit s of
-    relative slot -k mod rho."""
+    slot k-1."""
     name, rho, accusations = key
     return (name.replace("Set", "", 1), rho,
-            sum(1 << (-k % rho) * n + s for s, k in accusations))
+            sum(1 << (k - 1) * n + s for s, k in accusations))
 
 
 # ---------------------------------------------------------------------------

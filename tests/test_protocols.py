@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -162,12 +161,11 @@ def test_sigma_val_self_reports_ignored():
 
         def payload_for(self, j):
             pay = super().payload_for(j)
-            mine = sum(1 << (r % self.rho) * self.n + self.me
-                       for r in range(self.round - self.rho, self.round))
+            mine = sum(1 << k * self.n + self.me for k in range(self.rho))
             if self.variant == "strip":
                 pay &= ~mine        # clear every bit about me
             elif self.variant == "stuff":
-                pay |= 1 << ((self.round - 1) % self.rho) * self.n + self.me
+                pay |= 1 << self.me     # accuse me of the last round
             return pay
 
     logs = []
@@ -192,8 +190,8 @@ WINDOWS = {"sigma_val": (SigmaVal, SetSigmaVal),
 def test_packed_window_matches_the_set_reference(name, rng):
     # a packed window machine and the set-based reference, driven through
     # the same seeded random rounds (neighbours, own actions, neighbours'
-    # actions and payloads, some about the sender, the receiver or rounds
-    # outside the window), act, send, snapshot and rest alike; their keys
+    # actions and payloads from windows of 1..5 rounds, some about the
+    # sender or the receiver), act, send, snapshot and rest alike; their keys
     # have the same classes, and a label-free key is the reference's in the
     # packed encoding, relabelled too
     packed, reference = WINDOWS[name]
@@ -221,15 +219,17 @@ def test_packed_window_matches_the_set_reference(name, rng):
                     own = {j: rng.choice(kinds) for j in view.order}
                     inbox = {}
                     for j in view.order:
+                        # the sender's window may be longer or shorter
+                        theirs = rng.randint(1, 5)
                         items = [(s, r) for s in range(n)
-                                 for r in range(max(1, t - rho - 1), t + 1)
+                                 for r in range(max(1, t - theirs), t)
                                  if rng.random() < 0.3]
-                        inbox[j] = (rng.choice(kinds), items)
+                        inbox[j] = (rng.choice(kinds), items, theirs)
                     got.end_round(own, {
-                        j: (a, window_payload(items, t, n, rho))
-                        for j, (a, items) in inbox.items()})
-                    want.end_round(own, {
-                        j: (a, {"acc": items}) for j, (a, items) in inbox.items()})
+                        j: (a, window_payload(items, t, n, theirs))
+                        for j, (a, items, theirs) in inbox.items()})
+                    want.end_round(own, {j: (a, {"acc": items})
+                                         for j, (a, items, _) in inbox.items()})
                     assert got.snapshot() == want.snapshot(), (n, rho, me, t)
                     assert got.is_quiescent() == want.is_quiescent()
                     stateful += not got.is_quiescent()
@@ -1026,18 +1026,31 @@ def test_mode_mismatch_rejected():
         build_machines(cfg)
 
 
-def test_windows_of_one_run_share_rho():
-    # window machines read each other's payload ints slot by slot: an honest
-    # profile, or a candidate's base, with another rho is refused
-    sc = builtin("timely_violation")
-    cfg = sc.sim_config(horizon=6)
-    mixed = dict(cfg.strategies)
-    mixed[1] = {"strategy": "sigma_val", "rho": 2}
-    cfg = replace(cfg, strategies=mixed)
-    with pytest.raises(StrategyConfigError, match="one rho, not 3 and 2"):
-        build_machines(cfg)
-    cfg = sc.sim_config(horizon=6)
-    base = {"strategy": "sigma_val", "rho": 4}
-    with pytest.raises(StrategyConfigError, match="one rho, not 4 and 3"):
-        build_deviation({"kind": "single_evasive", "base": base,
-                         "target": 0, "round": 1}, cfg, 1)
+def test_windows_of_one_run_may_differ_in_rho():
+    # windows of 1..4 rounds, spelt as a string or a mapping, with two
+    # deviators: each receiver keeps what its own rho covers, so the run
+    # plays, acts and logs as the set reference does
+    cfg = SimConfig(
+        family=fam_const(complete_graph(4), obs=NO), member="g",
+        strategies={0: "unsafe_scripted",
+                    1: {"strategy": "unsafe_scripted", "rho": 1},
+                    2: {"strategy": "accusation_punisher", "rho": 4},
+                    3: {"strategy": "accusation_punisher", "rho": 2}},
+        horizon=9, params=general_defaults())
+    sets = {UnsafePunisherProtocol: SetUnsafePunisher,
+            AccusationPunisher: SetAccusationPunisher}
+    schedule = {0: {1: frozenset([1, 2]), 4: frozenset([3])},
+                3: {2: frozenset([0, 1])}}
+    runs = []
+    for packed in (True, False):
+        machines = build_machines(cfg)
+        if not packed:
+            machines = {a: sets[type(m)](a, 4, m.rho)
+                        for a, m in machines.items()}
+        assert sorted(m.rho for m in machines.values()) == [1, 2, 3, 4]
+        for a, rounds in schedule.items():
+            machines[a] = ScheduledDefector(machines[a], rounds, sincere=True)
+        t = _simulate_machines(cfg, machines)
+        runs.append(([p.acts for p in t.history.profiles], t.state_log))
+    assert runs[0] == runs[1]
+    assert any(log["accusations"] for log in runs[0][1].values())
