@@ -6,30 +6,42 @@ such as ``verifier.run_paired_defection`` builds.  Its public entry point
 is ``verifier.assert_gen_facts``.
 
 A paired defection plays only the few rounds until the deviating run
-rejoins the honest run, so most of the two traces is equal.  The checks
-therefore skip every unit that provably cannot fail, and compare the rest
-exactly as a full comparison would, with the same messages:
+rejoins the honest run, and its trace holds the honest run's snapshots
+everywhere else.  The checks therefore skip every unit that provably
+cannot fail, and compare the rest exactly as a full comparison would,
+with the same messages:
 
-* F3/F4 skip a snapshot pair both traces hold as one object, the tally
-  part of a pair whose tally lists are equal, and the report part of a
-  pair whose report lists, or just their reports about the deviator from
-  rounds other than m, are equal: equal lists parse to equal entries, so
-  no key can differ.
-* F5/F6 skip a round when every neighbour of the deviator ends the round
-  before with equal tally lists in both traces: the two punish masses are
-  then equal, so the round neither fails nor adds to the window's mass.
-* Bounded state reads each snapshot's lists as they are, in one unsorted
-  pass per trace, and keeps the smallest violating (agent, round): the
-  same first violation as a walk in sorted order, without the sort.
-
+* The deviating trace's own entries are found in one pass: those whose
+  snapshot is not the conforming trace's at the same (agent, round).
+  Every other entry is equal in both traces, so F3-F6 and the deviating
+  bounded-state pass read only the own entries.
+* F1-F6 read only the tallies and reports about the deviator; each
+  distinct list is parsed once per check.  F3/F4 compare a pair's tallies
+  only if its tally lists differ, and its reports from rounds other than
+  m only if its report lists differ: equal lists parse to equal entries.
+* F5/F6 read a round only if a neighbour of the deviator ends the round
+  before with an own entry whose tally list is not the conforming one:
+  otherwise both punish masses are equal, so the round neither fails nor
+  adds to the window's mass.  Masses are integer numerators over the
+  deviator's degree; a rational is built only for a message, and the
+  window's mass is one numerator over the lcm of its degrees.
+* Bounded state keeps the smallest violating (agent, round), the same
+  first violation as a walk in sorted order, without the sort.  The
+  first conforming log a config checks is kept on the config with its
+  violations, and a later one is checked only where its snapshots are
+  not that log's.  A deviating snapshot whose lists are the conforming
+  snapshot's own (the deviator's relabelled copies) is checked there.
 ``tests/oracles.reference_gen_facts`` is the full comparison, and
 ``tests/test_facts.py`` holds the two to equal reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import is_not, itemgetter
 from typing import Optional
 
 from .evolving_graph import _reach
@@ -59,23 +71,6 @@ FACT_NAMES = ("F1_accusation_accuracy", "F2_pend_convergence",
               "bounded_state")
 
 
-def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
-    return {tuple(k): v for k, v in snap.get("pend", [])}
-
-
-def _snap_acc(snap: dict, subject: AgentId) -> dict[tuple[int, int, int], str]:
-    """The snapshot's reports (v, s, r) -> verdict about ``subject``."""
-    return {tuple(k): v for k, v in snap.get("acc", []) if k[1] == subject}
-
-
-def _cached(parse):
-    """``parse`` of a snapshot, once per snapshot object, also when both
-    traces hold it; they keep it alive, so its ``id`` stays its own."""
-    parsed: dict[int, object] = {}
-    return lambda snap: (parsed[id(snap)] if id(snap) in parsed
-                         else parsed.setdefault(id(snap), parse(snap)))
-
-
 def check_deviation_round(cfg, m: int):
     """A deviation round must be one the run plays: 1..horizon."""
     if not 1 <= m <= cfg.horizon:
@@ -97,16 +92,11 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     ``verifier.SimConfig`` ``cfg``.
 
     Exact: tallies are compared as integers, expected punishment masses as
-    rationals.  F2 and F6 presuppose a connectivity-restricted family (the
-    dissemination arguments need it); on other families they fail honestly.
-
-    A snapshot that both traces hold as the same object (the deviating
-    trace shares the honest run's snapshots of rounds before m and, once
-    it has rejoined the honest run, of the rounds after, except the
-    deviator's relabelled ones) is equal in both: F3/F4 skip the pair, and
-    the bounded-state check reads it only in the conforming trace.  Every
-    other skip (the module docstring lists them) also needs the skipped
-    lists to be equal, and so cannot hide a failure or change a message.
+    integer numerators over the deviator's degree.  F2 and F6 presuppose a
+    connectivity-restricted family (the dissemination arguments need it);
+    on other families they fail honestly.  Every skip the module docstring
+    lists needs the skipped parts to be equal, and so cannot hide a
+    failure or change a message.
     """
     conform, deviate = paired
     n = cfg.family.n
@@ -117,15 +107,40 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
         raise ValueError("paired traces need state logs, as "
                          "verifier.run_paired_defection returns them")
     C, D = conform.state_log, deviate.state_log
-    pend = _cached(_snap_pend)
     last = min(conform.last_round, deviate.last_round)
     found = _find_deviation(conform, deviate, m, last)
     facts: dict[str, Optional[str]] = {k: None for k in FACT_NAMES}
     if found is None:
         return FactReport(facts=facts)   # conforming pair: vacuously fine
     i, defected = found
-    # F1 and F3 read only reports about i: keep just those
-    acc = _cached(lambda snap: _snap_acc(snap, i))
+    # the deviating trace's own entries, in round order
+    own = sorted(compress(D, map(is_not, D.values(), map(C.get, D))),
+                 key=itemgetter(1, 0))
+    # F1-F6 read only tallies and reports about i: each distinct list is
+    # parsed once into those, tallies by residue, and reports from round m
+    # by victim and from other rounds by key
+    tallies: dict[int, dict] = {}
+    reports: dict[int, tuple[dict, dict]] = {}
+
+    def tally(snap) -> dict[int, int]:
+        got = snap.get("pend", ())
+        parsed = tallies.get(id(got))
+        if parsed is None:
+            parsed = tallies[id(got)] = {c: v for (s, c), v in got if s == i}
+        return parsed
+
+    def acc(snap) -> tuple[dict[int, str], dict[tuple[int, int, int], str]]:
+        got = snap.get("acc", ())
+        parsed = reports.get(id(got))
+        if parsed is None:
+            parsed = reports[id(got)] = {}, {}
+            for k, v in got:
+                if k[1] == i:
+                    if k[2] == m:
+                        parsed[0][k[0]] = v
+                    else:
+                        parsed[1][tuple(k)] = v
+        return parsed
 
     deg_m = graph.at(m).degree(i)
     residue = m % n
@@ -138,28 +153,25 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     for v in graph.at(m).neighbors(i):
         reach = _reach(graph, v, m + 1, keep=~(1 << i))
         holders[v] = [1 << v] + [1 << v | next(reach)[1] for _ in range(m, end)]
+    others = [a for a in range(n) if a != i]
     for M in range(m, end + 1):
-        for v in range(n):
-            if v == i:
-                continue
+        held = [acc(D[(l, M)])[0] for l in others]
+        for v in others:
             reached = holders[v][M - m] if v in holders else 0
-            for l in range(n):
-                if l == i:
-                    continue
-                val = acc(D[(l, M)]).get((v, i, m))
+            want = "bad" if v in defected else "good"
+            for l, got in zip(others, held):
+                val = got.get(v)
                 if not reached >> l & 1:
                     if val is not None:
                         facts["F1_accusation_accuracy"] = (
                             f"agent {l} holds ({v},{i},{m}) at end of {M} "
                             f"without an information path")
                         break
-                else:
-                    want = "bad" if v in defected else "good"
-                    if val != want:
-                        facts["F1_accusation_accuracy"] = (
-                            f"agent {l} at end of {M}: report ({v},{i},{m}) "
-                            f"= {val}, expected {want}")
-                        break
+                elif val != want:
+                    facts["F1_accusation_accuracy"] = (
+                        f"agent {l} at end of {M}: report ({v},{i},{m}) "
+                        f"= {val}, expected {want}")
+                    break
             if facts["F1_accusation_accuracy"]:
                 break
         if facts["F1_accusation_accuracy"]:
@@ -167,14 +179,13 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
 
     # F2: pend about i converges to y + max(x - deg, 0) at round m+n
     if m + n - 1 <= last:
-        x = max(pend(D[(o, m)]).get((i, residue), 0)
-                for o in range(n) if o != i)
+        x = max(tally(D[(o, m)]).get(residue, 0) for o in range(n) if o != i)
         y = deg_m if defected else 0
         want = y + max(x - deg_m, 0)
         for l in range(n):
             if l == i:
                 continue
-            got = pend(D[(l, m + n - 1)]).get((i, (m + n) % n), 0)
+            got = tally(D[(l, m + n - 1)]).get((m + n) % n, 0)
             if got != want:
                 facts["F2_pend_convergence"] = (
                     f"agent {l}: pend[i][{m + n}] = {got}, expected {want}")
@@ -187,122 +198,141 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # never travel through the deviator (senders cannot testify about
     # themselves), so these are exact; third-party gossip may lag one round
     # behind while the deviator's payload is suppressed and is not compared.
-    # A snapshot shared by both traces is equal to itself: skip it.  Equal
-    # tally lists parse to equal tallies, and equal report lists (or just
-    # equal lists of the reports about i from rounds other than m) to equal
-    # such reports: only a part whose lists differ is compared key by key.
-    def reports_elsewhere(snap) -> list:
-        return [e for e in snap.get("acc", []) if e[0][1] == i and e[0][2] != m]
-
-    for M in range(m, last + 1):
-        for l in range(n):
-            if l == i or C[(l, M)] is D[(l, M)]:
-                continue
-            sc, sd = C[(l, M)], D[(l, M)]
-            if sc.get("pend", []) != sd.get("pend", []):
-                pc, pd = pend(sc), pend(sd)
-                for key in sorted((set(pc) | set(pd))):
-                    s, c = key
-                    if s != i:
-                        continue
-                    rep = _represented_round(c, M, n)
-                    same_needed = not (rep >= m and (rep - m) % n == 0)
-                    if same_needed and pc.get(key, 0) != pd.get(key, 0):
-                        facts["F3_other_rounds_untouched"] = (
-                            f"agent {l} end of {M}: pend[{s}][{rep}] differs "
-                            f"({pc.get(key, 0)} vs {pd.get(key, 0)})")
-                    if pd.get(key, 0) < pc.get(key, 0):
-                        facts["F4_pend_dominance"] = (
-                            f"agent {l} end of {M}: pend[{s}] {pd.get(key, 0)} < "
-                            f"{pc.get(key, 0)}")
-            if (sc.get("acc", []) != sd.get("acc", [])
-                    and reports_elsewhere(sc) != reports_elsewhere(sd)):
-                ac, ad = acc(sc), acc(sd)
-                for key in sorted(set(ac) | set(ad)):
-                    if key[2] == m:     # the deviation round's own reports
-                        continue
-                    if ac.get(key) != ad.get(key):
-                        facts["F3_other_rounds_untouched"] = (
-                            f"agent {l} end of {M}: report {key} differs "
-                            f"({ac.get(key)} vs {ad.get(key)})")
-
-    # F5/F6: expected punish mass toward i, computed from the tallies
-    # (the sum of min(1, pend/deg_i) over i's neighbours, over one denominator)
-    def expected_hits(log, M: int) -> Fraction:
-        rg = graph.at(M)
-        deg_i = rg.degree(i)
-        if deg_i == 0:
-            return Fraction(0)
-        return Fraction(sum(min(pend(log[(j, M - 1)]).get((i, M % n), 0),
-                                deg_i) for j in rg.neighbors(i)), deg_i)
-
-    def same_tallies(M: int) -> bool:
-        """Whether every neighbour of i at M ends round M-1 with equal
-        tally lists in both traces, so that both masses are equal."""
-        for j in graph.at(M).neighbors(i):
-            sc, sd = C[(j, M - 1)], D[(j, M - 1)]
-            if sc is not sd and sc.get("pend", []) != sd.get("pend", []):
-                return False
-        return True
-
-    extra_in_window = Fraction(0)
-    for M in range(m + 1, last + 1):
-        if same_tallies(M):     # hd == hc: nothing to flag or to add
+    # Only the deviating trace's own entries can differ, and equal lists
+    # parse to equal tallies and reports: only parts that differ are
+    # compared key by key.
+    for l, M in own:
+        if l == i or not m <= M <= last:
             continue
-        hc = expected_hits(C, M)
-        hd = expected_hits(D, M)
+        sc, sd = C[(l, M)], D[(l, M)]
+        if sc.get("pend", []) != sd.get("pend", []):
+            pc, pd = tally(sc), tally(sd)
+            for c in sorted(set(pc) | set(pd)):
+                rep = _represented_round(c, M, n)
+                same_needed = not (rep >= m and (rep - m) % n == 0)
+                if same_needed and pc.get(c, 0) != pd.get(c, 0):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: pend[{i}][{rep}] differs "
+                        f"({pc.get(c, 0)} vs {pd.get(c, 0)})")
+                if pd.get(c, 0) < pc.get(c, 0):
+                    facts["F4_pend_dominance"] = (
+                        f"agent {l} end of {M}: pend[{i}] {pd.get(c, 0)} < "
+                        f"{pc.get(c, 0)}")
+        if sc.get("acc", []) == sd.get("acc", []):
+            continue
+        # the deviation round's own reports are not compared
+        ac, ad = acc(sc)[1], acc(sd)[1]
+        if ac != ad:
+            for key in sorted(set(ac) | set(ad)):
+                if ac.get(key) != ad.get(key):
+                    facts["F3_other_rounds_untouched"] = (
+                        f"agent {l} end of {M}: report {key} differs "
+                        f"({ac.get(key)} vs {ad.get(key)})")
+
+    # F5/F6: expected punish mass toward i in round M, from the tallies:
+    # the sum of min(1, pend/deg_i) over i's neighbours, kept as its
+    # numerator over deg_i.  Both masses are equal in a round whose every
+    # neighbour of i ends round M-1 with the same tally list in both
+    # traces, so only the rounds after an own entry with another list are
+    # read.
+    def hits(log, M: int, nbrs, deg: int) -> int:
+        return sum(min(tally(log[(j, M - 1)]).get(M % n, 0), deg)
+                   for j in nbrs)
+
+    rounds = set()
+    for j, M in own:
+        if (j != i and m <= M < last and M + 1 not in rounds
+                and C[(j, M)].get("pend") is not D[(j, M)].get("pend")
+                and j in graph.at(M + 1).neighbors(i)):
+            rounds.add(M + 1)
+    window: dict[int, int] = {}     # deg_i -> numerators added in the window
+    for M in sorted(rounds):
+        rg = graph.at(M)
+        deg, nbrs = rg.degree(i), rg.neighbors(i)
+        hc, hd = hits(C, M, nbrs, deg), hits(D, M, nbrs, deg)
         if hd < hc:
             facts["F5_round_utility_dominance"] = (
-                f"round {M}: deviating punish mass {hd} < conforming {hc}")
+                f"round {M}: deviating punish mass {Fraction(hd, deg)} < "
+                f"conforming {Fraction(hc, deg)}")
             break
         if M <= m + n * n:
-            extra_in_window += hd - hc
+            window[deg] = window.get(deg, 0) + hd - hc
         elif hd != hc:
             facts["F6_punishment_mass_window"] = (
-                f"round {M} > m+n^2 still differs ({hd} vs {hc})")
+                f"round {M} > m+n^2 still differs ({Fraction(hd, deg)} vs "
+                f"{Fraction(hc, deg)})")
             break
     if facts["F6_punishment_mass_window"] is None and defected:
-        want = Fraction(deg_m)
-        if last >= m + n * n and extra_in_window != want:
+        # the window's mass as its numerator over one common denominator;
+        # never negative, since a round that would lower it fails F5
+        over = math.lcm(*window)
+        extra = sum(x * (over // d) for d, x in window.items())
+        if last >= m + n * n and extra != deg_m * over:
             facts["F6_punishment_mass_window"] = (
-                f"extra expected punishments {extra_in_window} != deg {want}")
-        elif params.pi * extra_in_window < params.beta * extra_in_window:
+                f"extra expected punishments {Fraction(extra, over)} != "
+                f"deg {deg_m}")
+        elif extra and params.pi < params.beta:
             facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
 
     # boundedness: tallies inside [0, n-1], state within the static bound,
-    # read straight from the snapshot's lists (which hold each key once);
-    # the deviating trace's snapshots shared with the conforming trace are
-    # checked there.  One unsorted pass per trace keeps the smallest
-    # violating (agent, round), so the message names the first violation
-    # in sorted order, the conforming trace's before the deviating one's.
+    # read straight from the snapshot's lists (which hold each key once).
+    # The first violation in sorted (agent, round) order is named, the
+    # conforming trace's before the deviating one's; a deviating snapshot
+    # whose lists are the conforming snapshot's own is checked there.
     bound = SigmaGen.static_state_bound(n)
-    for log, shared in ((C, {}), (D, C)):
-        first = None
-        for key, snap in log.items():
-            if shared.get(key) is snap:
+    first = _conform_violation(cfg._fact_memo, C, n, bound)
+    if first is None:
+        for key in own:
+            snap, twin = D[key], C.get(key, {})
+            if (snap.get("pend") is twin.get("pend")
+                    and snap.get("acc") is twin.get("acc")):
                 continue
-            tallies = snap.get("pend", [])
-            kind = ("size" if len(tallies) + len(snap.get("acc", ())) > bound
-                    else None)
-            for _, v in tallies:
-                if v > n - 1 or v < 0:
-                    kind = "tally"      # named before the size
-                    break
+            kind = _violation(snap, n, bound)
             if kind and (first is None or key < first[0]):
                 first = key, kind
-        if first:
-            (l, M), kind = first
-            facts["bounded_state"] = (
-                f"agent {l} end of {M}: tally outside [0, n-1]"
-                if kind == "tally" else
-                f"agent {l} state exceeds {bound} entries")
-            break
+    if first:
+        (l, M), kind = first
+        facts["bounded_state"] = (
+            f"agent {l} end of {M}: tally outside [0, n-1]"
+            if kind == "tally" else f"agent {l} state exceeds {bound} entries")
 
     return FactReport(facts=facts)
 
 
+def _violation(snap: dict, n: int, bound: int) -> Optional[str]:
+    """"tally" if a tally of the snapshot is outside [0, n-1], else "size"
+    if it holds more than ``bound`` entries, else None."""
+    tallies = snap.get("pend", ())
+    for _, v in tallies:
+        if v > n - 1 or v < 0:
+            return "tally"
+    return "size" if len(tallies) + len(snap.get("acc", ())) > bound else None
+
+
+def _conform_violation(memo: dict, C: dict, n: int, bound: int):
+    """The smallest violating (agent, round) of the conforming log ``C``
+    with its kind (``_violation``), or None.  The first conforming log a
+    config checks is kept in ``memo`` (the config's) with its violations,
+    and a later one is checked only where its snapshots are not that
+    log's: snapshots are read-only, so the shared ones are as checked."""
+    if "conform" not in memo:
+        ref = dict(C)
+        memo["conform"] = ref, {key: kind for key, snap in ref.items()
+                                if (kind := _violation(snap, n, bound))}
+    ref, bad = memo["conform"]
+    found = [(key, kind) for key, kind in bad.items() if C.get(key) is ref[key]]
+    for key in compress(C, map(is_not, C.values(), map(ref.get, C))):
+        kind = _violation(C[key], n, bound)
+        if kind:
+            found.append((key, kind))
+    return min(found, default=None)
+
+
 def _find_deviation(conform: Trace, deviate: Trace, m: int,
                     last: int) -> Optional[tuple[AgentId, set[AgentId]]]:
+    if last < m:
+        raise ValueError(f"the traces end at round {last}, before the "
+                         f"deviation round {m}")
     for M in range(1, m):
         if conform.history.profiles[M - 1] != deviate.history.profiles[M - 1]:
             raise ValueError(f"traces diverge at round {M} before the deviation")

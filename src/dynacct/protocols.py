@@ -7,7 +7,10 @@ A machine owns one agent's private protocol state.  The round contract is:
 * ``payload_for(j)`` returns the monitoring message content for neighbour j
   as of the start of the round: an immutable value, so no receiver can
   reach the sender's state (an accusation window's one int, the bounded
-  tally protocol's three, None for a machine that sends nothing),
+  tally protocol's three, None for a machine that sends nothing).  Every
+  neighbour outside the machine's ``shadowed`` set (empty but for a
+  ``_Persona``) gets the one payload ``payload_for(None)`` returns, and
+  every neighbour in it one other payload,
 * ``act(rand)`` returns the per-neighbour individual actions and must be
   pure: no state mutation, all randomness through
   ``rand.draw(self.me, self.round, label, p)`` with a stable label and p a
@@ -128,6 +131,8 @@ class StrategyMachine:
     uses_own_action: bool = False
     # the round a deviation strategy first departs from its base, if scripted
     first_deviation_round: Optional[int] = None
+    # the neighbours shown another payload than the rest (``_Persona``)
+    shadowed: frozenset = frozenset()
 
     def __init__(self, me: AgentId, n: int):
         self.me = me
@@ -157,7 +162,7 @@ class StrategyMachine:
         self.round = view.round
         self.view = view
 
-    def payload_for(self, j: AgentId) -> object:
+    def payload_for(self, j: Optional[AgentId]) -> object:
         return None
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
@@ -183,19 +188,29 @@ def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
     """Reveal round outcomes: each machine gets its neighbours' actions
     toward it and their payloads (none from a defector), in an inbox keyed
     in id order, with its own actions; ``acts`` holds every agent's
-    actions by neighbour, as ``act`` returned them.  A ``ScheduledDefector``
-    that has played its last scheduled round is then replaced by its base
-    in ``machines``, so a wrapper is only ever in place with a round still
-    ahead.  Returns the payloads collected, by sender and then receiver."""
+    actions by neighbour, as ``act`` returned them.  Each sender is asked
+    for its payload once, and a sender with a ``shadowed`` set once more,
+    for the payload those neighbours get.  A ``ScheduledDefector`` that has
+    played its last scheduled round is then replaced by its base in
+    ``machines``, so a wrapper is only ever in place with a round still
+    ahead.  Returns the payloads ``payload_for(None)`` gave, by sender."""
     order = sorted(machines)
-    payloads = {i: {j: machines[i].payload_for(j) for j in views[i].order}
-                for i in order}
+    payloads = {i: machines[i].payload_for(None) for i in order}
+    shown = {}      # (sender, shadowed receiver) -> the payload it gets
+    for i in order:
+        shadowed = machines[i].shadowed
+        if shadowed:
+            pay = machines[i].payload_for(min(shadowed))
+            shown.update(((i, j), pay) for j in shadowed)
     for i in order:
         inbox = {}
         for j in views[i].order:
             a_ji = acts[j][i]
-            pay = payloads[j][i] if a_ji.kind is not ActionKind.DEFECT else None
-            inbox[j] = (a_ji, pay)
+            if a_ji.kind is ActionKind.DEFECT:
+                inbox[j] = (a_ji, None)
+            else:
+                inbox[j] = (a_ji, shown.get((j, i), payloads[j]) if shown
+                            else payloads[j])
         mach = machines[i]
         mach.end_round(acts[i], inbox)
         # a spent deviation is its base, and so may be a stacked one
@@ -229,7 +244,7 @@ class _AccusationWindow(StrategyMachine):
         self.acc = 0
         self._cols, self._keep = _window_masks(n, rho, me)
 
-    def payload_for(self, j: AgentId) -> int:
+    def payload_for(self, j: Optional[AgentId]) -> int:
         return self.acc
 
     def end_round(self, own_action, inbox):
@@ -367,14 +382,14 @@ class SigmaGen(StrategyMachine):
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
         self.pend = self.known = self.bad = 0
-        self._about, self._keep, self._fill, self._low = _gen_masks(n, me)
+        _, self._keep, self._fill, self._low = _gen_masks(n, me)
 
     def begin_round(self, view: LocalView):
         if view.neighbor_degrees is None:
             raise StrategyConfigError("sigma_gen needs neighbour degrees")
         super().begin_round(view)
 
-    def payload_for(self, j: AgentId) -> tuple:
+    def payload_for(self, j: Optional[AgentId]) -> tuple:
         return self.pend, self.known, self.bad
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
@@ -417,24 +432,24 @@ class SigmaGen(StrategyMachine):
                 known |= new
                 bad |= p[2] & new
         self.pend = pend
-        at = (m + 1) % n * n * n    # the slot of round m-n+1
+        at, slot = (m + 1) % n * n * n, (1 << n * n) - 1   # round m-n+1's
         if m >= n:
-            self._rebuild_pend(m, known >> at, bad >> at)
-        kept = ~((1 << n * n) - 1 << at)
+            self._rebuild_pend(m, known >> at & slot, bad >> at & slot)
+        kept = ~(slot << at)
         self.known, self.bad = known & kept, bad & kept
 
     def _rebuild_pend(self, m: int, known: int, bad: int):
         """pend[j][m+1] from round m-n+1's reports, ``known`` and ``bad``
-        holding its slot in their low bits."""
+        its slot, with the counts of each subject j reported about
+        (``_slot_counts``); every other tally stays."""
         n, w = self.n, self.n - 1
         c = (m + 1) % n
-        for j, about in enumerate(self._about):
-            deg = (known & about).bit_count()
-            if not deg or j == self.me:
-                continue    # nothing reported about j: its tally stays
+        for j, deg, readd in _slot_counts(n, known, bad):
+            if j == self.me:
+                continue
             at = (j * n + c) * w
             old = self.pend >> at & (1 << w) - 1
-            new = max(0, old.bit_count() - deg) + (deg if bad & about else 0)
+            new = max(0, old.bit_count() - deg) + readd
             assert new <= n - 1, "tally invariant broken"
             self.pend ^= (old ^ (1 << new) - 1) << at
 
@@ -505,28 +520,48 @@ def _gen_masks(n: int, me: AgentId) -> tuple:
 
 
 @functools.lru_cache(maxsize=1 << 12)
+def _slot_counts(n: int, known: int, bad: int) -> tuple:
+    """``(j, deg, readd)`` for each subject j that a report of one round's
+    slot (``known`` and ``bad`` in its n*n bits) is about: deg reports
+    about j, and readd deg if one of them is bad, else 0.  Cached: a run
+    consumes few distinct slots."""
+    out = []
+    for j, about in enumerate(_gen_masks(n, 0)[0]):
+        deg = (known & about).bit_count()
+        if deg:
+            out.append((j, deg, deg if bad & about else 0))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 12)
 def _gen_snapshot(n: int, m: int, pend: int, known: int, bad: int) -> dict:
     """``SigmaGen.snapshot`` of state (pend, known, bad) at round m: the
     tallies as a sorted ``((s, c), count)`` list, and the reports as a
-    ``((v, s, r), "good" | "bad")`` list, sorted by construction: bit
-    ``v*n + s`` outside, round inside.  Only the nonzero fields and the
-    bits that some round knows are visited.  Cached: a run's states recur
-    across agents and paired runs, so one dict serves each distinct state;
-    its entries are interned (``_entry``) and its tally list is shared by
-    every state with the same tallies, so it costs little more than its
-    lists of pointers.  Nothing edits it: callers that label a snapshot
-    copy it."""
+    ``((v, s, r), "good" | "bad")`` list sorted by (v, s, r).  Each round's
+    slot is decoded once into its cached tuple of entries
+    (``_slot_entries``), and the tuples are joined and sorted: the keys are
+    unique, so the order is that of the keys alone.  Cached: a run's
+    states recur across agents and paired runs, so one dict serves each
+    distinct state; its entries are interned (``_entry``) and its tally
+    list is shared by every state with the same tallies, so it costs
+    little more than its lists of pointers.  Nothing edits it: callers
+    that label a snapshot copy it."""
     nn = n * n
-    rounds, union = [], 0
+    acc = []
     for r in range(m - n + 1, m + 1):
         slot = known >> r % n * nn & (1 << nn) - 1
         if slot:
-            rounds.append((r, slot, bad >> r % n * nn))
-            union |= slot
-    return {"pend": _tallies(n, pend),
-            "acc": [_entry((v, s, r), "bad" if b & bit else "good")
-                    for bit, v, s in _cells(union, 1, n)
-                    for r, slot, b in rounds if slot & bit]}
+            acc += _slot_entries(n, r, slot, bad >> r % n * nn & slot)
+    acc.sort()
+    return {"pend": _tallies(n, pend), "acc": acc}
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _slot_entries(n: int, r: int, slot: int, bad: int) -> tuple:
+    """The ``_gen_snapshot`` entries of round r's reports, ``slot`` and
+    ``bad`` holding its bits, sorted by (v, s)."""
+    return tuple([_entry((v, s, r), "bad" if bad & bit else "good")
+                  for bit, v, s in _cells(slot, 1, n)])
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -676,7 +711,7 @@ class _Wrapper(StrategyMachine):
         super().begin_round(view)
         self.base.begin_round(view)
 
-    def payload_for(self, j: AgentId) -> object:
+    def payload_for(self, j: Optional[AgentId]) -> object:
         return self.base.payload_for(j)
 
     def end_round(self, own_action, inbox):
@@ -810,7 +845,7 @@ class _ShadowWorld:
         self.machines = machines
         self.done_round = 0
         self.round_actions: dict[int, dict[AgentId, dict[AgentId, IndividualAction]]] = {}
-        self.round_payloads: dict[int, dict[AgentId, dict[AgentId, object]]] = {}
+        self.round_payloads: dict[int, dict[AgentId, object]] = {}
         self.quiescent = {0: self._quiescent()}
 
     def _quiescent(self) -> frozenset[AgentId]:
@@ -836,9 +871,11 @@ class _ShadowWorld:
         self.ensure_round(m)
         return self.round_actions[m][i]
 
-    def payload_of(self, i: AgentId, j: AgentId, m: int) -> object:
+    def payload_of(self, i: AgentId, m: int) -> object:
+        """i's payload of round m, the same for every neighbour: no
+        machine of a shadow world shadows anyone."""
         self.ensure_round(m)
-        return self.round_payloads[m][i][j]
+        return self.round_payloads[m][i]
 
 
 class _Persona(_Wrapper):
@@ -875,9 +912,9 @@ class _Persona(_Wrapper):
         self.shadow.ensure_round(view.round)
         super().begin_round(view)
 
-    def payload_for(self, j: AgentId) -> object:
+    def payload_for(self, j: Optional[AgentId]) -> object:
         if j in self.shadowed:
-            return self.shadow.payload_of(self.me, j, self.round)
+            return self.shadow.payload_of(self.me, self.round)
         return self.base.payload_for(j)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:

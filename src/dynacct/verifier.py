@@ -29,12 +29,13 @@ defections have played and the one-shot reports.
 * The honest run is simulated once per ``SimConfig`` and checkpoints the
   machines at the start of every round.  ``run_paired_defection`` returns
   it as the conforming trace, and forks each deviating run from its
-  round-m checkpoint: rounds 1..m-1 are copied from the honest run, the
-  deviator is wrapped for round m only, and play from round m stops at
-  the first later round M whose world (every machine's ``state_key``) the
-  config has already played, in the honest run or in an earlier deviating
-  run (``_PlayedRounds``, the config's table of played rounds).  Rounds
-  M..horizon are then copied from the table, and the rounds the run
+  round-m checkpoint: the trace starts from copies of the honest run's
+  containers cut at round m-1, the deviator is wrapped for round m only,
+  and play from round m stops at the first later round M whose world
+  (every machine's ``state_key``) the config has already played, in the
+  honest run or in an earlier deviating run (``_PlayedRounds``, the
+  config's table of played rounds).  The table's rounds from M are then
+  written up to the first of the honest run's own, and the rounds the run
   played are added to it.  The draws are stateless, the views depend only
   on graph and round, and ``state_key`` is complete, so the copies are
   exact.
@@ -370,6 +371,11 @@ class SimConfig:
         worlds = [_world(ms, m) for m, ms in enumerate(honest.checkpoints, 1)]
         played.store(worlds, honest.rounds)
         return played
+
+    @functools.cached_property
+    def _fact_memo(self) -> dict:
+        """``facts.gen_facts``' memo: the first conforming log it checked."""
+        return {}
 
     @functools.cached_property
     def _one_shot_reports(self) -> dict:
@@ -1083,21 +1089,6 @@ def _chain(r: Optional[_Round]):
         r = r.next
 
 
-def _append(trace: Trace, rounds) -> Trace:
-    """Append ``rounds``, the next rounds of ``trace``, to it; profiles and
-    snapshots are shared, the containers are ``trace``'s own."""
-    profiles, per_round = trace.history.profiles, trace.per_round_utilities
-    log = trace.state_log
-    for r in rounds:
-        profiles.append(r.profile)
-        M = r.profile.round
-        for a, u in enumerate(r.utils):
-            per_round[(a, M)] = u
-        for a, snap in enumerate(r.snaps):
-            log[(a, M)] = snap
-    return trace
-
-
 def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
                          targets) -> tuple[Trace, Trace]:
     """Conforming and deviating traces differing only in i's round-m action
@@ -1125,8 +1116,13 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
       A world holding the default ``("opaque", id(self))`` key is never
       stored, so a machine without a key of its own plays to the horizon.
 
-    Both traces are fresh containers; their profiles and snapshots are
-    shared with the cached runs and are read-only."""
+    The deviating trace starts from copies of the honest trace's
+    containers, its profiles cut at m-1, and only its own rounds are
+    written into them: the rounds it played, and those of the table's
+    chain up to the first of the honest run's own rounds, which the copies
+    already hold with every round after it.  Both traces are fresh
+    containers; their profiles and snapshots are shared with the cached
+    runs and are read-only."""
     check_deviation_round(cfg, m)
     honest, played = cfg._honest_run, cfg._played
     worlds = []
@@ -1141,16 +1137,25 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     machines = _fork(honest.checkpoints[m - 1])
     machines[i] = ScheduledDefector(machines[i], {m: targets}, sincere=True,
                                     label=label)
-    deviate = _append(_new_trace(cfg), honest.rounds[:m - 1])
+    t = honest.trace
+    deviate = Trace(History(t.history.profiles[:m - 1]),
+                    dict(t.per_round_utilities), t.rng_seed, dict(t.state_log))
     _simulate_machines(cfg, machines, deviate, stop=known)
     # the round of the world it stopped at; None if it played to the horizon
     held = played.rounds.get(worlds[-1]) if worlds else None
     played.store(worlds, _rounds(deviate, m + 1, held, played.round))
-    _append(deviate, _chain(held))
+    profiles, per_round = deviate.history.profiles, deviate.per_round_utilities
     log = deviate.state_log
+    for r in _chain(held):
+        M = r.profile.round
+        if r is honest.rounds[M - 1]:   # the honest run's from here on
+            profiles += t.history.profiles[M - 1:]
+            break
+        profiles.append(r.profile)
+        for a, (u, snap) in enumerate(zip(r.utils, r.snaps)):
+            per_round[(a, M)], log[(a, M)] = u, snap
     for M in range(1, cfg.horizon + 1):
         log[(i, M)] = dict(log[(i, M)], deviation=label)
-    t = honest.trace
     return (Trace(History(list(t.history.profiles)),
                   dict(t.per_round_utilities), t.rng_seed, dict(t.state_log)),
             deviate)

@@ -83,9 +83,8 @@ import networkx as nx
 from dynacct.evolving_graph import (EvolvingGraph, FamilyVerdict,
                                     GraphFamily, LocalView, _reach,
                                     local_view)
-from dynacct.facts import (FACT_NAMES, FactReport, _cached, _find_deviation,
-                           _represented_round, _snap_acc, _snap_pend,
-                           check_deviation_round)
+from dynacct.facts import (FACT_NAMES, FactReport, _find_deviation,
+                           _represented_round, check_deviation_round)
 from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
                                ActionProfile, History, IndividualAction, Mode,
                                Trace, cooperation_tail)
@@ -1236,6 +1235,23 @@ def window_key(key, n: int) -> tuple:
 # and both state logs walked in sorted order for bounded state.  Kept
 # unchanged apart from its name; its report must equal the package's on
 # every input.
+def _snap_pend(snap: dict) -> dict[tuple[int, int], int]:
+    return {tuple(k): v for k, v in snap.get("pend", [])}
+
+
+def _snap_acc(snap: dict, subject: AgentId) -> dict[tuple[int, int, int], str]:
+    """The snapshot's reports (v, s, r) -> verdict about ``subject``."""
+    return {tuple(k): v for k, v in snap.get("acc", []) if k[1] == subject}
+
+
+def _cached(parse):
+    """``parse`` of a snapshot, once per snapshot object, also when both
+    traces hold it; they keep it alive, so its ``id`` stays its own."""
+    parsed: dict[int, object] = {}
+    return lambda snap: (parsed[id(snap)] if id(snap) in parsed
+                         else parsed.setdefault(id(snap), parse(snap)))
+
+
 def reference_gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     """Check the six single-deviation invariants of the bounded tally
     protocol on a (conforming, deviating) trace pair of the

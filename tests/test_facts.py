@@ -17,10 +17,11 @@ import random
 
 import pytest
 
-from dynacct.evolving_graph import EvolvingGraph, GraphFamily
+from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
+                                    check_connectivity_restriction)
 from dynacct.facts import gen_facts
 from dynacct.protocols import ALL_NEIGHBORS, ScheduledDefector, SigmaGen
-from dynacct.scenarios import ring_graph
+from dynacct.scenarios import complete_graph, ring_graph
 from dynacct.verifier import (_simulate_machines, build_machines,
                               run_paired_defection)
 
@@ -237,6 +238,73 @@ def test_gen_facts_matches_reference_on_edited_snapshots(edit):
     assert honest == before
     assert same_report(cfg, run_paired_defection(cfg, I, M0, ALL_NEIGHBORS),
                        M0).passed
+
+
+def k4_ring_family() -> GraphFamily:
+    """K4 and the 4-ring in turn: every agent's degree goes 3, 2, 3, ...,
+    so the punish masses of one window have two denominators."""
+    return GraphFamily(4, (EvolvingGraph((), (complete_graph(4),
+                                              ring_graph(4)), "k4_ring"),),
+                       ND, 8)
+
+
+def shared_round(cfg, C, D, i, rounds, degree):
+    """The first of ``rounds`` at which i has ``degree`` neighbours, each
+    ending the round before with one snapshot in both logs."""
+    rg = cfg.graph.at
+    return next(M for M in rounds if rg(M).degree(i) == degree
+                and all(C[(j, M - 1)] is D[(j, M - 1)]
+                        for j in rg(M).neighbors(i)))
+
+
+@pytest.mark.parametrize("broken", ["F5", "F6_late", "F6_window"])
+def test_integer_punish_masses_over_changing_degrees(broken):
+    # agent 0 defects on all neighbours in round 1 of the time-varying
+    # family: its degree in the window 1..17 is 3 or 2 by round.  One
+    # tally about 0 is raised at a neighbour that ends round M-1 with the
+    # same snapshot in both runs: in the conforming run (F5 fails at M),
+    # or in the deviating run after the window (F6 fails late) or inside
+    # it at a round of degree 2, so the window's mass is 3 + 1/2
+    cfg = paired_cfg(k4_ring_family())
+    assert check_connectivity_restriction(cfg.family).holds
+    i, m, n = 0, 1, 4
+    pair = run_paired_defection(cfg, i, m, ALL_NEIGHBORS)
+    assert {cfg.graph.at(M).degree(i) for M in range(m, m + n * n + 1)} == {2, 3}
+    assert same_report(cfg, pair, m).passed
+    C, D = (t.state_log for t in pair)
+    window = range(m + 2, m + n * n + 1)
+    late = range(m + n * n + 1, cfg.horizon + 1)
+    if broken == "F5":
+        M = shared_round(cfg, C, D, i, window, 2)
+        raise_tally(C, (1, M - 1), i, M % n)
+        fact, message = "F5_round_utility_dominance", (
+            f"round {M}: deviating punish mass 0 < conforming 1/2")
+    elif broken == "F6_late":
+        M = shared_round(cfg, C, D, i, late, 3)
+        raise_tally(D, (1, M - 1), i, M % n)
+        fact, message = F6, f"round {M} > m+n^2 still differs (1/3 vs 0)"
+    else:
+        M = shared_round(cfg, C, D, i, window, 2)
+        raise_tally(D, (1, M - 1), i, M % n)
+        fact, message = F6, "extra expected punishments 7/2 != deg 3"
+    rep = same_report(cfg, pair, m)
+    assert rep.facts[fact] == message, rep.to_json()
+
+
+def test_conforming_bounded_state_is_checked_per_log():
+    # the first conforming log a config checks has a tally out of range,
+    # and the config keeps that log: a later pair's clean log, or one with
+    # another violation, is still checked as it is
+    cfg = paired_cfg(k3_family())
+    pair = run_paired_defection(cfg, I, M0, ALL_NEIGHBORS)
+    with_tally(pair[0].state_log, (2, 5), 1, 0, N)
+    rep = same_report(cfg, pair, M0)
+    assert rep.facts["bounded_state"] == "agent 2 end of 5: tally outside [0, n-1]"
+    pair = run_paired_defection(cfg, I, M0, ALL_NEIGHBORS)
+    assert same_report(cfg, pair, M0).passed
+    with_tally(pair[0].state_log, (1, 7), 1, 0, -1)
+    rep = same_report(cfg, pair, M0)
+    assert rep.facts["bounded_state"] == "agent 1 end of 7: tally outside [0, n-1]"
 
 
 def test_gen_facts_matches_reference_on_random_edits():

@@ -25,7 +25,7 @@ import pytest
 from dynacct import protocols, verifier
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, RoundGraph,
                                     check_connectivity_restriction)
-from dynacct.game_core import ActionProfile
+from dynacct.game_core import ActionProfile, History, Trace
 from dynacct.protocols import ALL_NEIGHBORS, SigmaGen, StrategyMachine
 from dynacct.scenarios import complete_graph, general_defaults
 from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
@@ -167,6 +167,24 @@ def test_deviation_rounds_outside_the_run_are_refused():
             run_paired_defection(cfg, 0, m, ALL_NEIGHBORS)
         with pytest.raises(ValueError, match=f"round {m} .*horizon 17"):
             assert_gen_facts(cfg, pair, m)
+
+
+def test_traces_that_end_before_the_deviation_round_are_refused():
+    # both traces cut to 3 rounds, or the deviating one alone, for a
+    # deviation at round 5: a ValueError naming both rounds, not an
+    # IndexError from the profile lookup
+    cfg = k3_gen_cfg(horizon=17)
+    pair = run_paired_defection(cfg, 0, 5, ALL_NEIGHBORS)
+    cut = tuple(Trace(History(t.history.profiles[:3]),
+                      {k: u for k, u in t.per_round_utilities.items()
+                       if k[1] <= 3}, t.rng_seed,
+                      {k: s for k, s in t.state_log.items() if k[1] <= 3})
+                for t in pair)
+    for traces in (cut, (pair[0], cut[1])):
+        with pytest.raises(ValueError, match="end at round 3, before the "
+                                             "deviation round 5"):
+            assert_gen_facts(cfg, traces, 5)
+    assert assert_gen_facts(cfg, pair, 5).passed
 
 
 def test_sim_config_is_frozen():
@@ -345,24 +363,68 @@ def test_k3_paired_jobs_decode_each_state_once():
     assert logged == 54 * 2 * 3 * cfg.horizon
 
 
+def record_chains(monkeypatch):
+    """Record the rounds each deviating run follows from the table of
+    played rounds (``verifier._chain``), one list per call from here on."""
+    followed = []
+    chain = verifier._chain
+
+    def recorded(r):
+        followed.append([])
+        for x in chain(r):
+            followed[-1].append(x)
+            yield x
+
+    monkeypatch.setattr(verifier, "_chain", recorded)
+    return followed
+
+
 @pytest.mark.parametrize("family", [k3_family, ring_chord_family])
 def test_any_job_order_plays_each_world_once(family, monkeypatch):
     # every job of the family, in two shuffled orders, each on a fresh
     # config: every pair equals the from-scratch run, and both orders play
     # the same rounds, the union of the jobs' trajectories.  Each round
     # played from m+1 on is stored once: the honest run's rounds and the
-    # rest of the table are all the rounds played bar each job's round m
+    # rest of the table are all the rounds played bar each job's round m.
+    # The deviating trace is built from copies of the honest trace's
+    # containers, and writes only the table's rounds up to the first of
+    # the honest run's own: some jobs follow rounds an earlier job stored
+    # before they reach those, and editing a returned trace's containers
+    # changes neither the cached honest run nor the next pair
     cfg = paired_cfg(family())
     jobs = list(defections(cfg))
     want = {job: paired_defection_from_scratch(cfg, *job) for job in jobs}
     played = count_rounds(monkeypatch)
+    followed = record_chains(monkeypatch)
     counts = []
     for seed in (1, 2):
         order = random.Random(seed).sample(jobs, len(jobs))
         other = replace(cfg)
         played[0] = 0
+        stored = 0
         for job in order:
-            assert_same_pair(run_paired_defection(other, *job), want[job])
+            del followed[:]
+            pair = run_paired_defection(other, *job)
+            assert_same_pair(pair, want[job])
+            honest = other._honest_run
+            chain = followed[0] if followed else []
+            stored += any(r is not honest.rounds[r.profile.round - 1]
+                          for r in chain)
+            # the chain is read up to the first of the honest run's rounds
+            assert all(r is not honest.rounds[r.profile.round - 1]
+                       for r in chain[:-1])
+            before = [(list(t.history.profiles), dict(t.per_round_utilities),
+                       dict(t.state_log)) for t in (honest.trace,)]
+            for t in pair:
+                t.history.profiles[job[1] - 1] = t.history.profiles[0]
+                del t.history.profiles[-1]
+                t.per_round_utilities[(0, cfg.horizon)] = 7
+                t.state_log[(1, job[1])] = {"pend": [], "acc": []}
+                del t.state_log[(2, 1)]
+            h = honest.trace
+            assert before == [(h.history.profiles, h.per_round_utilities,
+                               h.state_log)]
+        assert stored >= 1
         assert played[0] == len(jobs) + len(other._played.rounds)
         counts.append(played[0])
     assert counts[0] == counts[1] == {3: 233, 4: 794}[cfg.family.n]

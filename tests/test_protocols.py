@@ -15,16 +15,17 @@ from dynacct.game_core import (AVOID, COOPERATE, DEFECT, PUNISH, ActionKind,
 from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
                                ScheduledDefector, SigmaGen,
                                SigmaVal, StrategyConfigError, StrategyMachine,
-                               UnsafePunisherProtocol, _gen_snapshot,
-                               _Persona, _ShadowWorld,
+                               UnsafePunisherProtocol, _deliver, _entry,
+                               _gen_masks, _gen_snapshot, _Persona,
+                               _ShadowWorld, _slot_counts, _slot_entries,
                                always_defect_until, build_deviation,
                                build_strategy, defect_at_rounds, sigma_gen,
                                sigma_val, single_evasive)
 from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, complete_graph,
                                general_defaults, ring_graph,
                                valuable_defaults)
-from dynacct.verifier import (SimConfig, _simulate_machines, build_machines,
-                              simulate)
+from dynacct.verifier import (SimConfig, _act, _begin_round, _HashDraws,
+                              _simulate_machines, build_machines, simulate)
 
 from .oracles import (FlatSigmaGen, SetAccusationPunisher, SetSigmaVal,
                       SetUnsafePunisher, flat_sigma_gen_key, gen_payload,
@@ -458,6 +459,59 @@ def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
     assert reports > 0
 
 
+def test_sigma_gen_snapshot_decodes_each_slot_once(rng):
+    # random states whose window slots are each empty, all good, all bad
+    # or mixed: each slot's cached entries are the scan's reports of that
+    # round, the interned ``_entry`` objects, and the snapshot joins them
+    # in the scan's order
+    kinds = set()
+    for n in (2, 3, 4, 5):
+        nn, full = n * n, (1 << n * n) - 1
+        for _ in range(200):
+            mach = SigmaGen(rng.randrange(n), n)
+            mach.round = m = rng.randint(1, 3 * n)
+            for r in range(max(1, m - n + 2), m + 1):
+                kind = rng.choice(["empty", "good", "bad", "mixed"])
+                kinds.add(kind)
+                known = {"empty": 0, "good": full, "bad": full,
+                         "mixed": rng.getrandbits(nn)}[kind]
+                bad = {"bad": full, "mixed": known & rng.getrandbits(nn)
+                       }.get(kind, 0)
+                mach.known |= known << r % n * nn
+                mach.bad |= bad << r % n * nn
+            state = n, m, mach.pend, mach.known, mach.bad
+            snap = _gen_snapshot.__wrapped__(*state)
+            scan = _snapshot_by_scan(mach)
+            assert snap["acc"] == scan
+            assert all(entry is _entry(*entry) for entry in snap["acc"])
+            for r in range(m - n + 1, m + 1):
+                slot = mach.known >> r % n * nn & full
+                if slot:
+                    entries = _slot_entries(n, r, slot,
+                                            mach.bad >> r % n * nn & slot)
+                    assert list(entries) == [e for e in scan if e[0][2] == r]
+                    assert all(e is _entry(*e) for e in entries)
+    assert kinds == {"empty", "good", "bad", "mixed"}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_slot_counts_are_the_popcounts_of_each_subject(n, rng):
+    # the cached per-subject counts of a slot, against plain popcounts of
+    # every agent's ``about`` masks: the masks are the same for every
+    # agent, so one cache serves them all
+    full = (1 << n * n) - 1
+    for _ in range(100):
+        known = rng.choice([0, full, rng.getrandbits(n * n)])
+        bad = known & rng.choice([0, full, rng.getrandbits(n * n)])
+        got = _slot_counts(n, known, bad)
+        for me in range(n):
+            about = _gen_masks(n, me)[0]
+            assert got == tuple(
+                (j, (known & a).bit_count(),
+                 (known & a).bit_count() if bad & a else 0)
+                for j, a in enumerate(about) if known & a)
+
+
 def test_sigma_gen_snapshots_are_shared_per_state(rng):
     # random states driven by random rounds: the cached snapshot equals an
     # uncached decode and the scan; a machine of another agent in an equal
@@ -859,6 +913,47 @@ def test_dual_evasive_shadow_replays_the_configured_bases():
     configured = simulate(cfg).history.profiles
     assert any(a.kind is ActionKind.DEFECT
                for p in configured for a in p.actions[3].per_neighbor.values())
+
+
+def test_delivery_asks_each_sender_once_and_a_persona_once_more():
+    # a persona shows agents 3 and 4 the payload of a shadow world in which
+    # agent 1 always defects: every inbox holds what asking each sender
+    # for each neighbour's payload gives, though a sender is asked once a
+    # round and the persona once more
+    from dynacct.protocols import _honest
+    sc = builtin("fig2_ambiguous")
+    cfg = sc.sim_config(horizon=11)
+    ms = build_machines(cfg, honest_only=True)
+    shadow = {a: _honest(cfg, a) for a in range(5)}
+    shadow[1] = always_defect_until(shadow[1], cfg.horizon)
+    ms[0] = _Persona(_honest(cfg, 0), _ShadowWorld(
+        cfg.graph, cfg.family.observation, shadow), frozenset([3, 4]), "p")
+    draws, hidden = _HashDraws(cfg.seed), 0
+    for m in range(1, cfg.horizon + 1):
+        views = _begin_round(cfg, ms, m)
+        acts = _act(ms, draws)
+        want = {i: {j: (acts[j][i], None if acts[j][i].kind is ActionKind.DEFECT
+                        else ms[j].payload_for(i)) for j in views[i].order}
+                for i in ms}
+        hidden += ms[0].payload_for(3) != ms[0].payload_for(1)
+        asked, inboxes = dict.fromkeys(ms, 0), {}
+        for a, mach in ms.items():
+            payload_for, end_round = mach.payload_for, mach.end_round
+
+            def ask(j, a=a, payload_for=payload_for):
+                asked[a] += 1
+                return payload_for(j)
+
+            def end(own, inbox, a=a, end_round=end_round):
+                inboxes[a] = dict(inbox)
+                end_round(own, inbox)
+            mach.payload_for, mach.end_round = ask, end
+        _deliver(views, ms, acts)
+        for mach in ms.values():
+            del mach.payload_for, mach.end_round
+        assert inboxes == want
+        assert asked == {a: 2 if a == 0 else 1 for a in ms}
+    assert hidden > 0     # the far side was shown another payload
 
 
 def test_dual_evasive_wrong_member_refused():
