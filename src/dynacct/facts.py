@@ -23,21 +23,18 @@ with the same messages:
   before with an own entry whose tally list is not the conforming one:
   otherwise both punish masses are equal, so the round neither fails nor
   adds to the window's mass.  Masses are integer numerators over the
-  deviator's degree; a rational is built only for a message, and the
-  window's mass is one numerator over the lcm of its degrees.
+  deviator's degree; a rational is built only for a message or for a
+  round that adds to the window's mass.
 * Bounded state keeps the smallest violating (agent, round), the same
-  first violation as a walk in sorted order, without the sort.  The
-  first conforming log a config checks is kept on the config with its
-  violations, and a later one is checked only where its snapshots are
-  not that log's.  A deviating snapshot whose lists are the conforming
-  snapshot's own (the deviator's relabelled copies) is checked there.
+  first violation as a walk in sorted order, without the sort.  A
+  deviating snapshot whose lists are the conforming snapshot's own (the
+  deviator's relabelled copies) is checked there.
 ``tests/oracles.reference_gen_facts`` is the full comparison, and
 ``tests/test_facts.py`` holds the two to equal reports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -245,7 +242,7 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                 and C[(j, M)].get("pend") is not D[(j, M)].get("pend")
                 and j in graph.at(M + 1).neighbors(i)):
             rounds.add(M + 1)
-    window: dict[int, int] = {}     # deg_i -> numerators added in the window
+    extra = Fraction(0)     # the window's expected punishments
     for M in sorted(rounds):
         rg = graph.at(M)
         deg, nbrs = rg.degree(i), rg.neighbors(i)
@@ -256,21 +253,18 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
                 f"conforming {Fraction(hc, deg)}")
             break
         if M <= m + n * n:
-            window[deg] = window.get(deg, 0) + hd - hc
+            if hd != hc:
+                extra += Fraction(hd - hc, deg)
         elif hd != hc:
             facts["F6_punishment_mass_window"] = (
                 f"round {M} > m+n^2 still differs ({Fraction(hd, deg)} vs "
                 f"{Fraction(hc, deg)})")
             break
     if facts["F6_punishment_mass_window"] is None and defected:
-        # the window's mass as its numerator over one common denominator;
         # never negative, since a round that would lower it fails F5
-        over = math.lcm(*window)
-        extra = sum(x * (over // d) for d, x in window.items())
-        if last >= m + n * n and extra != deg_m * over:
+        if last >= m + n * n and extra != deg_m:
             facts["F6_punishment_mass_window"] = (
-                f"extra expected punishments {Fraction(extra, over)} != "
-                f"deg {deg_m}")
+                f"extra expected punishments {extra} != deg {deg_m}")
         elif extra and params.pi < params.beta:
             facts["F6_punishment_mass_window"] = "pi < beta on punish mass"
 
@@ -280,7 +274,8 @@ def gen_facts(cfg, paired: tuple[Trace, Trace], m: int) -> FactReport:
     # conforming trace's before the deviating one's; a deviating snapshot
     # whose lists are the conforming snapshot's own is checked there.
     bound = SigmaGen.static_state_bound(n)
-    first = _conform_violation(cfg._fact_memo, C, n, bound)
+    first = min(((key, kind) for key, snap in C.items()
+                 if (kind := _violation(snap, n, bound))), default=None)
     if first is None:
         for key in own:
             snap, twin = D[key], C.get(key, {})
@@ -307,25 +302,6 @@ def _violation(snap: dict, n: int, bound: int) -> Optional[str]:
         if v > n - 1 or v < 0:
             return "tally"
     return "size" if len(tallies) + len(snap.get("acc", ())) > bound else None
-
-
-def _conform_violation(memo: dict, C: dict, n: int, bound: int):
-    """The smallest violating (agent, round) of the conforming log ``C``
-    with its kind (``_violation``), or None.  The first conforming log a
-    config checks is kept in ``memo`` (the config's) with its violations,
-    and a later one is checked only where its snapshots are not that
-    log's: snapshots are read-only, so the shared ones are as checked."""
-    if "conform" not in memo:
-        ref = dict(C)
-        memo["conform"] = ref, {key: kind for key, snap in ref.items()
-                                if (kind := _violation(snap, n, bound))}
-    ref, bad = memo["conform"]
-    found = [(key, kind) for key, kind in bad.items() if C.get(key) is ref[key]]
-    for key in compress(C, map(is_not, C.values(), map(ref.get, C))):
-        kind = _violation(C[key], n, bound)
-        if kind:
-            found.append((key, kind))
-    return min(found, default=None)
 
 
 def _find_deviation(conform: Trace, deviate: Trace, m: int,

@@ -8,9 +8,10 @@ A machine owns one agent's private protocol state.  The round contract is:
   as of the start of the round: an immutable value, so no receiver can
   reach the sender's state (an accusation window's one int, the bounded
   tally protocol's three, None for a machine that sends nothing).  Every
-  neighbour outside the machine's ``shadowed`` set (empty but for a
-  ``_Persona``) gets the one payload ``payload_for(None)`` returns, and
-  every neighbour in it one other payload,
+  neighbour outside the machine's ``shadowed`` set (empty unless a
+  ``_Persona`` is in the machine) gets the one payload
+  ``payload_for(None)`` returns, and every neighbour j in it the one
+  ``payload_for(j)`` returns,
 * ``act(rand)`` returns the per-neighbour individual actions and must be
   pure: no state mutation, all randomness through
   ``rand.draw(self.me, self.round, label, p)`` with a stable label and p a
@@ -131,7 +132,8 @@ class StrategyMachine:
     uses_own_action: bool = False
     # the round a deviation strategy first departs from its base, if scripted
     first_deviation_round: Optional[int] = None
-    # the neighbours shown another payload than the rest (``_Persona``)
+    # the agents that may be shown another payload than the rest: a
+    # ``_Persona``'s audience and every one below it
     shadowed: frozenset = frozenset()
 
     def __init__(self, me: AgentId, n: int):
@@ -189,19 +191,16 @@ def _deliver(views: dict, machines: dict[AgentId, StrategyMachine],
     toward it and their payloads (none from a defector), in an inbox keyed
     in id order, with its own actions; ``acts`` holds every agent's
     actions by neighbour, as ``act`` returned them.  Each sender is asked
-    for its payload once, and a sender with a ``shadowed`` set once more,
-    for the payload those neighbours get.  A ``ScheduledDefector`` that has
+    for its payload once, and once more for each agent of its ``shadowed``
+    set, for the payload that agent gets.  A ``ScheduledDefector`` that has
     played its last scheduled round is then replaced by its base in
     ``machines``, so a wrapper is only ever in place with a round still
     ahead.  Returns the payloads ``payload_for(None)`` gave, by sender."""
     order = sorted(machines)
     payloads = {i: machines[i].payload_for(None) for i in order}
-    shown = {}      # (sender, shadowed receiver) -> the payload it gets
-    for i in order:
-        shadowed = machines[i].shadowed
-        if shadowed:
-            pay = machines[i].payload_for(min(shadowed))
-            shown.update(((i, j), pay) for j in shadowed)
+    # (sender, shadowed receiver) -> the payload it gets
+    shown = {(i, j): machines[i].payload_for(j)
+             for i in order for j in machines[i].shadowed}
     for i in order:
         inbox = {}
         for j in views[i].order:
@@ -701,6 +700,7 @@ class _Wrapper(StrategyMachine):
         self.label = label
         self.mode = base.mode
         self.uses_own_action = base.uses_own_action
+        self.shadowed = base.shadowed
 
     def clone(self) -> "_Wrapper":
         c = super().clone()
@@ -879,7 +879,7 @@ class _ShadowWorld:
 
 
 class _Persona(_Wrapper):
-    """Scripted evasive strategy: answer the neighbours in ``shadowed`` with
+    """Scripted evasive strategy: answer the neighbours in ``audience`` with
     the actions and payloads of this agent's persona in a counterfactual
     shadow world, the others from the base, and defect ``target`` at
     ``round`` if a ``defection = (target, round)`` is scripted.
@@ -894,11 +894,12 @@ class _Persona(_Wrapper):
     """
 
     def __init__(self, base: StrategyMachine, shadow: _ShadowWorld,
-                 shadowed: frozenset[AgentId], label: str,
+                 audience: frozenset[AgentId], label: str,
                  defection: Optional[tuple[AgentId, int]] = None):
         super().__init__(base, label)
         self.shadow = shadow
-        self.shadowed = shadowed
+        self.audience = audience
+        self.shadowed = audience | base.shadowed
         self.defection = defection
         # lenient deviates from round 1: no walk absorbs it before it plays
         self.first_deviation_round = 1 if defection is None else defection[1]
@@ -913,16 +914,16 @@ class _Persona(_Wrapper):
         super().begin_round(view)
 
     def payload_for(self, j: Optional[AgentId]) -> object:
-        if j in self.shadowed:
+        if j in self.audience:
             return self.shadow.payload_of(self.me, self.round)
         return self.base.payload_for(j)
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         nbrs = self.view.order
         shadow_action = self.shadow.action_of(self.me, self.round)
-        base_action = ({} if self.shadowed.issuperset(nbrs)
+        base_action = ({} if self.audience.issuperset(nbrs)
                        else self.base.act(rand))
-        out = {j: shadow_action[j] if j in self.shadowed else base_action[j]
+        out = {j: shadow_action[j] if j in self.audience else base_action[j]
                for j in nbrs}
         if self.defection is not None:
             target, m = self.defection
@@ -1020,7 +1021,7 @@ def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:
             raise StrategyConfigError(
                 f"dual_evasive_fig2 groups {sorted(group1)} and {sorted(group2)}"
                 f" must partition the other agents {sorted(others)}")
-        shadowed, label = frozenset(group2), "dual_evasive"
+        audience, label = frozenset(group2), "dual_evasive"
         defection = (_int(dev.get("target"), "target"),
                      _int(dev.get("round"), "round"))
     else:
@@ -1030,6 +1031,6 @@ def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:
                 f"first_deviator {first} is not an agent id in 0..{n - 1}")
         machines[first] = always_defect_until(
             machines[first], _int(dev.get("first_round", 1), "first_round"))
-        shadowed, label, defection = others, "lenient_evasive", None
+        audience, label, defection = others, "lenient_evasive", None
     shadow = _ShadowWorld(graph, cfg.family.observation, machines)
-    return _Persona(base, shadow, shadowed, label, defection)
+    return _Persona(base, shadow, audience, label, defection)

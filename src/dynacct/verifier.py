@@ -373,11 +373,6 @@ class SimConfig:
         return played
 
     @functools.cached_property
-    def _fact_memo(self) -> dict:
-        """``facts.gen_facts``' memo: the first conforming log it checked."""
-        return {}
-
-    @functools.cached_property
     def _one_shot_reports(self) -> dict:
         """``verify_one_shot``'s reports that another agent may take, by
         (agent, robust depth)."""

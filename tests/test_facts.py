@@ -292,9 +292,9 @@ def test_integer_punish_masses_over_changing_degrees(broken):
 
 
 def test_conforming_bounded_state_is_checked_per_log():
-    # the first conforming log a config checks has a tally out of range,
-    # and the config keeps that log: a later pair's clean log, or one with
-    # another violation, is still checked as it is
+    # each conforming log is checked as it is: a tally out of range in the
+    # first pair's log carries over neither to a later pair's clean log nor
+    # to one with another violation
     cfg = paired_cfg(k3_family())
     pair = run_paired_defection(cfg, I, M0, ALL_NEIGHBORS)
     with_tally(pair[0].state_log, (2, 5), 1, 0, N)

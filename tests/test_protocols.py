@@ -915,28 +915,43 @@ def test_dual_evasive_shadow_replays_the_configured_bases():
                for p in configured for a in p.actions[3].per_neighbor.values())
 
 
-def test_delivery_asks_each_sender_once_and_a_persona_once_more():
+@pytest.mark.parametrize("layers", ["persona", "evasive_over_persona",
+                                    "persona_over_persona"])
+def test_delivery_asks_each_sender_once_and_a_persona_per_shadowed(layers):
     # a persona shows agents 3 and 4 the payload of a shadow world in which
-    # agent 1 always defects: every inbox holds what asking each sender
-    # for each neighbour's payload gives, though a sender is asked once a
-    # round and the persona once more
+    # agent 1 always defects, alone, under a single evasive defection that
+    # stays in place until round 7, or under a second persona that shows
+    # agent 2 a world in which agent 3 always defects: every inbox holds
+    # what asking each sender for each neighbour's payload gives, though a
+    # sender is asked once a round and once more per shadowed agent
     from dynacct.protocols import _honest
     sc = builtin("fig2_ambiguous")
     cfg = sc.sim_config(horizon=11)
     ms = build_machines(cfg, honest_only=True)
-    shadow = {a: _honest(cfg, a) for a in range(5)}
-    shadow[1] = always_defect_until(shadow[1], cfg.horizon)
-    ms[0] = _Persona(_honest(cfg, 0), _ShadowWorld(
-        cfg.graph, cfg.family.observation, shadow), frozenset([3, 4]), "p")
-    draws, hidden = _HashDraws(cfg.seed), 0
+
+    def persona(base, defector, audience):
+        shadow = {a: _honest(cfg, a) for a in range(5)}
+        shadow[defector] = always_defect_until(shadow[defector], cfg.horizon)
+        return _Persona(base, _ShadowWorld(cfg.graph, cfg.family.observation,
+                                           shadow), frozenset(audience), "p")
+    ms[0] = persona(_honest(cfg, 0), 1, [3, 4])
+    if layers == "evasive_over_persona":
+        target = min(cfg.graph.at(7).neighbors(0))
+        ms[0] = single_evasive(ms[0], j=target, m=7)
+    elif layers == "persona_over_persona":
+        ms[0] = persona(ms[0], 3, [2])
+    audience = {"persona_over_persona": [2, 3, 4]}.get(layers, [3, 4])
+    assert ms[0].shadowed == frozenset(audience)
+    draws, hidden = _HashDraws(cfg.seed), set()
     for m in range(1, cfg.horizon + 1):
         views = _begin_round(cfg, ms, m)
         acts = _act(ms, draws)
         want = {i: {j: (acts[j][i], None if acts[j][i].kind is ActionKind.DEFECT
                         else ms[j].payload_for(i)) for j in views[i].order}
                 for i in ms}
-        hidden += ms[0].payload_for(3) != ms[0].payload_for(1)
-        asked, inboxes = dict.fromkeys(ms, 0), {}
+        hidden |= {a for a in audience
+                   if ms[0].payload_for(a) != ms[0].payload_for(1)}
+        asked, inboxes, patched = dict.fromkeys(ms, 0), {}, list(ms.values())
         for a, mach in ms.items():
             payload_for, end_round = mach.payload_for, mach.end_round
 
@@ -948,12 +963,15 @@ def test_delivery_asks_each_sender_once_and_a_persona_once_more():
                 inboxes[a] = dict(inbox)
                 end_round(own, inbox)
             mach.payload_for, mach.end_round = ask, end
+        wrapped = isinstance(ms[0], ScheduledDefector)
         _deliver(views, ms, acts)
-        for mach in ms.values():
+        for mach in patched:
             del mach.payload_for, mach.end_round
         assert inboxes == want
-        assert asked == {a: 2 if a == 0 else 1 for a in ms}
-    assert hidden > 0     # the far side was shown another payload
+        assert asked == {a: 1 + len(audience) if a == 0 else 1 for a in ms}
+        if layers == "evasive_over_persona":
+            assert wrapped == (m <= 7)
+    assert hidden == set(audience)   # each was shown another payload
 
 
 def test_dual_evasive_wrong_member_refused():
