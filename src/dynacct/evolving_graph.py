@@ -749,7 +749,8 @@ def family_from_dict(doc: dict, where: str) -> GraphFamily:
     for key in ("n", "observation", "horizon", "members"):
         _expect(key in doc, where, f"missing field {key!r}")
     n = doc["n"]
-    _expect(isinstance(n, int) and n >= 1, f"{where}.n", "must be a positive integer")
+    # bool is an int subclass: true must not read as 1
+    _expect(type(n) is int and n >= 1, f"{where}.n", "must be a positive integer")
     obs_raw = doc["observation"]
     try:
         obs = ObservationModel(obs_raw)
@@ -758,7 +759,7 @@ def family_from_dict(doc: dict, where: str) -> GraphFamily:
             f"{where}.observation",
             f"unknown model {obs_raw!r} (expected 'neighbors' or 'neighbors_degrees')")
     horizon = doc["horizon"]
-    _expect(isinstance(horizon, int) and horizon >= 1, f"{where}.horizon",
+    _expect(type(horizon) is int and horizon >= 1, f"{where}.horizon",
             "must be a positive integer")
     _expect(isinstance(doc["members"], list) and doc["members"],
             f"{where}.members", "must be a non-empty list")
@@ -794,7 +795,7 @@ def _parse_rounds(rounds, n: int, where: str) -> list[RoundGraph]:
         for ei, e in enumerate(edges):
             ewhere = f"{rwhere}.edges[{ei}]"
             _expect(isinstance(e, list) and len(e) == 2 and
-                    all(isinstance(x, int) for x in e), ewhere,
+                    all(type(x) is int for x in e), ewhere,
                     "expected a pair of agent ids")
             u, v = e
             _expect(u != v, ewhere, f"self-loop at agent {u}")

@@ -57,14 +57,14 @@ punishment counters per round residue class modulo n, and per-pair
 interaction reports for the last n rounds, merged from non-subject senders
 only (an agent can never influence the records that drive punishments
 applied to itself).  Its whole state is three ints, in one format for
-store, payload, merge and state key alike: ``pend`` holds each tally of
-subject s and residue c in unary, as that many low one-bits of the
-(n-1)-bit field at offset (s*n + c)*(n-1), so the capped max of two
-tallies is their OR; ``known`` and ``bad`` hold round r's (victim,
-sender) report masks in slot r mod n, n*n bits wide.  The state key
-rotates each subject's fields and the slots by the round mod n; only
-``snapshot()`` decodes them, once per distinct state and round: equal
-states share one cached snapshot, which is read-only.
+store, payload, merge and state key alike, relative to the round R it
+plays next: ``pend`` holds the tally of subject s for rounds R+d mod n
+in unary, as that many low one-bits of the (n-1)-bit field at offset
+(s*n + d)*(n-1), so the capped max of two tallies is their OR; ``known``
+and ``bad`` hold the (victim, sender) report masks of round R in slot 0
+and of R-n+d in slot d >= 1, n*n bits wide.  The state key is the ints
+as they are; only ``snapshot()`` decodes them, once per distinct state
+and round: equal states share one cached snapshot, which is read-only.
 """
 
 from __future__ import annotations
@@ -87,21 +87,27 @@ class StrategyConfigError(ValueError):
 
 
 def _int(value, field: str) -> int:
-    """``int(value)``, or a ``StrategyConfigError`` naming the spec field
-    if int() refuses the value (a list, or None for a missing field)."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise StrategyConfigError(
-            f"{field} must be an integer, not {value!r}") from None
+    """An int, or a decimal string's value (``prop_punish``'s object keys
+    are strings); else, a bool and a float too, a ``StrategyConfigError``
+    naming the spec field."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise StrategyConfigError(f"{field} must be an integer, not {value!r}")
 
 
 def _ints(values, field: str) -> list[int]:
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError):
-        raise StrategyConfigError(
-            f"{field} must be a list of integers, not {values!r}") from None
+    if not isinstance(values, str):    # "12" is no list [1, 2]
+        try:
+            return [_int(v, field) for v in values]
+        except (TypeError, StrategyConfigError):
+            pass
+    raise StrategyConfigError(
+        f"{field} must be a list of integers, not {values!r}")
 
 
 class RandSource:
@@ -350,30 +356,29 @@ def sigma_val(me: AgentId, n: int, rho: int, params: UtilityParams) -> SigmaVal:
 class SigmaGen(StrategyMachine):
     """General-exchange protocol with bounded per-subject punishment tallies.
 
-    State, three ints:
-      pend   the pending punishments for subject s in rounds == c mod n, a
-             count in [0, n-1] kept as that many low one-bits of the
-             (n-1)-bit field at offset (s*n + c)*(n-1), so the capped max
+    State, three ints, relative to the round R played next (or being
+    played, until ``end_round``):
+      pend   the pending punishments for subject s in rounds == R+d mod n,
+             a count in [0, n-1] kept as that many low one-bits of the
+             (n-1)-bit field at offset (s*n + d)*(n-1), so the capped max
              of two tallies is their OR
-      known  round r's reports in slot r mod n, n*n bits from offset
-             (r % n)*n*n: bit ``v*n + s`` of a slot marks a report by victim
-             v about sender s.  After ``end_round(m)`` only the slots of
-             rounds m-n+2..m hold bits
+      known  round R's reports in slot 0 and round R-n+d's in slot d >= 1,
+             n*n bits from offset d*n*n: bit ``v*n + s`` of a slot marks a
+             report by victim v about sender s
       bad    the bits of the "bad" reports (never without ``known``)
-    ``state_key(m)`` is one int: pend with each subject's fields, then
-    known and bad with their slots, rotated so that residue and slot
-    m mod n come first.
+    ``state_key(m)`` is one int: pend, then known and bad.
 
-    Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j).
-    The payload is ``(pend, known, bad)`` for every neighbour: ints are
-    immutable, so no receiver can reach the sender's state.
-    End of round m: record own reports for m; from each non-defecting
+    Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j),
+    field 0.  The payload is ``(pend, known, bad)`` for every neighbour:
+    ints are immutable, so no receiver can reach the sender's state.
+    End of round m: record own reports in slot 0; from each non-defecting
     sender, OR in its tallies and fill the absent report bits, rejecting
     anything a sender claims about itself, reports in the receiver's own
-    row and s == v, and skipping the residue class and the slot of m;
-    then, for m >= n, rebuild pend[j][m+1] from the fully disseminated
-    slot of round m-n+1: drain by the reported degree, re-add it if anyone
-    reported a defection; then clear that slot.
+    row and s == v, and skipping field 0 and slot 0; then, for m >= n,
+    rebuild field 1 from the fully disseminated slot 1, round m-n+1:
+    drain by the reported degree, re-add it if anyone reported a
+    defection; clear slot 1, and move every field and slot down by one,
+    field 0 and slot 0 to the top.
     """
 
     mode = Mode.GENERAL
@@ -381,7 +386,7 @@ class SigmaGen(StrategyMachine):
     def __init__(self, me: AgentId, n: int):
         super().__init__(me, n)
         self.pend = self.known = self.bad = 0
-        _, self._keep, self._fill, self._low = _gen_masks(n, me)
+        _, self._keep, self._fill, self._first = _gen_masks(n, me)
 
     def begin_round(self, view: LocalView):
         if view.neighbor_degrees is None:
@@ -392,11 +397,10 @@ class SigmaGen(StrategyMachine):
         return self.pend, self.known, self.bad
 
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
-        n, w = self.n, self.n - 1
+        w = self.n - 1
         out = {}
         for j in self.view.order:
-            pending = (self.pend >> (j * n + self.round % n) * w
-                       & (1 << w) - 1).bit_count()
+            pending = (self.pend >> j * self.n * w & (1 << w) - 1).bit_count()
             deg_j = self.view.neighbor_degrees[j]
             out[j] = (COOPERATE if not pending else PUNISH if pending >= deg_j
                       or rand.draw(self.me, self.round, f"punish[{j}]",
@@ -408,8 +412,8 @@ class SigmaGen(StrategyMachine):
         """Record my reports of round m, merge the non-defecting senders'
         payloads (tallies by OR, report bits by filling the absent ones,
         lowest-id sender first: the inbox is keyed in id order, as
-        ``_deliver`` builds it), rebuild, and clear the slot of the round
-        leaving the window.
+        ``_deliver`` builds it), rebuild, clear the slot of the round
+        leaving the window, and age the state to round m+1.
 
         The sender order decides nothing between honest copies: a report
         bit is recorded only by its victim, from what it was dealt, and
@@ -417,9 +421,9 @@ class SigmaGen(StrategyMachine):
         holding the bit hold the same value.  A scheduled override changes
         actions, never payloads, so this holds under the verifier's
         deviations too, and the machine is label-free."""
-        m, n = self.round, self.n
-        row = 1 << (m % n * n + self.me) * n    # my row of round m's slot
-        keep, fill = self._keep[m % n], self._fill[m % n]
+        n, w, nn = self.n, self.n - 1, self.n * self.n
+        row = 1 << self.me * n    # my row of round m's slot
+        keep, fill = self._keep, self._fill
         pend, known, bad = self.pend, self.known, self.bad
         for j, (a, p) in inbox.items():
             known |= row << j
@@ -430,48 +434,42 @@ class SigmaGen(StrategyMachine):
                 new = p[1] & fill[j] & ~known
                 known |= new
                 bad |= p[2] & new
-        self.pend = pend
-        at, slot = (m + 1) % n * n * n, (1 << n * n) - 1   # round m-n+1's
-        if m >= n:
-            self._rebuild_pend(m, known >> at & slot, bad >> at & slot)
-        kept = ~(slot << at)
-        self.known, self.bad = known & kept, bad & kept
+        self.pend, slot = pend, (1 << nn) - 1
+        if self.round >= n:
+            self._rebuild_pend(known >> nn & slot, bad >> nn & slot)
+        # round m-n+1 leaves slot 1; every other field and slot moves down
+        # by one, field 0 and slot 0 to the top
+        kept, top, first = ~(slot << nn), (n - 1) * nn, self._first
+        known, bad, pend = known & kept, bad & kept, self.pend
+        self.known = known >> nn | (known & slot) << top
+        self.bad = bad >> nn | (bad & slot) << top
+        self.pend = (pend & ~first) >> w | (pend & first) << (n - 1) * w
 
-    def _rebuild_pend(self, m: int, known: int, bad: int):
-        """pend[j][m+1] from round m-n+1's reports, ``known`` and ``bad``
-        its slot, with the counts of each subject j reported about
+    def _rebuild_pend(self, known: int, bad: int):
+        """pend[j][m+1], field 1, from round m-n+1's reports, ``known`` and
+        ``bad`` its slot, with the counts of each subject j reported about
         (``_slot_counts``); every other tally stays."""
         n, w = self.n, self.n - 1
-        c = (m + 1) % n
         for j, deg, readd in _slot_counts(n, known, bad):
             if j == self.me:
                 continue
-            at = (j * n + c) * w
+            at = (j * n + 1) * w
             old = self.pend >> at & (1 << w) - 1
             new = max(0, old.bit_count() - deg) + readd
             assert new <= n - 1, "tally invariant broken"
             self.pend ^= (old ^ (1 << new) - 1) << at
 
     def snapshot(self) -> dict:
-        """The state decoded (``_gen_snapshot``): shared by every machine
-        in an equal state at the same round, so it is read-only."""
+        """The state ``end_round`` left, decoded (``_gen_snapshot``): shared
+        by equal states at the same round, so it is read-only."""
         return _gen_snapshot(self.n, self.round, self.pend, self.known,
                              self.bad)
 
     def state_key(self, m: int):
-        """One int, relative to round m: pend with each subject's fields
-        rotated so that residue m mod n comes first, then known and bad with
-        their slots rotated so that slot m mod n comes first."""
-        n, k = self.n, m % self.n
-        w, ks, size = n - 1, k * n * n, n ** 3   # size: the bits of all slots
-        # x * twice holds x's slots twice over: shifted by ks and cut to
-        # size, it is x rotated by k slots
-        twice, full = 1 | 1 << size, (1 << size) - 1
-        pend = (self.pend >> k * w & self._low[k]
-                | (self.pend & self._low[n - k]) << (n - k) * w)
-        known = self.known * twice >> ks & full
-        bad = self.bad * twice >> ks & full
-        return pend | (known | bad << size) << n * n * w
+        """One int: pend, then known and bad, as they are stored, relative
+        to the round played next."""
+        n = self.n
+        return self.pend | (self.known | self.bad << n ** 3) << n * n * (n - 1)
 
     @staticmethod
     def relabel_key(key, pi: Sequence[AgentId]):
@@ -500,22 +498,20 @@ class SigmaGen(StrategyMachine):
 @functools.lru_cache(maxsize=None)
 def _gen_masks(n: int, me: AgentId) -> tuple:
     """``SigmaGen``'s masks for agent me of n: ``about[s]``, the bits of a
-    slot that report about s (s == v excluded); ``low[k]``, the fields
-    c < n-k of every subject's block; and, in round residue c,
-    ``keep[c][j]`` and ``fill[c][j]``, the tallies and the report bits
-    that sender j may raise and fill: none about j, no tally about me or
-    of residue c, no report by me or in slot c."""
+    slot that report about s (s == v excluded); ``keep[j]`` and
+    ``fill[j]``, the tallies and the report bits that sender j may raise
+    and fill: none about j, no tally about me or in field 0, no report by
+    me or in slot 0; and ``first``, field 0 of every subject's block."""
     w, nn = n - 1, n * n
-    block, blocks = (1 << n * w) - 1, sum(1 << s * n * w for s in range(n))
+    block = (1 << n * w) - 1    # one subject's fields
+    first = sum((1 << w) - 1 << s * n * w for s in range(n))
     about = [sum(1 << v * n + s for v in range(n) if v != s) for s in range(n)]
-    low = [((1 << (n - k) * w) - 1) * blocks for k in range(n + 1)]
     reports = sum(about) & ~((1 << n) - 1 << me * n)
-    # low[n - 1] << c * w: the fields of residue c
-    return about, [[
-        low[0] & ~(low[n - 1] << c * w | block << j * n * w | block << me * n * w)
-        for j in range(n)] for c in range(n)], [[
-        (reports & ~about[j]) * sum(1 << r * nn for r in range(n) if r != c)
-        for j in range(n)] for c in range(n)], low
+    return about, [
+        (1 << nn * w) - 1 & ~(first | block << j * n * w | block << me * n * w)
+        for j in range(n)], [
+        (reports & ~about[j]) * sum(1 << d * nn for d in range(1, n))
+        for j in range(n)], first
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -534,9 +530,10 @@ def _slot_counts(n: int, known: int, bad: int) -> tuple:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _gen_snapshot(n: int, m: int, pend: int, known: int, bad: int) -> dict:
-    """``SigmaGen.snapshot`` of state (pend, known, bad) at round m: the
-    tallies as a sorted ``((s, c), count)`` list, and the reports as a
-    ``((v, s, r), "good" | "bad")`` list sorted by (v, s, r).  Each round's
+    """``SigmaGen.snapshot`` of state (pend, known, bad) after
+    ``end_round(m)``, relative to round m+1: the tallies as a sorted
+    ``((s, c), count)`` list, and the reports of slots d >= 1, rounds
+    m+1-n+d, as a ``((v, s, r), "good" | "bad")`` list sorted.  Each round's
     slot is decoded once into its cached tuple of entries
     (``_slot_entries``), and the tuples are joined and sorted: the keys are
     unique, so the order is that of the keys alone.  Cached: a run's
@@ -547,12 +544,12 @@ def _gen_snapshot(n: int, m: int, pend: int, known: int, bad: int) -> dict:
     that label a snapshot copy it."""
     nn = n * n
     acc = []
-    for r in range(m - n + 1, m + 1):
-        slot = known >> r % n * nn & (1 << nn) - 1
+    for d in range(1, n):
+        slot = known >> d * nn & (1 << nn) - 1
         if slot:
-            acc += _slot_entries(n, r, slot, bad >> r % n * nn & slot)
+            acc += _slot_entries(n, m + 1 - n + d, slot, bad >> d * nn & slot)
     acc.sort()
-    return {"pend": _tallies(n, pend), "acc": acc}
+    return {"pend": _tallies(n, pend, (m + 1) % n), "acc": acc}
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -564,10 +561,11 @@ def _slot_entries(n: int, r: int, slot: int, bad: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _tallies(n: int, pend: int) -> list:
-    """The ``pend`` list of ``_gen_snapshot``, shared and read-only."""
-    return [_entry((s, c), bits.bit_count())
-            for bits, s, c in _cells(pend, n - 1, n)]
+def _tallies(n: int, pend: int, c: int) -> list:
+    """The ``pend`` list of ``_gen_snapshot``, field d read as residue
+    c+d mod n: shared and read-only."""
+    return sorted(_entry((s, (c + d) % n), bits.bit_count())
+                  for bits, s, d in _cells(pend, n - 1, n))
 
 
 @functools.lru_cache(maxsize=1 << 12)

@@ -53,7 +53,7 @@ fresh machines, with nothing cached and no round shared.
 ``FlatSigmaGen`` is the reference for ``SigmaGen``'s three-int state:
 the same protocol over a tally dict and one flat report dict.
 ``gen_payload_items`` and ``gen_payload`` read and write ``SigmaGen``'s
-wire ints bit by bit from the layout's definition, and
+wire ints of a given round bit by bit from the layout's definition, and
 ``flat_sigma_gen_key`` maps the reference's state key to ``SigmaGen``'s
 encoding.
 
@@ -1034,19 +1034,19 @@ class FlatSigmaGen(StrategyMachine):
         return (n - 1) * n + n * (n - 1) * n
 
 
-def gen_payload(tallies: Iterable, reports: Iterable, n: int
+def gen_payload(tallies: Iterable, reports: Iterable, m: int, n: int
                 ) -> tuple[int, int, int]:
-    """The ``SigmaGen`` ints ``(pend, known, bad)`` holding ``tallies``,
-    ``((s, c), count)`` pairs, each count as count low one-bits of the
-    (n-1)-bit field at offset (s*n + c)*(n-1), and ``reports``,
-    ``((v, s, r), "good" | "bad")`` pairs, each at bit v*n + s of slot
-    r mod n."""
+    """The ``SigmaGen`` ints ``(pend, known, bad)`` of a state relative to
+    round m holding ``tallies``, ``((s, c), count)`` pairs, each count as
+    count low one-bits of the (n-1)-bit field at offset
+    (s*n + (c-m) mod n)*(n-1), and ``reports``, ``((v, s, r), "good" |
+    "bad")`` pairs, each at bit v*n + s of slot (r-m) mod n."""
     w, nn = n - 1, n * n
     pend = known = bad = 0
     for (s, c), count in tallies:
-        pend |= ((1 << count) - 1) << (s * n + c) * w
+        pend |= ((1 << count) - 1) << (s * n + (c - m) % n) * w
     for (v, s, r), val in reports:
-        bit = 1 << r % n * nn + v * n + s
+        bit = 1 << (r - m) % n * nn + v * n + s
         known |= bit
         if val == "bad":
             bad |= bit
@@ -1055,30 +1055,31 @@ def gen_payload(tallies: Iterable, reports: Iterable, n: int
 
 def gen_payload_items(payload: tuple[int, int, int], m: int, n: int):
     """``gen_payload``'s inverse for a payload sent at round m: its nonzero
-    tallies and its reports, each sorted, with slot c read as the round r
-    in m-n+1..m with r == c mod n.  Bad bits without a known bit are
-    dropped."""
+    tallies and its reports, each sorted, with field d read as residue
+    (m+d) mod n and slot d as the round r in m-n+1..m with
+    r == m+d mod n.  Bad bits without a known bit are dropped."""
     pend, known, bad = payload
     w, nn = n - 1, n * n
-    tallies = [((s, c), (pend >> (s * n + c) * w & (1 << w) - 1).bit_count())
-               for s in range(n) for c in range(n)]
-    reports = sorted(((v, s, r), "bad" if bad >> r % n * nn + v * n + s & 1
-                      else "good")
+    tallies = sorted(((s, (m + d) % n),
+                      (pend >> (s * n + d) * w & (1 << w) - 1).bit_count())
+                     for s in range(n) for d in range(n))
+    reports = sorted(((v, s, r), "bad" if bad >> (r - m) % n * nn + v * n + s
+                      & 1 else "good")
                      for r in range(m - n + 1, m + 1)
                      for v in range(n) for s in range(n)
-                     if known >> r % n * nn + v * n + s & 1)
+                     if known >> (r - m) % n * nn + v * n + s & 1)
     return [t for t in tallies if t[1]], reports
 
 
 def flat_sigma_gen_key(key, n: int) -> int:
     """``FlatSigmaGen.state_key``'s frozensets in ``SigmaGen.state_key``'s
-    one-int encoding: the tallies with residue d relative to the key's
-    round, then the known and the bad bits, each report of age k in
-    relative slot -k mod n."""
+    one-int encoding: the state relative to the key's round, as
+    ``gen_payload`` writes it for round 0 from the tallies of relative
+    residue d and the reports of age k, then the known and the bad bits."""
     _, pend, reports = key
     w, nn = n - 1, n * n
     pend, known, bad = gen_payload(
-        pend, [((v, s, -k), val) for (v, s, k), val in reports], n)
+        pend, [((v, s, -k), val) for (v, s, k), val in reports], 0, n)
     return pend | known << nn * w | bad << nn * w + n * nn
 
 

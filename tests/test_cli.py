@@ -370,6 +370,10 @@ def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
      "rho must be an integer, not [3]"),
     (lambda d: d["candidates"][0].update(target=[2]),
      "target must be an integer, not [2]"),
+    (_set_spec("0", {"strategy": "sigma_val", "rho": 2.9}),
+     "rho must be an integer, not 2.9"),
+    (lambda d: d["candidates"][0].update(round=True),
+     "round must be an integer, not True"),
     # agent 1's round-1 neighbours are 0 and 2: the candidate would never
     # deviate, so it is refused rather than reported
     (lambda d: d["candidates"][0].update(target=3),
@@ -377,13 +381,15 @@ def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
     (lambda d: d["candidates"][0].update(kind="lenient_evasive_unsafe",
                                          first_deviator=5),
      "first_deviator 5 is not an agent id in 0..3"),
-], ids=["spec-rho-list", "candidate-target-list",
+], ids=["spec-rho-list", "candidate-target-list", "spec-rho-float",
+         "candidate-round-bool",
         "candidate-target-not-a-neighbour", "candidate-first-deviator-outside"])
 def test_verify_strategy_field_refused_exit_two(mutate, message, tmp_path,
                                                 capsys):
-    # the strategy and deviation fields are read in protocols: a value int()
-    # refuses, a target the deviator cannot reach, or a first deviator
-    # outside the family, is an input error
+    # the strategy and deviation fields are read in protocols: a value
+    # that is no integer (a list, a float, a bool), a target the deviator
+    # cannot reach, or a first deviator outside the family, is an input
+    # error
     doc = builtin("timely_violation").to_json()
     mutate(doc)
     path = tmp_path / "spec_scenario.json"

@@ -778,6 +778,12 @@ def test_family_roundtrip():
      "members[2].name: duplicate member name 'G1'"),
     (lambda d: d["members"][1].__setitem__("name", ["G2"]),
      "members[1].name: must be a string"),
+    # JSON true is no integer, though bool is an int subclass
+    (lambda d: d["members"][0]["cycle"][0].append([True, 2]),
+     "members[0].cycle[0].edges[1]: expected a pair of agent ids"),
+    (lambda d: d.__setitem__("n", True), "family.n: must be a positive integer"),
+    (lambda d: d.__setitem__("horizon", True),
+     "family.horizon: must be a positive integer"),
 ])
 def test_family_loader_positioned_errors(mutate, where):
     doc = family_to_dict(_fig3_family())

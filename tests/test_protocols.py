@@ -390,7 +390,7 @@ def test_sigma_gen_matches_flat_reference(rng):
                     # the slots of the merge window's rounds m-n+1..m-1
                     for c in range(n) if p else ():
                         known, bad = (x >> c * nn & (1 << nn) - 1 for x in p[1:])
-                        if c != m % n:
+                        if c:
                             stray_bad += bool(bad & ~known)
                             own_row += bool(known >> me * n & (1 << n) - 1)
                 new.begin_round(view)
@@ -412,7 +412,7 @@ def test_sigma_gen_matches_flat_reference(rng):
                 assert key == flat_sigma_gen_key(flat, n)
                 keys.setdefault((n, key), set()).add((n, flat))
                 assert new.is_quiescent() == ref.is_quiescent()
-                leaving = (1 << nn) - 1 << (m + 1) % n * nn
+                leaving = (1 << nn) - 1    # slot 0: round m+1's, empty
                 assert not (new.known | new.bad) & leaving
                 tallies += len(ref.pend)
     assert draws > 0 and tallies > 0   # punishments were drawn and tallied
@@ -423,12 +423,13 @@ def test_sigma_gen_matches_flat_reference(rng):
 
 def _snapshot_by_scan(mach: SigmaGen) -> list:
     """``SigmaGen.snapshot``'s reports decoded by testing every one of the
-    n*n bits of every window round's slot: the reference."""
+    n*n bits of every slot, read as the rounds m-n+2..m+1 of a state
+    relative to round m+1 (``gen_payload``): the reference."""
     n, m = mach.n, mach.round
-    return [((b // n, b % n, r), "bad" if mach.bad >> r % n * n * n + b & 1
-             else "good")
-            for b in range(n * n) for r in range(m - n + 1, m + 1)
-            if mach.known >> r % n * n * n + b & 1]
+    slots = [(r, (r - m - 1) % n * n * n) for r in range(m - n + 2, m + 2)]
+    return [((b // n, b % n, r), "bad" if mach.bad >> at + b & 1 else "good")
+            for b in range(n * n) for r, at in slots
+            if mach.known >> at + b & 1]
 
 
 def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
@@ -447,11 +448,12 @@ def test_sigma_gen_snapshot_decodes_every_stored_report(rng):
                 if rng.random() < 0.8:
                     known = sum(1 << b for b in range(nn)
                                 if rng.random() < density)
-                    mach.known |= known << r % n * nn
-                    mach.bad |= (known & rng.getrandbits(nn)) << r % n * nn
+                    at = (r - m - 1) % n * nn    # relative to round m+1
+                    mach.known |= known << at
+                    mach.bad |= (known & rng.getrandbits(nn)) << at
             pend = {(s, c): rng.randint(1, n - 1)
                     for s in range(n) for c in range(n) if rng.random() < 0.2}
-            mach.pend, _, _ = gen_payload(pend.items(), (), n)
+            mach.pend, _, _ = gen_payload(pend.items(), (), m + 1, n)
             snap = mach.snapshot()
             assert snap["acc"] == _snapshot_by_scan(mach)
             assert snap["pend"] == sorted(pend.items())
@@ -477,18 +479,18 @@ def test_sigma_gen_snapshot_decodes_each_slot_once(rng):
                          "mixed": rng.getrandbits(nn)}[kind]
                 bad = {"bad": full, "mixed": known & rng.getrandbits(nn)
                        }.get(kind, 0)
-                mach.known |= known << r % n * nn
-                mach.bad |= bad << r % n * nn
+                mach.known |= known << (r - m - 1) % n * nn
+                mach.bad |= bad << (r - m - 1) % n * nn
             state = n, m, mach.pend, mach.known, mach.bad
             snap = _gen_snapshot.__wrapped__(*state)
             scan = _snapshot_by_scan(mach)
             assert snap["acc"] == scan
             assert all(entry is _entry(*entry) for entry in snap["acc"])
-            for r in range(m - n + 1, m + 1):
-                slot = mach.known >> r % n * nn & full
+            for r in range(m - n + 2, m + 2):
+                at = (r - m - 1) % n * nn
+                slot = mach.known >> at & full
                 if slot:
-                    entries = _slot_entries(n, r, slot,
-                                            mach.bad >> r % n * nn & slot)
+                    entries = _slot_entries(n, r, slot, mach.bad >> at & slot)
                     assert list(entries) == [e for e in scan if e[0][2] == r]
                     assert all(e is _entry(*e) for e in entries)
     assert kinds == {"empty", "good", "bad", "mixed"}
@@ -552,19 +554,19 @@ def test_sigma_gen_unary_tallies_match_the_dict_arithmetic(n):
         for c in range(n):
             for a in range(n):
                 for b in range(n):
-                    mach = SigmaGen(me, n)
+                    mach = SigmaGen(me, n)   # relative to round 1
                     mach.pend, _, _ = gen_payload([((s, c), a), ((s, c), b)],
-                                                  (), n)
+                                                  (), 1, n)
                     want = [((s, c), max(a, b))] if max(a, b) else []
                     assert mach.snapshot()["pend"] == want
                     if s in (me, j) or c == 1:
                         continue
-                    mach.pend, _, _ = gen_payload([((s, c), a)], (), n)
+                    mach.pend, _, _ = gen_payload([((s, c), a)], (), 1, n)
                     mach.round = 1
                     mach.end_round({}, {j: (COOPERATE, gen_payload(
-                        [((s, c), b)], (), n))})
+                        [((s, c), b)], (), 1, n))})
                     assert mach.snapshot()["pend"] == want
-    m = n    # rebuilds residue m+1 from round 1, slot 1 % n
+    m = n    # rebuilds residue m+1, field 1, from round 1, slot 1
     c, others = (m + 1) % n, [v for v in range(n) if v != j]
     rest = [((s, r), (s + r) % n) for s in range(n) for r in range(n)
             if s != me and (s, r) != (j, c) and (s + r) % n]
@@ -572,13 +574,15 @@ def test_sigma_gen_unary_tallies_match_the_dict_arithmetic(n):
         for deg in range(1, n):
             for bad in range(deg + 1):
                 new, ref = SigmaGen(me, n), FlatSigmaGen(me, n)
-                new.round = ref.round = m
+                # new holds the state relative to round m, as after
+                # end_round(m - 1), and its snapshot decodes it so
+                new.round, ref.round = m - 1, m
                 reports = [((v, j, 1), "bad" if k < bad else "good")
                            for k, v in enumerate(others[:deg])]
                 tallies = rest + ([((j, c), old)] if old else [])
-                new.pend, new.known, new.bad = gen_payload(tallies, reports, n)
+                new.pend, new.known, new.bad = gen_payload(tallies, reports, m, n)
                 ref.pend, ref.acc = dict(tallies), dict(reports)
-                new._rebuild_pend(m, new.known >> c * n * n, new.bad >> c * n * n)
+                new._rebuild_pend(new.known >> n * n, new.bad >> n * n)
                 ref._rebuild_pend(m)
                 assert new.snapshot()["pend"] == sorted(ref.pend.items())
                 assert ref.pend.get((j, c), 0) == (max(0, old - deg)
@@ -838,10 +842,21 @@ def test_apply_override_send_keeps_a_sending_action():
     ({"deviation": {"kind": "one_shot", "round": 1,
                     "override": {"prop_punish": {"x": 1}}}},
      "prop_punish must be an integer"),
+    ({"strategy": "sigma_val", "rho": 2.9}, "rho must be an integer"),
+    ({"strategy": "sigma_val", "rho": True}, "rho must be an integer"),
+    ({"deviation": {"kind": "single_evasive", "target": 1, "round": True}},
+     "round must be an integer"),
+    ({"deviation": {"kind": "defect_at_rounds", "rounds": [1, 2.0]}},
+     "rounds must be a list of integers"),
+    ({"deviation": {"kind": "defect_at_rounds", "rounds": "12"}},
+     "rounds must be a list of integers"),
 ], ids=["rho-list", "target-list", "rounds-int", "override-list",
-        "prop-punish-target"])
+        "prop-punish-target", "rho-float", "rho-bool", "round-bool",
+        "rounds-float", "rounds-str"])
 def test_spec_field_of_the_wrong_type_is_refused(spec, message):
-    # int() refuses a list; the spec field is named, not a TypeError raised
+    # a list, a bool or a float is no integer, and a string no list: the
+    # spec field is named, not a TypeError raised, and no value is
+    # truncated, read as 1 or split into digits
     cfg = k3_val_cfg(horizon=4)
     with pytest.raises(StrategyConfigError, match=message):
         build_strategy(spec, cfg, 0)

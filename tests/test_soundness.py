@@ -123,7 +123,7 @@ def _absolute(rel, m, n):
     if "pend" in rel:
         return gen_payload(
             [((s, (m + d) % n), v) for (s, d), v in rel["pend"]],
-            [((v, s, m - k), val) for (v, s, k), val in rel["acc"]], n)
+            [((v, s, m - k), val) for (v, s, k), val in rel["acc"]], m, n)
     return window_payload([(s, m - k) for s, k in rel["acc"]], m, n, RHO)
 
 
