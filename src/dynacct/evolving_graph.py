@@ -143,12 +143,17 @@ class EvolvingGraph:
         """Rounds after which the graph sequence provably repeats."""
         return len(self.prefix) + len(self.cycle)
 
-    def at(self, m: int) -> RoundGraph:
+    def phase(self, m: int) -> tuple[str, int]:
+        """``("p", m)`` for a prefix round m, ``("c", k)`` at cycle index k:
+        rounds of one phase have the same graphs from there on."""
         if m < 1:
             raise ValueError(f"rounds are 1-indexed, got {m}")
-        if m <= len(self.prefix):
-            return self.prefix[m - 1]
-        return self.cycle[(m - len(self.prefix) - 1) % len(self.cycle)]
+        p = len(self.prefix)
+        return ("p", m) if m <= p else ("c", (m - p - 1) % len(self.cycle))
+
+    def at(self, m: int) -> RoundGraph:
+        part, k = self.phase(m)
+        return self.prefix[k - 1] if part == "p" else self.cycle[k]
 
     @cached_property
     def _masks(self) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +162,7 @@ class EvolvingGraph:
         return tuple(rg._masks for rg in self.prefix + self.cycle)
 
     def _masks_at(self, m: int) -> tuple[int, ...]:
-        """Round m's neighbour masks, by the prefix/cycle rule of ``at``."""
+        """Round m's neighbour masks, by the rule of ``phase``."""
         p = len(self.prefix)
         if m <= p:
             if m < 1:
@@ -576,6 +581,8 @@ def check_eventual_distinguishability(f: GraphFamily, rho: int,
                                       m_star: int) -> FamilyVerdict:
     """No member, agent, and round in (m_star, horizon] may admit an
     indistinguishable-round witness pair."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
     if not 0 <= m_star <= f.horizon:
         raise ValueError(f"m_star must be in 0..{f.horizon} (the family "
                          f"horizon), got {m_star}")

@@ -400,15 +400,11 @@ def cooperation_tail(g: EvolvingGraph, i: AgentId, params: UtilityParams,
     while m <= min(P, to_round):
         total += d ** (m - from_round) * cooperation[g.at(m).degree(i)]
         m += 1
-    if m > to_round:
-        return total
     dL = d ** L
-    for phase in range(L):
-        first = m + ((phase - (m - P - 1)) % L)
-        if first > to_round:
-            continue
+    # rounds m..m+L-1 are one of each cycle phase
+    for first in range(m, min(m + L, to_round + 1)):
         count = (to_round - first) // L + 1
-        per = cooperation[g.cycle[(first - P - 1) % L].degree(i)]
+        per = cooperation[g.at(first).degree(i)]
         if per == 0:
             continue
         total += d ** (first - from_round) * per * (1 - dL ** count) / (1 - dL)

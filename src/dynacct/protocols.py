@@ -183,8 +183,8 @@ class StrategyMachine:
     def snapshot(self) -> dict:
         return {}
 
-    def state_key(self, m: int):
-        """Hashable round-relative state digest, for information-set dedup."""
+    def state_key(self):
+        """Hashable digest of the machine's state alone, for world dedup."""
         return ("opaque", id(self))
 
     def is_quiescent(self) -> bool:
@@ -280,9 +280,8 @@ class _AccusationWindow(StrategyMachine):
             (s, m - k) for s in range(n) for k in range(min(self.rho, m))[::-1]
             if self.acc >> k * n + s & 1]}
 
-    def state_key(self, m: int):
-        """``acc`` itself: keys are taken at round m's start, when it is
-        relative to round m-1."""
+    def state_key(self):
+        """``acc`` itself, relative to the last round played."""
         return type(self).__name__, self.rho, self.acc
 
     @staticmethod
@@ -366,7 +365,7 @@ class SigmaGen(StrategyMachine):
              n*n bits from offset d*n*n: bit ``v*n + s`` of a slot marks a
              report by victim v about sender s
       bad    the bits of the "bad" reports (never without ``known``)
-    ``state_key(m)`` is one int: pend, then known and bad.
+    ``state_key()`` is one int: pend, then known and bad.
 
     Round m: punish neighbour j with probability min(1, pend[j][m]/deg_j),
     field 0.  The payload is ``(pend, known, bad)`` for every neighbour:
@@ -465,7 +464,7 @@ class SigmaGen(StrategyMachine):
         return _gen_snapshot(self.n, self.round, self.pend, self.known,
                              self.bad)
 
-    def state_key(self, m: int):
+    def state_key(self):
         """One int: pend, then known and bad, as they are stored, relative
         to the round played next."""
         n = self.n
@@ -617,7 +616,7 @@ class AlwaysDefect(StrategyMachine):
     def act(self, rand: RandSource) -> dict[AgentId, IndividualAction]:
         return {j: DEFECT for j in self.view.order}
 
-    def state_key(self, m: int):
+    def state_key(self):
         return ("AlwaysDefect",)
 
     @staticmethod
@@ -636,9 +635,9 @@ class UnsafePunisherProtocol(_AccusationWindow):
     round-1 victim (agent 2) and the round-1 deviator (agent 0) mutually
     defect, unless agent 2 was itself defected by agent 1 at round 2, in
     which case agent 2 forgives and keeps sending.  A deviator following
-    the profile sincerely conditions on its own past defections, bit r of
-    ``mine`` for round r.  The script names agents 0 and 2, so the class
-    is not label-free.
+    the profile sincerely conditions on its own past defections, bit k of
+    ``mine`` for the round k rounds before the last one played.  The script
+    names agents 0 and 2, so the class is not label-free.
     """
 
     mode = Mode.GENERAL
@@ -660,25 +659,22 @@ class UnsafePunisherProtocol(_AccusationWindow):
         return out
 
     def end_round(self, own_action, inbox):
-        if any(a.kind is ActionKind.DEFECT for a in own_action.values()):
-            self.mine |= 1 << self.round
+        self.mine = self.mine << 1 | any(
+            a.kind is ActionKind.DEFECT for a in own_action.values())
         super().end_round(own_action, inbox)
 
     def is_quiescent(self) -> bool:
         # a recorded own defection keeps the round-3 script armed
         return super().is_quiescent() and (self.round >= 3 or not self.mine)
 
-    def state_key(self, m: int):
-        # own defections relative to m: the first one's age and the rounds
-        # from it; the script fires at absolute round 3, so rounds up to it
-        # are distinct
-        first = (self.mine & -self.mine).bit_length() - 1
-        return (super().state_key(m),
-                self.mine and (m - first, self.mine >> first), min(m, 4))
+    def state_key(self):
+        # the script fires at absolute round 3: rounds up to it are distinct
+        return super().state_key(), self.mine, min(self.round + 1, 4)
 
     def snapshot(self) -> dict:
         return dict(super().snapshot(), my_defections=[
-            r for r in range(self.mine.bit_length()) if self.mine >> r & 1])
+            self.round - k for k in range(self.mine.bit_length())[::-1]
+            if self.mine >> k & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +690,7 @@ class _Wrapper(StrategyMachine):
 
     def __init__(self, base: StrategyMachine, label: str):
         super().__init__(base.me, base.n)
+        self.round = base.round     # what is ahead keys relative to it
         self.base = base
         self.label = label
         self.mode = base.mode
@@ -723,9 +720,9 @@ class ScheduledDefector(_Wrapper):
     """Follow the base strategy but apply the override template
     (``_template``) of each round of ``schedule``.  ``_deliver`` puts the
     base back once the last scheduled round has played, so a wrapper in
-    place has a round ahead (with an empty schedule, round 1, played as
-    the base): its key carries what is still ahead, and it is never
-    quiescent.
+    place has a round ahead (with an empty schedule, the next one, played
+    as the base): its key carries what is still ahead, relative to its
+    round, and it is never quiescent.
 
     ``sincere=False`` gives evasive semantics: the base state is maintained
     as if the overrides had not happened (the base is told it played its
@@ -756,9 +753,10 @@ class ScheduledDefector(_Wrapper):
             own_action = self.base.act(_RefuseDraws())
         super().end_round(own_action, inbox)
 
-    def state_key(self, m: int):
-        ahead = tuple((r - m, t) for r, t in sorted(self.schedule.items()) if r >= m)
-        return ("ScheduledDefector", self.sincere, ahead, self.base.state_key(m))
+    def state_key(self):
+        ahead = tuple((r - self.round, t)
+                      for r, t in sorted(self.schedule.items()) if r > self.round)
+        return ("ScheduledDefector", self.sincere, ahead, self.base.state_key())
 
 
 def single_evasive(base: StrategyMachine, j: AgentId, m: int) -> ScheduledDefector:
@@ -929,8 +927,8 @@ class _Persona(_Wrapper):
                 out[target] = DEFECT
         return out
 
-    def state_key(self, m: int):
-        return (self.label, self.base.state_key(m))
+    def state_key(self):
+        return (self.label, self.base.state_key())
 
     def is_quiescent(self) -> bool:
         return (self.base.is_quiescent()

@@ -301,6 +301,8 @@ def scenario_from_dict(doc: dict, where: str) -> Scenario:
         if type(value) is not int and not (key == "rho" and value is None):
             raise FamilyFormatError(f"{where}.{key}",
                                     f"expected an integer, got {value!r}")
+    if ints["rho"] is not None and ints["rho"] < 1:
+        raise FamilyFormatError(f"{where}.rho", "rho must be >= 1")
     checks = doc.get("checks", [])
     if not all(isinstance(c, str) for c in checks):
         raise FamilyFormatError(f"{where}.checks", "expected check names")

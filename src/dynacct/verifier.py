@@ -103,8 +103,8 @@ come from the walk: it plays each collected round as prescribed, with the
 same fixed draws, right after collecting it.
 
 Continuation values are shared through one table per ``verify_one_shot``
-call, keyed by ``_world_key`` (graph phase plus every machine's
-round-relative ``state_key``), with no round or horizon in the key.  A
+call, keyed by ``_world_key`` (``EvolvingGraph.phase`` plus every
+machine's ``state_key``), with no round or horizon in the key.  A
 continuation's walk stops at the first world already valued.  An entry
 holds i's expected utility relative to its cooperative tail, discounted to
 the round the world was reached in, the offset of its latest absorption
@@ -128,7 +128,7 @@ not approximate, because:
 
 Symmetric agents, and symmetric continuations, share one walk.  Both need
 a symmetric profile (``_symmetric_profile``): the honest machines are all
-of one class with a ``relabel_key`` and give equal ``state_key(1)``s, so
+of one class with a ``relabel_key`` and give equal ``state_key``s, so
 they differ in their agent alone.  An automorphism pi of the graph (one
 that maps every prefix and cycle round onto itself) then maps every run
 onto a run, each machine's key relabelled by ``relabel_key`` and moved to
@@ -272,8 +272,8 @@ class _HonestRun(NamedTuple):
 
 
 def _world(machines: dict[AgentId, StrategyMachine], m: int) -> tuple:
-    """Round m and every machine's ``state_key(m)``, in agent id order."""
-    return (m, *[machines[a].state_key(m) for a in range(len(machines))])
+    """Round m and every machine's ``state_key``, in agent id order."""
+    return (m, *[machines[a].state_key() for a in range(len(machines))])
 
 
 def _opaque(key) -> bool:
@@ -697,6 +697,8 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int,
     """Expected number of punishments received by i over the i-edges in
     rounds (from_round, from_round + rho).  A quiescent branch is absorbed:
     from there every agent cooperates, so no later punishment is missed."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
     graph = cfg.graph
 
     def hits(m: int, profile: ActionProfile, utils) -> int:
@@ -736,14 +738,8 @@ class EquilibriumReport:
         }
 
 
-def _phase(graph: EvolvingGraph, m: int):
-    P, L = len(graph.prefix), len(graph.cycle)
-    return ("p", m) if m <= P else ("c", (m - P - 1) % L)
-
-
 def _world_key(graph, machines, m):
-    return (_phase(graph, m),
-            tuple(machines[a].state_key(m) for a in sorted(machines)))
+    return graph.phase(m), tuple(machines[a].state_key() for a in sorted(machines))
 
 
 def _override_patterns(mode: Mode, nbrs: Sequence[AgentId]):
@@ -1011,7 +1007,7 @@ def _pattern_key(pattern: Optional[Mapping[AgentId, str]],
 
 def _symmetric_profile(honest) -> bool:
     """Whether the honest machines are all of one class with a
-    ``relabel_key`` and all give an equal ``state_key(1)``.  ``state_key``
+    ``relabel_key`` and all give an equal ``state_key``.  ``state_key``
     is complete, so they then differ in their agent alone, and an
     automorphism pi of the graph maps every run of them, their keys
     relabelled, onto a run with the same utilities for fixed points of pi,
@@ -1019,8 +1015,8 @@ def _symmetric_profile(honest) -> bool:
     first, *others = honest.values()
     if type(first).relabel_key is None:
         return False
-    key = first.state_key(1)
-    return all(type(m) is type(first) and m.state_key(1) == key
+    key = first.state_key()
+    return all(type(m) is type(first) and m.state_key() == key
                for m in others)
 
 
@@ -1094,7 +1090,7 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     round-m checkpoint with i wrapped.  The wrapper plays round m alone
     (``protocols._deliver`` then puts its sincere base back), so from round
     m+1 on every machine is a base machine.  At the start of every later
-    round M it looks the world (every machine's ``state_key(M)``) up in
+    round M it looks the world (every machine's ``state_key``) up in
     cfg's table of played rounds (``_PlayedRounds``), seeded with the
     honest run's: at the first world the table holds, some run of the
     config has already played from it, so it stops playing and follows the

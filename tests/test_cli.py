@@ -91,7 +91,10 @@ def test_check_ambiguous_and_unsafe(tmp_path, capsys):
     (["unsafe", "--rho", "0"], "error: rho must be >= 1"),
     (["eventual_dist", "--rho", "4", "--m-star", "-3"],
      "error: m_star must be in 0..12 (the family horizon), got -3"),
-], ids=["unsafe-rho-zero", "eventual-dist-negative-m-star"])
+    (["eventual_dist", "--rho", "0", "--m-star", "12"],
+     "error: rho must be >= 1"),
+], ids=["unsafe-rho-zero", "eventual-dist-negative-m-star",
+        "eventual-dist-rho-zero"])
 def test_check_refuses_windows_outside_their_range(args, message, tmp_path,
                                                    capsys):
     fam = write_family(tmp_path, builtin("fig2_ambiguous").family)
@@ -347,9 +350,11 @@ def _set_spec(agent, spec):
     (lambda d: d.update(checks=5), "checks"),
     (lambda d: d.update(horizon=12.5), "horizon"),
     (lambda d: d.update(rho=True), "rho"),
+    (lambda d: d.update(rho=0), "rho"),
+    (lambda d: d.update(rho=-3), "rho"),
 ], ids=["strategies-list", "spec-int", "params-list", "rho-str",
         "deviation-int", "candidates-int", "checks-int", "horizon-float",
-        "rho-bool"])
+        "rho-bool", "rho-zero", "rho-negative"])
 def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
                                                    capsys):
     # a scenario field of the wrong type is a positioned input error: no

@@ -536,6 +536,14 @@ def test_eventual_distinguishability_refuses_m_star_outside_the_horizon(m_star):
         check_eventual_distinguishability(fam, 3, m_star)
 
 
+@pytest.mark.parametrize("rho", [0, -3])
+def test_eventual_distinguishability_refuses_rho_below_one(rho):
+    # with m_star at the horizon no round is scanned, so no scan refuses it
+    fam = _fig3_family()
+    with pytest.raises(ValueError, match="rho must be >= 1"):
+        check_eventual_distinguishability(fam, rho, fam.horizon)
+
+
 def test_eventual_distinguishability_complete_with_degrees_holds():
     fam = GraphFamily(3, (EvolvingGraph((), (complete_graph(3),), "k"),), ND, 8)
     assert check_eventual_distinguishability(fam, 3, 0).holds

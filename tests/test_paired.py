@@ -458,9 +458,9 @@ def test_opaque_worlds_are_never_stored(wrap, monkeypatch):
     # over every job no world is stored, not even the honest run's, and
     # every deviating run plays to the horizon
     key = SigmaGen.state_key
-    monkeypatch.setattr(SigmaGen, "state_key", lambda self, m: (
-        wrap(StrategyMachine.state_key(self, m)) if self.me == 2
-        else key(self, m)))
+    monkeypatch.setattr(SigmaGen, "state_key", lambda self: (
+        wrap(StrategyMachine.state_key(self)) if self.me == 2
+        else key(self)))
     cfg = paired_cfg(ring_chord_family())
     cfg._played
     played = count_rounds(monkeypatch)

@@ -78,8 +78,8 @@ class Recorder(StrategyMachine):
     def snapshot(self):
         return self.inner.snapshot()
 
-    def state_key(self, m):
-        return self.inner.state_key(m)
+    def state_key(self):
+        return self.inner.state_key()
 
     def is_quiescent(self):
         return self.inner.is_quiescent()
@@ -234,7 +234,7 @@ def test_packed_window_matches_the_set_reference(name, rng):
                     assert got.snapshot() == want.snapshot(), (n, rho, me, t)
                     assert got.is_quiescent() == want.is_quiescent()
                     stateful += not got.is_quiescent()
-                    key, ref = got.state_key(t + 1), want.state_key(t + 1)
+                    key, ref = got.state_key(), want.state_key(t + 1)
                     assert classes.setdefault(key, ref) == ref
                     if packed.relabel_key is not None:
                         assert key == window_key(ref, n)
@@ -408,7 +408,7 @@ def test_sigma_gen_matches_flat_reference(rng):
                 ref.end_round(act, {j: (a, _flat_payload(p, n, m))
                                     for j, (a, p) in inbox.items()})
                 assert new.snapshot() == ref.snapshot()
-                key, flat = new.state_key(m + 1), ref.state_key(m + 1)
+                key, flat = new.state_key(), ref.state_key(m + 1)
                 assert key == flat_sigma_gen_key(flat, n)
                 keys.setdefault((n, key), set()).add((n, flat))
                 assert new.is_quiescent() == ref.is_quiescent()
@@ -710,12 +710,22 @@ def test_one_shot_override_validates_targets():
 
 
 def test_scheduled_defector_state_key_is_round_relative():
-    sc = builtin("ring_connectivity")
-    cfg = sc.sim_config(horizon=4)
-    m = build_machines(cfg)[0]
-    d1 = ScheduledDefector(m.clone(), {3: "all"})
-    d2 = ScheduledDefector(m.clone(), {5: "all"})
-    assert d1.state_key(2) == d2.state_key(4)
+    # bases with equal keys after rounds 5 and 9, each wrapped with a
+    # defection two rounds ahead of it: a wrapper starts at its base's
+    # round, so the two wrappers key alike, and three rounds ahead keys
+    # apart
+    bases = []
+    for horizon in (5, 9):
+        cfg = builtin("ring_connectivity").sim_config(horizon=horizon)
+        machines = build_machines(cfg)
+        _simulate_machines(cfg, machines)
+        bases.append(machines[0])
+    b5, b9 = bases
+    assert (b5.round, b9.round) == (5, 9)
+    assert b5.state_key() == b9.state_key()
+    key = ScheduledDefector(b5, {7: ALL_NEIGHBORS}).state_key()
+    assert key == ScheduledDefector(b9, {11: ALL_NEIGHBORS}).state_key()
+    assert key != ScheduledDefector(b9, {12: ALL_NEIGHBORS}).state_key()
 
 
 def test_pending_scheduled_defectors_key_template_and_offset():
@@ -726,13 +736,13 @@ def test_pending_scheduled_defectors_key_template_and_offset():
     m = build_machines(cfg)[0]
 
     def key(schedule, sincere=True):
-        return ScheduledDefector(m.clone(), schedule, sincere).state_key(2)
+        return ScheduledDefector(m.clone(), schedule, sincere).state_key()
     assert key({3: [3, 1]}) == key({3: {"defect": [1, 3]}})
     keys = [key({3: ALL_NEIGHBORS}), key({4: ALL_NEIGHBORS}),
             key({3: ALL_NEIGHBORS}, sincere=False), key({3: [1]}),
             key({3: {"send": [1]}}), key({3: {"avoid": [1]}}),
             key({3: {"prop_punish": {1: 1}}}), key({3: {"prop_punish": {1: 2}}}),
-            key({3: ALL_NEIGHBORS, 5: [1]}), m.state_key(2)]
+            key({3: ALL_NEIGHBORS, 5: [1]}), m.state_key()]
     assert len(set(keys)) == len(keys)
 
 
@@ -746,10 +756,10 @@ def test_spent_scheduled_defector_keys_as_its_base(schedule):
     machines = build_machines(cfg)
     machines[0] = ScheduledDefector(machines[0], schedule, sincere=True)
     d = machines[0]
-    assert d.state_key(2) != d.base.state_key(2)
+    assert d.state_key() != d.base.state_key()
     _simulate_machines(cfg, machines)
     assert machines[0] is d.base
-    assert d.base.state_key(7) != build_machines(cfg)[0].state_key(7)
+    assert d.base.state_key() != build_machines(cfg)[0].state_key()
 
 
 def test_delivery_retires_a_wrapper_after_its_last_scheduled_round():

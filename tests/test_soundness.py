@@ -42,7 +42,7 @@ from dynacct.protocols import (ALL_NEIGHBORS, RandSource, ScheduledDefector,
 from dynacct.scenarios import (BUILTIN_SCENARIOS, builtin, general_defaults,
                                valuable_defaults)
 from dynacct.verifier import (SimConfig, _expected_eu, _FixedDraws, _fork,
-                              _HashDraws, _phase, _play_round, build_machines,
+                              _HashDraws, _play_round, build_machines,
                               run_paired_defection)
 
 from .oracles import (gen_payload, gen_payload_items, window_payload,
@@ -174,7 +174,7 @@ def _drive(mach, m, cfg, inboxes, begun=False):
             j: (a, None if a.kind is ActionKind.DEFECT else _absolute(p, t, n))
             for j, (a, p) in inbox.items()})
         seen.append((pays, act, rand.log, mach.is_quiescent(),
-                     mach.state_key(t + 1)))
+                     mach.state_key()))
     return seen
 
 
@@ -192,7 +192,7 @@ def _machines_by_key(cfg, rng):
             draws = _HashDraws(rng.randrange(10 ** 6))
             for m in range(1, cfg.horizon + 1):
                 for a in sorted(machines):
-                    key = (a, _phase(graph, m), machines[a].state_key(m))
+                    key = (a, graph.phase(m), machines[a].state_key())
                     group = groups.setdefault(key, [])
                     if all(m != m2 for m2, _ in group):
                         group.append((m, copy.deepcopy(machines[a])))
@@ -315,11 +315,11 @@ def test_relabel_key_is_the_key_of_the_image_machine(name, rng):
         for m in range(at, at + n * n + 3):
             # a deviator is its base once its round has played
             for a in (a for a in range(n) if m > at or a not in patterns):
-                key, image = (runs[0][a].state_key(m),
-                              runs[1][sigma[a]].state_key(m))
+                key, image = (runs[0][a].state_key(),
+                              runs[1][sigma[a]].state_key())
                 assert relabel(key, sigma) == image, (g.name, sigma, patterns,
                                                       m, a)
-                relabelled += key != runs[0][sigma[a]].state_key(m)
+                relabelled += key != runs[0][sigma[a]].state_key()
             for machines in runs:
                 _play_round(cfg, machines, m, _FixedDraws())
     if name != "always_defect":
@@ -447,9 +447,9 @@ def test_clone_is_an_independent_deepcopy(case, rng):
     for begun in (False, True):
         if begun:
             mach.begin_round(local_view(graph, me, m, cfg.family.observation))
-        before = (mach.snapshot(), mach.state_key(m), mach.is_quiescent())
+        before = (mach.snapshot(), mach.state_key(), mach.is_quiescent())
         clone = mach.clone()
         assert clone is not mach
         assert (_drive(clone, m, cfg, inboxes, begun)
                 == _drive(copy.deepcopy(mach), m, cfg, inboxes, begun))
-        assert (mach.snapshot(), mach.state_key(m), mach.is_quiescent()) == before
+        assert (mach.snapshot(), mach.state_key(), mach.is_quiescent()) == before

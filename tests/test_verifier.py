@@ -424,6 +424,14 @@ def test_expected_punishments_zero_on_path():
         assert expected_punishments(cfg, 0, m, 4) == 0
 
 
+@pytest.mark.parametrize("rho", [0, -3])
+def test_expected_punishments_refuses_rho_below_one(rho):
+    # an empty window is an input error, not zero punishments
+    cfg = builtin("ring_connectivity").sim_config(horizon=12)
+    with pytest.raises(ValueError, match="rho must be >= 1"):
+        expected_punishments(cfg, 0, 1, rho)
+
+
 def test_expected_punishments_ledger_equals_degree():
     # a single defection of degree d adds exactly d expected punishments
     # over (m, m+n^2], even when punish draws are fractional
