@@ -433,30 +433,18 @@ class SigmaGen(StrategyMachine):
                 new = p[1] & fill[j] & ~known
                 known |= new
                 bad |= p[2] & new
-        self.pend, slot = pend, (1 << nn) - 1
+        slot, first = (1 << nn) - 1, self._first
         if self.round >= n:
-            self._rebuild_pend(known >> nn & slot, bad >> nn & slot)
+            second = first << w     # field 1 of every block
+            pend = pend & ~second | _rebuild_pend(
+                n, self.me, pend & second, known >> nn & slot, bad >> nn & slot)
         # round m-n+1 leaves slot 1; every other field and slot moves down
         # by one, field 0 and slot 0 to the top
-        kept, top, first = ~(slot << nn), (n - 1) * nn, self._first
-        known, bad, pend = known & kept, bad & kept, self.pend
+        kept, top = ~(slot << nn), (n - 1) * nn
+        known, bad = known & kept, bad & kept
         self.known = known >> nn | (known & slot) << top
         self.bad = bad >> nn | (bad & slot) << top
         self.pend = (pend & ~first) >> w | (pend & first) << (n - 1) * w
-
-    def _rebuild_pend(self, known: int, bad: int):
-        """pend[j][m+1], field 1, from round m-n+1's reports, ``known`` and
-        ``bad`` its slot, with the counts of each subject j reported about
-        (``_slot_counts``); every other tally stays."""
-        n, w = self.n, self.n - 1
-        for j, deg, readd in _slot_counts(n, known, bad):
-            if j == self.me:
-                continue
-            at = (j * n + 1) * w
-            old = self.pend >> at & (1 << w) - 1
-            new = max(0, old.bit_count() - deg) + readd
-            assert new <= n - 1, "tally invariant broken"
-            self.pend ^= (old ^ (1 << new) - 1) << at
 
     def snapshot(self) -> dict:
         """The state ``end_round`` left, decoded (``_gen_snapshot``): shared
@@ -525,6 +513,25 @@ def _slot_counts(n: int, known: int, bad: int) -> tuple:
         if deg:
             out.append((j, deg, deg if bad & about else 0))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _rebuild_pend(n: int, me: AgentId, pend: int, known: int, bad: int) -> int:
+    """Agent me's field 1 of every tally block, ``pend`` (no other field),
+    rebuilt from the reports of round m-n+1, ``known`` and ``bad`` its
+    slot: each subject j but me is drained by the reports about it and
+    re-added if one is bad (``_slot_counts``).  Cached: a run consumes few
+    distinct tallies and slots."""
+    w = n - 1
+    for j, deg, readd in _slot_counts(n, known, bad):
+        if j == me:
+            continue
+        at = (j * n + 1) * w
+        old = pend >> at & (1 << w) - 1
+        new = max(0, old.bit_count() - deg) + readd
+        assert new <= n - 1, "tally invariant broken"
+        pend ^= (old ^ (1 << new) - 1) << at
+    return pend
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -788,7 +795,10 @@ _OVERRIDES = {"send": None, "defect": DEFECT, "cooperate": COOPERATE,
 def _template(value) -> tuple:
     """A schedule value, ``{class: targets, "prop_punish": {target: weight}}``
     or ``targets`` to defect, as ``(action, targets)`` pairs (None: "send"),
-    with ``targets`` ``ALL_NEIGHBORS`` or a sorted tuple of ids."""
+    with ``targets`` ``ALL_NEIGHBORS`` or a sorted tuple of ids.  A template
+    already frozen, a nonempty tuple of such pairs, is returned as is."""
+    if type(value) is tuple and value and all(type(p) is tuple for p in value):
+        return value
     if not isinstance(value, Mapping):
         value = {"defect": value}
     out = [(action, value[key] if value[key] == ALL_NEIGHBORS

@@ -12,12 +12,13 @@ defections have played and the one-shot reports.
 
 * A round is one pass: ``_begin_round`` reads the round's views, built
   once per config round, and calls ``begin_round``, ``_act`` calls ``act``
-  once per machine and script, ``_round_outcome`` checks the profile once
-  and sums each agent's utility as integer numerators over the per-edge
-  table's common denominator, and ``protocols._deliver`` (which the
-  shadow worlds share) hands out payloads and calls ``end_round`` with
-  the actions ``_act`` returned.  ``_play_round`` chains the four for one
-  draw source, and ``_simulate_machines`` is the only run loop.
+  once per machine and script, ``_round_profile`` checks the profile once,
+  and ``protocols._deliver`` (which the shadow worlds share) hands out
+  payloads and calls ``end_round`` with the actions ``_act`` returned.
+  ``_play_round`` chains the four for one draw source, and
+  ``_simulate_machines`` is the only run loop.
+* Only ``_simulate_machines`` builds every agent's utility
+  (``_round_utilities``), for the traces it writes; a walk builds none.
 * ``_act`` hands every machine the round's draw source itself, and a
   machine draws through its ``draw(agent, rnd, label, p)``
   (``protocols.RandSource``).  A realised run draws from ``_HashDraws``:
@@ -46,11 +47,11 @@ defections have played and the one-shot reports.
   Per round it reads the views, computed once per config round, and plays
   each script, forking the machines (``_fork``: one ``clone()`` per
   machine) for every script but the last; rounds with one script are
-  played in a loop.  The reward is
-  all that differs between its callers: i's utility minus its
-  all-cooperate utility, discounted by delta, for ``expected_utility``,
-  the candidates and the one-shot continuations (these with the world
-  table below), the punishments toward i with discount 1 for
+  played in a loop.  The reward ``reward(m, profile)`` is all that
+  differs between its callers: i's utility minus its all-cooperate
+  utility (``_gap``), discounted by delta, for ``expected_utility``, the
+  candidates and the one-shot continuations (these with the world table
+  below), the punishments toward i with discount 1 for
   ``expected_punishments``, and a check that raises at the first
   non-cooperative action for ``verify_cooperation``.
 * The value after a history is the walk from the machines of that history
@@ -178,12 +179,12 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .evolving_graph import (EvolvingGraph, GraphFamily, LocalView,
                              local_view)
 from .facts import FactReport, check_deviation_round, gen_facts
-from .game_core import (ActionKind, ActionProfile, History, Mode,
-                        Trace, UtilityParams, _Memo, cooperation_tail,
+from .game_core import (COOPERATE, ActionKind, ActionProfile, History,
+                        Mode, Trace, UtilityParams, _Memo, cooperation_tail,
                         discounted_utility, tail_bound)
 from .protocols import (ScheduledDefector, StrategyConfigError,
-                        StrategyMachine, _deliver, build_deviation,
-                        build_strategy, honest_spec)
+                        StrategyMachine, _deliver, _template,
+                        build_deviation, build_strategy, honest_spec)
 
 AgentId = int
 
@@ -429,31 +430,32 @@ def _act(machines: dict[AgentId, StrategyMachine], draws) -> dict:
     return {i: machines[i].act(draws) for i in sorted(machines)}
 
 
-def _round_outcome(cfg: SimConfig, m: int, acts: dict):
-    """The checked action profile of round m and every agent's utility.
-
-    The profile holds the action dicts ``_act`` returned, and its one
-    ``check`` per round tests them.  A utility is the integer sum of the
-    per-edge table's numerators over its one common denominator, so it is
-    exact; the params keep each distinct sum's ``Fraction``, and one that
-    recurs is not normalised again."""
-    rg, params = cfg.graph.at(m), cfg.params
+def _round_profile(cfg: SimConfig, m: int, acts: dict) -> ActionProfile:
+    """The action profile of round m, holding the action dicts ``_act``
+    returned, checked by its one ``check`` per round."""
     profile = ActionProfile(m, acts)
-    profile.check(rg, params.mode)
-    nums, over = params.edge_numerators(rg.n)
-    utils = {i: over[sum(nums[a[j].code, acts[j][i].code] for j in a)]
-             for i, a in acts.items()}
-    return profile, utils
+    profile.check(cfg.graph.at(m), cfg.params.mode)
+    return profile
+
+
+def _round_utilities(cfg: SimConfig, profile: ActionProfile) -> dict:
+    """Every agent's utility in a checked profile: exact, an integer sum of
+    the per-edge table's numerators over its common denominator."""
+    nums, over = cfg.params.edge_numerators(cfg.family.n)
+    acts = profile.acts
+    return {i: over[sum(nums[a[j].code, acts[j][i].code] for j in a)]
+            for i, a in acts.items()}
 
 
 def _play_round(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                m: int, draws):
-    """One round with one draw source: views, actions, outcome, delivery."""
+                m: int, draws) -> ActionProfile:
+    """One round with one draw source: views, actions, checked profile,
+    delivery."""
     views = _begin_round(cfg, machines, m)
     acts = _act(machines, draws)
-    profile, utils = _round_outcome(cfg, m, acts)
+    profile = _round_profile(cfg, m, acts)
     _deliver(views, machines, acts)
-    return profile, utils
+    return profile
 
 
 def _round_scripts(machines: dict[AgentId, StrategyMachine],
@@ -513,9 +515,9 @@ def _simulate_machines(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     for m in range(history.last_round + 1, cfg.horizon + 1):
         if stop is not None and stop(m, machines):
             break
-        profile, utils = _play_round(cfg, machines, m, draws)
+        profile = _play_round(cfg, machines, m, draws)
         history.append(profile)
-        for i, u in utils.items():
+        for i, u in _round_utilities(cfg, profile).items():
             per_round[(i, m)] = u
         if state_log is not None:
             for i in sorted(machines):
@@ -539,8 +541,8 @@ class _Valued(NamedTuple):
 class _Walk:
     """Depth-first exact walk over every randomisation branch of a machine
     profile up to round ``end`` (default: the horizon), valuing the reward
-    ``reward(m, profile, utils)`` of each round played, discounted by ``d``
-    per round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
+    ``reward(m, profile)`` of each round played, discounted by ``d`` per
+    round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
 
     No world in which a machine's first deviation round is still ahead is
     absorbed, or read or written in the ``table`` of valued worlds.
@@ -598,17 +600,17 @@ class _Walk:
                         key = None      # already valued
                         break
             views = _begin_round(cfg, ms, m)
-            outcomes = [(p, raw, *_round_outcome(cfg, m, raw))
+            outcomes = [(p, raw, _round_profile(cfg, m, raw))
                         for raw, p in _round_scripts(ms, m)]
             if len(outcomes) == 1:
-                _, raw, profile, utils = outcomes[0]
-                chain.append((key, m, self.reward(m, profile, utils)))
+                _, raw, profile = outcomes[0]
+                chain.append((key, m, self.reward(m, profile)))
                 _deliver(views, ms, raw)
                 m += 1
                 continue
             pre, last = Fraction(0), m
-            for k, (p, raw, profile, utils) in enumerate(outcomes):
-                r = self.reward(m, profile, utils)
+            for k, (p, raw, profile) in enumerate(outcomes):
+                r = self.reward(m, profile)
                 sub = ms if k == len(outcomes) - 1 else _fork(ms)
                 _deliver(views, sub, raw)
                 spre, slast = self.value(sub, m + 1)
@@ -631,6 +633,21 @@ class _Walk:
             self.table[key] = _Valued(pre, last - m, leaves)
 
 
+def _gap(cfg: SimConfig, i: AgentId) -> Callable:
+    """The reward ``gap(m, profile)``: i's utility minus its all-cooperate
+    one, as one integer sum over i's edges of the per-edge numerator less
+    the cooperate/cooperate one (cooperation earns that per edge)."""
+    nums, over = cfg.params.edge_numerators(cfg.family.n)
+    cc = nums[COOPERATE.code, COOPERATE.code]
+
+    def gap(m: int, profile: ActionProfile) -> Fraction:
+        acts = profile.acts
+        mine = acts[i]
+        return over[sum([nums[a.code, acts[j][i].code]
+                         for j, a in mine.items()]) - cc * len(mine)]
+    return gap
+
+
 def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
                  i: AgentId, start: int, table: Optional[dict] = None,
                  ) -> Fraction:
@@ -638,19 +655,14 @@ def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     ``machines`` walked from round ``start``, discounted to ``start``,
     relative to i's cooperative tail from there.
 
-    The walk's reward is i's round utility minus its all-cooperate one.  A
-    branch absorbed at round a adds nothing after a, where every agent
-    cooperates, and a branch cut by the horizon adds nothing after it, so
-    the value is ``pre - sum of p_a * cooperation_tail(start .. a - 1)``
-    over the absorption rounds a: the closed-form tail, whose
-    probabilities sum to 1, cancels.  Pass one ``table`` to share the
-    valued worlds."""
-    graph, cooperation = cfg.graph, cfg.params.cooperation_utility
-
-    def gap(m: int, profile: ActionProfile, utils) -> Fraction:
-        return utils[i] - cooperation[graph.at(m).degree(i)]
-
-    walk = _Walk(cfg, gap, cfg.params.delta, table=table)
+    The walk's reward is i's round utility minus its all-cooperate one
+    (``_gap``).  A branch absorbed at round a adds nothing after a, where
+    every agent cooperates, and a branch cut by the horizon adds nothing
+    after it, so the value is ``pre - sum of p_a *
+    cooperation_tail(start .. a - 1)`` over the absorption rounds a: the
+    closed-form tail, whose probabilities sum to 1, cancels.  Pass one
+    ``table`` to share the valued worlds."""
+    walk = _Walk(cfg, _gap(cfg, i), cfg.params.delta, table=table)
     return walk.value(machines, start)[0]
 
 
@@ -701,7 +713,7 @@ def expected_punishments(cfg: SimConfig, i: AgentId, from_round: int,
         raise ValueError("rho must be >= 1")
     graph = cfg.graph
 
-    def hits(m: int, profile: ActionProfile, utils) -> int:
+    def hits(m: int, profile: ActionProfile) -> int:
         count = 0
         if m > from_round:
             for j in graph.at(m).neighbors(i):
@@ -778,6 +790,9 @@ class _OneShotChecker:
         self.relabel: Callable = lambda key, pi: key
         self.continuations: dict[tuple, Fraction] = {}
         self.world_images = (None, [])
+        # each override pattern's template by its items, frozen once
+        self.templates = _Memo(lambda items: _template(
+            {o: [j for j, c in items if c == o] for _, o in items}))
 
     def _walk_contexts(self, ms, start: int, end: int, origin: str):
         """Step the machines ``ms`` in place from round ``start`` with fixed
@@ -799,7 +814,7 @@ class _OneShotChecker:
             if key not in seen:
                 seen[key] = False
                 state = _fork(ms)
-            profile, _ = _play_round(cfg, ms, m, draws)
+            profile = _play_round(cfg, ms, m, draws)
             if state is not None:
                 mine = profile.acts[self.i]
                 self.contexts.append(
@@ -809,11 +824,11 @@ class _OneShotChecker:
     def _forced(self, machines, m: int,
                 pattern: Optional[Mapping[AgentId, str]]) -> dict:
         """A fork of ``machines`` with i's round-m classes forced to
-        ``pattern`` (None: as prescribed) by a sincere ``ScheduledDefector``."""
+        ``pattern`` (None: as prescribed) by a sincere ``ScheduledDefector``
+        holding the pattern's frozen template."""
         ms = _fork(machines)
         if pattern is not None:
-            template = {o: [j for j in pattern if pattern[j] == o]
-                        for o in set(pattern.values())}
+            template = self.templates[frozenset(pattern.items())]
             ms[self.i] = ScheduledDefector(ms[self.i], {m: template},
                                            sincere=True)
         return ms
@@ -1040,7 +1055,7 @@ def verify_cooperation(cfg: SimConfig) -> tuple[bool, Optional[dict]]:
     """On-path accountability clause: with the honest profile installed,
     every realised individual action is cooperation.  The witness is the
     first non-cooperative action in leaf order, then round order."""
-    def check(m: int, profile: ActionProfile, utils) -> int:
+    def check(m: int, profile: ActionProfile) -> int:
         for a in sorted(profile.acts):
             for j, ia in sorted(profile.acts[a].items()):
                 if ia.kind is not ActionKind.COOPERATE:

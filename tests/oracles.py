@@ -94,7 +94,8 @@ from dynacct.verifier import (AgentId, EnumerationCapExceeded, SimConfig,
                               _act, _begin_round, _deliver,
                               _FixedDraws, _fork,
                               _NeedBranch, _override_patterns, _play_round,
-                              _round_outcome, _round_scripts, _ScriptDraws,
+                              _round_profile, _round_scripts,
+                              _round_utilities, _ScriptDraws,
                               _simulate_machines, _world_key, build_machines)
 
 # (agent, round, {neighbour: "send" | "defect" | "avoid"})
@@ -617,10 +618,9 @@ def build_branch_tree(cfg: SimConfig, max_leaves: int = 10 ** 4) -> BranchTree:
                             dict(utils), scripts_prefix + [outcome])
                 node.children.append((ep, child))
             return node
-        profile, round_utils = _play_round(cfg, machines, m,
-                                           _ScriptDraws(scripts_prefix))
+        profile = _play_round(cfg, machines, m, _ScriptDraws(scripts_prefix))
         history.append(profile)
-        for i, u in round_utils.items():
+        for i, u in _round_utilities(cfg, profile).items():
             utils[(i, m)] = u
         return rec(machines, m + 1, prob, history, utils, [])
 
@@ -692,7 +692,8 @@ class _Enumerator:
             for si, (raw, p) in enumerate(scripts):
                 last = si == len(scripts) - 1
                 acts = _overridden(raw, m, self.override)
-                profile, round_utils = _round_outcome(self.cfg, m, acts)
+                profile = _round_profile(self.cfg, m, acts)
+                round_utils = _round_utilities(self.cfg, profile)
                 ms = machines if last else _fork(machines)
                 _deliver(views, ms, acts)
                 nu = dict(utils) if not last else utils
@@ -842,7 +843,7 @@ def _windowed_walk(cfg: SimConfig, machines, start: int, end: int,
                 out.append((m, _fork(ms), origin))
         views = _begin_round(cfg, ms, m)
         acts = _overridden(_act(ms, draws), m, override)
-        _round_outcome(cfg, m, acts)    # checks the profile
+        _round_profile(cfg, m, acts)    # checks the profile
         _deliver(views, ms, acts)
 
 

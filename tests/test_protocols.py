@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from dynacct.protocols import (ALL_NEIGHBORS, AccusationPunisher, AlwaysDefect,
                                SigmaVal, StrategyConfigError, StrategyMachine,
                                UnsafePunisherProtocol, _deliver, _entry,
                                _gen_masks, _gen_snapshot, _Persona,
-                               _ShadowWorld, _slot_counts, _slot_entries,
+                               _rebuild_pend, _ShadowWorld, _slot_counts,
+                               _slot_entries,
                                always_defect_until, build_deviation,
                                build_strategy, defect_at_rounds, sigma_gen,
                                sigma_val, single_evasive)
@@ -582,11 +585,56 @@ def test_sigma_gen_unary_tallies_match_the_dict_arithmetic(n):
                 tallies = rest + ([((j, c), old)] if old else [])
                 new.pend, new.known, new.bad = gen_payload(tallies, reports, m, n)
                 ref.pend, ref.acc = dict(tallies), dict(reports)
-                new._rebuild_pend(new.known >> n * n, new.bad >> n * n)
+                new.pend = _rebuilt(n, me, new.pend, new.known, new.bad)
                 ref._rebuild_pend(m)
                 assert new.snapshot()["pend"] == sorted(ref.pend.items())
                 assert ref.pend.get((j, c), 0) == (max(0, old - deg)
                                                    + (deg if bad else 0))
+    # the cached rebuild from every field-1 tally state (one count per
+    # subject) and every slot of round 1 (each report absent, good or bad)
+    # for n = 3, a seeded sample of them otherwise, against the reference,
+    # for agents 0 and 1; twice, with the cache as it was and again after
+    # cache_clear(), so no entry cached before can hide a wrong one, and
+    # each state is asked twice in a row, the second answer from the cache
+    pairs = [(v, s) for v in range(n) for s in range(n) if v != s]
+    marks = (None, "good", "bad")
+    if n == 3:
+        states = itertools.product(itertools.product(range(n), repeat=n),
+                                   itertools.product(marks, repeat=len(pairs)))
+    else:
+        rng = random.Random(n)
+        states = [([rng.randrange(n) for _ in range(n)],
+                   [rng.choice(marks) for _ in pairs]) for _ in range(500)]
+    rest = [((s, r), (s + r) % n) for s in range(n) for r in range(n)
+            if r != c and (s + r) % n]
+    cases = []
+    for counts, slot in states:
+        tallies = rest + [((s, c), k) for s, k in enumerate(counts) if k]
+        reports = [((v, s, 1), mark) for (v, s), mark in zip(pairs, slot)
+                   if mark]
+        for agent in (0, 1):
+            ref = FlatSigmaGen(agent, n)
+            ref.round = m
+            ref.pend, ref.acc = dict(tallies), dict(reports)
+            ref._rebuild_pend(m)
+            cases.append((agent, *gen_payload(tallies, reports, m, n),
+                          gen_payload(ref.pend.items(), (), m, n)[0]))
+    for clear in (False, True):
+        if clear:
+            _rebuild_pend.cache_clear()
+        for agent, *state, want in cases:
+            assert (_rebuilt(n, agent, *state) == _rebuilt(n, agent, *state)
+                    == want)
+
+
+def _rebuilt(n: int, me: int, pend: int, known: int, bad: int) -> int:
+    """``pend`` with field 1 rebuilt from slot 1 of ``known`` and ``bad``
+    (``_rebuild_pend``), as ``SigmaGen.end_round`` rebuilds it before the
+    fields move."""
+    nn = n * n
+    second, slot = _gen_masks(n, me)[3] << n - 1, (1 << nn) - 1
+    return pend & ~second | _rebuild_pend(n, me, pend & second,
+                                          known >> nn & slot, bad >> nn & slot)
 
 
 def test_sigma_gen_payloads_are_isolated(rng):

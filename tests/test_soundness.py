@@ -361,7 +361,7 @@ def test_quiescence_is_absorbing(name, scenario, member):
             for m in range(1, cfg.horizon + 1):
                 quiet = quiet or m > r and all(
                     mach.is_quiescent() for mach in machines.values())
-                profile, _ = _play_round(cfg, machines, m, draws)
+                profile = _play_round(cfg, machines, m, draws)
                 if quiet:
                     assert all(x == COOPERATE for act in profile.actions.values()
                                for x in act.per_neighbor.values()), (a, r, m)

@@ -11,7 +11,8 @@ import pytest
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily,
                                     ObservationModel, RoundGraph)
 from dynacct.game_core import (COOPERATE, ActionKind, Mode, UtilityParams,
-                               cooperation_tail, discounted_utility)
+                               _allowed_codes, cooperation_tail,
+                               discounted_utility)
 from dynacct.protocols import (ALL_NEIGHBORS, StrategyConfigError,
                                always_defect_until)
 from dynacct.scenarios import (builtin, complete_graph, general_defaults,
@@ -529,6 +530,79 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     assert rep.tolerance == tail_bound(cfg.params, 3, 29)
     assert rep.verdict is True
     assert rep.checks == 60
+
+
+def test_only_realised_runs_build_every_agents_utilities(monkeypatch):
+    # a walk's reward reads one agent's gap from the checked profile, or no
+    # utility at all, so the cooperation check and a depth-2 one-shot check
+    # build no utility table; a seeded run builds one per round it plays,
+    # which is what its trace records
+    from dynacct import verifier
+    calls = collections.Counter()
+
+    def count(name):
+        fn = getattr(verifier, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(verifier, name, counted)
+
+    count("_round_utilities")
+    count("_round_profile")
+    cfg = k3_gen_cfg(horizon=12)
+    assert verify_cooperation(cfg) == (True, None)
+    assert verify_one_shot(cfg, 0, robust_depth=2).verdict
+    assert calls["_round_utilities"] == 0 and calls["_round_profile"] > 0
+    calls.clear()
+    simulate(cfg)
+    assert calls == {"_round_utilities": 12, "_round_profile": 12}
+    for m in (1, 2, 5):
+        calls.clear()
+        run_paired_defection(cfg, 1, m, ALL_NEIGHBORS)
+        played = calls["_round_profile"]
+        assert calls["_round_utilities"] == played > 0, m
+
+
+def test_integer_gap_equals_the_utility_less_cooperation(rng):
+    # the walk's reward, one integer sum per round, equals i's utility from
+    # the full outcome less its all-cooperate utility at its degree, on
+    # random profiles of every action the mode allows (proportional weights
+    # 0..n-1 and avoidance in valuable mode), and on the K4/ring family,
+    # where every agent's degree goes 3, 2, 3, ...
+    from dynacct.game_core import AVOID, DEFECT, PUNISH, IndividualAction
+    from dynacct.verifier import _gap, _round_profile, _round_utilities
+
+    from .test_facts import k4_ring_family
+    cases = []
+    for family in (k3_gen_cfg().family, mixed_degree_family(),
+                   k4_ring_family()):
+        n = family.n
+        for params, spec in ((general_defaults(), "sigma_gen"),
+                             (valuable_defaults(n, 2), "sigma_val")):
+            cases.append(SimConfig(family=family,
+                                   member=family.members[0].name,
+                                   strategies={a: spec for a in range(n)},
+                                   horizon=12, params=params))
+    degrees = set()
+    for cfg in cases:
+        n, mode = cfg.family.n, cfg.params.mode
+        actions = [a for a in [COOPERATE, DEFECT, PUNISH, AVOID] + [
+            IndividualAction(ActionKind.PROP_PUNISH, c) for c in range(n)]
+                   if a.code in _allowed_codes(mode, n)]
+        gaps = [_gap(cfg, i) for i in range(n)]
+        for m in range(1, 13):
+            rg = cfg.graph.at(m)
+            for _ in range(20):
+                profile = _round_profile(cfg, m, {
+                    i: {j: rng.choice(actions) for j in sorted(rg.neighbors(i))}
+                    for i in range(n)})
+                utils = _round_utilities(cfg, profile)
+                for i in range(n):
+                    degrees.add((n, rg.degree(i)))
+                    want = utils[i] - cfg.params.cooperation_utility[rg.degree(i)]
+                    assert gaps[i](m, profile) == want, (cfg.params, m, i)
+    assert {(4, 3), (4, 2)} <= degrees
 
 
 def test_round_views_are_built_once_per_config_and_read_only():
