@@ -203,11 +203,13 @@ def cmd_verify(args) -> int:
                else [g.name for g in scenario.family.members])
     all_pass = True
     by_member = {}
+    configs = []    # held to the end: the members share one world graph
     for member in members:
         scenario.member = member
         cfg = scenario.sim_config(horizon=args.horizon)
         if args.enum_cap is not None:
             cfg = replace(cfg, enum_cap=args.enum_cap)
+        configs.append(cfg)
         coop_ok, coop_witness = verify_cooperation(cfg)
         reports = {}
         member_pass = coop_ok

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -154,6 +155,22 @@ class EvolvingGraph:
     def at(self, m: int) -> RoundGraph:
         part, k = self.phase(m)
         return self.prefix[k - 1] if part == "p" else self.cycle[k]
+
+    def future(self, m: int) -> tuple[str, int, str]:
+        """``phase(m)`` and the rounds from m on, spelt as one string of
+        neighbour masks.  Within one graph futures partition the rounds as
+        phases do; two graphs with equal futures at m and m' have the same
+        rounds from there on."""
+        part, k = self.phase(m)
+        return self._futures[k - 1 if part == "p" else len(self.prefix) + k]
+
+    @cached_property
+    def _futures(self) -> tuple[tuple[str, int, str], ...]:
+        """``future`` of each prefix round, then of each cycle index."""
+        p, masks = len(self.prefix), self._masks
+        return tuple((*self.phase(q + 1),
+                      repr((masks[min(q, p):p], masks[p:])))
+                     for q in range(self.period))
 
     @cached_property
     def _masks(self) -> tuple[tuple[int, ...], ...]:
@@ -273,6 +290,13 @@ class GraphFamily:
             if g.name == name:
                 return g
         raise KeyError(f"no member named {name!r}")
+
+    @cached_property
+    def _world_graphs(self) -> weakref.WeakValueDictionary:
+        """The verifier's world graphs of the configs on this family, by
+        everything of a config but its member; each lives as long as a
+        config holds it."""
+        return weakref.WeakValueDictionary()
 
 
 @dataclass

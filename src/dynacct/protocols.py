@@ -839,9 +839,9 @@ class _ShadowWorld:
     """Internal deterministic replay of a counterfactual run.
 
     Advances an honest (or designated-deviation) profile over the scenario
-    graph on demand, and records each round's actions, payloads and
-    quiescent agents.  The run is fixed, so a persona's clones share it,
-    each reading it at its own round.
+    graph on demand, and records each round's actions, payloads,
+    quiescent agents and machine keys.  The run is fixed, so a persona's
+    clones share it, each reading it at its own round.
     """
 
     def __init__(self, graph: EvolvingGraph, obs: ObservationModel,
@@ -853,10 +853,15 @@ class _ShadowWorld:
         self.round_actions: dict[int, dict[AgentId, dict[AgentId, IndividualAction]]] = {}
         self.round_payloads: dict[int, dict[AgentId, object]] = {}
         self.quiescent = {0: self._quiescent()}
+        self.keys = {0: self._keys()}
 
     def _quiescent(self) -> frozenset[AgentId]:
         return frozenset(a for a, mach in self.machines.items()
                          if mach.is_quiescent())
+
+    def _keys(self) -> tuple:
+        return tuple(self.machines[a].state_key()
+                     for a in sorted(self.machines))
 
     def ensure_round(self, m: int):
         while self.done_round < m:
@@ -871,6 +876,7 @@ class _ShadowWorld:
         self.round_payloads[m] = _deliver(views, self.machines, actions)
         self.round_actions[m] = actions
         self.quiescent[m] = self._quiescent()
+        self.keys[m] = self._keys()
         self.done_round = m
 
     def action_of(self, i: AgentId, m: int) -> dict[AgentId, IndividualAction]:
@@ -938,7 +944,15 @@ class _Persona(_Wrapper):
         return out
 
     def state_key(self):
-        return (self.label, self.base.state_key())
+        """What is still ahead, relative to the round: the scripted
+        defection's target and offset, if it is ahead, and the shadow
+        world's machine keys after this round, with the label, audience
+        and base key."""
+        ahead = None
+        if self.defection is not None and self.defection[1] > self.round:
+            ahead = (self.defection[0], self.defection[1] - self.round)
+        return (self.label, self.audience, ahead,
+                self.shadow.keys[self.round], self.base.state_key())
 
     def is_quiescent(self) -> bool:
         return (self.base.is_quiescent()

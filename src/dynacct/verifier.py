@@ -8,7 +8,9 @@ the round.
 Each job has exactly one implementation, and every layer reads the run's
 parameters from its ``SimConfig``, which caches what depends on it alone:
 the member graph, the round views, the honest run, the rounds its paired
-defections have played and the one-shot reports.
+defections have played and the one-shot reports.  Its walks share one
+world graph (below) with every live config that differs from it in member
+alone.
 
 * A round is one pass: ``_begin_round`` reads the round's views, built
   once per config round, and calls ``begin_round``, ``_act`` calls ``act``
@@ -25,8 +27,8 @@ defections have played and the one-shot reports.
   each draw from a seed via SHA-256 (bit-exact across platforms and thread
   counts); ``simulate`` runs the configured profile through it with no
   state log (``run_paired_defection`` logs its pairs).  ``_round_scripts``
-  replays ``_ScriptDraws`` draw scripts, and the context walks draw every
-  outcome false from ``_FixedDraws``.
+  replays ``_ScriptDraws`` draw scripts, and ``_replay`` draws every
+  outcome false from ``_FixedDraws``, as a context walk does.
 * The honest run is simulated once per ``SimConfig`` and checkpoints the
   machines at the start of every round.  ``run_paired_defection`` returns
   it as the conforming trace, and forks each deviating run from its
@@ -41,22 +43,20 @@ defections have played and the one-shot reports.
   on graph and round, and ``state_key`` is complete, so the copies are
   exact.
 * ``_round_scripts`` collects the actions of every draw script of a round,
-  with exact rational probabilities.  ``_Walk`` is its only caller and the
-  only branch walker: a depth-first Bellman recursion ``V(w) = sum over
-  scripts of p * (r + d * V(w'))`` for a per-round reward r and discount d.
-  Per round it reads the views, computed once per config round, and plays
-  each script, forking the machines (``_fork``: one ``clone()`` per
-  machine) for every script but the last; rounds with one script are
-  played in a loop.  The reward ``reward(m, profile)`` is all that
-  differs between its callers: i's utility minus its all-cooperate
-  utility (``_gap``), discounted by delta, for ``expected_utility``, the
-  candidates and the one-shot continuations (these with the world table
-  below), the punishments toward i with discount 1 for
-  ``expected_punishments``, and a check that raises at the first
-  non-cooperative action for ``verify_cooperation``.
-* The value after a history is the walk from the machines of that history
-  (``_OneShotChecker._continuation_eu`` forks them at its context).  A
-  branch cut by the walk's last round ``end`` is recorded as absorbed at
+  with exact rational probabilities; ``_Worlds.edges``, which plays a
+  world of the world graph, is its only caller.  ``_Walk`` is the only
+  branch walker: a depth-first Bellman recursion ``V(w) = sum over
+  scripts of p * (r + d * V(w'))`` over the world graph for a per-round
+  reward r and discount d; rounds with one script are followed in a loop.
+  The reward ``reward(m, profile)`` is all that differs between its
+  callers: i's utility minus its all-cooperate utility (``_gap``),
+  discounted by delta, for ``expected_utility``, the candidates and the
+  one-shot continuations (these with the value table below), the
+  punishments toward i with discount 1 for ``expected_punishments``, and a
+  check that raises at the first non-cooperative action for
+  ``verify_cooperation``.
+* The value after a history is the walk from the world of that history.
+  A branch cut by the walk's last round ``end`` is recorded as absorbed at
   ``end + 1``.
 * Every deviation is a machine.  The one-shot checker forces i's send/
   defect/avoid classes in one round by wrapping i's machine in a sincere
@@ -80,9 +80,9 @@ still the analytic tail bound the finite-horizon contract prescribes.
 
 One-shot deviation checking (``_OneShotChecker.report``: one checker per
 agent, owning its walk state) enumerates the agent's information-set
-occurrences, deduplicated by world key (graph phase plus machine states)
-and collected by closure.  A context walk plays the profile with fixed draw
-outcomes, so it is deterministic in the world key: it stops at the first
+occurrences, deduplicated by world key and collected by closure.  A
+context walk follows the profile with every draw outcome false, so it is
+deterministic in the world key: it stops at the first
 closed world (one whose successors are all collected) or at a world it
 walked itself, and then closes every world it walked.  The
 on-path walk runs to round horizon - 1.  Robustness depth 2 also explores
@@ -99,23 +99,44 @@ Punish-or-cooperate substitutions are utility-equivalent for the shipped
 protocols (garbage costs the sender exactly what the value costs, and
 punishing is never accusable), so override enumeration ranges over
 send/defect/avoid patterns per neighbour; the prescribed pattern itself
-reports gain zero.  The prescribed classes
-come from the walk: it plays each collected round as prescribed, with the
-same fixed draws, right after collecting it.
+reports gain zero.  The prescribed classes come from the round the walk
+follows right after collecting it.
 
-Continuation values are shared through one table per ``verify_one_shot``
-call, keyed by ``_world_key`` (``EvolvingGraph.phase`` plus every
-machine's ``state_key``), with no round or horizon in the key.  A
+World graph.  The one-shot walks (``_Walk``, the context walks and the
+forced rounds of ``report``) play every round from one table of worlds,
+``worlds._Worlds``, shared by the configs on one family object that differ in
+member alone (the family holds it weakly, so it goes with the last of
+them), and play a world only if no walk has.
+
+* The key of a world (``_world_key``) is the graph's future at its round
+  (``EvolvingGraph.future``: its phase, and the rounds from there on spelt
+  out) and every machine's ``state_key``, in agent order; a forced world
+  holds the wrapper's own key, relative to its round.  Within one member
+  futures partition the rounds as phases do, so the contexts, and with
+  them the checks, are those of phase keys.  No world holding an
+  ``("opaque", id)`` key is held, since a dead machine's id can be reused.
+* A node (``_Node``) holds its pre-round machines, which are forked for a
+  play unless only the node holds them, and its quiescence; once played,
+  each draw script's probability, checked profile and successor.  A
+  played node drops its machines unless a context walk has visited it; a
+  context walk that meets a dropped world it collects replays its machines
+  from the last world it met with machines (``_replay``).
+* Pooling is exact: equal futures and equal keys give equal subtrees
+  (``state_key`` is complete, state is draw-independent and views depend
+  on the graph alone), so a world reached in one member plays in another
+  what it played in the first, whatever round either reached it in.
+
+Each agent's continuation values are shared through one table of the
+world graph, keyed by world key, with no round or horizon in the key.  A
 continuation's walk stops at the first world already valued.  An entry
 holds i's expected utility relative to its cooperative tail, discounted to
 the round the world was reached in, the offset of its latest absorption
 and the leaf count; read at round m it is worth the same.  It is exact,
 not approximate, because:
 
-* state is draw-independent and ``state_key`` is complete, so two worlds
-  with equal keys at the same graph phase play identical subtrees, with the
-  same utilities, draw probabilities and absorption offsets, whatever
-  round they are reached in (``tests/test_soundness.py`` checks both
+* two worlds with equal keys play identical subtrees, with the same
+  utilities, draw probabilities and absorption offsets, whatever round
+  they are reached in (``tests/test_soundness.py`` checks the
   preconditions);
 * a world with a deviation still ahead is never valued, and no world
   holds a spent wrapper: ``protocols._deliver`` puts its base back once
@@ -137,17 +158,19 @@ agent pi(a), with the same branch probabilities, absorption rounds and leaf
 count, and with agent a's utilities given to pi(a).
 
 A forced continuation is looked up by (m2, world key w of its context,
-pattern P) alone.  Once walked, it is stored under (m2, sigma(w),
-sigma(P)) for every sigma in the stabilizer of i, the identity included
-(the identity alone without a symmetric profile).  A hit is exact: sigma
-fixes i, so i's utilities are the same, and both walks start at m2, so the
-horizon cuts them alike.  The stabilizer is a group, so a lookup hits
-exactly when some walked continuation maps onto it, and contexts are
-unique by world key, so no entry is written twice.  The enumeration cap
-is checked per walk (``_Walk._stop``): a hit is the image of a walked
-continuation with the same leaves, and that walk stayed under the cap.
-Only values change hands: the contexts, the checks and their order, and
-so every report, are those of walking every continuation.
+pattern P) alone, in a table of the world graph per agent.  Once walked,
+it is stored under (m2, sigma(w), sigma(P)) for every sigma in the
+stabilizer of i in the member's graph, the identity included (the
+identity alone without a symmetric profile).  A hit is exact: sigma fixes
+i, so i's utilities are the same, and both walks start at m2, so the
+horizon cuts them alike; an entry speaks of a world, its future included,
+so it holds in every member that reaches that world.  The stabilizer is a
+group, so within a member a lookup hits exactly when some walked
+continuation maps onto it.  The enumeration cap is checked per walk
+(``_Walk._stop``): a hit is the image of a walked continuation with the
+same leaves, and that walk stayed under the cap.  Only values change
+hands: the contexts, the checks and their order, and so every report, are
+those of walking every continuation.
 
 A report is memoised on the ``SimConfig`` by (agent, robust depth) only if
 another agent may take it, and agent i is given the memoised report of an
@@ -185,6 +208,7 @@ from .game_core import (COOPERATE, ActionKind, ActionProfile, History,
 from .protocols import (ScheduledDefector, StrategyConfigError,
                         StrategyMachine, _deliver, _template,
                         build_deviation, build_strategy, honest_spec)
+from .worlds import _Node, _Worlds
 
 AgentId = int
 
@@ -223,13 +247,18 @@ class _NeedBranch(Exception):
         self.p = p
 
 
+# the probability of a script that draws nothing: one object for every
+# edge of the world graph that holds it
+_CERTAIN = Fraction(1)
+
+
 class _ScriptDraws:
     """Replays a script of outcomes; asks for a fork when it runs out."""
 
     def __init__(self, script: Sequence[bool]):
         self.script = list(script)
         self.cursor = 0
-        self.prob = Fraction(1)
+        self.prob = _CERTAIN
 
     def draw(self, agent: AgentId, rnd: int, label: str, p: Fraction) -> bool:
         if not (0 < p < 1):
@@ -280,8 +309,8 @@ def _world(machines: dict[AgentId, StrategyMachine], m: int) -> tuple:
 def _opaque(key) -> bool:
     """Whether a state key is or holds, nested in tuples, the default
     ``("opaque", id)`` key."""
-    return type(key) is tuple and (key[:1] == ("opaque",)
-                                   or any(map(_opaque, key)))
+    return type(key) is tuple and (key[:1] == ("opaque",) or any(
+        [_opaque(k) for k in key if type(k) is tuple]))
 
 
 class _PlayedRounds:
@@ -374,6 +403,19 @@ class SimConfig:
         return played
 
     @functools.cached_property
+    def _worlds(self) -> _Worlds:
+        """The world graph of this config and of every live config on its
+        family object that differs from it in member alone."""
+        graphs = self.family._world_graphs
+        key = (repr(sorted(self.strategies.items())), self.horizon,
+               self.params, self.seed, self.enum_cap)
+        worlds = graphs.get(key)
+        if worlds is None:
+            worlds = graphs[key] = _Worlds(_Memo(functools.partial(
+                tail_bound, self.params, self.family.n)))
+        return worlds
+
+    @functools.cached_property
     def _one_shot_reports(self) -> dict:
         """``verify_one_shot``'s reports that another agent may take, by
         (agent, robust depth)."""
@@ -387,9 +429,9 @@ class SimConfig:
     @functools.cached_property
     def _tolerances(self) -> Mapping[int, Fraction]:
         """The tail bound by rounds left to the horizon, each computed on
-        its first lookup: every checker of the config shares the powers of
-        delta."""
-        return _Memo(functools.partial(tail_bound, self.params, self.family.n))
+        its first lookup: every checker of the config's world graph shares
+        the powers of delta."""
+        return self._worlds.tolerances
 
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
@@ -477,6 +519,15 @@ def _round_scripts(machines: dict[AgentId, StrategyMachine],
     return done
 
 
+def _replay(cfg: SimConfig, machines, start: int, m: int) -> dict:
+    """A fork of the pre-round ``machines`` of round ``start`` played to
+    the start of round m with every draw outcome false."""
+    ms = _fork(machines)
+    for t in range(start, m):
+        _play_round(cfg, ms, t, _FixedDraws())
+    return ms
+
+
 def _fork(machines: dict[AgentId, StrategyMachine]) -> dict[AgentId, StrategyMachine]:
     """Independent copies, one ``clone()`` per machine.  Sound because no two
     machines share mutable state, except a scripted evasive strategy's
@@ -542,7 +593,9 @@ class _Walk:
     """Depth-first exact walk over every randomisation branch of a machine
     profile up to round ``end`` (default: the horizon), valuing the reward
     ``reward(m, profile)`` of each round played, discounted by ``d`` per
-    round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.
+    round: ``V(w) = sum over scripts of p * (reward + d * V(w'))``.  It
+    walks the config's world graph, so a round some walk has played is
+    not played again.
 
     No world in which a machine's first deviation round is still ahead is
     absorbed, or read or written in the ``table`` of valued worlds.
@@ -555,7 +608,9 @@ class _Walk:
         self.d = d
         self.end = cfg.horizon if end is None else end
         self.table = table
+        self.worlds = cfg._worlds
         self.leaves = 0
+        self.ahead = 0
 
     def _stop(self, m: int, leaves: int):
         """Count the leaves of a branch stopping before round m against the
@@ -565,18 +620,28 @@ class _Walk:
         if self.leaves > cap:
             raise EnumerationCapExceeded(cap, m - 1, cap)
 
-    def value(self, ms, m: int) -> tuple[Fraction, int]:
-        """Walk the pre-round machines ``ms`` from round m: ``(pre, last)``,
-        with ``pre`` the expected reward of the rounds played, discounted to
-        m, and ``last`` the latest round a branch absorbed at.  A branch cut
-        by ``end`` is recorded as absorbed at ``end + 1``.
+    def value(self, ms, m: int, key: Optional[tuple] = None,
+              ) -> tuple[Fraction, int]:
+        """Walk the pre-round machines ``ms``, of world key ``key`` if
+        given, which it keeps unchanged, from round m: ``(pre, last)``,
+        with ``pre`` the expected reward of the rounds played, discounted
+        to m, and ``last`` the latest round a branch absorbed at.  A branch
+        cut by ``end`` is recorded as absorbed at ``end + 1``.  The latest
+        first deviation round is read from ``ms`` once: no later world of
+        the walk gains a deviation, and a wrapper comes off only after its
+        first round."""
+        self.ahead = max((mach.first_deviation_round or 0)
+                         for mach in ms.values())
+        root = self.worlds.node(self.cfg, ms, m, key)
+        return self._value([None, None, root], m)
 
-        Rounds with one draw script are played in a loop, and only a round
-        with several recurses.  A keyed round stops at the first world
-        already valued; once every branch of the subtree absorbed, every
-        keyed round of it is written back."""
-        cfg, d = self.cfg, self.d
-        ahead = max((mach.first_deviation_round or 0) for mach in ms.values())
+    def _value(self, edge: list, m: int) -> tuple[Fraction, int]:
+        """``value`` from the node ``edge`` leads to at round m.  Rounds
+        with one draw script are followed in a loop, and only a round with
+        several recurses.  A stored world stops at the first world already
+        valued; once every branch of the subtree absorbed, every such world
+        of it is written back."""
+        cfg, d, worlds = self.cfg, self.d, self.worlds
         first = self.leaves
         chain: list[tuple[Optional[tuple], int, Fraction]] = []
         while True:
@@ -585,36 +650,32 @@ class _Walk:
                 self._stop(m, 1)
                 pre, last = Fraction(0), self.end + 1
                 break
-            if m > ahead:
-                if all(mach.is_quiescent() for mach in ms.values()):
+            node = worlds.follow(cfg, edge, m)
+            if m > self.ahead:
+                if node.quiescent:
                     self._stop(m, 1)
                     pre, last = Fraction(0), m
                     break
                 # not at the last round: no span is 0, every branch is cut
-                if self.table is not None and m < self.end:
-                    key = _world_key(cfg.graph, ms, m)
+                if self.table is not None and m < self.end and node.stored:
+                    key = node.key
                     hit = self.table.get(key)
                     if hit is not None and m + hit.span <= self.end:
                         self._stop(m, hit.leaves)
                         pre, last = hit.pre, m + hit.span
                         key = None      # already valued
                         break
-            views = _begin_round(cfg, ms, m)
-            outcomes = [(p, raw, _round_profile(cfg, m, raw))
-                        for raw, p in _round_scripts(ms, m)]
-            if len(outcomes) == 1:
-                _, raw, profile = outcomes[0]
-                chain.append((key, m, self.reward(m, profile)))
-                _deliver(views, ms, raw)
+            edges = worlds.edges(cfg, node, m)
+            if len(edges) == 1:
+                edge = edges[0]
+                chain.append((key, m, self.reward(m, edge[1])))
                 m += 1
                 continue
             pre, last = Fraction(0), m
-            for k, (p, raw, profile) in enumerate(outcomes):
-                r = self.reward(m, profile)
-                sub = ms if k == len(outcomes) - 1 else _fork(ms)
-                _deliver(views, sub, raw)
-                spre, slast = self.value(sub, m + 1)
-                pre += p * (r + d * spre)
+            for edge in edges:
+                r = self.reward(m, edge[1])
+                spre, slast = self._value(edge, m + 1)
+                pre += edge[0] * (r + d * spre)
                 last = max(last, slast)
             break
         complete = last <= self.end
@@ -648,11 +709,12 @@ def _gap(cfg: SimConfig, i: AgentId) -> Callable:
     return gap
 
 
-def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
-                 i: AgentId, start: int, table: Optional[dict] = None,
+def _relative_eu(cfg: SimConfig, machines, i: AgentId, start: int,
+                 table: Optional[dict] = None, key: Optional[tuple] = None,
                  ) -> Fraction:
     """i's expected utility over the runs of the pre-round machines
-    ``machines`` walked from round ``start``, discounted to ``start``,
+    ``machines`` (of world key ``key``, if given) walked from round
+    ``start``, discounted to ``start``,
     relative to i's cooperative tail from there.
 
     The walk's reward is i's round utility minus its all-cooperate one
@@ -663,7 +725,7 @@ def _relative_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
     closed-form tail, whose probabilities sum to 1, cancels.  Pass one
     ``table`` to share the valued worlds."""
     walk = _Walk(cfg, _gap(cfg, i), cfg.params.delta, table=table)
-    return walk.value(machines, start)[0]
+    return walk.value(machines, start, key)[0]
 
 
 def _expected_eu(cfg: SimConfig, machines: dict[AgentId, StrategyMachine],
@@ -751,7 +813,10 @@ class EquilibriumReport:
 
 
 def _world_key(graph, machines, m):
-    return graph.phase(m), tuple(machines[a].state_key() for a in sorted(machines))
+    """The graph's future at round m (``EvolvingGraph.future``) and every
+    machine's ``state_key``, in agent id order."""
+    return graph.future(m), tuple(machines[a].state_key()
+                                  for a in sorted(machines))
 
 
 def _override_patterns(mode: Mode, nbrs: Sequence[AgentId]):
@@ -773,65 +838,79 @@ class _OneShotChecker:
     def __init__(self, cfg: SimConfig, i: AgentId):
         self.cfg = cfg
         self.i = i
-        # every world key walked so far, mapped to whether it is closed, and
-        # the contexts collected, in collection order, each with its key
-        self.seen: dict[tuple, bool] = {}
-        self.contexts: list = []
-        self.results: list[tuple[Fraction, Fraction, dict]] = []
-        # continuation values by world key, from fully absorbed subtrees
-        self.values: dict[tuple, _Valued] = {}
+        # every world key walked so far, mapped to whether it is closed; the
+        # contexts collected, in collection order, each with its key; and
+        # every check's (gain, tolerance, witness)
+        self.seen, self.contexts, self.results = {}, [], []
+        # continuation values by world key, from fully absorbed subtrees,
+        # shared with i's checkers of the other members (``_Worlds``)
+        worlds = self.worlds = cfg._worlds
+        self.values = worlds.values.setdefault(i, {})
         # the automorphisms that fix i, the identity included, and the key
         # relabelling they use, if the profile is symmetric (set by
         # ``report``), else the identity alone; the values of the forced
         # continuations walked, by (m2, world key, pattern) and under every
-        # image of that by a symmetry; and the world last walked from, with
-        # its images
+        # image of that by a symmetry and shared like the values; and the
+        # world last walked from, with its images
         self.symmetries: Sequence[tuple[int, ...]] = [tuple(range(cfg.family.n))]
         self.relabel: Callable = lambda key, pi: key
-        self.continuations: dict[tuple, Fraction] = {}
+        self.continuations = worlds.continuations.setdefault(i, {})
         self.world_images = (None, [])
         # each override pattern's template by its items, frozen once
         self.templates = _Memo(lambda items: _template(
             {o: [j for j, c in items if c == o] for _, o in items}))
 
-    def _walk_contexts(self, ms, start: int, end: int, origin: str):
-        """Step the machines ``ms`` in place from round ``start`` with fixed
-        draw outcomes (valid because state is draw-independent), collecting
-        deduplicated pre-action world states with i's action classes of
-        that round, which the walk plays as prescribed.  The walk stops at
-        a closed world or at one it walked itself and closes what it
-        walked, but a walk cut by ``end`` leaves its worlds open."""
-        cfg, seen = self.cfg, self.seen
-        draws = _FixedDraws()
+    def _walk_contexts(self, anchor: tuple, edge: list, start: int, end: int,
+                       origin: str):
+        """Follow ``edge`` into round ``start`` and on with every draw
+        outcome false (each round's last draw script: valid because state
+        is draw-independent), collecting deduplicated pre-action worlds
+        with i's action classes of that round as prescribed.  A world the
+        walk visits keeps its machines; one that another walk has played
+        and dropped gets them back by a replay (``_replay``) from
+        ``anchor``, the pre-round machines and round of the last world the
+        walk met with machines.  The walk stops at a closed world or at one
+        it walked itself and closes what it walked, but a walk cut by
+        ``end`` leaves its worlds open."""
+        cfg, seen, worlds = self.cfg, self.seen, self.worlds
         walked: set = set()
         for m in range(start, end + 1):
-            key = _world_key(cfg.graph, ms, m)
+            node = worlds.follow(cfg, edge, m)
+            key = node.key
             if seen.get(key) or key in walked:
                 seen.update(dict.fromkeys(walked, True))
                 return
             walked.add(key)
-            state = None
-            if key not in seen:
+            new = key not in seen
+            if node.machines is None and new:
+                node.machines, node.owns = _replay(cfg, *anchor, m), False
+            if node.machines is not None:
+                node.keeps = True
+                anchor = node.machines, m
+            edge = worlds.edges(cfg, node, m)[-1]
+            if new:
                 seen[key] = False
-                state = _fork(ms)
-            profile = _play_round(cfg, ms, m, draws)
-            if state is not None:
-                mine = profile.acts[self.i]
-                self.contexts.append(
-                    (m, state, key, origin, {j: _CLASSES.get(a.kind, "send")
-                                             for j, a in mine.items()}))
+                mine = edge[1].acts[self.i]
+                self.contexts.append((m, node.machines, key, origin, {
+                    j: _CLASSES.get(a.kind, "send") for j, a in mine.items()}))
 
-    def _forced(self, machines, m: int,
-                pattern: Optional[Mapping[AgentId, str]]) -> dict:
-        """A fork of ``machines`` with i's round-m classes forced to
-        ``pattern`` (None: as prescribed) by a sincere ``ScheduledDefector``
-        holding the pattern's frozen template."""
-        ms = _fork(machines)
-        if pattern is not None:
-            template = self.templates[frozenset(pattern.items())]
-            ms[self.i] = ScheduledDefector(ms[self.i], {m: template},
-                                           sincere=True)
-        return ms
+    def _forced(self, machines, m: int, world: tuple,
+                pattern: Optional[Mapping[AgentId, str]],
+                ) -> tuple[dict, tuple]:
+        """The context ``machines`` of world key ``world`` with i's round-m
+        classes forced to ``pattern`` (None: as prescribed) by a sincere
+        ``ScheduledDefector`` holding the pattern's frozen template, with
+        their world key: the context's with i's key swapped for the
+        wrapper's.  The machines are not forked: a node forks what it does
+        not own."""
+        if pattern is None:
+            return machines, world
+        template = self.templates[frozenset(pattern.items())]
+        wrapper = ScheduledDefector(machines[self.i], {m: template},
+                                    sincere=True)
+        keys = list(world[1])
+        keys[self.i] = wrapper.state_key()
+        return {**machines, self.i: wrapper}, (world[0], tuple(keys))
 
     def _images(self, world: tuple) -> list:
         """``(pi, image)`` for each symmetry pi, the image of the world key
@@ -857,16 +936,20 @@ class _OneShotChecker:
         done = self.continuations.get((m2, world,
                                        _pattern_key(pattern, range(n))))
         if done is None:
-            forced = self._forced(machines, m2, pattern)
-            done = _relative_eu(self.cfg, forced, self.i, m2, table=self.values)
+            forced, key = self._forced(machines, m2, world, pattern)
+            done = _relative_eu(self.cfg, forced, self.i, m2,
+                                table=self.values, key=key)
             # contexts are deduplicated by world key, so only this
             # context's checks read its images
             walked_from, images = self.world_images
             if walked_from is not world:
                 images = self._images(world)
                 self.world_images = (world, images)
+            shared = self.worlds.shared
             for pi, image in images:
-                self.continuations[(m2, image, _pattern_key(pattern, pi))] = done
+                key = _pattern_key(pattern, pi)
+                key = shared.setdefault(key, key)
+                self.continuations[(m2, image, key)] = done
         return done
 
     def check_context(self, m2: int, machines, world: tuple, origin: str,
@@ -924,7 +1007,9 @@ class _OneShotChecker:
         if symmetric:
             self.symmetries = list(cfg.graph._automorphisms(i, i))
             self.relabel = type(honest[i]).relabel_key
-        self._walk_contexts(honest, 1, cfg.horizon - 1, "on-path")
+        root = self.worlds.node(cfg, honest, 1)
+        self._walk_contexts((honest, 1), [None, None, root], 1,
+                            cfg.horizon - 1, "on-path")
         prior_points = self.contexts[:] if robust_depth == 2 else []
 
         # After-deviation walks keep a bound: UnsafePunisherProtocol.state_key
@@ -932,17 +1017,18 @@ class _OneShotChecker:
         # defection never close.  With them dropped from the key after round 3,
         # where the script last reads them, every walk closes without the bound
         # and unsafe_three_agent has 35 contexts instead of 81.
-        n = cfg.family.n
+        n, worlds = cfg.family.n, self.worlds
         dev_window = n * n + n + len(cfg.graph.cycle) + 2
-        for (m1, state, *_) in prior_points:
+        for (m1, state, world, *_) in prior_points:
             nbrs1 = sorted(cfg.graph.at(m1).neighbors(i))
             for pattern in _override_patterns(cfg.params.mode, nbrs1)[1:]:
                 desc = ",".join(f"{j}:{o}" for j, o in sorted(pattern.items())
                                 if o != "send")
-                # play round m1 with i's classes forced
-                ms = self._forced(state, m1, pattern)
-                _play_round(cfg, ms, m1, _FixedDraws())
-                self._walk_contexts(ms, m1 + 1,
+                # round m1 with i's classes forced, every draw false
+                ms, key = self._forced(state, m1, world, pattern)
+                forced = worlds.node(cfg, ms, m1, key)
+                after = worlds.edges(cfg, forced, m1)[-1]
+                self._walk_contexts((ms, m1), after, m1 + 1,
                                     min(m1 + dev_window, cfg.horizon - 1),
                                     f"after own {desc}@{m1}")
 
@@ -960,12 +1046,17 @@ class _OneShotChecker:
         # on a pass the largest gain, on a fail the check that beats its
         # tolerance by most; exact ties break toward candidate machines: their
         # witnesses carry the sustained deviation rather than its first
-        # one-shot prefix
-        verdict = all(g <= t for (g, t, _) in results)
+        # one-shot prefix.  A tolerance is never negative, so a gain of at
+        # most 0 (its numerator's sign) is within it without reading its
+        # long digits, and a gain below 0 neither is nor ties the largest
+        # when some gain is at least 0
+        beaten = [r for r in results if r[0].numerator > 0 and r[0] > r[1]]
+        verdict = not beaten
         if verdict:
-            pool, margin = results, lambda r: r[0]
+            nonnegative = [r for r in results if r[0].numerator >= 0]
+            pool, margin = nonnegative or results, lambda r: r[0]
         else:
-            pool, margin = [r for r in results if r[0] > r[1]], lambda r: r[0] - r[1]
+            pool, margin = beaten, lambda r: r[0] - r[1]
 
         def key(r):
             return margin(r), r[2]["origin"] == "candidate"

@@ -794,6 +794,44 @@ def test_pending_scheduled_defectors_key_template_and_offset():
     assert len(set(keys)) == len(keys)
 
 
+def test_persona_state_key_is_round_relative():
+    # a persona keys what is still ahead relative to its round: its scripted
+    # defection's target and offset, and its shadow world's machine keys
+    # after that round, with its label and audience.  On the constant
+    # 4-ring, where the honest shadow world keys alike every round,
+    # personas two rounds before their defection key alike after rounds 3
+    # and 6; a later defection, another target, audience, label or shadow
+    # world keys apart, and once its defection has played a persona keys
+    # as one with none
+    from dynacct.protocols import _honest
+    sc = builtin("ring_connectivity")
+
+    def persona(played, defection=(1, 5), audience=(1, 3), label="p",
+                defector=None):
+        cfg = sc.sim_config(horizon=played)
+        shadow = {a: _honest(cfg, a) for a in range(4)}
+        if defector is not None:
+            shadow[defector] = always_defect_until(shadow[defector], 20)
+        machines = build_machines(cfg, honest_only=True)
+        machines[0] = _Persona(
+            _honest(cfg, 0), _ShadowWorld(cfg.graph, cfg.family.observation,
+                                          shadow),
+            frozenset(audience), label, defection)
+        _simulate_machines(cfg, machines)
+        return machines[0]
+    key = persona(3).state_key()
+    assert key == persona(6, defection=(1, 8)).state_key()
+    others = [persona(3, defection=(1, 6)), persona(3, defection=(3, 5)),
+              persona(3, audience=(1,)), persona(3, label="q"),
+              persona(3, defector=2)]
+    others = [p.state_key() for p in others]
+    assert key not in others and len(set(others)) == len(others)
+    for played, spent in ((4, False), (5, True)):
+        p = persona(played)
+        unscripted = _Persona(p.base, p.shadow, p.audience, p.label)
+        assert (unscripted.state_key() == p.state_key()) is spent
+
+
 @pytest.mark.parametrize("schedule", [{2: ALL_NEIGHBORS},
                                       {2: {"send": [1], "defect": [3]}}],
                          ids=["shorthand", "template"])

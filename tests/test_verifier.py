@@ -316,15 +316,15 @@ def test_walker_matches_leaf_enumeration(rng, monkeypatch):
     from dynacct import verifier
 
     from . import oracles
-    forks = 0      # rounds the walker plays with several draw scripts
-    round_scripts = verifier._round_scripts
+    forks = 0      # rounds the walker visits with several draw scripts
+    edges = verifier._Worlds.edges
 
-    def counted_scripts(*args):
+    def counted_edges(*args):
         nonlocal forks
-        scripts = round_scripts(*args)
+        scripts = edges(*args)
         forks += len(scripts) > 1
         return scripts
-    monkeypatch.setattr(verifier, "_round_scripts", counted_scripts)
+    monkeypatch.setattr(verifier._Worlds, "edges", counted_edges)
 
     forking, continued, witnesses = set(), set(), 0
     for index, cfg in enumerate(_walker_configs(rng)):
@@ -485,19 +485,18 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
     # every played round computes each agent's view and calls begin_round and
     # act once, and i's prescribed classes come from the round that collects
     # a context.  The report is that of the two-pass engine before (which made
-    # 2,424 act calls here); continuations that stop at the first world
-    # already valued, and context walks that stop at the first world already
-    # collected, play 333 rounds where replaying each continuation to
-    # absorption and walking every window to its end played 1,455; and a
-    # continuation whose image under the automorphism swapping 1 and 2 was
-    # walked is not walked again, which leaves 249.  No world is keyed while
-    # a forced deviation is still ahead: keying those too would make 504
-    # state_key calls where the walks needed 369 before the sharing, and
-    # need 279 with it: each context's key is computed once, by the walk
-    # that collects it, and the symmetry test keys the 3 honest machines
-    # once (321 when the checks keyed each context again).  The
-    # views are built once per config round: 3 agents over the 6 rounds
-    # played (333 builds when every played round built its own).
+    # 2,424 act calls here).  Every walk follows the config's world graph,
+    # so each of the 68 worlds the walks reach is played once, by whichever
+    # walk reaches it first: 204 machine-rounds, where continuations that
+    # stopped at the first world already valued, context walks that stopped
+    # at the first world already collected and continuations shared with
+    # their symmetric twins still played 249.  A world is keyed when a walk
+    # first follows an edge into it, and a forced world from its context's
+    # key and its wrapper's own (two calls), so the walks make 243
+    # state_key calls where they made 276 before the graph, and the
+    # symmetry test keys the 3 honest machines once.  The views are built
+    # once per config round: 3 agents over the 6 rounds played (333 builds
+    # when every played round built its own).
     from dynacct import verifier
     from dynacct.game_core import tail_bound
     from dynacct.protocols import SigmaGen
@@ -521,8 +520,8 @@ def test_verify_one_shot_plays_each_round_in_one_action_pass(monkeypatch):
                     horizon=30, params=general_defaults())
     rep = verify_one_shot(cfg, 0, robust_depth=2)
     for name in ("end_round", "act", "begin_round"):
-        assert calls[name] == 249, name
-    assert calls["state_key"] == 279
+        assert calls[name] == 204, name
+    assert calls["state_key"] == 246
     assert calls["local_view"] == 18
     assert rep.max_gain == 0
     assert rep.witness == {"agent": 0, "round": 1, "origin": "on-path",
@@ -869,22 +868,31 @@ def test_world_table_counts_reused_leaves_against_the_cap():
     assert exc.value.leaves == most - 1 and 1 <= exc.value.round <= 10
 
 
-def test_world_keys_stop_before_the_horizon(monkeypatch):
-    # at the horizon no valued world can be read (every stored offset is at
-    # least 1) or written (every branch from there is cut), so no world key
-    # is computed there
+def test_world_keys_stop_at_the_horizon(monkeypatch):
+    # a walk keys the world of every round it plays, the horizon's included,
+    # since another walk may reach that world earlier and follow its edges,
+    # but no world after the horizon: a round's successors are keyed only
+    # when a walk follows them.  No valued world is written at the horizon
+    # (every branch from there is cut)
     from dynacct import verifier
-    world_key = verifier._world_key
-    rounds = []
+    world_key, store = verifier._world_key, verifier._Walk._store
+    rounds, stored = [], []
 
     def recording(graph, machines, m):
         rounds.append(m)
         return world_key(graph, machines, m)
 
+    def storing(self, key, m, *args):
+        if key is not None:
+            stored.append(m)
+        return store(self, key, m, *args)
+
     monkeypatch.setattr(verifier, "_world_key", recording)
+    monkeypatch.setattr(verifier._Walk, "_store", storing)
     cfg = gen_cfg(mixed_degree_family(), horizon=9)
     verify_one_shot(cfg, 0, robust_depth=2)
-    assert rounds and max(rounds) < cfg.horizon
+    assert max(rounds) == cfg.horizon
+    assert stored and max(stored) < cfg.horizon
 
 
 def test_verify_one_shot_gain_strictly_negative_for_defection():
@@ -1171,6 +1179,9 @@ def test_symmetry_is_decided_from_the_honest_machines(monkeypatch):
             rep = verify_one_shot(memo_cfg, i, depth)
             assert json.dumps(rep.to_json()) == json.dumps(direct[i].to_json())
         assert list(memo_cfg._one_shot_reports) == [(0, depth)]
+    # with the loop's configs gone, the checker starts from an empty world
+    # graph, so the sharing seen is that of its own walks
+    del memo_cfg
     walks = calls = 0
     checker = verifier._OneShotChecker(replace(spelt), 0)
     checker.report(build_machines(spelt, honest_only=True), 2, ())
