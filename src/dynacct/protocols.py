@@ -21,7 +21,9 @@ A machine owns one agent's private protocol state.  The round contract is:
   advances the state; ``_deliver``, the one delivery step, calls it with
   the actions ``act`` returned, for the verifier's rounds and the shadow
   worlds below alike, and puts a ``ScheduledDefector`` whose last
-  scheduled round has played back to its base.
+  scheduled round has played back to its base,
+* ``state_key()``, which every machine defines as it does ``act``, keys its
+  state: hashable, complete, relative to its ``round``, never from ``id()``.
 
 A machine's state evolution depends only on which neighbours defected,
 never on punish/cooperate draw outcomes: the equilibrium verifier relies
@@ -98,6 +100,15 @@ def _int(value, field: str) -> int:
         except ValueError:
             pass
     raise StrategyConfigError(f"{field} must be an integer, not {value!r}")
+
+
+def _round(value, field: str) -> int:
+    """``_int``'s value as a round number: round 1 is the first a run
+    plays, so a round below it is refused, not run as no deviation."""
+    m = _int(value, field)
+    if m < 1:
+        raise StrategyConfigError(f"{field} must be at least 1, not {m}")
+    return m
 
 
 def _ints(values, field: str) -> list[int]:
@@ -185,7 +196,7 @@ class StrategyMachine:
 
     def state_key(self):
         """Hashable digest of the machine's state alone, for world dedup."""
-        return ("opaque", id(self))
+        raise NotImplementedError
 
     def is_quiescent(self) -> bool:
         return False
@@ -801,6 +812,11 @@ def _template(value) -> tuple:
         return value
     if not isinstance(value, Mapping):
         value = {"defect": value}
+    for key in value:
+        if key not in _OVERRIDES and key != "prop_punish":
+            raise StrategyConfigError(
+                f"unknown override class {key!r}: the classes are "
+                f"{', '.join(_OVERRIDES)} and prop_punish")
     out = [(action, value[key] if value[key] == ALL_NEIGHBORS
             else tuple(sorted(_ints(value[key], key))))
            for key, action in _OVERRIDES.items() if key in value]
@@ -1014,13 +1030,14 @@ def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:
             else _honest(cfg, me))
     if kind == "single_evasive":
         return single_evasive(base, _int(dev.get("target"), "target"),
-                              _int(dev.get("round"), "round"))
+                              _round(dev.get("round"), "round"))
     if kind == "always_defect_until":
-        return always_defect_until(base, _int(dev.get("round"), "round"))
+        return always_defect_until(base, _round(dev.get("round"), "round"))
     if kind == "defect_at_rounds":
-        return defect_at_rounds(base, _ints(dev.get("rounds"), "rounds"))
+        return defect_at_rounds(base, [_round(r, "rounds") for r in
+                                       _ints(dev.get("rounds"), "rounds")])
     if kind == "one_shot":
-        at, override = _int(dev.get("round"), "round"), dev.get("override")
+        at, override = _round(dev.get("round"), "round"), dev.get("override")
         if not isinstance(override, Mapping):
             raise StrategyConfigError(f"one_shot override must be an object, not {override!r}")
         return ScheduledDefector(base, {at: override}, sincere=True,
@@ -1043,14 +1060,14 @@ def build_deviation(dev: Mapping, cfg, me: AgentId) -> StrategyMachine:
                 f" must partition the other agents {sorted(others)}")
         audience, label = frozenset(group2), "dual_evasive"
         defection = (_int(dev.get("target"), "target"),
-                     _int(dev.get("round"), "round"))
+                     _round(dev.get("round"), "round"))
     else:
         first = _int(dev.get("first_deviator", 0), "first_deviator")
         if first not in machines:
             raise StrategyConfigError(
                 f"first_deviator {first} is not an agent id in 0..{n - 1}")
         machines[first] = always_defect_until(
-            machines[first], _int(dev.get("first_round", 1), "first_round"))
+            machines[first], _round(dev.get("first_round", 1), "first_round"))
         audience, label, defection = others, "lenient_evasive", None
     shadow = _ShadowWorld(graph, cfg.family.observation, machines)
     return _Persona(base, shadow, audience, label, defection)

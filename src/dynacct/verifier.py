@@ -113,8 +113,7 @@ them), and play a world only if no walk has.
   out) and every machine's ``state_key``, in agent order; a forced world
   holds the wrapper's own key, relative to its round.  Within one member
   futures partition the rounds as phases do, so the contexts, and with
-  them the checks, are those of phase keys.  No world holding an
-  ``("opaque", id)`` key is held, since a dead machine's id can be reused.
+  them the checks, are those of phase keys.
 * A node (``_Node``) holds its pre-round machines, which are forked for a
   play unless only the node holds them, and its quiescence; once played,
   each draw script's probability, checked profile and successor.  A
@@ -306,23 +305,14 @@ def _world(machines: dict[AgentId, StrategyMachine], m: int) -> tuple:
     return (m, *[machines[a].state_key() for a in range(len(machines))])
 
 
-def _opaque(key) -> bool:
-    """Whether a state key is or holds, nested in tuples, the default
-    ``("opaque", id)`` key."""
-    return type(key) is tuple and (key[:1] == ("opaque",) or any(
-        [_opaque(k) for k in key if type(k) is tuple]))
-
-
 class _PlayedRounds:
     """A config's rounds played from worlds of base machines: ``rounds``
     maps a world (``_world``) to the round played from it, with unlabelled
     snapshots, so a run that reaches a held world can follow its rounds to
     the horizon (``run_paired_defection`` gives the reasons this is exact).
-    A world that holds an ``("opaque", id)`` key is never stored, since a
-    dead machine's id can be reused.  Profiles, each with its utility
-    tuple, and state keys are interned by value (equal values are
-    interchangeable, and a profile's value is its round, neighbour ids and
-    codes): the table keeps one of each."""
+    Profiles, each with its utility tuple, and state keys are interned by
+    value (equal values are interchangeable, and a profile's value is its
+    round, neighbour ids and codes): the table keeps one of each."""
 
     def __init__(self):
         self.rounds: dict[tuple, _Round] = {}
@@ -332,9 +322,7 @@ class _PlayedRounds:
         """Hold ``rounds[k]`` as the round played from ``worlds[k]``."""
         shared = self._shared
         for world, r in zip(worlds, rounds):
-            if not any(map(_opaque, world)):
-                self.rounds[tuple([shared.setdefault(k, k)
-                                   for k in world])] = r
+            self.rounds[tuple([shared.setdefault(k, k) for k in world])] = r
 
     def round(self, profile: ActionProfile, utils: tuple, snaps: tuple,
               nxt: Optional[_Round]) -> _Round:
@@ -425,13 +413,6 @@ class SimConfig:
     def _views(self) -> dict[int, dict[AgentId, LocalView]]:
         """``_begin_round``'s memo: round m's views by agent."""
         return {}
-
-    @functools.cached_property
-    def _tolerances(self) -> Mapping[int, Fraction]:
-        """The tail bound by rounds left to the horizon, each computed on
-        its first lookup: every checker of the config's world graph shares
-        the powers of delta."""
-        return self._worlds.tolerances
 
 
 def build_machines(cfg: SimConfig, honest_only: bool = False,
@@ -638,9 +619,9 @@ class _Walk:
     def _value(self, edge: list, m: int) -> tuple[Fraction, int]:
         """``value`` from the node ``edge`` leads to at round m.  Rounds
         with one draw script are followed in a loop, and only a round with
-        several recurses.  A stored world stops at the first world already
-        valued; once every branch of the subtree absorbed, every such world
-        of it is written back."""
+        several recurses.  A walk with a table stops at the first world
+        already valued; once every branch of the subtree absorbed, every
+        such world of it is written back."""
         cfg, d, worlds = self.cfg, self.d, self.worlds
         first = self.leaves
         chain: list[tuple[Optional[tuple], int, Fraction]] = []
@@ -657,7 +638,7 @@ class _Walk:
                     pre, last = Fraction(0), m
                     break
                 # not at the last round: no span is 0, every branch is cut
-                if self.table is not None and m < self.end and node.stored:
+                if self.table is not None and m < self.end:
                     key = node.key
                     hit = self.table.get(key)
                     if hit is not None and m + hit.span <= self.end:
@@ -965,7 +946,7 @@ class _OneShotChecker:
             else:
                 gain = (self._continuation_eu(machines, m2, world, pattern)
                         - conform)
-            tol = cfg._tolerances[cfg.horizon - m2]
+            tol = self.worlds.tolerances[cfg.horizon - m2]
             self.results.append((gain, tol, {
                 "agent": self.i, "round": m2, "origin": origin,
                 "override": {str(j): o for j, o in sorted(pattern.items())},
@@ -991,7 +972,7 @@ class _OneShotChecker:
                 f"candidate {machine.label} first deviates at round {m_dev},"
                 f" after the horizon {cfg.horizon}")
         gain = (eu_dev - self.honest_eu) / cfg.params.delta ** (m_dev - 1)
-        tol = cfg._tolerances[cfg.horizon - m_dev]
+        tol = self.worlds.tolerances[cfg.horizon - m_dev]
         self.results.append((gain, tol, {
             "agent": self.i, "round": m_dev, "origin": "candidate",
             "override": machine.label,
@@ -1041,7 +1022,7 @@ class _OneShotChecker:
         results = self.results
         if not results:
             return EquilibriumReport(max_gain=Fraction(0), witness=None,
-                                     tolerance=cfg._tolerances[cfg.horizon],
+                                     tolerance=worlds.tolerances[cfg.horizon],
                                      verdict=True, checks=0), symmetric
         # on a pass the largest gain, on a fail the check that beats its
         # tolerance by most; exact ties break toward candidate machines: their
@@ -1210,8 +1191,6 @@ def run_paired_defection(cfg: SimConfig, i: AgentId, m: int,
     * the wrapper acts as its base before round m;
     * ``state_key`` is complete (``tests/test_soundness.py``), so machines
       with equal keys at the same round play the same rounds from there.
-      A world holding the default ``("opaque", id(self))`` key is never
-      stored, so a machine without a key of its own plays to the horizon.
 
     The deviating trace starts from copies of the honest trace's
     containers, its profiles cut at m-1, and only its own rounds are

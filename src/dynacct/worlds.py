@@ -15,28 +15,24 @@ from .protocols import _deliver
 
 
 class _Node:
-    """A world of a ``_Worlds`` graph: its key
-    (``verifier._world_key``), whether the graph holds it (no world with
-    an ``("opaque", id)`` key is held), whether its machines are all
-    quiescent, its pre-round machines until it is played, and from then on
-    one ``[p, profile, successor]`` edge per draw script in
-    ``verifier._round_scripts`` order: the script's probability, its
-    checked profile and the next round's node, held as that node's
-    machines until a walk first follows the edge.  A profile holds the
-    round its node was first played in: rewards read the round from their
-    ``m``.
+    """A world of a ``_Worlds`` graph: its key (``verifier._world_key``),
+    whether its machines are all quiescent, its pre-round machines until it
+    is played, and from then on one ``[p, profile, successor]`` edge per
+    draw script in ``verifier._round_scripts`` order: the script's
+    probability, its checked profile and the next round's node, held as
+    that node's machines until a walk first follows the edge.  A profile
+    holds the round its node was first played in: rewards read the round
+    from their ``m``.
 
     A node ``owns`` machines that a play made and no one else holds, and
     plays them in place; it forks any others.  A node a context walk has
     visited ``keeps`` its machines, for the contexts that hold them; any
     other drops them once played."""
 
-    __slots__ = ("key", "stored", "quiescent", "machines", "owns", "keeps",
-                 "edges")
+    __slots__ = ("key", "quiescent", "machines", "owns", "keeps", "edges")
 
-    def __init__(self, key, machines, stored, owns):
+    def __init__(self, key, machines, owns):
         self.key = key
-        self.stored = stored
         self.quiescent = all(mach.is_quiescent()
                              for mach in machines.values())
         self.machines = machines
@@ -64,19 +60,13 @@ class _Worlds:
         """The node of the pre-round ``machines`` at round m, whose world
         key is ``key`` if given.  A new node holds ``machines``, which no
         one may change after the call; it ``owns`` them if a play of a
-        held node made them, and no one else holds them.  Such a world
-        holds no ``("opaque", id)`` key: a round changes no machine's class
-        but to take a spent wrapper off."""
+        node made them, and no one else holds them."""
         if key is None:
             key = verifier._world_key(cfg.graph, machines, m)
         node = self.nodes.get(key)
         if node is None:
-            shared = self.shared
-            if not owns and any([verifier._opaque(k) for k in key[1]
-                                 if k not in shared]):
-                return _Node(key, machines, False, owns)
-            key = key[0], tuple([shared.setdefault(k, k) for k in key[1]])
-            node = self.nodes[key] = _Node(key, machines, True, owns)
+            key = key[0], tuple([self.shared.setdefault(k, k) for k in key[1]])
+            node = self.nodes[key] = _Node(key, machines, owns)
         return node
 
     def follow(self, cfg: verifier.SimConfig, edge: list, m: int) -> _Node:
@@ -104,9 +94,6 @@ class _Worlds:
             for (raw, p), profile in zip(scripts, checked):
                 sub = ms if raw is scripts[-1][0] else verifier._fork(ms)
                 _deliver(views, sub, raw)
-                if not node.stored:     # the world after it is not held
-                    sub = _Node(verifier._world_key(cfg.graph, sub, m + 1),
-                                sub, False, True)
                 # each agent's neighbours, then every action's code
                 code = (tuple(map(tuple, raw.values())),
                         tuple([a.code for per in raw.values()

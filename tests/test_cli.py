@@ -269,6 +269,22 @@ def test_verify_ring_passes(tmp_path, capsys):
     assert doc["on_path_cooperation"] is True
 
 
+def test_verify_on_path_failure_names_the_first_defection(tmp_path, capsys):
+    # agent 0 of the ring defects every round: cooperation fails on path,
+    # and the witness is its first defection, toward its lowest neighbour
+    doc = builtin("ring_connectivity").to_json()
+    doc["strategies"]["0"] = "always_defect"
+    path = tmp_path / "defector.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["verify", "--scenario", str(path),
+                            "--horizon", "40"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["on_path_cooperation"] is False
+    assert doc["members"]["ring4"]["on_path_witness"] == {
+        "agent": 0, "round": 1, "toward": 1, "action": "defect"}
+
+
 def test_verify_timely_violation_fails_with_evasive_witness(capsys):
     code, out, _ = run_cli(["verify", "--scenario", "timely_violation"], capsys)
     doc = json.loads(out)
@@ -386,15 +402,27 @@ def test_verify_scenario_field_wrong_type_exit_two(mutate, field, tmp_path,
     (lambda d: d["candidates"][0].update(kind="lenient_evasive_unsafe",
                                          first_deviator=5),
      "first_deviator 5 is not an agent id in 0..3"),
+    (lambda d: d["candidates"][0].update(kind="one_shot",
+                                         override={"defekt": [2]}),
+     "unknown override class 'defekt': the classes are send, defect, "
+     "cooperate, punish, avoid and prop_punish"),
+    (lambda d: d["candidates"][0].update(round=0),
+     "round must be at least 1, not 0"),
+    (lambda d: d["candidates"][0].update(round=-1),
+     "round must be at least 1, not -1"),
 ], ids=["spec-rho-list", "candidate-target-list", "spec-rho-float",
          "candidate-round-bool",
-        "candidate-target-not-a-neighbour", "candidate-first-deviator-outside"])
+        "candidate-target-not-a-neighbour", "candidate-first-deviator-outside",
+        "candidate-override-class-typo", "candidate-round-zero",
+        "candidate-round-negative"])
 def test_verify_strategy_field_refused_exit_two(mutate, message, tmp_path,
                                                 capsys):
     # the strategy and deviation fields are read in protocols: a value
     # that is no integer (a list, a float, a bool), a target the deviator
-    # cannot reach, or a first deviator outside the family, is an input
-    # error
+    # cannot reach, a first deviator outside the family, an override class
+    # that is none of the classes, or a round before round 1, is an input
+    # error.  The bad layers are candidates: verify builds only the honest
+    # base under a strategy's deviation layers
     doc = builtin("timely_violation").to_json()
     mutate(doc)
     path = tmp_path / "spec_scenario.json"

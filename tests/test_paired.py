@@ -9,7 +9,7 @@ holds, the honest run's or an earlier deviating run's, and follows the
 table to the horizon; the rounds it played are added to the table.  These
 tests hold it to ``oracles.paired_defection_from_scratch``, which plays
 both runs in full every time: on every shipped strategy, on machines whose
-opaque default key is never stored, on every (agent, round, target set)
+keys never repeat (so no run rejoins), on every (agent, round, target set)
 of seeded random connectivity families, in shuffled job orders, and with
 the jobs of two configs interleaved.
 """
@@ -26,7 +26,7 @@ from dynacct import protocols, verifier
 from dynacct.evolving_graph import (EvolvingGraph, GraphFamily, RoundGraph,
                                     check_connectivity_restriction)
 from dynacct.game_core import ActionProfile, History, Trace
-from dynacct.protocols import ALL_NEIGHBORS, SigmaGen, StrategyMachine
+from dynacct.protocols import ALL_NEIGHBORS, SigmaGen
 from dynacct.scenarios import complete_graph, general_defaults
 from dynacct.verifier import SimConfig, assert_gen_facts, run_paired_defection
 
@@ -258,9 +258,9 @@ def test_k3_paired_facts_group_plays_233_rounds(monkeypatch):
 
 
 def test_opaque_state_keys_never_rejoin(monkeypatch):
-    # with the default ("opaque", id) key no two machines' keys are equal,
-    # so every deviating run plays each round from m to the horizon
-    monkeypatch.setattr(SigmaGen, "state_key", StrategyMachine.state_key)
+    # with a fresh key on every call no two worlds are equal, so every
+    # deviating run plays each round from m to the horizon
+    monkeypatch.setattr(SigmaGen, "state_key", lambda self: object())
     cfg = shipped_cfg("sigma_gen", 1)
     cfg._honest_run     # simulated here, so the counts below are per job
     played = count_rounds(monkeypatch)
@@ -449,26 +449,3 @@ def test_interleaved_configs_keep_their_own_rounds():
         for cfg, job in zip(cfgs, jobs):
             assert_same_pair(run_paired_defection(cfg, *job),
                              paired_defection_from_scratch(cfg, *job))
-
-
-@pytest.mark.parametrize("wrap", [lambda key: key, lambda key: ("k", key)],
-                         ids=["opaque", "nested"])
-def test_opaque_worlds_are_never_stored(wrap, monkeypatch):
-    # agent 2 keys as the default ("opaque", id), alone or inside a tuple:
-    # over every job no world is stored, not even the honest run's, and
-    # every deviating run plays to the horizon
-    key = SigmaGen.state_key
-    monkeypatch.setattr(SigmaGen, "state_key", lambda self: (
-        wrap(StrategyMachine.state_key(self)) if self.me == 2
-        else key(self)))
-    cfg = paired_cfg(ring_chord_family())
-    cfg._played
-    played = count_rounds(monkeypatch)
-    for i, m, targets in defections(cfg):
-        played[0] = 0
-        got = run_paired_defection(cfg, i, m, targets)
-        assert played[0] == cfg.horizon - m + 1
-        assert cfg._played.rounds == {}
-        if m in (1, 8):
-            assert_same_pair(got, paired_defection_from_scratch(
-                cfg, i, m, targets))

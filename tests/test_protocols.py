@@ -946,16 +946,71 @@ def test_apply_override_send_keeps_a_sending_action():
      "rounds must be a list of integers"),
     ({"deviation": {"kind": "defect_at_rounds", "rounds": "12"}},
      "rounds must be a list of integers"),
+    ({"deviation": {"kind": "one_shot", "round": 1,
+                    "override": {"defekt": "all"}}},
+     "unknown override class 'defekt'"),
+    ({"deviation": {"kind": "single_evasive", "target": 1, "round": 0}},
+     "round must be at least 1, not 0"),
+    ({"deviation": {"kind": "single_evasive", "target": 1, "round": -1}},
+     "round must be at least 1, not -1"),
+    ({"deviation": {"kind": "always_defect_until", "round": 0}},
+     "round must be at least 1, not 0"),
+    ({"deviation": {"kind": "defect_at_rounds", "rounds": [2, 0]}},
+     "rounds must be at least 1, not 0"),
+    ({"deviation": {"kind": "lenient_evasive_unsafe", "first_round": 0}},
+     "first_round must be at least 1, not 0"),
 ], ids=["rho-list", "target-list", "rounds-int", "override-list",
         "prop-punish-target", "rho-float", "rho-bool", "round-bool",
-        "rounds-float", "rounds-str"])
+        "rounds-float", "rounds-str", "override-class-typo", "round-zero",
+        "round-negative", "until-round-zero", "rounds-zero",
+        "first-round-zero"])
 def test_spec_field_of_the_wrong_type_is_refused(spec, message):
     # a list, a bool or a float is no integer, and a string no list: the
     # spec field is named, not a TypeError raised, and no value is
-    # truncated, read as 1 or split into digits
+    # truncated, read as 1 or split into digits.  An override class that
+    # is none of the classes, or a round before round 1, is refused too,
+    # not run as no deviation
     cfg = k3_val_cfg(horizon=4)
     with pytest.raises(StrategyConfigError, match=message):
         build_strategy(spec, cfg, 0)
+
+
+def _machine_classes(cls) -> list:
+    """Every class of the package below ``cls``."""
+    out = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("dynacct."):
+            out += [sub, *_machine_classes(sub)]
+    return out
+
+
+def test_every_machine_keys_its_state():
+    # state_key is part of the machine contract, as act is: the base class
+    # gives no key, every class of the package that acts keys its own
+    # state, and every builtin's honest and candidate machines give
+    # hashable keys
+    with pytest.raises(NotImplementedError):
+        StrategyMachine(0, 2).state_key()
+    acting = [cls for cls in _machine_classes(StrategyMachine)
+              if "act" in vars(cls)]
+    assert len(acting) >= 7
+    for cls in acting:
+        assert cls.state_key is not StrategyMachine.state_key, cls
+    machines, candidates = [], 0
+    for name in sorted(BUILTIN_SCENARIOS):
+        sc = builtin(name)
+        for g in sc.family.members:
+            sc.member = g.name
+            cfg = sc.sim_config(horizon=8)
+            machines += build_machines(cfg, honest_only=True).values()
+            for c in sc.candidates:
+                if c.get("member") in (None, g.name):
+                    spec = {k: v for k, v in c.items() if k != "agent"}
+                    machines.append(build_deviation(spec, cfg, c["agent"]))
+                    candidates += 1
+    assert candidates >= 3
+    for mach in machines:
+        hash(mach.state_key())
 
 
 # ---------------------------------------------------------------------------

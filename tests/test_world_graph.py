@@ -14,9 +14,8 @@ from dynacct import verifier
 from dynacct.cli import main
 from dynacct.evolving_graph import EvolvingGraph, GraphFamily, ObservationModel
 from dynacct.scenarios import Scenario, builtin, general_defaults
-from dynacct.verifier import (_begin_round, _deliver, _fork, _opaque,
-                              _round_scripts, _world_key, verify_cooperation,
-                              verify_one_shot)
+from dynacct.verifier import (_begin_round, _deliver, _fork, _round_scripts,
+                              _world_key, verify_cooperation, verify_one_shot)
 
 from .conftest import random_round_graph
 from .test_verifier import (BUILTINS, _symmetric_configs, gen_cfg,
@@ -98,9 +97,10 @@ def test_members_pooled_in_one_verify_report_as_if_verified_alone(
 
 
 def test_nodes_replay_from_their_machines(monkeypatch):
-    # every stored node, replayed from a fork of the machines it was made
+    # every node, replayed from a fork of the machines it was made
     # with, gives its draw scripts' probabilities and actions in order and
-    # its successors' keys; no stored world holds an ("opaque", id) key.
+    # its successors' keys; every successor an edge holds is a node of the
+    # graph, or the machines it is made of until a walk follows the edge.
     # On every builtin at horizon 40 with its candidates, as `dynacct
     # verify` runs it, on the k3 family of the benchmark's verify_gen, and
     # one whose punishments draw
@@ -154,7 +154,10 @@ def test_nodes_replay_from_their_machines(monkeypatch):
         forked += len(scripts) > 1
     assert replayed > 1000 and forked > 0
     for worlds in graphs:
-        assert not any(_opaque(k) for key in worlds.nodes for k in key[1])
+        held = {id(node) for node in worlds.nodes.values()}
+        for node in worlds.nodes.values():
+            for _, _, succ in node.edges or ():
+                assert type(succ) is dict or id(succ) in held, node.key
 
 
 def test_short_horizon_plays_one_round_per_world(monkeypatch):
